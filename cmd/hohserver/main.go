@@ -141,11 +141,14 @@ func main() {
 	}
 	// Per-shard roll-ups on the server domain: one glance at /metrics
 	// shows whether commits (and serial fallbacks, and lease traffic)
-	// spread across shards or pile onto one.
+	// spread across shards or pile onto one, and — ro_commits against
+	// rw_commits — which kind of window transaction the shard is running.
 	for i := range backends {
 		i := i
 		set, pool := backends[i].Set, pools[i]
 		dom.Gauge(fmt.Sprintf("shard%d_commits", i), func() uint64 { return hohtx.StatsOf(set).Commits })
+		dom.Gauge(fmt.Sprintf("shard%d_ro_commits", i), func() uint64 { return hohtx.StatsOf(set).ReadOnlyCommits() })
+		dom.Gauge(fmt.Sprintf("shard%d_rw_commits", i), func() uint64 { return hohtx.StatsOf(set).WriteCommits })
 		dom.Gauge(fmt.Sprintf("shard%d_serial", i), func() uint64 { return hohtx.StatsOf(set).Serial })
 		dom.Gauge(fmt.Sprintf("shard%d_leases", i), func() uint64 { return pool.Stats().Leases })
 	}
@@ -224,8 +227,8 @@ func main() {
 		"hohserver: drained; keys=%d leases=%d waits=%d avg_wait=%s affinity=%d rejections=%d peak_waiters=%d\n",
 		srv.Len(), st.Leases, st.Waits, avgWait(st), st.AffinityHits, st.Rejections, st.PeakWaiters)
 	if tx := hohtx.StatsOf(sharded); tx.Commits > 0 {
-		fmt.Fprintf(os.Stderr, "hohserver: tx commits=%d aborts=%d serial=%d\n",
-			tx.Commits, tx.Aborts, tx.Serial)
+		fmt.Fprintf(os.Stderr, "hohserver: tx commits=%d ro_commits=%d rw_commits=%d aborts=%d serial=%d\n",
+			tx.Commits, tx.ReadOnlyCommits(), tx.WriteCommits, tx.Aborts, tx.Serial)
 	}
 }
 

@@ -330,6 +330,12 @@ type TxStats struct {
 	Aborts  uint64 // aborted speculative attempts
 	Serial  uint64 // commits that needed the serial fallback
 
+	// WriteCommits is the part of Commits that wrote a shared cell, and so
+	// took commit-time locks and advanced the global clock. The rest
+	// committed read-only (every non-terminal RR-V window, every lookup):
+	// see ReadOnlyCommits.
+	WriteCommits uint64
+
 	// Per-cause abort breakdown (sums to Aborts together with the
 	// explicit-restart aborts not listed here).
 	ReadConflicts  uint64 // reads that hit a newer/locked cell and could not extend
@@ -344,6 +350,9 @@ type TxStats struct {
 	BiasRevocations uint64
 	WriterWaits     uint64
 }
+
+// ReadOnlyCommits is the number of commits that wrote no shared cell.
+func (s TxStats) ReadOnlyCommits() uint64 { return s.Commits - s.WriteCommits }
 
 // LeasePool multiplexes any number of goroutines onto a set's fixed
 // worker ids: Acquire/Release (or the Do one-liner) lease ids with FIFO
@@ -423,6 +432,9 @@ func StatsOf(s Set) TxStats {
 	}
 	if r, ok := s.(interface{ TMStats() stm.Stats }); ok {
 		st := r.TMStats()
+		// Commits from the same snapshot as WriteCommits, so the split
+		// reconciles under load.
+		out.Commits, out.WriteCommits = st.Commits, st.WriteCommits
 		out.ReadConflicts = st.Aborts[stm.CauseReadConflict]
 		out.Validations = st.Aborts[stm.CauseValidation]
 		out.WriteLocks = st.Aborts[stm.CauseWriteLock]

@@ -31,6 +31,11 @@ func TestFacadeBasics(t *testing.T) {
 			if st.Commits == 0 {
 				t.Fatalf("%s/%s: no commits recorded", name, r)
 			}
+			// One insert and one remove wrote.
+			if st.WriteCommits < 2 || st.WriteCommits > st.Commits {
+				t.Fatalf("%s/%s: %d write commits of %d after one insert and one remove",
+					name, r, st.WriteCommits, st.Commits)
+			}
 		}
 	}
 }

@@ -35,6 +35,18 @@ func distinctHashRefs() (uint64, uint64) {
 	}
 }
 
+// collidingHashRefs returns two distinct references that share a slot of a
+// 1<<6 table: the shape under which stale per-thread state can validate
+// against another reservation's metadata.
+func collidingHashRefs() (uint64, uint64) {
+	a := uint64(1)
+	for b := uint64(2); ; b++ {
+		if hashRef(a, 63) == hashRef(b, 63) {
+			return a, b
+		}
+	}
+}
+
 func TestKindNames(t *testing.T) {
 	seen := map[string]bool{}
 	for _, k := range Kinds() {
@@ -80,6 +92,65 @@ func TestReserveGetRelease(t *testing.T) {
 			rt.Atomic(func(tx *stm.Tx) { r.Release(tx, 0) })
 			if got := stm.Run(rt, func(tx *stm.Tx) uint64 { return r.Get(tx, 0) }); got != 0 {
 				t.Fatalf("Get after Release = %d, want 0", got)
+			}
+		})
+	}
+}
+
+// TestAbortedAttemptLeavesGetIntact is the hazard the relaxed.go header
+// describes: a Reserve (or Release) in an attempt that aborts must not
+// leak into the thread's R_t. The refs collide under the hash, so a leaked
+// R_t = b would validate against the metadata a's reservation published
+// and Get would return a reference the thread never committed to holding.
+func TestAbortedAttemptLeavesGetIntact(t *testing.T) {
+	a, b := collidingHashRefs()
+	for _, r := range allImpls(2) {
+		t.Run(r.Name(), func(t *testing.T) {
+			rt := stm.NewRuntime(stm.Profile{})
+			r.Register(0)
+			rt.Atomic(func(tx *stm.Tx) { r.Reserve(tx, 0, a) })
+			for name, doomed := range map[string]func(tx *stm.Tx){
+				"reserve": func(tx *stm.Tx) { r.Reserve(tx, 0, b) },
+				"release": func(tx *stm.Tx) { r.Release(tx, 0) },
+			} {
+				first := true
+				got := stm.Run(rt, func(tx *stm.Tx) uint64 {
+					if first {
+						first = false
+						doomed(tx)
+						tx.Restart()
+					}
+					return r.Get(tx, 0)
+				})
+				if got != a {
+					t.Fatalf("Get after an aborted %s = %d, want the committed %d", name, got, a)
+				}
+			}
+		})
+	}
+}
+
+// TestReleaseReserveGetInOneTx: the reservation state a transaction reads
+// back is its own, write by write, before any of it commits.
+func TestReleaseReserveGetInOneTx(t *testing.T) {
+	a, b := collidingHashRefs()
+	for _, r := range allImpls(2) {
+		t.Run(r.Name(), func(t *testing.T) {
+			rt := stm.NewRuntime(stm.Profile{})
+			r.Register(0)
+			rt.Atomic(func(tx *stm.Tx) { r.Reserve(tx, 0, a) })
+			rt.Atomic(func(tx *stm.Tx) {
+				r.Release(tx, 0)
+				if got := r.Get(tx, 0); got != 0 {
+					t.Errorf("Get after Release in the same transaction = %d, want 0", got)
+				}
+				r.Reserve(tx, 0, b)
+				if got := r.Get(tx, 0); got != b {
+					t.Errorf("Get after Release, Reserve in the same transaction = %d, want %d", got, b)
+				}
+			})
+			if got := stm.Run(rt, func(tx *stm.Tx) uint64 { return r.Get(tx, 0) }); got != b {
+				t.Fatalf("Get in the next transaction = %d, want %d", got, b)
 			}
 		})
 	}

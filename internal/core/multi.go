@@ -100,6 +100,32 @@ func newMultiSlots(threads, capacity int) []multiSlots {
 	return out
 }
 
+// localSlots is the thread-private form of multiSlots, for sets that only
+// their owner ever reads or writes (stm.Local cells; see the relaxed.go
+// header for why that is enough).
+type localSlots struct {
+	refs []stm.Local
+	_    pad.Line
+}
+
+// find returns the index holding ref, or -1.
+func (s *localSlots) find(tx *stm.Tx, ref uint64) int {
+	for i := range s.refs {
+		if s.refs[i].Load(tx) == ref {
+			return i
+		}
+	}
+	return -1
+}
+
+func newLocalSlots(threads, capacity int) []localSlots {
+	out := make([]localSlots, threads)
+	for i := range out {
+		out[i].refs = make([]stm.Local, capacity)
+	}
+	return out
+}
+
 // MultiFA is the set extension of RR-FA: Revoke scans every registered
 // thread's whole set, so its cost grows to O(T·K).
 type MultiFA struct {
@@ -189,10 +215,12 @@ func (m *MultiFA) Name() string { return "RR-FA/multi" }
 // MultiV is the set extension of RR-V: per-thread parallel arrays of
 // (reference, observed counter) pairs over the same shared version table.
 // Revoke stays O(1); Get revalidates the counter recorded at reserve time.
+// As in V, the per-thread arrays are thread-private, so only Revoke writes
+// shared state.
 type MultiV struct {
 	vers *ownTable
-	rt   []multiSlots // reserved references
-	vt   []multiSlots // counters observed at reserve time
+	rt   []localSlots // reserved references
+	vt   []localSlots // counters observed at reserve time
 	cap  int
 }
 
@@ -205,8 +233,8 @@ func NewMultiV(cfg Config, k int) *MultiV {
 	}
 	return &MultiV{
 		vers: newOwnTable(cfg.TableBits),
-		rt:   newMultiSlots(cfg.Threads, k),
-		vt:   newMultiSlots(cfg.Threads, k),
+		rt:   newLocalSlots(cfg.Threads, k),
+		vt:   newLocalSlots(cfg.Threads, k),
 		cap:  k,
 	}
 }

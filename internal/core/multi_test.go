@@ -49,6 +49,45 @@ func TestMultiReserveGetRelease(t *testing.T) {
 	}
 }
 
+// TestMultiAbortedAttemptAndOwnWrites is the set form of the two
+// single-reservation properties (core_test.go): an aborted attempt's
+// Reserve and ReleaseRef leave the set as committed, and a transaction
+// reads back its own ReleaseRef and Reserve.
+func TestMultiAbortedAttemptAndOwnWrites(t *testing.T) {
+	a, b := collidingHashRefs()
+	for _, m := range multiImpls(2, 2) {
+		t.Run(m.Name(), func(t *testing.T) {
+			rt := stm.NewRuntime(stm.Profile{})
+			m.Register(0)
+			rt.Atomic(func(tx *stm.Tx) { m.Reserve(tx, 0, a) })
+
+			first := true
+			rt.Atomic(func(tx *stm.Tx) {
+				if first {
+					first = false
+					m.ReleaseRef(tx, 0, a)
+					m.Reserve(tx, 0, b)
+					tx.Restart()
+				}
+				if gotA, gotB := m.Get(tx, 0, a), m.Get(tx, 0, b); gotA != a || gotB != 0 {
+					t.Errorf("after an aborted attempt Get(a) = %d, Get(b) = %d, want %d and 0", gotA, gotB, a)
+				}
+			})
+
+			rt.Atomic(func(tx *stm.Tx) {
+				m.ReleaseRef(tx, 0, a)
+				m.Reserve(tx, 0, b)
+				if gotA, gotB := m.Get(tx, 0, a), m.Get(tx, 0, b); gotA != 0 || gotB != b {
+					t.Errorf("in the writing transaction Get(a) = %d, Get(b) = %d, want 0 and %d", gotA, gotB, b)
+				}
+			})
+			if got := stm.Run(rt, func(tx *stm.Tx) uint64 { return m.Get(tx, 0, b) }); got != b {
+				t.Fatalf("Get(b) in the next transaction = %d, want %d", got, b)
+			}
+		})
+	}
+}
+
 func TestMultiCapacityPanics(t *testing.T) {
 	for _, m := range multiImpls(1, 2) {
 		t.Run(m.Name(), func(t *testing.T) {

@@ -11,15 +11,41 @@ import (
 // that *was* revoked. In exchange, Revoke is O(1) (XO, V) or O(A) (SO) and
 // Reserve/Release touch little or no shared state.
 //
-// An important subtlety the paper leaves implicit: the per-thread R_t slot
-// must roll back if the enclosing transaction aborts. Under HTM that is
-// automatic (R_t is written transactionally). Here R_t is an stm.Word for
-// the same reason: if an aborted Reserve left R_t pointing at r while the
-// ownership write never committed, a later Get could validate r against
-// metadata published by an *older* reservation that hashes to the same
-// slot, and return a reference the thread does not actually hold.
+// An important subtlety the paper leaves implicit: the per-thread R_t (and
+// RR-V's V_t) must roll back if the enclosing transaction aborts. If an
+// aborted Reserve left R_t pointing at r while the ownership write (or the
+// counter it was paired with) never committed, a later Get could validate r
+// against metadata published by an *older* reservation that hashes to the
+// same slot, and return a reference the thread does not actually hold.
+// Under HTM the rollback is automatic, because R_t is written
+// transactionally — and it costs nothing shared, because no other core
+// ever touches R_t's line.
+//
+// The slots here are stm.Local cells, which is that contract and no more:
+// private to the owning tid, buffered in the transaction, applied at commit,
+// discarded on abort. A Local is not in the read or write set, so R_t and
+// V_t never make a transaction a writer. That is equivalent to keeping them
+// in stm.Words because version locks, commit-time locking and validation
+// only order accesses *between* threads, and only the owner ever reads or
+// writes these slots (Revoke reaches other threads' reservations through
+// the shared table, never through R_t); every cross-thread fact a Get
+// relies on is still a transactional read of that table. What follows is
+// the paper's cost model for RR-V: a window that only Gets and Reserves
+// writes no shared state at all and commits read-only, at its snapshot. A
+// Revoke that commits after that snapshot bumps the counter the next
+// window's Get re-reads, and a reader that walks into a node freed
+// mid-window is killed by the cell-version retire fence (stm.Word.Retire;
+// DESIGN.md §7, "Thread-private reservation state and read-only windows").
+// RR-XO/SO windows are writers regardless: their Reserve writes the
+// ownership table.
 
-// wordSlot is a padded per-thread transactional word.
+// localSlot is a padded per-thread private word.
+type localSlot struct {
+	w stm.Local
+	_ pad.Line
+}
+
+// wordSlot is a padded shared transactional word.
 type wordSlot struct {
 	w stm.Word
 	_ pad.Line
@@ -49,13 +75,13 @@ func (t *ownTable) at(ref uint64) *stm.Word {
 // correctness, is affected — §3.2).
 type XO struct {
 	own *ownTable
-	rt  []wordSlot // R_t: per-thread reserved reference
+	rt  []localSlot // R_t: per-thread reserved reference
 }
 
 // NewXO constructs an RR-XO reservation.
 func NewXO(cfg Config) *XO {
 	cfg = cfg.withDefaults()
-	return &XO{own: newOwnTable(cfg.TableBits), rt: make([]wordSlot, cfg.Threads)}
+	return &XO{own: newOwnTable(cfg.TableBits), rt: make([]localSlot, cfg.Threads)}
 }
 
 // Register implements Reservation (ids are the tids themselves).
@@ -104,7 +130,7 @@ func (x *XO) Name() string { return KindXO.String() }
 // tables.
 type SO struct {
 	tables []*ownTable
-	rt     []wordSlot
+	rt     []localSlot
 }
 
 // NewSO constructs an RR-SO reservation with cfg.Assoc tables.
@@ -114,7 +140,7 @@ func NewSO(cfg Config) *SO {
 	for i := range tables {
 		tables[i] = newOwnTable(cfg.TableBits)
 	}
-	return &SO{tables: tables, rt: make([]wordSlot, cfg.Threads)}
+	return &SO{tables: tables, rt: make([]localSlot, cfg.Threads)}
 }
 
 func (s *SO) table(tid int) *ownTable { return s.tables[tid%len(s.tables)] }
@@ -161,12 +187,15 @@ func (s *SO) Name() string { return KindSO.String() }
 // V is the versioned relaxed scheme (Listing 4): the table holds counters
 // that act like STM ownership-record versions. Reserve records the
 // counter; Get checks it is unchanged; Revoke increments it. Any number of
-// threads can reserve the same reference concurrently, and Reserve writes
-// no shared state at all.
+// threads can reserve the same reference concurrently, and Reserve and
+// Release write no shared state at all: R_t and V_t are thread-private
+// (stm.Local), so a transaction that only Gets, Reserves and Releases is
+// read-only — it takes no lock, does not advance the global clock and is
+// not revalidated at commit. Only Revoke writes.
 type V struct {
 	vers *ownTable
-	rt   []wordSlot // R_t: reserved reference
-	vt   []wordSlot // V_t: counter observed at reserve time
+	rt   []localSlot // R_t: reserved reference
+	vt   []localSlot // V_t: counter observed at reserve time
 }
 
 // NewV constructs an RR-V reservation.
@@ -174,8 +203,8 @@ func NewV(cfg Config) *V {
 	cfg = cfg.withDefaults()
 	return &V{
 		vers: newOwnTable(cfg.TableBits),
-		rt:   make([]wordSlot, cfg.Threads),
-		vt:   make([]wordSlot, cfg.Threads),
+		rt:   make([]localSlot, cfg.Threads),
+		vt:   make([]localSlot, cfg.Threads),
 	}
 }
 

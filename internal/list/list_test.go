@@ -426,3 +426,45 @@ func TestEmptyAndSingleton(t *testing.T) {
 		t.Fatalf("live = %d after emptying, want 1 (sentinel)", l.LiveNodes())
 	}
 }
+
+// TestRRVLookupWindowsCommitReadOnly pins what RR-V's thread-private
+// R_t/V_t buy (core/relaxed.go): a lookup's windows Get and Reserve without
+// writing shared state, so however many of them a traversal takes, none
+// locks a cell or advances the runtime's clock. The same traversal under
+// RR-XO writes the ownership table at every hand-over, which shows the
+// property is the scheme's and not an accident of the TM.
+func TestRRVLookupWindowsCommitReadOnly(t *testing.T) {
+	const n, w = 512, 8
+	for _, tc := range []struct {
+		kind     core.Kind
+		readOnly bool
+	}{{core.KindV, true}, {core.KindXO, false}} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			l := New(Config{Mode: ModeRR, RRKind: tc.kind, Threads: 1, Window: core.Window{W: w}})
+			l.Register(0)
+			for k := uint64(1); k <= n; k++ {
+				l.Insert(0, 2*k)
+			}
+			before, fence := l.rt.Stats(), l.rt.VersionFence()
+			for k := uint64(2*n - 8); k <= 2*n; k++ {
+				if got, want := l.Lookup(0, k), k%2 == 0; got != want {
+					t.Fatalf("Lookup(%d) = %v, want %v", k, got, want)
+				}
+			}
+			after := l.rt.Stats()
+
+			if windows := after.Commits - before.Commits; windows <= n/w {
+				t.Fatalf("lookups committed %d transactions, want more than n/W = %d", windows, n/w)
+			}
+			wrote := after.WriteCommits - before.WriteCommits
+			moved := l.rt.VersionFence() != fence
+			if tc.readOnly && (wrote != 0 || moved) {
+				t.Fatalf("lookup windows wrote: %d write commits, clock %d -> %d", wrote, fence, l.rt.VersionFence())
+			}
+			if !tc.readOnly && (wrote == 0 || !moved) {
+				t.Fatalf("lookup windows committed read-only: %d write commits, clock moved %v", wrote, moved)
+			}
+			l.Finish(0)
+		})
+	}
+}

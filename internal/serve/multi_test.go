@@ -228,7 +228,7 @@ func TestMultiSharded(t *testing.T) {
 	}
 
 	info := cl.roundTrip(t, "INFO")[0]
-	for _, wantField := range []string{"multi=per-shard", "maxbatch=", "commits=", "serial=", "aborts="} {
+	for _, wantField := range []string{"multi=per-shard", "maxbatch=", "commits=", "ro_commits=", "rw_commits=", "serial=", "aborts="} {
 		if !strings.Contains(info, wantField) {
 			t.Errorf("sharded INFO %q missing %q", info, wantField)
 		}

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,6 +50,10 @@ func TestLeaseContention(t *testing.T) {
 					if set.Insert(tid, key) {
 						set.Remove(tid, key)
 					}
+					// Give the slot's lease a chance to be contended: with
+					// fewer processors than slots, holders that never yield
+					// are never all out at once and nobody waits.
+					runtime.Gosched()
 					ops.Add(1)
 					inUse[tid].Add(-1)
 				})

@@ -100,8 +100,8 @@ type ServerConfig struct {
 //	                breakdowns as key=value fields), terminated by END\n
 //	LEN\n        -> <n>\n              (keys currently present, all shards)
 //	INFO\n       -> variant=… shards=… slots=… keys=… live=… deferred=… conns=…
-//	                maxbatch=… autobatch=… multi=… scan=… commits=… serial=…
-//	                aborts=… [obs=<addr>]\n
+//	                maxbatch=… autobatch=… multi=… scan=… commits=…
+//	                ro_commits=… rw_commits=… serial=… aborts=… [obs=<addr>]\n
 //	anything else -> ERR <reason>\n    (connection stays open)
 //
 // MULTI executes its n body ops as one transaction per shard touched
@@ -339,20 +339,19 @@ func (s *Server) batchStat(b int) stm.BatchStat {
 }
 
 // txTotals sums commit/serial/abort counters across the shards (the INFO
-// fields the load generator derives serial-fallback rates from).
-func (s *Server) txTotals() (commits, serial, aborts uint64) {
+// fields the load generator derives serial-fallback rates from); writes is
+// the part of commits that had a write set.
+func (s *Server) txTotals() (commits, writes, serial, aborts uint64) {
 	for _, bk := range s.shards {
-		if r, ok := bk.Set.(interface {
-			TxCommits() uint64
-			TxAborts() uint64
-			TxSerial() uint64
-		}); ok {
-			commits += r.TxCommits()
-			serial += r.TxSerial()
-			aborts += r.TxAborts()
+		if r, ok := bk.Set.(interface{ TMStats() stm.Stats }); ok {
+			st := r.TMStats()
+			commits += st.Commits
+			writes += st.WriteCommits
+			serial += st.SerialCommits
+			aborts += st.TotalAborts()
 		}
 	}
-	return commits, serial, aborts
+	return commits, writes, serial, aborts
 }
 
 // memTotals sums the shards' memory books.
@@ -717,11 +716,11 @@ func (c *conn) serveLine(line []byte) bool {
 		if len(s.shards) > 1 {
 			multi = "per-shard"
 		}
-		commits, serial, aborts := s.txTotals()
-		fmt.Fprintf(bw, "variant=%s shards=%d slots=%d keys=%d live=%d deferred=%d conns=%d maxbatch=%d autobatch=%d multi=%s scan=%s commits=%d serial=%d aborts=%d",
+		commits, writes, serial, aborts := s.txTotals()
+		fmt.Fprintf(bw, "variant=%s shards=%d slots=%d keys=%d live=%d deferred=%d conns=%d maxbatch=%d autobatch=%d multi=%s scan=%s commits=%d ro_commits=%d rw_commits=%d serial=%d aborts=%d",
 			s.shards[0].Set.Name(), len(s.shards), s.shards[0].Pool.Slots(),
 			s.keys.Load(), live, deferred, s.conns.Load(),
-			s.maxBatch, s.autoBatch, multi, s.scanCap, commits, serial, aborts)
+			s.maxBatch, s.autoBatch, multi, s.scanCap, commits, commits-writes, writes, serial, aborts)
 		if s.obsAddr != "" {
 			fmt.Fprintf(bw, " obs=%s", s.obsAddr)
 		}

@@ -367,6 +367,7 @@ func (s *Sharded) TMStats() stm.Stats {
 		}
 		st := r.TMStats()
 		out.Commits += st.Commits
+		out.WriteCommits += st.WriteCommits
 		out.SerialCommits += st.SerialCommits
 		out.Extensions += st.Extensions
 		for c := range st.Aborts {

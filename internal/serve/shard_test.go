@@ -223,6 +223,18 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	if live != baseline+n {
 		t.Fatalf("live %d != baseline %d + %d keys", live, baseline, n)
 	}
+	// The commit split reconciles across shards, and on RR-V it says what
+	// ran: every SET's last window wrote, every GET committed read-only.
+	var commits, ro, rw uint64
+	for field, dst := range map[string]*uint64{"commits": &commits, "ro_commits": &ro, "rw_commits": &rw} {
+		if *dst, err = strconv.ParseUint(info[field], 10, 64); err != nil {
+			t.Fatalf("INFO %s = %q: %v", field, info[field], err)
+		}
+	}
+	if tm := sh.TMStats(); commits != tm.Commits || rw != tm.WriteCommits || ro+rw != commits || rw < n || ro < n {
+		t.Fatalf("INFO commits=%d ro_commits=%d rw_commits=%d after %d SETs and %d GETs (shard sum %v)",
+			commits, ro, rw, n, n, tm)
+	}
 
 	// Every shard must hold some of a dense 1..120 range (router sanity
 	// over the wire, not just in the hash unit test).

@@ -215,3 +215,30 @@ func TestRemoveTallTowers(t *testing.T) {
 		t.Fatalf("live = %d, want 1", live)
 	}
 }
+
+// TestRRVLookupWindowsCommitReadOnly: as on the list (list_test.go), a
+// lookup's RR-V windows — here several per descent — write no shared
+// state: no write commit, and the runtime's clock stays where it was.
+func TestRRVLookupWindowsCommitReadOnly(t *testing.T) {
+	const n, w = 1024, 2
+	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 1, Window: core.Window{W: w}})
+	s.Register(0)
+	for k := uint64(1); k <= n; k++ {
+		s.Insert(0, 2*k)
+	}
+	before, fence := s.rt.Stats(), s.rt.VersionFence()
+	const lookups = 64
+	for i := uint64(0); i < lookups; i++ {
+		k := 1 + i*(2*n/lookups)
+		if got, want := s.Lookup(0, k), k%2 == 0; got != want {
+			t.Fatalf("Lookup(%d) = %v, want %v", k, got, want)
+		}
+	}
+	after := s.rt.Stats()
+	if windows := after.Commits - before.Commits; windows < 2*lookups {
+		t.Fatalf("%d lookups committed %d transactions, want several windows each", lookups, windows)
+	}
+	if wrote := after.WriteCommits - before.WriteCommits; wrote != 0 || s.rt.VersionFence() != fence {
+		t.Fatalf("lookup windows wrote: %d write commits, clock %d -> %d", wrote, fence, s.rt.VersionFence())
+	}
+}

@@ -147,7 +147,14 @@ func (tx *Tx) runAttempt(fn func(*Tx)) (committed bool) {
 		}
 	}()
 	fn(tx)
-	return tx.commit()
+	if !tx.commit() {
+		return false
+	}
+	// Committed: publish the thread-private stores (see Local).
+	for i := range tx.ls {
+		tx.ls[i].dst.v = tx.ls[i].val
+	}
+	return true
 }
 
 func runHooks(hooks []txHook) {

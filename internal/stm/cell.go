@@ -131,6 +131,49 @@ func (w *Word) Retire(ver uint64) {
 	}
 }
 
+// Local is a thread-private transactional word: a cell that exactly one
+// thread (one tid) ever loads or stores, such as a revocable reservation's
+// own R_t/V_t slots. It keeps the one transactional property such a cell
+// needs — a store takes effect if and only if the transaction commits — and
+// drops everything that exists to order accesses between threads: it has no
+// version lock, is never in the read or write set, is never validated, and
+// therefore does not turn a read-only transaction into a writer. Stores are
+// buffered in the Tx (read-own-writes), applied to plain memory right after a
+// successful commit and before the commit hooks run, and discarded when the
+// attempt aborts or fn panics — which is what hardware TM does with a
+// transactional store to memory no other core touches.
+//
+// Pending stores count toward Profile.Capacity like Word writes: under real
+// HTM they occupy the same write buffer.
+//
+// The owner contract is the caller's to keep. Handing a tid (and with it
+// its Locals) to another goroutine needs a happens-before edge between the
+// two, as a lease pool's release/acquire provides.
+//
+// The zero Local holds zero.
+type Local struct{ v uint64 }
+
+// Load returns the value as of this point in the transaction: the pending
+// store if the transaction made one, else the committed value.
+func (l *Local) Load(tx *Tx) uint64 {
+	if i := tx.findLocal(l); i >= 0 {
+		return tx.ls[i].val
+	}
+	return l.v
+}
+
+// Store buffers a write of x; it takes effect if and only if the
+// transaction commits.
+func (l *Local) Store(tx *Tx, x uint64) {
+	if i := tx.findLocal(l); i >= 0 {
+		tx.ls[i].val = x
+		return
+	}
+	tx.checkCapacity()
+	tx.maybeYield()
+	tx.ls = append(tx.ls, lentry{dst: l, val: x})
+}
+
 // Ptr is a transactional typed pointer cell, provided for library users who
 // want to attach arbitrary payloads (e.g. map values) to transactional
 // structures. The repository's own data structures use Word cells holding

@@ -9,9 +9,19 @@ import (
 // must behave exactly like plain sequential execution over a plain array —
 // including aborted attempts leaving no trace and read-own-writes.
 
+// modelCells is the script's address space: the first half are Words, the
+// second half Locals. A single-threaded script cannot tell the two apart.
+const modelCells = 16
+
+// cell is what a script step needs of either cell type.
+type cell interface {
+	Load(*Tx) uint64
+	Store(*Tx, uint64)
+}
+
 // txOp is one step of a scripted transaction.
 type txOp struct {
-	Cell  uint8 // which of the 8 cells
+	Cell  uint8 // which of the modelCells cells
 	Kind  uint8 // 0 read, 1 write, 2 add-read-to, 3 restart-once
 	Value uint8
 }
@@ -19,16 +29,24 @@ type txOp struct {
 func TestQuickSequentialEquivalence(t *testing.T) {
 	f := func(script [][]txOp) bool {
 		rt := NewRuntime(Profile{})
-		cells := make([]Word, 8)
-		model := make([]uint64, 8)
+		words := make([]Word, modelCells/2)
+		locals := make([]Local, modelCells/2)
+		cells := make([]cell, 0, modelCells)
+		for i := range words {
+			cells = append(cells, &words[i])
+		}
+		for i := range locals {
+			cells = append(cells, &locals[i])
+		}
+		model := make([]uint64, modelCells)
 
 		for _, txScript := range script {
 			restarted := false
-			shadow := make([]uint64, 8)
+			shadow := make([]uint64, modelCells)
 			rt.Atomic(func(tx *Tx) {
 				copy(shadow, model) // model of this attempt's effects
 				for _, op := range txScript {
-					c := int(op.Cell) % 8
+					c := int(op.Cell) % modelCells
 					switch op.Kind % 4 {
 					case 0: // read must observe prior writes in-tx
 						if got := cells[c].Load(tx); got != shadow[c] {
@@ -56,8 +74,8 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 			}
 			copy(model, shadow) // committed: model takes the effects
 		}
-		for i := range cells {
-			if cells[i].Raw() != model[i] {
+		for i := range words {
+			if words[i].Raw() != model[i] || locals[i].v != model[len(words)+i] {
 				return false
 			}
 		}

@@ -20,6 +20,7 @@ func pokeAllStats(rt *Runtime) {
 	for i := range rt.stats.shards {
 		sh := &rt.stats.shards[i]
 		sh.commits.Store(1)
+		sh.writeCommits.Store(1)
 		sh.serialCommits.Store(1)
 		sh.extensions.Store(1)
 		sh.clockCASes.Store(1)

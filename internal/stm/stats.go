@@ -14,6 +14,7 @@ const statShards = 16
 
 type statShard struct {
 	commits       atomic.Uint64
+	writeCommits  atomic.Uint64
 	serialCommits atomic.Uint64
 	extensions    atomic.Uint64
 	clockCASes    atomic.Uint64
@@ -41,6 +42,11 @@ func (s *statCounters) shard(tx *Tx) *statShard {
 func (s *statCounters) record(tx *Tx, serial bool) {
 	sh := s.shard(tx)
 	sh.commits.Add(1)
+	if len(tx.ws) != 0 {
+		// The commit that locked cells and drew a write version; the
+		// read-only return in Tx.commit never reaches this add.
+		sh.writeCommits.Add(1)
+	}
 	if serial {
 		sh.serialCommits.Add(1)
 	}
@@ -88,7 +94,12 @@ func (s *statCounters) flushTx(sh *statShard, tx *Tx) {
 // statistics (counters are read without mutual exclusion; totals may lag
 // in-flight transactions by a few counts).
 type Stats struct {
-	Commits       uint64
+	Commits uint64
+	// WriteCommits counts the commits that had a write set: they locked
+	// cells, drew a write version from the clock and (unless alone)
+	// revalidated their reads. The rest committed read-only, at their
+	// snapshot, touching no shared state; see ReadOnlyCommits.
+	WriteCommits  uint64
 	SerialCommits uint64
 	Extensions    uint64
 	Aborts        [int(numCauses)]uint64
@@ -148,6 +159,9 @@ type BatchStat struct {
 	Serial uint64
 }
 
+// ReadOnlyCommits is the number of commits that wrote no transactional cell.
+func (s Stats) ReadOnlyCommits() uint64 { return s.Commits - s.WriteCommits }
+
 // TotalAborts sums aborts across all causes.
 func (s Stats) TotalAborts() uint64 {
 	var t uint64
@@ -168,8 +182,8 @@ func (s Stats) AbortRate() float64 {
 // String renders the snapshot compactly for logs and examples.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"commits=%d serial=%d extensions=%d aborts=%d (read=%d validate=%d wlock=%d capacity=%d explicit=%d) clockcas=%d revoke=%d wwait=%d slow=%d",
-		s.Commits, s.SerialCommits, s.Extensions, s.TotalAborts(),
+		"commits=%d (ro=%d rw=%d) serial=%d extensions=%d aborts=%d (read=%d validate=%d wlock=%d capacity=%d explicit=%d) clockcas=%d revoke=%d wwait=%d slow=%d",
+		s.Commits, s.ReadOnlyCommits(), s.WriteCommits, s.SerialCommits, s.Extensions, s.TotalAborts(),
 		s.Aborts[CauseReadConflict], s.Aborts[CauseValidation],
 		s.Aborts[CauseWriteLock], s.Aborts[CauseCapacity], s.Aborts[CauseExplicit],
 		s.ClockCASes, s.BiasRevocations, s.WriterWaits, s.CommitSlowPath)
@@ -180,6 +194,10 @@ func (rt *Runtime) Stats() Stats {
 	var out Stats
 	for i := range rt.stats.shards {
 		sh := &rt.stats.shards[i]
+		// Write commits first: record adds to commits before writeCommits,
+		// so this order keeps WriteCommits <= Commits in every snapshot
+		// (ReadOnlyCommits never underflows under load).
+		out.WriteCommits += sh.writeCommits.Load()
 		out.Commits += sh.commits.Load()
 		out.SerialCommits += sh.serialCommits.Load()
 		out.Extensions += sh.extensions.Load()
@@ -206,6 +224,7 @@ func (rt *Runtime) ResetStats() {
 	for i := range rt.stats.shards {
 		sh := &rt.stats.shards[i]
 		sh.commits.Store(0)
+		sh.writeCommits.Store(0)
 		sh.serialCommits.Store(0)
 		sh.extensions.Store(0)
 		sh.clockCASes.Store(0)

@@ -3,6 +3,9 @@ package stm
 import (
 	"sync"
 	"testing"
+	"unsafe"
+
+	"hohtx/internal/pad"
 )
 
 func newTestRuntime() *Runtime {
@@ -354,5 +357,25 @@ func TestAbortCauseStrings(t *testing.T) {
 	}
 	if AbortCause(200).String() != "unknown" {
 		t.Error("out-of-range cause should be unknown")
+	}
+}
+
+// TestTxLayout pins what the Tx type comment promises: four cache lines
+// exactly (so pooled Txs come 64-byte aligned and never share a line), with
+// the read path's fields in the first.
+func TestTxLayout(t *testing.T) {
+	var tx Tx
+	if got := unsafe.Sizeof(tx); got != 4*pad.CacheLine {
+		t.Fatalf("Tx is %d bytes, want %d: adjust the trailing pad", got, 4*pad.CacheLine)
+	}
+	if end := unsafe.Offsetof(tx.rsHead) + unsafe.Sizeof(tx.rsHead); end > pad.CacheLine {
+		t.Fatalf("read-path fields end at byte %d, past the first cache line", end)
+	}
+	rt := NewRuntime(Profile{})
+	for i := 0; i < 4; i++ {
+		pooled := rt.txPool.Get().(*Tx) // as atomicT obtains it: heap-allocated
+		if addr := uintptr(unsafe.Pointer(pooled)); addr%pad.CacheLine != 0 {
+			t.Fatalf("pooled Tx %d sits at %#x, not line-aligned", i, addr)
+		}
 	}
 }

@@ -42,32 +42,54 @@ type wentry struct {
 	prev uint64
 }
 
+// lentry is one pending Local store.
+type lentry struct {
+	dst *Local
+	val uint64
+}
+
 // Tx is one transaction attempt's context. A Tx is only valid inside the
 // closure passed to Runtime.Atomic and must not be retained, shared between
 // goroutines, or used after the closure returns.
+//
+// The struct is exactly four cache lines (TestTxLayout), a size the
+// allocator hands out 64-byte aligned. Pooled Txs are allocated back to back
+// and each is driven by a different processor; unpadded, one Tx's tail (tid,
+// conflict: written every transaction) shares a line with its neighbour's
+// head (the read set's slice header: written on every read), and a list
+// traversal by two threads runs a tenth slower for it. Aligned, the field
+// order below is also the line layout: what a transactional read touches is
+// in the first line (plus len(ws) at the head of the second), commit-time
+// and per-call bookkeeping in the rest.
 type Tx struct {
 	rt     *Runtime
 	rv     uint64 // snapshot (read) version; even
 	serial bool   // true when running under the exclusive serial lock
 	cause  AbortCause
+	// yieldShift and capacity are the profile's YieldShift and Capacity,
+	// copied when the Tx is created (a Tx serves one Runtime, whose profile
+	// never changes) so the per-read checks stay on this line.
+	yieldShift uint8
+	capacity   int
+	rs         []rentry
+	rsHead     int // entries below this index are early-released
 
-	rs     []rentry
-	rsHead int    // entries below this index are early-released
 	rsBase uint64 // logical index of rs[0] (survives compaction)
 	ws     []wentry
 	wmap   map[*atomic.Uint64]int // lazily built past wsMapThreshold
+	ls     []lentry               // pending Local stores (see cell.go)
 
 	commitHooks []txHook
 	abortHooks  []txHook
+	rng         uint64 // xorshift state for backoff jitter
+	extensions  uint64 // snapshot extensions performed (stats)
 
-	rng        uint64 // xorshift state for backoff jitter
-	extensions uint64 // snapshot extensions performed (stats)
-	clockCASes uint64 // clock-advance CAS attempts performed (stats)
-	slowPaths  uint64 // commit-lock slow-path acquisitions (stats)
-	slotHash   uint64 // per-Tx BRAVO commit-slot hash (fixed at creation)
-
-	tid      int32          // caller's thread id for observability (-1 unknown)
-	conflict *atomic.Uint64 // version word that caused the last abort, if known
+	clockCASes uint64         // clock-advance CAS attempts performed (stats)
+	slowPaths  uint64         // commit-lock slow-path acquisitions (stats)
+	slotHash   uint64         // per-Tx BRAVO commit-slot hash (fixed at creation)
+	tid        int32          // caller's thread id for observability (-1 unknown)
+	conflict   *atomic.Uint64 // version word that caused the last abort, if known
+	_          [24]byte       // pad to four lines
 }
 
 // txSeq hands out distinct slot hashes to pooled transactions; consecutive
@@ -77,11 +99,14 @@ var txSeq atomic.Uint64
 
 func newTx(rt *Runtime) *Tx {
 	return &Tx{
-		rt:       rt,
-		rs:       make([]rentry, 0, 256),
-		ws:       make([]wentry, 0, 32),
-		rng:      0x9e3779b97f4a7c15,
-		slotHash: txSeq.Add(1) * 0x9e3779b97f4a7c15,
+		rt:         rt,
+		rs:         make([]rentry, 0, 256),
+		ws:         make([]wentry, 0, 32),
+		ls:         make([]lentry, 0, 8),
+		rng:        0x9e3779b97f4a7c15,
+		yieldShift: rt.prof.YieldShift,
+		capacity:   rt.prof.Capacity,
+		slotHash:   txSeq.Add(1) * 0x9e3779b97f4a7c15,
 	}
 }
 
@@ -95,6 +120,7 @@ func (tx *Tx) reset(serial bool) {
 	tx.rsHead = 0
 	tx.rsBase = 0
 	tx.ws = tx.ws[:0]
+	tx.ls = tx.ls[:0]
 	if tx.wmap != nil {
 		clear(tx.wmap)
 	}
@@ -174,9 +200,10 @@ func (tx *Tx) abort(c AbortCause) {
 // checkCapacity enforces the HTM-simulation footprint bound. Early-released
 // reads no longer occupy tracked state (in real HTM early release is
 // impossible, which is precisely the paper's motivation — callers using
-// ReadMark/ForgetReadsBefore have opted out of the HTM model).
+// ReadMark/ForgetReadsBefore have opted out of the HTM model). Pending Local
+// stores occupy transactional state like any other write.
 func (tx *Tx) checkCapacity() {
-	if c := tx.rt.prof.Capacity; c > 0 && !tx.serial && len(tx.rs)-tx.rsHead+len(tx.ws) >= c {
+	if c := tx.capacity; c > 0 && !tx.serial && len(tx.rs)-tx.rsHead+len(tx.ws)+len(tx.ls) >= c {
 		tx.abort(CauseCapacity)
 	}
 }
@@ -215,7 +242,7 @@ func (tx *Tx) ForgetReadsBefore(mark uint64) {
 
 // maybeYield simulates a preemption point per the profile's YieldShift.
 func (tx *Tx) maybeYield() {
-	if s := tx.rt.prof.YieldShift; s != 0 && tx.nextRand()&(1<<s-1) == 0 {
+	if s := tx.yieldShift; s != 0 && tx.nextRand()&(1<<s-1) == 0 {
 		runtime.Gosched()
 	}
 }
@@ -287,6 +314,17 @@ func (tx *Tx) lookupWrite(m *atomic.Uint64) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// findLocal returns the index of the pending store to l, or -1. A
+// transaction stores to a handful of Locals at most, so a scan suffices.
+func (tx *Tx) findLocal(l *Local) int {
+	for i := len(tx.ls) - 1; i >= 0; i-- {
+		if tx.ls[i].dst == l {
+			return i
+		}
+	}
+	return -1
 }
 
 // addWrite records a write-set entry, deduplicating by cell so commit never

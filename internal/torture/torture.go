@@ -230,12 +230,10 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 			h := pool.Handle()
 			sp := new(obs.Span) // pooled: one span object, re-armed per scan
 			rng := cfg.Seed ^ 0x5ca9
+			// Check-then-poll, as the pair observer below: the workers can
+			// finish before this goroutine is first scheduled, and the run
+			// must still record at least one scan.
 			for round := 0; ; round++ {
-				select {
-				case <-stopScan:
-					return
-				default:
-				}
 				var lo uint64
 				switch round % 3 {
 				case 0:
@@ -275,6 +273,11 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 					}
 				})
 				scanChecks.Add(1)
+				select {
+				case <-stopScan:
+					return
+				default:
+				}
 			}
 		}()
 	}
