@@ -137,76 +137,47 @@ func BestWindow(f Family, threads int) int {
 	}
 }
 
-// rrKindByName maps legend labels to reservation kinds.
-func rrKindByName(name string) (core.Kind, bool) {
-	for _, k := range core.Kinds() {
-		if k.String() == name {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 // Build constructs the variant for a family at a thread count. It returns
 // an error for combinations the paper does not define (e.g. REF on the
-// doubly linked list).
+// doubly linked list). Which labels a family takes is the structure
+// package's own ModeByName; the lock-free comparators are the only names
+// resolved here.
 func Build(f Family, spec VariantSpec, threads int) (sets.Set, error) {
 	w := spec.Window
 	if w == 0 {
 		w = BestWindow(f, threads)
 	}
 	win := core.Window{W: w, NoScatter: spec.NoScatter}
+	undefined := fmt.Errorf("bench: variant %q is undefined for family %q", spec.Name, f)
+	yield := simShift(spec.NoSimulatedPreemption)
+	profile := func(attempts int) stm.Profile {
+		if spec.Capacity > 0 {
+			return stm.Profile{Capacity: spec.Capacity, MaxAttempts: attempts}
+		}
+		return stm.Profile{}
+	}
 
 	switch f {
 	case FamilySingly, FamilyDoubly:
-		cfg := list.Config{
-			Threads:     threads,
-			Window:      win,
-			ArenaPolicy: spec.Policy,
-			Assoc:       spec.Assoc,
-			YieldShift:  simShift(spec.NoSimulatedPreemption),
-			ClockPolicy: clockOf(spec),
-			Obs:         obsDomain(spec, threads),
-		}
-		if spec.Capacity > 0 {
-			cfg.Profile = stm.Profile{Capacity: spec.Capacity, MaxAttempts: 2}
-		}
-		switch spec.Name {
-		case "HTM":
-			cfg.Mode = list.ModeHTM
-		case "TMHP":
-			cfg.Mode = list.ModeTMHP
-		case "TMHE":
-			cfg.Mode = list.ModeTMHE
-		case "TMVBR":
-			cfg.Mode = list.ModeTMVBR
-		case "REF":
+		if spec.Name == "LFLeak" || spec.Name == "LFHP" {
 			if f == FamilyDoubly {
-				return nil, fmt.Errorf("bench: REF is undefined for the doubly linked list")
-			}
-			cfg.Mode = list.ModeREF
-		case "ER":
-			if f == FamilyDoubly {
-				return nil, fmt.Errorf("bench: ER is undefined for the doubly linked list")
-			}
-			cfg.Mode = list.ModeER
-		case "LFLeak", "LFHP":
-			if f == FamilyDoubly {
-				return nil, fmt.Errorf("bench: no lock-free doubly linked list (as in the paper)")
+				return nil, undefined // no lock-free doubly linked list (as in the paper)
 			}
 			return lockfree.NewHarrisList(lockfree.ListConfig{
 				Threads:           threads,
 				UseHazardPointers: spec.Name == "LFHP",
 				ArenaPolicy:       spec.Policy,
-				YieldShift:        simShift(spec.NoSimulatedPreemption),
+				YieldShift:        yield,
 			}), nil
-		default:
-			k, ok := rrKindByName(spec.Name)
-			if !ok {
-				return nil, fmt.Errorf("bench: unknown list variant %q", spec.Name)
-			}
-			cfg.Mode = list.ModeRR
-			cfg.RRKind = k
+		}
+		mode, kind, ok := list.ModeByName(spec.Name, f == FamilyDoubly)
+		if !ok {
+			return nil, undefined
+		}
+		cfg := list.Config{
+			Mode: mode, RRKind: kind, Threads: threads, Window: win,
+			ArenaPolicy: spec.Policy, Assoc: spec.Assoc, Profile: profile(2),
+			YieldShift: yield, ClockPolicy: clockOf(spec), Obs: obsDomain(spec, threads),
 		}
 		if f == FamilyDoubly {
 			return list.NewDoubly(cfg), nil
@@ -214,51 +185,20 @@ func Build(f Family, spec VariantSpec, threads int) (sets.Set, error) {
 		return list.New(cfg), nil
 
 	case FamilyInternalTree, FamilyExternalTree:
+		if spec.Name == "LFLeak" {
+			if f == FamilyInternalTree {
+				return nil, undefined // the lock-free comparator tree is external (as in the paper)
+			}
+			return lockfree.NewNMTree(lockfree.NMConfig{Threads: threads, YieldShift: yield}), nil
+		}
+		mode, kind, ok := tree.ModeByName(spec.Name, f == FamilyInternalTree)
+		if !ok {
+			return nil, undefined
+		}
 		cfg := tree.Config{
-			Threads:     threads,
-			Window:      win,
-			ArenaPolicy: spec.Policy,
-			Assoc:       spec.Assoc,
-			YieldShift:  simShift(spec.NoSimulatedPreemption),
-			ClockPolicy: clockOf(spec),
-			Obs:         obsDomain(spec, threads),
-		}
-		if spec.Capacity > 0 {
-			cfg.Profile = stm.Profile{Capacity: spec.Capacity, MaxAttempts: 8}
-		}
-		switch spec.Name {
-		case "HTM":
-			cfg.Mode = tree.ModeHTM
-		case "TMHP":
-			if f == FamilyInternalTree {
-				return nil, fmt.Errorf("bench: no internal tree with hazard pointers (as in the paper)")
-			}
-			cfg.Mode = tree.ModeTMHP
-		case "TMHE":
-			if f == FamilyInternalTree {
-				return nil, fmt.Errorf("bench: the deferred schemes run on the external tree only")
-			}
-			cfg.Mode = tree.ModeTMHE
-		case "TMVBR":
-			if f == FamilyInternalTree {
-				return nil, fmt.Errorf("bench: the deferred schemes run on the external tree only")
-			}
-			cfg.Mode = tree.ModeTMVBR
-		case "LFLeak":
-			if f == FamilyInternalTree {
-				return nil, fmt.Errorf("bench: the lock-free comparator tree is external (as in the paper)")
-			}
-			return lockfree.NewNMTree(lockfree.NMConfig{
-				Threads:    threads,
-				YieldShift: simShift(spec.NoSimulatedPreemption),
-			}), nil
-		default:
-			k, ok := rrKindByName(spec.Name)
-			if !ok {
-				return nil, fmt.Errorf("bench: unknown tree variant %q", spec.Name)
-			}
-			cfg.Mode = tree.ModeRR
-			cfg.RRKind = k
+			Mode: mode, RRKind: kind, Threads: threads, Window: win,
+			ArenaPolicy: spec.Policy, Assoc: spec.Assoc, Profile: profile(8),
+			YieldShift: yield, ClockPolicy: clockOf(spec), Obs: obsDomain(spec, threads),
 		}
 		if f == FamilyInternalTree {
 			return tree.NewInternal(cfg), nil
@@ -266,34 +206,15 @@ func Build(f Family, spec VariantSpec, threads int) (sets.Set, error) {
 		return tree.NewExternal(cfg), nil
 
 	case FamilySkipList:
-		cfg := skiplist.Config{
-			Threads:     threads,
-			Window:      win,
-			ArenaPolicy: spec.Policy,
-			Assoc:       spec.Assoc,
-			YieldShift:  simShift(spec.NoSimulatedPreemption),
-			ClockPolicy: clockOf(spec),
-			Obs:         obsDomain(spec, threads),
+		mode, kind, ok := skiplist.ModeByName(spec.Name)
+		if !ok {
+			return nil, undefined
 		}
-		if spec.Capacity > 0 {
-			cfg.Profile = stm.Profile{Capacity: spec.Capacity, MaxAttempts: 8}
-		}
-		switch spec.Name {
-		case "HTM":
-			cfg.Mode = skiplist.ModeHTM
-		case "TMHE":
-			cfg.Mode = skiplist.ModeTMHE
-		case "TMVBR":
-			cfg.Mode = skiplist.ModeTMVBR
-		default:
-			k, ok := rrKindByName(spec.Name)
-			if !ok {
-				return nil, fmt.Errorf("bench: unknown skiplist variant %q", spec.Name)
-			}
-			cfg.Mode = skiplist.ModeRR
-			cfg.RRKind = k
-		}
-		return skiplist.New(cfg), nil
+		return skiplist.New(skiplist.Config{
+			Mode: mode, RRKind: kind, Threads: threads, Window: win,
+			ArenaPolicy: spec.Policy, Assoc: spec.Assoc, Profile: profile(8),
+			YieldShift: yield, ClockPolicy: clockOf(spec), Obs: obsDomain(spec, threads),
+		}), nil
 	}
 	return nil, fmt.Errorf("bench: unknown family %q", f)
 }

@@ -38,9 +38,7 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 	}
 	ts := &l.threads[tid]
 	ts.ops += uint64(len(ops))
-	if l.ep != nil {
-		// ModeER: the batch is one epoch-protected critical section.
-		l.ep.Enter(tid)
+	if l.enterEpoch(tid) {
 		defer l.ep.Exit(tid)
 	}
 	// Result and visit-order buffers live in per-thread state and are
@@ -69,21 +67,21 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 		for pos < len(order) {
 			chain := chainOf(ops[order[pos]].Key)
 			prevH := chainHead(chain)
-			currH := l.loadLink(tx, tid, prevH, &l.ar.At(prevH).next)
+			currH := l.guard.Link(tx, tid, prevH, &l.ar.At(prevH).next)
 			var ck uint64
 			ckKnown := false
 			for pos < len(order) && chainOf(ops[order[pos]].Key) == chain {
 				key := ops[order[pos]].Key
 				for !currH.IsNil() {
 					if !ckKnown {
-						ck = l.loadWord(tx, tid, currH, &l.ar.At(currH).key)
+						ck = l.guard.Word(tx, tid, currH, &l.ar.At(currH).key)
 						ckKnown = true
 					}
 					if ck >= key {
 						break
 					}
 					prevH = currH
-					currH = l.loadLink(tx, tid, currH, &l.ar.At(currH).next)
+					currH = l.guard.Link(tx, tid, currH, &l.ar.At(currH).next)
 					ckKnown = false
 				}
 				present := !currH.IsNil() && ck == key
@@ -103,7 +101,7 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 						if !present {
 							out[i] = false
 						} else {
-							nxt := l.loadLink(tx, tid, currH, &l.ar.At(currH).next)
+							nxt := l.guard.Link(tx, tid, currH, &l.ar.At(currH).next)
 							removeAt(tx, tid, prevH, currH)
 							currH = nxt
 							ckKnown = false
@@ -142,8 +140,8 @@ func (l *List) Apply(tid int, ops []sets.Op) []sets.Result {
 // Apply implements sets.Set for the doubly linked list. The two-phase
 // reserve-then-unlink removal of the single-op path collapses back into
 // the enclosing transaction (as in its ModeHTM path): traversal and unlink
-// commit together, so no reservation phase is needed; ModeRR still revokes
-// the victim for other threads' reservations.
+// commit together, so no hold phase is needed; the link still sees the
+// victim unlinked, so ModeRR revokes it for other threads' reservations.
 func (d *DList) Apply(tid int, ops []sets.Op) []sets.Result {
 	return d.applyBatch(tid, ops,
 		func(uint64) int { return 0 },
@@ -162,18 +160,11 @@ func (d *DList) insertDoubly(tx *stm.Tx, tid int, key uint64, prevH, currH arena
 	return nh
 }
 
-func (d *DList) removeDoublyInTx(tx *stm.Tx, tid int, prevH, currH arena.Handle) {
+// removeDoublyInTx unlinks currH through its own links and hands it to the
+// link (prevH is unused: the batch engine's callback shape).
+func (d *DList) removeDoublyInTx(tx *stm.Tx, tid int, _, currH arena.Handle) {
 	d.unlinkDoubly(tx, tid, currH)
-	switch d.mode {
-	case ModeRR:
-		d.rr.Revoke(tx, uint64(currH))
-		tx.OnCommitCall(d.freeHook, uint64(int64(tid)), uint64(currH), 0)
-	case ModeHTM:
-		tx.OnCommitCall(d.freeHook, uint64(int64(tid)), uint64(currH), 0)
-	case ModeTMHP, ModeTMHE, ModeTMVBR:
-		d.ar.At(currH).dead.Store(tx, 1)
-		tx.OnCommitCall(d.retireHook, uint64(int64(tid)), uint64(currH), d.threads[tid].ops)
-	}
+	d.link.Unlinked(tx, tid, currH, d.threads[tid].ops)
 }
 
 // Apply implements sets.Set for the hash table: ops are grouped by bucket

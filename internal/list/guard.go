@@ -1,9 +1,6 @@
 package list
 
-import (
-	"hohtx/internal/arena"
-	"hohtx/internal/stm"
-)
+import "hohtx/internal/arena"
 
 // Reclamation-safety hooks: version retirement (every mode) and the
 // guard-mode use-after-free sanitizer.
@@ -22,15 +19,7 @@ import (
 // With Config.Guard additionally set, freed nodes' value words are
 // overwritten with arena.PoisonWord before the slot can be reallocated,
 // and every transactional load on the traversal paths goes through the
-// wrappers below. After retirement, a doomed (pre-free snapshot) reader
-// cannot validate a load of the sentinel at all, so any observed poison
-// read comes from a transaction whose snapshot postdates the free — a
-// handle used after its node was reclaimed. Reporting is still
-// commit-gated: the wrappers register an OnCommit hook, and since commit
-// hooks are discarded on abort, ReportUAF fires precisely for attempts
-// that dereferenced a dead handle and then passed validation. That is the
-// checkable meaning of "precise reclamation": no committed transaction
-// ever observes freed memory.
+// list's reclaim.Guard, which reports any committed read of the sentinel.
 
 // retireNode lifts every cell version of a freed node to the fence; see
 // stm.Word.Retire. Installed for every mode, not just guard runs.
@@ -51,37 +40,6 @@ func poisonNode(n *node) {
 	n.prev.Poison(arena.PoisonWord)
 	n.dead.Poison(arena.PoisonWord)
 	n.rc.Poison(arena.PoisonWord)
-}
-
-// notePoison records a poison read on h and arms commit-gated violation
-// reporting for the current attempt.
-func (l *List) notePoison(tx *stm.Tx, tid int, h arena.Handle) {
-	l.ar.NotePoisonRead(h)
-	tx.OnCommit(func() { l.ar.ReportUAF(tid, h) })
-}
-
-// loadWord transactionally loads a value word of the node named by h,
-// checking for the poison sentinel in guard mode.
-func (l *List) loadWord(tx *stm.Tx, tid int, h arena.Handle, w *stm.Word) uint64 {
-	v := w.Load(tx)
-	if l.guard && v == arena.PoisonWord {
-		l.notePoison(tx, tid, h)
-	}
-	return v
-}
-
-// loadLink is loadWord for handle-bearing cells. The sentinel is defused
-// to Nil so that a benign doomed reader stops traversing instead of
-// panicking in arena.At (the sentinel carries the reserved user bits);
-// the attempt still aborts at validation, and a committing attempt still
-// reports.
-func (l *List) loadLink(tx *stm.Tx, tid int, h arena.Handle, w *stm.Word) arena.Handle {
-	v := w.Load(tx)
-	if l.guard && v == arena.PoisonWord {
-		l.notePoison(tx, tid, h)
-		return arena.Nil
-	}
-	return arena.Handle(v)
 }
 
 // GuardStats exposes the arena sanitizer counters (zero when guard is off).

@@ -47,16 +47,7 @@ func NewHashTable(cfg Config, buckets int) *HashTable {
 	heads := make([]arena.Handle, b)
 	heads[0] = l.head
 	for i := 1; i < b; i++ {
-		// Bucket sentinels are construction-time only (never shared
-		// before return), so non-transactional Init is safe.
-		h := l.ar.Alloc(0)
-		n := l.ar.At(h)
-		n.key.Init(0)
-		n.next.Init(0)
-		n.prev.Init(0)
-		n.dead.Init(0)
-		n.rc.Init(0)
-		heads[i] = h
+		heads[i] = l.newSentinel()
 	}
 	return &HashTable{l: l, heads: heads, mask: uint64(b - 1)}
 }
@@ -103,8 +94,7 @@ func (h *HashTable) Insert(tid int, key uint64) bool {
 	res, _ := h.l.applyAt(tid, key, h.bucket(key), false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-			nh := h.l.allocNode(tx, tid, key, currH, arena.Nil)
-			h.l.ar.At(prevH).next.Store(tx, uint64(nh))
+			h.l.insertSingly(tx, tid, key, prevH, currH)
 			return true
 		},
 	)
@@ -157,8 +147,10 @@ func (h *HashTable) PeakDeferred() uint64 { return h.l.PeakDeferred() }
 // GuardStats exposes the arena sanitizer counters (zero when guard is off).
 func (h *HashTable) GuardStats() arena.GuardStats { return h.l.GuardStats() }
 
-// ReclaimStats exposes the deferred-reclamation counters (ModeTMHP).
-func (h *HashTable) ReclaimStats() reclaim.Stats { return h.l.ReclaimStats() }
+// ReclaimStats and ReclaimTraits expose the deferred-reclamation counters
+// and the mode's fixed properties.
+func (h *HashTable) ReclaimStats() reclaim.Stats   { return h.l.ReclaimStats() }
+func (h *HashTable) ReclaimTraits() reclaim.Traits { return h.l.ReclaimTraits() }
 
 // SetWindow implements the runtime window knob.
 func (h *HashTable) SetWindow(w int) { h.l.SetWindow(w) }

@@ -37,7 +37,7 @@ import (
 // leaked hold would make the holder's next operation resume from a stale
 // position and skip smaller keys).
 func (l *List) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
-	if l.mode != ModeRR && l.mode != ModeHTM {
+	if !l.canAscend {
 		return sets.ErrScanUnsupported
 	}
 	l.threads[tid].ops++
@@ -62,16 +62,14 @@ func (l *List) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
 			done = false
 			batch = batch[:0]
 			win := l.window()
-			startH, held := l.windowStart(tx, tid, l.head)
+			startH, _, held := l.link.Resume(tx, tid)
 			resumed = held
 			var budget int
 			if held {
 				budget = win.Next()
 			} else {
+				startH = l.head
 				budget = win.First(tx)
-			}
-			if l.mode == ModeHTM {
-				budget = int(^uint(0) >> 1)
 			}
 			// Navigate to the first key >= last (no-op when resuming at a
 			// reserved node, whose key is < last by construction).
@@ -97,12 +95,12 @@ func (l *List) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
 			}
 			if currH.IsNil() {
 				// Reached the end: this window completes the scan.
-				l.windowTerminal(tx, tid, held, startH)
+				l.link.Drop(tx, tid, held)
 				done = true
 				return
 			}
 			// Hand over at prevH (the node holding the last batched key).
-			l.windowHold(tx, tid, held, startH, prevH)
+			l.link.Hold(tx, tid, held, prevH, 0)
 		})
 		windows++
 		if windows > 1 && !resumed {
@@ -126,16 +124,11 @@ func (l *List) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
 
 // CanAscend reports whether this list's mode supports the reservation
 // cursor (the serve layer advertises scan capability through it).
-func (l *List) CanAscend() bool { return l.mode == ModeRR || l.mode == ModeHTM }
+func (l *List) CanAscend() bool { return l.canAscend }
 
 // dropHoldOutsideWindow releases the iterator's reservation from outside
 // any window transaction (early consumer termination or a consumer
 // panic).
 func (l *List) dropHoldOutsideWindow(tid int) {
-	if l.mode != ModeRR {
-		return
-	}
-	l.rt.AtomicT(tid, func(tx *stm.Tx) {
-		l.rr.Release(tx, tid)
-	})
+	l.rt.AtomicT(tid, func(tx *stm.Tx) { l.link.Drop(tx, tid, true) })
 }

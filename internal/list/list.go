@@ -13,7 +13,6 @@
 package list
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"hohtx/internal/arena"
@@ -25,46 +24,28 @@ import (
 	"hohtx/internal/stm"
 )
 
-// Mode selects the synchronization/reclamation mechanism.
-type Mode uint8
+// Mode selects the synchronization/reclamation mechanism; see reclaim.Mode
+// for what each value means.
+type Mode = reclaim.Mode
 
+// The modes the lists accept. ModeREF and ModeER are implemented here (the
+// singly linked list and the hash table only); the rest are the seam's.
 const (
-	// ModeRR is hand-over-hand transactions with revocable reservations
-	// and immediate (precise) reclamation — the paper's contribution.
-	ModeRR Mode = iota
-	// ModeHTM performs each whole operation in a single transaction with
-	// no reservations (the paper's "HTM" baseline).
-	ModeHTM
-	// ModeTMHP is hand-over-hand transactions with hazard pointers and
-	// batched deferred reclamation (the paper's "TMHP" baseline).
-	ModeTMHP
-	// ModeREF is hand-over-hand transactions with transactional
-	// reference counts on window boundary nodes (the paper's "REF"
-	// baseline; singly linked list only).
-	ModeREF
-	// ModeER runs each operation as one transaction that early-releases
-	// traversal reads more than W nodes behind the frontier (Herlihy et
-	// al. [17]; the paper's §1 discusses this as the STM-only alternative
-	// to hand-over-hand windows — it cannot run on real HTM, and it
-	// cannot reclaim precisely, so removals defer reclamation through
-	// epochs. Singly linked list only; provided as an extension
-	// comparator, not one of the paper's measured series.)
-	ModeER
-	// ModeTMHE is hand-over-hand transactions with hazard-era deferred
-	// reclamation (Ramalhete & Correia; DESIGN.md §14): the TMHP window
-	// protocol verbatim, but the published reservation is an era, not a
-	// pointer, so protection costs an epoch-style clock read while a
-	// stalled reader strands only the nodes whose lifetime interval it
-	// covers.
-	ModeTMHE
-	// ModeTMVBR is hand-over-hand transactions with version-based
-	// reclamation (Sheffi, Herlihy & Petrank; DESIGN.md §14): no
-	// reservations at all — retirees are freed once the STM's version
-	// fence advances past their retire stamp, and a resumed traversal
-	// revalidates its held node by arena generation + dead mark instead
-	// of pinning it.
-	ModeTMVBR
+	ModeRR    = reclaim.ModeRR
+	ModeHTM   = reclaim.ModeHTM
+	ModeTMHP  = reclaim.ModeTMHP
+	ModeREF   = reclaim.ModeREF
+	ModeER    = reclaim.ModeER
+	ModeTMHE  = reclaim.ModeTMHE
+	ModeTMVBR = reclaim.ModeTMVBR
 )
+
+// ModeByName resolves a variant label ("RR-V", "HTM", "TMHP", …) to the
+// Config selector pair; doubly restricts it to what NewDoubly accepts.
+func ModeByName(name string, doubly bool) (Mode, core.Kind, bool) {
+	m, k, ok := reclaim.ModeByName(name)
+	return m, k, ok && (m.Generic() || !doubly)
+}
 
 // node is the shared node layout. Every field is a transactional cell;
 // recycled nodes are re-initialized with transactional stores only (see
@@ -79,13 +60,11 @@ type node struct {
 	_    pad.Line
 }
 
-// threadState is per-thread traversal state for the deferred-reclamation
-// modes plus the operation stamp used for reclamation-delay accounting.
+// threadState is the per-thread operation stamp used for reclamation-delay
+// accounting, plus traversal scratch.
 type threadState struct {
-	start  arena.Handle // TMHP/TMHE/TMVBR/REF resume position (Nil = start from head)
-	parity int          // TMHP/TMHE hazard slot alternation
-	ops    uint64
-	marks  []uint64 // ModeER: read marks of the last W spine nodes
+	ops   uint64
+	marks []uint64 // ModeER: read marks of the last W spine nodes (nil otherwise)
 
 	// Grow-only batch scratch (see applyBatch): the result and visit-order
 	// buffers are reused across this thread's batches, so steady-state
@@ -114,8 +93,9 @@ type Config struct {
 	Profile stm.Profile
 	// ArenaPolicy selects the allocator free-list policy (Figure 5).
 	ArenaPolicy arena.Policy
-	// ScanThreshold is the hazard-pointer batch size for ModeTMHP;
-	// default 64 (the paper's best-performing setting).
+	// ScanThreshold is the retire batch size of the deferred modes (the
+	// hazard-pointer scan threshold for ModeTMHP); default 64, the paper's
+	// best-performing setting.
 	ScanThreshold int
 	// TableBits/Assoc size the reservation metadata (see core.Config).
 	TableBits int
@@ -159,49 +139,31 @@ func (c Config) withDefaults() Config {
 	if c.ClockPolicy != 0 {
 		c.Profile.ClockPolicy = c.ClockPolicy
 	}
-	if c.Window.W == 0 && c.Mode != ModeHTM {
+	if c.Window.W == 0 {
 		c.Window.W = 8
-	}
-	if c.Mode == ModeHTM {
-		c.Window = core.Window{} // unbounded: one transaction per op
-	}
-	if c.ScanThreshold <= 0 {
-		c.ScanThreshold = reclaim.DefaultScanThreshold
 	}
 	return c
 }
 
 // List is the singly linked set (Listing 5).
 type List struct {
-	rt          *stm.Runtime
-	ar          *arena.Arena[node]
-	rr          core.Reservation // ModeRR only
-	hp          *reclaim.HazardPointers
-	ep          *reclaim.Epochs     // ModeER only
-	he          *reclaim.HazardEras // ModeTMHE only
-	vbr         *reclaim.VBR        // ModeTMVBR only
-	mode        Mode
+	rt *stm.Runtime
+	ar *arena.Arena[node]
+	// link is the mode's linking-and-reclamation mechanism (the seam): it
+	// carries the traversal position between window transactions and takes
+	// over every node the list allocates or unlinks.
+	link        reclaim.Link
+	traits      reclaim.Traits  // link.Traits(), read once
+	ep          *reclaim.Epochs // ModeER only: brackets every operation
+	canAscend   bool
 	win         core.Window
 	winOverride atomic.Int32
 	head        arena.Handle
 	threads     []threadState
-	guard       bool
+	guard       reclaim.Guard
 	obs         *obs.Domain
 	scanWindows *obs.Histogram // window txs per Ascend (nil without Obs)
 	scanRenavs  *obs.Histogram // re-navigations per Ascend (nil without Obs)
-
-	// Bound commit/abort hooks, created once here and registered on the
-	// hot paths via stm.OnCommitCall/OnAbortCall with inline arguments.
-	// A fresh closure per operation would heap-allocate on every
-	// insert/remove — allocator traffic the arena's exact books never
-	// see, and exactly the GC pressure the paper's Fig. 5 warns distorts
-	// reclamation comparisons. Argument encoding: a = tid (two's
-	// complement through uint64), b = arena handle, c = retire stamp or
-	// hazard parity slot.
-	freeHook   func(a, b, c uint64) // ar.Free(tid, handle)
-	retireHook func(a, b, c uint64) // mode's deferred retire(tid, handle, stamp)
-	holdHook   func(a, b, c uint64) // publish window hold: resume at handle b, parity slot c
-	termHook   func(a, b, c uint64) // drop window hold at operation end
 }
 
 var _ sets.Set = (*List)(nil)
@@ -216,87 +178,37 @@ func New(cfg Config) *List {
 			Policy: cfg.ArenaPolicy, Threads: cfg.Threads,
 			Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
 		}),
-		mode:    cfg.Mode,
 		win:     cfg.Window,
 		threads: make([]threadState, cfg.Threads),
-		guard:   cfg.Guard,
+		// The reservation cursor (iter.go) is offered on the paper's own
+		// modes only.
+		canAscend: cfg.Mode == ModeRR || cfg.Mode == ModeHTM,
 	}
 	l.ar.SetRetire(func(n *node) { retireNode(n, l.rt.VersionFence()) })
 	if cfg.Guard {
 		l.ar.SetPoison(poisonNode)
 	}
-	switch cfg.Mode {
-	case ModeRR:
-		l.rr = core.New(cfg.RRKind, core.Config{
-			Threads: cfg.Threads, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
-		})
-	case ModeTMHP:
-		l.hp = reclaim.NewHazardPointers(reclaim.HPConfig{
-			Threads:        cfg.Threads,
-			SlotsPerThread: 2,
-			ScanThreshold:  cfg.ScanThreshold,
-			Free:           func(tid int, h arena.Handle) { l.ar.Free(tid, h) },
-		})
-	case ModeER:
-		l.ep = reclaim.NewEpochs(cfg.Threads, cfg.ScanThreshold,
-			func(tid int, h arena.Handle) { l.ar.Free(tid, h) })
-		l.ep.Guard = cfg.Guard
-		for i := range l.threads {
-			l.threads[i].marks = make([]uint64, cfg.Window.W)
-		}
-	case ModeTMHE:
-		l.he = reclaim.NewHazardEras(reclaim.HEConfig{
-			Threads:        cfg.Threads,
-			SlotsPerThread: 2,
-			ScanThreshold:  cfg.ScanThreshold,
-			Free:           func(tid int, h arena.Handle) { l.ar.Free(tid, h) },
-		})
-	case ModeTMVBR:
-		l.vbr = reclaim.NewVBR(reclaim.VBRConfig{
-			Threads:   cfg.Threads,
-			TickEvery: cfg.ScanThreshold,
-			Clock:     l.rt.VersionFence,
-			Tick:      l.rt.TickVersionFence,
-			Free:      func(tid int, h arena.Handle) { l.ar.Free(tid, h) },
-		})
+	l.guard = reclaim.GuardFor(l.ar)
+	nodes := reclaim.Nodes{
+		Threads: cfg.Threads, ScanThreshold: cfg.ScanThreshold,
+		Kind: cfg.RRKind, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
+		Dead:    func(h arena.Handle) *stm.Word { return &l.ar.At(h).dead },
+		Live:    l.ar.Live,
+		Free:    l.ar.Free,
+		Runtime: l.rt, Guard: l.guard, Obs: cfg.Obs,
 	}
-	l.freeHook = func(a, b, _ uint64) { l.ar.Free(int(int64(a)), arena.Handle(b)) }
+	// The one place the list asks which mechanism it was given.
 	switch cfg.Mode {
-	case ModeTMHP:
-		l.retireHook = func(a, b, c uint64) { l.hp.Retire(int(int64(a)), arena.Handle(b), c) }
-		l.holdHook = func(a, b, c uint64) {
-			tid := int(int64(a))
-			l.threads[tid].start = arena.Handle(b)
-			l.hp.Protect(tid, int(c)^1, 0) // drop the previous window's hazard
-			l.threads[tid].parity++
-		}
-		l.termHook = func(a, _, _ uint64) {
-			tid := int(int64(a))
-			l.threads[tid].start = arena.Nil
-			l.hp.ClearSlots(tid)
-		}
-	case ModeTMHE:
-		l.retireHook = func(a, b, c uint64) { l.he.Retire(int(int64(a)), arena.Handle(b), c) }
-		l.holdHook = func(a, b, c uint64) {
-			tid := int(int64(a))
-			l.threads[tid].start = arena.Handle(b)
-			l.he.Protect(tid, int(c)^1, 0) // drop the previous window's reservation
-			l.threads[tid].parity++
-		}
-		l.termHook = func(a, _, _ uint64) {
-			tid := int(int64(a))
-			l.threads[tid].start = arena.Nil
-			l.he.ClearSlots(tid)
-		}
-	case ModeTMVBR:
-		l.retireHook = func(a, b, c uint64) { l.vbr.Retire(int(int64(a)), arena.Handle(b), c) }
-		l.holdHook = func(a, b, _ uint64) { l.threads[int(int64(a))].start = arena.Handle(b) }
-		l.termHook = func(a, _, _ uint64) { l.threads[int(int64(a))].start = arena.Nil }
-	case ModeER:
-		l.retireHook = func(a, b, c uint64) { l.ep.Retire(int(int64(a)), arena.Handle(b), c) }
 	case ModeREF:
-		l.holdHook = func(a, b, _ uint64) { l.threads[int(int64(a))].start = arena.Handle(b) }
-		l.termHook = func(a, _, _ uint64) { l.threads[int(int64(a))].start = arena.Nil }
+		l.link = newRefLink(l)
+	case ModeER:
+		l.link = newERLink(l, nodes)
+	default:
+		l.link = reclaim.New(cfg.Mode, nodes)
+	}
+	l.traits = l.link.Traits()
+	if l.traits.WholeOp {
+		l.win = core.Window{} // unbounded: one transaction per op
 	}
 	if cfg.Obs != nil {
 		l.obs = cfg.Obs
@@ -304,40 +216,23 @@ func New(cfg Config) *List {
 		l.scanRenavs = cfg.Obs.Hist(obs.HistAscendRenavs, "navs")
 		l.rt.SetObserver(cfg.Obs.TxProbe())
 		l.ar.SetObserver(cfg.Obs.AllocProbe())
-		if l.rr != nil {
-			l.rr = core.Observed(l.rr, cfg.Obs.HoldProbe(), cfg.Threads)
-		}
-		if l.hp != nil {
-			l.hp.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return l.hp.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return l.hp.Stats().PeakDeferred })
-		}
-		if l.ep != nil {
-			l.ep.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return l.ep.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return l.ep.Stats().PeakDeferred })
-		}
-		if l.he != nil {
-			l.he.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return l.he.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return l.he.Stats().PeakDeferred })
-		}
-		if l.vbr != nil {
-			l.vbr.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return l.vbr.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return l.vbr.Stats().PeakDeferred })
-		}
 	}
-	// The head sentinel is allocated fresh (never shared before init), so
-	// non-transactional Init is safe here and only here.
-	l.head = l.ar.Alloc(0)
-	h := l.ar.At(l.head)
-	h.key.Init(0)
-	h.next.Init(0)
-	h.prev.Init(0)
-	h.dead.Init(0)
-	h.rc.Init(0)
+	l.head = l.newSentinel()
 	return l
+}
+
+// newSentinel allocates a chain root. Sentinels are construction-time only
+// (never shared before the constructor returns), so non-transactional Init
+// is safe here and only here.
+func (l *List) newSentinel() arena.Handle {
+	h := l.ar.Alloc(0)
+	n := l.ar.At(h)
+	n.key.Init(0)
+	n.next.Init(0)
+	n.prev.Init(0)
+	n.dead.Init(0)
+	n.rc.Init(0)
+	return h
 }
 
 // Runtime exposes the list's TM runtime (statistics, ablation benches).
@@ -354,61 +249,25 @@ func (l *List) ObsDomain() *obs.Domain { return l.obs }
 // windows finish at their old size.
 func (l *List) SetWindow(w int) { l.winOverride.Store(int32(w)) }
 
-// window returns the effective window policy for a new transaction.
+// window returns the effective window policy for a new transaction. A
+// list whose operations are single transactions stays unbounded: it has no
+// way to resume a cut window.
 func (l *List) window() core.Window {
 	win := l.win
-	if o := l.winOverride.Load(); o > 0 {
+	if o := l.winOverride.Load(); o > 0 && !win.Unbounded() {
 		win.W = int(o)
 	}
 	return win
 }
 
 // Name implements sets.Set.
-func (l *List) Name() string {
-	switch l.mode {
-	case ModeRR:
-		return l.rr.Name()
-	case ModeHTM:
-		return "HTM"
-	case ModeTMHP:
-		return "TMHP"
-	case ModeREF:
-		return "REF"
-	case ModeER:
-		return "ER"
-	case ModeTMHE:
-		return "TMHE"
-	case ModeTMVBR:
-		return "TMVBR"
-	default:
-		return fmt.Sprintf("list-?%d", l.mode)
-	}
-}
+func (l *List) Name() string { return l.link.Name() }
 
 // Register implements sets.Set.
-func (l *List) Register(tid int) {
-	if l.rr != nil {
-		l.rr.Register(tid)
-	}
-}
+func (l *List) Register(tid int) { l.link.Register(tid) }
 
 // Finish implements sets.Set: it flushes deferred reclamation.
-func (l *List) Finish(tid int) {
-	if l.hp != nil {
-		l.hp.ClearSlots(tid)
-		l.hp.Flush(tid, l.threads[tid].ops)
-	}
-	if l.ep != nil {
-		l.ep.Flush(tid, l.threads[tid].ops)
-	}
-	if l.he != nil {
-		l.he.ClearSlots(tid)
-		l.he.Flush(tid, l.threads[tid].ops)
-	}
-	if l.vbr != nil {
-		l.vbr.Flush(tid, l.threads[tid].ops)
-	}
-}
+func (l *List) Finish(tid int) { l.link.Finish(tid, l.threads[tid].ops) }
 
 // Lookup implements sets.Set.
 func (l *List) Lookup(tid int, key uint64) bool {
@@ -424,8 +283,7 @@ func (l *List) Insert(tid int, key uint64) bool {
 	res, _ := l.apply(tid, key, false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-			nh := l.allocNode(tx, tid, key, currH, arena.Nil)
-			l.ar.At(prevH).next.Store(tx, uint64(nh))
+			l.insertSingly(tx, tid, key, prevH, currH)
 			return true
 		},
 	)
@@ -450,12 +308,7 @@ func (l *List) Remove(tid int, key uint64) bool {
 // the arena.
 func (l *List) allocNode(tx *stm.Tx, tid int, key uint64, nextH, prevH arena.Handle) arena.Handle {
 	nh := l.ar.Alloc(tid)
-	if l.he != nil {
-		// Birth-era stamp, before the node is published (an aborted alloc
-		// leaves a stale entry; the slot's next incarnation restamps it).
-		l.he.StampAlloc(nh)
-	}
-	tx.OnAbortCall(l.freeHook, uint64(int64(tid)), uint64(nh), 0)
+	l.link.Born(tx, tid, nh)
 	n := l.ar.At(nh)
 	// Transactional stores: the slot may be recycled, and some doomed
 	// reader may still hold a stale handle to it (see package arena).
@@ -468,87 +321,25 @@ func (l *List) allocNode(tx *stm.Tx, tid int, key uint64, nextH, prevH arena.Han
 }
 
 // unlinkAndReclaim removes currH (whose predecessor is prevH) from the
-// list and reclaims it according to the list's mode. For ModeRR this is
-// Listing 5's λfound for Remove: unlink, Revoke, then free at the commit
-// point — precise reclamation.
+// list and hands it to the link — for ModeRR that is Listing 5's λfound
+// for Remove: unlink, Revoke, then free at the commit point.
 func (l *List) unlinkAndReclaim(tx *stm.Tx, tid int, prevH, currH arena.Handle) {
-	curr := l.ar.At(currH)
-	l.ar.At(prevH).next.Store(tx, uint64(l.loadLink(tx, tid, currH, &curr.next)))
-	switch l.mode {
-	case ModeRR:
-		l.rr.Revoke(tx, uint64(currH))
-		tx.OnCommitCall(l.freeHook, uint64(int64(tid)), uint64(currH), 0)
-	case ModeHTM:
-		// No reservations exist; no transaction ever resumes at a node.
-		tx.OnCommitCall(l.freeHook, uint64(int64(tid)), uint64(currH), 0)
-	case ModeTMHP, ModeTMHE, ModeTMVBR:
-		curr.dead.Store(tx, 1)
-		tx.OnCommitCall(l.retireHook, uint64(int64(tid)), uint64(currH), l.threads[tid].ops)
-	case ModeREF:
-		curr.dead.Store(tx, 1)
-		if l.loadWord(tx, tid, currH, &curr.rc) == 0 {
-			tx.OnCommitCall(l.freeHook, uint64(int64(tid)), uint64(currH), 0)
-		}
-		// Otherwise the last window-holder's decrement frees it.
-	case ModeER:
-		// Re-store the removed node's next (same value: a version bump
-		// only). Writers that traversed through currH retain its next in
-		// their (un-released) read suffix, so this write is what makes a
-		// racing insert-after-currH or remove-of-successor abort even
-		// though the writes to our predecessor were early-released.
-		curr.next.Store(tx, uint64(l.loadLink(tx, tid, currH, &curr.next)))
-		curr.dead.Store(tx, 1)
-		tx.OnCommitCall(l.retireHook, uint64(int64(tid)), uint64(currH), l.threads[tid].ops)
-	}
-}
-
-// refDecrement drops one reference count from h, freeing it at commit if
-// it reaches zero on a logically deleted node (ModeREF).
-func (l *List) refDecrement(tx *stm.Tx, tid int, h arena.Handle) {
-	n := l.ar.At(h)
-	v := l.loadWord(tx, tid, h, &n.rc) - 1
-	n.rc.Store(tx, v)
-	if v == 0 && l.loadWord(tx, tid, h, &n.dead) != 0 {
-		tx.OnCommitCall(l.freeHook, uint64(int64(tid)), uint64(h), 0)
-	}
+	l.ar.At(prevH).next.Store(tx, uint64(l.guard.Link(tx, tid, currH, &l.ar.At(currH).next)))
+	l.link.Unlinked(tx, tid, currH, l.threads[tid].ops)
 }
 
 // LiveNodes implements sets.MemoryReporter (includes the head sentinel).
 func (l *List) LiveNodes() uint64 { return l.ar.Stats().Live }
 
-// deferredScheme returns the list's deferred-reclamation scheme, nil for
-// the precise modes.
-func (l *List) deferredScheme() reclaim.Scheme {
-	switch {
-	case l.hp != nil:
-		return l.hp
-	case l.ep != nil:
-		return l.ep
-	case l.he != nil:
-		return l.he
-	case l.vbr != nil:
-		return l.vbr
-	}
-	return nil
-}
-
 // DeferredNodes implements sets.MemoryReporter.
-func (l *List) DeferredNodes() uint64 {
-	if s := l.deferredScheme(); s != nil {
-		return s.Stats().Deferred
-	}
-	return 0
-}
+func (l *List) DeferredNodes() uint64 { return l.link.Stats().Deferred }
 
-// ReclaimStats exposes the deferred-reclamation counters (TMHP's hazard
-// pointers, ER's epochs, TMHE's hazard eras, TMVBR's version clock; zero
-// for the precise modes).
-func (l *List) ReclaimStats() reclaim.Stats {
-	if s := l.deferredScheme(); s != nil {
-		return s.Stats()
-	}
-	return reclaim.Stats{}
-}
+// ReclaimStats exposes the deferred-reclamation counters (zero for the
+// precise modes).
+func (l *List) ReclaimStats() reclaim.Stats { return l.link.Stats() }
+
+// ReclaimTraits reports the mode's fixed reclamation properties.
+func (l *List) ReclaimTraits() reclaim.Traits { return l.traits }
 
 // TxCommits reports committed transactions (benchmark statistics).
 func (l *List) TxCommits() uint64 { return l.rt.Stats().Commits }
@@ -564,21 +355,11 @@ func (l *List) TxSerial() uint64 { return l.rt.Stats().SerialCommits }
 func (l *List) TMStats() stm.Stats { return l.rt.Stats() }
 
 // PeakDeferred reports the reclamation scheme's deferred high-water mark.
-func (l *List) PeakDeferred() uint64 {
-	if s := l.deferredScheme(); s != nil {
-		return s.Stats().PeakDeferred
-	}
-	return 0
-}
+func (l *List) PeakDeferred() uint64 { return l.link.Stats().PeakDeferred }
 
 // AvgReclaimDelayOps reports the mean operations between logical deletion
 // and physical free (0 for the precise modes).
-func (l *List) AvgReclaimDelayOps() float64 {
-	if s := l.deferredScheme(); s != nil {
-		return s.Stats().AvgDelayOps()
-	}
-	return 0
-}
+func (l *List) AvgReclaimDelayOps() float64 { return l.link.Stats().AvgDelayOps() }
 
 // Snapshot implements sets.Set. Callers must ensure quiescence.
 func (l *List) Snapshot() []uint64 {

@@ -181,7 +181,7 @@ func TestFigure1Scenario(t *testing.T) {
 				t.Fatal("node 30 not found")
 			}
 			// T2's first window ends reserving node 30 (as in the figure).
-			l.rt.Atomic(func(tx *stm.Tx) { l.rr.Reserve(tx, 2, uint64(h30)) })
+			l.rt.Atomic(func(tx *stm.Tx) { l.link.Hold(tx, 2, false, h30, 0) })
 			// T4 removes 30: revokes all reservations of it and frees it
 			// before Remove returns.
 			if !l.Remove(4, 30) {
@@ -191,9 +191,12 @@ func TestFigure1Scenario(t *testing.T) {
 				t.Fatal("node 30 still allocated after Remove returned (not precise)")
 			}
 			// T2's next transaction must see its reservation revoked …
-			got := stm.Run(l.rt, func(tx *stm.Tx) uint64 { return l.rr.Get(tx, 2) })
-			if got != 0 {
-				t.Fatalf("T2's reservation survived the revoke: %d", got)
+			got := stm.Run(l.rt, func(tx *stm.Tx) arena.Handle {
+				h, _, _ := l.link.Resume(tx, 2)
+				return h
+			})
+			if !got.IsNil() {
+				t.Fatalf("T2's reservation survived the revoke: %v", got)
 			}
 			// … and a full operation by T2 restarts from the head and is
 			// still correct.

@@ -1,0 +1,147 @@
+package list
+
+import (
+	"hohtx/internal/arena"
+	"hohtx/internal/core"
+	"hohtx/internal/pad"
+	"hohtx/internal/reclaim"
+	"hohtx/internal/stm"
+)
+
+// The two list-local implementations of the seam (reclaim.Link): the modes
+// whose mechanism lives in the list's own node layout or traversal, and
+// which the singly linked list and the hash table alone define.
+
+// refStart is one thread's committed REF resume position.
+type refStart struct {
+	h arena.Handle // Nil = start from the head
+	_ pad.Line
+}
+
+// refLink is ModeREF: the window-start node is pinned by a transactional
+// reference count in its rc cell. A remover marks the node dead and frees
+// it at commit only if nobody counts on it; otherwise the last holder's
+// decrement does.
+type refLink struct {
+	l        *List
+	starts   []refStart
+	freeHook func(a, b, c uint64) // ar.Free(tid a, handle b)
+	holdHook func(a, b, c uint64) // starts[tid a] = handle b
+}
+
+func newRefLink(l *List) *refLink {
+	r := &refLink{l: l, starts: make([]refStart, len(l.threads))}
+	r.freeHook = func(a, b, _ uint64) { l.ar.Free(int(a), arena.Handle(b)) }
+	r.holdHook = func(a, b, _ uint64) { r.starts[int(a)].h = arena.Handle(b) }
+	return r
+}
+
+func (r *refLink) Name() string { return ModeREF.String() }
+func (r *refLink) Traits() reclaim.Traits {
+	return reclaim.Traits{DrainRounds: 1, StrictLoss: true}
+}
+func (r *refLink) Register(int)         {}
+func (r *refLink) Finish(int, uint64)   {}
+func (r *refLink) Stats() reclaim.Stats { return reclaim.Stats{} }
+func (r *refLink) Revoke(*stm.Tx, arena.Handle) {
+	panic("list: REF cannot revoke a node that stays linked")
+}
+
+func (r *refLink) Born(tx *stm.Tx, tid int, h arena.Handle) {
+	tx.OnAbortCall(r.freeHook, uint64(tid), uint64(h), 0)
+}
+
+// release drops one count from h, freeing it at commit if that was the
+// last one on a logically deleted node.
+func (r *refLink) release(tx *stm.Tx, tid int, h arena.Handle) {
+	n := r.l.ar.At(h)
+	v := r.l.guard.Word(tx, tid, h, &n.rc) - 1
+	n.rc.Store(tx, v)
+	if v == 0 && r.l.guard.Word(tx, tid, h, &n.dead) != 0 {
+		tx.OnCommitCall(r.freeHook, uint64(tid), uint64(h), 0)
+	}
+}
+
+func (r *refLink) Resume(tx *stm.Tx, tid int) (arena.Handle, uint64, bool) {
+	s := r.starts[tid].h
+	if s.IsNil() {
+		return arena.Nil, 0, false
+	}
+	if r.l.guard.Word(tx, tid, s, &r.l.ar.At(s).dead) != 0 {
+		// Removed since our last window: give back our count and restart.
+		// The commit that ends this attempt also moves starts off s (every
+		// path from a failed Resume reaches Hold or Drop), so the count is
+		// given back exactly once.
+		r.release(tx, tid, s)
+		return arena.Nil, 0, false
+	}
+	return s, 0, true
+}
+
+func (r *refLink) Hold(tx *stm.Tx, tid int, held bool, h arena.Handle, _ uint64) {
+	n := r.l.ar.At(h)
+	n.rc.Store(tx, r.l.guard.Word(tx, tid, h, &n.rc)+1)
+	if held {
+		r.release(tx, tid, r.starts[tid].h)
+	}
+	tx.OnCommitCall(r.holdHook, uint64(tid), uint64(h), 0)
+}
+
+func (r *refLink) Drop(tx *stm.Tx, tid int, held bool) {
+	if held {
+		r.release(tx, tid, r.starts[tid].h)
+	}
+	tx.OnCommitCall(r.holdHook, uint64(tid), uint64(arena.Nil), 0)
+}
+
+func (r *refLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, _ uint64) {
+	n := r.l.ar.At(h)
+	n.dead.Store(tx, 1)
+	if r.l.guard.Word(tx, tid, h, &n.rc) == 0 {
+		tx.OnCommitCall(r.freeHook, uint64(tid), uint64(h), 0)
+	}
+	// Otherwise the last window-holder's release frees it.
+}
+
+// erLink is ModeER: the seam's deferred link over epochs — ER never cuts a
+// window, so it never holds — plus the one structure-side duty ER adds at
+// an unlink. The other two parts of the mode, the epoch bracket around
+// every operation and the rolling early release, are in the traversal
+// (engine.go, batch.go).
+type erLink struct {
+	reclaim.Link
+	l *List
+}
+
+func newERLink(l *List, n reclaim.Nodes) erLink {
+	l.ep = reclaim.NewEpochs(n.Threads, n.ScanThreshold, n.Free)
+	l.ep.Guard = l.ar.Guarded()
+	for i := range l.threads {
+		l.threads[i].marks = make([]uint64, l.win.W)
+	}
+	l.win = core.Window{} // one unbounded transaction; W bounds the retained read suffix instead
+	return erLink{reclaim.NewDeferred(ModeER.String(), l.ep, n), l}
+}
+
+func (e erLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, stamp uint64) {
+	// Re-store the removed node's next (same value: a version bump only).
+	// Writers that traversed through h retain its next in their
+	// (un-released) read suffix, so this write is what makes a racing
+	// insert-after-h or remove-of-successor abort even though the writes
+	// to our predecessor were early-released.
+	n := e.l.ar.At(h)
+	n.next.Store(tx, uint64(e.l.guard.Link(tx, tid, h, &n.next)))
+	e.Link.Unlinked(tx, tid, h, stamp)
+}
+
+// enterEpoch opens ModeER's epoch critical section around one operation,
+// so nodes its released reads still point at cannot be physically
+// reclaimed underneath it, and reports whether the caller must close it
+// (l.ep.Exit). Every other mode has no epochs and nothing to bracket.
+func (l *List) enterEpoch(tid int) bool {
+	if l.ep == nil {
+		return false
+	}
+	l.ep.Enter(tid)
+	return true
+}

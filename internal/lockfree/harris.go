@@ -276,8 +276,10 @@ func (l *HarrisList) LiveNodes() uint64 { return l.ar.Stats().Live }
 // contrasts with precise reclamation).
 func (l *HarrisList) DeferredNodes() uint64 { return l.rec.Stats().Deferred }
 
-// ReclaimStats exposes the reclamation counters.
-func (l *HarrisList) ReclaimStats() reclaim.Stats { return l.rec.Stats() }
+// ReclaimStats and ReclaimTraits expose the scheme's counters and fixed
+// properties.
+func (l *HarrisList) ReclaimStats() reclaim.Stats   { return l.rec.Stats() }
+func (l *HarrisList) ReclaimTraits() reclaim.Traits { return l.rec.Traits() }
 
 // PeakDeferred reports the deferred-node high-water mark.
 func (l *HarrisList) PeakDeferred() uint64 { return l.rec.Stats().PeakDeferred }

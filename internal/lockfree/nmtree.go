@@ -368,6 +368,11 @@ func (t *NMTree) LiveNodes() uint64 { return t.ar.Stats().Live }
 // DeferredNodes implements sets.MemoryReporter: the leaked node count.
 func (t *NMTree) DeferredNodes() uint64 { return t.leak.Stats().Deferred }
 
+// ReclaimStats and ReclaimTraits expose the leak scheme's counters and
+// fixed properties.
+func (t *NMTree) ReclaimStats() reclaim.Stats   { return t.leak.Stats() }
+func (t *NMTree) ReclaimTraits() reclaim.Traits { return t.leak.Traits() }
+
 // PeakDeferred reports the leak high-water mark (equal to DeferredNodes:
 // nothing is ever freed).
 func (t *NMTree) PeakDeferred() uint64 { return t.leak.Stats().PeakDeferred }

@@ -71,6 +71,10 @@ func NewEpochs(threads int, advanceEvery int, free FreeFunc) *Epochs {
 // Name implements Scheme.
 func (e *Epochs) Name() string { return "Epoch" }
 
+// Traits implements Scheme: at quiescence Flush's advances pass every
+// retiree's epoch, so one round drains.
+func (e *Epochs) Traits() Traits { return Traits{Deferred: true, DrainRounds: 1} }
+
 // Enter marks the thread active in the current global epoch. Every data
 // structure operation must be bracketed by Enter/Exit.
 func (e *Epochs) Enter(tid int) {
@@ -185,6 +189,9 @@ func NewLeak(threads int) *Leak {
 
 // Name implements Scheme.
 func (l *Leak) Name() string { return "Leak" }
+
+// Traits implements Scheme.
+func (l *Leak) Traits() Traits { return Traits{Deferred: true, Leak: true, DrainRounds: 1} }
 
 // Protect is a no-op: leaked nodes are always safe to read.
 func (l *Leak) Protect(tid, slot int, h arena.Handle) arena.Handle { return h }

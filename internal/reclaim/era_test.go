@@ -22,7 +22,7 @@ func heHarness(threads int) (*arena.Arena[node], *HazardEras) {
 // heAlloc allocates and birth-stamps a node the way structures do.
 func heAlloc(a *arena.Arena[node], he *HazardEras, tid int) arena.Handle {
 	h := a.Alloc(tid)
-	he.StampAlloc(h)
+	he.Born(h)
 	return h
 }
 
@@ -104,11 +104,11 @@ func TestHEFlushRescansAfterReservationMoves(t *testing.T) {
 		},
 	})
 	hA = a.Alloc(0)
-	he.StampAlloc(hA) // born era 1
+	he.Born(hA) // born era 1
 	he.Protect(1, 0, hA)
 	he.Retire(0, hA, 1) // [1,1], reserved; era -> 2
 	hB = a.Alloc(0)
-	he.StampAlloc(hB)   // born era 2
+	he.Born(hB)         // born era 2
 	he.Retire(0, hB, 2) // [2,2], unreserved
 
 	he.Flush(0, 3)
@@ -123,7 +123,7 @@ func TestHEFlushRescansAfterReservationMoves(t *testing.T) {
 
 // TestHEBirthRestampOnReuse pins the birth-table reuse behavior behind
 // the arena's wrapping {index, generation} handles: when a slot index
-// is recycled, StampAlloc overwrites the birth entry, so an old-era
+// is recycled, Born overwrites the birth entry, so an old-era
 // reservation no longer covers the slot's new incarnation.
 func TestHEBirthRestampOnReuse(t *testing.T) {
 	a, he := heHarness(2)
@@ -178,7 +178,7 @@ func TestHEConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				h := a.Alloc(tid)
-				he.StampAlloc(h)
+				he.Born(h)
 				he.Protect(tid, 0, h)
 				he.ClearSlots(tid)
 				he.Retire(tid, h, uint64(i))

@@ -70,6 +70,11 @@ func NewHazardPointers(cfg HPConfig) *HazardPointers {
 // Name implements Scheme.
 func (hp *HazardPointers) Name() string { return "HP" }
 
+// Traits implements Scheme.
+func (hp *HazardPointers) Traits() Traits {
+	return Traits{Deferred: true, DrainRounds: 2, StrandBound: true, Pins: true}
+}
+
 // Protect publishes h in the caller's hazard slot. Publication uses a
 // sequentially consistent store, so any thread that subsequently scans is
 // guaranteed to observe it (or the node was already unreachable when the

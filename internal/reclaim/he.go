@@ -40,7 +40,7 @@ type heThread struct {
 const eraPageSize = 1024
 
 // eraTable records the birth era of every arena slot, indexed by
-// Handle.Index. Slot reuse overwrites the entry (StampAlloc runs before
+// Handle.Index. Slot reuse overwrites the entry (Born runs before
 // the new node is published, and the old entry is dead by then: a slot
 // is only reallocated after its previous incarnation was freed, which
 // removed it from every retired list). Grow-only paged layout: the page
@@ -108,8 +108,7 @@ func (t *eraTable) grow(p int) {
 // with an SC store, then transactionally re-check reachability): any
 // scanner either observes the published era or the node was already
 // unreachable when the reader re-validated. Birth eras live in a
-// side table indexed by arena slot (eraTable) written by StampAlloc;
-// structures call it immediately after arena Alloc.
+// side table indexed by arena slot (eraTable) written by Born.
 type HazardEras struct {
 	observer
 	era       atomic.Uint64
@@ -161,16 +160,20 @@ func NewHazardEras(cfg HEConfig) *HazardEras {
 // Name implements Scheme.
 func (he *HazardEras) Name() string { return "HE" }
 
+// Traits implements Scheme.
+func (he *HazardEras) Traits() Traits { return Traits{Deferred: true, DrainRounds: 2, Pins: true} }
+
 // Era returns the current global era (exposed for tests and gauges).
 func (he *HazardEras) Era() uint64 { return he.era.Load() }
 
-// StampAlloc records the current era as h's birth era. Structures call
-// it immediately after allocating h, before the node is published; a
-// slot that was never stamped reads birth 0, which every reservation's
-// interval check treats as "alive since forever" (conservative: the
-// node is only freed once no reservation at all covers eras <= its
-// delete era).
-func (he *HazardEras) StampAlloc(h arena.Handle) {
+// Born implements Scheme: it records the current era as h's birth era.
+// The seam calls it immediately after h is allocated, before the node is
+// published (an aborted alloc leaves a stale entry; the slot's next
+// incarnation restamps it). A slot that was never stamped reads birth 0,
+// which every reservation's interval check treats as "alive since
+// forever" (conservative: the node is only freed once no reservation at
+// all covers eras <= its delete era).
+func (he *HazardEras) Born(h arena.Handle) {
 	he.birth.set(h.Index(), he.era.Load())
 }
 

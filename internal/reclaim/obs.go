@@ -15,8 +15,11 @@ type observer struct {
 }
 
 // SetObserver attaches an obs probe to the scheme (nil detaches). Wire it
-// before the scheme is shared, as the data structure constructors do.
+// before the scheme is shared, as NewDeferred does.
 func (o *observer) SetObserver(p *obs.ReclaimProbe) { o.probe = p }
+
+// Born is the default for schemes that keep no per-node birth state.
+func (o *observer) Born(arena.Handle) {}
 
 // noteRetireEv logs a sampled retirement.
 func (o *observer) noteRetireEv(tid int, h arena.Handle) {

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"hohtx/internal/arena"
+	"hohtx/internal/obs"
 	"hohtx/internal/pad"
 )
 
@@ -56,7 +57,41 @@ func (s Stats) AvgDelayOps() float64 {
 	return float64(s.DelayOpsSum) / float64(s.Freed)
 }
 
-// Scheme is the interface shared by the deferred-reclamation baselines.
+// Traits are the facts about a mechanism that only the mechanism knows;
+// harnesses and structures read them instead of re-deriving them from a
+// variant name. A Scheme reports the first five; the Link built over it
+// (link.go) passes them on and fills in the last two.
+type Traits struct {
+	// Deferred: an unlinked node is retired, not freed at the unlinking
+	// commit, so the memory books balance only after Finish.
+	Deferred bool
+	// Leak: retirees are never freed (Deferred stays nonzero forever).
+	Leak bool
+	// DrainRounds is how many Finish sweeps over all threads leave nothing
+	// deferred at quiescence: 2 when one thread's retirees can be pinned by
+	// slots another thread only clears in its own, later, Finish.
+	DrainRounds int
+	// StrandBound: after one Finish sweep the leftovers are bounded by the
+	// published-slot count (hazard pointers: one handle per slot). Hazard
+	// eras drain in two rounds but are not strand-bound: one stale era
+	// covers every retiree whose lifetime interval contains it.
+	StrandBound bool
+	// Pins: Protect keeps the protected node's memory from being freed, so
+	// a held node's dead flag is trustworthy on resume. Schemes that pin
+	// nothing (VBR, epochs) resume through the liveness-bracketed protocol.
+	Pins bool
+	// StrictLoss (Link only): a Resume that finds a committed hold gone
+	// proves the held node was unlinked. False for the relaxed
+	// reservations, which can also lose a hold spuriously (§3.2).
+	StrictLoss bool
+	// WholeOp (Link only): nothing links transactions, so every operation
+	// must be a single one (the paper's HTM baseline).
+	WholeOp bool
+}
+
+// Scheme is the interface shared by the deferred-reclamation baselines:
+// what a scheme must provide for the one deferred Link (link.go) to run it
+// under every structure.
 //
 // Protect/Clear manage per-thread hazard slots and are no-ops for schemes
 // that do not use them. Retire logically deletes a handle; the scheme frees
@@ -64,12 +99,15 @@ func (s Stats) AvgDelayOps() float64 {
 // monotonic per-thread counter (typically the thread's operation count)
 // used only for delay accounting.
 type Scheme interface {
-	// Protect publishes h in the thread's hazard slot i and returns h.
-	// The caller must re-validate reachability after publishing (the
-	// standard hazard-pointer protocol).
+	// Protect publishes h in the thread's hazard slot i and returns h
+	// (h == 0 clears the slot). The caller must re-validate reachability
+	// after publishing (the standard hazard-pointer protocol).
 	Protect(tid, slot int, h arena.Handle) arena.Handle
 	// ClearSlots resets all of the thread's hazard slots.
 	ClearSlots(tid int)
+	// Born records scheme-side birth state for a freshly allocated node,
+	// before it is published (hazard eras' birth era; a no-op elsewhere).
+	Born(h arena.Handle)
 	// Retire hands h to the scheme for eventual physical reclamation.
 	Retire(tid int, h arena.Handle, stamp uint64)
 	// Flush forces the thread's pending retirements to be scanned now
@@ -77,6 +115,10 @@ type Scheme interface {
 	Flush(tid int, stamp uint64)
 	// Stats aggregates the scheme's counters.
 	Stats() Stats
+	// Traits reports the scheme's fixed properties.
+	Traits() Traits
+	// SetObserver attaches an obs probe (nil detaches).
+	SetObserver(p *obs.ReclaimProbe)
 	// Name is the scheme's short label in benchmark output.
 	Name() string
 }

@@ -95,6 +95,9 @@ func NewVBR(cfg VBRConfig) *VBR {
 // Name implements Scheme.
 func (v *VBR) Name() string { return "VBR" }
 
+// Traits implements Scheme: one Flush provably drains (see Flush).
+func (v *VBR) Traits() Traits { return Traits{Deferred: true, DrainRounds: 1} }
+
 // Protect is a no-op: VBR readers are protected by version validation,
 // not per-node reservations.
 func (v *VBR) Protect(tid, slot int, h arena.Handle) arena.Handle { return h }

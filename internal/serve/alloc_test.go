@@ -7,7 +7,10 @@ import (
 
 	"hohtx/internal/core"
 	"hohtx/internal/list"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
+	"hohtx/internal/skiplist"
+	"hohtx/internal/tree"
 )
 
 // The allocation-budget gate (DESIGN.md §15): steady-state request
@@ -123,9 +126,17 @@ func TestServeAllocsMalformed(t *testing.T) {
 	pinZero(t, "unknown-verb", srv, "FROB 1\n", 1)
 }
 
-// TestStructureAllocs pins the layer below the wire: single ops and batch
-// Apply on the RR-V list allocate nothing once warm (bound reclamation
-// hooks + per-thread batch scratch; see stm.OnCommitCall).
+// TestStructureAllocs pins the layer below the wire. First the RR-V list
+// the server runs: single ops and batch Apply allocate nothing once warm
+// (bound reclamation hooks + per-thread batch scratch; see
+// stm.OnCommitCall). Then what the reclamation seam's pre-bound hooks buy
+// every structure: a windowed operation (W=4 over 200 keys, so it cuts and
+// resumes several times) allocates nothing under the precise link and
+// nothing under the deferred one — hold, drop, alloc stamp, retire and
+// free-on-abort all travel through OnCommitCall's inline arguments. The
+// parent column is the same measurement before the seam, when the tree and
+// the skiplist scheduled a closure per hold, drop, retire and alloc; a row
+// that rises above zero has reintroduced one.
 func TestStructureAllocs(t *testing.T) {
 	skipUnderRace(t)
 	set := list.New(list.Config{
@@ -151,6 +162,60 @@ func TestStructureAllocs(t *testing.T) {
 	for _, c := range cases {
 		if got := testing.AllocsPerRun(500, c.f); got != 0 {
 			t.Errorf("%s: %.4f allocs/op, want 0", c.name, got)
+		}
+	}
+
+	win := core.Window{W: 4}
+	singly := func(m reclaim.Mode) sets.Set {
+		return list.New(list.Config{Mode: m, RRKind: core.KindV, Threads: 2, Window: win})
+	}
+	doubly := func(m reclaim.Mode) sets.Set {
+		return list.NewDoubly(list.Config{Mode: m, RRKind: core.KindV, Threads: 2, Window: win})
+	}
+	etree := func(m reclaim.Mode) sets.Set {
+		return tree.NewExternal(tree.Config{Mode: m, RRKind: core.KindV, Threads: 2, Window: win})
+	}
+	skip := func(m reclaim.Mode) sets.Set {
+		return skiplist.New(skiplist.Config{Mode: m, RRKind: core.KindV, Threads: 2, Window: win})
+	}
+	for _, row := range []struct {
+		name  string
+		build func(reclaim.Mode) sets.Set
+		mode  reclaim.Mode
+		// allocs per Lookup and per Insert+Remove: at the parent commit
+		// (for the record), and pinned now.
+		parentLookup, parentUpdate float64
+		lookup, update             float64
+	}{
+		{"singly", singly, reclaim.ModeRR, 0, 0, 0, 0},
+		{"singly", singly, reclaim.ModeTMHP, 0, 0, 0, 0},
+		{"singly", singly, reclaim.ModeTMVBR, 0, 0, 0, 0},
+		{"doubly", doubly, reclaim.ModeRR, 0, 1, 0, 0},
+		{"doubly", doubly, reclaim.ModeTMHP, 0, 1, 0, 0},
+		{"doubly", doubly, reclaim.ModeTMVBR, 0, 1, 0, 0},
+		{"etree", etree, reclaim.ModeRR, 0, 4, 0, 0},
+		{"etree", etree, reclaim.ModeTMHP, 6, 13, 0, 0},
+		{"etree", etree, reclaim.ModeTMVBR, 6, 13, 0, 0},
+		{"skip", skip, reclaim.ModeRR, 4, 7, 0, 0},
+		{"skip", skip, reclaim.ModeTMHE, 4, 9, 0, 0},
+		{"skip", skip, reclaim.ModeTMVBR, 5, 9, 0, 0},
+	} {
+		set := row.build(row.mode)
+		set.Register(0)
+		for i := uint64(0); i < 200; i++ {
+			set.Insert(0, 2+2*(i*89%200)) // even keys 2..400, scattered so the tree is not a chain
+		}
+		for i := 0; i < 70; i++ { // past a scan threshold: retire lists and magazines are warm
+			set.Insert(0, 151)
+			set.Remove(0, 151)
+		}
+		if got := testing.AllocsPerRun(300, func() { set.Lookup(0, 300) }); got > row.lookup {
+			t.Errorf("%s/%s lookup: %.2f allocs/op, want <= %.0f (before the seam: %.0f)",
+				row.name, set.Name(), got, row.lookup, row.parentLookup)
+		}
+		if got := testing.AllocsPerRun(300, func() { set.Insert(0, 151); set.Remove(0, 151) }); got > row.update {
+			t.Errorf("%s/%s insert+remove: %.2f allocs/op, want <= %.0f (before the seam: %.0f)",
+				row.name, set.Name(), got, row.update, row.parentUpdate)
 		}
 	}
 }

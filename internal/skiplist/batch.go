@@ -63,20 +63,7 @@ func (s *SkipList) insertInTx(tx *stm.Tx, tid int, key uint64, h int) bool {
 	if !s.collectPreds(c, key, arena.Nil, &preds) {
 		return false
 	}
-	nh := s.ar.Alloc(tid)
-	if s.he != nil {
-		s.he.StampAlloc(nh)
-	}
-	tx.OnAbort(func() { s.ar.Free(tid, nh) })
-	n := s.ar.At(nh)
-	n.key.Store(tx, key)
-	n.height.Store(tx, uint64(h))
-	n.dead.Store(tx, 0)
-	for l := 0; l < h; l++ {
-		p := s.ar.At(preds[l])
-		n.next[l].Store(tx, uint64(s.loadLink(tx, tid, preds[l], &p.next[l])))
-		p.next[l].Store(tx, uint64(nh))
-	}
+	s.linkNode(tx, tid, key, h, &preds)
 	return true
 }
 
@@ -88,13 +75,12 @@ func (s *SkipList) removeInTx(tx *stm.Tx, tid int, key uint64) bool {
 	if s.run(c, key, int(^uint(0)>>1), 0, 0) == advStopped {
 		return false
 	}
-	victim := s.loadLink(tx, tid, c.curr, &s.ar.At(c.curr).next[c.level])
+	victim := s.guard.Link(tx, tid, c.curr, &s.ar.At(c.curr).next[c.level])
 	if victim.IsNil() {
 		// Poisoned link (doomed snapshot): abort and re-run the batch.
 		tx.Restart()
 	}
-	v := s.ar.At(victim)
-	vh := int(s.loadWord(tx, tid, victim, &v.height))
+	vh := int(s.guard.Word(tx, tid, victim, &s.ar.At(victim).height))
 	if c.level != vh-1 {
 		// Unreachable from an uncut descent unless the snapshot is doomed.
 		tx.Restart()
@@ -103,23 +89,6 @@ func (s *SkipList) removeInTx(tx *stm.Tx, tid int, key uint64) bool {
 	if !s.collectPreds(c, key, victim, &preds) {
 		panic("skiplist: unreachable: duplicate key beside victim")
 	}
-	for l := 0; l < vh; l++ {
-		s.ar.At(preds[l]).next[l].Store(tx, uint64(s.loadLink(tx, tid, victim, &v.next[l])))
-	}
-	switch s.mode {
-	case ModeRR:
-		s.rr.Revoke(tx, uint64(victim))
-		tx.OnCommit(func() { s.ar.Free(tid, victim) })
-	case ModeTMHE:
-		v.dead.Store(tx, 1)
-		stamp := s.threads[tid].ops
-		tx.OnCommit(func() { s.he.Retire(tid, victim, stamp) })
-	case ModeTMVBR:
-		v.dead.Store(tx, 1)
-		stamp := s.threads[tid].ops
-		tx.OnCommit(func() { s.vbr.Retire(tid, victim, stamp) })
-	default: // ModeHTM
-		tx.OnCommit(func() { s.ar.Free(tid, victim) })
-	}
+	s.unlinkNode(tx, tid, victim, vh, &preds)
 	return true
 }

@@ -1,14 +1,12 @@
 package skiplist
 
-import (
-	"hohtx/internal/arena"
-	"hohtx/internal/stm"
-)
+import "hohtx/internal/arena"
 
 // Reclamation-safety hooks: version retirement (every mode) and the
-// guard-mode use-after-free sanitizer; see internal/list/guard.go for the
-// full protocol discussion. An attempt that read poison and then *commits*
-// is a true use-after-free and is reported through the arena.
+// guard-mode use-after-free sanitizer's poisoner; see internal/list/guard.go
+// for the retirement argument and reclaim.Guard for the load side (an
+// attempt that read poison and then *commits* is a true use-after-free and
+// is reported through the arena).
 
 // retireNode lifts every cell version of a freed skiplist node to the
 // fence; see stm.Word.Retire. Installed for every mode, not just guard
@@ -31,34 +29,6 @@ func poisonNode(n *node) {
 	for l := 0; l < MaxHeight; l++ {
 		n.next[l].Poison(arena.PoisonWord)
 	}
-}
-
-// notePoison records a poison read on h and arms commit-gated violation
-// reporting for the current attempt.
-func (s *SkipList) notePoison(tx *stm.Tx, tid int, h arena.Handle) {
-	s.ar.NotePoisonRead(h)
-	tx.OnCommit(func() { s.ar.ReportUAF(tid, h) })
-}
-
-// loadWord transactionally loads a value word of the node named by h,
-// checking for the poison sentinel in guard mode.
-func (s *SkipList) loadWord(tx *stm.Tx, tid int, h arena.Handle, w *stm.Word) uint64 {
-	v := w.Load(tx)
-	if s.guard && v == arena.PoisonWord {
-		s.notePoison(tx, tid, h)
-	}
-	return v
-}
-
-// loadLink is loadWord for handle-bearing cells; poison defuses to Nil so
-// a benign doomed reader stops traversing instead of panicking in arena.At.
-func (s *SkipList) loadLink(tx *stm.Tx, tid int, h arena.Handle, w *stm.Word) arena.Handle {
-	v := w.Load(tx)
-	if s.guard && v == arena.PoisonWord {
-		s.notePoison(tx, tid, h)
-		return arena.Nil
-	}
-	return arena.Handle(v)
 }
 
 // GuardStats exposes the arena sanitizer counters (zero when guard is off).

@@ -1,7 +1,6 @@
 package skiplist
 
 import (
-	"hohtx/internal/arena"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -53,18 +52,18 @@ func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error 
 			c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
 			for {
 				n := s.ar.At(c.curr)
-				nextH := s.loadLink(tx, tid, c.curr, &n.next[c.level])
+				nextH := s.guard.Link(tx, tid, c.curr, &n.next[c.level])
 				if nextH.IsNil() {
 					if c.level == 0 {
 						// End of the bottom chain: the scan is complete.
-						s.release(c, held)
+						s.link.Drop(tx, tid, held)
 						done = true
 						return
 					}
 					c.level--
 					continue
 				}
-				nk := s.loadWord(tx, tid, nextH, &s.ar.At(nextH).key)
+				nk := s.guard.Word(tx, tid, nextH, &s.ar.At(nextH).key)
 				if nk >= last {
 					if c.level > 0 {
 						// Descend: the first key >= last is below us.
@@ -85,7 +84,7 @@ func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error 
 					// revocation stays windowed. When the batch is
 					// non-empty the hold lands on the node holding its
 					// last key, which is < the next window's resume key.
-					s.cutWindow(c, held)
+					s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
 					return
 				}
 			}
@@ -110,26 +109,15 @@ func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error 
 }
 
 // CanAscend reports that the skiplist supports the windowed cursor in
-// every mode (the serve layer advertises scan capability through it):
-// the deferred modes resume exactly like point operations, via the
-// dead-checked start handle instead of a reservation.
+// every mode (the serve layer advertises scan capability through it): a
+// cursor resumes exactly like a point operation, through the link.
 func (s *SkipList) CanAscend() bool { return true }
 
 // dropHoldOutsideWindow releases the iterator's reservation from outside
 // any window transaction (early consumer termination or a consumer
 // panic).
 func (s *SkipList) dropHoldOutsideWindow(tid int) {
-	switch s.mode {
-	case ModeRR:
-		s.rt.AtomicT(tid, func(tx *stm.Tx) {
-			s.rr.Release(tx, tid)
-		})
-	case ModeTMHE:
-		s.threads[tid].start = arena.Nil
-		s.he.ClearSlots(tid)
-	case ModeTMVBR:
-		s.threads[tid].start = arena.Nil
-	}
+	s.rt.AtomicT(tid, func(tx *stm.Tx) { s.link.Drop(tx, tid, true) })
 }
 
 var _ sets.Ascender = (*SkipList)(nil)

@@ -8,10 +8,10 @@ import (
 // Traversal engine.
 //
 // Searches descend from the head's top level, advancing right while the
-// next key is smaller and dropping a level otherwise. Window cuts reserve
-// the current node and stash the current level in thread-local state;
-// resuming from a reserved node at a remembered level is a correct search
-// continuation because the node is live (not revoked), its key is
+// next key is smaller and dropping a level otherwise. Window cuts hold the
+// current node through the link, with the current level as the hold's
+// word; resuming from a held node at a remembered level is a correct
+// search continuation because the node is live (not revoked), its key is
 // immutable, and every key greater than it is reachable from it.
 //
 // Updates need predecessor sets, which must be collected inside the
@@ -51,9 +51,9 @@ const (
 func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel int) advanceResult {
 	for {
 		n := s.ar.At(c.curr)
-		nextH := s.loadLink(c.tx, c.tid, c.curr, &n.next[c.level])
+		nextH := s.guard.Link(c.tx, c.tid, c.curr, &n.next[c.level])
 		if !nextH.IsNil() {
-			nk := s.loadWord(c.tx, c.tid, nextH, &s.ar.At(nextH).key)
+			nk := s.guard.Word(c.tx, c.tid, nextH, &s.ar.At(nextH).key)
 			if nk == key {
 				return advMatched
 			}
@@ -73,98 +73,20 @@ func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel i
 	}
 }
 
-// windowStart resolves the traversal origin for one transaction; the
-// resume protocols are the list engine's (see its protocol note).
+// windowStart resolves the traversal origin for one transaction: the
+// thread's held node and level if its link still has them, the head's top
+// level otherwise.
 func (s *SkipList) windowStart(tx *stm.Tx, tid int) (arena.Handle, int, bool) {
-	switch s.mode {
-	case ModeRR:
-		if r := s.rr.Get(tx, tid); r != 0 {
-			return arena.Handle(r), s.threads[tid].level, true
-		}
-	case ModeTMHE:
-		st := s.threads[tid].start
-		if !st.IsNil() && s.loadWord(tx, tid, st, &s.ar.At(st).dead) == 0 {
-			return st, s.threads[tid].level, true
-		}
-	case ModeTMVBR:
-		// Nothing pins the held start; bracket the dead load with
-		// arena-generation checks (see the list engine's protocol note).
-		st := s.threads[tid].start
-		if !st.IsNil() && s.ar.Live(st) &&
-			s.loadWord(tx, tid, st, &s.ar.At(st).dead) == 0 && s.ar.Live(st) {
-			return st, s.threads[tid].level, true
-		}
+	if h, level, held := s.link.Resume(tx, tid); held {
+		return h, int(level), true
 	}
 	return s.head, MaxHeight - 1, false
 }
 
-// cutWindow attaches the frame's position to the thread for the next
-// transaction to resume from.
-func (s *SkipList) cutWindow(c *searchCtx, held bool) {
-	ts := &s.threads[c.tid]
-	curr, level := c.curr, c.level
-	switch s.mode {
-	case ModeRR:
-		if held {
-			s.rr.Release(c.tx, c.tid)
-		}
-		s.rr.Reserve(c.tx, c.tid, uint64(curr))
-		c.tx.OnCommit(func() { ts.level = level })
-	case ModeTMHE:
-		slot := ts.parity & 1
-		s.he.Protect(c.tid, slot, curr)
-		// Ordering re-check; see the list engine's protocol note.
-		_ = s.loadWord(c.tx, c.tid, curr, &s.ar.At(curr).dead)
-		c.tx.OnCommit(func() {
-			ts.start = curr
-			ts.level = level
-			s.he.Protect(c.tid, slot^1, 0)
-			ts.parity++
-		})
-	case ModeTMVBR:
-		c.tx.OnCommit(func() {
-			ts.start = curr
-			ts.level = level
-		})
-	}
-}
-
-// release drops the hold at operation end.
-func (s *SkipList) release(c *searchCtx, held bool) {
-	switch s.mode {
-	case ModeRR:
-		if held {
-			s.rr.Release(c.tx, c.tid)
-		}
-	case ModeTMHE:
-		tid := c.tid
-		c.tx.OnCommit(func() {
-			s.threads[tid].start = arena.Nil
-			s.he.ClearSlots(tid)
-		})
-	case ModeTMVBR:
-		tid := c.tid
-		c.tx.OnCommit(func() { s.threads[tid].start = arena.Nil })
-	}
-}
-
-// dropHold abandons a resumed position mid-transaction so the operation's
-// next attempt restarts from the head.
-func (s *SkipList) dropHold(c *searchCtx, held bool) {
-	switch s.mode {
-	case ModeRR:
-		if held {
-			s.rr.Release(c.tx, c.tid)
-		}
-	case ModeTMHE, ModeTMVBR:
-		s.release(c, held)
-	}
-}
-
-// budgetFor computes a window budget (unbounded for ModeHTM or when the
-// operation demands a single uncut traversal).
+// budgetFor computes a window budget (unbounded when the operation
+// demands a single uncut traversal).
 func (s *SkipList) budgetFor(tx *stm.Tx, held, full bool) int {
-	if s.mode == ModeHTM || full {
+	if full {
 		return int(^uint(0) >> 1)
 	}
 	if held {
@@ -186,14 +108,14 @@ func (s *SkipList) Lookup(tid int, key uint64) bool {
 			switch s.run(c, key, s.budgetFor(tx, held, false), 0, 0) {
 			case advMatched:
 				res = true
-				s.release(c, held)
+				s.link.Drop(tx, tid, held)
 				done = true
 			case advStopped:
 				res = false
-				s.release(c, held)
+				s.link.Drop(tx, tid, held)
 				done = true
 			case advCut:
-				s.cutWindow(c, held)
+				s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
 			}
 		})
 		if done {
@@ -212,11 +134,11 @@ func (s *SkipList) collectPreds(c *searchCtx, key uint64, stopAt arena.Handle, p
 		c.level = l
 		for {
 			n := s.ar.At(c.curr)
-			nextH := s.loadLink(c.tx, c.tid, c.curr, &n.next[l])
+			nextH := s.guard.Link(c.tx, c.tid, c.curr, &n.next[l])
 			if nextH.IsNil() || nextH == stopAt {
 				break
 			}
-			nk := s.loadWord(c.tx, c.tid, nextH, &s.ar.At(nextH).key)
+			nk := s.guard.Word(c.tx, c.tid, nextH, &s.ar.At(nextH).key)
 			if nk == key {
 				if stopAt.IsNil() {
 					return false // duplicate insert
@@ -231,6 +153,33 @@ func (s *SkipList) collectPreds(c *searchCtx, key uint64, stopAt arena.Handle, p
 		preds[l] = c.curr
 	}
 	return true
+}
+
+// linkNode allocates a node of height h holding key and links it in after
+// preds[0:h].
+func (s *SkipList) linkNode(tx *stm.Tx, tid int, key uint64, h int, preds *[MaxHeight]arena.Handle) {
+	nh := s.ar.Alloc(tid)
+	s.link.Born(tx, tid, nh)
+	n := s.ar.At(nh)
+	n.key.Store(tx, key)
+	n.height.Store(tx, uint64(h))
+	n.dead.Store(tx, 0)
+	for l := 0; l < h; l++ {
+		p := s.ar.At(preds[l])
+		n.next[l].Store(tx, uint64(s.guard.Link(tx, tid, preds[l], &p.next[l])))
+		p.next[l].Store(tx, uint64(nh))
+	}
+}
+
+// unlinkNode splices victim (of height vh) out from after preds[0:vh] and
+// hands it to the link: a single Unlinked — for ModeRR a single Revoke —
+// per removal, independent of height.
+func (s *SkipList) unlinkNode(tx *stm.Tx, tid int, victim arena.Handle, vh int, preds *[MaxHeight]arena.Handle) {
+	v := s.ar.At(victim)
+	for l := 0; l < vh; l++ {
+		s.ar.At(preds[l]).next[l].Store(tx, uint64(s.guard.Link(tx, tid, victim, &v.next[l])))
+	}
+	s.link.Unlinked(tx, tid, victim, s.threads[tid].ops)
 }
 
 // Insert implements sets.Set. The new node's height is drawn before the
@@ -255,11 +204,11 @@ func (s *SkipList) Insert(tid int, key uint64) bool {
 				switch s.run(c, key, budget, h, h) {
 				case advMatched:
 					res = false // key exists (met at a level >= h)
-					s.release(c, held)
+					s.link.Drop(tx, tid, held)
 					done = true
 					return
 				case advCut:
-					s.cutWindow(c, held)
+					s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
 					return
 				case advStopped:
 					c.level-- // step below the boundary into phase 2
@@ -276,26 +225,13 @@ func (s *SkipList) Insert(tid int, key uint64) bool {
 			}
 			if !s.collectPreds(c, key, arena.Nil, &preds) {
 				res = false // duplicate at a level below h
-				s.release(c, held)
+				s.link.Drop(tx, tid, held)
 				done = true
 				return
 			}
-			nh := s.ar.Alloc(tid)
-			if s.he != nil {
-				s.he.StampAlloc(nh)
-			}
-			tx.OnAbort(func() { s.ar.Free(tid, nh) })
-			n := s.ar.At(nh)
-			n.key.Store(tx, key)
-			n.height.Store(tx, uint64(h))
-			n.dead.Store(tx, 0)
-			for l := 0; l < h; l++ {
-				p := s.ar.At(preds[l])
-				n.next[l].Store(tx, uint64(s.loadLink(tx, tid, preds[l], &p.next[l])))
-				p.next[l].Store(tx, uint64(nh))
-			}
+			s.linkNode(tx, tid, key, h, &preds)
 			res = true
-			s.release(c, held)
+			s.link.Drop(tx, tid, held)
 			done = true
 		})
 		if done {
@@ -326,28 +262,27 @@ func (s *SkipList) Remove(tid int, key uint64) bool {
 			switch s.run(c, key, s.budgetFor(tx, held, full), 0, 0) {
 			case advStopped:
 				res = false
-				s.release(c, held)
+				s.link.Drop(tx, tid, held)
 				done = true
 				return
 			case advCut:
-				s.cutWindow(c, held)
+				s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
 				return
 			case advMatched:
 			}
-			victim := s.loadLink(tx, tid, c.curr, &s.ar.At(c.curr).next[c.level])
+			victim := s.guard.Link(tx, tid, c.curr, &s.ar.At(c.curr).next[c.level])
 			if victim.IsNil() {
 				// Only a poisoned link defuses to Nil after advMatched; this
 				// attempt is doomed — restart with a full descent.
-				s.dropHold(c, held)
+				s.link.Drop(tx, tid, held)
 				full = true
 				return
 			}
-			v := s.ar.At(victim)
-			vh := int(s.loadWord(tx, tid, victim, &v.height))
+			vh := int(s.guard.Word(tx, tid, victim, &s.ar.At(victim).height))
 			if c.level != vh-1 {
 				// Met the victim under its tower (resumed traversal):
 				// restart with a full descent that sees its top.
-				s.dropHold(c, held)
+				s.link.Drop(tx, tid, held)
 				full = true
 				return // done=false: retry
 			}
@@ -355,26 +290,9 @@ func (s *SkipList) Remove(tid int, key uint64) bool {
 			if !s.collectPreds(c, key, victim, &preds) {
 				panic("skiplist: unreachable: duplicate key beside victim")
 			}
-			for l := 0; l < vh; l++ {
-				s.ar.At(preds[l]).next[l].Store(tx, uint64(s.loadLink(tx, tid, victim, &v.next[l])))
-			}
-			switch s.mode {
-			case ModeRR:
-				s.rr.Revoke(tx, uint64(victim))
-				tx.OnCommit(func() { s.ar.Free(tid, victim) })
-			case ModeTMHE:
-				v.dead.Store(tx, 1)
-				stamp := s.threads[tid].ops
-				tx.OnCommit(func() { s.he.Retire(tid, victim, stamp) })
-			case ModeTMVBR:
-				v.dead.Store(tx, 1)
-				stamp := s.threads[tid].ops
-				tx.OnCommit(func() { s.vbr.Retire(tid, victim, stamp) })
-			default: // ModeHTM
-				tx.OnCommit(func() { s.ar.Free(tid, victim) })
-			}
+			s.unlinkNode(tx, tid, victim, vh, &preds)
 			res = true
-			s.release(c, held)
+			s.link.Drop(tx, tid, held)
 			done = true
 		})
 		if done {

@@ -27,8 +27,6 @@
 package skiplist
 
 import (
-	"fmt"
-
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
 	"hohtx/internal/obs"
@@ -42,21 +40,25 @@ import (
 // far beyond the benchmark sizes.
 const MaxHeight = 20
 
-// Mode selects the synchronization mechanism.
-type Mode uint8
+// Mode selects the synchronization/reclamation mechanism; see reclaim.Mode.
+// The skiplist takes the two precise modes and every deferred scheme the
+// seam serves.
+type Mode = reclaim.Mode
 
+// The modes the skiplist's figures use.
 const (
-	// ModeRR is hand-over-hand transactions with revocable reservations.
-	ModeRR Mode = iota
-	// ModeHTM runs each operation as a single transaction.
-	ModeHTM
-	// ModeTMHE is hand-over-hand with hazard-era deferred reclamation
-	// (the TMHP window protocol with era reservations; DESIGN.md §14).
-	ModeTMHE
-	// ModeTMVBR is hand-over-hand with version-based reclamation: no
-	// reservations at all, resumed positions revalidate (DESIGN.md §14).
-	ModeTMVBR
+	ModeRR    = reclaim.ModeRR
+	ModeHTM   = reclaim.ModeHTM
+	ModeTMHE  = reclaim.ModeTMHE
+	ModeTMVBR = reclaim.ModeTMVBR
 )
+
+// ModeByName resolves a variant label ("RR-V", "HTM", "TMHE", …) to the
+// Config selector pair.
+func ModeByName(name string) (Mode, core.Kind, bool) {
+	m, k, ok := reclaim.ModeByName(name)
+	return m, k, ok && m.Generic()
+}
 
 // node is a skiplist element. height is immutable after the insert that
 // published the node commits; next[0:height] are the forward links; dead
@@ -70,12 +72,9 @@ type node struct {
 }
 
 type threadState struct {
-	level  int          // resume level for a held position
-	start  arena.Handle // resume node for the deferred modes
-	parity int          // era-slot parity (ModeTMHE)
-	ops    uint64
-	rng    uint64
-	_      pad.Line
+	ops uint64
+	rng uint64
+	_   pad.Line
 }
 
 // Config parameterizes the skiplist.
@@ -100,7 +99,7 @@ type Config struct {
 	// stm.Profile.ClockPolicy); composes with the Profile like YieldShift.
 	ClockPolicy stm.ClockPolicy
 	// ScanThreshold is the retire batch size for the deferred modes
-	// (ModeTMHE scans, ModeTMVBR self-tick cadence).
+	// (scan threshold, self-tick cadence); default 64.
 	ScanThreshold int
 	// TableBits/Assoc size the reservation metadata.
 	TableBits int
@@ -130,30 +129,23 @@ func (c Config) withDefaults() Config {
 	if c.ClockPolicy != 0 {
 		c.Profile.ClockPolicy = c.ClockPolicy
 	}
-	if c.Window.W == 0 && c.Mode != ModeHTM {
+	if c.Window.W == 0 {
 		c.Window.W = 16
-	}
-	if c.Mode == ModeHTM {
-		c.Window = core.Window{}
-	}
-	if c.ScanThreshold <= 0 {
-		c.ScanThreshold = reclaim.DefaultScanThreshold
 	}
 	return c
 }
 
 // SkipList is the concurrent set.
 type SkipList struct {
-	rt      *stm.Runtime
-	ar      *arena.Arena[node]
-	rr      core.Reservation
-	he      *reclaim.HazardEras
-	vbr     *reclaim.VBR
-	mode    Mode
+	rt *stm.Runtime
+	ar *arena.Arena[node]
+	// link is the mode's linking-and-reclamation mechanism (the seam; see
+	// internal/reclaim/link.go). A hold's word is the resume level.
+	link    reclaim.Link
 	win     core.Window
 	head    arena.Handle // sentinel at full height, key 0
 	threads []threadState
-	guard   bool
+	guard   reclaim.Guard
 	obs     *obs.Domain
 
 	scanWindows *obs.Histogram // window txs per Ascend (nil without Obs)
@@ -172,35 +164,24 @@ func New(cfg Config) *SkipList {
 			Threads: cfg.Threads, Policy: cfg.ArenaPolicy,
 			Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
 		}),
-		mode:    cfg.Mode,
 		win:     cfg.Window,
 		threads: make([]threadState, cfg.Threads),
-		guard:   cfg.Guard,
 	}
 	s.ar.SetRetire(func(n *node) { retireNode(n, s.rt.VersionFence()) })
 	if cfg.Guard {
 		s.ar.SetPoison(poisonNode)
 	}
-	switch cfg.Mode {
-	case ModeRR:
-		s.rr = core.New(cfg.RRKind, core.Config{
-			Threads: cfg.Threads, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
-		})
-	case ModeTMHE:
-		s.he = reclaim.NewHazardEras(reclaim.HEConfig{
-			Threads:        cfg.Threads,
-			SlotsPerThread: 2,
-			ScanThreshold:  cfg.ScanThreshold,
-			Free:           func(tid int, h arena.Handle) { s.ar.Free(tid, h) },
-		})
-	case ModeTMVBR:
-		s.vbr = reclaim.NewVBR(reclaim.VBRConfig{
-			Threads:   cfg.Threads,
-			TickEvery: cfg.ScanThreshold,
-			Clock:     s.rt.VersionFence,
-			Tick:      s.rt.TickVersionFence,
-			Free:      func(tid int, h arena.Handle) { s.ar.Free(tid, h) },
-		})
+	s.guard = reclaim.GuardFor(s.ar)
+	s.link = reclaim.New(cfg.Mode, reclaim.Nodes{
+		Threads: cfg.Threads, ScanThreshold: cfg.ScanThreshold,
+		Kind: cfg.RRKind, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
+		Dead:    func(h arena.Handle) *stm.Word { return &s.ar.At(h).dead },
+		Live:    s.ar.Live,
+		Free:    s.ar.Free,
+		Runtime: s.rt, Guard: s.guard, Obs: cfg.Obs,
+	})
+	if s.link.Traits().WholeOp {
+		s.win = core.Window{} // unbounded: one transaction per op
 	}
 	if cfg.Obs != nil {
 		s.obs = cfg.Obs
@@ -208,19 +189,6 @@ func New(cfg Config) *SkipList {
 		s.scanRenavs = cfg.Obs.Hist(obs.HistAscendRenavs, "navs")
 		s.rt.SetObserver(cfg.Obs.TxProbe())
 		s.ar.SetObserver(cfg.Obs.AllocProbe())
-		if s.rr != nil {
-			s.rr = core.Observed(s.rr, cfg.Obs.HoldProbe(), cfg.Threads)
-		}
-		if s.he != nil {
-			s.he.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return s.he.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return s.he.Stats().PeakDeferred })
-		}
-		if s.vbr != nil {
-			s.vbr.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return s.vbr.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return s.vbr.Stats().PeakDeferred })
-		}
 	}
 	for i := range s.threads {
 		s.threads[i].rng = uint64(i)*0x9e3779b97f4a7c15 + 0xdeadbeef
@@ -237,39 +205,14 @@ func New(cfg Config) *SkipList {
 }
 
 // Name implements sets.Set.
-func (s *SkipList) Name() string {
-	switch s.mode {
-	case ModeRR:
-		return s.rr.Name() + "/skip"
-	case ModeHTM:
-		return "HTM/skip"
-	case ModeTMHE:
-		return "TMHE/skip"
-	case ModeTMVBR:
-		return "TMVBR/skip"
-	default:
-		return fmt.Sprintf("skip-?%d", s.mode)
-	}
-}
+func (s *SkipList) Name() string { return s.link.Name() + "/skip" }
 
 // Register implements sets.Set.
-func (s *SkipList) Register(tid int) {
-	if s.rr != nil {
-		s.rr.Register(tid)
-	}
-}
+func (s *SkipList) Register(tid int) { s.link.Register(tid) }
 
 // Finish implements sets.Set: the deferred modes drain their retired
 // lists (no-op for the precise modes).
-func (s *SkipList) Finish(tid int) {
-	if s.he != nil {
-		s.he.ClearSlots(tid)
-		s.he.Flush(tid, s.threads[tid].ops)
-	}
-	if s.vbr != nil {
-		s.vbr.Flush(tid, s.threads[tid].ops)
-	}
-}
+func (s *SkipList) Finish(tid int) { s.link.Finish(tid, s.threads[tid].ops) }
 
 // Runtime exposes the TM runtime.
 func (s *SkipList) Runtime() *stm.Runtime { return s.rt }
@@ -302,55 +245,26 @@ func (s *SkipList) TxSerial() uint64  { return s.rt.Stats().SerialCommits }
 // clock and commit-lock counters).
 func (s *SkipList) TMStats() stm.Stats { return s.rt.Stats() }
 
-// deferredScheme returns the deferred-reclamation scheme, nil for the
-// precise modes.
-func (s *SkipList) deferredScheme() reclaim.Scheme {
-	switch {
-	case s.he != nil:
-		return s.he
-	case s.vbr != nil:
-		return s.vbr
-	}
-	return nil
-}
-
 // PeakDeferred reports the reclamation scheme's deferred high-water mark
 // (zero for the precise modes).
-func (s *SkipList) PeakDeferred() uint64 {
-	if sc := s.deferredScheme(); sc != nil {
-		return sc.Stats().PeakDeferred
-	}
-	return 0
-}
+func (s *SkipList) PeakDeferred() uint64 { return s.link.Stats().PeakDeferred }
 
 // ReclaimStats exposes the deferred-reclamation counters (zero for the
 // precise modes).
-func (s *SkipList) ReclaimStats() reclaim.Stats {
-	if sc := s.deferredScheme(); sc != nil {
-		return sc.Stats()
-	}
-	return reclaim.Stats{}
-}
+func (s *SkipList) ReclaimStats() reclaim.Stats { return s.link.Stats() }
+
+// ReclaimTraits reports the mode's fixed reclamation properties.
+func (s *SkipList) ReclaimTraits() reclaim.Traits { return s.link.Traits() }
 
 // AvgReclaimDelayOps reports the mean operations between logical deletion
 // and physical free (0 for the precise modes).
-func (s *SkipList) AvgReclaimDelayOps() float64 {
-	if sc := s.deferredScheme(); sc != nil {
-		return sc.Stats().AvgDelayOps()
-	}
-	return 0
-}
+func (s *SkipList) AvgReclaimDelayOps() float64 { return s.link.Stats().AvgDelayOps() }
 
 // LiveNodes implements sets.MemoryReporter.
 func (s *SkipList) LiveNodes() uint64 { return s.ar.Stats().Live }
 
 // DeferredNodes implements sets.MemoryReporter.
-func (s *SkipList) DeferredNodes() uint64 {
-	if sc := s.deferredScheme(); sc != nil {
-		return sc.Stats().Deferred
-	}
-	return 0
-}
+func (s *SkipList) DeferredNodes() uint64 { return s.link.Stats().Deferred }
 
 // Snapshot implements sets.Set via the bottom level (quiescence required).
 func (s *SkipList) Snapshot() []uint64 {

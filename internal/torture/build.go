@@ -80,9 +80,18 @@ func (g *guardCollector) take() []arena.GuardEvent {
 	return g.events
 }
 
+// reclaimer is what every tortured set reports about its reclamation: the
+// counters, and the scheme's own facts (reclaim.Traits) — which discipline
+// the memory books follow, how many Finish rounds drain it, whether round
+// one's leftovers are slot-bounded.
+type reclaimer interface {
+	ReclaimStats() reclaim.Stats
+	ReclaimTraits() reclaim.Traits
+}
+
 // instance is a built structure plus the metadata the invariant checks
-// need: how many arena nodes one key costs, the sentinel overhead, which
-// reclamation discipline applies, and structure-specific validators.
+// need: how many arena nodes one key costs, the sentinel overhead, the
+// reclamation discipline, and structure-specific validators.
 type instance struct {
 	set      sets.Set
 	guard    *guardCollector // nil when the variant cannot run guarded
@@ -90,20 +99,12 @@ type instance struct {
 	obsAll   []*obs.Domain   // sharded runs: one domain per shard
 	perKey   uint64          // arena nodes per resident key
 	baseLive uint64          // sentinel/bootstrap nodes (measured post-build)
-	deferred bool            // uses a deferred scheme (TMHP/ER/Leak/LFHP)
-	leak     bool            // never frees (Leak/LFLeak-style)
 	canScan  bool            // Ascender-capable: the scan oracle engages
 	// atomicBatch marks structures whose Apply runs a batch as one
 	// transaction per shard (the TM-backed ones); the lock-free baselines
 	// document Apply as per-op, so the batch-atomicity pin skips them.
 	atomicBatch bool
-	rounds      int // Finish rounds needed to drain (2 for hazard schemes)
-	// strandBound: after one Finish round the leftovers are bounded by the
-	// published-slot count (hazard-pointer schemes: one handle per slot).
-	// Hazard Eras is rounds=2 but NOT strand-bound — one stale era
-	// reservation covers every retiree whose [birth, del] interval contains
-	// it, which is not proportional to the slot count.
-	strandBound bool
+	traits      reclaim.Traits
 	reclaim     func() reclaim.Stats
 	validate    func() error
 }
@@ -120,8 +121,6 @@ func (inst *instance) domains() []*obs.Domain {
 	}
 	return nil
 }
-
-func zeroStats() reclaim.Stats { return reclaim.Stats{} }
 
 // build constructs the instance for a run: one structure × variant ×
 // policy instance, or — when cfg.Shards > 1 — that many of them behind
@@ -164,16 +163,16 @@ func scanCapable(s sets.Set) bool {
 
 // buildOne constructs a single structure × variant × policy instance,
 // reporting guard events into the given collector (nil = unguarded) and
-// naming its observability domain obsName.
+// naming its observability domain obsName. Which variants a structure
+// takes is the structure package's ModeByName; only the lock-free
+// baselines are resolved here.
 func buildOne(cfg Config, guard *guardCollector, obsName string) (*instance, error) {
-	inst := &instance{perKey: 1, rounds: 1, reclaim: zeroStats}
+	inst := &instance{perKey: 1}
+	undefined := fmt.Errorf("torture: variant %q is undefined for %s", cfg.Variant, cfg.Structure)
 	var sink func(arena.GuardEvent)
 	if guard != nil {
 		sink = guard.sink
 	}
-
-	rrKind, isRR := kindByName(cfg.Variant)
-
 	// Every TM-backed instance carries an always-sampled observability
 	// domain so a failed run can dump its flight recorder next to the repro
 	// line. The lock-free baselines return before it is attached.
@@ -182,216 +181,110 @@ func buildOne(cfg Config, guard *guardCollector, obsName string) (*instance, err
 		Threads:    cfg.Threads,
 		RingEvents: 512,
 	})
+	win := core.Window{W: cfg.Window}
+	validator := func(ok func() bool, what string) func() error {
+		return func() error {
+			if !ok() {
+				return fmt.Errorf("%s violated", what)
+			}
+			return nil
+		}
+	}
+	var set interface {
+		sets.Set
+		reclaimer
+	}
 
 	switch cfg.Structure {
 	case StructSingly, StructDoubly, StructHash:
 		if cfg.Variant == "Leak" || cfg.Variant == "LFHP" {
 			if cfg.Structure != StructSingly {
-				return nil, fmt.Errorf("torture: %s is undefined for %s", cfg.Variant, cfg.Structure)
+				return nil, undefined
 			}
-			l := lockfree.NewHarrisList(lockfree.ListConfig{
+			set = lockfree.NewHarrisList(lockfree.ListConfig{
 				Threads:           cfg.Threads,
 				UseHazardPointers: cfg.Variant == "LFHP",
 				ArenaPolicy:       cfg.Policy,
 			})
-			inst.set = l
-			inst.deferred = true
-			inst.leak = cfg.Variant == "Leak"
-			if cfg.Variant == "LFHP" {
-				inst.rounds = 2
-				inst.strandBound = true
-			}
-			inst.reclaim = l.ReclaimStats
-			return measureBase(inst), nil
+			break
+		}
+		mode, kind, ok := list.ModeByName(cfg.Variant, cfg.Structure == StructDoubly)
+		if !ok {
+			return nil, undefined
 		}
 		lcfg := list.Config{
-			Threads:     cfg.Threads,
-			Window:      core.Window{W: cfg.Window},
-			ArenaPolicy: cfg.Policy,
-			Guard:       cfg.Guard,
-			GuardSink:   sink,
-			Obs:         dom,
+			Mode: mode, RRKind: kind, Threads: cfg.Threads, Window: win,
+			ArenaPolicy: cfg.Policy, Guard: cfg.Guard, GuardSink: sink, Obs: dom,
 		}
-		switch cfg.Variant {
-		case "HTM":
-			lcfg.Mode = list.ModeHTM
-		case "TMHP":
-			lcfg.Mode = list.ModeTMHP
-			inst.deferred = true
-			inst.rounds = 2
-			inst.strandBound = true
-		case "TMHE":
-			lcfg.Mode = list.ModeTMHE
-			inst.deferred = true
-			inst.rounds = 2
-		case "TMVBR":
-			lcfg.Mode = list.ModeTMVBR
-			inst.deferred = true // Flush provably drains, so one round suffices
-		case "REF":
-			if cfg.Structure == StructDoubly {
-				return nil, fmt.Errorf("torture: REF is undefined for %s", cfg.Structure)
-			}
-			lcfg.Mode = list.ModeREF
-		case "ER":
-			if cfg.Structure == StructDoubly {
-				return nil, fmt.Errorf("torture: ER is undefined for %s", cfg.Structure)
-			}
-			lcfg.Mode = list.ModeER
-			inst.deferred = true
-		default:
-			if !isRR {
-				return nil, fmt.Errorf("torture: unknown variant %q", cfg.Variant)
-			}
-			lcfg.Mode = list.ModeRR
-			lcfg.RRKind = rrKind
-		}
-		inst.guard = guard
+		inst.obs = dom
 		switch cfg.Structure {
 		case StructSingly:
-			l := list.New(lcfg)
-			inst.set = l
-			inst.reclaim = l.ReclaimStats
+			set = list.New(lcfg)
 		case StructDoubly:
 			d := list.NewDoubly(lcfg)
-			inst.set = d
-			inst.reclaim = d.ReclaimStats
-			inst.validate = func() error {
-				if !d.ValidateLinks() {
-					return fmt.Errorf("prev/next link symmetry violated")
-				}
-				return nil
-			}
+			set, inst.validate = d, validator(d.ValidateLinks, "prev/next link symmetry")
 		case StructHash:
-			h := list.NewHashTable(lcfg, cfg.Threads*4)
-			inst.set = h
-			inst.reclaim = h.ReclaimStats
+			set = list.NewHashTable(lcfg, cfg.Threads*4)
 		}
 
 	case StructITree, StructETree:
 		if cfg.Variant == "Leak" {
 			if cfg.Structure != StructETree {
-				return nil, fmt.Errorf("torture: Leak is undefined for %s", cfg.Structure)
+				return nil, undefined
 			}
 			t := lockfree.NewNMTree(lockfree.NMConfig{Threads: cfg.Threads})
-			inst.set = t
+			set, inst.validate = t, validator(t.ValidateRouting, "NM-tree routing invariant")
 			inst.perKey = 2
-			inst.deferred = true
-			inst.leak = true
-			inst.validate = func() error {
-				if !t.ValidateRouting() {
-					return fmt.Errorf("NM-tree routing invariant violated")
-				}
-				return nil
-			}
-			return measureBase(inst), nil
+			break
+		}
+		mode, kind, ok := tree.ModeByName(cfg.Variant, cfg.Structure == StructITree)
+		if !ok {
+			return nil, undefined
 		}
 		tcfg := tree.Config{
-			Threads:     cfg.Threads,
-			Window:      core.Window{W: cfg.Window},
-			ArenaPolicy: cfg.Policy,
-			Guard:       cfg.Guard,
-			GuardSink:   sink,
-			Obs:         dom,
+			Mode: mode, RRKind: kind, Threads: cfg.Threads, Window: win,
+			ArenaPolicy: cfg.Policy, Guard: cfg.Guard, GuardSink: sink, Obs: dom,
 		}
-		switch cfg.Variant {
-		case "HTM":
-			tcfg.Mode = tree.ModeHTM
-		case "TMHP":
-			if cfg.Structure == StructITree {
-				return nil, fmt.Errorf("torture: TMHP is undefined for %s", cfg.Structure)
-			}
-			tcfg.Mode = tree.ModeTMHP
-			inst.deferred = true
-			inst.rounds = 2
-			inst.strandBound = true
-		case "TMHE":
-			if cfg.Structure == StructITree {
-				return nil, fmt.Errorf("torture: TMHE is undefined for %s", cfg.Structure)
-			}
-			tcfg.Mode = tree.ModeTMHE
-			inst.deferred = true
-			inst.rounds = 2
-		case "TMVBR":
-			if cfg.Structure == StructITree {
-				return nil, fmt.Errorf("torture: TMVBR is undefined for %s", cfg.Structure)
-			}
-			tcfg.Mode = tree.ModeTMVBR
-			inst.deferred = true
-		default:
-			if !isRR {
-				return nil, fmt.Errorf("torture: unknown variant %q", cfg.Variant)
-			}
-			tcfg.Mode = tree.ModeRR
-			tcfg.RRKind = rrKind
-		}
-		inst.guard = guard
+		inst.obs = dom
 		if cfg.Structure == StructITree {
 			t := tree.NewInternal(tcfg)
-			inst.set = t
-			inst.reclaim = t.ReclaimStats
-			inst.validate = func() error {
-				if !t.ValidateBST() {
-					return fmt.Errorf("BST ordering invariant violated")
-				}
-				return nil
-			}
+			set, inst.validate = t, validator(t.ValidateBST, "BST ordering invariant")
 		} else {
 			t := tree.NewExternal(tcfg)
-			inst.set = t
+			set, inst.validate = t, validator(t.ValidateRouting, "external-tree routing invariant")
 			inst.perKey = 2
-			inst.reclaim = t.ReclaimStats
-			inst.validate = func() error {
-				if !t.ValidateRouting() {
-					return fmt.Errorf("external-tree routing invariant violated")
-				}
-				return nil
-			}
 		}
 
 	case StructSkip:
-		scfg := skiplist.Config{
-			Threads:     cfg.Threads,
-			Window:      core.Window{W: cfg.Window},
-			ArenaPolicy: cfg.Policy,
-			Guard:       cfg.Guard,
-			GuardSink:   sink,
-			Obs:         dom,
+		mode, kind, ok := skiplist.ModeByName(cfg.Variant)
+		if !ok {
+			return nil, undefined
 		}
-		switch cfg.Variant {
-		case "HTM":
-			scfg.Mode = skiplist.ModeHTM
-		case "TMHE":
-			scfg.Mode = skiplist.ModeTMHE
-			inst.deferred = true
-			inst.rounds = 2
-		case "TMVBR":
-			scfg.Mode = skiplist.ModeTMVBR
-			inst.deferred = true
-		default:
-			if !isRR {
-				return nil, fmt.Errorf("torture: unknown variant %q", cfg.Variant)
-			}
-			scfg.Mode = skiplist.ModeRR
-			scfg.RRKind = rrKind
-		}
-		s := skiplist.New(scfg)
-		inst.set = s
-		inst.guard = guard
-		inst.reclaim = s.ReclaimStats
-		inst.validate = func() error {
-			if !s.ValidateLevels() {
-				return fmt.Errorf("skiplist level invariant violated")
-			}
-			return nil
-		}
+		s := skiplist.New(skiplist.Config{
+			Mode: mode, RRKind: kind, Threads: cfg.Threads, Window: win,
+			ArenaPolicy: cfg.Policy, Guard: cfg.Guard, GuardSink: sink, Obs: dom,
+		})
+		inst.obs = dom
+		set, inst.validate = s, validator(s.ValidateLevels, "skiplist level invariant")
 
 	default:
 		return nil, fmt.Errorf("torture: unknown structure %q", cfg.Structure)
 	}
 
-	inst.obs = dom
-	inst.atomicBatch = true // every TM-backed Apply is one transaction
-	return measureBase(inst), nil
+	inst.set = set
+	inst.traits = set.ReclaimTraits()
+	inst.reclaim = set.ReclaimStats
+	if inst.obs != nil {
+		// TM-backed: guardable, and every Apply is one transaction.
+		inst.guard = guard
+		inst.atomicBatch = true
+	}
+	if mr, ok := inst.set.(sets.MemoryReporter); ok {
+		// The freshly built structure's sentinel/bootstrap node count is
+		// the constant term of the memory-accounting invariant.
+		inst.baseLive = mr.LiveNodes()
+	}
+	return inst, nil
 }
 
 // buildSharded constructs cfg.Shards independent instances and combines
@@ -419,11 +312,8 @@ func buildSharded(cfg Config, guard *guardCollector) (*instance, error) {
 		guard:       first.guard,
 		obs:         first.obs,
 		perKey:      first.perKey,
-		deferred:    first.deferred,
-		leak:        first.leak,
 		atomicBatch: first.atomicBatch,
-		rounds:      first.rounds,
-		strandBound: first.strandBound,
+		traits:      first.traits,
 	}
 	for _, si := range subs {
 		inst.baseLive += si.baseLive
@@ -459,14 +349,14 @@ func buildSharded(cfg Config, guard *guardCollector) (*instance, error) {
 			live, def := mr.LiveNodes(), mr.DeferredNodes()
 			expect := si.baseLive + si.perKey*uint64(len(si.set.Snapshot()))
 			switch {
-			case !si.deferred:
+			case !si.traits.Deferred:
 				if live != expect {
 					return fmt.Errorf("shard %d: precise mode: live %d != expected %d", i, live, expect)
 				}
 				if def != 0 {
 					return fmt.Errorf("shard %d: precise mode: %d deferred nodes", i, def)
 				}
-			case si.leak:
+			case si.traits.Leak:
 				if live != expect+def {
 					return fmt.Errorf("shard %d: leak mode: live %d != %d expected + %d leaked", i, live, expect, def)
 				}
@@ -482,23 +372,4 @@ func buildSharded(cfg Config, guard *guardCollector) (*instance, error) {
 		return nil
 	}
 	return inst, nil
-}
-
-// measureBase records the freshly built structure's sentinel/bootstrap node
-// count, the constant term of the memory-accounting invariant.
-func measureBase(inst *instance) *instance {
-	if mr, ok := inst.set.(sets.MemoryReporter); ok {
-		inst.baseLive = mr.LiveNodes()
-	}
-	return inst
-}
-
-// kindByName resolves a reservation-kind label.
-func kindByName(name string) (core.Kind, bool) {
-	for _, k := range core.Kinds() {
-		if k.String() == name {
-			return k, true
-		}
-	}
-	return 0, false
 }

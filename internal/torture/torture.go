@@ -475,8 +475,8 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 	// round one the leftovers must be bounded by the published-slot count,
 	// and a second round — with every slot cleared — must free them all.
 	pool.FinishAll()
-	if inst.rounds > 1 {
-		if inst.strandBound {
+	if inst.traits.DrainRounds > 1 {
+		if inst.traits.StrandBound {
 			// Every shard holds the full slot complement (the facade registers
 			// each tid everywhere), so the hazard bound scales with the shard
 			// count. Hazard Eras takes round 2 but skips this bound: a single
@@ -537,7 +537,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 		rep.AvgDelayOps = rs.AvgDelayOps()
 		expect := inst.baseLive + inst.perKey*uint64(len(snap))
 		switch {
-		case !inst.deferred:
+		case !inst.traits.Deferred:
 			if rep.Live != expect {
 				fail("precise mode: live %d != sentinels %d + %d per key × size %d = %d",
 					rep.Live, inst.baseLive, inst.perKey, len(snap), expect)
@@ -545,7 +545,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 			if rep.Deferred != 0 {
 				fail("precise mode: %d deferred nodes", rep.Deferred)
 			}
-		case inst.leak:
+		case inst.traits.Leak:
 			if rep.Live != expect+rep.Deferred {
 				fail("leak mode: live %d != %d expected + %d leaked", rep.Live, expect, rep.Deferred)
 			}

@@ -1,8 +1,6 @@
 package tree
 
 import (
-	"fmt"
-
 	"hohtx/internal/arena"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
@@ -43,24 +41,6 @@ func NewExternal(cfg Config) *External {
 	return t
 }
 
-// Name implements sets.Set.
-func (t *External) Name() string {
-	switch t.mode {
-	case ModeRR:
-		return t.rr.Name()
-	case ModeHTM:
-		return "HTM"
-	case ModeTMHP:
-		return "TMHP"
-	case ModeTMHE:
-		return "TMHE"
-	case ModeTMVBR:
-		return "TMVBR"
-	default:
-		return fmt.Sprintf("etree-?%d", t.mode)
-	}
-}
-
 // applyExt is the hand-over-hand window engine for the external tree.
 // onLeaf runs in the terminal window with the reached leaf and its
 // ancestor routers: gH (grandparent), pH (parent), with pH the pDir-child
@@ -92,7 +72,7 @@ func (t *External) applyExt(tid int, key uint64, needsDepth int,
 			steps := 0
 			for {
 				n := t.ar.At(currH)
-				if t.loadLink(tx, tid, currH, &n.left).IsNil() {
+				if t.guard.Link(tx, tid, currH, &n.left).IsNil() {
 					// Reached a leaf.
 					depth := 0
 					if !pH.IsNil() {
@@ -102,32 +82,32 @@ func (t *External) applyExt(tid int, key uint64, needsDepth int,
 						depth = 2
 					}
 					if depth < needsDepth {
-						t.dropHold(tx, tid, held)
+						t.link.Drop(tx, tid, held)
 						return // restart from the root next window
 					}
 					res = onLeaf(tx, gH, pH, currH, pDir, cDir)
-					t.windowTerminal(tx, tid, held)
+					t.link.Drop(tx, tid, held)
 					done = true
 					return
 				}
 				if steps >= budget {
-					t.windowHold(tx, tid, held, currH)
+					t.link.Hold(tx, tid, held, currH, 0)
 					return
 				}
 				gH, pDir = pH, cDir
 				pH = currH
-				if key < t.loadWord(tx, tid, currH, &n.key) {
-					currH = t.loadLink(tx, tid, currH, &n.left)
+				if key < t.guard.Word(tx, tid, currH, &n.key) {
+					currH = t.guard.Link(tx, tid, currH, &n.left)
 					cDir = 0
 				} else {
-					currH = t.loadLink(tx, tid, currH, &n.right)
+					currH = t.guard.Link(tx, tid, currH, &n.right)
 					cDir = 1
 				}
 				if currH.IsNil() {
 					// A router's children are never Nil; only a poisoned
 					// link defuses to Nil. This attempt is doomed — drop
 					// the hold and retry from the root.
-					t.dropHold(tx, tid, held)
+					t.link.Drop(tx, tid, held)
 					return
 				}
 				steps++
@@ -143,7 +123,7 @@ func (t *External) applyExt(tid int, key uint64, needsDepth int,
 func (t *External) Lookup(tid int, key uint64) bool {
 	return t.applyExt(tid, key, 0,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			return t.loadWord(tx, tid, leafH, &t.ar.At(leafH).key) == key
+			return t.guard.Word(tx, tid, leafH, &t.ar.At(leafH).key) == key
 		},
 	)
 }
@@ -155,7 +135,7 @@ func (t *External) Insert(tid int, key uint64) bool {
 	}
 	return t.applyExt(tid, key, 1,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leafKey := t.loadWord(tx, tid, leafH, &t.ar.At(leafH).key)
+			leafKey := t.guard.Word(tx, tid, leafH, &t.ar.At(leafH).key)
 			if leafKey == key {
 				return false
 			}
@@ -177,10 +157,10 @@ func (t *External) Insert(tid int, key uint64) bool {
 func (t *External) Remove(tid int, key uint64) bool {
 	return t.applyExt(tid, key, 2,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			if t.loadWord(tx, tid, leafH, &t.ar.At(leafH).key) != key {
+			if t.guard.Word(tx, tid, leafH, &t.ar.At(leafH).key) != key {
 				return false
 			}
-			sibling := uint64(t.loadLink(tx, tid, pH, child(t.ar.At(pH), 1-lDir)))
+			sibling := uint64(t.guard.Link(tx, tid, pH, child(t.ar.At(pH), 1-lDir)))
 			child(t.ar.At(gH), pDir).Store(tx, sibling)
 			t.reclaimNode(tx, tid, pH)
 			t.reclaimNode(tx, tid, leafH)

@@ -1,8 +1,6 @@
 package tree
 
 import (
-	"fmt"
-
 	"hohtx/internal/arena"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
@@ -22,24 +20,11 @@ var _ sets.MemoryReporter = (*Internal)(nil)
 
 // NewInternal constructs an internal-tree set.
 func NewInternal(cfg Config) *Internal {
-	cfg = cfg.withDefaults()
-	if cfg.Mode == ModeTMHP || cfg.Mode == ModeTMHE || cfg.Mode == ModeTMVBR {
-		panic("tree: the deferred-reclamation modes are only implemented for the external tree")
-	}
-	b := newBase(cfg)
+	b := newBase(cfg.withDefaults())
+	// Its two-children removal revokes nodes that stay linked, which only
+	// the precise links can do.
+	b.requirePrecise("the internal tree")
 	return &Internal{base: b, root: b.initNode(sent2, arena.Nil, arena.Nil)}
-}
-
-// Name implements sets.Set.
-func (t *Internal) Name() string {
-	switch t.mode {
-	case ModeRR:
-		return t.rr.Name()
-	case ModeHTM:
-		return "HTM"
-	default:
-		return fmt.Sprintf("itree-?%d", t.mode)
-	}
 }
 
 // child returns the dir-selected child cell of n (0 left, 1 right).
@@ -83,33 +68,33 @@ func (t *Internal) apply(tid int, key uint64, needsParent bool,
 			for {
 				if currH.IsNil() {
 					res = onMissing(tx, prevH, dir)
-					t.windowTerminal(tx, tid, held)
+					t.link.Drop(tx, tid, held)
 					done = true
 					return
 				}
 				n := t.ar.At(currH)
-				ck := t.loadWord(tx, tid, currH, &n.key)
+				ck := t.guard.Word(tx, tid, currH, &n.key)
 				if ck == key {
 					if needsParent && prevH.IsNil() {
 						// Matched at the resumed start: ancestors unknown.
-						t.dropHold(tx, tid, held)
+						t.link.Drop(tx, tid, held)
 						return // done=false: restart from the root
 					}
 					res = onFound(tx, prevH, currH, dir)
-					t.windowTerminal(tx, tid, held)
+					t.link.Drop(tx, tid, held)
 					done = true
 					return
 				}
 				if steps >= budget {
-					t.windowHold(tx, tid, held, currH)
+					t.link.Hold(tx, tid, held, currH, 0)
 					return // hand over to the next window at currH
 				}
 				prevH = currH
 				if key < ck {
-					currH = t.loadLink(tx, tid, currH, &n.left)
+					currH = t.guard.Link(tx, tid, currH, &n.left)
 					dir = 0
 				} else {
-					currH = t.loadLink(tx, tid, currH, &n.right)
+					currH = t.guard.Link(tx, tid, currH, &n.right)
 					dir = 1
 				}
 				steps++
@@ -161,8 +146,8 @@ func (t *Internal) Remove(tid int, key uint64) bool {
 // dispatching on its child count.
 func (t *Internal) removeFound(tx *stm.Tx, tid int, parentH, vH arena.Handle, dir int) {
 	v := t.ar.At(vH)
-	lH := t.loadLink(tx, tid, vH, &v.left)
-	rH := t.loadLink(tx, tid, vH, &v.right)
+	lH := t.guard.Link(tx, tid, vH, &v.left)
+	rH := t.guard.Link(tx, tid, vH, &v.right)
 	switch {
 	case lH.IsNil() && rH.IsNil():
 		child(t.ar.At(parentH), dir).Store(tx, 0)
@@ -183,40 +168,33 @@ func (t *Internal) removeFound(tx *stm.Tx, tid int, parentH, vH arena.Handle, di
 // successor — whose subtree regions are the only ones the upward key move
 // invalidates — is revoked so resumed traversals in that region restart.
 func (t *Internal) removeTwoChildren(tx *stm.Tx, tid int, vH, rH arena.Handle) {
-	if t.mode == ModeRR {
-		// The victim's key changes: reservations on it become unsafe.
-		t.rr.Revoke(tx, uint64(vH))
-	}
+	// The victim's key changes: holds on it become unsafe.
+	t.link.Revoke(tx, vH)
 	// Walk to the leftmost descendant of the right child, revoking the
-	// path as we go (this is the multi-Revoke cost Figure 6 studies).
+	// path as we go (this is the multi-Revoke cost Figure 6 studies). The
+	// walk's last node is the successor, which Unlinked revokes below.
 	parentOfL := vH
 	lH := rH
 	for {
-		if t.mode == ModeRR {
-			t.rr.Revoke(tx, uint64(lH))
-		}
-		next := t.loadLink(tx, tid, lH, &t.ar.At(lH).left)
+		next := t.guard.Link(tx, tid, lH, &t.ar.At(lH).left)
 		if next.IsNil() {
 			break
 		}
+		t.link.Revoke(tx, lH)
 		parentOfL = lH
 		lH = next
 	}
 	l := t.ar.At(lH)
 	// Move the successor's key up, then splice the successor out by
 	// promoting its right child.
-	t.ar.At(vH).key.Store(tx, t.loadWord(tx, tid, lH, &l.key))
-	promoted := uint64(t.loadLink(tx, tid, lH, &l.right))
+	t.ar.At(vH).key.Store(tx, t.guard.Word(tx, tid, lH, &l.key))
+	promoted := uint64(t.guard.Link(tx, tid, lH, &l.right))
 	if parentOfL == vH {
 		t.ar.At(vH).right.Store(tx, promoted)
 	} else {
 		t.ar.At(parentOfL).left.Store(tx, promoted)
 	}
-	// The extracted node was already revoked in the walk above.
-	switch t.mode {
-	case ModeRR, ModeHTM:
-		tx.OnCommit(func() { t.ar.Free(tid, lH) })
-	}
+	t.reclaimNode(tx, tid, lH)
 }
 
 // Snapshot implements sets.Set via an in-order walk (quiescence required).

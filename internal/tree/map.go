@@ -25,10 +25,9 @@ type Map struct {
 // (the deferred-reclamation modes would alias the value storage and are
 // not what a map user wants anyway).
 func NewMap(cfg Config) *Map {
-	if cfg.Mode == ModeTMHP || cfg.Mode == ModeTMHE || cfg.Mode == ModeTMVBR {
-		panic("tree: Map requires ModeRR or ModeHTM")
-	}
-	return &Map{t: NewExternal(cfg)}
+	t := NewExternal(cfg)
+	t.requirePrecise("Map")
+	return &Map{t: t}
 }
 
 // Name labels the map.

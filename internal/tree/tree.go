@@ -6,7 +6,8 @@
 // paper's Figure 7 — a hazard-pointer variant (TMHP). The external tree
 // additionally supports the post-2017 deferred schemes of the extended
 // reclamation matrix (DESIGN.md §14): hazard eras (TMHE) and
-// version-based reclamation (TMVBR).
+// version-based reclamation (TMVBR). Which mechanism a tree runs is the
+// link it was built with (internal/reclaim); the code here never asks.
 //
 // The delicate part is the internal tree's removal of a node with two
 // children: the victim's value is overwritten with its successor l (the
@@ -29,24 +30,27 @@ import (
 	"hohtx/internal/stm"
 )
 
-// Mode selects the synchronization/reclamation mechanism.
-type Mode uint8
+// Mode selects the synchronization/reclamation mechanism; see reclaim.Mode.
+type Mode = reclaim.Mode
 
+// The modes the trees take: the two precise ones on both trees and, on the
+// external tree only (the paper knows of no internal trees using hazard
+// pointers), every deferred scheme the seam serves.
 const (
-	// ModeRR is hand-over-hand transactions with revocable reservations.
-	ModeRR Mode = iota
-	// ModeHTM performs each operation in one transaction.
-	ModeHTM
-	// ModeTMHP is hand-over-hand with hazard pointers (external tree
-	// only; the paper knows of no internal trees using hazard pointers).
-	ModeTMHP
-	// ModeTMHE is hand-over-hand with hazard eras (external tree only,
-	// like TMHP, whose window protocol it shares).
-	ModeTMHE
-	// ModeTMVBR is hand-over-hand with version-based reclamation
-	// (external tree only); no reservations, resumes revalidate.
-	ModeTMVBR
+	ModeRR    = reclaim.ModeRR
+	ModeHTM   = reclaim.ModeHTM
+	ModeTMHP  = reclaim.ModeTMHP
+	ModeTMHE  = reclaim.ModeTMHE
+	ModeTMVBR = reclaim.ModeTMVBR
 )
+
+// ModeByName resolves a variant label ("RR-V", "HTM", "TMHP", …) to the
+// Config selector pair for the external tree, or — with internal set —
+// the internal tree.
+func ModeByName(name string, internal bool) (Mode, core.Kind, bool) {
+	m, k, ok := reclaim.ModeByName(name)
+	return m, k, ok && m.Generic() && (!internal || m <= ModeHTM)
+}
 
 // sentinel keys; user keys must be below sent0.
 const (
@@ -64,15 +68,13 @@ type node struct {
 	key   stm.Word
 	left  stm.Word // arena.Handle bits
 	right stm.Word
-	dead  stm.Word // TMHP logical-deletion mark
+	dead  stm.Word // the deferred modes' logical-deletion mark
 	_     pad.Line
 }
 
 type threadState struct {
-	start  arena.Handle
-	parity int
-	ops    uint64
-	_      pad.Line
+	ops uint64
+	_   pad.Line
 }
 
 // Config parameterizes tree construction.
@@ -91,7 +93,7 @@ type Config struct {
 	// ArenaPolicy selects the allocator free-list policy.
 	ArenaPolicy arena.Policy
 	// ScanThreshold is the retire batch size for the deferred modes
-	// (ModeTMHP/ModeTMHE scans, ModeTMVBR self-tick cadence).
+	// (scan threshold, self-tick cadence); default 64.
 	ScanThreshold int
 	// TableBits/Assoc size the reservation metadata (see core.Config).
 	TableBits int
@@ -128,31 +130,23 @@ func (c Config) withDefaults() Config {
 	if c.ClockPolicy != 0 {
 		c.Profile.ClockPolicy = c.ClockPolicy
 	}
-	if c.Window.W == 0 && c.Mode != ModeHTM {
+	if c.Window.W == 0 {
 		c.Window.W = 16
-	}
-	if c.Mode == ModeHTM {
-		c.Window = core.Window{}
-	}
-	if c.ScanThreshold <= 0 {
-		c.ScanThreshold = reclaim.DefaultScanThreshold
 	}
 	return c
 }
 
 // base carries the machinery shared by the internal and external trees.
 type base struct {
-	rt          *stm.Runtime
-	ar          *arena.Arena[node]
-	rr          core.Reservation
-	hp          *reclaim.HazardPointers
-	he          *reclaim.HazardEras
-	vbr         *reclaim.VBR
-	mode        Mode
+	rt *stm.Runtime
+	ar *arena.Arena[node]
+	// link is the mode's linking-and-reclamation mechanism (the seam; see
+	// internal/reclaim/link.go).
+	link        reclaim.Link
 	win         core.Window
 	winOverride atomic.Int32
 	threads     []threadState
-	guard       bool
+	guard       reclaim.Guard
 	obs         *obs.Domain
 }
 
@@ -163,67 +157,39 @@ func newBase(cfg Config) *base {
 			Policy: cfg.ArenaPolicy, Threads: cfg.Threads,
 			Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
 		}),
-		mode:    cfg.Mode,
 		win:     cfg.Window,
 		threads: make([]threadState, cfg.Threads),
-		guard:   cfg.Guard,
 	}
 	b.ar.SetRetire(func(n *node) { retireNode(n, b.rt.VersionFence()) })
 	if cfg.Guard {
 		b.ar.SetPoison(poisonNode)
 	}
-	switch cfg.Mode {
-	case ModeRR:
-		b.rr = core.New(cfg.RRKind, core.Config{
-			Threads: cfg.Threads, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
-		})
-	case ModeTMHP:
-		b.hp = reclaim.NewHazardPointers(reclaim.HPConfig{
-			Threads:        cfg.Threads,
-			SlotsPerThread: 2,
-			ScanThreshold:  cfg.ScanThreshold,
-			Free:           func(tid int, h arena.Handle) { b.ar.Free(tid, h) },
-		})
-	case ModeTMHE:
-		b.he = reclaim.NewHazardEras(reclaim.HEConfig{
-			Threads:        cfg.Threads,
-			SlotsPerThread: 2,
-			ScanThreshold:  cfg.ScanThreshold,
-			Free:           func(tid int, h arena.Handle) { b.ar.Free(tid, h) },
-		})
-	case ModeTMVBR:
-		b.vbr = reclaim.NewVBR(reclaim.VBRConfig{
-			Threads:   cfg.Threads,
-			TickEvery: cfg.ScanThreshold,
-			Clock:     b.rt.VersionFence,
-			Tick:      b.rt.TickVersionFence,
-			Free:      func(tid int, h arena.Handle) { b.ar.Free(tid, h) },
-		})
+	b.guard = reclaim.GuardFor(b.ar)
+	b.link = reclaim.New(cfg.Mode, reclaim.Nodes{
+		Threads: cfg.Threads, ScanThreshold: cfg.ScanThreshold,
+		Kind: cfg.RRKind, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
+		Dead:    func(h arena.Handle) *stm.Word { return &b.ar.At(h).dead },
+		Live:    b.ar.Live,
+		Free:    b.ar.Free,
+		Runtime: b.rt, Guard: b.guard, Obs: cfg.Obs,
+	})
+	if b.link.Traits().WholeOp {
+		b.win = core.Window{} // unbounded: one transaction per op
 	}
 	if cfg.Obs != nil {
 		b.obs = cfg.Obs
 		b.rt.SetObserver(cfg.Obs.TxProbe())
 		b.ar.SetObserver(cfg.Obs.AllocProbe())
-		if b.rr != nil {
-			b.rr = core.Observed(b.rr, cfg.Obs.HoldProbe(), cfg.Threads)
-		}
-		if b.hp != nil {
-			b.hp.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return b.hp.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return b.hp.Stats().PeakDeferred })
-		}
-		if b.he != nil {
-			b.he.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return b.he.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return b.he.Stats().PeakDeferred })
-		}
-		if b.vbr != nil {
-			b.vbr.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return b.vbr.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return b.vbr.Stats().PeakDeferred })
-		}
 	}
 	return b
+}
+
+// requirePrecise panics if the tree was built over deferred reclamation,
+// which who (named in the message) cannot run on.
+func (b *base) requirePrecise(who string) {
+	if b.link.Traits().Deferred {
+		panic("tree: " + who + " requires ModeRR or ModeHTM, not " + b.link.Name())
+	}
 }
 
 // ObsDomain returns the attached observability domain (nil when detached).
@@ -245,10 +211,7 @@ func (b *base) initNode(key uint64, left, right arena.Handle) arena.Handle {
 // slots require transactional stores; see package arena).
 func (b *base) allocNode(tx *stm.Tx, tid int, key uint64, left, right arena.Handle) arena.Handle {
 	h := b.ar.Alloc(tid)
-	if b.he != nil {
-		b.he.StampAlloc(h)
-	}
-	tx.OnAbort(func() { b.ar.Free(tid, h) })
+	b.link.Born(tx, tid, h)
 	n := b.ar.At(h)
 	n.key.Store(tx, key)
 	n.left.Store(tx, uint64(left))
@@ -267,33 +230,20 @@ func (b *base) SetWindow(w int) { b.winOverride.Store(int32(w)) }
 // window returns the effective window policy for a new transaction.
 func (b *base) window() core.Window {
 	win := b.win
-	if o := b.winOverride.Load(); o > 0 {
+	if o := b.winOverride.Load(); o > 0 && !win.Unbounded() {
 		win.W = int(o)
 	}
 	return win
 }
 
+// Name implements part of sets.Set.
+func (b *base) Name() string { return b.link.Name() }
+
 // Register implements part of sets.Set.
-func (b *base) Register(tid int) {
-	if b.rr != nil {
-		b.rr.Register(tid)
-	}
-}
+func (b *base) Register(tid int) { b.link.Register(tid) }
 
 // Finish implements part of sets.Set.
-func (b *base) Finish(tid int) {
-	if b.hp != nil {
-		b.hp.ClearSlots(tid)
-		b.hp.Flush(tid, b.threads[tid].ops)
-	}
-	if b.he != nil {
-		b.he.ClearSlots(tid)
-		b.he.Flush(tid, b.threads[tid].ops)
-	}
-	if b.vbr != nil {
-		b.vbr.Flush(tid, b.threads[tid].ops)
-	}
-}
+func (b *base) Finish(tid int) { b.link.Finish(tid, b.threads[tid].ops) }
 
 // TxCommits reports committed transactions (benchmark statistics).
 func (b *base) TxCommits() uint64 { return b.rt.Stats().Commits }
@@ -308,196 +258,36 @@ func (b *base) TxSerial() uint64 { return b.rt.Stats().SerialCommits }
 // clock and commit-lock counters).
 func (b *base) TMStats() stm.Stats { return b.rt.Stats() }
 
-// deferredScheme returns the tree's deferred-reclamation scheme, nil for
-// the precise modes.
-func (b *base) deferredScheme() reclaim.Scheme {
-	switch {
-	case b.hp != nil:
-		return b.hp
-	case b.he != nil:
-		return b.he
-	case b.vbr != nil:
-		return b.vbr
-	}
-	return nil
-}
-
 // PeakDeferred reports the reclamation scheme's deferred high-water mark.
-func (b *base) PeakDeferred() uint64 {
-	if s := b.deferredScheme(); s != nil {
-		return s.Stats().PeakDeferred
-	}
-	return 0
-}
+func (b *base) PeakDeferred() uint64 { return b.link.Stats().PeakDeferred }
 
 // ReclaimStats exposes the deferred-reclamation counters (zero for the
 // precise modes).
-func (b *base) ReclaimStats() reclaim.Stats {
-	if s := b.deferredScheme(); s != nil {
-		return s.Stats()
-	}
-	return reclaim.Stats{}
-}
+func (b *base) ReclaimStats() reclaim.Stats { return b.link.Stats() }
+
+// ReclaimTraits reports the mode's fixed reclamation properties.
+func (b *base) ReclaimTraits() reclaim.Traits { return b.link.Traits() }
 
 // AvgReclaimDelayOps reports the mean operations between logical deletion
 // and physical free (0 for the precise modes).
-func (b *base) AvgReclaimDelayOps() float64 {
-	if s := b.deferredScheme(); s != nil {
-		return s.Stats().AvgDelayOps()
-	}
-	return 0
-}
+func (b *base) AvgReclaimDelayOps() float64 { return b.link.Stats().AvgDelayOps() }
 
 // LiveNodes implements sets.MemoryReporter.
 func (b *base) LiveNodes() uint64 { return b.ar.Stats().Live }
 
 // DeferredNodes implements sets.MemoryReporter.
-func (b *base) DeferredNodes() uint64 {
-	if s := b.deferredScheme(); s != nil {
-		return s.Stats().Deferred
-	}
-	return 0
-}
+func (b *base) DeferredNodes() uint64 { return b.link.Stats().Deferred }
 
-// windowStart resolves the window's starting node; see the identically
-// named helper in package list for the protocol discussion.
+// windowStart resolves the window's starting node: the thread's held
+// position if its link still has one, the root otherwise.
 func (b *base) windowStart(tx *stm.Tx, tid int, root arena.Handle) (arena.Handle, bool) {
-	switch b.mode {
-	case ModeRR:
-		if r := b.rr.Get(tx, tid); r != 0 {
-			return arena.Handle(r), true
-		}
-		return root, false
-	case ModeTMHP, ModeTMHE:
-		s := b.threads[tid].start
-		if s.IsNil() {
-			return root, false
-		}
-		if b.loadWord(tx, tid, s, &b.ar.At(s).dead) != 0 {
-			return root, false
-		}
-		return s, true
-	case ModeTMVBR:
-		// Nothing pins the held start between windows; bracket the dead
-		// load with arena-generation checks (see the list engine's
-		// protocol note).
-		s := b.threads[tid].start
-		if s.IsNil() || !b.ar.Live(s) {
-			return root, false
-		}
-		if b.loadWord(tx, tid, s, &b.ar.At(s).dead) != 0 {
-			return root, false
-		}
-		if !b.ar.Live(s) {
-			return root, false
-		}
-		return s, true
-	default:
-		return root, false
+	if h, _, held := b.link.Resume(tx, tid); held {
+		return h, true
 	}
+	return root, false
 }
 
-// windowHold attaches the traversal's hold to currH for resumption.
-func (b *base) windowHold(tx *stm.Tx, tid int, held bool, currH arena.Handle) {
-	ts := &b.threads[tid]
-	switch b.mode {
-	case ModeRR:
-		if held {
-			b.rr.Release(tx, tid)
-		}
-		b.rr.Reserve(tx, tid, uint64(currH))
-	case ModeTMHP:
-		slot := ts.parity & 1
-		b.hp.Protect(tid, slot, currH)
-		_ = b.loadWord(tx, tid, currH, &b.ar.At(currH).dead) // ordering re-check (see list)
-		tx.OnCommit(func() {
-			ts.start = currH
-			b.hp.Protect(tid, slot^1, 0)
-			ts.parity++
-		})
-	case ModeTMHE:
-		slot := ts.parity & 1
-		b.he.Protect(tid, slot, currH)
-		_ = b.loadWord(tx, tid, currH, &b.ar.At(currH).dead) // ordering re-check (see list)
-		tx.OnCommit(func() {
-			ts.start = currH
-			b.he.Protect(tid, slot^1, 0)
-			ts.parity++
-		})
-	case ModeTMVBR:
-		tx.OnCommit(func() { ts.start = currH })
-	}
-}
-
-// windowTerminal drops the hold at operation end.
-func (b *base) windowTerminal(tx *stm.Tx, tid int, held bool) {
-	ts := &b.threads[tid]
-	switch b.mode {
-	case ModeRR:
-		if held {
-			b.rr.Release(tx, tid)
-		}
-	case ModeTMHP:
-		tx.OnCommit(func() {
-			ts.start = arena.Nil
-			b.hp.ClearSlots(tid)
-		})
-	case ModeTMHE:
-		tx.OnCommit(func() {
-			ts.start = arena.Nil
-			b.he.ClearSlots(tid)
-		})
-	case ModeTMVBR:
-		tx.OnCommit(func() { ts.start = arena.Nil })
-	}
-}
-
-// dropHold abandons a resumed position so the next window restarts from
-// the root (used when a resumed window cannot learn the ancestors an
-// update needs).
-func (b *base) dropHold(tx *stm.Tx, tid int, held bool) {
-	ts := &b.threads[tid]
-	switch b.mode {
-	case ModeRR:
-		if held {
-			b.rr.Release(tx, tid)
-		}
-	case ModeTMHP:
-		tx.OnCommit(func() {
-			ts.start = arena.Nil
-			b.hp.ClearSlots(tid)
-		})
-	case ModeTMHE:
-		tx.OnCommit(func() {
-			ts.start = arena.Nil
-			b.he.ClearSlots(tid)
-		})
-	case ModeTMVBR:
-		tx.OnCommit(func() { ts.start = arena.Nil })
-	}
-}
-
-// reclaimNode frees h per the tree's mode, revoking reservations first
-// for ModeRR (precise reclamation) or marking and retiring for the
-// deferred modes.
+// reclaimNode hands a node this transaction unlinked to the link.
 func (b *base) reclaimNode(tx *stm.Tx, tid int, h arena.Handle) {
-	switch b.mode {
-	case ModeRR:
-		b.rr.Revoke(tx, uint64(h))
-		tx.OnCommit(func() { b.ar.Free(tid, h) })
-	case ModeHTM:
-		tx.OnCommit(func() { b.ar.Free(tid, h) })
-	case ModeTMHP:
-		b.ar.At(h).dead.Store(tx, 1)
-		stamp := b.threads[tid].ops
-		tx.OnCommit(func() { b.hp.Retire(tid, h, stamp) })
-	case ModeTMHE:
-		b.ar.At(h).dead.Store(tx, 1)
-		stamp := b.threads[tid].ops
-		tx.OnCommit(func() { b.he.Retire(tid, h, stamp) })
-	case ModeTMVBR:
-		b.ar.At(h).dead.Store(tx, 1)
-		stamp := b.threads[tid].ops
-		tx.OnCommit(func() { b.vbr.Retire(tid, h, stamp) })
-	}
+	b.link.Unlinked(tx, tid, h, b.threads[tid].ops)
 }
