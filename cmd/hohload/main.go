@@ -377,8 +377,6 @@ func main() {
 	fmt.Printf("  wrote %s (%d cells)\n", *out, len(sum.Cells))
 }
 
-// runConn drives one connection closed-loop: fill the pipeline to depth,
-// then send one request per reply.
 // workloadDesc names the recorded workload; open- and closed-loop runs
 // read differently (rate vs. pipeline depth).
 func workloadDesc(keys uint64, reads, conns, depth, batch, scanfrac, scanlen int, rate float64) string {

@@ -62,6 +62,7 @@ import (
 	"hohtx/internal/bench"
 	"hohtx/internal/obs"
 	"hohtx/internal/serve"
+	"hohtx/internal/sets"
 )
 
 func main() {
@@ -165,7 +166,7 @@ func main() {
 			reg.Register(pd)
 		}
 		for i := 0; i < sharded.ShardCount(); i++ {
-			if or, ok := sharded.Shard(i).(bench.ObsReporter); ok {
+			if or, ok := sharded.Shard(i).(sets.ObsReporter); ok {
 				reg.Register(or.ObsDomain())
 			}
 		}

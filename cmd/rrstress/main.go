@@ -81,7 +81,7 @@ func stressOnce(c cell, roundSeed int64) error {
 		return fmt.Errorf("build: %w", err)
 	}
 	if registry != nil {
-		if or, ok := s.(bench.ObsReporter); ok {
+		if or, ok := s.(sets.ObsReporter); ok {
 			if d := or.ObsDomain(); d != nil {
 				registry.Register(d)
 				defer registry.Unregister(d)

@@ -320,9 +320,7 @@ func NewOrderedMap(cfg Config) *OrderedMap {
 // restores the configured value). The paper proposes contention-driven
 // window tuning as future work; examples/tuner builds it on this knob and
 // on StatsOf's abort counts.
-type Tunable interface {
-	SetWindow(w int)
-}
+type Tunable = sets.Tunable
 
 // TxStats summarizes a set's transactional behavior.
 type TxStats struct {
@@ -421,20 +419,13 @@ func NewShardedSet(shards int, build func(shard int) Set) *ShardedSet {
 // StatsOf extracts transaction statistics from any Set built by this
 // package (zero value for foreign implementations).
 func StatsOf(s Set) TxStats {
-	type reporter interface {
-		TxCommits() uint64
-		TxAborts() uint64
-		TxSerial() uint64
-	}
 	var out TxStats
-	if r, ok := s.(reporter); ok {
-		out = TxStats{Commits: r.TxCommits(), Aborts: r.TxAborts(), Serial: r.TxSerial()}
-	}
-	if r, ok := s.(interface{ TMStats() stm.Stats }); ok {
+	if r, ok := s.(sets.TMStatsReporter); ok {
+		// One snapshot, so Commits and WriteCommits (and the abort
+		// breakdown against its total) reconcile under load.
 		st := r.TMStats()
-		// Commits from the same snapshot as WriteCommits, so the split
-		// reconciles under load.
 		out.Commits, out.WriteCommits = st.Commits, st.WriteCommits
+		out.Aborts, out.Serial = st.TotalAborts(), st.SerialCommits
 		out.ReadConflicts = st.Aborts[stm.CauseReadConflict]
 		out.Validations = st.Aborts[stm.CauseValidation]
 		out.WriteLocks = st.Aborts[stm.CauseWriteLock]

@@ -217,6 +217,14 @@ type GuardStats struct {
 	Violations uint64
 }
 
+// Add accumulates o into s, field by field (several arenas' sanitizers as
+// one aggregate). serve.TestStatsAddSumsEveryField fails on a numeric
+// field this does not sum.
+func (s *GuardStats) Add(o GuardStats) {
+	s.PoisonReads += o.PoisonReads
+	s.Violations += o.Violations
+}
+
 // guardState exists only when Config.Guard is set, so the disabled-mode
 // cost is a nil check.
 type guardState[T any] struct {

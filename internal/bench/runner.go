@@ -60,29 +60,9 @@ type Result struct {
 	Obs *obs.DomainSnapshot
 }
 
-// ObsReporter lets the runner pull a structure's observability domain.
-type ObsReporter interface {
-	ObsDomain() *obs.Domain
-}
-
 // DelayReporter lets the runner pull reclamation-delay averages.
 type DelayReporter interface {
 	AvgReclaimDelayOps() float64
-}
-
-// TxStatsReporter lets the runner pull TM abort statistics from
-// transactional variants.
-type TxStatsReporter interface {
-	TxCommits() uint64
-	TxAborts() uint64
-	TxSerial() uint64
-}
-
-// TMStatsReporter lets the runner pull the full stm statistics snapshot
-// (per-cause aborts, clock and commit-lock counters) from transactional
-// variants.
-type TMStatsReporter interface {
-	TMStats() stm.Stats
 }
 
 // PeakReporter lets the runner pull the reclamation high-water mark.
@@ -172,12 +152,10 @@ func Run(mk MakeSet, w Workload, cfg RunConfig) (Result, error) {
 }
 
 func (r *Result) fillStats(s sets.Set, totalOps float64) {
-	if tr, ok := s.(TxStatsReporter); ok && totalOps > 0 {
-		r.AbortsPerOp = float64(tr.TxAborts()) / totalOps
-		r.SerialPerOp = float64(tr.TxSerial()) / totalOps
-	}
-	if tm, ok := s.(TMStatsReporter); ok && totalOps > 0 {
+	if tm, ok := s.(sets.TMStatsReporter); ok && totalOps > 0 {
 		st := tm.TMStats()
+		r.AbortsPerOp = float64(st.TotalAborts()) / totalOps
+		r.SerialPerOp = float64(st.SerialCommits) / totalOps
 		r.ReadConflictsPerOp = float64(st.Aborts[stm.CauseReadConflict]) / totalOps
 		r.ValidationsPerOp = float64(st.Aborts[stm.CauseValidation]) / totalOps
 		r.WriteLocksPerOp = float64(st.Aborts[stm.CauseWriteLock]) / totalOps
@@ -191,7 +169,7 @@ func (r *Result) fillStats(s sets.Set, totalOps float64) {
 	if dr, ok := s.(DelayReporter); ok {
 		r.AvgDelayOps = dr.AvgReclaimDelayOps()
 	}
-	if or, ok := s.(ObsReporter); ok {
+	if or, ok := s.(sets.ObsReporter); ok {
 		if d := or.ObsDomain(); d != nil {
 			snap := d.Snapshot()
 			r.Obs = &snap

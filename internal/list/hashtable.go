@@ -136,11 +136,8 @@ func (h *HashTable) LiveNodes() uint64 { return h.l.LiveNodes() }
 // DeferredNodes implements sets.MemoryReporter.
 func (h *HashTable) DeferredNodes() uint64 { return h.l.DeferredNodes() }
 
-// TxCommits, TxAborts, TxSerial and PeakDeferred delegate to the shared
-// runtime for benchmark statistics.
-func (h *HashTable) TxCommits() uint64    { return h.l.TxCommits() }
-func (h *HashTable) TxAborts() uint64     { return h.l.TxAborts() }
-func (h *HashTable) TxSerial() uint64     { return h.l.TxSerial() }
+// TMStats and PeakDeferred delegate to the shared runtime and scheme for
+// benchmark statistics.
 func (h *HashTable) TMStats() stm.Stats   { return h.l.TMStats() }
 func (h *HashTable) PeakDeferred() uint64 { return h.l.PeakDeferred() }
 

@@ -341,15 +341,6 @@ func (l *List) ReclaimStats() reclaim.Stats { return l.link.Stats() }
 // ReclaimTraits reports the mode's fixed reclamation properties.
 func (l *List) ReclaimTraits() reclaim.Traits { return l.traits }
 
-// TxCommits reports committed transactions (benchmark statistics).
-func (l *List) TxCommits() uint64 { return l.rt.Stats().Commits }
-
-// TxAborts reports aborted transaction attempts.
-func (l *List) TxAborts() uint64 { return l.rt.Stats().TotalAborts() }
-
-// TxSerial reports serial-mode commits (HTM-fallback events).
-func (l *List) TxSerial() uint64 { return l.rt.Stats().SerialCommits }
-
 // TMStats returns the full TM statistics snapshot (per-cause aborts,
 // clock and commit-lock counters).
 func (l *List) TMStats() stm.Stats { return l.rt.Stats() }

@@ -47,6 +47,20 @@ type Stats struct {
 	Leftover uint64
 }
 
+// Add accumulates o into s, field by field (several shards' schemes as one
+// aggregate). PeakDeferred sums too, which makes it an upper bound: the
+// shards' peaks need not have coincided. serve.TestStatsAddSumsEveryField
+// fails on a numeric field this does not sum.
+func (s *Stats) Add(o Stats) {
+	s.Retired += o.Retired
+	s.Freed += o.Freed
+	s.Deferred += o.Deferred
+	s.PeakDeferred += o.PeakDeferred
+	s.Scans += o.Scans
+	s.DelayOpsSum += o.DelayOpsSum
+	s.Leftover += o.Leftover
+}
+
 // AvgDelayOps is the mean number of caller-supplied "operation stamps"
 // between a node's retirement and its physical free; zero for immediate
 // schemes.

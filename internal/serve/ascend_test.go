@@ -252,7 +252,7 @@ func TestAscendWireWeakConsistency(t *testing.T) {
 func startServerOn(t *testing.T, set sets.Set, slots int) string {
 	t.Helper()
 	pool := serve.NewPool(set, serve.PoolConfig{Slots: slots})
-	srv := serve.NewServer(serve.ServerConfig{Set: set, Pool: pool})
+	srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -319,7 +319,7 @@ func TestAscendWireUnsupported(t *testing.T) {
 func TestServerSaturationKeepsConnection(t *testing.T) {
 	set := newSet(t, 1)
 	pool := serve.NewPool(set, serve.PoolConfig{Slots: 1, MaxWaiters: 1})
-	srv := serve.NewServer(serve.ServerConfig{Set: set, Pool: pool, AutoBatch: 8})
+	srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}, AutoBatch: 8})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

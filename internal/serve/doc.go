@@ -19,12 +19,14 @@
 //   - lease/wait/backpressure statistics, exported through an optional
 //     obs.Domain (lease_wait_ns histogram plus gauges).
 //
-// Server speaks a minimal pipelined text protocol (GET/SET/DEL/LEN/INFO,
-// one line per request, one line per reply) over any sets.Set, leasing a
-// slot per burst of buffered requests so an idle connection holds no
-// slot. cmd/hohserver wraps it in a binary; cmd/hohload is the matching
-// load generator. See DESIGN.md §9 for the protocol grammar and the
-// backpressure semantics.
+// Server speaks a minimal pipelined text protocol (GET/SET/DEL, MULTI
+// batches, ASCEND scans, LEN/INFO/SLOWLOG; one line per request) over any
+// sets.Set, leasing a slot per burst of buffered requests so an idle
+// connection holds no slot. Every request line runs through one pipeline
+// (conn.go: verb table → shard plan → lease-and-span bracket → execute →
+// render). cmd/hohserver wraps it in a binary; cmd/hohload is the matching
+// load generator. See DESIGN.md §9 for the protocol grammar, the
+// pipeline's contract table and the backpressure semantics.
 //
 // Sharded lifts the single-instance bottleneck: every TL2-style set
 // serializes writers through one global version clock, so one instance
@@ -32,5 +34,6 @@
 // ShardOf hash-partitions keys across N fully independent instances (each
 // with its own clock, serial-fallback lock, arena, and — behind Server —
 // its own lease pool), the facade re-implements sets.Set by routing, and
-// LEN/INFO aggregate. See DESIGN.md §10.
+// LEN/INFO aggregate. The facade and the server lay multi-key requests
+// over the shards with the same plan (plan.go). See DESIGN.md §10.
 package serve

@@ -51,7 +51,7 @@ func startServerCfg(t *testing.T, slots, maxBatch, autoBatch int) (*serve.Server
 	t.Helper()
 	set := newSet(t, slots)
 	pool := serve.NewPool(set, serve.PoolConfig{Slots: slots})
-	srv := serve.NewServer(serve.ServerConfig{Set: set, Pool: pool, MaxBatch: maxBatch, AutoBatch: autoBatch})
+	srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}, MaxBatch: maxBatch, AutoBatch: autoBatch})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

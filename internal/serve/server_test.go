@@ -21,7 +21,7 @@ func startServer(t *testing.T, slots int) (*serve.Server, sets.Set, string) {
 	t.Helper()
 	set := newSet(t, slots)
 	pool := serve.NewPool(set, serve.PoolConfig{Slots: slots})
-	srv := serve.NewServer(serve.ServerConfig{Set: set, Pool: pool})
+	srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -224,7 +224,7 @@ func TestServerInfo(t *testing.T) {
 func TestServerDrain(t *testing.T) {
 	set := newSet(t, 2)
 	pool := serve.NewPool(set, serve.PoolConfig{Slots: 2})
-	srv := serve.NewServer(serve.ServerConfig{Set: set, Pool: pool})
+	srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -283,7 +283,7 @@ func TestServerDeferredSchemesLoopback(t *testing.T) {
 			baseline := mem.LiveNodes()
 
 			pool := serve.NewPool(set, serve.PoolConfig{Slots: slots})
-			srv := serve.NewServer(serve.ServerConfig{Set: set, Pool: pool})
+			srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}})
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatalf("listen: %v", err)

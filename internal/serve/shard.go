@@ -40,10 +40,21 @@ func ShardOf(key uint64, n int) int {
 // Snapshot, LiveNodes, transaction and guard statistics — merge across
 // shards, so everything that consumes a Set (the lease pool, the torture
 // harness, the benchmarks, hohtx.StatsOf) works unchanged on a sharded
-// instance.
+// instance. Server reads its own INFO line and gauges through one.
 type Sharded struct {
 	shards []sets.Set
 	name   string
+
+	// The shards' optional views (the named interfaces beside sets.Set),
+	// asserted once at construction. A shard without a view is absent
+	// from that view's aggregate.
+	asc   []sets.Ascender // per shard; nil unless every shard can scan
+	doms  []*obs.Domain   // per shard; nil entries for detached shards
+	mem   []sets.MemoryReporter
+	tm    []sets.TMStatsReporter
+	rec   []sets.ReclaimReporter
+	guard []sets.GuardReporter
+	tune  []sets.Tunable
 }
 
 // NewSharded builds the facade over the given shards, which must all be
@@ -57,7 +68,39 @@ func NewSharded(shards []sets.Set) *Sharded {
 	if len(shards) > 1 {
 		name = fmt.Sprintf("%s×%d", name, len(shards))
 	}
-	return &Sharded{shards: shards, name: name}
+	s := &Sharded{
+		shards: shards,
+		name:   name,
+		doms:   make([]*obs.Domain, len(shards)),
+		mem:    viewsOf[sets.MemoryReporter](shards),
+		tm:     viewsOf[sets.TMStatsReporter](shards),
+		rec:    viewsOf[sets.ReclaimReporter](shards),
+		guard:  viewsOf[sets.GuardReporter](shards),
+		tune:   viewsOf[sets.Tunable](shards),
+	}
+	for i, sh := range shards {
+		if or, ok := sh.(sets.ObsReporter); ok {
+			s.doms[i] = or.ObsDomain()
+		}
+		if sets.CanAscend(sh) {
+			s.asc = append(s.asc, sh.(sets.Ascender))
+		}
+	}
+	if len(s.asc) != len(shards) {
+		s.asc = nil
+	}
+	return s
+}
+
+// viewsOf collects the shards that implement the optional interface V.
+func viewsOf[V any](shards []sets.Set) []V {
+	var out []V
+	for _, sh := range shards {
+		if v, ok := sh.(V); ok {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // ShardCount returns the number of shards.
@@ -79,10 +122,8 @@ func (s *Sharded) ShardFor(key uint64) int { return ShardOf(key, len(s.shards)) 
 // it routes to); it exists so facade users get the same per-request
 // stm/reclaim phase stamping the server gets.
 func (s *Sharded) ArmSpan(tid int, sp *obs.Span) {
-	for _, sh := range s.shards {
-		if or, ok := sh.(interface{ ObsDomain() *obs.Domain }); ok {
-			or.ObsDomain().SetSpan(tid, sp)
-		}
+	for _, d := range s.doms {
+		d.SetSpan(tid, sp)
 	}
 }
 
@@ -122,19 +163,14 @@ func (s *Sharded) Apply(tid int, ops []sets.Op) []sets.Result {
 		return s.shards[0].Apply(tid, ops)
 	}
 	out := make([]sets.Result, len(ops))
-	subOps := make([][]sets.Op, len(s.shards))
-	subIdx := make([][]int, len(s.shards))
-	for i, op := range ops {
-		sh := ShardOf(op.Key, len(s.shards))
-		subOps[sh] = append(subOps[sh], op)
-		subIdx[sh] = append(subIdx[sh], i)
-	}
-	for sh := range s.shards {
-		if len(subOps[sh]) == 0 {
+	var plan shardPlan
+	splitByShard(&plan, ops, len(s.shards))
+	for sh, sub := range plan.ops {
+		if len(sub) == 0 {
 			continue
 		}
-		for j, r := range s.shards[sh].Apply(tid, subOps[sh]) {
-			out[subIdx[sh][j]] = r
+		for j, r := range s.shards[sh].Apply(tid, sub) {
+			out[plan.idx[sh][j]] = r
 		}
 	}
 	return out
@@ -149,164 +185,68 @@ func (s *Sharded) Finish(tid int) {
 
 // Snapshot merges the shards' snapshots into one ascending key list. Like
 // every Snapshot in this repository it requires quiescence; each shard's
-// slice is already sorted, so this is an N-way merge.
+// slice is already sorted, so this is the merge over fully buffered,
+// exhausted cursors (nothing to refill, hence no error).
 func (s *Sharded) Snapshot() []uint64 {
-	parts := make([][]uint64, len(s.shards))
+	cursors := make([]shardCursor, len(s.shards))
 	total := 0
 	for i, sh := range s.shards {
-		parts[i] = sh.Snapshot()
-		total += len(parts[i])
+		cursors[i] = shardCursor{buf: sh.Snapshot(), done: true}
+		total += len(cursors[i].buf)
 	}
 	out := make([]uint64, 0, total)
-	for {
-		best := -1
-		for i, p := range parts {
-			if len(p) == 0 {
-				continue
-			}
-			if best < 0 || p[0] < parts[best][0] {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, parts[best][0])
-		parts[best] = parts[best][1:]
-	}
-}
-
-// ascendChunk is the per-shard pull size for the streaming merge: each
-// pull runs one bounded sub-scan whose reservation hold is dropped before
-// the pull returns, so no cursor position is held while the merge is
-// busy with other shards (or, in the server, while the shard's worker
-// slot is released between pulls).
-const ascendChunk = 64
-
-// shardCursor is one shard's position in a streaming merge: the next key
-// to pull from, the keys pulled but not yet emitted, and whether the
-// shard is exhausted.
-type shardCursor struct {
-	next uint64
-	buf  []uint64
-	done bool
-}
-
-// pull refills the cursor with up to max keys from a, advancing next past
-// the last key pulled. The sub-scan terminates itself (fn → false), so
-// the underlying reservation hold is released before pull returns.
-func (c *shardCursor) pull(a sets.Ascender, tid, max int) error {
-	got := 0
-	if err := a.Ascend(tid, c.next, func(k uint64) bool {
-		c.buf = append(c.buf, k)
-		got++
-		return got < max
-	}); err != nil {
-		return err
-	}
-	if got < max {
-		c.done = true
-	}
-	if got > 0 {
-		c.next = c.buf[len(c.buf)-1] + 1
-	}
-	return nil
+	_ = mergeAscend(cursors, nil, func(k uint64) bool {
+		out = append(out, k)
+		return true
+	})
+	return out
 }
 
 // Ascend implements sets.Ascender by interleaving one reservation cursor
-// per shard through a streaming N-way merge — the online version of
-// Snapshot, requiring no quiescence. Each shard is pulled one bounded
-// chunk at a time; shards partition keys, so per-shard ascending order
-// makes the merged stream strictly ascending and exactly-once. The
-// result is weakly consistent per shard (the sync.Map.Range contract on
-// sets.Ascender); cross-shard, a key inserted on one shard during the
-// scan may be observed while an older key on another shard is not — no
-// weaker than the single-shard contract's treatment of concurrent
-// writers.
+// per shard through the streaming merge — the online version of Snapshot,
+// requiring no quiescence. Each shard is pulled one bounded chunk at a
+// time. The result is weakly consistent per shard (the sync.Map.Range
+// contract on sets.Ascender); cross-shard, a key inserted on one shard
+// during the scan may be observed while an older key on another shard is
+// not — no weaker than the single-shard contract's treatment of
+// concurrent writers.
 func (s *Sharded) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
-	if len(s.shards) == 1 {
-		a, ok := s.shards[0].(sets.Ascender)
-		if !ok {
-			return sets.ErrScanUnsupported
-		}
-		return a.Ascend(tid, from, fn)
+	if s.asc == nil {
+		return sets.ErrScanUnsupported
 	}
-	cursors := make([]shardCursor, len(s.shards))
+	if len(s.asc) == 1 {
+		return s.asc[0].Ascend(tid, from, fn)
+	}
+	cursors := make([]shardCursor, len(s.asc))
 	for i := range cursors {
 		cursors[i].next = from
 	}
-	for {
-		for i, sh := range s.shards {
-			cur := &cursors[i]
-			if cur.done || len(cur.buf) > 0 {
-				continue
-			}
-			a, ok := sh.(sets.Ascender)
-			if !ok {
-				return sets.ErrScanUnsupported
-			}
-			if err := cur.pull(a, tid, ascendChunk); err != nil {
-				return err
-			}
-		}
-		best := -1
-		for i := range cursors {
-			if len(cursors[i].buf) == 0 {
-				continue
-			}
-			if best < 0 || cursors[i].buf[0] < cursors[best].buf[0] {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		if !fn(cursors[best].buf[0]) {
-			return nil
-		}
-		cursors[best].buf = cursors[best].buf[1:]
-	}
+	return mergeAscend(cursors, func(i int, cur *shardCursor) error {
+		return cur.pull(s.asc[i], tid, ascendChunk)
+	}, fn)
 }
 
 // CanAscend reports whether every shard supports the reservation cursor
-// (see the identically named methods on the structures; the serve layer
-// advertises scan capability through it).
-func (s *Sharded) CanAscend() bool {
-	for _, sh := range s.shards {
-		a, ok := sh.(sets.Ascender)
-		if !ok {
-			return false
-		}
-		if c, ok := a.(interface{ CanAscend() bool }); ok && !c.CanAscend() {
-			return false
-		}
-	}
-	return true
-}
+// (sets.CanAscend on each; the serve layer advertises scan= from it).
+func (s *Sharded) CanAscend() bool { return s.asc != nil }
 
 // Name labels the sharded instance, e.g. "RR-V×4".
 func (s *Sharded) Name() string { return s.name }
 
 // LiveNodes sums allocated-and-not-freed nodes across shards; zero if no
 // shard reports memory.
-func (s *Sharded) LiveNodes() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		if mr, ok := sh.(sets.MemoryReporter); ok {
-			n += mr.LiveNodes()
-		}
+func (s *Sharded) LiveNodes() (n uint64) {
+	for _, m := range s.mem {
+		n += m.LiveNodes()
 	}
 	return n
 }
 
 // DeferredNodes sums logically-deleted-but-unreclaimed nodes across
 // shards.
-func (s *Sharded) DeferredNodes() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		if mr, ok := sh.(sets.MemoryReporter); ok {
-			n += mr.DeferredNodes()
-		}
+func (s *Sharded) DeferredNodes() (n uint64) {
+	for _, m := range s.mem {
+		n += m.DeferredNodes()
 	}
 	return n
 }
@@ -314,108 +254,35 @@ func (s *Sharded) DeferredNodes() uint64 {
 // SetWindow adjusts the hand-over-hand window on every shard (the
 // hohtx.Tunable contract; examples/tuner drives it).
 func (s *Sharded) SetWindow(w int) {
-	for _, sh := range s.shards {
-		if t, ok := sh.(interface{ SetWindow(int) }); ok {
-			t.SetWindow(w)
-		}
+	for _, t := range s.tune {
+		t.SetWindow(w)
 	}
 }
 
-// TxCommits sums committed transactions across shards.
-func (s *Sharded) TxCommits() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		if r, ok := sh.(interface{ TxCommits() uint64 }); ok {
-			n += r.TxCommits()
-		}
-	}
-	return n
-}
-
-// TxAborts sums aborted speculative attempts across shards.
-func (s *Sharded) TxAborts() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		if r, ok := sh.(interface{ TxAborts() uint64 }); ok {
-			n += r.TxAborts()
-		}
-	}
-	return n
-}
-
-// TxSerial sums serial-fallback commits across shards.
-func (s *Sharded) TxSerial() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		if r, ok := sh.(interface{ TxSerial() uint64 }); ok {
-			n += r.TxSerial()
-		}
-	}
-	return n
-}
-
-// TMStats sums the shards' STM runtime counters field by field — each
-// shard has its own clock and commit lock, so the aggregate is exactly
-// "the traffic the instance generated", with no shared-counter double
-// counting.
-func (s *Sharded) TMStats() stm.Stats {
-	var out stm.Stats
-	for _, sh := range s.shards {
-		r, ok := sh.(interface{ TMStats() stm.Stats })
-		if !ok {
-			continue
-		}
-		st := r.TMStats()
-		out.Commits += st.Commits
-		out.WriteCommits += st.WriteCommits
-		out.SerialCommits += st.SerialCommits
-		out.Extensions += st.Extensions
-		for c := range st.Aborts {
-			out.Aborts[c] += st.Aborts[c]
-		}
-		out.ClockCASes += st.ClockCASes
-		out.BiasRevocations += st.BiasRevocations
-		out.WriterWaits += st.WriterWaits
-		out.CommitSlowPath += st.CommitSlowPath
-		for b := range st.Batch {
-			out.Batch[b].Txs += st.Batch[b].Txs
-			out.Batch[b].Ops += st.Batch[b].Ops
-			out.Batch[b].Aborts += st.Batch[b].Aborts
-			out.Batch[b].Serial += st.Batch[b].Serial
-		}
+// TMStats sums the shards' STM runtime counters — each shard has its own
+// clock and commit lock, so the aggregate is exactly "the traffic the
+// instance generated", with no shared-counter double counting. Which
+// fields exist is stm.Stats.Add's business, as it is reclaim's and
+// arena's below: a new counter needs no edit here.
+func (s *Sharded) TMStats() (out stm.Stats) {
+	for _, r := range s.tm {
+		out.Add(r.TMStats())
 	}
 	return out
 }
 
 // ReclaimStats sums the shards' reclamation counters.
-func (s *Sharded) ReclaimStats() reclaim.Stats {
-	var out reclaim.Stats
-	for _, sh := range s.shards {
-		r, ok := sh.(interface{ ReclaimStats() reclaim.Stats })
-		if !ok {
-			continue
-		}
-		st := r.ReclaimStats()
-		out.Retired += st.Retired
-		out.Freed += st.Freed
-		out.Deferred += st.Deferred
-		out.PeakDeferred += st.PeakDeferred // upper bound: peaks need not align
-		out.Scans += st.Scans
-		out.DelayOpsSum += st.DelayOpsSum
-		out.Leftover += st.Leftover
+func (s *Sharded) ReclaimStats() (out reclaim.Stats) {
+	for _, r := range s.rec {
+		out.Add(r.ReclaimStats())
 	}
 	return out
 }
 
 // GuardStats sums the shards' use-after-free sanitizer counters.
-func (s *Sharded) GuardStats() arena.GuardStats {
-	var out arena.GuardStats
-	for _, sh := range s.shards {
-		if g, ok := sh.(interface{ GuardStats() arena.GuardStats }); ok {
-			st := g.GuardStats()
-			out.PoisonReads += st.PoisonReads
-			out.Violations += st.Violations
-		}
+func (s *Sharded) GuardStats() (out arena.GuardStats) {
+	for _, g := range s.guard {
+		out.Add(g.GuardStats())
 	}
 	return out
 }

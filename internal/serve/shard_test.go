@@ -109,8 +109,8 @@ func TestShardedFacade(t *testing.T) {
 	if def := sh.DeferredNodes(); def != 0 {
 		t.Fatalf("precise shards reported %d deferred nodes", def)
 	}
-	if sh.TxCommits() == 0 {
-		t.Fatal("aggregate TxCommits = 0 after a churn run")
+	if sh.TMStats().Commits == 0 {
+		t.Fatal("aggregate TMStats().Commits = 0 after a churn run")
 	}
 	if got, want := sh.Name(), "RR-V×3"; got != want {
 		t.Fatalf("Name = %q, want %q", got, want)

@@ -128,12 +128,13 @@ func parseIntBytes(b []byte) (int, bool) {
 // error: the old fmt.Errorf path built 2+ heap objects per bad line,
 // which let a garbage flood allocate its way past the budget. The code
 // selects one of a fixed set of messages; arg (aliasing the request
-// line — render before the next read) and key/max feed its formatter.
-// The zero value means no error.
+// line — render before the next read) and key feed its formatter. The
+// zero value means no error.
 type wireErr struct {
 	code uint8
+	op   int32  // 1 + the MULTI body position the diagnosis is about; 0 = not in a body
 	arg  []byte // errBadKey, errBadCount: the offending token
-	key  uint64 // errKeyRange: the out-of-range key
+	key  uint64 // errKeyRange: the out-of-range key; errOversize: the batch size
 }
 
 const (
@@ -142,13 +143,21 @@ const (
 	errBadKey
 	errKeyRange
 	errNotKeyOp
+	errBadCount
+	errOversize
 )
 
-// appendWireErr renders the diagnosis (message only, no "ERR " prefix —
-// MULTI nests these inside its own error line) into dst. The messages
-// are byte-for-byte what the fmt.Errorf calls used to produce, so wire
-// tests and clients keep matching.
-func appendWireErr(dst []byte, we wireErr, maxKey uint64) []byte {
+// appendWireErr renders the diagnosis (message only — the caller owns the
+// "ERR " prefix and the verb's scope) into dst. bound is the limit the
+// message cites: the key bound, or for errOversize the batch cap. The
+// messages are byte-for-byte what the fmt.Errorf calls used to produce,
+// so wire tests and clients keep matching.
+func appendWireErr(dst []byte, we wireErr, bound uint64) []byte {
+	if we.op > 0 {
+		dst = append(dst, "op "...)
+		dst = strconv.AppendInt(dst, int64(we.op-1), 10)
+		dst = append(dst, ": "...)
+	}
 	switch we.code {
 	case errMissingKey:
 		return append(dst, "missing key"...)
@@ -159,12 +168,29 @@ func appendWireErr(dst []byte, we wireErr, maxKey uint64) []byte {
 		dst = append(dst, "key "...)
 		dst = strconv.AppendUint(dst, we.key, 10)
 		dst = append(dst, " out of range [1, "...)
-		dst = strconv.AppendUint(dst, maxKey, 10)
+		dst = strconv.AppendUint(dst, bound, 10)
 		return append(dst, ']')
 	case errNotKeyOp:
 		return append(dst, "not a key op"...)
+	case errBadCount:
+		dst = append(dst, "bad count "...)
+		return appendQuoted(dst, we.arg)
+	case errOversize:
+		dst = append(dst, "batch of "...)
+		dst = strconv.AppendUint(dst, we.key, 10)
+		dst = append(dst, " exceeds max "...)
+		return strconv.AppendUint(dst, bound, 10)
 	}
 	return dst
+}
+
+// parseCount reads a request's count argument: a decimal ≥ 1.
+func parseCount(arg []byte) (int, wireErr) {
+	n, ok := parseIntBytes(arg)
+	if !ok || n < 1 {
+		return 0, wireErr{code: errBadCount, arg: arg}
+	}
+	return n, wireErr{}
 }
 
 // appendQuoted renders b as a double-quoted Go string the way %q would.

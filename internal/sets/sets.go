@@ -8,6 +8,11 @@ package sets
 import (
 	"errors"
 	"sort"
+
+	"hohtx/internal/arena"
+	"hohtx/internal/obs"
+	"hohtx/internal/reclaim"
+	"hohtx/internal/stm"
 )
 
 // Set is a concurrent set of uint64 keys. Keys must lie in [1, 1<<62);
@@ -74,6 +79,27 @@ type Ascender interface {
 	Ascend(tid int, from uint64, fn func(key uint64) bool) error
 }
 
+// ascendGate is the capability check of an Ascender whose support depends
+// on how it was configured (the list implements Ascend in every mode but
+// can only run the cursor under RR/HTM; a sharded facade can only scan if
+// every shard can).
+type ascendGate interface {
+	CanAscend() bool
+}
+
+// CanAscend reports whether s can run the reservation cursor: it is an
+// Ascender and, where it has a capability check, the check passes. This is
+// the one test front ends and harnesses make before offering scans — a
+// misconfigured variant must be a capability miss, never a crash.
+func CanAscend(s Set) bool {
+	a, ok := s.(Ascender)
+	if !ok {
+		return false
+	}
+	g, gated := a.(ascendGate)
+	return !gated || g.CanAscend()
+}
+
 // OpKind selects a batch operation.
 type OpKind uint8
 
@@ -123,6 +149,38 @@ func ApplyEach(s Set, tid int, ops []Op) []Result {
 type MemoryReporter interface {
 	LiveNodes() uint64
 	DeferredNodes() uint64
+}
+
+// The optional views below are what aggregating layers (serve.Sharded, the
+// bench runner, hohtx.StatsOf) ask a Set for; every arena-backed
+// transactional structure implements all of them.
+
+// TMStatsReporter exposes the structure's STM runtime counters as one
+// snapshot.
+type TMStatsReporter interface {
+	TMStats() stm.Stats
+}
+
+// ReclaimReporter exposes the reclamation scheme's counters.
+type ReclaimReporter interface {
+	ReclaimStats() reclaim.Stats
+}
+
+// GuardReporter exposes the arena's use-after-free sanitizer counters.
+type GuardReporter interface {
+	GuardStats() arena.GuardStats
+}
+
+// ObsReporter exposes the structure's observability domain (nil when it
+// was built detached).
+type ObsReporter interface {
+	ObsDomain() *obs.Domain
+}
+
+// Tunable is a structure whose hand-over-hand window can be changed while
+// it runs.
+type Tunable interface {
+	SetWindow(w int)
 }
 
 // KeysEqual reports whether got (already sorted) equals want (any order);

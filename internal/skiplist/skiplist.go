@@ -236,11 +236,6 @@ func (s *SkipList) randHeight(tid int) int {
 	return h
 }
 
-// TxCommits, TxAborts, TxSerial report TM statistics.
-func (s *SkipList) TxCommits() uint64 { return s.rt.Stats().Commits }
-func (s *SkipList) TxAborts() uint64  { return s.rt.Stats().TotalAborts() }
-func (s *SkipList) TxSerial() uint64  { return s.rt.Stats().SerialCommits }
-
 // TMStats returns the full TM statistics snapshot (per-cause aborts,
 // clock and commit-lock counters).
 func (s *SkipList) TMStats() stm.Stats { return s.rt.Stats() }

@@ -124,6 +124,29 @@ type Stats struct {
 	Batch [BatchBuckets]BatchStat
 }
 
+// Add accumulates o into s, field by field: how several runtimes' counters
+// (one per shard) become one aggregate. Every numeric field must be summed
+// here — serve.TestStatsAddSumsEveryField fails on one that is not.
+func (s *Stats) Add(o Stats) {
+	s.Commits += o.Commits
+	s.WriteCommits += o.WriteCommits
+	s.SerialCommits += o.SerialCommits
+	s.Extensions += o.Extensions
+	for c := range o.Aborts {
+		s.Aborts[c] += o.Aborts[c]
+	}
+	s.ClockCASes += o.ClockCASes
+	s.BiasRevocations += o.BiasRevocations
+	s.WriterWaits += o.WriterWaits
+	s.CommitSlowPath += o.CommitSlowPath
+	for b := range o.Batch {
+		s.Batch[b].Txs += o.Batch[b].Txs
+		s.Batch[b].Ops += o.Batch[b].Ops
+		s.Batch[b].Aborts += o.Batch[b].Aborts
+		s.Batch[b].Serial += o.Batch[b].Serial
+	}
+}
+
 // BatchBuckets is the number of log₂ batch-size buckets tracked by the
 // runtime: 1, 2–3, 4–7, …, with the last bucket covering ≥ 2^(BatchBuckets-1).
 const BatchBuckets = 9

@@ -143,22 +143,8 @@ func build(cfg Config) (*instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst.canScan = scanCapable(inst.set)
+	inst.canScan = sets.CanAscend(inst.set)
 	return inst, nil
-}
-
-// scanCapable reports whether the built set supports the Ascender
-// reservation cursor: it must implement the interface, and if it exposes
-// a CanAscend capability probe (mode-gated structures, sharded facades)
-// that must agree too.
-func scanCapable(s sets.Set) bool {
-	if _, ok := s.(sets.Ascender); !ok {
-		return false
-	}
-	if c, ok := s.(interface{ CanAscend() bool }); ok {
-		return c.CanAscend()
-	}
-	return true
 }
 
 // buildOne constructs a single structure × variant × policy instance,

@@ -588,7 +588,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 
 // guardStatsOf fetches the sanitizer counters from any guarded structure.
 func guardStatsOf(s sets.Set) arena.GuardStats {
-	if g, ok := s.(interface{ GuardStats() arena.GuardStats }); ok {
+	if g, ok := s.(sets.GuardReporter); ok {
 		return g.GuardStats()
 	}
 	return arena.GuardStats{}

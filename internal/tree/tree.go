@@ -245,15 +245,6 @@ func (b *base) Register(tid int) { b.link.Register(tid) }
 // Finish implements part of sets.Set.
 func (b *base) Finish(tid int) { b.link.Finish(tid, b.threads[tid].ops) }
 
-// TxCommits reports committed transactions (benchmark statistics).
-func (b *base) TxCommits() uint64 { return b.rt.Stats().Commits }
-
-// TxAborts reports aborted transaction attempts.
-func (b *base) TxAborts() uint64 { return b.rt.Stats().TotalAborts() }
-
-// TxSerial reports serial-mode commits (HTM-fallback events).
-func (b *base) TxSerial() uint64 { return b.rt.Stats().SerialCommits }
-
 // TMStats returns the full TM statistics snapshot (per-cause aborts,
 // clock and commit-lock counters).
 func (b *base) TMStats() stm.Stats { return b.rt.Stats() }
