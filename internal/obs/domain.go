@@ -264,8 +264,9 @@ const (
 	HistReclaimOps = "reclaim_delay_ops"
 
 	// Serving-layer names (internal/serve): how long an Acquire waited
-	// for a worker slot, and whole-request service time per protocol
-	// verb (parse → set operation → reply written).
+	// for a worker slot, and the set operation's service time per
+	// protocol verb (slot leased → operation done; parse and reply
+	// rendering are the request span's lease and write phases).
 	HistLeaseWaitNs = "lease_wait_ns"
 	HistServeGetNs  = "serve_get_ns"
 	HistServeSetNs  = "serve_set_ns"

@@ -9,12 +9,14 @@ import (
 	"hohtx/internal/pad"
 )
 
-// paddedFloor keeps the admission threshold on its own cache line: every
-// request loads it, and it must not false-share with the mutex the
-// admitted few contend on.
-type paddedFloor struct {
-	v atomic.Uint64
-	_ pad.Line
+// slowGate is what every request loads to be turned away: the admission
+// threshold and the instant the window it belongs to ages out. Both sit on
+// one cache line of their own, which must not false-share with the mutex
+// the admitted few contend on.
+type slowGate struct {
+	floor  atomic.Uint64 // the window's N-th slowest total; 0 until it fills
+	expiry atomic.Int64  // Now() stamp at which the window rotates
+	_      pad.Line
 }
 
 // DefaultSlowlogSize is the per-window entry capacity when the serving
@@ -51,7 +53,8 @@ type SlowEntry struct {
 	Owners    []int32      `json:"abort_owners,omitempty"`
 }
 
-// entryFromSpan freezes a finished span into a slowlog entry.
+// entryFromSpan freezes a finished span into a slowlog entry. It runs for
+// the admitted few only, so this is where the wall clock is read.
 func entryFromSpan(sp *Span) SlowEntry {
 	keys, keyN := sp.Keys()
 	attempts, serial := sp.Attempts()
@@ -83,17 +86,21 @@ func entryFromSpan(sp *Span) SlowEntry {
 // admission is value-based instead (is this request slower than the
 // window's current N-th slowest?), so the worst requests always capture.
 //
-// The admission fast path is one atomic load against that N-th-slowest
-// floor; requests below it — the overwhelming majority, by construction —
-// never touch the mutex that guards the (small, bounded) entry lists.
+// The admission fast path is two atomic loads off one line — the request
+// is below that N-th-slowest floor and ended inside the floor's window —
+// so the overwhelming majority, by construction, never touch the mutex
+// that guards the (small, bounded) entry lists. The window test uses the
+// end stamp the span already carries: a floor left behind by a storm
+// expires with its window even when nothing since has been slow enough to
+// reach the lock.
 type Slowlog struct {
 	cap    int
-	window time.Duration
-	floor  paddedFloor // admission threshold: 0 until the window fills
+	window int64 // rotation period, ns
+	gate   slowGate
 
 	mu       sync.Mutex
 	seq      uint64
-	curStart time.Time
+	curStart int64       // Now() stamp the current window opened at
 	cur      []SlowEntry // sorted slowest-first, ≤ cap
 	prev     []SlowEntry
 }
@@ -107,31 +114,29 @@ func NewSlowlog(size int, window time.Duration) *Slowlog {
 	if window <= 0 {
 		window = DefaultSlowlogWindow
 	}
-	return &Slowlog{cap: size, window: window}
+	s := &Slowlog{cap: size, window: int64(window), curStart: Now()}
+	s.gate.expiry.Store(s.curStart + s.window)
+	return s
 }
 
 // Observe offers a finished span to the log. It must be called before the
-// span is pooled for reuse (the entry copies what it keeps).
+// span is re-armed (the entry copies what it keeps).
 func (s *Slowlog) Observe(sp *Span) {
 	if s == nil || sp == nil {
 		return
 	}
-	total := sp.TotalNs()
-	if total < s.floor.v.Load() {
+	total := sp.totalNs
+	if total < s.gate.floor.Load() && sp.end < s.gate.expiry.Load() {
 		return // fast path: not in this window's top N
 	}
-	e := entryFromSpan(sp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := time.Now()
-	s.rotateLocked(now)
-	if s.curStart.IsZero() {
-		s.curStart = now
-	}
+	s.rotateLocked(sp.end)
 	// Re-check under the lock: the floor may have moved past us.
 	if len(s.cur) == s.cap && total < s.cur[len(s.cur)-1].TotalNs {
 		return
 	}
+	e := entryFromSpan(sp)
 	s.seq++
 	e.Seq = s.seq
 	i := sort.Search(len(s.cur), func(i int) bool { return s.cur[i].TotalNs < total })
@@ -142,25 +147,27 @@ func (s *Slowlog) Observe(sp *Span) {
 		s.cur = s.cur[:s.cap]
 	}
 	if len(s.cur) == s.cap {
-		s.floor.v.Store(s.cur[len(s.cur)-1].TotalNs)
+		s.gate.floor.Store(s.cur[len(s.cur)-1].TotalNs)
 	}
 }
 
 // rotateLocked retires the current window once it ages out. Two stale
 // windows in a row clear the previous one too (nothing slow happened
 // recently — say so rather than serving ancient outliers as current).
-func (s *Slowlog) rotateLocked(now time.Time) {
-	if s.curStart.IsZero() || now.Sub(s.curStart) < s.window {
+func (s *Slowlog) rotateLocked(now int64) {
+	age := now - s.curStart
+	if age < s.window {
 		return
 	}
-	if now.Sub(s.curStart) >= 2*s.window {
+	if age >= 2*s.window {
 		s.prev = nil
 	} else {
 		s.prev = s.cur
 	}
 	s.cur = nil
 	s.curStart = now
-	s.floor.v.Store(0)
+	s.gate.floor.Store(0)
+	s.gate.expiry.Store(now + s.window)
 }
 
 // Entries returns up to n entries, slowest first, merged across the
@@ -170,7 +177,7 @@ func (s *Slowlog) Entries(n int) []SlowEntry {
 		return nil
 	}
 	s.mu.Lock()
-	s.rotateLocked(time.Now())
+	s.rotateLocked(Now())
 	merged := make([]SlowEntry, 0, len(s.cur)+len(s.prev))
 	merged = append(merged, s.cur...)
 	merged = append(merged, s.prev...)
@@ -183,7 +190,7 @@ func (s *Slowlog) Entries(n int) []SlowEntry {
 }
 
 // Window returns the rotation period.
-func (s *Slowlog) Window() time.Duration { return s.window }
+func (s *Slowlog) Window() time.Duration { return time.Duration(s.window) }
 
 // Cap returns the per-window entry capacity.
 func (s *Slowlog) Cap() int { return s.cap }

@@ -1,23 +1,21 @@
 package obs
 
-import (
-	"time"
-)
-
 // SpanPhase indexes one slice of a request's phase breakdown. The phases
 // partition where a slow request's time went: queued for a worker slot
-// (Wait), executing the set operation outside the transaction machinery
-// (Lease — navigation, allocation, reply marshalling inside the op),
-// inside speculative transaction attempts (Attempts), inside the serial
-// fallback (Serial), amortizing deferred reclamation scans (Reclaim), and
-// writing the reply (Write). Phases are stamped at different layers — the
-// lease pool, the server loop, the stm attempt loop, the reclamation
-// schemes — which is the point: one Span ties them back to one request.
+// (Wait), inside speculative transaction attempts (Attempts), inside the
+// serial fallback (Serial), amortizing deferred reclamation scans
+// (Reclaim), writing the reply (Write), and everything else the server did
+// for the request (Lease — parsing, the lease fast path, navigation and
+// allocation outside the transaction machinery; Finish computes it as the
+// remainder, so the six phases sum to the total exactly). Phases are
+// stamped at different layers — the lease pool, the server loop, the stm
+// attempt loop, the reclamation schemes — which is the point: one Span
+// ties them back to one request, and all of them read one clock (Now).
 type SpanPhase uint8
 
 const (
 	SpanWait     SpanPhase = iota // queued in the lease pool for a worker slot
-	SpanLease                     // holding the slot, outside tx attempts
+	SpanLease                     // the remainder: serving the request outside the other five
 	SpanAttempts                  // speculative transaction attempts
 	SpanSerial                    // serial-fallback attempts (exclusive lock held)
 	SpanReclaim                   // deferred-reclamation scan/drain amortization
@@ -55,19 +53,20 @@ const (
 	spanMaxCauses = 8 // abort-cause ordinals counted (stm has 6 today)
 )
 
-// Span is the request-scoped trace record: one per wire request, created
-// when the request line is parsed and finished after its reply is
-// written. All stamping methods are called from the connection's own
-// goroutine (the lease discipline guarantees the request executes there
-// end to end), so the fields need no synchronization; only Finish hands
-// the result to shared structures (slowlog, hot-key sketches).
+// Span is the request-scoped trace record: armed when the request line is
+// parsed and finished after its reply is written. A connection has one
+// request in flight, so it owns one Span and re-arms it per request. All
+// stamping methods are called from the connection's own goroutine (the
+// lease discipline guarantees the request executes there end to end), so
+// the fields need no synchronization; only what the connection publishes
+// after Finish reaches shared structures (slowlog, hot-key sketches).
 //
 // Spans bypass the sampling gate by design — the slowlog exists to catch
 // outliers, and an outlier sampled away is a forensics hole — so every
 // stamping site must stay allocation-free and O(1).
 type Span struct {
-	verb  string
-	start time.Time
+	verb       string
+	start, end int64 // Now() stamps: armed, finished
 
 	keys   [spanMaxKeys]uint64
 	nkeys  int // true key count; may exceed spanMaxKeys
@@ -85,29 +84,27 @@ type Span struct {
 	live     bool // guards double-finish / reset-while-armed
 }
 
-// NewSpan creates a running span for one request.
+// NewSpan creates a span running from now.
 func NewSpan(verb string) *Span {
 	sp := &Span{}
-	sp.Reset(verb)
+	sp.Reset(verb, Now())
 	return sp
 }
 
-// Reset re-arms a finished (or fresh) span for a new request and restarts
-// its clock. Resetting a live span panics: a pooled span that comes back
+// Reset re-arms a finished (or fresh) span for a request that began at
+// start — a Now stamp the caller already holds, typically the previous
+// request's end. Resetting a live span panics: a span that comes back
 // unfinished was leaked by its request path, and the torture harness runs
 // with spans armed precisely to make that path panic under -race.
-func (sp *Span) Reset(verb string) {
+func (sp *Span) Reset(verb string, start int64) {
 	if sp.live {
 		panic("obs: Span reset while still live (request path leaked a span)")
 	}
-	*sp = Span{verb: verb, start: time.Now(), live: true}
+	*sp = Span{verb: verb, start: start, live: true}
 }
 
 // Verb returns the protocol verb the span was created for.
 func (sp *Span) Verb() string { return sp.verb }
-
-// Start returns the span's creation time.
-func (sp *Span) Start() time.Time { return sp.start }
 
 // AddKey records a key the request touched (truncating past capacity; the
 // true count is kept).
@@ -128,9 +125,9 @@ func (sp *Span) Keys() ([]uint64, int) {
 }
 
 // MarkShard records that the request touched shard i (i ≥ 64 collapses
-// onto the top bit — shard counts that large are out of scope).
+// onto the top bit — shard counts that large are out of scope). Nil-safe.
 func (sp *Span) MarkShard(i int) {
-	if i < 0 {
+	if sp == nil || i < 0 {
 		return
 	}
 	if i > 63 {
@@ -254,24 +251,29 @@ func (sp *Span) WorstPhase() SpanPhase {
 // TotalNs returns the span's end-to-end time (0 until Finish).
 func (sp *Span) TotalNs() uint64 { return sp.totalNs }
 
-// Finish seals the span: it stamps the end-to-end total and nets the
-// transaction-machinery phases (attempts/serial/reclaim, stamped by inner
-// layers) out of the Lease phase the server stamped around the whole set
-// operation, so the breakdown's slices are disjoint. Finishing twice
-// panics — with pooled spans a double finish is a double free, and the
+// Finish seals the span at end (a Now stamp): the total is end − start,
+// and Lease becomes what the stamped phases leave of it, so the breakdown
+// partitions the total with no unnamed residual. The stamped phases are
+// disjoint stretches of one monotonic clock inside [start, end], so they
+// cannot exceed the total; the clamp only guards a caller that stamped
+// overlapping ones. Finishing twice panics — a re-armed span finished by
+// two paths would publish one request's record as another's, and the
 // harnesses run with spans armed to catch exactly that.
-func (sp *Span) Finish() uint64 {
+func (sp *Span) Finish(end int64) uint64 {
 	if !sp.live || sp.finished {
 		panic("obs: Span finished twice (or never started)")
 	}
 	sp.finished = true
 	sp.live = false
-	sp.totalNs = uint64(time.Since(sp.start))
-	inner := sp.phases[SpanAttempts] + sp.phases[SpanSerial] + sp.phases[SpanReclaim]
-	if sp.phases[SpanLease] > inner {
-		sp.phases[SpanLease] -= inner
-	} else {
-		sp.phases[SpanLease] = 0
+	sp.end = end
+	sp.totalNs = uint64(end - sp.start)
+	sp.phases[SpanLease] = 0
+	var stamped uint64
+	for _, ns := range sp.phases {
+		stamped += ns
+	}
+	if stamped < sp.totalNs {
+		sp.phases[SpanLease] = sp.totalNs - stamped
 	}
 	return sp.totalNs
 }

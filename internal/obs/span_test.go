@@ -2,8 +2,10 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -18,46 +20,67 @@ func mustPanic(t *testing.T, what string, fn func()) {
 
 // TestSpanLifecyclePanics pins the lifecycle discipline the torture
 // harness relies on: a live span cannot be re-armed (a leaked span), and
-// a span cannot finish twice (a double free of a pooled span).
+// a span cannot finish twice (two paths would publish one request).
 func TestSpanLifecyclePanics(t *testing.T) {
 	sp := NewSpan("GET")
-	mustPanic(t, "Reset on live span", func() { sp.Reset("GET") })
-	sp.Finish()
-	mustPanic(t, "second Finish", func() { sp.Finish() })
-	mustPanic(t, "Finish on never-started span", func() { new(Span).Finish() })
+	mustPanic(t, "Reset on live span", func() { sp.Reset("GET", Now()) })
+	sp.Finish(Now())
+	mustPanic(t, "second Finish", func() { sp.Finish(Now()) })
+	mustPanic(t, "Finish on never-started span", func() { new(Span).Finish(Now()) })
 
 	// After a clean Finish, Reset re-arms and the cycle repeats.
-	sp.Reset("SET")
+	sp.Reset("SET", Now())
 	if sp.Verb() != "SET" {
 		t.Fatalf("Verb after Reset = %q, want SET", sp.Verb())
 	}
-	sp.Finish()
+	sp.Finish(Now())
 }
 
-// TestSpanFinishNetsInner checks that Finish subtracts the phases stamped
-// by inner layers (attempts, serial, reclaim run *inside* the server's
-// whole-op Lease stamp) out of Lease so the breakdown's slices are
-// disjoint — and clamps at zero rather than underflowing.
-func TestSpanFinishNetsInner(t *testing.T) {
-	sp := NewSpan("GET")
-	sp.Add(SpanLease, 100)
+// TestSpanFinishPartitionsTotal: the total is end − start on the caller's
+// stamps, and Lease is whatever the phases stamped by the other layers
+// (wait, attempts, serial, reclaim, write) leave of it — so the six sum to
+// the total exactly. A caller that stamps more than the total (overlapping
+// stamps: a bug) gets Lease clamped at zero rather than an underflow, and
+// the stamped phases are never touched.
+func TestSpanFinishPartitionsTotal(t *testing.T) {
+	sp := new(Span)
+	sp.Reset("GET", 1000)
+	sp.Add(SpanWait, 5)
 	sp.Add(SpanAttempts, 30)
 	sp.Add(SpanSerial, 20)
 	sp.Add(SpanReclaim, 10)
-	sp.Finish()
-	if got := sp.Phase(SpanLease); got != 40 {
-		t.Errorf("Lease after netting = %d, want 40", got)
+	sp.Add(SpanWrite, 15)
+	if got := sp.Finish(1100); got != 100 || sp.TotalNs() != 100 {
+		t.Errorf("total = %d / %d, want 100", got, sp.TotalNs())
+	}
+	if got := sp.Phase(SpanLease); got != 20 {
+		t.Errorf("Lease = %d, want the remainder 20", got)
+	}
+	var sum uint64
+	for p := SpanPhase(0); p < NumSpanPhases; p++ {
+		sum += sp.Phase(p)
+	}
+	if sum != sp.TotalNs() {
+		t.Errorf("phases sum to %d, total is %d", sum, sp.TotalNs())
 	}
 
-	sp2 := NewSpan("GET")
-	sp2.Add(SpanLease, 10)
-	sp2.Add(SpanAttempts, 50)
-	sp2.Finish()
-	if got := sp2.Phase(SpanLease); got != 0 {
+	sp.Reset("GET", 0)
+	sp.Add(SpanAttempts, 50)
+	sp.Finish(10)
+	if got := sp.Phase(SpanLease); got != 0 {
 		t.Errorf("Lease underflow clamped = %d, want 0", got)
 	}
-	if got := sp2.Phase(SpanAttempts); got != 50 {
-		t.Errorf("Attempts = %d, want 50 (netting must not touch inner phases)", got)
+	if got := sp.Phase(SpanAttempts); got != 50 {
+		t.Errorf("Attempts = %d, want 50 (Finish must not touch stamped phases)", got)
+	}
+}
+
+// TestConnForensicStateSize pins what a connection carries for forensics —
+// its span and its burst scratch — under the 1 KiB the serving layer
+// budgets per connection.
+func TestConnForensicStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(Span{}) + unsafe.Sizeof(Burst{}); got > 1024 {
+		t.Errorf("Span + Burst = %d bytes, want <= 1024", got)
 	}
 }
 
@@ -111,7 +134,7 @@ func TestSpanBoundedCapture(t *testing.T) {
 	if got := sp.WorstPhase(); got != SpanWrite {
 		t.Errorf("WorstPhase = %v, want write", got)
 	}
-	sp.Finish()
+	sp.Finish(Now())
 }
 
 // TestSpanTableBounds: arming outside the table (bad tid, nil domain,
@@ -145,14 +168,20 @@ func TestSpanTableBounds(t *testing.T) {
 	if d2.SpanOf(1) != nil {
 		t.Error("cleared span still returned")
 	}
-	sp.Finish()
+	sp.Finish(Now())
 }
 
-// slowSpan fabricates a finished span with a controlled total — internal
-// tests drive the slowlog's value-based admission deterministically
-// instead of sleeping real wall-clock durations.
+// slowSpan fabricates a span that finished now with a controlled total —
+// internal tests drive the slowlog's value-based admission
+// deterministically instead of sleeping real wall-clock durations.
 func slowSpan(verb string, totalNs uint64) *Span {
-	return &Span{verb: verb, totalNs: totalNs, finished: true}
+	return slowSpanAt(verb, totalNs, 0)
+}
+
+// slowSpanAt is slowSpan finishing age after now: the tests' way of
+// letting a window grow old without waiting for it.
+func slowSpanAt(verb string, totalNs uint64, age time.Duration) *Span {
+	return &Span{verb: verb, totalNs: totalNs, end: Now() + int64(age), finished: true}
 }
 
 // TestSlowlogAdmission: the log keeps the N slowest of a window sorted
@@ -167,7 +196,7 @@ func TestSlowlogAdmission(t *testing.T) {
 	if len(got) != 3 || got[0].TotalNs != 40 || got[1].TotalNs != 30 || got[2].TotalNs != 20 {
 		t.Fatalf("Entries = %+v, want totals [40 30 20]", got)
 	}
-	if f := s.floor.v.Load(); f != 20 {
+	if f := s.gate.floor.Load(); f != 20 {
 		t.Errorf("admission floor = %d, want 20", f)
 	}
 	s.Observe(slowSpan("GET", 15)) // below the floor: rejected on the fast path
@@ -179,7 +208,7 @@ func TestSlowlogAdmission(t *testing.T) {
 	if len(got) != 2 || got[0].TotalNs != 40 || got[1].TotalNs != 30 {
 		t.Errorf("Entries(2) = %+v, want totals [40 30]", got)
 	}
-	if f := s.floor.v.Load(); f != 25 {
+	if f := s.gate.floor.Load(); f != 25 {
 		t.Errorf("floor after eviction = %d, want 25", f)
 	}
 }
@@ -189,46 +218,73 @@ func TestSlowlogAdmission(t *testing.T) {
 func TestSlowlogRotation(t *testing.T) {
 	s := NewSlowlog(4, time.Minute)
 	s.Observe(slowSpan("GET", 100))
-	s.mu.Lock()
-	s.curStart = time.Now().Add(-90 * time.Second) // one window stale
-	s.mu.Unlock()
-	s.Observe(slowSpan("SET", 50))
+	s.Observe(slowSpanAt("SET", 50, 90*time.Second)) // one window later
 
 	got := s.Entries(0)
 	if len(got) != 2 || got[0].TotalNs != 100 || got[1].TotalNs != 50 {
 		t.Fatalf("after rotation Entries = %+v, want old 100 in prev + new 50 in cur", got)
 	}
-	if f := s.floor.v.Load(); f != 0 {
+	if f := s.gate.floor.Load(); f != 0 {
 		t.Errorf("floor after rotation = %d, want 0 (window restarts empty)", f)
 	}
 
 	s.mu.Lock()
-	s.curStart = time.Now().Add(-3 * time.Minute) // two windows stale
+	s.curStart = Now() - int64(3*time.Minute) // two windows stale
 	s.mu.Unlock()
 	if got := s.Entries(0); len(got) != 0 {
 		t.Errorf("two stale windows still served %d entries", len(got))
 	}
 }
 
+// TestSlowlogStaleFloorExpires: a storm fills a window and leaves a high
+// admission floor; the calm traffic after it is all below that floor. The
+// floor must age out with its window on the admission fast path itself —
+// no Entries call, no request slow enough to reach the lock — or the log
+// would serve the storm as current forever and drop every new outlier.
+func TestSlowlogStaleFloorExpires(t *testing.T) {
+	s := NewSlowlog(3, time.Minute)
+	for _, total := range []uint64{9000, 8000, 7000} {
+		s.Observe(slowSpan("SET", total))
+	}
+	if f := s.gate.floor.Load(); f != 7000 {
+		t.Fatalf("floor after the storm = %d, want 7000", f)
+	}
+	s.Observe(slowSpanAt("GET", 40, 30*time.Second)) // same window: turned away
+	s.Observe(slowSpanAt("GET", 50, 90*time.Second)) // the window has aged out
+
+	s.mu.Lock()
+	cur, prev := s.cur, s.prev
+	s.mu.Unlock()
+	if len(cur) != 1 || cur[0].TotalNs != 50 {
+		t.Errorf("cur = %+v, want the one modest request observed after the window aged", cur)
+	}
+	if len(prev) != 3 || prev[0].TotalNs != 9000 {
+		t.Errorf("prev = %+v, want the storm's three entries", prev)
+	}
+}
+
 // TestSlowlogEntrySnapshot: the entry freezes the span's breakdown and
 // attribution at capture time.
 func TestSlowlogEntrySnapshot(t *testing.T) {
-	sp := NewSpan("MULTI")
+	sp, start := new(Span), Now()
+	sp.Reset("MULTI", start)
 	sp.AddKey(7)
 	sp.AddKey(9)
 	sp.MarkShard(1)
 	sp.Add(SpanWait, 400)
-	sp.Add(SpanLease, 100)
 	sp.NoteAttempt(false)
 	sp.NoteAttempt(true)
 	sp.NoteAbort(3, 2)
-	sp.Finish()
+	sp.Finish(start + 500) // leaves a Lease remainder of 100
 	e := entryFromSpan(sp)
 	if e.Verb != "MULTI" || e.KeyN != 2 || len(e.Keys) != 2 || e.Keys[1] != 9 {
 		t.Errorf("entry identity = %+v", e)
 	}
-	if e.WaitNs != 400 || e.WorstPhase != "wait" {
-		t.Errorf("entry breakdown: wait=%d worst=%s, want 400/wait", e.WaitNs, e.WorstPhase)
+	if e.WaitNs != 400 || e.LeaseNs != 100 || e.TotalNs != 500 || e.WorstPhase != "wait" {
+		t.Errorf("entry breakdown: wait=%d lease=%d total=%d worst=%s, want 400/100/500/wait", e.WaitNs, e.LeaseNs, e.TotalNs, e.WorstPhase)
+	}
+	if d := time.Since(time.Unix(0, e.UnixNs)); d < 0 || d > time.Minute {
+		t.Errorf("entry wall time is %s from now, want the admission's", d)
 	}
 	if e.Attempts != 2 || e.SerialTxs != 1 {
 		t.Errorf("entry attempts = %d/%d, want 2/1", e.Attempts, e.SerialTxs)
@@ -271,6 +327,67 @@ func TestTopKSpaceSaving(t *testing.T) {
 	items = k.Items()
 	if items[0].Key != 1 {
 		t.Errorf("heavy hitter evicted: %+v", items)
+	}
+}
+
+// TestTopKAddAllEqualsAdds: a batch applied under one lock leaves the
+// sketch exactly as the same sequence of single Adds would — tracked keys,
+// counts, inherited error bounds and eviction order — whatever the batch
+// boundaries; zero weights are no-ops in both.
+func TestTopKAddAllEqualsAdds(t *testing.T) {
+	seq := make([]KeyWeight, 400)
+	rng := uint64(42)
+	for i := range seq {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		seq[i] = KeyWeight{Key: 1 + (rng>>33)%23, W: (rng >> 20) % 5} // 23 keys through 4 slots: evictions throughout
+	}
+	for _, batch := range []int{1, 3, 16, len(seq)} {
+		one, all := NewTopK(4), NewTopK(4)
+		for i := 0; i < len(seq); i += batch {
+			chunk := seq[i:min(i+batch, len(seq))]
+			for _, it := range chunk {
+				one.Add(it.Key, it.W)
+			}
+			all.AddAll(chunk)
+			if a, b := one.Items(), all.Items(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("batch %d, after %d items: AddAll %+v, Adds %+v", batch, i+len(chunk), b, a)
+			}
+		}
+		var evicted bool
+		for _, it := range all.Items() {
+			evicted = evicted || it.Err != 0
+		}
+		if !evicted {
+			t.Fatalf("batch %d: no eviction happened; the sequence does not test error bounds", batch)
+		}
+	}
+}
+
+// TestBurstPublishesInOrder: what a Burst publishes — at Publish, or early
+// because its scratch filled — is what charging each key directly would
+// have left: per-shard sketches equal to in-order Adds, aborts only where
+// there were aborts, nothing published twice.
+func TestBurstPublishesInOrder(t *testing.T) {
+	direct := []*HotKeys{NewHotKeys(4), NewHotKeys(4)}
+	hot := []*HotKeys{NewHotKeys(4), NewHotKeys(4)}
+	b := NewBurst(hot)
+	rng := uint64(7)
+	for i := 0; i < 10*burstKeys+3; i++ { // overflows the scratch many times over
+		rng = rng*6364136223846793005 + 1442695040888963407
+		shard, key, ns, aborts := int(rng>>40)%2, 1+(rng>>33)%19, 100+(rng>>20)%900, (rng>>10)%3
+		b.Key(shard, key, ns, aborts)
+		direct[shard].Latency.Add(key, ns)
+		direct[shard].Aborts.Add(key, aborts)
+		if i%7 == 0 {
+			b.Publish()
+		}
+	}
+	b.Publish()
+	b.Publish() // nothing pending: publishes nothing twice
+	for sh := range hot {
+		if got, want := hot[sh].Snapshot(sh), direct[sh].Snapshot(sh); !reflect.DeepEqual(got, want) {
+			t.Errorf("shard %d sketches: burst %+v, direct %+v", sh, got, want)
+		}
 	}
 }
 

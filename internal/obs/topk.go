@@ -22,8 +22,8 @@ type TopKItem struct {
 // TopK is a space-saving (Metwally et al.) top-K counter over uint64
 // keys: at most k keys are tracked; an untracked key evicts the current
 // minimum and inherits its count as its error bound. Adds take a mutex —
-// the callers (the serving layer's per-request hot-key accounting) add at
-// request granularity, not per memory access, and k is small enough that
+// the callers (the serving layer's hot-key accounting) add a burst of
+// requests at a time, not per memory access, and k is small enough that
 // the linear min scan is cheaper than heap bookkeeping.
 type TopK struct {
 	k     int
@@ -45,18 +45,36 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, keys: make([]uint64, 0, k), slots: make([]topkSlot, 0, k)}
 }
 
-// Add adds weight w for key (w 0 is a no-op). Allocation-free after the
-// sketch fills: the tracked set lives in two fixed parallel arrays, and
-// eviction overwrites in place. (The earlier map-of-pointers layout
-// allocated one slot per eviction — one heap object per request whenever
-// the key space outruns k, which is the common case — and the serving
-// layer's allocation budget, DESIGN.md §15, counts that as a leak.)
-func (t *TopK) Add(key uint64, w uint64) {
-	if t == nil || w == 0 {
+// KeyWeight is one sketch update: weight W for Key.
+type KeyWeight struct{ Key, W uint64 }
+
+// Add adds weight w for key (w 0 is a no-op).
+func (t *TopK) Add(key uint64, w uint64) { t.AddAll([]KeyWeight{{key, w}}) }
+
+// AddAll applies items in order under one lock acquisition: the sketch
+// ends up exactly as len(items) Adds would have left it — what lets a
+// connection publish a whole burst's keys at once. An empty batch takes no
+// lock.
+func (t *TopK) AddAll(items []KeyWeight) {
+	if t == nil || len(items) == 0 {
 		return
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	for _, it := range items {
+		if it.W != 0 {
+			t.addLocked(it.Key, it.W)
+		}
+	}
+	t.mu.Unlock()
+}
+
+// addLocked is the space-saving update. Allocation-free after the sketch
+// fills: the tracked set lives in two fixed parallel arrays, and eviction
+// overwrites in place. (The earlier map-of-pointers layout allocated one
+// slot per eviction — one heap object per request whenever the key space
+// outruns k, which is the common case — and the serving layer's
+// allocation budget, DESIGN.md §15, counts that as a leak.)
+func (t *TopK) addLocked(key uint64, w uint64) {
 	for i := range t.keys {
 		if t.keys[i] == key {
 			t.slots[i].count += w

@@ -2,7 +2,6 @@ package reclaim
 
 import (
 	"sync/atomic"
-	"time"
 
 	"hohtx/internal/arena"
 	"hohtx/internal/obs"
@@ -140,8 +139,8 @@ func (e *Epochs) tryAdvance() {
 // behind the global epoch.
 func (e *Epochs) drain(tid int, stamp uint64) {
 	if sp := e.reclaimSpan(tid); sp != nil {
-		t0 := time.Now()
-		defer func() { sp.Add(obs.SpanReclaim, uint64(time.Since(t0))) }()
+		t0 := obs.Now()
+		defer func() { sp.Add(obs.SpanReclaim, uint64(obs.Now()-t0)) }()
 	}
 	t := &e.threads[tid]
 	g := e.global.Load()

@@ -2,7 +2,6 @@ package reclaim
 
 import (
 	"sync/atomic"
-	"time"
 
 	"hohtx/internal/arena"
 	"hohtx/internal/obs"
@@ -129,8 +128,8 @@ func (hp *HazardPointers) Flush(tid int, stamp uint64) {
 // ScanThreshold frees hit the allocator back to back.
 func (hp *HazardPointers) scan(tid int, stamp uint64) {
 	if sp := hp.reclaimSpan(tid); sp != nil {
-		t0 := time.Now()
-		defer func() { sp.Add(obs.SpanReclaim, uint64(time.Since(t0))) }()
+		t0 := obs.Now()
+		defer func() { sp.Add(obs.SpanReclaim, uint64(obs.Now()-t0)) }()
 	}
 	st := &hp.stats[tid]
 	st.scans.Add(1)

@@ -3,7 +3,6 @@ package reclaim
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hohtx/internal/arena"
 	"hohtx/internal/obs"
@@ -241,8 +240,8 @@ func (he *HazardEras) Flush(tid int, stamp uint64) {
 // published era reservation.
 func (he *HazardEras) scan(tid int, stamp uint64) {
 	if sp := he.reclaimSpan(tid); sp != nil {
-		t0 := time.Now()
-		defer func() { sp.Add(obs.SpanReclaim, uint64(time.Since(t0))) }()
+		t0 := obs.Now()
+		defer func() { sp.Add(obs.SpanReclaim, uint64(obs.Now()-t0)) }()
 	}
 	st := &he.stats[tid]
 	st.scans.Add(1)

@@ -1,8 +1,6 @@
 package reclaim
 
 import (
-	"time"
-
 	"hohtx/internal/arena"
 	"hohtx/internal/obs"
 	"hohtx/internal/pad"
@@ -137,8 +135,8 @@ func (v *VBR) Flush(tid int, stamp uint64) {
 // clock still orders correctly.
 func (v *VBR) drain(tid int, stamp uint64) {
 	if sp := v.reclaimSpan(tid); sp != nil {
-		t0 := time.Now()
-		defer func() { sp.Add(obs.SpanReclaim, uint64(time.Since(t0))) }()
+		t0 := obs.Now()
+		defer func() { sp.Add(obs.SpanReclaim, uint64(obs.Now()-t0)) }()
 	}
 	t := &v.threads[tid]
 	now := v.clock()

@@ -3,10 +3,12 @@ package serve
 import (
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"hohtx/internal/core"
 	"hohtx/internal/list"
+	"hohtx/internal/obs"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 	"hohtx/internal/skiplist"
@@ -47,7 +49,7 @@ func (r *loopReader) Read(p []byte) (int, error) {
 
 // newAllocConn wires a conn over a replaying script, exactly as handle()
 // would build it for a socket.
-func newAllocConn(t *testing.T, srv *Server, script string) *conn {
+func newAllocConn(t testing.TB, srv *Server, script string) *conn {
 	t.Helper()
 	c := srv.newConn(&loopReader{data: []byte(script)}, io.Discard)
 	// Registered after the pool's Close, so it runs first (LIFO): Close
@@ -56,9 +58,20 @@ func newAllocConn(t *testing.T, srv *Server, script string) *conn {
 	return c
 }
 
-func newAllocServer(t *testing.T, slots int) *Server { return newAllocShards(t, slots, 1) }
+// allocConfigs are the two ways a server runs: bare, and with an obs
+// domain — request spans, slowlog, hot-key sketches and serve histograms
+// armed, which is how cmd/hohserver and the benchmark always run it. Every
+// pin below holds its budget under both.
+var allocConfigs = []struct {
+	name   string
+	traced bool
+}{{"obs=nil", false}, {"obs=set", true}}
 
-func newAllocShards(t *testing.T, slots, shards int) *Server {
+func newAllocServer(t testing.TB, slots int, traced bool) *Server {
+	return newAllocShards(t, slots, 1, traced)
+}
+
+func newAllocShards(t testing.TB, slots, shards int, traced bool) *Server {
 	t.Helper()
 	backends := make([]Backend, shards)
 	for i := range backends {
@@ -69,7 +82,11 @@ func newAllocShards(t *testing.T, slots, shards int) *Server {
 		backends[i] = Backend{Set: set, Pool: NewPool(set, PoolConfig{Slots: slots})}
 		t.Cleanup(backends[i].Pool.Close)
 	}
-	return NewServer(ServerConfig{Shards: backends})
+	cfg := ServerConfig{Shards: backends}
+	if traced {
+		cfg.Obs = obs.NewDomain(obs.DomainConfig{Name: "server", Threads: slots})
+	}
+	return NewServer(cfg)
 }
 
 // pinZero runs one scripted request per iteration and fails on the first
@@ -104,18 +121,26 @@ func pinAt(t *testing.T, name string, srv *Server, script string, linesPerIter i
 }
 
 // TestServeAllocsPointOps pins the GET, SET and DEL serve paths at zero
-// heap allocations per request.
+// heap allocations per request. The pins call serveLine and never end a
+// burst, so on a traced server the connection's forensic scratch (16
+// entries) fills and publishes early every sixteenth request; the long
+// burst runs that overflow three times per iteration.
 func TestServeAllocsPointOps(t *testing.T) {
-	srv := newAllocServer(t, 2)
-	pinZero(t, "GET", srv, "GET 5\n", 1)
-	pinZero(t, "SET+DEL", srv, "SET 6\nDEL 6\n", 2)
+	for _, cfg := range allocConfigs {
+		srv := newAllocServer(t, 3, cfg.traced) // a slot per pinned conn: each keeps its lease
+		pinZero(t, cfg.name+"/GET", srv, "GET 5\n", 1)
+		pinZero(t, cfg.name+"/SET+DEL", srv, "SET 6\nDEL 6\n", 2)
+		pinZero(t, cfg.name+"/burst-of-50", srv, strings.Repeat("SET 9\nGET 9\nDEL 9\nGET 10\nGET 11\n", 10), 50)
+	}
 }
 
 // TestServeAllocsMulti pins the single-shard MULTI frame — parse, batch
 // transaction, per-op replies — at zero heap allocations per frame.
 func TestServeAllocsMulti(t *testing.T) {
-	srv := newAllocServer(t, 2)
-	pinZero(t, "MULTI", srv, "MULTI 4\nSET 7\nGET 7\nDEL 7\nGET 8\n", 1)
+	for _, cfg := range allocConfigs {
+		srv := newAllocServer(t, 2, cfg.traced)
+		pinZero(t, cfg.name+"/MULTI", srv, "MULTI 4\nSET 7\nGET 7\nDEL 7\nGET 8\n", 1)
+	}
 }
 
 // TestServeAllocsAscend pins the scan path: an ASCEND 64 over 300 resident
@@ -129,14 +154,16 @@ func TestServeAllocsMulti(t *testing.T) {
 // built a closure.
 func TestServeAllocsAscend(t *testing.T) {
 	const perPull, parentPerPull = 4, 13
-	for _, shards := range []int{1, 2} {
-		srv := newAllocShards(t, 2, shards)
-		c := newAllocConn(t, srv, "ASCEND 1 64\n")
-		for k := 1; k <= 300; k++ {
-			c.serveLine([]byte(fmt.Sprintf("SET %d", k)))
+	for _, cfg := range allocConfigs {
+		for _, shards := range []int{1, 2} {
+			srv := newAllocShards(t, 2, shards, cfg.traced)
+			c := newAllocConn(t, srv, "ASCEND 1 64\n")
+			for k := 1; k <= 300; k++ {
+				c.serveLine([]byte(fmt.Sprintf("SET %d", k)))
+			}
+			name := fmt.Sprintf("%s/ASCEND-64/shards=%d (parent: %d)", cfg.name, shards, parentPerPull*shards)
+			pinAt(t, name, srv, "ASCEND 1 64\n", 1, float64(perPull*shards))
 		}
-		name := fmt.Sprintf("ASCEND-64/shards=%d (parent: %d)", shards, parentPerPull*shards)
-		pinAt(t, name, srv, "ASCEND 1 64\n", 1, float64(perPull*shards))
 	}
 }
 
@@ -146,11 +173,13 @@ func TestServeAllocsAscend(t *testing.T) {
 // bad-key token passes through a stack-allocated string conversion; the
 // pin proves it stays on the stack.)
 func TestServeAllocsMalformed(t *testing.T) {
-	srv := newAllocServer(t, 2)
-	pinZero(t, "bad-key", srv, "GET zero\n", 1)
-	pinZero(t, "missing-key", srv, "SET\n", 1)
-	pinZero(t, "out-of-range", srv, "GET 99999999999\n", 1)
-	pinZero(t, "unknown-verb", srv, "FROB 1\n", 1)
+	for _, cfg := range allocConfigs {
+		srv := newAllocServer(t, 2, cfg.traced)
+		pinZero(t, cfg.name+"/bad-key", srv, "GET zero\n", 1)
+		pinZero(t, cfg.name+"/missing-key", srv, "SET\n", 1)
+		pinZero(t, cfg.name+"/out-of-range", srv, "GET 99999999999\n", 1)
+		pinZero(t, cfg.name+"/unknown-verb", srv, "FROB 1\n", 1)
+	}
 }
 
 // TestStructureAllocs pins the layer below the wire. First the RR-V list

@@ -8,23 +8,27 @@ import (
 	"io"
 	"net"
 	"strconv"
-	"time"
 
 	"hohtx/internal/obs"
 	"hohtx/internal/sets"
 )
 
 // The request pipeline. Every line a connection reads goes through the
-// same five stages, and each stage exists once:
+// same five stages, and each stage exists once; a sixth runs once per
+// pipelined burst:
 //
 //	parse    serveLine → lookupVerb: one table lookup per line
 //	plan     ShardOf for one key, splitByShard / mergeAscend for many
 //	bracket  enter … leave: lease the shard's worker slot, arm the span
 //	execute  the set operation(s) under the slot
 //	render   reply bytes; reject for diagnoses, shed for lease refusals
+//	publish  endBurst: slots back, hot-key charges out, flush
 //
-// DESIGN.md §9 holds the contract as a table (verb × stage, failure reply,
-// span phases stamped).
+// A traced request reads the clock (obs.Now) at three stage boundaries —
+// bracket entered, execution done, reply rendered — and each stamp serves
+// everyone who needs that boundary: the last one is also the next
+// request's start. DESIGN.md §9 holds the contract as a table (verb ×
+// stage, failure reply, span phases stamped).
 
 // verb is one row of the protocol's verb table.
 type verb struct {
@@ -148,19 +152,52 @@ type conn struct {
 	results []sets.Result // execOps: per-op outcomes, op order
 	plan    shardPlan     // execOps: the batch split by shard
 	cursors []shardCursor // ASCEND: the merge's per-shard state
-	armed   time.Time     // enter → leave: when the span was armed
+
+	// Request forensics, used only by a server with an obs domain: a
+	// connection has one request in flight, so it owns the one span, and
+	// what finished requests owe the shared hot-key sketches waits in burst
+	// until the burst ends.
+	id    uint64    // per-connection hint: sampling gate, histogram shard
+	sp    obs.Span  // the request in flight
+	last  int64     // obs.Now() at the previous request's end; 0 = none to chain from
+	burst obs.Burst // unpublished hot-key charges
 }
 
 func (s *Server) newConn(r io.Reader, w io.Writer) *conn {
-	br := bufio.NewReaderSize(r, 4<<10)
-	return &conn{
+	c := &conn{
 		srv:     s,
-		br:      br,
 		bw:      bufio.NewWriterSize(w, 4<<10),
-		sc:      NewLineScanner(br),
 		leases:  newConnLeases(s.shards),
 		cursors: make([]shardCursor, len(s.shards)),
+		id:      s.connSeq.Add(1),
+		burst:   obs.NewBurst(s.hot),
 	}
+	c.br = bufio.NewReaderSize(chainBreaker{r, c}, 4<<10)
+	c.sc = NewLineScanner(c.br)
+	return c
+}
+
+// chainBreaker is the reader under a connection's buffer. Any read that
+// reaches it may wait for the client — the buffer was empty, or held only
+// the head of a line — and how long a client takes to send is not service
+// time, so the next request stamps its own start instead of chaining.
+type chainBreaker struct {
+	r io.Reader
+	c *conn
+}
+
+func (b chainBreaker) Read(p []byte) (int, error) {
+	b.c.last = 0
+	return b.r.Read(p)
+}
+
+// endBurst closes a pipelined burst: every slot goes back before the
+// connection blocks on the network, and the burst's forensics are
+// published before its replies are flushed — a client holding a reply
+// finds that request in /hotkeys.
+func (c *conn) endBurst() {
+	c.leases.releaseAll()
+	c.burst.Publish()
 }
 
 // handle runs one connection: read a line, serve it, and when the burst of
@@ -176,7 +213,7 @@ func (s *Server) handle(nc net.Conn) {
 		s.wg.Done()
 	}()
 	c := s.newConn(nc, nc)
-	defer c.leases.releaseAll()
+	defer c.endBurst()
 	for {
 		if s.draining.Load() && c.br.Buffered() == 0 {
 			break
@@ -192,12 +229,12 @@ func (s *Server) handle(nc net.Conn) {
 			break
 		}
 		if c.br.Buffered() == 0 {
-			// Burst over: run what accumulated, give the slots back before
-			// blocking on the network, and push the replies out.
+			// Burst over: run what accumulated, then publish and push the
+			// replies out.
 			if !c.flushPend() {
 				break
 			}
-			c.leases.releaseAll()
+			c.endBurst()
 			if ferr := c.bw.Flush(); ferr != nil || err != nil {
 				return
 			}
@@ -217,7 +254,14 @@ func (c *conn) serveLine(line []byte) bool {
 	if !v.point && !c.flushPend() {
 		return false
 	}
-	return v.serve(c, v, args)
+	chained := c.last
+	keep := v.serve(c, v, args)
+	if c.last == chained {
+		// The line finished no span (LEN, INFO, SLOWLOG, a rejection): what
+		// it cost is not the next request's, which stamps its own start.
+		c.last = 0
+	}
+	return keep
 }
 
 // flushPend executes the pending auto-batch, if any.
@@ -263,27 +307,82 @@ func (c *conn) writeBit(r sets.Result) {
 	c.bw.WriteString(bit)
 }
 
+// begin arms the connection's span for a request, carrying key when it is
+// one (keys start at 1); nil when tracing is off. The request starts where
+// the previous one of its burst ended; a burst's first stamps its own.
+// Reset panics if the last request's path never finished the span, which
+// turns a leaked span into a loud failure.
+func (c *conn) begin(verb string, key uint64) *obs.Span {
+	if c.srv.dom == nil {
+		return nil
+	}
+	start := c.last
+	if start == 0 {
+		start = obs.Now()
+	}
+	c.sp.Reset(verb, start)
+	if key != 0 {
+		c.sp.AddKey(key)
+	}
+	return &c.sp
+}
+
+// stamp reads the clock only for a traced request.
+func stamp(sp *obs.Span) (t int64) {
+	if sp != nil {
+		t = obs.Now()
+	}
+	return t
+}
+
+// sampled is the gate on the serve histograms.
+func (c *conn) sampled() bool { return c.srv.dom != nil && c.srv.dom.Sampled(c.id) }
+
+// finish stamps the request's end: the reply write begun at w0 is over,
+// the span seals and is offered to the slowlog — every request is, the
+// offer is two atomic loads — and its keys' hot-key charges wait in burst.
+// The end stamp, returned, is the next request's start. Must be the
+// span's last touch: the slowlog has copied what it keeps and begin will
+// re-arm it.
+func (c *conn) finish(sp *obs.Span, w0 int64) (end int64) {
+	if sp == nil {
+		return 0
+	}
+	end = obs.Now()
+	c.last = end
+	sp.Add(obs.SpanWrite, uint64(end-w0))
+	total := sp.Finish(end)
+	c.srv.slow.Observe(sp)
+	// Every key of the request is charged the request's aborts: within one
+	// transaction there is no per-key attribution, and for the sketch's
+	// purpose (which keys correlate with abort churn) over-charging cold
+	// keys washes out while hot keys accumulate exactly their conflict
+	// volume.
+	keys, _ := sp.Keys()
+	aborts := sp.Aborts()
+	for _, k := range keys {
+		c.burst.Key(ShardOf(k, len(c.srv.shards)), k, total, aborts)
+	}
+	return end
+}
+
 // enter opens the bracket every execution runs in, whatever the verb: mark
 // the shard on the span, lease the shard's worker slot (kept for the rest
 // of the burst), and arm the span on the shard's own domain so its stm
-// runtime and reclamation scheme stamp their phases into it. leave closes
-// it: the armed stretch counts as Lease time (Finish nets the inner phases
-// back out). A failed enter needs no leave.
+// runtime and reclamation scheme stamp their phases into it; leave disarms
+// it. Neither reads the clock: what the request spends here and in the
+// structure outside those stamped phases is the span's Lease remainder. A
+// failed enter needs no leave.
 func (c *conn) enter(shard int, sp *obs.Span) (slot int, err error) {
-	if sp != nil {
-		sp.MarkShard(shard)
+	sp.MarkShard(shard)
+	if slot, err = c.leases.slot(shard, sp); err == nil && sp != nil {
+		c.srv.view.doms[shard].SetSpan(slot, sp)
 	}
-	if slot, err = c.leases.slot(shard, sp); err != nil || sp == nil {
-		return slot, err
-	}
-	c.srv.view.doms[shard].SetSpan(slot, sp)
-	c.armed = time.Now()
-	return slot, nil
+	return slot, err
 }
 
 func (c *conn) leave(shard, slot int, sp *obs.Span) {
 	if sp != nil {
-		sp.Add(obs.SpanLease, uint64(time.Since(c.armed)))
 		c.srv.view.doms[shard].SetSpan(slot, nil)
 	}
 }
@@ -320,20 +419,15 @@ func (c *conn) servePoint(v *verb, args []byte) bool {
 		return len(c.pend) < s.autoBatch || c.flushPend()
 	}
 	shard := ShardOf(key, len(s.shards))
-	sp := s.span(v.name, key)
+	sp := c.begin(v.name, key)
 	slot, err := c.enter(shard, sp)
+	t0 := stamp(sp)
 	if err != nil {
 		// The span still finishes: a shed request is a tail-latency event
 		// too (all wait, no work), and the slowlog should show it.
-		w0 := spanNow(sp)
 		keep := c.shed("", err)
-		s.finishSpan(sp, w0)
+		c.finish(sp, t0)
 		return keep
-	}
-	sampled := s.dom != nil && s.dom.Sampled(uint64(slot))
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
 	}
 	set := s.shards[shard].Set
 	var ok bool
@@ -349,12 +443,12 @@ func (c *conn) servePoint(v *verb, args []byte) bool {
 		s.keys.Add(d)
 	}
 	c.leave(shard, slot, sp)
-	if sampled {
-		v.hist(s.probe).RecordAt(uint64(slot), uint64(time.Since(t0)))
+	w0 := stamp(sp)
+	if c.sampled() {
+		v.hist(s.probe).RecordAt(c.id, uint64(w0-t0))
 	}
-	w0 := spanNow(sp)
 	c.writeBit(ok)
-	s.finishSpan(sp, w0)
+	c.finish(sp, w0)
 	return true
 }
 
@@ -443,17 +537,14 @@ func (c *conn) execOps(ops []sets.Op, split int, perOpErr bool) bool {
 	if perOpErr {
 		name = "BATCH" // auto-batched pipelined burst
 	}
-	sp := s.span(name, 0)
+	sp := c.begin(name, 0)
 	if sp != nil {
 		for _, op := range ops {
 			sp.AddKey(op.Key)
 		}
 	}
-	sampled := s.dom != nil && s.dom.Sampled(uint64(len(ops)))
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
+	sampled := c.sampled()
+	t0 := stamp(sp)
 	if cap(c.results) < len(ops) {
 		c.results = make([]sets.Result, len(ops))
 	}
@@ -478,7 +569,7 @@ func (c *conn) execOps(ops []sets.Op, split int, perOpErr bool) bool {
 			}
 			txs++
 			if sampled {
-				s.probe.BatchOp.RecordAt(uint64(slot), uint64(len(chunk)))
+				s.probe.BatchOp.RecordAt(c.id, uint64(len(chunk)))
 			}
 			for i, r := range set.Apply(slot, chunk) {
 				results[idx[i]] = r
@@ -490,11 +581,11 @@ func (c *conn) execOps(ops []sets.Op, split int, perOpErr bool) bool {
 		}
 		c.leave(sh, slot, sp)
 	}
+	w0 := stamp(sp)
 	if sampled {
-		s.probe.BatchNs.RecordAt(uint64(len(ops)), uint64(time.Since(t0)))
-		s.probe.Splits.RecordAt(uint64(len(ops)), uint64(txs))
+		s.probe.BatchNs.RecordAt(c.id, uint64(w0-t0))
+		s.probe.Splits.RecordAt(c.id, uint64(txs))
 	}
-	w0 := spanNow(sp)
 	keep := true
 	if leaseErr != nil && !perOpErr {
 		keep = c.shed("multi: ", leaseErr)
@@ -507,7 +598,7 @@ func (c *conn) execOps(ops []sets.Op, split int, perOpErr bool) bool {
 			}
 		}
 	}
-	s.finishSpan(sp, w0)
+	c.finish(sp, w0)
 	return keep
 }
 
@@ -535,12 +626,8 @@ func (c *conn) serveAscend(_ *verb, args []byte) bool {
 	if !s.view.CanAscend() {
 		return c.reject("scan unsupported", wireErr{})
 	}
-	sp := s.span("ASCEND", lo)
-	sampled := s.dom != nil && s.dom.Sampled(lo)
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
+	sp := c.begin("ASCEND", lo)
+	t0 := stamp(sp)
 	for i := range c.cursors {
 		c.cursors[i].reset(lo)
 	}
@@ -559,14 +646,11 @@ func (c *conn) serveAscend(_ *verb, args []byte) bool {
 		left--
 		return left > 0
 	})
-	w0 := spanNow(sp)
+	w0 := stamp(sp)
 	keep := true
 	switch {
 	case err == nil:
 		c.bw.WriteString("END\n")
-		if sampled {
-			s.probe.AscendNs.RecordAt(lo, uint64(time.Since(t0)))
-		}
 	case errors.Is(err, sets.ErrScanUnsupported):
 		// Defensive: capability was probed at construction, but a variant
 		// may still refuse at run time.
@@ -574,7 +658,9 @@ func (c *conn) serveAscend(_ *verb, args []byte) bool {
 	default:
 		keep = c.shed("ascend: ", err)
 	}
-	s.finishSpan(sp, w0)
+	if end := c.finish(sp, w0); err == nil && c.sampled() {
+		s.probe.AscendNs.RecordAt(c.id, uint64(end-t0))
+	}
 	return keep
 }
 

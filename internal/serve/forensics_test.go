@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -368,9 +370,9 @@ func TestAcquireSpanStampsWait(t *testing.T) {
 		if w := sp2.Phase(obs.SpanWait); w < uint64(stall/2) {
 			t.Errorf("queued acquire stamped wait=%s, want >= %s", time.Duration(w), stall/2)
 		}
-		sp2.Finish()
+		sp2.Finish(obs.Now())
 	}
-	sp.Finish()
+	sp.Finish(obs.Now())
 }
 
 // TestStmStampsSpan drives the deterministic capacity cliff with a span
@@ -403,7 +405,7 @@ func TestStmStampsSpan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}
-	sp.Finish()
+	sp.Finish(obs.Now())
 
 	total, serial := sp.Attempts()
 	if total < 2 || serial < 1 {
@@ -420,5 +422,136 @@ func TestStmStampsSpan(t *testing.T) {
 	}
 	if !sawCapacity {
 		t.Errorf("causes = %+v, want a capacity abort", sp.Causes())
+	}
+}
+
+// TestSlowlogPhasesReconcile: every entry SLOWLOG returns accounts for its
+// whole request — wait + lease + attempts + serial + reclaim + write equals
+// total_ns to the nanosecond, whatever the verb: point ops, a MULTI frame,
+// an ASCEND that crosses the 64-key chunk boundary (and, on two shards,
+// merges both), and a request that spent its life queued for a slot. A
+// request that reaches the server in two segments is not charged the gap
+// between them. And forensics are published before replies are flushed: a
+// client holding a reply finds that request in /hotkeys.
+func TestSlowlogPhasesReconcile(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ts := startTracedServer(t, shards, 1)
+			cl := dialClient(t, ts.addr)
+
+			frame := []string{"MULTI 80"}
+			for k := 1; k <= 80; k++ {
+				frame = append(frame, fmt.Sprintf("SET %d", k))
+			}
+			cl.bw.WriteString(strings.Join(frame, "\n") + "\n")
+			if err := cl.bw.Flush(); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+			for k := 1; k <= 80; k++ {
+				if line, err := cl.br.ReadString('\n'); err != nil || line != "1\n" {
+					t.Fatalf("MULTI reply %d = %q, %v", k, line, err)
+				}
+			}
+			points := []string{"GET 3", "DEL 4", "GET 4", "SET 4", "SET 90", "GET 90", "DEL 90", "GET 81"}
+			cl.roundTrip(t, points...)
+			if got := cl.ascend(t, 1, 80); len(got) != 80 {
+				t.Fatalf("ASCEND 1 80 returned %d keys, want 80", len(got))
+			}
+
+			// One request that queues: the test holds its shard's only slot.
+			pool := ts.pools[serve.ShardOf(7, shards)]
+			slot, err := pool.Acquire(context.Background())
+			if err != nil {
+				t.Fatalf("Acquire: %v", err)
+			}
+			cl.bw.WriteString("GET 7\n")
+			if err := cl.bw.Flush(); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+			time.Sleep(30 * time.Millisecond)
+			pool.Release(slot)
+			if line, err := cl.br.ReadString('\n'); err != nil || line != "1\n" {
+				t.Fatalf("queued GET 7 = %q, %v", line, err)
+			}
+
+			// Two requests that arrive in two segments each, a point op cut
+			// mid-line and a frame cut mid-body, each right behind a traced
+			// request: how long the client took to send the rest is not theirs.
+			const pause = 40 * time.Millisecond
+			for _, seg := range [][2]string{{"SET 5\nGE", "T 5\n"}, {"GET 5\nMULTI 2\nSET 200\n", "SET 201\n"}} {
+				cl.bw.WriteString(seg[0])
+				if err := cl.bw.Flush(); err != nil {
+					t.Fatalf("flush: %v", err)
+				}
+				time.Sleep(pause)
+				cl.bw.WriteString(seg[1])
+				if err := cl.bw.Flush(); err != nil {
+					t.Fatalf("flush: %v", err)
+				}
+			}
+			if got, want := cl.read(t, 5), []string{"0", "1", "1", "1", "1"}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("split requests answered %v, want %v", got, want)
+			}
+
+			cl.bw.WriteString("SLOWLOG 64\n")
+			if err := cl.bw.Flush(); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+			verbs := map[string]int{}
+			sawWait := false
+			for {
+				line, err := cl.br.ReadString('\n')
+				if err != nil {
+					t.Fatalf("SLOWLOG read: %v", err)
+				}
+				line = strings.TrimRight(line, "\n")
+				if line == "END" {
+					break
+				}
+				f := map[string]string{}
+				for _, kv := range strings.Fields(line)[1:] {
+					k, v, _ := strings.Cut(kv, "=")
+					f[k] = v
+				}
+				var sum uint64
+				for _, phase := range []string{"wait_ns", "lease_ns", "attempts_ns", "serial_ns", "reclaim_ns", "write_ns"} {
+					ns, err := strconv.ParseUint(f[phase], 10, 64)
+					if err != nil {
+						t.Fatalf("%s: field %s: %v", line, phase, err)
+					}
+					sum += ns
+				}
+				total, _ := strconv.ParseUint(f["total_ns"], 10, 64)
+				if sum != total || total == 0 {
+					t.Errorf("phases sum to %d, total_ns is %d: %s", sum, total, line)
+				}
+				verbs[f["verb"]]++
+				queued := f["verb"] == "GET" && f["keys"] == "7"
+				sawWait = sawWait || (queued && f["worst"] == "wait")
+				if !queued && total >= uint64(pause/2) {
+					t.Errorf("a request was charged the client's pause between segments: %s", line)
+				}
+			}
+			// Every request sent so far fits one window, so each is there.
+			if want := map[string]int{"MULTI": 2, "ASCEND": 1, "GET": 7, "SET": 3, "DEL": 2}; !reflect.DeepEqual(verbs, want) {
+				t.Errorf("SLOWLOG verbs = %v, want %v", verbs, want)
+			}
+			if !sawWait {
+				t.Error("no wait-dominated GET 7 entry")
+			}
+
+			// A new key always enters a space-saving sketch, so once the
+			// reply is here the request must be too.
+			cl.roundTrip(t, "SET 150")
+			var dumps []obs.HotKeysDump
+			getJSON(t, ts.obs, "/hotkeys", &dumps)
+			found := false
+			for _, it := range dumps[0].Rollup.ByLatency {
+				found = found || it.Key == 150
+			}
+			if !found {
+				t.Errorf("SET 150 answered but absent from /hotkeys: %+v", dumps[0].Rollup.ByLatency)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"hohtx/internal/obs"
 	"hohtx/internal/sets"
@@ -55,7 +54,7 @@ type PoolStats struct {
 // cancellation cannot race.
 type waiter struct {
 	ch       chan int
-	enqueued time.Time
+	enqueued int64 // obs.Now() stamp
 	canceled bool
 }
 
@@ -144,7 +143,7 @@ func (p *Pool) Release(slot int) {
 		if w.canceled {
 			continue
 		}
-		d := uint64(time.Since(w.enqueued))
+		d := uint64(obs.Now() - w.enqueued)
 		p.stats.WaitNs += d
 		p.stats.Leases++
 		p.stats.Outstanding++
@@ -218,7 +217,7 @@ func (p *Pool) acquire(ctx context.Context, want int, sp *obs.Span) (int, error)
 		p.mu.Unlock()
 		return -1, ErrSaturated
 	}
-	w := &waiter{ch: make(chan int, 1), enqueued: time.Now()}
+	w := &waiter{ch: make(chan int, 1), enqueued: obs.Now()}
 	p.queue = append(p.queue, w)
 	p.stats.Waits++
 	p.stats.Waiting++
@@ -233,7 +232,7 @@ func (p *Pool) acquire(ctx context.Context, want int, sp *obs.Span) (int, error)
 			return -1, ErrClosed
 		}
 		if sp != nil {
-			sp.Add(obs.SpanWait, uint64(time.Since(w.enqueued)))
+			sp.Add(obs.SpanWait, uint64(obs.Now()-w.enqueued))
 		}
 		return slot, nil
 	case <-ctx.Done():

@@ -130,14 +130,14 @@ type Server struct {
 	obsAddr   string // advertised obs endpoint (INFO obs=)
 
 	// Histograms and request tracing; all nil without cfg.Obs.
-	dom      *obs.Domain
-	probe    *obs.ServeProbe
-	slow     *obs.Slowlog
-	hot      []*obs.HotKeys // per shard
-	spanPool sync.Pool
+	dom   *obs.Domain
+	probe *obs.ServeProbe
+	slow  *obs.Slowlog
+	hot   []*obs.HotKeys // per shard
 
-	keys  atomic.Int64 // net successful SET − DEL through this server
-	conns atomic.Int64
+	keys    atomic.Int64  // net successful SET − DEL through this server
+	conns   atomic.Int64  // open now
+	connSeq atomic.Uint64 // ever opened: the source of conn ids
 
 	mu       sync.Mutex
 	open     map[net.Conn]struct{}
@@ -176,7 +176,6 @@ func NewServer(cfg ServerConfig) *Server {
 			s.hot[i] = obs.NewHotKeys(cfg.HotKeyK)
 		}
 		d.SetHotKeys(s.hot)
-		s.spanPool.New = func() any { return &obs.Span{} }
 		s.probe = d.ServeProbe()
 		d.Gauge("server_keys", func() uint64 { return uint64(s.keys.Load()) })
 		d.Gauge("server_conns", func() uint64 { return uint64(s.conns.Load()) })
@@ -195,58 +194,6 @@ func NewServer(cfg ServerConfig) *Server {
 		}
 	}
 	return s
-}
-
-// span starts a request span, carrying key when it is one (keys start at
-// 1); nil when tracing is off. Spans are pooled: Reset panics if a pooled
-// span comes back unfinished, which turns a leaked span into a loud
-// failure instead of a slow leak.
-func (s *Server) span(verb string, key uint64) *obs.Span {
-	if s.dom == nil {
-		return nil
-	}
-	sp := s.spanPool.Get().(*obs.Span)
-	sp.Reset(verb)
-	if key != 0 {
-		sp.AddKey(key)
-	}
-	return sp
-}
-
-// spanNow reads the clock only for a traced request.
-func spanNow(sp *obs.Span) (t time.Time) {
-	if sp != nil {
-		t = time.Now()
-	}
-	return t
-}
-
-// finishSpan stamps the reply write begun at w0, seals the span, offers it
-// to the slowlog, feeds the per-key hot sketches, and returns it to the
-// pool. Must be the last touch: the slowlog copies what it keeps and the
-// pool will reuse the span.
-func (s *Server) finishSpan(sp *obs.Span, w0 time.Time) {
-	if sp == nil {
-		return
-	}
-	sp.Add(obs.SpanWrite, uint64(time.Since(w0)))
-	total := sp.Finish()
-	s.slow.Observe(sp)
-	keys, _ := sp.Keys()
-	aborts := sp.Aborts()
-	for _, k := range keys {
-		sh := ShardOf(k, len(s.shards))
-		s.hot[sh].Latency.Add(k, total)
-		if aborts > 0 {
-			// Every key of the request is charged the request's aborts:
-			// within one transaction there is no per-key attribution, and
-			// for the sketch's purpose (which keys correlate with abort
-			// churn) over-charging cold keys washes out while hot keys
-			// accumulate exactly their conflict volume.
-			s.hot[sh].Aborts.Add(k, aborts)
-		}
-	}
-	s.spanPool.Put(sp)
 }
 
 // Len returns the number of keys present across all shards (as counted by

@@ -1,10 +1,6 @@
 package stm
 
-import (
-	"time"
-
-	"hohtx/internal/obs"
-)
+import "hohtx/internal/obs"
 
 // Atomic executes fn as a transaction, retrying on conflicts until it
 // commits. Per the runtime's profile, after MaxAttempts speculative
@@ -41,9 +37,9 @@ func (rt *Runtime) atomicT(tid, batch int, fn func(*Tx)) {
 	// check; with sampling disabled, one atomic load and a branch.
 	p := rt.obs
 	sampled := p != nil && p.D.Sampled(tx.slotHash)
-	var t0 time.Time
+	var t0 int64
 	if sampled {
-		t0 = time.Now()
+		t0 = obs.Now()
 	}
 	// The request span, when the serving layer armed one on this tid,
 	// deliberately sits outside the sampling gate: the slowlog it feeds
@@ -65,13 +61,13 @@ func (rt *Runtime) atomicT(tid, batch int, fn func(*Tx)) {
 		if sp == nil {
 			committed = tx.runAttempt(fn)
 		} else {
-			a0 := time.Now()
+			a0 := obs.Now()
 			committed = tx.runAttempt(fn)
 			ph := obs.SpanAttempts
 			if serial {
 				ph = obs.SpanSerial
 			}
-			sp.Add(ph, uint64(time.Since(a0)))
+			sp.Add(ph, uint64(obs.Now()-a0))
 			sp.NoteAttempt(serial)
 		}
 		if committed {
@@ -117,9 +113,9 @@ func (rt *Runtime) atomicT(tid, batch int, fn func(*Tx)) {
 			continue
 		}
 		if sampled {
-			b0 := time.Now()
+			b0 := obs.Now()
 			backoff(tx, attempt)
-			p.BackoffNs.RecordAt(tx.slotHash, uint64(time.Since(b0)))
+			p.BackoffNs.RecordAt(tx.slotHash, uint64(obs.Now()-b0))
 		} else {
 			backoff(tx, attempt)
 		}

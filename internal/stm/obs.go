@@ -1,10 +1,6 @@
 package stm
 
-import (
-	"time"
-
-	"hohtx/internal/obs"
-)
+import "hohtx/internal/obs"
 
 // Observability hooks. The runtime's aggregate counters (stats.go) answer
 // "how many"; the obs probe answers "how long" and "who": commit latency
@@ -30,8 +26,8 @@ func (rt *Runtime) Observer() *obs.TxProbe { return rt.obs }
 
 // noteCommit records a sampled transaction's whole-call latency, claims
 // the written cells in the attribution table and logs the commit.
-func (tx *Tx) noteCommit(p *obs.TxProbe, t0 time.Time) {
-	p.CommitNs.RecordAt(tx.slotHash, uint64(time.Since(t0)))
+func (tx *Tx) noteCommit(p *obs.TxProbe, t0 int64) {
+	p.CommitNs.RecordAt(tx.slotHash, uint64(obs.Now()-t0))
 	tid := int(tx.tid)
 	for i := range tx.ws {
 		p.Attr.NoteWrite(tx.ws[i].m, tid)

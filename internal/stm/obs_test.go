@@ -259,7 +259,7 @@ func runWriteTxBench(b *testing.B, shift int, probe, span bool) {
 		g := &groups[id]
 		if span {
 			sp := new(obs.Span)
-			sp.Reset("bench")
+			sp.Reset("bench", obs.Now())
 			d.SetSpan(id, sp)
 			defer d.SetSpan(id, nil)
 		}

@@ -160,7 +160,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 
 	// Span arming: the serving layer threads an obs.Span through every
 	// stamping site (stm attempt loop, serial fallback, reclamation
-	// scans, abort attribution). The harness arms a pooled span around
+	// scans, abort attribution). The harness re-arms one span per worker around
 	// every lease batch so those exact paths run under the race detector
 	// with tracing live, and so span lifecycle bugs become panics: Reset
 	// panics on a span the previous batch leaked, Finish on a double
@@ -245,9 +245,9 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 				}
 				last, seenFix := uint64(0), 0
 				_ = h.Do(context.Background(), func(tid int) {
-					sp.Reset("ASCEND")
+					sp.Reset("ASCEND", obs.Now())
 					armSpan(tid, sp)
-					defer func() { armSpan(tid, nil); sp.Finish() }()
+					defer func() { armSpan(tid, nil); sp.Finish(obs.Now()) }()
 					err := a.Ascend(tid, lo, func(k uint64) bool {
 						if k <= last && last != 0 {
 							scanFail("scan oracle: round %d from %d: %d after %d (order/duplicate)", round, lo, k, last)
@@ -303,7 +303,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 				}
 			}()
 			h := pool.Handle()
-			sp := new(obs.Span) // pooled: one span object, re-armed per lease batch
+			sp := new(obs.Span) // one span object, re-armed per lease batch
 			rng := cfg.Seed*0x2545f4914f6cdd1d + uint64(w+1)
 			var batch []sets.Op
 			if cfg.BatchOps > 1 {
@@ -311,9 +311,9 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 			}
 			for i := 0; i < cfg.Ops; {
 				_ = h.Do(context.Background(), func(tid int) {
-					sp.Reset("torture")
+					sp.Reset("torture", obs.Now())
 					armSpan(tid, sp)
-					defer func() { armSpan(tid, nil); sp.Finish() }()
+					defer func() { armSpan(tid, nil); sp.Finish(obs.Now()) }()
 					for b := 0; b < leaseBatch && i < cfg.Ops; i = i + 1 {
 						r := splitmix64(&rng)
 						k := 1 + (r>>16)%cfg.Keys
