@@ -153,9 +153,11 @@ type slot[T any] struct {
 }
 
 // page is one slab of slots. Pages are never released, which is what makes
-// dereferencing stale handles memory-safe.
+// dereferencing stale handles memory-safe. The slots are an array, not a
+// slice, so a page pointer is already the address of slot 0 and At is three
+// dependent loads (the vector's header, the page pointer, the slot).
 type page[T any] struct {
-	slots []slot[T]
+	slots [pageSize]slot[T]
 }
 
 // PoisonWord is the sentinel guard-mode poisoners are expected to write
@@ -542,7 +544,7 @@ func (a *Arena[T]) grow(seen int) {
 	}
 	next := make([]*page[T], len(cur)+1)
 	copy(next, cur)
-	next[len(cur)] = &page[T]{slots: make([]slot[T], pageSize)}
+	next[len(cur)] = new(page[T])
 	if a.guard != nil {
 		// Grow the audit shadow in lockstep (same growMu critical section).
 		curAu := *a.guard.audits.Load()

@@ -1,0 +1,105 @@
+package bench
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"hohtx/internal/sets"
+)
+
+// The per-node price of a traversal, in process: no socket, no codec, no
+// lease pool — a structure from Build, the 50/25/25 mix, two worker ids.
+// On the list an operation walks keys/4 nodes on average (half the range
+// is present, half of that lies before a uniform key), so ns/op over
+// keys/4 is what one node visit costs: two transactional reads (key, next)
+// and one handle translation, plus the window commits spread over W nodes.
+// It reads the same whatever the list's size when the cost is instructions
+// rather than cache misses — from 256 keys up; at 64 keys an operation is
+// one window over 16 nodes on a list two workers fight over, and the row
+// reads the per-window fixed cost and the conflicts instead. Compare two
+// checkouts by building this package once per side (`go test -c`) and
+// alternating the binaries at `-test.cpu 2`.
+
+// pointWorkers is the number of worker ids the point benchmarks drive.
+const pointWorkers = 2
+
+func buildPrefilled(b *testing.B, f Family, name string, keyBits int) (sets.Set, Workload) {
+	b.Helper()
+	// Yield injection is off whatever -cpu says: it sends every read down
+	// the slow path, and what a read costs without it is the measurement.
+	s, err := Build(f, VariantSpec{Name: name, NoSimulatedPreemption: true}, pointWorkers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := Workload{KeyBits: keyBits, LookupPct: 50}
+	Prefill(s, w, pointWorkers, 1)
+	return s, w
+}
+
+// runPointOps spreads b.N operations of the workload's mix over the worker
+// ids and returns once all have finished.
+func runPointOps(b *testing.B, s sets.Set, w Workload) {
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for tid := 0; tid < pointWorkers; tid++ {
+		n := b.N / pointWorkers
+		if tid == 0 {
+			n += b.N % pointWorkers
+		}
+		wg.Add(1)
+		go func(tid, n int) {
+			defer wg.Done()
+			state := uint64(tid)*0x9e3779b97f4a7c15 + 7
+			for i := 0; i < n; i++ {
+				switch op, key := nextOp(w, &state); op {
+				case opInsert:
+					s.Insert(tid, key)
+				case opRemove:
+					s.Remove(tid, key)
+				default:
+					s.Lookup(tid, key)
+				}
+			}
+		}(tid, n)
+	}
+	wg.Wait()
+	b.StopTimer()
+}
+
+func BenchmarkPointOps(b *testing.B) {
+	for _, keyBits := range []int{6, 8, 10, 12, 14} {
+		b.Run(fmt.Sprintf("keys=%d", 1<<keyBits), func(b *testing.B) {
+			s, w := buildPrefilled(b, FamilySingly, "RR-V", keyBits)
+			runPointOps(b, s, w)
+			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(nsPerOp/float64(w.KeyRange()/4), "ns/node")
+		})
+	}
+	// The other two families, for the handle translation and the guard
+	// check their descents share with the list: a descent is ~log2(keys)
+	// nodes, so these rows report ns/op alone.
+	for _, f := range []Family{FamilyExternalTree, FamilySkipList} {
+		b.Run(fmt.Sprintf("%s/keys=65536", f), func(b *testing.B) {
+			s, w := buildPrefilled(b, f, "RR-V", 16)
+			runPointOps(b, s, w)
+		})
+	}
+}
+
+// BenchmarkBatchApply is the writer's side of the read path: a 16-op
+// write-only Apply on a TMHP list is one transaction whose every read
+// after the first write must ask whether the cell has a pending write.
+func BenchmarkBatchApply(b *testing.B) {
+	s, w := buildPrefilled(b, FamilySingly, "TMHP", 8)
+	ops := make([]sets.Op, 16)
+	state := uint64(7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range ops {
+			r := splitmix64(&state)
+			ops[j] = sets.Op{Kind: sets.OpInsert + sets.OpKind(r>>40&1), Key: r%w.KeyRange() + 1}
+		}
+		s.Apply(0, ops)
+	}
+}

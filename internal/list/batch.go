@@ -67,21 +67,22 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 		for pos < len(order) {
 			chain := chainOf(ops[order[pos]].Key)
 			prevH := chainHead(chain)
-			currH := l.guard.Link(tx, tid, prevH, &l.ar.At(prevH).next)
+			currH := l.guard.Link(tx, tid, prevH, l.ar.At(prevH).next.Load(tx))
 			var ck uint64
 			ckKnown := false
 			for pos < len(order) && chainOf(ops[order[pos]].Key) == chain {
 				key := ops[order[pos]].Key
 				for !currH.IsNil() {
+					n := l.ar.At(currH)
 					if !ckKnown {
-						ck = l.guard.Word(tx, tid, currH, &l.ar.At(currH).key)
+						ck = l.guard.Word(tx, tid, currH, n.key.Load(tx))
 						ckKnown = true
 					}
 					if ck >= key {
 						break
 					}
 					prevH = currH
-					currH = l.guard.Link(tx, tid, currH, &l.ar.At(currH).next)
+					currH = l.guard.Link(tx, tid, currH, n.next.Load(tx))
 					ckKnown = false
 				}
 				present := !currH.IsNil() && ck == key
@@ -101,7 +102,7 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 						if !present {
 							out[i] = false
 						} else {
-							nxt := l.guard.Link(tx, tid, currH, &l.ar.At(currH).next)
+							nxt := l.guard.Link(tx, tid, currH, l.ar.At(currH).next.Load(tx))
 							removeAt(tx, tid, prevH, currH)
 							currH = nxt
 							ckKnown = false

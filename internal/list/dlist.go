@@ -114,8 +114,8 @@ func (d *DList) removePhase2(tid int) int {
 // always a real node (ultimately the head sentinel).
 func (d *DList) unlinkDoubly(tx *stm.Tx, tid int, currH arena.Handle) {
 	curr := d.ar.At(currH)
-	p := d.guard.Link(tx, tid, currH, &curr.prev)
-	nx := d.guard.Link(tx, tid, currH, &curr.next)
+	p := d.guard.Link(tx, tid, currH, curr.prev.Load(tx))
+	nx := d.guard.Link(tx, tid, currH, curr.next.Load(tx))
 	if p.IsNil() {
 		// Only a poisoned prev defuses to Nil (real predecessors bottom out
 		// at the head sentinel); this attempt is doomed, skip the splice.

@@ -52,7 +52,7 @@ func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool
 			}
 
 			prevH := startH
-			currH := l.guard.Link(tx, tid, prevH, &l.ar.At(prevH).next)
+			currH := l.guard.Link(tx, tid, prevH, l.ar.At(prevH).next.Load(tx))
 			steps := 0
 			var k uint64
 			for !currH.IsNil() {
@@ -66,12 +66,13 @@ func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool
 					}
 					ts.marks[steps%w] = tx.ReadMark()
 				}
-				k = l.guard.Word(tx, tid, currH, &l.ar.At(currH).key)
+				n := l.ar.At(currH) // one handle translation per node visited
+				k = l.guard.Word(tx, tid, currH, n.key.Load(tx))
 				if k >= key || steps >= budget {
 					break
 				}
 				prevH = currH
-				currH = l.guard.Link(tx, tid, currH, &l.ar.At(currH).next)
+				currH = l.guard.Link(tx, tid, currH, n.next.Load(tx))
 				steps++
 			}
 

@@ -18,8 +18,8 @@ import "hohtx/internal/arena"
 //
 // With Config.Guard additionally set, freed nodes' value words are
 // overwritten with arena.PoisonWord before the slot can be reallocated,
-// and every transactional load on the traversal paths goes through the
-// list's reclaim.Guard, which reports any committed read of the sentinel.
+// and every value a traversal loads is handed to the list's reclaim.Guard,
+// which reports any committed read of the sentinel.
 
 // retireNode lifts every cell version of a freed node to the fence; see
 // stm.Word.Retire. Installed for every mode, not just guard runs.

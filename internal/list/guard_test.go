@@ -63,8 +63,8 @@ func TestGuardBenignDoomedReaderNotCounted(t *testing.T) {
 	l.rt.Atomic(func(tx *stm.Tx) {
 		attempt++
 		if attempt == 1 {
-			_ = l.guard.Word(tx, 0, h2, &l.ar.At(h2).key) // doomed read
-			tx.Restart()                                  // ...that never commits
+			_ = l.guard.Word(tx, 0, h2, l.ar.At(h2).key.Load(tx)) // doomed read
+			tx.Restart()                                          // ...that never commits
 		}
 	})
 	gs := l.GuardStats()
@@ -85,7 +85,7 @@ func TestGuardPoisonedLinkDefusesToNil(t *testing.T) {
 	l.rt.Atomic(func(tx *stm.Tx) {
 		attempt++
 		if attempt == 1 {
-			if h := l.guard.Link(tx, 0, h2, &l.ar.At(h2).next); !h.IsNil() {
+			if h := l.guard.Link(tx, 0, h2, l.ar.At(h2).next.Load(tx)); !h.IsNil() {
 				t.Errorf("poisoned link loaded as %v, want Nil", h)
 			}
 			tx.Restart()

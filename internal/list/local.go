@@ -55,9 +55,9 @@ func (r *refLink) Born(tx *stm.Tx, tid int, h arena.Handle) {
 // last one on a logically deleted node.
 func (r *refLink) release(tx *stm.Tx, tid int, h arena.Handle) {
 	n := r.l.ar.At(h)
-	v := r.l.guard.Word(tx, tid, h, &n.rc) - 1
+	v := r.l.guard.Word(tx, tid, h, n.rc.Load(tx)) - 1
 	n.rc.Store(tx, v)
-	if v == 0 && r.l.guard.Word(tx, tid, h, &n.dead) != 0 {
+	if v == 0 && r.l.guard.Word(tx, tid, h, n.dead.Load(tx)) != 0 {
 		tx.OnCommitCall(r.freeHook, uint64(tid), uint64(h), 0)
 	}
 }
@@ -67,7 +67,7 @@ func (r *refLink) Resume(tx *stm.Tx, tid int) (arena.Handle, uint64, bool) {
 	if s.IsNil() {
 		return arena.Nil, 0, false
 	}
-	if r.l.guard.Word(tx, tid, s, &r.l.ar.At(s).dead) != 0 {
+	if r.l.guard.Word(tx, tid, s, r.l.ar.At(s).dead.Load(tx)) != 0 {
 		// Removed since our last window: give back our count and restart.
 		// The commit that ends this attempt also moves starts off s (every
 		// path from a failed Resume reaches Hold or Drop), so the count is
@@ -80,7 +80,7 @@ func (r *refLink) Resume(tx *stm.Tx, tid int) (arena.Handle, uint64, bool) {
 
 func (r *refLink) Hold(tx *stm.Tx, tid int, held bool, h arena.Handle, _ uint64) {
 	n := r.l.ar.At(h)
-	n.rc.Store(tx, r.l.guard.Word(tx, tid, h, &n.rc)+1)
+	n.rc.Store(tx, r.l.guard.Word(tx, tid, h, n.rc.Load(tx))+1)
 	if held {
 		r.release(tx, tid, r.starts[tid].h)
 	}
@@ -97,7 +97,7 @@ func (r *refLink) Drop(tx *stm.Tx, tid int, held bool) {
 func (r *refLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, _ uint64) {
 	n := r.l.ar.At(h)
 	n.dead.Store(tx, 1)
-	if r.l.guard.Word(tx, tid, h, &n.rc) == 0 {
+	if r.l.guard.Word(tx, tid, h, n.rc.Load(tx)) == 0 {
 		tx.OnCommitCall(r.freeHook, uint64(tid), uint64(h), 0)
 	}
 	// Otherwise the last window-holder's release frees it.
@@ -130,7 +130,7 @@ func (e erLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, stamp uint64) {
 	// insert-after-h or remove-of-successor abort even though the writes
 	// to our predecessor were early-released.
 	n := e.l.ar.At(h)
-	n.next.Store(tx, uint64(e.l.guard.Link(tx, tid, h, &n.next)))
+	n.next.Store(tx, uint64(e.l.guard.Link(tx, tid, h, n.next.Load(tx))))
 	e.Link.Unlinked(tx, tid, h, stamp)
 }
 

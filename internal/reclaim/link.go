@@ -337,7 +337,7 @@ func (d *deferred) Resume(tx *stm.Tx, tid int) (arena.Handle, uint64, bool) {
 		return arena.Nil, 0, false
 	}
 	if d.traits.Pins {
-		if d.guard.Word(tx, tid, s, d.dead(s)) != 0 {
+		if d.guard.Word(tx, tid, s, d.dead(s).Load(tx)) != 0 {
 			return arena.Nil, 0, false
 		}
 	} else if !d.live(s) || d.dead(s).Load(tx) != 0 || !d.live(s) {
@@ -351,7 +351,7 @@ func (d *deferred) Hold(tx *stm.Tx, tid int, _ bool, h arena.Handle, word uint64
 	if d.traits.Pins {
 		d.sch.Protect(tid, d.threads[tid].parity&1, h)
 		// Ordering re-check; see the protocol note.
-		_ = d.guard.Word(tx, tid, h, d.dead(h))
+		_ = d.guard.Word(tx, tid, h, d.dead(h).Load(tx))
 	}
 	tx.OnCommitCall(d.holdHook, uint64(tid), uint64(h), word)
 }

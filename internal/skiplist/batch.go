@@ -75,12 +75,12 @@ func (s *SkipList) removeInTx(tx *stm.Tx, tid int, key uint64) bool {
 	if s.run(c, key, int(^uint(0)>>1), 0, 0) == advStopped {
 		return false
 	}
-	victim := s.guard.Link(tx, tid, c.curr, &s.ar.At(c.curr).next[c.level])
+	victim := s.guard.Link(tx, tid, c.curr, s.ar.At(c.curr).next[c.level].Load(tx))
 	if victim.IsNil() {
 		// Poisoned link (doomed snapshot): abort and re-run the batch.
 		tx.Restart()
 	}
-	vh := int(s.guard.Word(tx, tid, victim, &s.ar.At(victim).height))
+	vh := int(s.guard.Word(tx, tid, victim, s.ar.At(victim).height.Load(tx)))
 	if c.level != vh-1 {
 		// Unreachable from an uncut descent unless the snapshot is doomed.
 		tx.Restart()

@@ -50,9 +50,9 @@ func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error 
 			resumed = held
 			budget := s.budgetFor(tx, held, false)
 			c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
+			n := s.ar.At(c.curr)
 			for {
-				n := s.ar.At(c.curr)
-				nextH := s.guard.Link(tx, tid, c.curr, &n.next[c.level])
+				nextH := s.guard.Link(tx, tid, c.curr, n.next[c.level].Load(tx))
 				if nextH.IsNil() {
 					if c.level == 0 {
 						// End of the bottom chain: the scan is complete.
@@ -63,7 +63,8 @@ func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error 
 					c.level--
 					continue
 				}
-				nk := s.guard.Word(tx, tid, nextH, &s.ar.At(nextH).key)
+				next := s.ar.At(nextH)
+				nk := s.guard.Word(tx, tid, nextH, next.key.Load(tx))
 				if nk >= last {
 					if c.level > 0 {
 						// Descend: the first key >= last is below us.
@@ -77,7 +78,7 @@ func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error 
 				// Advance rightward (toward the resume point above level 0,
 				// collecting along the bottom at level 0). Only rightward
 				// steps consume budget, matching run().
-				c.curr = nextH
+				c.curr, n = nextH, next
 				c.steps++
 				if c.steps >= budget {
 					// Cut even with an empty batch: re-navigation after a

@@ -49,11 +49,12 @@ const (
 // run descends toward key until a terminal condition. The frame never
 // drops below stopLevel, and never cuts below noCutBelow.
 func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel int) advanceResult {
+	n := s.ar.At(c.curr) // translated once per node, carried across levels
 	for {
-		n := s.ar.At(c.curr)
-		nextH := s.guard.Link(c.tx, c.tid, c.curr, &n.next[c.level])
+		nextH := s.guard.Link(c.tx, c.tid, c.curr, n.next[c.level].Load(c.tx))
 		if !nextH.IsNil() {
-			nk := s.guard.Word(c.tx, c.tid, nextH, &s.ar.At(nextH).key)
+			next := s.ar.At(nextH)
+			nk := s.guard.Word(c.tx, c.tid, nextH, next.key.Load(c.tx))
 			if nk == key {
 				return advMatched
 			}
@@ -61,7 +62,7 @@ func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel i
 				if c.steps >= budget && c.level >= noCutBelow {
 					return advCut
 				}
-				c.curr = nextH
+				c.curr, n = nextH, next
 				c.steps++
 				continue
 			}
@@ -130,15 +131,16 @@ func (s *SkipList) Lookup(tid int, key uint64) bool {
 // non-Nil, treats that node as the search boundary instead (the remove
 // path, where the "duplicate" is the victim itself).
 func (s *SkipList) collectPreds(c *searchCtx, key uint64, stopAt arena.Handle, preds *[MaxHeight]arena.Handle) bool {
+	n := s.ar.At(c.curr)
 	for l := c.level; l >= 0; l-- {
 		c.level = l
 		for {
-			n := s.ar.At(c.curr)
-			nextH := s.guard.Link(c.tx, c.tid, c.curr, &n.next[l])
+			nextH := s.guard.Link(c.tx, c.tid, c.curr, n.next[l].Load(c.tx))
 			if nextH.IsNil() || nextH == stopAt {
 				break
 			}
-			nk := s.guard.Word(c.tx, c.tid, nextH, &s.ar.At(nextH).key)
+			next := s.ar.At(nextH)
+			nk := s.guard.Word(c.tx, c.tid, nextH, next.key.Load(c.tx))
 			if nk == key {
 				if stopAt.IsNil() {
 					return false // duplicate insert
@@ -148,7 +150,7 @@ func (s *SkipList) collectPreds(c *searchCtx, key uint64, stopAt arena.Handle, p
 			if nk > key {
 				break
 			}
-			c.curr = nextH
+			c.curr, n = nextH, next
 		}
 		preds[l] = c.curr
 	}
@@ -166,7 +168,7 @@ func (s *SkipList) linkNode(tx *stm.Tx, tid int, key uint64, h int, preds *[MaxH
 	n.dead.Store(tx, 0)
 	for l := 0; l < h; l++ {
 		p := s.ar.At(preds[l])
-		n.next[l].Store(tx, uint64(s.guard.Link(tx, tid, preds[l], &p.next[l])))
+		n.next[l].Store(tx, uint64(s.guard.Link(tx, tid, preds[l], p.next[l].Load(tx))))
 		p.next[l].Store(tx, uint64(nh))
 	}
 }
@@ -177,7 +179,7 @@ func (s *SkipList) linkNode(tx *stm.Tx, tid int, key uint64, h int, preds *[MaxH
 func (s *SkipList) unlinkNode(tx *stm.Tx, tid int, victim arena.Handle, vh int, preds *[MaxHeight]arena.Handle) {
 	v := s.ar.At(victim)
 	for l := 0; l < vh; l++ {
-		s.ar.At(preds[l]).next[l].Store(tx, uint64(s.guard.Link(tx, tid, victim, &v.next[l])))
+		s.ar.At(preds[l]).next[l].Store(tx, uint64(s.guard.Link(tx, tid, victim, v.next[l].Load(tx))))
 	}
 	s.link.Unlinked(tx, tid, victim, s.threads[tid].ops)
 }
@@ -270,7 +272,7 @@ func (s *SkipList) Remove(tid int, key uint64) bool {
 				return
 			case advMatched:
 			}
-			victim := s.guard.Link(tx, tid, c.curr, &s.ar.At(c.curr).next[c.level])
+			victim := s.guard.Link(tx, tid, c.curr, s.ar.At(c.curr).next[c.level].Load(tx))
 			if victim.IsNil() {
 				// Only a poisoned link defuses to Nil after advMatched; this
 				// attempt is doomed — restart with a full descent.
@@ -278,7 +280,7 @@ func (s *SkipList) Remove(tid int, key uint64) bool {
 				full = true
 				return
 			}
-			vh := int(s.guard.Word(tx, tid, victim, &s.ar.At(victim).height))
+			vh := int(s.guard.Word(tx, tid, victim, s.ar.At(victim).height.Load(tx)))
 			if c.level != vh-1 {
 				// Met the victim under its tower (resumed traversal):
 				// restart with a full descent that sees its top.

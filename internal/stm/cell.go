@@ -40,40 +40,24 @@ type Word struct {
 // Load returns the cell's value as of the transaction's snapshot, aborting
 // the transaction (by panicking with an internal sentinel that Atomic
 // intercepts) if a consistent value cannot be obtained.
+//
+// The common read — no pending write to the cell, version unlocked and within
+// the snapshot, room in the read log and under the footprint limit — is done
+// here with no call; everything else (a pending write, a locked or newer
+// cell, log growth, the capacity abort, yield injection) takes the full
+// protocol in loadWord, which re-reads the cell from scratch.
 func (w *Word) Load(tx *Tx) uint64 {
-	if val, ok := tx.findWrite(&w.m); ok {
-		return val
-	}
-	for spins := 0; ; spins++ {
-		v1 := w.m.Load()
-		if v1&lockedBit == 0 {
-			if v1 > tx.rv {
-				// The cell committed after our snapshot; try to slide the
-				// snapshot forward instead of aborting. Spelled out (rather
-				// than tx.extend(v1)) so the common validation inlines; the
-				// lazy-clock advance is GV5-only.
-				if newRv := tx.rt.now(); newRv >= v1 {
-					tx.extendTo(newRv)
-				} else {
-					tx.extendTo(tx.advanceClock(v1))
-				}
-				continue
-			}
+	if tx.wfilter&filterBit(&w.m) == 0 {
+		if v1 := w.m.Load(); v1&lockedBit == 0 && v1 <= tx.rv {
 			val := w.v.Load()
-			if w.m.Load() == v1 {
-				tx.recordRead(&w.m, v1)
+			if w.m.Load() == v1 && tx.logRead(&w.m, v1) {
 				return val
 			}
-			// Changed underneath us; retry the double-check.
-			continue
 		}
-		// Locked by a committing writer: wait briefly, then give up.
-		if spins >= readLockSpins {
-			tx.conflict = &w.m
-			tx.abort(CauseReadConflict)
-		}
-		pause(spins)
+	} else if val, ok := tx.findWrite(&w.m); ok {
+		return val
 	}
+	return tx.loadWord(&w.m, &w.v)
 }
 
 // Store buffers a write of x to the cell; the write takes effect if and
@@ -172,6 +156,7 @@ func (l *Local) Store(tx *Tx, x uint64) {
 	tx.checkCapacity()
 	tx.maybeYield()
 	tx.ls = append(tx.ls, lentry{dst: l, val: x})
+	tx.wn++
 }
 
 // Ptr is a transactional typed pointer cell, provided for library users who
@@ -200,30 +185,13 @@ func (p *Ptr[T]) Load(tx *Tx) *T {
 		pp, _ := obj.(*pendingPtr[T])
 		return pp.val
 	}
-	for spins := 0; ; spins++ {
-		v1 := p.m.Load()
-		if v1&lockedBit == 0 {
-			if v1 > tx.rv {
-				// As in Word.Load: inline the common extension path.
-				if newRv := tx.rt.now(); newRv >= v1 {
-					tx.extendTo(newRv)
-				} else {
-					tx.extendTo(tx.advanceClock(v1))
-				}
-				continue
-			}
-			val := p.v.Load()
-			if p.m.Load() == v1 {
-				tx.recordRead(&p.m, v1)
-				return val
-			}
-			continue
+	for {
+		v1 := tx.readable(&p.m)
+		val := p.v.Load()
+		if p.m.Load() == v1 {
+			tx.recordRead(&p.m, v1)
+			return val
 		}
-		if spins >= readLockSpins {
-			tx.conflict = &p.m
-			tx.abort(CauseReadConflict)
-		}
-		pause(spins)
 	}
 }
 

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -26,9 +27,20 @@ type txOp struct {
 	Value uint8
 }
 
+// Each property runs twice: as scripted, and with every transaction first
+// writing more than wsMapThreshold other cells, so that the scripted reads
+// and writes meet the write-set filter with most of its bits set and
+// read-own-writes goes through the map.
 func TestQuickSequentialEquivalence(t *testing.T) {
+	for _, ballast := range []int{0, wsMapThreshold + 8} {
+		t.Run(fmt.Sprintf("ballast=%d", ballast), func(t *testing.T) { quickSequentialEquivalence(t, ballast) })
+	}
+}
+
+func quickSequentialEquivalence(t *testing.T, ballast int) {
 	f := func(script [][]txOp) bool {
 		rt := NewRuntime(Profile{})
+		extra := make([]Word, ballast)
 		words := make([]Word, modelCells/2)
 		locals := make([]Local, modelCells/2)
 		cells := make([]cell, 0, modelCells)
@@ -45,6 +57,15 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 			shadow := make([]uint64, modelCells)
 			rt.Atomic(func(tx *Tx) {
 				copy(shadow, model) // model of this attempt's effects
+				for i := range extra {
+					extra[i].Store(tx, uint64(i)+1)
+				}
+				for i := range extra {
+					if extra[i].Load(tx) != uint64(i)+1 {
+						shadow[0] = ^uint64(0)
+						return
+					}
+				}
 				for _, op := range txScript {
 					c := int(op.Cell) % modelCells
 					switch op.Kind % 4 {

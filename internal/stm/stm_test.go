@@ -362,14 +362,27 @@ func TestAbortCauseStrings(t *testing.T) {
 
 // TestTxLayout pins what the Tx type comment promises: four cache lines
 // exactly (so pooled Txs come 64-byte aligned and never share a line), with
-// the read path's fields in the first.
+// everything Word.Load's fast path tests or writes in the first.
 func TestTxLayout(t *testing.T) {
 	var tx Tx
 	if got := unsafe.Sizeof(tx); got != 4*pad.CacheLine {
 		t.Fatalf("Tx is %d bytes, want %d: adjust the trailing pad", got, 4*pad.CacheLine)
 	}
-	if end := unsafe.Offsetof(tx.rsHead) + unsafe.Sizeof(tx.rsHead); end > pad.CacheLine {
-		t.Fatalf("read-path fields end at byte %d, past the first cache line", end)
+	for _, f := range []struct {
+		name string
+		end  uintptr
+	}{
+		{"rv", unsafe.Offsetof(tx.rv) + unsafe.Sizeof(tx.rv)},
+		{"wfilter", unsafe.Offsetof(tx.wfilter) + unsafe.Sizeof(tx.wfilter)},
+		{"rs", unsafe.Offsetof(tx.rs) + unsafe.Sizeof(tx.rs)},
+		{"rsHead", unsafe.Offsetof(tx.rsHead) + unsafe.Sizeof(tx.rsHead)},
+		{"limit", unsafe.Offsetof(tx.limit) + unsafe.Sizeof(tx.limit)},
+		{"wn", unsafe.Offsetof(tx.wn) + unsafe.Sizeof(tx.wn)},
+		{"yieldShift", unsafe.Offsetof(tx.yieldShift) + unsafe.Sizeof(tx.yieldShift)},
+	} {
+		if f.end > pad.CacheLine {
+			t.Fatalf("read-path field %s ends at byte %d, past the first cache line", f.name, f.end)
+		}
 	}
 	rt := NewRuntime(Profile{})
 	for i := 0; i < 4; i++ {

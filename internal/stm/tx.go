@@ -1,8 +1,10 @@
 package stm
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 )
 
 // readLockSpins bounds how long a read spins on a cell that is locked by a
@@ -58,38 +60,52 @@ type lentry struct {
 // conflict: written every transaction) shares a line with its neighbour's
 // head (the read set's slice header: written on every read), and a list
 // traversal by two threads runs a tenth slower for it. Aligned, the field
-// order below is also the line layout: what a transactional read touches is
-// in the first line (plus len(ws) at the head of the second), commit-time
-// and per-call bookkeeping in the rest.
+// order below is also the line layout:
+//
+//	line 1  everything Word.Load's fast path tests or writes: rv, wfilter,
+//	        rs, rsHead, limit, wn, yieldShift (serial and cause fill the word)
+//	line 2  ws, ls, wmap (read-own-writes past the filter), rt
+//	line 3  commit and abort hooks, rsBase, rng
+//	line 4  per-call bookkeeping and statistics, padded
 type Tx struct {
-	rt     *Runtime
-	rv     uint64 // snapshot (read) version; even
-	serial bool   // true when running under the exclusive serial lock
-	cause  AbortCause
-	// yieldShift and capacity are the profile's YieldShift and Capacity,
-	// copied when the Tx is created (a Tx serves one Runtime, whose profile
-	// never changes) so the per-read checks stay on this line.
+	rv uint64 // snapshot (read) version; even
+	// wfilter has one bit set per pending Word/Ptr write, chosen by
+	// filterBit from the address of the cell's version word. A clear bit
+	// proves the cell has no pending write (addWrite sets the bit of every
+	// entry it appends, so there are no false negatives); a set bit means
+	// lookupWrite must be asked.
+	wfilter uint64
+	rs      []rentry
+	rsHead  int // entries below this index are early-released
+	// limit is the footprint bound in force for this attempt: the profile's
+	// Capacity, or math.MaxInt when that is zero or the attempt is serial.
+	limit int
+	// wn is len(ws)+len(ls), the write side of the footprint, kept beside
+	// the read side so the capacity predicate reads one line.
+	wn int32
+	// yieldShift is the profile's YieldShift, copied when the Tx is created
+	// (a Tx serves one Runtime, whose profile never changes).
 	yieldShift uint8
-	capacity   int
-	rs         []rentry
-	rsHead     int // entries below this index are early-released
+	serial     bool // true when running under the exclusive serial lock
+	cause      AbortCause
 
-	rsBase uint64 // logical index of rs[0] (survives compaction)
-	ws     []wentry
-	wmap   map[*atomic.Uint64]int // lazily built past wsMapThreshold
-	ls     []lentry               // pending Local stores (see cell.go)
+	ws   []wentry
+	ls   []lentry               // pending Local stores (see cell.go)
+	wmap map[*atomic.Uint64]int // lazily built past wsMapThreshold
+	rt   *Runtime
 
 	commitHooks []txHook
 	abortHooks  []txHook
+	rsBase      uint64 // logical index of rs[0] (survives compaction)
 	rng         uint64 // xorshift state for backoff jitter
-	extensions  uint64 // snapshot extensions performed (stats)
 
+	extensions uint64         // snapshot extensions performed (stats)
 	clockCASes uint64         // clock-advance CAS attempts performed (stats)
 	slowPaths  uint64         // commit-lock slow-path acquisitions (stats)
 	slotHash   uint64         // per-Tx BRAVO commit-slot hash (fixed at creation)
 	tid        int32          // caller's thread id for observability (-1 unknown)
 	conflict   *atomic.Uint64 // version word that caused the last abort, if known
-	_          [24]byte       // pad to four lines
+	_          [16]byte       // pad to four lines
 }
 
 // txSeq hands out distinct slot hashes to pooled transactions; consecutive
@@ -105,7 +121,6 @@ func newTx(rt *Runtime) *Tx {
 		ls:         make([]lentry, 0, 8),
 		rng:        0x9e3779b97f4a7c15,
 		yieldShift: rt.prof.YieldShift,
-		capacity:   rt.prof.Capacity,
 		slotHash:   txSeq.Add(1) * 0x9e3779b97f4a7c15,
 	}
 }
@@ -114,6 +129,10 @@ func newTx(rt *Runtime) *Tx {
 func (tx *Tx) reset(serial bool) {
 	tx.rv = tx.rt.now()
 	tx.serial = serial
+	tx.limit = math.MaxInt
+	if c := tx.rt.prof.Capacity; c > 0 && !serial {
+		tx.limit = c
+	}
 	tx.cause = CauseNone
 	tx.conflict = nil
 	tx.rs = tx.rs[:0]
@@ -121,6 +140,8 @@ func (tx *Tx) reset(serial bool) {
 	tx.rsBase = 0
 	tx.ws = tx.ws[:0]
 	tx.ls = tx.ls[:0]
+	tx.wn = 0
+	tx.wfilter = 0
 	if tx.wmap != nil {
 		clear(tx.wmap)
 	}
@@ -197,13 +218,16 @@ func (tx *Tx) abort(c AbortCause) {
 	panic(abortSig{})
 }
 
-// checkCapacity enforces the HTM-simulation footprint bound. Early-released
-// reads no longer occupy tracked state (in real HTM early release is
-// impossible, which is precisely the paper's motivation — callers using
-// ReadMark/ForgetReadsBefore have opted out of the HTM model). Pending Local
-// stores occupy transactional state like any other write.
+// footprint is the tracked state the HTM simulation charges the attempt
+// for. Early-released reads no longer occupy tracked state (in real HTM
+// early release is impossible, which is precisely the paper's motivation —
+// callers using ReadMark/ForgetReadsBefore have opted out of the HTM model).
+// Pending Local stores occupy transactional state like any other write.
+func (tx *Tx) footprint() int { return len(tx.rs) - tx.rsHead + int(tx.wn) }
+
+// checkCapacity enforces the footprint bound before an access is recorded.
 func (tx *Tx) checkCapacity() {
-	if c := tx.capacity; c > 0 && !tx.serial && len(tx.rs)-tx.rsHead+len(tx.ws)+len(tx.ls) >= c {
+	if tx.footprint() >= tx.limit {
 		tx.abort(CauseCapacity)
 	}
 }
@@ -254,13 +278,72 @@ func (tx *Tx) recordRead(m *atomic.Uint64, ver uint64) {
 	tx.maybeYield()
 }
 
+// logRead is recordRead when recording takes no call: the log has room, the
+// footprint is under the limit (checkCapacity's predicate, before the entry
+// is recorded) and no yield is to be drawn. It reports false, having changed
+// nothing, when any of the three needs recordRead itself.
+func (tx *Tx) logRead(m *atomic.Uint64, ver uint64) bool {
+	n := len(tx.rs)
+	if n >= cap(tx.rs) || tx.yieldShift != 0 || tx.footprint() >= tx.limit {
+		return false
+	}
+	tx.rs = tx.rs[:n+1]
+	tx.rs[n] = rentry{m: m, ver: ver}
+	return true
+}
+
+// filterBit is the wfilter bit of the cell whose version word is m: the top
+// six bits of a multiplicative hash of the address, so the cells of one node
+// and nodes a fixed stride apart spread over all 64 bits.
+func filterBit(m *atomic.Uint64) uint64 {
+	return 1 << (uint64(uintptr(unsafe.Pointer(m))) * 0x9e3779b97f4a7c15 >> 58)
+}
+
+// readable returns a version of the cell with version word m that this
+// transaction may read at: unlocked and no newer than the snapshot. It waits
+// out a committing writer (briefly) and extends the snapshot over a newer
+// version, aborting where either fails. The caller loads the value and
+// confirms the version still stands. Word.Load and Ptr.Load share it.
+func (tx *Tx) readable(m *atomic.Uint64) uint64 {
+	for spins := 0; ; spins++ {
+		v1 := m.Load()
+		if v1&lockedBit != 0 {
+			// Locked by a committing writer: wait briefly, then give up.
+			if spins >= readLockSpins {
+				tx.conflict = m
+				tx.abort(CauseReadConflict)
+			}
+			pause(spins)
+			continue
+		}
+		if v1 <= tx.rv {
+			return v1
+		}
+		// The cell committed after our snapshot; try to slide the snapshot
+		// forward instead of aborting.
+		tx.extend(v1)
+	}
+}
+
+// loadWord is Word.Load past its fast path: the full read protocol, for a
+// cell with no pending write.
+func (tx *Tx) loadWord(m, v *atomic.Uint64) uint64 {
+	for {
+		v1 := tx.readable(m)
+		val := v.Load()
+		if m.Load() == v1 {
+			tx.recordRead(m, v1)
+			return val
+		}
+		// Changed underneath us; retry the double-check.
+	}
+}
+
 // extend slides the snapshot forward past the observed cell version,
 // aborting if any prior read has been overwritten (which would make the
 // extended snapshot inconsistent). On success subsequent reads accept
 // versions up to the new snapshot. Under GV1 the published clock already
-// covers every committed version, so the lazy-clock advance never fires;
-// the advance call is hoisted here so extendTo stays inlinable at the
-// read-path call sites.
+// covers every committed version, so the lazy-clock advance never fires.
 func (tx *Tx) extend(observed uint64) {
 	newRv := tx.rt.now()
 	if newRv < observed {
@@ -300,7 +383,7 @@ func (tx *Tx) findWriteObj(m *atomic.Uint64) (applier, bool) {
 }
 
 func (tx *Tx) lookupWrite(m *atomic.Uint64) (int, bool) {
-	if len(tx.ws) == 0 {
+	if tx.wfilter&filterBit(m) == 0 {
 		return 0, false
 	}
 	if tx.wmap != nil && len(tx.ws) > wsMapThreshold {
@@ -338,6 +421,8 @@ func (tx *Tx) addWrite(e wentry) {
 	tx.checkCapacity()
 	tx.maybeYield()
 	tx.ws = append(tx.ws, e)
+	tx.wn++
+	tx.wfilter |= filterBit(e.m)
 	if len(tx.ws) > wsMapThreshold {
 		if tx.wmap == nil {
 			tx.wmap = make(map[*atomic.Uint64]int, 4*wsMapThreshold)

@@ -48,7 +48,7 @@ func (t *Internal) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 			return false
 		}
 		n := t.ar.At(currH)
-		ck := t.guard.Word(tx, tid, currH, &n.key)
+		ck := t.guard.Word(tx, tid, currH, n.key.Load(tx))
 		if ck == op.Key {
 			switch op.Kind {
 			case sets.OpLookup:
@@ -62,10 +62,10 @@ func (t *Internal) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 		}
 		prevH = currH
 		if op.Key < ck {
-			currH = t.guard.Link(tx, tid, currH, &n.left)
+			currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
 			dir = 0
 		} else {
-			currH = t.guard.Link(tx, tid, currH, &n.right)
+			currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
 			dir = 1
 		}
 	}
@@ -100,8 +100,8 @@ func (t *External) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 	currH := t.root
 	for {
 		n := t.ar.At(currH)
-		if t.guard.Link(tx, tid, currH, &n.left).IsNil() {
-			leafKey := t.guard.Word(tx, tid, currH, &n.key)
+		if t.guard.Link(tx, tid, currH, n.left.Load(tx)).IsNil() {
+			leafKey := t.guard.Word(tx, tid, currH, n.key.Load(tx))
 			switch op.Kind {
 			case sets.OpLookup:
 				return leafKey == op.Key
@@ -122,7 +122,7 @@ func (t *External) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 				if leafKey != op.Key {
 					return false
 				}
-				sibling := uint64(t.guard.Link(tx, tid, pH, child(t.ar.At(pH), 1-cDir)))
+				sibling := uint64(t.guard.Link(tx, tid, pH, child(t.ar.At(pH), 1-cDir).Load(tx)))
 				child(t.ar.At(gH), pDir).Store(tx, sibling)
 				t.reclaimNode(tx, tid, pH)
 				t.reclaimNode(tx, tid, currH)
@@ -131,11 +131,11 @@ func (t *External) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 		}
 		gH, pDir = pH, cDir
 		pH = currH
-		if op.Key < t.guard.Word(tx, tid, currH, &n.key) {
-			currH = t.guard.Link(tx, tid, currH, &n.left)
+		if op.Key < t.guard.Word(tx, tid, currH, n.key.Load(tx)) {
+			currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
 			cDir = 0
 		} else {
-			currH = t.guard.Link(tx, tid, currH, &n.right)
+			currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
 			cDir = 1
 		}
 		if currH.IsNil() {

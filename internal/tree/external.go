@@ -72,7 +72,7 @@ func (t *External) applyExt(tid int, key uint64, needsDepth int,
 			steps := 0
 			for {
 				n := t.ar.At(currH)
-				if t.guard.Link(tx, tid, currH, &n.left).IsNil() {
+				if t.guard.Link(tx, tid, currH, n.left.Load(tx)).IsNil() {
 					// Reached a leaf.
 					depth := 0
 					if !pH.IsNil() {
@@ -96,11 +96,11 @@ func (t *External) applyExt(tid int, key uint64, needsDepth int,
 				}
 				gH, pDir = pH, cDir
 				pH = currH
-				if key < t.guard.Word(tx, tid, currH, &n.key) {
-					currH = t.guard.Link(tx, tid, currH, &n.left)
+				if key < t.guard.Word(tx, tid, currH, n.key.Load(tx)) {
+					currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
 					cDir = 0
 				} else {
-					currH = t.guard.Link(tx, tid, currH, &n.right)
+					currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
 					cDir = 1
 				}
 				if currH.IsNil() {
@@ -123,7 +123,7 @@ func (t *External) applyExt(tid int, key uint64, needsDepth int,
 func (t *External) Lookup(tid int, key uint64) bool {
 	return t.applyExt(tid, key, 0,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			return t.guard.Word(tx, tid, leafH, &t.ar.At(leafH).key) == key
+			return t.guard.Word(tx, tid, leafH, t.ar.At(leafH).key.Load(tx)) == key
 		},
 	)
 }
@@ -135,7 +135,7 @@ func (t *External) Insert(tid int, key uint64) bool {
 	}
 	return t.applyExt(tid, key, 1,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leafKey := t.guard.Word(tx, tid, leafH, &t.ar.At(leafH).key)
+			leafKey := t.guard.Word(tx, tid, leafH, t.ar.At(leafH).key.Load(tx))
 			if leafKey == key {
 				return false
 			}
@@ -157,10 +157,10 @@ func (t *External) Insert(tid int, key uint64) bool {
 func (t *External) Remove(tid int, key uint64) bool {
 	return t.applyExt(tid, key, 2,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			if t.guard.Word(tx, tid, leafH, &t.ar.At(leafH).key) != key {
+			if t.guard.Word(tx, tid, leafH, t.ar.At(leafH).key.Load(tx)) != key {
 				return false
 			}
-			sibling := uint64(t.guard.Link(tx, tid, pH, child(t.ar.At(pH), 1-lDir)))
+			sibling := uint64(t.guard.Link(tx, tid, pH, child(t.ar.At(pH), 1-lDir).Load(tx)))
 			child(t.ar.At(gH), pDir).Store(tx, sibling)
 			t.reclaimNode(tx, tid, pH)
 			t.reclaimNode(tx, tid, leafH)

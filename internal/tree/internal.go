@@ -73,7 +73,7 @@ func (t *Internal) apply(tid int, key uint64, needsParent bool,
 					return
 				}
 				n := t.ar.At(currH)
-				ck := t.guard.Word(tx, tid, currH, &n.key)
+				ck := t.guard.Word(tx, tid, currH, n.key.Load(tx))
 				if ck == key {
 					if needsParent && prevH.IsNil() {
 						// Matched at the resumed start: ancestors unknown.
@@ -91,10 +91,10 @@ func (t *Internal) apply(tid int, key uint64, needsParent bool,
 				}
 				prevH = currH
 				if key < ck {
-					currH = t.guard.Link(tx, tid, currH, &n.left)
+					currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
 					dir = 0
 				} else {
-					currH = t.guard.Link(tx, tid, currH, &n.right)
+					currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
 					dir = 1
 				}
 				steps++
@@ -146,8 +146,8 @@ func (t *Internal) Remove(tid int, key uint64) bool {
 // dispatching on its child count.
 func (t *Internal) removeFound(tx *stm.Tx, tid int, parentH, vH arena.Handle, dir int) {
 	v := t.ar.At(vH)
-	lH := t.guard.Link(tx, tid, vH, &v.left)
-	rH := t.guard.Link(tx, tid, vH, &v.right)
+	lH := t.guard.Link(tx, tid, vH, v.left.Load(tx))
+	rH := t.guard.Link(tx, tid, vH, v.right.Load(tx))
 	switch {
 	case lH.IsNil() && rH.IsNil():
 		child(t.ar.At(parentH), dir).Store(tx, 0)
@@ -176,7 +176,7 @@ func (t *Internal) removeTwoChildren(tx *stm.Tx, tid int, vH, rH arena.Handle) {
 	parentOfL := vH
 	lH := rH
 	for {
-		next := t.guard.Link(tx, tid, lH, &t.ar.At(lH).left)
+		next := t.guard.Link(tx, tid, lH, t.ar.At(lH).left.Load(tx))
 		if next.IsNil() {
 			break
 		}
@@ -187,8 +187,8 @@ func (t *Internal) removeTwoChildren(tx *stm.Tx, tid int, vH, rH arena.Handle) {
 	l := t.ar.At(lH)
 	// Move the successor's key up, then splice the successor out by
 	// promoting its right child.
-	t.ar.At(vH).key.Store(tx, t.guard.Word(tx, tid, lH, &l.key))
-	promoted := uint64(t.guard.Link(tx, tid, lH, &l.right))
+	t.ar.At(vH).key.Store(tx, t.guard.Word(tx, tid, lH, l.key.Load(tx)))
+	promoted := uint64(t.guard.Link(tx, tid, lH, l.right.Load(tx)))
 	if parentOfL == vH {
 		t.ar.At(vH).right.Store(tx, promoted)
 	} else {
