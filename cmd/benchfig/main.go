@@ -1,6 +1,7 @@
 // Command benchfig regenerates the data series behind the paper's
 // evaluation figures (Figures 2–7 of "Hand-Over-Hand Transactions with
-// Precise Memory Reclamation", SPAA 2017), printing TSV to stdout.
+// Precise Memory Reclamation", SPAA 2017), printing TSV to stdout, and
+// renders that TSV as the markdown tables recorded in EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -8,6 +9,8 @@
 //	benchfig -fig all -quick   # fast smoke pass over every figure
 //	benchfig -fig 6 -threads 1,2,4,8 -trials 5
 //	benchfig -fig 2 -clock gv5 # same series under the lazy clock policy
+//	benchfig table fig2.tsv                  # one table per (figure, panel), Mops/s
+//	benchfig table -metric aborts < fig2.tsv # aborts/op instead of throughput
 //
 // Column semantics: mops is total throughput (million operations per
 // second, all threads combined); aborts_per_op and serial_per_op are TM
@@ -27,6 +30,10 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "table" {
+		tableMain(os.Args[2:])
+		return
+	}
 	fig := flag.String("fig", "all", "figure to regenerate: 2..7 or 'all'")
 	quick := flag.Bool("quick", false, "fast smoke mode (fewer ops/trials, 14-bit trees)")
 	threads := flag.String("threads", "1,2,4,8", "comma-separated thread counts")

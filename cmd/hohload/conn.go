@@ -1,0 +1,331 @@
+package main
+
+import (
+	"bufio"
+	"fmt"
+	"net"
+	"strconv"
+	"sync/atomic"
+	"time"
+
+	"hohtx/internal/obs"
+	"hohtx/internal/serve"
+)
+
+// config is one run's parameters, as the flags give them.
+type config struct {
+	addr     string
+	conns    int
+	depth    int // closed loop: requests in flight per connection
+	keys     uint64
+	reads    int     // percent of point ops that are GET
+	ops      int     // per connection; a multiple of batch
+	rate     float64 // open loop: ops/sec across all connections; 0 = closed loop
+	batch    int     // ops per request; > 1 frames them as MULTI
+	scanfrac int     // percent of requests that are ASCEND scans (batch 1 only)
+	scanlen  int
+	seed     uint64
+	warmup   bool
+	obsAddr  string
+}
+
+// meters is what the connections of one run record into.
+type meters struct {
+	op, frame, scan               *obs.Histogram
+	gets, sets, dels, hits, scans atomic.Uint64
+}
+
+func newMeters() *meters {
+	return &meters{
+		op:    obs.NewHistogram("op_latency", "ns"),
+		frame: obs.NewHistogram("batch_latency", "ns"),
+		scan:  obs.NewHistogram("scan_latency", "ns"),
+	}
+}
+
+// gen is the deterministic request stream of one connection. A request is
+// batch ops, each one splitmix64 draw: a point verb, or — on bits the verb
+// choice never reads, so -scanfrac changes what is added and not what is
+// compared — a scan. next overwrites tags and keys with the next request's.
+type gen struct {
+	rng                      uint64
+	keys                     uint64
+	reads, scanfrac, scanlen int
+	tags                     []byte // 'G', 'S', 'D' or 'A' per op
+	key                      []uint64
+}
+
+func newGen(cfg *config, cid int) *gen {
+	return &gen{
+		rng: cfg.seed + uint64(cid+1)*0x9e3779b97f4a7c15, keys: cfg.keys,
+		reads: cfg.reads, scanfrac: cfg.scanfrac, scanlen: cfg.scanlen,
+		tags: make([]byte, cfg.batch), key: make([]uint64, cfg.batch),
+	}
+}
+
+func (g *gen) next() {
+	for j := range g.tags {
+		r := splitmix64(&g.rng)
+		g.key[j] = 1 + (r>>8)%g.keys
+		switch {
+		case g.scanfrac > 0 && int((r>>48)%100) < g.scanfrac:
+			g.tags[j] = 'A'
+		case int(r%100) < g.reads:
+			g.tags[j] = 'G'
+		case r&(1<<40) == 0:
+			g.tags[j] = 'S'
+		default:
+			g.tags[j] = 'D'
+		}
+	}
+}
+
+// appendWire renders the current request: one line per op, behind a
+// "MULTI n" header when it carries more than one.
+func (g *gen) appendWire(b []byte) []byte {
+	if len(g.tags) > 1 {
+		b = append(b, "MULTI "...)
+		b = strconv.AppendInt(b, int64(len(g.tags)), 10)
+		b = append(b, '\n')
+	}
+	for j, tag := range g.tags {
+		switch tag {
+		case 'A':
+			b = append(b, "ASCEND "...)
+		case 'G':
+			b = append(b, "GET "...)
+		case 'S':
+			b = append(b, "SET "...)
+		default:
+			b = append(b, "DEL "...)
+		}
+		b = strconv.AppendUint(b, g.key[j], 10)
+		if tag == 'A' {
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(g.scanlen), 10)
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// clock answers origin(i, j): the zero of the latency clock of op j of a
+// connection's request i. Open loop (interval > 0): the op's *intended*
+// send time on a per-op cadence all connections share, whether or not the
+// writer got to the socket by then — so a request queued behind a stall is
+// charged the stall (coordinated omission), and the first op of a frame is
+// charged the (batch−1)·interval it waited for the frame to fill. Closed
+// loop: when request i was actually sent, from a ring one pipeline deep.
+type clock struct {
+	start             time.Time
+	interval          time.Duration
+	conns, cid, batch int
+	sentAt            []time.Time
+}
+
+func (k *clock) origin(i, j int) time.Time {
+	if k.interval > 0 {
+		return k.start.Add(time.Duration((i*k.conns+k.cid)*k.batch+j) * k.interval)
+	}
+	return k.sentAt[i%len(k.sentAt)]
+}
+
+// runConn drives connection cid through cfg.ops/cfg.batch requests. Loop
+// mode decides two things and nothing else: the clock's origin, and
+// pacing. Closed (interval 0): cfg.depth requests are primed, and each
+// completed request sends the next. Open: a writer goroutine sends request
+// i when its last op is due whether or not earlier replies have arrived,
+// so a slow server accumulates in-flight requests instead of slowing the
+// offered load; it flushes before it idles, so nothing sits in the client
+// buffer past its send time. A frame is clocked as a whole from its last
+// op's origin, a scan from its origin through its END.
+//
+// Writer and reader each own a generator seeded alike, so no per-request
+// state crosses between them.
+func runConn(cid int, cfg *config, start time.Time, interval time.Duration, m *meters) error {
+	c, err := net.Dial("tcp", cfg.addr)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	bw := bufio.NewWriterSize(c, 64<<10)
+	sc := serve.NewLineScanner(bufio.NewReaderSize(c, 64<<10))
+
+	requests, last := cfg.ops/cfg.batch, cfg.batch-1
+	clk := clock{start: start, interval: interval, conns: cfg.conns, cid: cid, batch: cfg.batch,
+		sentAt: make([]time.Time, cfg.depth)}
+	origin := clk.origin
+	since := func(t time.Time) uint64 {
+		if d := time.Since(t); d > 0 {
+			return uint64(d)
+		}
+		return 0 // clock-skew guard: a reply cannot precede its request
+	}
+
+	wgen, req := newGen(cfg, cid), []byte(nil)
+	write := func() error {
+		wgen.next()
+		req = wgen.appendWire(req[:0])
+		_, err := bw.Write(req)
+		return err
+	}
+	writeErr := make(chan error, 1)
+	sent := 0                           // closed loop: requests written so far
+	send := func() error { return nil } // what a completed request triggers
+	if interval > 0 {
+		writer := func() error {
+			for i := 0; i < requests; i++ {
+				if d := time.Until(origin(i, last)); d > 0 {
+					if err := bw.Flush(); err != nil {
+						return err
+					}
+					time.Sleep(d)
+				}
+				if err := write(); err != nil {
+					return err
+				}
+			}
+			return bw.Flush()
+		}
+		go func() { writeErr <- writer() }()
+	} else {
+		writeErr <- nil
+		send = func() error {
+			if sent == requests {
+				return nil
+			}
+			clk.sentAt[sent%cfg.depth] = time.Now()
+			sent++
+			if err := write(); err != nil {
+				return err
+			}
+			return bw.Flush()
+		}
+		for sent < cfg.depth && sent < requests {
+			if err := send(); err != nil {
+				return err
+			}
+		}
+	}
+
+	rgen := newGen(cfg, cid)
+	for i := 0; i < requests; i++ {
+		rgen.next()
+		for j, tag := range rgen.tags {
+			if tag == 'A' {
+				if err := drainScan(sc); err != nil {
+					return fmt.Errorf("reply %d (scan): %w", i, err)
+				}
+				m.scan.RecordAt(uint64(cid), since(origin(i, j)))
+				m.scans.Add(1)
+				continue
+			}
+			reply, err := sc.Line()
+			if err != nil {
+				return fmt.Errorf("reply %d op %d: %w", i, j, err)
+			}
+			if isErrLine(reply) {
+				return fmt.Errorf("reply %d op %d: server: %s", i, j, reply)
+			}
+			m.op.RecordAt(uint64(cid), since(origin(i, j)))
+			switch tag {
+			case 'G':
+				m.gets.Add(1)
+				if len(reply) == 1 && reply[0] == '1' {
+					m.hits.Add(1)
+				}
+			case 'S':
+				m.sets.Add(1)
+			default:
+				m.dels.Add(1)
+			}
+		}
+		if last > 0 {
+			m.frame.RecordAt(uint64(cid), since(origin(i, last)))
+		}
+		if err := send(); err != nil {
+			return err
+		}
+	}
+	return <-writeErr
+}
+
+// drainScan consumes one ASCEND reply — OK lines through the END
+// terminator — and fails on an ERR terminator or malformed line.
+func drainScan(sc *serve.LineScanner) error {
+	for {
+		line, err := sc.Line()
+		if err != nil {
+			return err
+		}
+		switch {
+		case string(line) == "END":
+			return nil
+		case isErrLine(line):
+			return fmt.Errorf("server: %s", line)
+		case len(line) < 3 || line[0] != 'O' || line[1] != 'K' || line[2] != ' ':
+			return fmt.Errorf("malformed scan line %q", line)
+		}
+	}
+}
+
+// isErrLine reports whether a reply line is an ERR terminator, without
+// materializing a string.
+func isErrLine(b []byte) bool {
+	return len(b) >= 3 && b[0] == 'E' && b[1] == 'R' && b[2] == 'R'
+}
+
+// prefill inserts every other key in [1, keys], in a seed-shuffled order,
+// through one pipelined connection, chunked so neither side's socket
+// buffer can fill while the other waits. A balanced SET/DEL mix holds the
+// set near half the key range, so this puts the structure at steady state;
+// ascending order would build an unbalanced tree as one keys/2-deep chain.
+func prefill(addr string, keys, seed uint64) error {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	bw := bufio.NewWriterSize(c, 16<<10)
+	sc := serve.NewLineScanner(bufio.NewReaderSize(c, 16<<10))
+	order := make([]uint64, 0, (keys+1)/2)
+	for k := uint64(1); k <= keys; k += 2 {
+		order = append(order, k)
+	}
+	for i := len(order) - 1; i > 0; i-- {
+		j := splitmix64(&seed) % uint64(i+1)
+		order[i], order[j] = order[j], order[i]
+	}
+	const chunk = 256
+	var req []byte
+	for len(order) > 0 {
+		n := min(chunk, len(order))
+		req = req[:0]
+		for _, k := range order[:n] {
+			req = append(req, "SET "...)
+			req = strconv.AppendUint(req, k, 10)
+			req = append(req, '\n')
+		}
+		order = order[n:]
+		if _, err := bw.Write(req); err != nil {
+			return err
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		for ; n > 0; n-- {
+			if _, err := sc.Line(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func splitmix64(x *uint64) uint64 {
+	*x += 0x9e3779b97f4a7c15
+	z := *x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}

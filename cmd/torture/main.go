@@ -87,7 +87,7 @@ func main() {
 						Structure: st, Variant: v, Policy: pol,
 						Threads: *threads + r%4, Ops: *ops, Keys: *keys,
 						LookupPct: 10 + (combos*7+r*13)%40,
-						Window:    2 + (combos+r)%6,
+						Window:    2 + (combos+r)%7,
 						Shards:    1 + ((combos+r)%2)*2,   // alternate 1 and 3 shards
 						BatchOps:  1 + ((combos+r+1)%2)*7, // alternate per-op and batches of 8
 						Seed:      *seed + uint64(runs),

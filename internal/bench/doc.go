@@ -1,7 +1,8 @@
 // Package bench is the measurement harness that regenerates the paper's
-// evaluation (Figures 2–7) and the repository's own performance trend.
+// evaluation (Figures 2–7). Changes to the repository are gated elsewhere:
+// benchmark/ and its aa.py.
 //
-// It owns four things:
+// It owns three things:
 //
 //   - workload generation: key ranges, operation mixes and the 50% prefill
 //     of §5.1 (Workload);
@@ -11,14 +12,11 @@
 //     (RR-V, RR-XO, …, HTM, TMHP, REF, ER, LFLeak, LFHP) plus the extended
 //     reclamation matrix's TMHE and TMVBR (DESIGN.md §14) — times a
 //     structure Family to a ready-to-run sets.Set — the single spelling of
-//     that mapping, shared by cmd/benchfig, cmd/benchjson, cmd/hohserver
-//     and the tests. Variants built with Observe expose their obs.Domain
-//     via ObsReporter;
-//   - the trend schema: Cell and Summary define the BENCH_<n>.json shape
-//     that cmd/benchjson (in-process suite) and cmd/hohload (server mode)
-//     both emit, so successive snapshots diff mechanically across PRs.
+//     that mapping, shared by cmd/benchfig, cmd/hohserver, benchmark/ and
+//     the tests. Variants built with Observe expose their obs.Domain via
+//     ObsReporter.
 //
 // The per-figure drivers (figures.go) print the TSV series each paper
-// figure plots; cmd/figtable renders them as the markdown tables recorded
-// in EXPERIMENTS.md.
+// figure plots; `benchfig table` renders them as the markdown tables
+// recorded in EXPERIMENTS.md.
 package bench

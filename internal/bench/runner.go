@@ -16,7 +16,6 @@ import (
 type Result struct {
 	Variant string
 	Threads int
-	Window  int
 	// MopsPerSec is total throughput in million operations per second,
 	// averaged over trials.
 	MopsPerSec float64
@@ -40,34 +39,13 @@ type Result struct {
 	ValidationsPerOp   float64
 	WriteLocksPerOp    float64
 	CapacityPerOp      float64
-	// ClockCASPerOp and BiasRevocations characterize the commit path's
-	// shared-state traffic under the distributed lock and clock policies.
-	ClockCASPerOp   float64
-	BiasRevocations uint64
-	// Sampled latency/distance percentiles, pulled from the structure's
-	// observability domain when the spec attached one (VariantSpec.Observe);
-	// all zero otherwise. Reclaim* quantify the deferred schemes' retire→free
-	// distance in operation stamps — the per-scheme reclamation-latency view
-	// the delay study tabulates.
-	CommitP50Ns   uint64
-	CommitP99Ns   uint64
-	ReuseP50Ops   uint64
-	ReuseP99Ops   uint64
+	// Sampled retire→free distance percentiles in operation stamps, pulled
+	// from the structure's observability domain when the spec attached one
+	// (VariantSpec.Observe); all zero otherwise — the per-scheme
+	// reclamation-latency view the delay study tabulates.
 	ReclaimP50Ops uint64
 	ReclaimP99Ops uint64
 	ReclaimMaxOps uint64
-	// Obs is the final trial's full domain snapshot (nil when detached).
-	Obs *obs.DomainSnapshot
-}
-
-// DelayReporter lets the runner pull reclamation-delay averages.
-type DelayReporter interface {
-	AvgReclaimDelayOps() float64
-}
-
-// PeakReporter lets the runner pull the reclamation high-water mark.
-type PeakReporter interface {
-	PeakDeferred() uint64
 }
 
 // MakeSet constructs a fresh instance of a variant for the given thread
@@ -160,26 +138,14 @@ func (r *Result) fillStats(s sets.Set, totalOps float64) {
 		r.ValidationsPerOp = float64(st.Aborts[stm.CauseValidation]) / totalOps
 		r.WriteLocksPerOp = float64(st.Aborts[stm.CauseWriteLock]) / totalOps
 		r.CapacityPerOp = float64(st.Aborts[stm.CauseCapacity]) / totalOps
-		r.ClockCASPerOp = float64(st.ClockCASes) / totalOps
-		r.BiasRevocations = st.BiasRevocations
 	}
-	if pr, ok := s.(PeakReporter); ok {
-		r.DeferredPeak = pr.PeakDeferred()
-	}
-	if dr, ok := s.(DelayReporter); ok {
-		r.AvgDelayOps = dr.AvgReclaimDelayOps()
+	if rr, ok := s.(sets.ReclaimReporter); ok {
+		st := rr.ReclaimStats()
+		r.DeferredPeak, r.AvgDelayOps = st.PeakDeferred, st.AvgDelayOps()
 	}
 	if or, ok := s.(sets.ObsReporter); ok {
 		if d := or.ObsDomain(); d != nil {
-			snap := d.Snapshot()
-			r.Obs = &snap
-			if h, ok := snap.Hist(obs.HistCommitNs); ok {
-				r.CommitP50Ns, r.CommitP99Ns = h.P50, h.P99
-			}
-			if h, ok := snap.Hist(obs.HistReuseOps); ok {
-				r.ReuseP50Ops, r.ReuseP99Ops = h.P50, h.P99
-			}
-			if h, ok := snap.Hist(obs.HistReclaimOps); ok {
+			if h, ok := d.Snapshot().Hist(obs.HistReclaimOps); ok {
 				r.ReclaimP50Ops, r.ReclaimP99Ops, r.ReclaimMaxOps = h.P50, h.P99, h.Max
 			}
 		}

@@ -136,10 +136,8 @@ func (h *HashTable) LiveNodes() uint64 { return h.l.LiveNodes() }
 // DeferredNodes implements sets.MemoryReporter.
 func (h *HashTable) DeferredNodes() uint64 { return h.l.DeferredNodes() }
 
-// TMStats and PeakDeferred delegate to the shared runtime and scheme for
-// benchmark statistics.
-func (h *HashTable) TMStats() stm.Stats   { return h.l.TMStats() }
-func (h *HashTable) PeakDeferred() uint64 { return h.l.PeakDeferred() }
+// TMStats delegates to the shared runtime.
+func (h *HashTable) TMStats() stm.Stats { return h.l.TMStats() }
 
 // GuardStats exposes the arena sanitizer counters (zero when guard is off).
 func (h *HashTable) GuardStats() arena.GuardStats { return h.l.GuardStats() }

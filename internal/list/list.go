@@ -347,13 +347,6 @@ func (l *List) ReclaimTraits() reclaim.Traits { return l.traits }
 // clock and commit-lock counters).
 func (l *List) TMStats() stm.Stats { return l.rt.Stats() }
 
-// PeakDeferred reports the reclamation scheme's deferred high-water mark.
-func (l *List) PeakDeferred() uint64 { return l.link.Stats().PeakDeferred }
-
-// AvgReclaimDelayOps reports the mean operations between logical deletion
-// and physical free (0 for the precise modes).
-func (l *List) AvgReclaimDelayOps() float64 { return l.link.Stats().AvgDelayOps() }
-
 // Snapshot implements sets.Set. Callers must ensure quiescence.
 func (l *List) Snapshot() []uint64 {
 	var out []uint64

@@ -280,10 +280,3 @@ func (l *HarrisList) DeferredNodes() uint64 { return l.rec.Stats().Deferred }
 // properties.
 func (l *HarrisList) ReclaimStats() reclaim.Stats   { return l.rec.Stats() }
 func (l *HarrisList) ReclaimTraits() reclaim.Traits { return l.rec.Traits() }
-
-// PeakDeferred reports the deferred-node high-water mark.
-func (l *HarrisList) PeakDeferred() uint64 { return l.rec.Stats().PeakDeferred }
-
-// AvgReclaimDelayOps reports the mean operations between logical deletion
-// and physical free (undefined/0 for the leaky variant, which never frees).
-func (l *HarrisList) AvgReclaimDelayOps() float64 { return l.rec.Stats().AvgDelayOps() }

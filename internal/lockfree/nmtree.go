@@ -372,7 +372,3 @@ func (t *NMTree) DeferredNodes() uint64 { return t.leak.Stats().Deferred }
 // fixed properties.
 func (t *NMTree) ReclaimStats() reclaim.Stats   { return t.leak.Stats() }
 func (t *NMTree) ReclaimTraits() reclaim.Traits { return t.leak.Traits() }
-
-// PeakDeferred reports the leak high-water mark (equal to DeferredNodes:
-// nothing is ever freed).
-func (t *NMTree) PeakDeferred() uint64 { return t.leak.Stats().PeakDeferred }

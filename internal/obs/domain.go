@@ -196,7 +196,7 @@ type GaugeSnapshot struct {
 }
 
 // DomainSnapshot is the JSON-marshalable point-in-time state of a Domain
-// (this is what obs.Snapshot merges into cmd/benchjson output).
+// (one element of /snapshot).
 type DomainSnapshot struct {
 	Name        string          `json:"name"`
 	SampleShift int             `json:"sample_shift"`

@@ -26,7 +26,7 @@ const (
 )
 
 // GCStats is the scalar part of the panel, for callers (cmd/hohload's
-// bench recording) that want deltas rather than an export surface.
+// report) that want deltas rather than an export surface.
 type GCStats struct {
 	Cycles       uint64 // completed GC cycles since process start
 	AllocObjects uint64 // cumulative heap allocations, objects
@@ -59,7 +59,7 @@ func ReadGCStats() GCStats {
 // distribution mapped into the repo's log₂-nanosecond buckets. Mapping
 // loses sub-bucket resolution (each runtime bucket's count lands at its
 // upper edge, conservatively), but keeps every consumer — /metrics,
-// /snapshot, benchjson folding — working off one histogram shape.
+// /snapshot — working off one histogram shape.
 func GCSnapshot() DomainSnapshot {
 	st := ReadGCStats()
 	s := DomainSnapshot{

@@ -12,9 +12,8 @@ import (
 )
 
 // Registry is a mutable set of Domains for the HTTP export surface.
-// Drivers that build structures on the fly (cmd/torture's sweep,
-// cmd/rrstress's rounds) register each instance's domain for the duration
-// of its run.
+// Drivers that build structures on the fly (cmd/torture's sweep) register
+// each instance's domain for the duration of its run.
 type Registry struct {
 	mu      sync.Mutex
 	domains map[*Domain]struct{}

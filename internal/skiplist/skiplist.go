@@ -240,20 +240,12 @@ func (s *SkipList) randHeight(tid int) int {
 // clock and commit-lock counters).
 func (s *SkipList) TMStats() stm.Stats { return s.rt.Stats() }
 
-// PeakDeferred reports the reclamation scheme's deferred high-water mark
-// (zero for the precise modes).
-func (s *SkipList) PeakDeferred() uint64 { return s.link.Stats().PeakDeferred }
-
 // ReclaimStats exposes the deferred-reclamation counters (zero for the
 // precise modes).
 func (s *SkipList) ReclaimStats() reclaim.Stats { return s.link.Stats() }
 
 // ReclaimTraits reports the mode's fixed reclamation properties.
 func (s *SkipList) ReclaimTraits() reclaim.Traits { return s.link.Traits() }
-
-// AvgReclaimDelayOps reports the mean operations between logical deletion
-// and physical free (0 for the precise modes).
-func (s *SkipList) AvgReclaimDelayOps() float64 { return s.link.Stats().AvgDelayOps() }
 
 // LiveNodes implements sets.MemoryReporter.
 func (s *SkipList) LiveNodes() uint64 { return s.ar.Stats().Live }

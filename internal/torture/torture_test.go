@@ -44,7 +44,7 @@ func TestTortureSweep(t *testing.T) {
 					Ops:       ops,
 					Keys:      keys,
 					LookupPct: 10 + int(combo*7%40), // 10..49
-					Window:    2 + int(combo%6),     // 2..7
+					Window:    2 + int(combo%7),     // 2..8
 					Shards:    1 + int(combo%2),     // alternate unsharded / 2-shard
 					Seed:      baseSeed + combo,
 					Guard:     true, // ignored by variants without an arena guard

@@ -249,19 +249,12 @@ func (b *base) Finish(tid int) { b.link.Finish(tid, b.threads[tid].ops) }
 // clock and commit-lock counters).
 func (b *base) TMStats() stm.Stats { return b.rt.Stats() }
 
-// PeakDeferred reports the reclamation scheme's deferred high-water mark.
-func (b *base) PeakDeferred() uint64 { return b.link.Stats().PeakDeferred }
-
 // ReclaimStats exposes the deferred-reclamation counters (zero for the
 // precise modes).
 func (b *base) ReclaimStats() reclaim.Stats { return b.link.Stats() }
 
 // ReclaimTraits reports the mode's fixed reclamation properties.
 func (b *base) ReclaimTraits() reclaim.Traits { return b.link.Traits() }
-
-// AvgReclaimDelayOps reports the mean operations between logical deletion
-// and physical free (0 for the precise modes).
-func (b *base) AvgReclaimDelayOps() float64 { return b.link.Stats().AvgDelayOps() }
 
 // LiveNodes implements sets.MemoryReporter.
 func (b *base) LiveNodes() uint64 { return b.ar.Stats().Live }
