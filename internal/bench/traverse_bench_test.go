@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -85,6 +86,40 @@ func BenchmarkPointOps(b *testing.B) {
 			runPointOps(b, s, w)
 		})
 	}
+}
+
+// BenchmarkWindow is the price of a window transaction with the traversal
+// taken out: W=1 on a 256-key RR-V list, so a Lookup past the last key is a
+// chain of ~129 read-only windows, each Resume → two nodes → Hold → commit
+// (the last one Drops). ns/window is what the runtime charges per hand-over
+// — context, counters, reset, reservation — beside two node visits' worth
+// of reads. One worker per CPU, each with its own tid.
+func BenchmarkWindow(b *testing.B) {
+	const keyBits = 8
+	workers := min(runtime.GOMAXPROCS(0), pointWorkers)
+	s, err := Build(FamilySingly, VariantSpec{Name: "RR-V", Window: 1, NoScatter: true, NoSimulatedPreemption: true}, pointWorkers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := uint64(1); k <= 1<<keyBits; k++ {
+		s.Insert(0, k)
+	}
+	commits := func() uint64 { return s.(sets.TMStatsReporter).TMStats().Commits }
+	c0 := commits()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for tid := 0; tid < workers; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := tid; i < b.N; i += workers {
+				s.Lookup(tid, 1<<keyBits+1)
+			}
+		}(tid)
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())*float64(workers)/float64(commits()-c0), "ns/window")
 }
 
 // BenchmarkBatchApply is the writer's side of the read path: a 16-op

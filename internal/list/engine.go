@@ -6,10 +6,11 @@ import (
 )
 
 // The hand-over-hand window engine (Listing 5's Apply), shared by the
-// singly and doubly linked lists. Each iteration of the outer loop runs
-// one window transaction; the traversal position is carried across
-// transactions by the list's link (the seam in internal/reclaim, whose
-// file header states each mechanism's resume protocol).
+// singly and doubly linked lists. The closure below is one window
+// transaction and stm.Runtime.Chain is the loop that runs them; the
+// traversal position is carried across transactions by the list's link (the
+// seam in internal/reclaim, whose file header states each mechanism's resume
+// protocol).
 
 // applyFn is a terminal-phase callback; prevH's successor is currH at the
 // transaction's snapshot. For the found callback currH holds the key; for
@@ -33,71 +34,66 @@ func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool
 	if l.enterEpoch(tid) {
 		defer l.ep.Exit(tid)
 	}
-	for {
-		done := false
-		l.rt.AtomicT(tid, func(tx *stm.Tx) {
-			// Reset per attempt: the closure re-runs on abort.
-			done = false
-			res = false
-			target = arena.Nil
+	l.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
+		// Reset per attempt: the closure re-runs on abort.
+		res = false
+		target = arena.Nil
 
-			win := l.window()
-			startH, _, held := l.link.Resume(tx, tid)
-			var budget int
-			if held {
-				budget = win.Next()
-			} else {
-				startH = head
-				budget = win.First(tx)
-			}
-
-			prevH := startH
-			currH := l.guard.Link(tx, tid, prevH, l.ar.At(prevH).next.Load(tx))
-			steps := 0
-			var k uint64
-			for !currH.IsNil() {
-				if w := len(ts.marks); w != 0 {
-					// ModeER: one unbounded transaction; W instead bounds
-					// the retained read suffix. Keep only the last W spine
-					// nodes' reads under conflict detection; everything
-					// older is released.
-					if steps >= w {
-						tx.ForgetReadsBefore(ts.marks[steps%w])
-					}
-					ts.marks[steps%w] = tx.ReadMark()
-				}
-				n := l.ar.At(currH) // one handle translation per node visited
-				k = l.guard.Word(tx, tid, currH, n.key.Load(tx))
-				if k >= key || steps >= budget {
-					break
-				}
-				prevH = currH
-				currH = l.guard.Link(tx, tid, currH, n.next.Load(tx))
-				steps++
-			}
-
-			switch {
-			case !currH.IsNil() && k == key:
-				res = onFound(tx, prevH, currH)
-				if reserveFound {
-					l.link.Hold(tx, tid, held, currH, 0)
-					target = currH
-				} else {
-					l.link.Drop(tx, tid, held)
-				}
-				done = true
-			case currH.IsNil() || k > key:
-				res = onNotFound(tx, prevH, currH)
-				l.link.Drop(tx, tid, held)
-				done = true
-			default:
-				// Budget exhausted mid-traversal: hand over to the next
-				// window at currH.
-				l.link.Hold(tx, tid, held, currH, 0)
-			}
-		})
-		if done {
-			return res, target
+		win := l.window()
+		startH, _, held := l.link.Resume(tx, tid)
+		var budget int
+		if held {
+			budget = win.Next()
+		} else {
+			startH = head
+			budget = win.First(tx)
 		}
-	}
+
+		prevH := startH
+		currH := l.guard.Link(tx, tid, prevH, l.ar.At(prevH).next.Load(tx))
+		steps := 0
+		var k uint64
+		for !currH.IsNil() {
+			if w := len(ts.marks); w != 0 {
+				// ModeER: one unbounded transaction; W instead bounds
+				// the retained read suffix. Keep only the last W spine
+				// nodes' reads under conflict detection; everything
+				// older is released.
+				if steps >= w {
+					tx.ForgetReadsBefore(ts.marks[steps%w])
+				}
+				ts.marks[steps%w] = tx.ReadMark()
+			}
+			n := l.ar.At(currH) // one handle translation per node visited
+			k = l.guard.Word(tx, tid, currH, n.key.Load(tx))
+			if k >= key || steps >= budget {
+				break
+			}
+			prevH = currH
+			currH = l.guard.Link(tx, tid, currH, n.next.Load(tx))
+			steps++
+		}
+
+		switch {
+		case !currH.IsNil() && k == key:
+			res = onFound(tx, prevH, currH)
+			if reserveFound {
+				l.link.Hold(tx, tid, held, currH, 0)
+				target = currH
+			} else {
+				l.link.Drop(tx, tid, held)
+			}
+			return false
+		case currH.IsNil() || k > key:
+			res = onNotFound(tx, prevH, currH)
+			l.link.Drop(tx, tid, held)
+			return false
+		default:
+			// Budget exhausted mid-traversal: hand over to the next
+			// window at currH.
+			l.link.Hold(tx, tid, held, currH, 0)
+			return true
+		}
+	})
+	return res, target
 }

@@ -12,8 +12,8 @@ import (
 // Every uint64 lands in exactly one bucket.
 const NumBuckets = 65
 
-// histShards spreads recording across cache lines, mirroring the
-// statShards pattern in internal/stm. Must stay a power of two.
+// histShards spreads recording across cache lines by the caller's shard
+// hint. Must stay a power of two.
 const histShards = 16
 
 // BucketOf returns the bucket index for a value.

@@ -10,8 +10,10 @@ import (
 
 // The linking-and-reclamation seam.
 //
-// A hand-over-hand operation is a chain of window transactions (Listing 5).
-// What carries the traversal position from one transaction to the next, and
+// A hand-over-hand operation is a chain of window transactions (Listing 5),
+// and stm.Runtime.Chain is the loop that runs them: a structure's engine is
+// one closure, one window, that says whether another follows. What carries
+// the traversal position from one transaction to the next, and
 // what happens to a node a transaction unlinks, is the mechanism under
 // comparison — a revocable reservation, a hazard pointer, an era, nothing
 // at all — and it is a parameter of the traversal, not a property of the
@@ -185,9 +187,17 @@ type heldWord struct {
 
 // precise links windows with a revocable reservation and reclaims at the
 // unlinking commit (Listing 5's λfound for Remove: unlink, Revoke, free).
+//
+// Resume and Hold run once per window, so what they cost is what a window
+// costs beyond its node visits. RR-V — the kind whose windows write nothing
+// shared — is therefore called through its concrete type (v), which lets
+// the compiler see through Get and Reserve; the other kinds, and RR-V under
+// the hold-time wrapper (core.Observed), go through the interface (rr).
 type precise struct {
 	freer
 	rr       core.Reservation
+	v        *core.V // rr's concrete value when it is a bare RR-V, else nil
+	strict   bool    // rr.Strict(), read once
 	words    []heldWord
 	wordHook func(a, b, c uint64) // words[tid a] = b
 }
@@ -197,17 +207,23 @@ func newPrecise(n Nodes) *precise {
 	if n.Obs != nil {
 		rr = core.Observed(rr, n.Obs.HoldProbe(), n.Threads)
 	}
-	p := &precise{freer: newFreer(n.Free), rr: rr, words: make([]heldWord, n.Threads)}
+	p := &precise{freer: newFreer(n.Free), rr: rr, strict: rr.Strict(), words: make([]heldWord, n.Threads)}
+	p.v, _ = rr.(*core.V)
 	p.wordHook = func(a, b, _ uint64) { p.words[int(a)].v = b }
 	return p
 }
 
 func (p *precise) Name() string     { return p.rr.Name() }
-func (p *precise) Traits() Traits   { return Traits{DrainRounds: 1, StrictLoss: p.rr.Strict()} }
+func (p *precise) Traits() Traits   { return Traits{DrainRounds: 1, StrictLoss: p.strict} }
 func (p *precise) Register(tid int) { p.rr.Register(tid) }
 
 func (p *precise) Resume(tx *stm.Tx, tid int) (arena.Handle, uint64, bool) {
-	r := p.rr.Get(tx, tid)
+	var r uint64
+	if p.v != nil {
+		r = p.v.Get(tx, tid)
+	} else {
+		r = p.rr.Get(tx, tid)
+	}
 	if r == 0 {
 		// Nil, released, revoked, or (relaxed) spuriously lost.
 		return arena.Nil, 0, false
@@ -216,10 +232,17 @@ func (p *precise) Resume(tx *stm.Tx, tid int) (arena.Handle, uint64, bool) {
 }
 
 func (p *precise) Hold(tx *stm.Tx, tid int, held bool, h arena.Handle, word uint64) {
-	if held {
+	// A relaxed Release only clears R_t, which Reserve overwrites in the
+	// same transaction; a strict one also takes the thread out of the old
+	// reference's bucket, which Reserve does not.
+	if held && p.strict {
 		p.rr.Release(tx, tid)
 	}
-	p.rr.Reserve(tx, tid, uint64(h))
+	if p.v != nil {
+		p.v.Reserve(tx, tid, uint64(h))
+	} else {
+		p.rr.Reserve(tx, tid, uint64(h))
+	}
 	if word != p.words[tid].v {
 		tx.OnCommitCall(p.wordHook, uint64(tid), word, 0)
 	}

@@ -274,4 +274,56 @@ func TestStructureAllocs(t *testing.T) {
 				row.name, set.Name(), got, row.update, row.parentUpdate)
 		}
 	}
+
+	// Batch Apply on the other structures: like the list's, their result
+	// (and the skiplist's height) buffers are per-thread scratch.
+	for _, set := range []sets.Set{
+		tree.NewInternal(tree.Config{RRKind: core.KindV, Threads: 2, Window: win}),
+		etree(reclaim.ModeRR),
+		skip(reclaim.ModeRR),
+	} {
+		set.Apply(0, ops) // prime arena + scratch
+		if got := testing.AllocsPerRun(300, func() { set.Apply(0, ops) }); got != 0 {
+			t.Errorf("%T apply-64: %.4f allocs/op, want 0", set, got)
+		}
+	}
+}
+
+// TestStructureAllocsChain pins a long chain of windows at zero allocations:
+// W=1 on RR-V, so a lookup is a transaction for every other node it visits
+// — on one context, acquired once (stm.Runtime.Chain), with the hold handed
+// over through pre-bound hooks and thread-private cells. Each row states how
+// long a chain its lookup must at least be; the skiplist's is short because a
+// search of any skiplist moves right only ~log n times.
+func TestStructureAllocsChain(t *testing.T) {
+	skipUnderRace(t)
+	win := core.Window{W: 1, NoScatter: true}
+	for _, row := range []struct {
+		name    string
+		set     sets.Set
+		keys    int
+		windows uint64
+	}{
+		{"singly", list.New(list.Config{RRKind: core.KindV, Threads: 2, Window: win}), 160, 64},
+		// Ascending inserts: the external tree degenerates into a chain.
+		{"etree", tree.NewExternal(tree.Config{RRKind: core.KindV, Threads: 2, Window: win}), 80, 64},
+		{"skip", skiplist.New(skiplist.Config{RRKind: core.KindV, Threads: 2, Window: win}), 4096, 8},
+	} {
+		set := row.set
+		set.Register(0)
+		for k := 1; k <= row.keys; k++ {
+			set.Insert(0, uint64(k))
+		}
+		last := uint64(row.keys)
+		set.Lookup(0, last)
+		tm := set.(sets.TMStatsReporter)
+		c0 := tm.TMStats().Commits
+		allocs := testing.AllocsPerRun(200, func() { set.Lookup(0, last) })
+		if per := (tm.TMStats().Commits - c0) / 201; per < row.windows {
+			t.Errorf("%s: a lookup is %d windows, want a chain of at least %d", row.name, per, row.windows)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %.4f allocs per chain, want 0", row.name, allocs)
+		}
+	}
 }

@@ -49,7 +49,9 @@ type Set interface {
 	// serial-mode execution; it still commits atomically, just without
 	// speculation. Non-transactional baselines (package lockfree) and the
 	// sharded facade execute per-op / per-shard and document the weaker
-	// guarantee; see ApplyEach and serve.Sharded.
+	// guarantee; see ApplyEach and serve.Sharded. The returned slice may
+	// be the implementation's per-thread scratch: it is valid until tid's
+	// next Apply.
 	Apply(tid int, ops []Op) []Result
 }
 

@@ -16,13 +16,16 @@ import (
 
 // Apply implements sets.Set.
 func (s *SkipList) Apply(tid int, ops []sets.Op) []sets.Result {
-	out := make([]sets.Result, len(ops))
 	if len(ops) == 0 {
-		return out
+		return nil
 	}
 	ts := &s.threads[tid]
 	ts.ops += uint64(len(ops))
-	heights := make([]int, len(ops))
+	if cap(ts.batchOut) < len(ops) {
+		ts.batchOut = make([]sets.Result, len(ops))
+		ts.batchHeights = make([]int, len(ops))
+	}
+	out, heights := ts.batchOut[:len(ops)], ts.batchHeights[:len(ops)]
 	for i, op := range ops {
 		if op.Kind == sets.OpInsert {
 			heights[i] = s.randHeight(tid)

@@ -5,7 +5,8 @@ import (
 	"hohtx/internal/stm"
 )
 
-// Traversal engine.
+// Traversal engine. Each operation's closure is one window transaction and
+// stm.Runtime.Chain is the loop that runs them.
 //
 // Searches descend from the head's top level, advancing right while the
 // next key is smaller and dropping a level otherwise. Window cuts hold the
@@ -100,29 +101,19 @@ func (s *SkipList) budgetFor(tx *stm.Tx, held, full bool) int {
 func (s *SkipList) Lookup(tid int, key uint64) bool {
 	s.threads[tid].ops++
 	var res bool
-	for {
-		done := false
-		s.rt.AtomicT(tid, func(tx *stm.Tx) {
-			done, res = false, false
-			start, level, held := s.windowStart(tx, tid)
-			c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
-			switch s.run(c, key, s.budgetFor(tx, held, false), 0, 0) {
-			case advMatched:
-				res = true
-				s.link.Drop(tx, tid, held)
-				done = true
-			case advStopped:
-				res = false
-				s.link.Drop(tx, tid, held)
-				done = true
-			case advCut:
-				s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
-			}
-		})
-		if done {
-			return res
+	s.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
+		start, level, held := s.windowStart(tx, tid)
+		c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
+		r := s.run(c, key, s.budgetFor(tx, held, false), 0, 0)
+		if r == advCut {
+			s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
+			return true
 		}
-	}
+		res = r == advMatched
+		s.link.Drop(tx, tid, held)
+		return false
+	})
+	return res
 }
 
 // collectPreds advances the frame along each level from c.level down to 0,
@@ -192,54 +183,47 @@ func (s *SkipList) Insert(tid int, key uint64) bool {
 	ts.ops++
 	h := s.randHeight(tid)
 	var res bool
-	for {
-		done := false
-		s.rt.AtomicT(tid, func(tx *stm.Tx) {
-			done, res = false, false
-			start, level, held := s.windowStart(tx, tid)
-			c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
-			budget := s.budgetFor(tx, held, false)
+	s.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
+		res = false
+		start, level, held := s.windowStart(tx, tid)
+		c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
+		budget := s.budgetFor(tx, held, false)
 
-			// Phase 1: hand-over-hand down to level h (cuts allowed, the
-			// descent stops at level h so phase 2 owns h-1..0).
-			if c.level >= h {
-				switch s.run(c, key, budget, h, h) {
-				case advMatched:
-					res = false // key exists (met at a level >= h)
-					s.link.Drop(tx, tid, held)
-					done = true
-					return
-				case advCut:
-					s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
-					return
-				case advStopped:
-					c.level-- // step below the boundary into phase 2
-				}
-			}
-			// Phase 2: collect predecessors for levels min(c.level, h-1)
-			// down to 0 and link, all in this transaction.
-			var preds [MaxHeight]arena.Handle
-			for l := h - 1; l > c.level; l-- {
-				// Resume level was already below h-1 (possible only on
-				// the first window when h == MaxHeight): the untouched
-				// upper levels' predecessor is the traversal origin.
-				preds[l] = c.curr
-			}
-			if !s.collectPreds(c, key, arena.Nil, &preds) {
-				res = false // duplicate at a level below h
+		// Phase 1: hand-over-hand down to level h (cuts allowed, the
+		// descent stops at level h so phase 2 owns h-1..0).
+		if c.level >= h {
+			switch s.run(c, key, budget, h, h) {
+			case advMatched:
+				// key exists (met at a level >= h)
 				s.link.Drop(tx, tid, held)
-				done = true
-				return
+				return false
+			case advCut:
+				s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
+				return true
+			case advStopped:
+				c.level-- // step below the boundary into phase 2
 			}
-			s.linkNode(tx, tid, key, h, &preds)
-			res = true
-			s.link.Drop(tx, tid, held)
-			done = true
-		})
-		if done {
-			return res
 		}
-	}
+		// Phase 2: collect predecessors for levels min(c.level, h-1)
+		// down to 0 and link, all in this transaction.
+		var preds [MaxHeight]arena.Handle
+		for l := h - 1; l > c.level; l-- {
+			// Resume level was already below h-1 (possible only on
+			// the first window when h == MaxHeight): the untouched
+			// upper levels' predecessor is the traversal origin.
+			preds[l] = c.curr
+		}
+		if !s.collectPreds(c, key, arena.Nil, &preds) {
+			// duplicate at a level below h
+			s.link.Drop(tx, tid, held)
+			return false
+		}
+		s.linkNode(tx, tid, key, h, &preds)
+		res = true
+		s.link.Drop(tx, tid, held)
+		return false
+	})
+	return res
 }
 
 // Remove implements sets.Set. A fresh traversal first meets the victim at
@@ -252,53 +236,46 @@ func (s *SkipList) Remove(tid int, key uint64) bool {
 	s.threads[tid].ops++
 	var res bool
 	full := false
-	for {
-		done := false
-		s.rt.AtomicT(tid, func(tx *stm.Tx) {
-			done, res = false, false
-			start, level, held := s.windowStart(tx, tid)
-			if full {
-				start, level, held = s.head, MaxHeight-1, false
-			}
-			c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
-			switch s.run(c, key, s.budgetFor(tx, held, full), 0, 0) {
-			case advStopped:
-				res = false
-				s.link.Drop(tx, tid, held)
-				done = true
-				return
-			case advCut:
-				s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
-				return
-			case advMatched:
-			}
-			victim := s.guard.Link(tx, tid, c.curr, s.ar.At(c.curr).next[c.level].Load(tx))
-			if victim.IsNil() {
-				// Only a poisoned link defuses to Nil after advMatched; this
-				// attempt is doomed — restart with a full descent.
-				s.link.Drop(tx, tid, held)
-				full = true
-				return
-			}
-			vh := int(s.guard.Word(tx, tid, victim, s.ar.At(victim).height.Load(tx)))
-			if c.level != vh-1 {
-				// Met the victim under its tower (resumed traversal):
-				// restart with a full descent that sees its top.
-				s.link.Drop(tx, tid, held)
-				full = true
-				return // done=false: retry
-			}
-			var preds [MaxHeight]arena.Handle
-			if !s.collectPreds(c, key, victim, &preds) {
-				panic("skiplist: unreachable: duplicate key beside victim")
-			}
-			s.unlinkNode(tx, tid, victim, vh, &preds)
-			res = true
-			s.link.Drop(tx, tid, held)
-			done = true
-		})
-		if done {
-			return res
+	s.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
+		res = false
+		start, level, held := s.windowStart(tx, tid)
+		if full {
+			start, level, held = s.head, MaxHeight-1, false
 		}
-	}
+		c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
+		switch s.run(c, key, s.budgetFor(tx, held, full), 0, 0) {
+		case advStopped:
+			s.link.Drop(tx, tid, held)
+			return false
+		case advCut:
+			s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
+			return true
+		case advMatched:
+		}
+		victim := s.guard.Link(tx, tid, c.curr, s.ar.At(c.curr).next[c.level].Load(tx))
+		if victim.IsNil() {
+			// Only a poisoned link defuses to Nil after advMatched; this
+			// attempt is doomed — restart with a full descent.
+			s.link.Drop(tx, tid, held)
+			full = true
+			return true
+		}
+		vh := int(s.guard.Word(tx, tid, victim, s.ar.At(victim).height.Load(tx)))
+		if c.level != vh-1 {
+			// Met the victim under its tower (resumed traversal):
+			// restart with a full descent that sees its top.
+			s.link.Drop(tx, tid, held)
+			full = true
+			return true
+		}
+		var preds [MaxHeight]arena.Handle
+		if !s.collectPreds(c, key, victim, &preds) {
+			panic("skiplist: unreachable: duplicate key beside victim")
+		}
+		s.unlinkNode(tx, tid, victim, vh, &preds)
+		res = true
+		s.link.Drop(tx, tid, held)
+		return false
+	})
+	return res
 }

@@ -74,7 +74,12 @@ type node struct {
 type threadState struct {
 	ops uint64
 	rng uint64
-	_   pad.Line
+	// Apply's grow-only scratch: results and drawn insert heights. The
+	// returned slice is valid until this thread's next Apply (the list's
+	// contract, which the serving layer already honours).
+	batchOut     []sets.Result
+	batchHeights []int
+	_            pad.Line
 }
 
 // Config parameterizes the skiplist.

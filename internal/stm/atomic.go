@@ -15,39 +15,65 @@ import "hohtx/internal/obs"
 // caller after locks are released and abort hooks run.
 func (rt *Runtime) Atomic(fn func(*Tx)) { rt.AtomicT(-1, fn) }
 
-// AtomicT is Atomic with the caller's thread id, which flows into the
-// observability layer (flight-recorder events and abort attribution carry
-// it). tid -1 means unknown; the transaction semantics are identical.
-func (rt *Runtime) AtomicT(tid int, fn func(*Tx)) { rt.atomicT(tid, 0, fn) }
+// AtomicT is Atomic with the caller's thread id, which selects the
+// transaction context (tid >= 0 runs in the context that tid owns; see
+// Chain) and flows into the observability layer (flight-recorder events and
+// abort attribution carry it). tid -1 means unknown; the transaction
+// semantics are identical.
+func (rt *Runtime) AtomicT(tid int, fn func(*Tx)) { rt.AtomicBatchT(tid, 0, fn) }
 
 // AtomicBatchT is AtomicT for a batch entry point: fn carries n logical
 // operations in one transaction. n does not change the execution — it
 // flows into the per-batch-size statistics (log₂ buckets of aborts and
 // serial fallbacks, see Stats.Batch) so the capacity cliff is measurable
 // as a function of batch size rather than inferred from aggregates.
-func (rt *Runtime) AtomicBatchT(tid, n int, fn func(*Tx)) { rt.atomicT(tid, n, fn) }
+func (rt *Runtime) AtomicBatchT(tid, n int, fn func(*Tx)) {
+	// One transaction is a chain of one.
+	rt.chain(tid, n, func(tx *Tx) bool { fn(tx); return false })
+}
 
-func (rt *Runtime) atomicT(tid, batch int, fn func(*Tx)) {
-	tx := rt.txPool.Get().(*Tx)
-	defer rt.txPool.Put(tx)
-	tx.tid = int32(tid)
+// Chain runs fn as successive transactions on one thread — the windows of a
+// hand-over-hand operation — until a committed run of fn returns false.
+// Each window is a transaction exactly as Atomic runs one (its own attempt
+// loop, serial fallback, hooks, span and sampling decision; fn's result
+// counts only from the attempt that commits), and what fn carries from one
+// window to the next is the caller's business (reclaim.Link). What the
+// chain shares is the context: it is acquired once, released once (deferred,
+// so a panic in fn releases it too) and its commit counts reach Stats in one
+// flush at the end, so a window costs the thread no shared write at all.
+//
+// tid >= 0 runs in the context that tid owns, under Local's owner contract:
+// one goroutine drives a tid at a time. tid -1, and a tid whose context is
+// busy, run in a pooled context instead.
+func (rt *Runtime) Chain(tid int, fn func(*Tx) (more bool)) { rt.chain(tid, 0, fn) }
 
-	// One sampling decision per transaction: a sampled transaction is
-	// traced and timed end to end. With no probe attached this is one nil
-	// check; with sampling disabled, one atomic load and a branch.
-	p := rt.obs
-	sampled := p != nil && p.D.Sampled(tx.slotHash)
-	var t0 int64
-	if sampled {
-		t0 = obs.Now()
-	}
+func (rt *Runtime) chain(tid, batch int, fn func(*Tx) bool) {
+	tx := rt.acquire(tid)
+	defer rt.release(tx)
 	// The request span, when the serving layer armed one on this tid,
 	// deliberately sits outside the sampling gate: the slowlog it feeds
 	// exists to catch outliers, which uniform sampling throws away. With
 	// no span armed the cost is one bounds check and one pointer load.
+	p := rt.obs
 	var sp *obs.Span
 	if p != nil {
 		sp = p.D.SpanOf(tid)
+	}
+	for rt.window(tx, p, sp, batch, fn) {
+	}
+}
+
+// window runs fn as one transaction in tx, retrying until it commits, and
+// returns what the committed run returned.
+func (rt *Runtime) window(tx *Tx, p *obs.TxProbe, sp *obs.Span, batch int, fn func(*Tx) bool) (more bool) {
+	tid := int(tx.tid)
+	// One sampling decision per transaction: a sampled transaction is
+	// traced and timed end to end. With no probe attached this is one nil
+	// check; with sampling disabled, one atomic load and a branch.
+	sampled := p != nil && p.D.Sampled(tx.slotHash)
+	var t0 int64
+	if sampled {
+		t0 = obs.Now()
 	}
 
 	serial := false
@@ -59,10 +85,10 @@ func (rt *Runtime) atomicT(tid, batch int, fn func(*Tx)) {
 		}
 		var committed bool
 		if sp == nil {
-			committed = tx.runAttempt(fn)
+			committed, more = tx.runAttempt(fn)
 		} else {
 			a0 := obs.Now()
-			committed = tx.runAttempt(fn)
+			committed, more = tx.runAttempt(fn)
 			ph := obs.SpanAttempts
 			if serial {
 				ph = obs.SpanSerial
@@ -71,18 +97,18 @@ func (rt *Runtime) atomicT(tid, batch int, fn func(*Tx)) {
 			sp.NoteAttempt(serial)
 		}
 		if committed {
-			rt.stats.record(tx, serial)
+			tx.countCommit()
 			if batch > 0 {
-				rt.stats.recordBatch(tx, batch, aborted, serial)
+				tx.countBatch(batch, aborted)
 			}
 			if sampled {
 				tx.noteCommit(p, t0)
 			}
 			runHooks(tx.commitHooks)
-			return
+			return more
 		}
 		aborted++
-		rt.stats.recordAbort(tx)
+		tx.stats.aborts[tx.cause].Add(1)
 		if sp != nil {
 			// Stamp the abort cause and the owner the attribution table
 			// blames onto the request — even unsampled, so a slow request's
@@ -124,8 +150,11 @@ func (rt *Runtime) atomicT(tid, batch int, fn func(*Tx)) {
 
 // runAttempt executes fn once and tries to commit, converting the internal
 // abort panic into a false return. Serial attempts hold the exclusive
-// serial lock for their entire duration.
-func (tx *Tx) runAttempt(fn func(*Tx)) (committed bool) {
+// serial lock for their entire duration. Any other panic leaves through
+// here too: the attempt's abort hooks run (what it allocated goes back),
+// its buffered writes are dropped with it, and the panic goes on to the
+// caller of Atomic.
+func (tx *Tx) runAttempt(fn func(*Tx) bool) (committed, more bool) {
 	if tx.serial {
 		tx.rt.commitLock.lock()
 		defer tx.rt.commitLock.unlock()
@@ -139,18 +168,19 @@ func (tx *Tx) runAttempt(fn func(*Tx)) (committed bool) {
 				committed = false
 				return
 			}
+			runHooks(tx.abortHooks)
 			panic(r)
 		}
 	}()
-	fn(tx)
+	more = fn(tx)
 	if !tx.commit() {
-		return false
+		return false, false
 	}
 	// Committed: publish the thread-private stores (see Local).
 	for i := range tx.ls {
 		tx.ls[i].dst.v = tx.ls[i].val
 	}
-	return true
+	return true, more
 }
 
 func runHooks(hooks []txHook) {

@@ -148,14 +148,22 @@ func (l *Local) Load(tx *Tx) uint64 {
 
 // Store buffers a write of x; it takes effect if and only if the
 // transaction commits.
+//
+// Like Word.Load, the common store — the first to this Local, with room in
+// the log, under the footprint limit and no yield to draw — makes no call.
 func (l *Local) Store(tx *Tx, x uint64) {
 	if i := tx.findLocal(l); i >= 0 {
 		tx.ls[i].val = x
 		return
 	}
-	tx.checkCapacity()
-	tx.maybeYield()
-	tx.ls = append(tx.ls, lentry{dst: l, val: x})
+	if n := len(tx.ls); n < cap(tx.ls) && tx.yieldShift == 0 && tx.footprint() < tx.limit {
+		tx.ls = tx.ls[:n+1]
+		tx.ls[n] = lentry{dst: l, val: x}
+	} else {
+		tx.checkCapacity()
+		tx.maybeYield()
+		tx.ls = append(tx.ls, lentry{dst: l, val: x})
+	}
 	tx.wn++
 }
 

@@ -30,14 +30,19 @@ type txOp struct {
 // Each property runs twice: as scripted, and with every transaction first
 // writing more than wsMapThreshold other cells, so that the scripted reads
 // and writes meet the write-set filter with most of its bits set and
-// read-own-writes goes through the map.
+// read-own-writes goes through the map. Each of those runs in a pooled
+// context and in an owned one.
 func TestQuickSequentialEquivalence(t *testing.T) {
 	for _, ballast := range []int{0, wsMapThreshold + 8} {
-		t.Run(fmt.Sprintf("ballast=%d", ballast), func(t *testing.T) { quickSequentialEquivalence(t, ballast) })
+		t.Run(fmt.Sprintf("ballast=%d", ballast), func(t *testing.T) {
+			for _, tid := range ownedAndPooled {
+				quickSequentialEquivalence(t, ballast, tid)
+			}
+		})
 	}
 }
 
-func quickSequentialEquivalence(t *testing.T, ballast int) {
+func quickSequentialEquivalence(t *testing.T, ballast, tid int) {
 	f := func(script [][]txOp) bool {
 		rt := NewRuntime(Profile{})
 		extra := make([]Word, ballast)
@@ -55,7 +60,7 @@ func quickSequentialEquivalence(t *testing.T, ballast int) {
 		for _, txScript := range script {
 			restarted := false
 			shadow := make([]uint64, modelCells)
-			rt.Atomic(func(tx *Tx) {
+			rt.AtomicT(tid, func(tx *Tx) {
 				copy(shadow, model) // model of this attempt's effects
 				for i := range extra {
 					extra[i].Store(tx, uint64(i)+1)
@@ -115,9 +120,9 @@ func TestQuickAbortPurity(t *testing.T) {
 		rtB := NewRuntime(Profile{})
 		a := make([]Word, 4)
 		b := make([]Word, 4)
-		runOn := func(rt *Runtime, cells []Word, restartFirst bool) {
+		runOn := func(rt *Runtime, tid int, cells []Word, restartFirst bool) {
 			first := true
-			rt.Atomic(func(tx *Tx) {
+			rt.AtomicT(tid, func(tx *Tx) {
 				for i, w := range writes {
 					cells[(i+int(w))%4].Store(tx, uint64(w)+1)
 				}
@@ -127,11 +132,13 @@ func TestQuickAbortPurity(t *testing.T) {
 				}
 			})
 		}
-		runOn(rtA, a, true)
-		runOn(rtB, b, false)
-		for i := range a {
-			if a[i].Raw() != b[i].Raw() {
-				return false
+		for _, tid := range ownedAndPooled {
+			runOn(rtA, tid, a, true)
+			runOn(rtB, tid, b, false)
+			for i := range a {
+				if a[i].Raw() != b[i].Raw() {
+					return false
+				}
 			}
 		}
 		return true

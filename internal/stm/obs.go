@@ -8,10 +8,10 @@ import "hohtx/internal/obs"
 // lifecycles, and a who-aborted-whom attribution table keyed by the
 // conflicting cell's version word.
 //
-// The sampling decision is made once per Atomic call, not per event, so
+// The sampling decision is made once per transaction, not per event, so
 // each sampled transaction contributes a complete begin→(abort|serial)*→
 // commit trace to the recorder. tx.slotHash doubles as the sampling and
-// shard hint: it is fixed per pooled Tx and well distributed (Fibonacci
+// shard hint: it is fixed per context and well distributed (Fibonacci
 // hashing), so sampled transactions spread across histogram shards without
 // another random draw — and, unlike drawing from tx.rng, sampling does not
 // perturb the backoff-jitter sequence of unsampled runs.

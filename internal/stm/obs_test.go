@@ -11,28 +11,27 @@ import (
 )
 
 // pokeAllStats drives every counter Stats reports to a nonzero value by
-// writing the underlying shards directly (the workload needed to make all
+// writing the underlying blocks directly (the workload needed to make all
 // of them nonzero organically — e.g. ClockCASes under GV1 — does not
-// exist). Adding a field to statShard or the lock counters without
-// extending this list fails TestResetStatsParity's nonzero phase, which is
-// the reminder to keep Stats, ResetStats and this test in sync.
+// exist): the fallback block and two tids' own. Adding a field to statBlock or the lock counters
+// without extending this list fails TestResetStatsParity's nonzero phase,
+// which is the reminder to keep Stats, ResetStats and this test in sync.
 func pokeAllStats(rt *Runtime) {
-	for i := range rt.stats.shards {
-		sh := &rt.stats.shards[i]
-		sh.commits.Store(1)
-		sh.writeCommits.Store(1)
-		sh.serialCommits.Store(1)
-		sh.extensions.Store(1)
-		sh.clockCASes.Store(1)
-		sh.commitSlow.Store(1)
-		for c := 0; c < int(numCauses); c++ {
-			sh.aborts[c].Store(1)
+	for _, b := range []*statBlock{&rt.fallback, rt.context(0).stats, rt.context(3).stats} {
+		b.commits.Store(1)
+		b.writeCommits.Store(1)
+		b.serialCommits.Store(1)
+		b.extensions.Store(1)
+		b.clockCASes.Store(1)
+		b.commitSlow.Store(1)
+		for c := range b.aborts {
+			b.aborts[c].Store(1)
 		}
-		for b := 0; b < BatchBuckets; b++ {
-			sh.batch[b].txs.Store(1)
-			sh.batch[b].ops.Store(1)
-			sh.batch[b].aborts.Store(1)
-			sh.batch[b].serial.Store(1)
+		for i := range b.batch {
+			b.batch[i].txs.Store(1)
+			b.batch[i].ops.Store(1)
+			b.batch[i].aborts.Store(1)
+			b.batch[i].serial.Store(1)
 		}
 	}
 	rt.commitLock.revocations.Store(1)
@@ -78,9 +77,12 @@ func walkStatsFields(t *testing.T, s Stats, visit func(path string, v uint64)) {
 func TestResetStatsParity(t *testing.T) {
 	rt := NewRuntime(Profile{})
 	pokeAllStats(rt)
+	lock := map[string]bool{"BiasRevocations": true, "WriterWaits": true}
 	walkStatsFields(t, rt.Stats(), func(path string, v uint64) {
 		if v == 0 {
 			t.Errorf("poked runtime reports %s = 0; pokeAllStats misses it", path)
+		} else if v != 3 && !lock[path] {
+			t.Errorf("poked runtime reports %s = %d, want 3: Stats does not sum every block", path, v)
 		}
 	})
 	if t.Failed() {

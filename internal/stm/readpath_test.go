@@ -156,10 +156,10 @@ func rngSteps(t *testing.T, a, b uint64) int {
 	return 0
 }
 
-// rpRun executes the script as one transaction of a new runtime, over words
-// returned to their initial state, and reports what it observed beside the
-// model's prediction.
-func rpRun(t *testing.T, words []Word, script []rpStep, capacity int, ys uint8) (got, want rpOutcome) {
+// rpRun executes the script as one transaction of a new runtime, in tid's
+// context, over words returned to their initial state, and reports what it
+// observed beside the model's prediction.
+func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, ys uint8) (got, want rpOutcome) {
 	t.Helper()
 	rt := NewRuntime(Profile{Capacity: capacity, YieldShift: ys, MaxAttempts: 4})
 	for i := range words {
@@ -171,7 +171,7 @@ func rpRun(t *testing.T, words []Word, script []rpStep, capacity int, ys uint8) 
 
 	got.CapAt = -1
 	attempt := 0
-	rt.Atomic(func(tx *Tx) {
+	rt.AtomicT(tid, func(tx *Tx) {
 		attempt++
 		got.Vals = got.Vals[:0]
 		rng0 := tx.rng
@@ -324,25 +324,27 @@ func TestReadPathFastIsSlow(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/cap=%d", sc.name, capacity), func(t *testing.T) {
 				words := make([]Word, rpWords)
 				script := sc.build(words)
-				var byPath [2]rpOutcome
-				for ys := uint8(0); ys <= 1; ys++ {
-					got, want := rpRun(t, words, script, capacity, ys)
-					if d := got.differ(want); d != "" {
-						t.Fatalf("YieldShift %d, observed vs model: %s", ys, d)
+				for _, tid := range ownedAndPooled {
+					var byPath [2]rpOutcome
+					for ys := uint8(0); ys <= 1; ys++ {
+						got, want := rpRun(t, tid, words, script, capacity, ys)
+						if d := got.differ(want); d != "" {
+							t.Fatalf("tid %d, YieldShift %d, observed vs model: %s", tid, ys, d)
+						}
+						if (capacity != 0) != (got.CapAt >= 0) {
+							t.Fatalf("tid %d, YieldShift %d: capacity %d, abort at step %d: the script is too short to find the cliff", tid, ys, capacity, got.CapAt)
+						}
+						byPath[ys] = got
 					}
-					if (capacity != 0) != (got.CapAt >= 0) {
-						t.Fatalf("YieldShift %d: capacity %d, abort at step %d: the script is too short to find the cliff", ys, capacity, got.CapAt)
+					// Yield injection draws once per recorded access and never
+					// otherwise; nothing else may tell the two paths apart.
+					if byPath[0].Draws != 0 || byPath[1].Draws == 0 {
+						t.Fatalf("tid %d, yield draws: %d at YieldShift 0, %d at YieldShift 1", tid, byPath[0].Draws, byPath[1].Draws)
 					}
-					byPath[ys] = got
-				}
-				// Yield injection draws once per recorded access and never
-				// otherwise; nothing else may tell the two paths apart.
-				if byPath[0].Draws != 0 || byPath[1].Draws == 0 {
-					t.Fatalf("yield draws: %d at YieldShift 0, %d at YieldShift 1", byPath[0].Draws, byPath[1].Draws)
-				}
-				byPath[1].Draws = 0
-				if d := byPath[0].differ(byPath[1]); d != "" {
-					t.Fatalf("fast path vs slow path: %s", d)
+					byPath[1].Draws = 0
+					if d := byPath[0].differ(byPath[1]); d != "" {
+						t.Fatalf("tid %d, fast path vs slow path: %s", tid, d)
+					}
 				}
 			})
 		}

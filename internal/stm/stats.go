@@ -3,16 +3,15 @@ package stm
 import (
 	"fmt"
 	"sync/atomic"
-
-	"hohtx/internal/pad"
 )
 
-// statShards spreads counter updates across cache lines to keep statistics
-// collection from becoming its own scalability bottleneck. Must stay a
-// power of two: shard selection masks with statShards-1.
-const statShards = 16
-
-type statShard struct {
+// statBlock is one set of published counters. Every context a tid owns has
+// its own, which only that tid's goroutine adds to; the pooled contexts
+// (tid -1, or an owned context found busy) share the runtime's fallback
+// block. A block is a whole number of cache lines (six), a size the
+// allocator hands out 64-byte aligned (TestTxLayout), so no counter line is
+// ever written by two tids.
+type statBlock struct {
 	commits       atomic.Uint64
 	writeCommits  atomic.Uint64
 	serialCommits atomic.Uint64
@@ -20,79 +19,81 @@ type statShard struct {
 	clockCASes    atomic.Uint64
 	commitSlow    atomic.Uint64
 	aborts        [numCauses]atomic.Uint64
-	batch         [BatchBuckets]batchShard
-	_             pad.Line
+	batch         [BatchBuckets]batchBlock
 }
 
-type batchShard struct {
+type batchBlock struct {
 	txs    atomic.Uint64
 	ops    atomic.Uint64
 	aborts atomic.Uint64
 	serial atomic.Uint64
 }
 
-type statCounters struct {
-	shards [statShards]statShard
-}
-
-func (s *statCounters) shard(tx *Tx) *statShard {
-	return &s.shards[tx.rng&(statShards-1)]
-}
-
-func (s *statCounters) record(tx *Tx, serial bool) {
-	sh := s.shard(tx)
-	sh.commits.Add(1)
+// countCommit counts one committed window in the context's private fields;
+// flush publishes them. A chain of windows therefore costs its counter line
+// one atomic add per counter, not one per window.
+func (tx *Tx) countCommit() {
+	tx.commits++
 	if len(tx.ws) != 0 {
 		// The commit that locked cells and drew a write version; the
-		// read-only return in Tx.commit never reaches this add.
-		sh.writeCommits.Add(1)
+		// read-only return in Tx.commit never reaches this.
+		tx.writeCommits++
 	}
-	if serial {
-		sh.serialCommits.Add(1)
+	if tx.serial {
+		tx.serialCommits++
 	}
-	s.flushTx(sh, tx)
 }
 
-// recordBatch attributes one committed batch transaction to its size
-// bucket: the speculative attempts it burned before committing and
-// whether it had to fall back to serial mode.
-func (s *statCounters) recordBatch(tx *Tx, n int, aborted uint64, serial bool) {
-	b := &s.shard(tx).batch[BatchBucket(n)]
+// countBatch attributes one committed batch transaction to its size bucket:
+// the speculative attempts it burned before committing and whether it had
+// to fall back to serial mode.
+func (tx *Tx) countBatch(n int, aborted uint64) {
+	b := &tx.stats.batch[BatchBucket(n)]
 	b.txs.Add(1)
 	b.ops.Add(uint64(n))
 	if aborted > 0 {
 		b.aborts.Add(aborted)
 	}
-	if serial {
+	if tx.serial {
 		b.serial.Add(1)
 	}
 }
 
-func (s *statCounters) recordAbort(tx *Tx) {
-	sh := s.shard(tx)
-	sh.aborts[tx.cause].Add(1)
-	s.flushTx(sh, tx)
-}
-
-// flushTx folds the transaction-local counters into the shard.
-func (s *statCounters) flushTx(sh *statShard, tx *Tx) {
-	if tx.extensions > 0 {
-		sh.extensions.Add(tx.extensions)
+// flush publishes the context's private counters into its block and zeroes
+// them. commits goes first: Stats reads writeCommits before commits, so
+// WriteCommits <= Commits holds in every concurrent snapshot.
+func (tx *Tx) flush() {
+	b := tx.stats
+	if tx.commits != 0 {
+		b.commits.Add(uint64(tx.commits))
+		tx.commits = 0
+	}
+	if tx.writeCommits != 0 {
+		b.writeCommits.Add(uint64(tx.writeCommits))
+		tx.writeCommits = 0
+	}
+	if tx.serialCommits != 0 {
+		b.serialCommits.Add(uint64(tx.serialCommits))
+		tx.serialCommits = 0
+	}
+	if tx.extensions != 0 {
+		b.extensions.Add(tx.extensions)
 		tx.extensions = 0
 	}
-	if tx.clockCASes > 0 {
-		sh.clockCASes.Add(tx.clockCASes)
+	if tx.clockCASes != 0 {
+		b.clockCASes.Add(tx.clockCASes)
 		tx.clockCASes = 0
 	}
-	if tx.slowPaths > 0 {
-		sh.commitSlow.Add(tx.slowPaths)
+	if tx.slowPaths != 0 {
+		b.commitSlow.Add(tx.slowPaths)
 		tx.slowPaths = 0
 	}
 }
 
-// Stats is a consistent-enough snapshot of a runtime's transaction
-// statistics (counters are read without mutual exclusion; totals may lag
-// in-flight transactions by a few counts).
+// Stats is a snapshot of a runtime's transaction statistics. Counters are
+// read without mutual exclusion and a chain publishes its counts when it
+// ends, so a snapshot lags by the chains in flight and is exact when there
+// are none.
 type Stats struct {
 	Commits uint64
 	// WriteCommits counts the commits that had a write set: they locked
@@ -212,30 +213,40 @@ func (s Stats) String() string {
 		s.ClockCASes, s.BiasRevocations, s.WriterWaits, s.CommitSlowPath)
 }
 
+// blocks calls f on every published counter block: the owned contexts' and
+// the fallback.
+func (rt *Runtime) blocks(f func(*statBlock)) {
+	if t := rt.ctxs.Load(); t != nil {
+		for _, tx := range *t {
+			if tx != nil {
+				f(tx.stats)
+			}
+		}
+	}
+	f(&rt.fallback)
+}
+
 // Stats returns a snapshot of the runtime's counters.
 func (rt *Runtime) Stats() Stats {
 	var out Stats
-	for i := range rt.stats.shards {
-		sh := &rt.stats.shards[i]
-		// Write commits first: record adds to commits before writeCommits,
-		// so this order keeps WriteCommits <= Commits in every snapshot
-		// (ReadOnlyCommits never underflows under load).
-		out.WriteCommits += sh.writeCommits.Load()
-		out.Commits += sh.commits.Load()
-		out.SerialCommits += sh.serialCommits.Load()
-		out.Extensions += sh.extensions.Load()
-		out.ClockCASes += sh.clockCASes.Load()
-		out.CommitSlowPath += sh.commitSlow.Load()
-		for c := 0; c < int(numCauses); c++ {
-			out.Aborts[c] += sh.aborts[c].Load()
+	rt.blocks(func(b *statBlock) {
+		// Write commits first; see flush.
+		out.WriteCommits += b.writeCommits.Load()
+		out.Commits += b.commits.Load()
+		out.SerialCommits += b.serialCommits.Load()
+		out.Extensions += b.extensions.Load()
+		out.ClockCASes += b.clockCASes.Load()
+		out.CommitSlowPath += b.commitSlow.Load()
+		for c := range b.aborts {
+			out.Aborts[c] += b.aborts[c].Load()
 		}
-		for b := 0; b < BatchBuckets; b++ {
-			out.Batch[b].Txs += sh.batch[b].txs.Load()
-			out.Batch[b].Ops += sh.batch[b].ops.Load()
-			out.Batch[b].Aborts += sh.batch[b].aborts.Load()
-			out.Batch[b].Serial += sh.batch[b].serial.Load()
+		for i := range b.batch {
+			out.Batch[i].Txs += b.batch[i].txs.Load()
+			out.Batch[i].Ops += b.batch[i].ops.Load()
+			out.Batch[i].Aborts += b.batch[i].aborts.Load()
+			out.Batch[i].Serial += b.batch[i].serial.Load()
 		}
-	}
+	})
 	out.BiasRevocations = rt.commitLock.revocations.Load()
 	out.WriterWaits = rt.commitLock.writerWaits.Load()
 	return out
@@ -244,24 +255,23 @@ func (rt *Runtime) Stats() Stats {
 // ResetStats zeroes the runtime's counters (benchmarks call this between
 // measurement phases).
 func (rt *Runtime) ResetStats() {
-	for i := range rt.stats.shards {
-		sh := &rt.stats.shards[i]
-		sh.commits.Store(0)
-		sh.writeCommits.Store(0)
-		sh.serialCommits.Store(0)
-		sh.extensions.Store(0)
-		sh.clockCASes.Store(0)
-		sh.commitSlow.Store(0)
-		for c := 0; c < int(numCauses); c++ {
-			sh.aborts[c].Store(0)
+	rt.blocks(func(b *statBlock) {
+		b.commits.Store(0)
+		b.writeCommits.Store(0)
+		b.serialCommits.Store(0)
+		b.extensions.Store(0)
+		b.clockCASes.Store(0)
+		b.commitSlow.Store(0)
+		for c := range b.aborts {
+			b.aborts[c].Store(0)
 		}
-		for b := 0; b < BatchBuckets; b++ {
-			sh.batch[b].txs.Store(0)
-			sh.batch[b].ops.Store(0)
-			sh.batch[b].aborts.Store(0)
-			sh.batch[b].serial.Store(0)
+		for i := range b.batch {
+			b.batch[i].txs.Store(0)
+			b.batch[i].ops.Store(0)
+			b.batch[i].aborts.Store(0)
+			b.batch[i].serial.Store(0)
 		}
-	}
+	})
 	rt.commitLock.revocations.Store(0)
 	rt.commitLock.writerWaits.Store(0)
 }

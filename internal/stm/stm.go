@@ -27,6 +27,12 @@
 // exactly the system model the paper's correctness arguments assume (§3,
 // "System Model"). Strong isolation is not provided and not required.
 //
+// A hand-over-hand operation is many small transactions on one thread, so
+// the loop that runs them lives here: Runtime.Chain runs a closure as
+// successive window transactions in the context (Tx) its tid owns, and
+// publishes the chain's commit counts once, at its end (DESIGN.md §7,
+// "Transaction contexts and chains"). Atomic is a chain of one.
+//
 // All cells must be used with a single Runtime; a cell's version words are
 // meaningful only relative to the clock of the Runtime whose transactions
 // access it.
@@ -149,8 +155,19 @@ type Runtime struct {
 	// transactions run entirely under its exclusive side. Speculative
 	// reads take no lock; they are protected by version validation alone.
 	commitLock bravoLock
-	stats      statCounters
-	txPool     sync.Pool
+	// ctxs holds the transaction context each tid owns, indexed by tid
+	// (nil where a tid has not run yet); each publishes into a counter
+	// block of its own. The table is immutable once published: context
+	// adds a tid by publishing a copy, under ctxMu.
+	ctxs  atomic.Pointer[[]*Tx]
+	ctxMu sync.Mutex
+	// txPool serves the callers that own no context — tid -1, and a tid
+	// whose context is busy (a transaction nested inside another's fn or
+	// hooks) — and fallback is the counter block they share.
+	txPool   sync.Pool
+	_        pad.Line
+	fallback statBlock
+	_        pad.Line
 	// obs, when non-nil, receives sampled latency/lifecycle observations
 	// (see obs.go). Nil keeps the hot path at one pointer check.
 	obs *obs.TxProbe
@@ -166,7 +183,7 @@ func NewRuntime(p Profile) *Runtime {
 	}
 	rt := &Runtime{prof: p}
 	rt.commitLock.arm()
-	rt.txPool.New = func() any { return newTx(rt) }
+	rt.txPool.New = func() any { return newTx(rt, -1, &rt.fallback) }
 	return rt
 }
 
@@ -175,3 +192,50 @@ func (rt *Runtime) Profile() Profile { return rt.prof }
 
 // now returns the current (even) value of the published version clock.
 func (rt *Runtime) now() uint64 { return rt.clock.Load() }
+
+// acquire returns the context a chain on tid runs in: the one tid owns, or
+// a pooled one when tid is -1 or its own is busy. The owner contract is
+// Local's: one goroutine drives a tid at a time, and handing the tid on
+// needs a happens-before edge, as a lease pool's release/acquire provides.
+func (rt *Runtime) acquire(tid int) *Tx {
+	if tid >= 0 {
+		if tx := rt.context(tid); !tx.busy {
+			tx.busy = true
+			return tx
+		}
+	}
+	tx := rt.txPool.Get().(*Tx)
+	tx.tid = int32(tid)
+	return tx
+}
+
+// context returns the context tid owns. The tid's first transaction creates
+// it, and the counter block it publishes into: two allocations of four and
+// six cache lines, sizes the allocator hands out 64-byte aligned
+// (TestTxLayout).
+func (rt *Runtime) context(tid int) *Tx {
+	if t := rt.ctxs.Load(); t != nil && tid < len(*t) && (*t)[tid] != nil {
+		return (*t)[tid]
+	}
+	rt.ctxMu.Lock()
+	defer rt.ctxMu.Unlock()
+	var old []*Tx
+	if t := rt.ctxs.Load(); t != nil {
+		old = *t
+	}
+	t := make([]*Tx, max(len(old), tid+1))
+	copy(t, old)
+	t[tid] = newTx(rt, tid, new(statBlock))
+	rt.ctxs.Store(&t)
+	return t[tid]
+}
+
+// release publishes the chain's counts and gives the context back.
+func (rt *Runtime) release(tx *Tx) {
+	tx.flush()
+	if tx.busy {
+		tx.busy = false
+	} else {
+		rt.txPool.Put(tx)
+	}
+}

@@ -3,9 +3,6 @@ package stm
 import (
 	"sync"
 	"testing"
-	"unsafe"
-
-	"hohtx/internal/pad"
 )
 
 func newTestRuntime() *Runtime {
@@ -357,38 +354,5 @@ func TestAbortCauseStrings(t *testing.T) {
 	}
 	if AbortCause(200).String() != "unknown" {
 		t.Error("out-of-range cause should be unknown")
-	}
-}
-
-// TestTxLayout pins what the Tx type comment promises: four cache lines
-// exactly (so pooled Txs come 64-byte aligned and never share a line), with
-// everything Word.Load's fast path tests or writes in the first.
-func TestTxLayout(t *testing.T) {
-	var tx Tx
-	if got := unsafe.Sizeof(tx); got != 4*pad.CacheLine {
-		t.Fatalf("Tx is %d bytes, want %d: adjust the trailing pad", got, 4*pad.CacheLine)
-	}
-	for _, f := range []struct {
-		name string
-		end  uintptr
-	}{
-		{"rv", unsafe.Offsetof(tx.rv) + unsafe.Sizeof(tx.rv)},
-		{"wfilter", unsafe.Offsetof(tx.wfilter) + unsafe.Sizeof(tx.wfilter)},
-		{"rs", unsafe.Offsetof(tx.rs) + unsafe.Sizeof(tx.rs)},
-		{"rsHead", unsafe.Offsetof(tx.rsHead) + unsafe.Sizeof(tx.rsHead)},
-		{"limit", unsafe.Offsetof(tx.limit) + unsafe.Sizeof(tx.limit)},
-		{"wn", unsafe.Offsetof(tx.wn) + unsafe.Sizeof(tx.wn)},
-		{"yieldShift", unsafe.Offsetof(tx.yieldShift) + unsafe.Sizeof(tx.yieldShift)},
-	} {
-		if f.end > pad.CacheLine {
-			t.Fatalf("read-path field %s ends at byte %d, past the first cache line", f.name, f.end)
-		}
-	}
-	rt := NewRuntime(Profile{})
-	for i := 0; i < 4; i++ {
-		pooled := rt.txPool.Get().(*Tx) // as atomicT obtains it: heap-allocated
-		if addr := uintptr(unsafe.Pointer(pooled)); addr%pad.CacheLine != 0 {
-			t.Fatalf("pooled Tx %d sits at %#x, not line-aligned", i, addr)
-		}
 	}
 }

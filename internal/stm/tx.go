@@ -51,22 +51,23 @@ type lentry struct {
 }
 
 // Tx is one transaction attempt's context. A Tx is only valid inside the
-// closure passed to Runtime.Atomic and must not be retained, shared between
-// goroutines, or used after the closure returns.
+// closure passed to Runtime.Atomic or Runtime.Chain and must not be
+// retained, shared between goroutines, or used after the closure returns.
 //
 // The struct is exactly four cache lines (TestTxLayout), a size the
-// allocator hands out 64-byte aligned. Pooled Txs are allocated back to back
-// and each is driven by a different processor; unpadded, one Tx's tail (tid,
-// conflict: written every transaction) shares a line with its neighbour's
-// head (the read set's slice header: written on every read), and a list
+// allocator hands out 64-byte aligned, because neighbouring contexts are
+// driven by different processors: unpadded, one Tx's tail (the commit
+// counts: written every window) shares a line with its neighbour's head
+// (the read set's slice header: written on every read), and a list
 // traversal by two threads runs a tenth slower for it. Aligned, the field
 // order below is also the line layout:
 //
 //	line 1  everything Word.Load's fast path tests or writes: rv, wfilter,
-//	        rs, rsHead, limit, wn, yieldShift (serial and cause fill the word)
+//	        rs, rsHead, limit, wn, yieldShift (serial, cause and busy fill
+//	        the word)
 //	line 2  ws, ls, wmap (read-own-writes past the filter), rt
 //	line 3  commit and abort hooks, rsBase, rng
-//	line 4  per-call bookkeeping and statistics, padded
+//	line 4  per-call bookkeeping and the counts flush publishes
 type Tx struct {
 	rv uint64 // snapshot (read) version; even
 	// wfilter has one bit set per pending Word/Ptr write, chosen by
@@ -88,6 +89,10 @@ type Tx struct {
 	yieldShift uint8
 	serial     bool // true when running under the exclusive serial lock
 	cause      AbortCause
+	// busy marks the context a tid owns (Runtime.ctxs) in use by a chain;
+	// release tells owned from pooled by it, so it is never set on a pooled
+	// Tx.
+	busy bool
 
 	ws   []wentry
 	ls   []lentry               // pending Local stores (see cell.go)
@@ -99,21 +104,27 @@ type Tx struct {
 	rsBase      uint64 // logical index of rs[0] (survives compaction)
 	rng         uint64 // xorshift state for backoff jitter
 
-	extensions uint64         // snapshot extensions performed (stats)
-	clockCASes uint64         // clock-advance CAS attempts performed (stats)
-	slowPaths  uint64         // commit-lock slow-path acquisitions (stats)
-	slotHash   uint64         // per-Tx BRAVO commit-slot hash (fixed at creation)
-	tid        int32          // caller's thread id for observability (-1 unknown)
-	conflict   *atomic.Uint64 // version word that caused the last abort, if known
-	_          [16]byte       // pad to four lines
+	// Counted by the owner in plain fields, published by flush (stats.go).
+	extensions    uint64 // snapshot extensions performed
+	clockCASes    uint64 // clock-advance CAS attempts performed
+	slowPaths     uint64 // commit-lock slow-path acquisitions
+	commits       uint32
+	writeCommits  uint32
+	serialCommits uint32
+
+	tid      int32          // caller's thread id for observability (-1 unknown)
+	slotHash uint64         // per-Tx BRAVO commit-slot hash (fixed at creation)
+	stats    *statBlock     // where flush publishes: the context's own block, or the fallback
+	conflict *atomic.Uint64 // version word that caused the last abort, if known
 }
 
-// txSeq hands out distinct slot hashes to pooled transactions; consecutive
+// txSeq hands out distinct slot hashes to transaction contexts; consecutive
 // values multiplied by the golden-ratio constant spread across the BRAVO
 // table's index bits (Fibonacci hashing).
 var txSeq atomic.Uint64
 
-func newTx(rt *Runtime) *Tx {
+// newTx returns a context of rt that publishes its counts into stats.
+func newTx(rt *Runtime, tid int, stats *statBlock) *Tx {
 	return &Tx{
 		rt:         rt,
 		rs:         make([]rentry, 0, 256),
@@ -122,6 +133,8 @@ func newTx(rt *Runtime) *Tx {
 		rng:        0x9e3779b97f4a7c15,
 		yieldShift: rt.prof.YieldShift,
 		slotHash:   txSeq.Add(1) * 0x9e3779b97f4a7c15,
+		tid:        int32(tid),
+		stats:      stats,
 	}
 }
 

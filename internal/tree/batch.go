@@ -17,10 +17,10 @@ import (
 
 // Apply implements sets.Set for the internal tree.
 func (t *Internal) Apply(tid int, ops []sets.Op) []sets.Result {
-	out := make([]sets.Result, len(ops))
 	if len(ops) == 0 {
-		return out
+		return nil
 	}
+	out := t.batchResults(tid, len(ops))
 	t.threads[tid].ops += uint64(len(ops))
 	t.rt.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
 		for i, op := range ops {
@@ -73,10 +73,10 @@ func (t *Internal) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 
 // Apply implements sets.Set for the external tree.
 func (t *External) Apply(tid int, ops []sets.Op) []sets.Result {
-	out := make([]sets.Result, len(ops))
 	if len(ops) == 0 {
-		return out
+		return nil
 	}
+	out := t.batchResults(tid, len(ops))
 	t.threads[tid].ops += uint64(len(ops))
 	t.rt.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
 		for i, op := range ops {

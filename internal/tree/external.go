@@ -41,7 +41,8 @@ func NewExternal(cfg Config) *External {
 	return t
 }
 
-// applyExt is the hand-over-hand window engine for the external tree.
+// applyExt is the hand-over-hand window engine for the external tree: the
+// closure is one window transaction, stm.Runtime.Chain the loop.
 // onLeaf runs in the terminal window with the reached leaf and its
 // ancestor routers: gH (grandparent), pH (parent), with pH the pDir-child
 // of gH and the leaf the lDir-child of pH. needsDepth is how many
@@ -53,70 +54,63 @@ func (t *External) applyExt(tid int, key uint64, needsDepth int,
 	ts := &t.threads[tid]
 	ts.ops++
 	var res bool
-	for {
-		done := false
-		t.rt.AtomicT(tid, func(tx *stm.Tx) {
-			done = false
-			res = false
-			win := t.window()
-			startH, held := t.windowStart(tx, tid, t.root)
-			var budget int
-			if held {
-				budget = win.Next()
-			} else {
-				budget = win.First(tx)
-			}
-			gH, pH := arena.Nil, arena.Nil
-			pDir, cDir := 0, 0
-			currH := startH
-			steps := 0
-			for {
-				n := t.ar.At(currH)
-				if t.guard.Link(tx, tid, currH, n.left.Load(tx)).IsNil() {
-					// Reached a leaf.
-					depth := 0
-					if !pH.IsNil() {
-						depth = 1
-					}
-					if !gH.IsNil() {
-						depth = 2
-					}
-					if depth < needsDepth {
-						t.link.Drop(tx, tid, held)
-						return // restart from the root next window
-					}
-					res = onLeaf(tx, gH, pH, currH, pDir, cDir)
-					t.link.Drop(tx, tid, held)
-					done = true
-					return
-				}
-				if steps >= budget {
-					t.link.Hold(tx, tid, held, currH, 0)
-					return
-				}
-				gH, pDir = pH, cDir
-				pH = currH
-				if key < t.guard.Word(tx, tid, currH, n.key.Load(tx)) {
-					currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
-					cDir = 0
-				} else {
-					currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
-					cDir = 1
-				}
-				if currH.IsNil() {
-					// A router's children are never Nil; only a poisoned
-					// link defuses to Nil. This attempt is doomed — drop
-					// the hold and retry from the root.
-					t.link.Drop(tx, tid, held)
-					return
-				}
-				steps++
-			}
-		})
-		if done {
-			return res
+	t.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
+		res = false
+		win := t.window()
+		startH, held := t.windowStart(tx, tid, t.root)
+		var budget int
+		if held {
+			budget = win.Next()
+		} else {
+			budget = win.First(tx)
 		}
-	}
+		gH, pH := arena.Nil, arena.Nil
+		pDir, cDir := 0, 0
+		currH := startH
+		steps := 0
+		for {
+			n := t.ar.At(currH)
+			if t.guard.Link(tx, tid, currH, n.left.Load(tx)).IsNil() {
+				// Reached a leaf.
+				depth := 0
+				if !pH.IsNil() {
+					depth = 1
+				}
+				if !gH.IsNil() {
+					depth = 2
+				}
+				if depth < needsDepth {
+					t.link.Drop(tx, tid, held)
+					return true // restart from the root next window
+				}
+				res = onLeaf(tx, gH, pH, currH, pDir, cDir)
+				t.link.Drop(tx, tid, held)
+				return false
+			}
+			if steps >= budget {
+				t.link.Hold(tx, tid, held, currH, 0)
+				return true
+			}
+			gH, pDir = pH, cDir
+			pH = currH
+			if key < t.guard.Word(tx, tid, currH, n.key.Load(tx)) {
+				currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
+				cDir = 0
+			} else {
+				currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
+				cDir = 1
+			}
+			if currH.IsNil() {
+				// A router's children are never Nil; only a poisoned
+				// link defuses to Nil. This attempt is doomed — drop
+				// the hold and retry from the root.
+				t.link.Drop(tx, tid, held)
+				return true
+			}
+			steps++
+		}
+	})
+	return res
 }
 
 // Lookup implements sets.Set.

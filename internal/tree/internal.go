@@ -35,7 +35,8 @@ func child(n *node, dir int) *stm.Word {
 	return &n.right
 }
 
-// apply is the hand-over-hand window engine for the internal tree. The
+// apply is the hand-over-hand window engine for the internal tree (the
+// closure is one window transaction, stm.Runtime.Chain the loop). The
 // found callback receives the matching node and its parent (with dir
 // selecting which child of the parent it is); the missing callback
 // receives the insertion point. needsParent makes a match at a resumed
@@ -49,61 +50,53 @@ func (t *Internal) apply(tid int, key uint64, needsParent bool,
 	ts := &t.threads[tid]
 	ts.ops++
 	var res bool
-	for {
-		done := false
-		t.rt.AtomicT(tid, func(tx *stm.Tx) {
-			done = false
-			res = false
-			win := t.window()
-			startH, held := t.windowStart(tx, tid, t.root)
-			var budget int
-			if held {
-				budget = win.Next()
-			} else {
-				budget = win.First(tx)
-			}
-			prevH, currH := arena.Nil, startH
-			dir := 0
-			steps := 0
-			for {
-				if currH.IsNil() {
-					res = onMissing(tx, prevH, dir)
-					t.link.Drop(tx, tid, held)
-					done = true
-					return
-				}
-				n := t.ar.At(currH)
-				ck := t.guard.Word(tx, tid, currH, n.key.Load(tx))
-				if ck == key {
-					if needsParent && prevH.IsNil() {
-						// Matched at the resumed start: ancestors unknown.
-						t.link.Drop(tx, tid, held)
-						return // done=false: restart from the root
-					}
-					res = onFound(tx, prevH, currH, dir)
-					t.link.Drop(tx, tid, held)
-					done = true
-					return
-				}
-				if steps >= budget {
-					t.link.Hold(tx, tid, held, currH, 0)
-					return // hand over to the next window at currH
-				}
-				prevH = currH
-				if key < ck {
-					currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
-					dir = 0
-				} else {
-					currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
-					dir = 1
-				}
-				steps++
-			}
-		})
-		if done {
-			return res
+	t.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
+		res = false
+		win := t.window()
+		startH, held := t.windowStart(tx, tid, t.root)
+		var budget int
+		if held {
+			budget = win.Next()
+		} else {
+			budget = win.First(tx)
 		}
-	}
+		prevH, currH := arena.Nil, startH
+		dir := 0
+		steps := 0
+		for {
+			if currH.IsNil() {
+				res = onMissing(tx, prevH, dir)
+				t.link.Drop(tx, tid, held)
+				return false
+			}
+			n := t.ar.At(currH)
+			ck := t.guard.Word(tx, tid, currH, n.key.Load(tx))
+			if ck == key {
+				if needsParent && prevH.IsNil() {
+					// Matched at the resumed start: ancestors unknown.
+					t.link.Drop(tx, tid, held)
+					return true // restart from the root
+				}
+				res = onFound(tx, prevH, currH, dir)
+				t.link.Drop(tx, tid, held)
+				return false
+			}
+			if steps >= budget {
+				t.link.Hold(tx, tid, held, currH, 0)
+				return true // hand over to the next window at currH
+			}
+			prevH = currH
+			if key < ck {
+				currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
+				dir = 0
+			} else {
+				currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
+				dir = 1
+			}
+			steps++
+		}
+	})
+	return res
 }
 
 // Lookup implements sets.Set.

@@ -27,6 +27,7 @@ import (
 	"hohtx/internal/obs"
 	"hohtx/internal/pad"
 	"hohtx/internal/reclaim"
+	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
@@ -74,7 +75,20 @@ type node struct {
 
 type threadState struct {
 	ops uint64
-	_   pad.Line
+	// batchOut is Apply's grow-only result buffer: the returned slice is
+	// valid until this thread's next Apply (the list's contract, which the
+	// serving layer already honours).
+	batchOut []sets.Result
+	_        pad.Line
+}
+
+// batchResults returns tid's result buffer sized for n ops.
+func (b *base) batchResults(tid, n int) []sets.Result {
+	ts := &b.threads[tid]
+	if cap(ts.batchOut) < n {
+		ts.batchOut = make([]sets.Result, n)
+	}
+	return ts.batchOut[:n]
 }
 
 // Config parameterizes tree construction.
