@@ -8,7 +8,6 @@
 //	benchfig -fig 2            # regenerate Figure 2's series
 //	benchfig -fig all -quick   # fast smoke pass over every figure
 //	benchfig -fig 6 -threads 1,2,4,8 -trials 5
-//	benchfig -fig 2 -clock gv5 # same series under the lazy clock policy
 //	benchfig table fig2.tsv                  # one table per (figure, panel), Mops/s
 //	benchfig table -metric aborts < fig2.tsv # aborts/op instead of throughput
 //
@@ -41,13 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "workload seed (default: fixed)")
 	ops := flag.Int("ops", 0, "per-thread operations per trial (default: 200000, paper uses 1e6)")
 	treebits := flag.Int("treebits", 0, "key bits for the big tree panels (default: 21 as in the paper)")
-	clock := flag.String("clock", "gv1", "TM global-clock policy for all TM series: gv1 or gv5")
 	flag.Parse()
-
-	if *clock != "gv1" && *clock != "gv5" {
-		fmt.Fprintf(os.Stderr, "benchfig: bad -clock %q (want gv1 or gv5)\n", *clock)
-		os.Exit(2)
-	}
 
 	var ths []int
 	for _, part := range strings.Split(*threads, ",") {
@@ -60,8 +53,7 @@ func main() {
 	}
 	opts := bench.Opts{
 		Quick: *quick, Threads: ths, Trials: *trials, Seed: *seed,
-		OpsPerThread: *ops, TreeBits: *treebits, LazyClock: *clock == "gv5",
-		Out: os.Stdout,
+		OpsPerThread: *ops, TreeBits: *treebits, Out: os.Stdout,
 	}
 
 	var figs []int

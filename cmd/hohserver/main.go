@@ -73,7 +73,6 @@ func main() {
 	shards := flag.Int("shards", 1, "independent STM instances; keys hash-partition across them")
 	window := flag.Int("window", 0, "hand-over-hand window W (0 = tuned default)")
 	waiters := flag.Int("waiters", 0, "lease wait-queue bound per shard (0 = 16×slots, <0 = unbounded)")
-	lazy := flag.Bool("lazy", false, "use the GV5 lazy global-clock policy")
 	obsAddr := flag.String("obs", "", "observability endpoint address (empty = off)")
 	maxBatch := flag.Int("maxbatch", 0, "max ops per MULTI frame (0 = default)")
 	autoBatch := flag.Int("autobatch", 0, "coalesce pipelined single-key bursts into batches of at most N ops (0/1 = off)")
@@ -106,9 +105,8 @@ func main() {
 	}
 
 	spec := bench.VariantSpec{
-		Name:      *variant,
-		Window:    *window,
-		LazyClock: *lazy,
+		Name:   *variant,
+		Window: *window,
 		// The per-transaction domain is only worth its sampling cost when
 		// someone can look at it.
 		Observe: *obsAddr != "",

@@ -105,11 +105,10 @@ func tune(set hohtx.Set, stop *atomic.Bool) []int {
 	return trajectory
 }
 
-func run(name string, adaptive bool, clock hohtx.ClockPolicy) {
+func run(name string, adaptive bool) {
 	set := hohtx.NewListSet(hohtx.Config{
 		Threads: threads,
 		Window:  32,
-		Clock:   clock,
 		// On a single-core host, transactions only conflict if they
 		// interleave; simulate the preemption a multicore machine gets
 		// for free.
@@ -137,10 +136,10 @@ func run(name string, adaptive bool, clock hohtx.ClockPolicy) {
 	elapsed := time.Since(start).Seconds()
 
 	st := hohtx.StatsOf(set)
-	fmt.Printf("%-18s %8.2f Kops/s   aborts/commit=%.3f (read=%d valid=%d wlock=%d)  clockCAS=%d revocations=%d\n",
+	fmt.Printf("%-18s %8.2f Kops/s   aborts/commit=%.3f (read=%d valid=%d wlock=%d)  revocations=%d\n",
 		name, float64(ops)/elapsed/1e3, float64(st.Aborts)/float64(st.Commits),
 		st.ReadConflicts, st.Validations, st.WriteLocks,
-		st.ClockCASes, st.BiasRevocations)
+		st.BiasRevocations)
 	if adaptive {
 		fmt.Printf("%-18s window trajectory: %v\n", "", trajectory)
 	}
@@ -148,9 +147,7 @@ func run(name string, adaptive bool, clock hohtx.ClockPolicy) {
 
 func main() {
 	fmt.Printf("adaptive window tuning, %d threads, %d-key list, 33%% lookups\n\n", threads, keyRange)
-	run("fixed W=32", false, hohtx.ClockDefault)
-	run("adaptive", true, hohtx.ClockDefault)
-	run("adaptive gv5", true, hohtx.ClockGV5)
-	fmt.Println("\n(the adaptive runs should walk W down toward the paper's tuned value and beat the oversized fixed window;" +
-		"\n the gv5 run trades writer clock increments for reader clock CASes — compare the clockCAS column)")
+	run("fixed W=32", false)
+	run("adaptive", true)
+	fmt.Println("\n(the adaptive run should walk W down toward the paper's tuned value and beat the oversized fixed window)")
 }

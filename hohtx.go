@@ -54,6 +54,7 @@ import (
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
 	"hohtx/internal/list"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
 	"hohtx/internal/skiplist"
@@ -158,11 +159,13 @@ type Config struct {
 	// of per-thread magazines. Only useful for experiments.
 	SharedPool bool
 	// SerialAfter is the number of failed speculative attempts before an
-	// operation's transaction falls back to the serial path — a
-	// distributed reader-bias lock, not a single global lock, so
-	// speculative commits on other threads keep their fast path while a
-	// serialized writer drains (see DESIGN.md "Scalable commit path").
-	// Zero uses the paper's settings (2 for lists, 8 for trees).
+	// operation's transaction falls back to serial mode, in which it runs
+	// alone and cannot fail. Serial mode is the write side of a
+	// distributed reader-bias lock: a speculative commit claims a slot on
+	// a cache line of its own rather than a shared reader count, and only
+	// a serial transaction makes committers wait (DESIGN.md §7, "Scalable
+	// commit path"). Zero uses the paper's settings (2 for lists, 8 for
+	// trees).
 	SerialAfter int
 	// SimulatePreemption injects scheduler yields inside transactions so
 	// that they interleave even on a single-core host. Leave it off on
@@ -170,39 +173,14 @@ type Config struct {
 	// (aborts, revocations, window tuning) where the hardware cannot
 	// produce true parallelism.
 	SimulatePreemption bool
-	// Clock selects the TM global version clock policy. ClockDefault (and
-	// ClockGV1) is classic TL2 — every writing commit increments a shared
-	// clock; ClockGV5 is the lazy policy, which removes that shared
-	// read-modify-write from the commit fast path at the cost of more
-	// snapshot extensions on readers. See DESIGN.md ("Scalable commit
-	// path") for the trade-off.
-	Clock ClockPolicy
 }
 
-// ClockPolicy selects the TM global version clock policy; see Config.Clock.
-type ClockPolicy int
-
-const (
-	// ClockDefault uses the package default, currently GV1.
-	ClockDefault ClockPolicy = iota
-	// ClockGV1 increments the shared clock on every writing commit (TL2).
-	ClockGV1
-	// ClockGV5 derives write versions lazily without a shared
-	// read-modify-write per commit.
-	ClockGV5
-)
-
-// stm maps the public enum to the internal policy.
-func (c ClockPolicy) stm() stm.ClockPolicy {
-	if c == ClockGV5 {
-		return stm.ClockGV5
-	}
-	return stm.ClockGV1
-}
-
-func (c Config) listConfig(doubly bool) list.Config {
-	out := list.Config{
-		Mode:    list.ModeRR,
+// internal translates the public Config to the one the structures take. A
+// field left zero stays zero there, so each structure fills in its own
+// defaults (the list or the tree setting).
+func (c Config) internal() reclaim.Config {
+	out := reclaim.Config{
+		Mode:    reclaim.ModeRR,
 		RRKind:  c.Reservation.kind(),
 		Threads: c.Threads,
 		Window:  core.Window{W: c.Window, NoScatter: c.NoScatter},
@@ -216,76 +194,38 @@ func (c Config) listConfig(doubly bool) list.Config {
 	if c.SimulatePreemption {
 		out.YieldShift = 5
 	}
-	out.ClockPolicy = c.Clock.stm()
-	return out
-}
-
-func (c Config) treeConfig() tree.Config {
-	out := tree.Config{
-		Mode:    tree.ModeRR,
-		RRKind:  c.Reservation.kind(),
-		Threads: c.Threads,
-		Window:  core.Window{W: c.Window, NoScatter: c.NoScatter},
-	}
-	if c.SharedPool {
-		out.ArenaPolicy = arena.PolicyShared
-	}
-	if c.SerialAfter > 0 {
-		out.Profile = stm.HTMProfile(c.SerialAfter)
-	}
-	if c.SimulatePreemption {
-		out.YieldShift = 5
-	}
-	out.ClockPolicy = c.Clock.stm()
 	return out
 }
 
 // NewListSet returns a singly linked list set (best for small key ranges
 // and teaching; O(n) operations).
-func NewListSet(cfg Config) Set { return list.New(cfg.listConfig(false)) }
+func NewListSet(cfg Config) Set { return list.New(cfg.internal()) }
 
 // NewDoublyListSet returns a doubly linked list set; removals unlink in a
 // second, smaller transaction (§4.2), which reduces conflicts under
 // write-heavy loads.
-func NewDoublyListSet(cfg Config) Set { return list.NewDoubly(cfg.listConfig(true)) }
+func NewDoublyListSet(cfg Config) Set { return list.NewDoubly(cfg.internal()) }
 
 // NewInternalTreeSet returns an unbalanced internal BST set (§4.3).
-func NewInternalTreeSet(cfg Config) Set { return tree.NewInternal(cfg.treeConfig()) }
+func NewInternalTreeSet(cfg Config) Set { return tree.NewInternal(cfg.internal()) }
 
 // NewExternalTreeSet returns an unbalanced external BST set; keys live in
 // leaves, making removals structurally simple (no successor swaps).
-func NewExternalTreeSet(cfg Config) Set { return tree.NewExternal(cfg.treeConfig()) }
+func NewExternalTreeSet(cfg Config) Set { return tree.NewExternal(cfg.internal()) }
 
 // NewHashSet returns a hash set of bucketed hand-over-hand chains — the
 // structure the paper's conclusion proposes as the next application of
 // revocable reservations. buckets is rounded up to a power of two; size it
 // for a small expected load factor (e.g. expected keys / 4).
 func NewHashSet(cfg Config, buckets int) Set {
-	return list.NewHashTable(cfg.listConfig(false), buckets)
+	return list.NewHashTable(cfg.internal(), buckets)
 }
 
 // NewSkipListSet returns a skiplist set — the probabilistically balanced
 // answer to the paper's "balanced trees" future-work item: O(log n)
 // expected operations, one Revoke per removal regardless of node height,
 // and precise reclamation throughout.
-func NewSkipListSet(cfg Config) Set {
-	out := skiplist.Config{
-		Threads: cfg.Threads,
-		RRKind:  cfg.Reservation.kind(),
-		Window:  core.Window{W: cfg.Window, NoScatter: cfg.NoScatter},
-	}
-	if cfg.SharedPool {
-		out.ArenaPolicy = arena.PolicyShared
-	}
-	if cfg.SerialAfter > 0 {
-		out.Profile = stm.HTMProfile(cfg.SerialAfter)
-	}
-	if cfg.SimulatePreemption {
-		out.YieldShift = 5
-	}
-	out.ClockPolicy = cfg.Clock.stm()
-	return skiplist.New(out)
-}
+func NewSkipListSet(cfg Config) Set { return skiplist.New(cfg.internal()) }
 
 // Ascender is implemented by sets that support ordered iteration
 // (currently NewListSet, NewDoublyListSet, NewSkipListSet, and
@@ -312,7 +252,7 @@ type OrderedMap = tree.Map
 // NewOrderedMap constructs an ordered map. It accepts the same Config as
 // the sets (window, reservation scheme, allocator policy).
 func NewOrderedMap(cfg Config) *OrderedMap {
-	return tree.NewMap(cfg.treeConfig())
+	return tree.NewMap(cfg.internal())
 }
 
 // Tunable is implemented by every Set built by this package: SetWindow
@@ -341,10 +281,9 @@ type TxStats struct {
 	WriteLocks     uint64 // commit-time write-lock acquisition failures
 	CapacityAborts uint64 // simulated-HTM footprint overflows
 
-	// Commit-path traffic: clock CAS attempts (GV5 only), serial writers
-	// that revoked the distributed lock's reader bias, and spin-waits on
-	// commit slots. See DESIGN.md ("Scalable commit path").
-	ClockCASes      uint64
+	// Commit-path traffic: serial writers that revoked the distributed
+	// lock's reader bias, and their spin-waits on commit slots. See
+	// DESIGN.md ("Scalable commit path").
 	BiasRevocations uint64
 	WriterWaits     uint64
 }
@@ -430,7 +369,6 @@ func StatsOf(s Set) TxStats {
 		out.Validations = st.Aborts[stm.CauseValidation]
 		out.WriteLocks = st.Aborts[stm.CauseWriteLock]
 		out.CapacityAborts = st.Aborts[stm.CauseCapacity]
-		out.ClockCASes = st.ClockCASes
 		out.BiasRevocations = st.BiasRevocations
 		out.WriterWaits = st.WriterWaits
 	}

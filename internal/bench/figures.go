@@ -27,9 +27,6 @@ type Opts struct {
 	// TreeBits overrides the big tree panels' key-range bits (the paper
 	// uses 21; single-core hosts may prefer 16-18 to bound prefill time).
 	TreeBits int
-	// LazyClock runs every TM-based series under the GV5 lazy clock policy
-	// instead of the default GV1 (cmd/benchfig's -clock flag).
-	LazyClock bool
 	// Out receives the TSV rows.
 	Out io.Writer
 }
@@ -88,7 +85,6 @@ func emit(w io.Writer, fig, panel, variant string, window int, r Result) {
 
 // runCell measures one (family, spec, workload, threads) cell and emits it.
 func runCell(o Opts, fig, panel string, f Family, spec VariantSpec, wl Workload, threads int, label string) error {
-	spec.LazyClock = o.LazyClock
 	w := spec.Window
 	if w == 0 {
 		w = BestWindow(f, threads)

@@ -9,6 +9,7 @@ import (
 	"hohtx/internal/list"
 	"hohtx/internal/lockfree"
 	"hohtx/internal/obs"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
 	"hohtx/internal/skiplist"
@@ -56,10 +57,6 @@ type VariantSpec struct {
 	// NoSimulatedPreemption disables the automatic yield injection on
 	// single-core hosts (see SimYieldShift).
 	NoSimulatedPreemption bool
-	// LazyClock selects the GV5 lazy global-clock policy for the TM-based
-	// variants (see stm.ClockPolicy). Ignored by the lock-free variants,
-	// which have no version clock.
-	LazyClock bool
 	// Observe attaches a fresh observability domain (package obs) to the
 	// structure; the runner pulls latency and reclamation percentiles out
 	// of it through the ObsReporter interface. The lock-free variants have
@@ -90,14 +87,6 @@ func obsDomain(spec VariantSpec, threads int) *obs.Domain {
 		Threads:     threads,
 		SampleShift: BenchSampleShift,
 	})
-}
-
-// clockOf maps the spec's clock knob to the stm policy.
-func clockOf(spec VariantSpec) stm.ClockPolicy {
-	if spec.LazyClock {
-		return stm.ClockGV5
-	}
-	return stm.ClockGV1
 }
 
 // SimYieldShift is the yield-injection rate used to simulate preemptive
@@ -147,14 +136,22 @@ func Build(f Family, spec VariantSpec, threads int) (sets.Set, error) {
 	if w == 0 {
 		w = BestWindow(f, threads)
 	}
-	win := core.Window{W: w, NoScatter: spec.NoScatter}
 	undefined := fmt.Errorf("bench: variant %q is undefined for family %q", spec.Name, f)
 	yield := simShift(spec.NoSimulatedPreemption)
-	profile := func(attempts int) stm.Profile {
-		if spec.Capacity > 0 {
-			return stm.Profile{Capacity: spec.Capacity, MaxAttempts: attempts}
+	// tm is the Config of a TM-backed variant: the family supplies the
+	// selector pair ModeByName resolved and its own serial-fallback
+	// threshold, which a capacity override has to restate.
+	tm := func(mode reclaim.Mode, kind core.Kind, attempts int) reclaim.Config {
+		cfg := reclaim.Config{
+			Mode: mode, RRKind: kind, Threads: threads,
+			Window:      core.Window{W: w, NoScatter: spec.NoScatter},
+			ArenaPolicy: spec.Policy, Assoc: spec.Assoc,
+			YieldShift: yield, Obs: obsDomain(spec, threads),
 		}
-		return stm.Profile{}
+		if spec.Capacity > 0 {
+			cfg.Profile = stm.Profile{Capacity: spec.Capacity, MaxAttempts: attempts}
+		}
+		return cfg
 	}
 
 	switch f {
@@ -174,15 +171,10 @@ func Build(f Family, spec VariantSpec, threads int) (sets.Set, error) {
 		if !ok {
 			return nil, undefined
 		}
-		cfg := list.Config{
-			Mode: mode, RRKind: kind, Threads: threads, Window: win,
-			ArenaPolicy: spec.Policy, Assoc: spec.Assoc, Profile: profile(2),
-			YieldShift: yield, ClockPolicy: clockOf(spec), Obs: obsDomain(spec, threads),
-		}
 		if f == FamilyDoubly {
-			return list.NewDoubly(cfg), nil
+			return list.NewDoubly(tm(mode, kind, 2)), nil
 		}
-		return list.New(cfg), nil
+		return list.New(tm(mode, kind, 2)), nil
 
 	case FamilyInternalTree, FamilyExternalTree:
 		if spec.Name == "LFLeak" {
@@ -195,26 +187,17 @@ func Build(f Family, spec VariantSpec, threads int) (sets.Set, error) {
 		if !ok {
 			return nil, undefined
 		}
-		cfg := tree.Config{
-			Mode: mode, RRKind: kind, Threads: threads, Window: win,
-			ArenaPolicy: spec.Policy, Assoc: spec.Assoc, Profile: profile(8),
-			YieldShift: yield, ClockPolicy: clockOf(spec), Obs: obsDomain(spec, threads),
-		}
 		if f == FamilyInternalTree {
-			return tree.NewInternal(cfg), nil
+			return tree.NewInternal(tm(mode, kind, 8)), nil
 		}
-		return tree.NewExternal(cfg), nil
+		return tree.NewExternal(tm(mode, kind, 8)), nil
 
 	case FamilySkipList:
 		mode, kind, ok := skiplist.ModeByName(spec.Name)
 		if !ok {
 			return nil, undefined
 		}
-		return skiplist.New(skiplist.Config{
-			Mode: mode, RRKind: kind, Threads: threads, Window: win,
-			ArenaPolicy: spec.Policy, Assoc: spec.Assoc, Profile: profile(8),
-			YieldShift: yield, ClockPolicy: clockOf(spec), Obs: obsDomain(spec, threads),
-		}), nil
+		return skiplist.New(tm(mode, kind, 8)), nil
 	}
 	return nil, fmt.Errorf("bench: unknown family %q", f)
 }

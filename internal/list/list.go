@@ -74,78 +74,10 @@ type threadState struct {
 	_          pad.Line
 }
 
-// Config parameterizes list construction.
-type Config struct {
-	// Mode selects the mechanism; default ModeRR.
-	Mode Mode
-	// RRKind selects the reservation implementation for ModeRR.
-	RRKind core.Kind
-	// Threads is the number of distinct tids that will operate on the
-	// list. Required.
-	Threads int
-	// Window is the hand-over-hand window policy. The paper's best
-	// settings are thread-count dependent (Figure 4); 8–16 are good
-	// defaults. Ignored (unbounded) for ModeHTM.
-	Window core.Window
-	// Profile overrides the TM speculation profile. The zero value means
-	// the paper's list setting: HTM simulation with serial fallback after
-	// 2 failed attempts.
-	Profile stm.Profile
-	// ArenaPolicy selects the allocator free-list policy (Figure 5).
-	ArenaPolicy arena.Policy
-	// ScanThreshold is the retire batch size of the deferred modes (the
-	// hazard-pointer scan threshold for ModeTMHP); default 64, the paper's
-	// best-performing setting.
-	ScanThreshold int
-	// TableBits/Assoc size the reservation metadata (see core.Config).
-	TableBits int
-	Assoc     int
-	// YieldShift enables simulated preemption inside transactions (see
-	// stm.Profile.YieldShift); it composes with whatever Profile is in
-	// effect.
-	YieldShift uint8
-	// ClockPolicy selects the TM global-clock policy (see
-	// stm.Profile.ClockPolicy); like YieldShift it composes with whatever
-	// Profile is in effect.
-	ClockPolicy stm.ClockPolicy
-	// Guard enables the arena use-after-free sanitizer: freed nodes are
-	// poisoned and any *committed* read of a dead node is reported (see
-	// guard.go). Off by default, and off it costs a traversal load one
-	// predictable branch and no call: the check (reclaim.Guard.Word/Link)
-	// is inlined at every site, which CI's "Read path stays call-free"
-	// leg pins. On, it adds a compare of the loaded value to the sentinel.
-	Guard bool
-	// GuardSink receives guard violations instead of the default panic
-	// (torture harnesses collect events; tests assert on them). Only
-	// meaningful with Guard set.
-	GuardSink func(arena.GuardEvent)
-	// Obs, when non-nil, threads the observability domain through every
-	// layer the list owns: commit/backoff latency and abort attribution on
-	// the TM runtime, free→reuse distances on the arena, hold times on the
-	// reservation, retire→free delays and a deferred-depth gauge on the
-	// deferred-reclamation scheme. Nil keeps every instrumented site at a
-	// single nil/branch check.
-	Obs *obs.Domain
-}
-
-func (c Config) withDefaults() Config {
-	if c.Threads <= 0 {
-		c.Threads = 8
-	}
-	if c.Profile == (stm.Profile{}) {
-		c.Profile = stm.HTMProfile(2)
-	}
-	if c.YieldShift != 0 {
-		c.Profile.YieldShift = c.YieldShift
-	}
-	if c.ClockPolicy != 0 {
-		c.Profile.ClockPolicy = c.ClockPolicy
-	}
-	if c.Window.W == 0 {
-		c.Window.W = 8
-	}
-	return c
-}
+// Config parameterizes list construction; see reclaim.Config. A zero Profile
+// means the paper's list setting (serial fallback after 2 failed attempts)
+// and a zero Window, W = 8.
+type Config = reclaim.Config
 
 // List is the singly linked set (Listing 5).
 type List struct {
@@ -173,7 +105,7 @@ var _ sets.MemoryReporter = (*List)(nil)
 
 // New constructs a singly linked list set.
 func New(cfg Config) *List {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults(2, 8)
 	l := &List{
 		rt: stm.NewRuntime(cfg.Profile),
 		ar: arena.New[node](arena.Config{
@@ -192,12 +124,11 @@ func New(cfg Config) *List {
 	}
 	l.guard = reclaim.GuardFor(l.ar)
 	nodes := reclaim.Nodes{
-		Threads: cfg.Threads, ScanThreshold: cfg.ScanThreshold,
-		Kind: cfg.RRKind, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
+		Config:  cfg,
 		Dead:    func(h arena.Handle) *stm.Word { return &l.ar.At(h).dead },
 		Live:    l.ar.Live,
 		Free:    l.ar.Free,
-		Runtime: l.rt, Guard: l.guard, Obs: cfg.Obs,
+		Runtime: l.rt, Guard: l.guard,
 	}
 	// The one place the list asks which mechanism it was given.
 	switch cfg.Mode {

@@ -471,3 +471,47 @@ func TestRRVLookupWindowsCommitReadOnly(t *testing.T) {
 		})
 	}
 }
+
+// TestAllocatedSlotPostdatesSnapshot pins the rule of reclaim's freer.born
+// in deterministic form. An attempt reads its way to a node; a racing remove
+// unlinks that node and frees it at commit; the shared free list then hands
+// the attempt that very slot. The attempt is doomed — it would fail
+// validation at commit — but left to run it initializes the slot over its
+// own cursor, and a batch's traversal, which goes on after an insert, can
+// then spin in the attempt's own pending writes without ever validating a
+// read. The allocation must abort the attempt instead.
+func TestAllocatedSlotPostdatesSnapshot(t *testing.T) {
+	for _, mode := range []Mode{ModeRR, ModeHTM, ModeREF, ModeTMHP} {
+		t.Run(mode.String(), func(t *testing.T) {
+			// ScanThreshold 1: the deferred mode frees at its first retire.
+			l := New(Config{Mode: mode, Threads: 2, ArenaPolicy: arena.PolicyShared, ScanThreshold: 1})
+			l.Register(0)
+			l.Register(1)
+			l.Insert(0, 10)
+			l.Insert(0, 20)
+			attempts, survived := 0, false
+			l.rt.AtomicT(0, func(tx *stm.Tx) {
+				if attempts++; attempts > 1 {
+					return
+				}
+				h10 := arena.Handle(l.ar.At(l.head).next.Load(tx))
+				h20 := arena.Handle(l.ar.At(h10).next.Load(tx))
+				if got := l.ar.At(h20).key.Load(tx); got != 20 {
+					t.Fatalf("second node holds %d, want 20", got)
+				}
+				removed := make(chan bool)
+				go func() { removed <- l.Remove(1, 20) }()
+				if !<-removed {
+					t.Fatal("the racing remove found nothing")
+				}
+				if nh := l.allocNode(tx, 0, 15, h20, arena.Nil); nh.Index() != h20.Index() {
+					t.Fatalf("the allocator handed out slot %d, not the freed slot %d", nh.Index(), h20.Index())
+				}
+				survived = true
+			})
+			if survived {
+				t.Fatal("an attempt went on after being handed the freed slot of a node it had read its way to")
+			}
+		})
+	}
+}

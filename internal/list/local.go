@@ -49,6 +49,7 @@ func (r *refLink) Revoke(*stm.Tx, arena.Handle) {
 
 func (r *refLink) Born(tx *stm.Tx, tid int, h arena.Handle) {
 	tx.OnAbortCall(r.freeHook, uint64(tid), uint64(h), 0)
+	r.l.ar.At(h).dead.Load(tx) // the snapshot must postdate the slot's last free: reclaim's freer.born
 }
 
 // release drops one count from h, freeing it at commit if that was the

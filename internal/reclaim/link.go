@@ -3,7 +3,6 @@ package reclaim
 import (
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
-	"hohtx/internal/obs"
 	"hohtx/internal/pad"
 	"hohtx/internal/stm"
 )
@@ -95,9 +94,10 @@ type Link interface {
 	// Drop releases tid's hold, at operation end or to abandon a resumed
 	// position; held as for Hold.
 	Drop(tx *stm.Tx, tid int, held bool)
-	// Born announces a node this attempt just allocated: scheme-side birth
-	// state is stamped, and the node goes back to the arena if the attempt
-	// aborts.
+	// Born announces a node this attempt just allocated, before the attempt
+	// writes to it: the attempt's snapshot is brought past the slot's last
+	// free (freer.born), scheme-side birth state is stamped, and the node
+	// goes back to the arena if the attempt aborts.
 	Born(tx *stm.Tx, tid int, h arena.Handle)
 	// Unlinked takes over a node this transaction just unlinked: no later
 	// window may resume from it, and its memory is reclaimed as the
@@ -116,15 +116,11 @@ type Link interface {
 
 // Nodes is what a structure tells the seam about itself, once.
 type Nodes struct {
-	// Threads is the number of distinct tids.
-	Threads int
-	// ScanThreshold is the deferred schemes' retire batch size (scan
-	// threshold, self-tick cadence); <= 0 means DefaultScanThreshold.
-	ScanThreshold int
-	// Kind, TableBits and Assoc configure ModeRR's reservation.
-	Kind      core.Kind
-	TableBits int
-	Assoc     int
+	// Config is the structure's own, defaults filled in: the seam reads its
+	// Threads, ScanThreshold (<= 0 means DefaultScanThreshold), reservation
+	// selectors and Obs. (Its Guard switch is shadowed by the Guard below,
+	// which is what that switch built.)
+	Config
 	// Dead returns the logical-deletion cell of the node named by h. It
 	// must be callable on a freed or recycled handle (arena memory is
 	// type-stable).
@@ -137,9 +133,6 @@ type Nodes struct {
 	Runtime *stm.Runtime
 	// Guard is the structure's sanitizer (see GuardFor).
 	Guard Guard
-	// Obs, when non-nil, receives the link's hold times or its retire
-	// events, delay histogram and deferred-depth gauges.
-	Obs *obs.Domain
 }
 
 // New builds the link for a generic mode; it panics for a mode that needs
@@ -149,7 +142,7 @@ func New(mode Mode, n Nodes) Link {
 	case ModeRR:
 		return newPrecise(n)
 	case ModeHTM:
-		return &wholeOp{newFreer(n.Free)}
+		return &wholeOp{newFreer(n)}
 	}
 	if !mode.Generic() {
 		panic("reclaim: mode " + mode.String() + " has no generic link")
@@ -157,22 +150,36 @@ func New(mode Mode, n Nodes) Link {
 	return NewDeferred(mode.String(), modes[mode].scheme(n), n)
 }
 
-// freer is the one thing every link does with the arena directly: hand a
-// node back, either because the attempt that allocated it aborted or
-// because the commit that unlinked it is the reclamation point. Like every
-// hook below it is a function value bound once per link and scheduled with
-// stm.OnCommitCall/OnAbortCall — (tid, handle, word) travel in the inline
-// argument slots, so no window allocates a closure.
+// freer is what every link does with the arena directly: take a node an
+// attempt allocated, and hand one back, either because that attempt aborted
+// or because the commit that unlinked it is the reclamation point. Like
+// every hook below, freeHook is a function value bound once per link and
+// scheduled with stm.OnCommitCall/OnAbortCall — (tid, handle, word) travel
+// in the inline argument slots, so no window allocates a closure.
 type freer struct {
 	freeHook func(a, b, c uint64) // free(tid a, handle b)
+	dead     func(arena.Handle) *stm.Word
 }
 
-func newFreer(free FreeFunc) freer {
-	return freer{func(a, b, _ uint64) { free(int(a), arena.Handle(b)) }}
+func newFreer(n Nodes) freer {
+	return freer{func(a, b, _ uint64) { n.Free(int(a), arena.Handle(b)) }, n.Dead}
 }
 
-func (f *freer) freeOnAbort(tx *stm.Tx, tid int, h arena.Handle) {
+// born takes over a node the attempt just allocated and has not written to.
+//
+// The arena is not transactional: it can hand out a slot that a commit newer
+// than the attempt's snapshot unlinked and freed, and the attempt — doomed,
+// but not yet told — may still reach that node through links it has read.
+// Initializing the slot then shadows the node's cells with the attempt's own
+// pending writes, which no read validates; a traversal that goes on after
+// the allocation (a batch's) can walk into them and, where the new node's
+// successor is the stale handle of the same slot, never leave. Every free
+// lifts all of a node's cell versions to the retire fence, so reading one
+// cell first puts that fence in front of the snapshot: a free the snapshot
+// predates forces an extension, which fails on the rewritten link.
+func (f *freer) born(tx *stm.Tx, tid int, h arena.Handle) {
 	tx.OnAbortCall(f.freeHook, uint64(tid), uint64(h), 0)
+	f.dead(h).Load(tx) // may abort: after the hook that gives the node back
 }
 
 func (f *freer) freeAtCommit(tx *stm.Tx, tid int, h arena.Handle) {
@@ -203,11 +210,11 @@ type precise struct {
 }
 
 func newPrecise(n Nodes) *precise {
-	rr := core.New(n.Kind, core.Config{Threads: n.Threads, TableBits: n.TableBits, Assoc: n.Assoc})
+	rr := core.New(n.RRKind, core.Config{Threads: n.Threads, TableBits: n.TableBits, Assoc: n.Assoc})
 	if n.Obs != nil {
 		rr = core.Observed(rr, n.Obs.HoldProbe(), n.Threads)
 	}
-	p := &precise{freer: newFreer(n.Free), rr: rr, strict: rr.Strict(), words: make([]heldWord, n.Threads)}
+	p := &precise{freer: newFreer(n), rr: rr, strict: rr.Strict(), words: make([]heldWord, n.Threads)}
 	p.v, _ = rr.(*core.V)
 	p.wordHook = func(a, b, _ uint64) { p.words[int(a)].v = b }
 	return p
@@ -254,7 +261,7 @@ func (p *precise) Drop(tx *stm.Tx, tid int, held bool) {
 	}
 }
 
-func (p *precise) Born(tx *stm.Tx, tid int, h arena.Handle) { p.freeOnAbort(tx, tid, h) }
+func (p *precise) Born(tx *stm.Tx, tid int, h arena.Handle) { p.born(tx, tid, h) }
 
 func (p *precise) Unlinked(tx *stm.Tx, tid int, h arena.Handle, _ uint64) {
 	p.rr.Revoke(tx, uint64(h))
@@ -283,7 +290,7 @@ func (*wholeOp) Hold(*stm.Tx, int, bool, arena.Handle, uint64) {
 
 func (*wholeOp) Drop(*stm.Tx, int, bool) {}
 
-func (w *wholeOp) Born(tx *stm.Tx, tid int, h arena.Handle) { w.freeOnAbort(tx, tid, h) }
+func (w *wholeOp) Born(tx *stm.Tx, tid int, h arena.Handle) { w.born(tx, tid, h) }
 
 func (w *wholeOp) Unlinked(tx *stm.Tx, tid int, h arena.Handle, _ uint64) {
 	w.freeAtCommit(tx, tid, h)
@@ -304,11 +311,10 @@ type holdState struct {
 // deferred links windows with a thread-local start handle and reclaims
 // through a Scheme; see the protocol note atop this file.
 type deferred struct {
-	freer   // aborted allocations only: unlinked nodes go through sch
+	freer   // allocations only: unlinked nodes go through sch
 	name    string
 	sch     Scheme
 	traits  Traits
-	dead    func(arena.Handle) *stm.Word
 	live    func(arena.Handle) bool
 	guard   Guard
 	threads []holdState
@@ -323,8 +329,8 @@ type deferred struct {
 // also brackets operations with.
 func NewDeferred(name string, sch Scheme, n Nodes) Link {
 	d := &deferred{
-		freer: newFreer(n.Free), name: name, sch: sch, traits: sch.Traits(),
-		dead: n.Dead, live: n.Live, guard: n.Guard,
+		freer: newFreer(n), name: name, sch: sch, traits: sch.Traits(),
+		live: n.Live, guard: n.Guard,
 		threads: make([]holdState, n.Threads),
 	}
 	d.traits.StrictLoss = true // the dead mark and the generation are definitive
@@ -387,7 +393,7 @@ func (d *deferred) Drop(tx *stm.Tx, tid int, _ bool) {
 
 func (d *deferred) Born(tx *stm.Tx, tid int, h arena.Handle) {
 	d.sch.Born(h)
-	d.freeOnAbort(tx, tid, h)
+	d.born(tx, tid, h)
 }
 
 func (d *deferred) Unlinked(tx *stm.Tx, tid int, h arena.Handle, stamp uint64) {

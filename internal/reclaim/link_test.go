@@ -26,7 +26,7 @@ const rigThreads = 3
 
 func (r *rig) nodes(k core.Kind) Nodes {
 	return Nodes{
-		Threads: rigThreads, ScanThreshold: 4, Kind: k,
+		Config:  Config{Threads: rigThreads, ScanThreshold: 4, RRKind: k},
 		Dead:    func(h arena.Handle) *stm.Word { return &r.ar.At(h).dead },
 		Live:    r.ar.Live,
 		Free:    r.ar.Free,

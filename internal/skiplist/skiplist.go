@@ -82,63 +82,10 @@ type threadState struct {
 	_            pad.Line
 }
 
-// Config parameterizes the skiplist.
-type Config struct {
-	// Mode selects the mechanism; default ModeRR.
-	Mode Mode
-	// RRKind selects the reservation scheme for ModeRR.
-	RRKind core.Kind
-	// Threads is the number of distinct tids. Required.
-	Threads int
-	// Window is the hand-over-hand window policy (node inspections per
-	// transaction); ignored for ModeHTM.
-	Window core.Window
-	// Profile overrides the TM profile (default: the tree setting,
-	// serial fallback after 8 attempts).
-	Profile stm.Profile
-	// ArenaPolicy selects the allocator policy.
-	ArenaPolicy arena.Policy
-	// YieldShift enables simulated preemption (see stm.Profile).
-	YieldShift uint8
-	// ClockPolicy selects the TM global-clock policy (see
-	// stm.Profile.ClockPolicy); composes with the Profile like YieldShift.
-	ClockPolicy stm.ClockPolicy
-	// ScanThreshold is the retire batch size for the deferred modes
-	// (scan threshold, self-tick cadence); default 64.
-	ScanThreshold int
-	// TableBits/Assoc size the reservation metadata.
-	TableBits int
-	Assoc     int
-	// Guard enables the arena use-after-free sanitizer (see guard.go and
-	// the identically named field in package list).
-	Guard bool
-	// GuardSink receives guard violations instead of the default panic.
-	GuardSink func(arena.GuardEvent)
-	// Obs, when non-nil, threads the observability domain through every
-	// layer the skiplist owns (see the identically named field in package
-	// list). Nil keeps every instrumented site at a single nil/branch
-	// check.
-	Obs *obs.Domain
-}
-
-func (c Config) withDefaults() Config {
-	if c.Threads <= 0 {
-		c.Threads = 8
-	}
-	if c.Profile == (stm.Profile{}) {
-		c.Profile = stm.HTMProfile(8)
-	}
-	if c.YieldShift != 0 {
-		c.Profile.YieldShift = c.YieldShift
-	}
-	if c.ClockPolicy != 0 {
-		c.Profile.ClockPolicy = c.ClockPolicy
-	}
-	if c.Window.W == 0 {
-		c.Window.W = 16
-	}
-	return c
-}
+// Config parameterizes the skiplist; see reclaim.Config. A zero Profile means
+// the tree setting (serial fallback after 8 attempts) and a zero Window,
+// W = 16.
+type Config = reclaim.Config
 
 // SkipList is the concurrent set.
 type SkipList struct {
@@ -162,7 +109,7 @@ var _ sets.MemoryReporter = (*SkipList)(nil)
 
 // New constructs a skiplist set.
 func New(cfg Config) *SkipList {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults(8, 16)
 	s := &SkipList{
 		rt: stm.NewRuntime(cfg.Profile),
 		ar: arena.New[node](arena.Config{
@@ -178,12 +125,11 @@ func New(cfg Config) *SkipList {
 	}
 	s.guard = reclaim.GuardFor(s.ar)
 	s.link = reclaim.New(cfg.Mode, reclaim.Nodes{
-		Threads: cfg.Threads, ScanThreshold: cfg.ScanThreshold,
-		Kind: cfg.RRKind, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
+		Config:  cfg,
 		Dead:    func(h arena.Handle) *stm.Word { return &s.ar.At(h).dead },
 		Live:    s.ar.Live,
 		Free:    s.ar.Free,
-		Runtime: s.rt, Guard: s.guard, Obs: cfg.Obs,
+		Runtime: s.rt, Guard: s.guard,
 	})
 	if s.link.Traits().WholeOp {
 		s.win = core.Window{} // unbounded: one transaction per op

@@ -37,12 +37,6 @@ import (
 // the last revocation's cost has passed, so a serial-heavy phase (e.g. the
 // capacity cliff of large HTM-profile transactions) settles into plain
 // rwlock behavior instead of paying a table revocation per serial commit.
-//
-// Slots additionally double as the commit-publication table for the lazy
-// clock policy: a fast-path committer overwrites its claim with its write
-// version (see clock.go), so validation-driven clock advances can wait out
-// in-flight write-backs. Claim values are odd (wv|1, or 1 before the write
-// version is fixed); 0 means free.
 
 const (
 	// bravoSlotBits sizes the visible-readers table. 64 slots comfortably
@@ -56,12 +50,10 @@ const (
 	// nanoseconds later, bounding the fraction of writer time spent
 	// revoking (the BRAVO paper's inhibition rule).
 	bravoInhibitMult = 16
-
-	// slotPending is a claimed slot whose write version is not yet fixed.
-	slotPending = uint64(1)
 )
 
-// bravoSlot is one padded visible-reader entry.
+// bravoSlot is one padded visible-reader entry: 1 while a committer claims
+// it, 0 when free.
 type bravoSlot struct {
 	v atomic.Uint64
 	_ [pad.CacheLine - 8]byte
@@ -80,7 +72,7 @@ type bravoLock struct {
 	// reader acquisitions are counted transaction-locally (Tx.slowPaths)
 	// to keep even the fallback path free of extra shared-line traffic.
 	revocations atomic.Uint64 // writer-side bias revocations
-	writerWaits atomic.Uint64 // spin-waits on claimed slots (revocation + clock drains)
+	writerWaits atomic.Uint64 // a revocation's spin-waits on claimed slots
 }
 
 func (b *bravoLock) arm() { b.rbias.Store(true) }
@@ -95,7 +87,7 @@ func (b *bravoLock) rlockFast(h uint64) int {
 		return -1
 	}
 	i := int(h >> (64 - bravoSlotBits))
-	if !b.slots[i].v.CompareAndSwap(0, slotPending) {
+	if !b.slots[i].v.CompareAndSwap(0, 1) {
 		return -1
 	}
 	if b.rbias.Load() {
@@ -160,28 +152,3 @@ func (b *bravoLock) lock() {
 
 // unlock releases the exclusive side.
 func (b *bravoLock) unlock() { b.wmu.Unlock() }
-
-// drainBelow waits until no fast-path committer has a published write
-// version at or below v. The lazy clock policy calls this before making v
-// visible as a snapshot bound, so that a transaction starting at rv=v can
-// never observe half of an in-flight write-back (see clock.go for the full
-// protocol and its correctness argument). Slots still in the slotPending
-// state are safe to skip: their owner re-checks the clock target after
-// fixing a write version and retreats if it was overtaken.
-func (b *bravoLock) drainBelow(v uint64) {
-	for i := range b.slots {
-		s := &b.slots[i]
-		cur := s.v.Load()
-		if cur <= slotPending || cur&^lockedBit > v {
-			continue
-		}
-		b.writerWaits.Add(1)
-		for spins := 0; ; spins++ {
-			cur = s.v.Load()
-			if cur <= slotPending || cur&^lockedBit > v {
-				break
-			}
-			pause(spins)
-		}
-	}
-}

@@ -11,9 +11,8 @@ import (
 )
 
 // pokeAllStats drives every counter Stats reports to a nonzero value by
-// writing the underlying blocks directly (the workload needed to make all
-// of them nonzero organically — e.g. ClockCASes under GV1 — does not
-// exist): the fallback block and two tids' own. Adding a field to statBlock or the lock counters
+// writing the underlying blocks directly (no one workload makes all of
+// them nonzero organically): the fallback block and two tids' own. Adding a field to statBlock or the lock counters
 // without extending this list fails TestResetStatsParity's nonzero phase,
 // which is the reminder to keep Stats, ResetStats and this test in sync.
 func pokeAllStats(rt *Runtime) {
@@ -22,7 +21,6 @@ func pokeAllStats(rt *Runtime) {
 		b.writeCommits.Store(1)
 		b.serialCommits.Store(1)
 		b.extensions.Store(1)
-		b.clockCASes.Store(1)
 		b.commitSlow.Store(1)
 		for c := range b.aborts {
 			b.aborts[c].Store(1)

@@ -16,10 +16,10 @@ type statBlock struct {
 	writeCommits  atomic.Uint64
 	serialCommits atomic.Uint64
 	extensions    atomic.Uint64
-	clockCASes    atomic.Uint64
 	commitSlow    atomic.Uint64
 	aborts        [numCauses]atomic.Uint64
 	batch         [BatchBuckets]batchBlock
+	_             [8]byte // fills the sixth line
 }
 
 type batchBlock struct {
@@ -80,10 +80,6 @@ func (tx *Tx) flush() {
 		b.extensions.Add(tx.extensions)
 		tx.extensions = 0
 	}
-	if tx.clockCASes != 0 {
-		b.clockCASes.Add(tx.clockCASes)
-		tx.clockCASes = 0
-	}
 	if tx.slowPaths != 0 {
 		b.commitSlow.Add(tx.slowPaths)
 		tx.slowPaths = 0
@@ -105,15 +101,11 @@ type Stats struct {
 	Extensions    uint64
 	Aborts        [int(numCauses)]uint64
 
-	// ClockCASes counts CAS attempts on the global clock pair. Under GV1
-	// it is always zero (writers use Add); under GV5 it measures how much
-	// clock traffic validation-driven advances actually generate.
-	ClockCASes uint64
 	// BiasRevocations counts serial-mode writers that found the commit
 	// lock reader-biased and had to revoke it (see biaslock.go).
 	BiasRevocations uint64
-	// WriterWaits counts spin-waits on claimed commit slots, from both
-	// revocation sweeps and lazy-clock drains.
+	// WriterWaits counts a revocation sweep's spin-waits on claimed
+	// commit slots.
 	WriterWaits uint64
 	// CommitSlowPath counts speculative commits that fell through to the
 	// underlying rwlock (bias revoked, or slot hash collision).
@@ -136,7 +128,6 @@ func (s *Stats) Add(o Stats) {
 	for c := range o.Aborts {
 		s.Aborts[c] += o.Aborts[c]
 	}
-	s.ClockCASes += o.ClockCASes
 	s.BiasRevocations += o.BiasRevocations
 	s.WriterWaits += o.WriterWaits
 	s.CommitSlowPath += o.CommitSlowPath
@@ -206,11 +197,11 @@ func (s Stats) AbortRate() float64 {
 // String renders the snapshot compactly for logs and examples.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"commits=%d (ro=%d rw=%d) serial=%d extensions=%d aborts=%d (read=%d validate=%d wlock=%d capacity=%d explicit=%d) clockcas=%d revoke=%d wwait=%d slow=%d",
+		"commits=%d (ro=%d rw=%d) serial=%d extensions=%d aborts=%d (read=%d validate=%d wlock=%d capacity=%d explicit=%d) revoke=%d wwait=%d slow=%d",
 		s.Commits, s.ReadOnlyCommits(), s.WriteCommits, s.SerialCommits, s.Extensions, s.TotalAborts(),
 		s.Aborts[CauseReadConflict], s.Aborts[CauseValidation],
 		s.Aborts[CauseWriteLock], s.Aborts[CauseCapacity], s.Aborts[CauseExplicit],
-		s.ClockCASes, s.BiasRevocations, s.WriterWaits, s.CommitSlowPath)
+		s.BiasRevocations, s.WriterWaits, s.CommitSlowPath)
 }
 
 // blocks calls f on every published counter block: the owned contexts' and
@@ -235,7 +226,6 @@ func (rt *Runtime) Stats() Stats {
 		out.Commits += b.commits.Load()
 		out.SerialCommits += b.serialCommits.Load()
 		out.Extensions += b.extensions.Load()
-		out.ClockCASes += b.clockCASes.Load()
 		out.CommitSlowPath += b.commitSlow.Load()
 		for c := range b.aborts {
 			out.Aborts[c] += b.aborts[c].Load()
@@ -260,7 +250,6 @@ func (rt *Runtime) ResetStats() {
 		b.writeCommits.Store(0)
 		b.serialCommits.Store(0)
 		b.extensions.Store(0)
-		b.clockCASes.Store(0)
 		b.commitSlow.Store(0)
 		for c := range b.aborts {
 			b.aborts[c].Store(0)

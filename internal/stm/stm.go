@@ -120,9 +120,6 @@ type Profile struct {
 	// GOMAXPROCS == 1 (see EXPERIMENTS.md); yields never occur while
 	// commit-time locks are held.
 	YieldShift uint8
-	// ClockPolicy selects how writing commits interact with the global
-	// version clock (see clock.go). The zero value is ClockGV1.
-	ClockPolicy ClockPolicy
 }
 
 // HTMProfile returns the profile used to model the paper's hardware TM:
@@ -137,18 +134,12 @@ func HTMProfile(attempts int) Profile {
 // Runtime each so that benchmarks of different structures do not share
 // clocks or serial locks.
 type Runtime struct {
-	// clock is the published version clock: the only value transactions
-	// use as a snapshot bound. Even; under GV1 it advances by 2 per
-	// writing commit, under GV5 it is advanced lazily by readers (see
-	// clock.go).
+	// clock is the global version clock (TL2's GV1): even, advanced by 2
+	// per writing commit, whose write version is the result. It bounds
+	// every snapshot: a cell version is at most the clock, always.
 	clock atomic.Uint64
 	_     pad.Line
-	// clockTarget is the GV5 version frontier: fast-path writers derive
-	// write versions from it without modifying it; serial and slow-path
-	// writers advance it with an Add. Unused (always 0) under GV1.
-	clockTarget atomic.Uint64
-	_           pad.Line
-	prof        Profile
+	prof  Profile
 	// commitLock orders serial-mode transactions against speculative
 	// commits: speculative writers commit under its distributed reader
 	// side (one padded slot per transaction in the common case), serial
@@ -190,8 +181,25 @@ func NewRuntime(p Profile) *Runtime {
 // Profile reports the runtime's speculation profile.
 func (rt *Runtime) Profile() Profile { return rt.prof }
 
-// now returns the current (even) value of the published version clock.
+// now returns the current (even) value of the version clock.
 func (rt *Runtime) now() uint64 { return rt.clock.Load() }
+
+// VersionFence returns an even version v with two properties: every write
+// version whose commit write-back has completed is <= v, and every write
+// version chosen after VersionFence returns is > v. Reclamation code
+// retires a freed node's cell versions to a fence (stm.Word.Retire) so that
+// transactions still holding pre-free snapshots cannot take fresh reads of
+// the dead cells at stale versions.
+func (rt *Runtime) VersionFence() uint64 { return rt.clock.Load() }
+
+// TickVersionFence advances the clock, as a writing commit does, so that
+// the next VersionFence result is strictly greater than every fence
+// observed before the call. Version-based reclamation (reclaim.VBR) uses
+// the fence as its reclamation epoch: a retiree stamped with fence f is
+// freeable once the fence has moved past f, and under workloads whose
+// commits do not advance the clock on their own (read-only ones) the
+// scheme ticks the fence itself to bound deferral.
+func (rt *Runtime) TickVersionFence() { rt.clock.Add(2) }
 
 // acquire returns the context a chain on tid runs in: the one tid owns, or
 // a pooled one when tid is -1 or its own is busy. The owner contract is

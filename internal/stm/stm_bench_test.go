@@ -79,20 +79,8 @@ func BenchmarkEarlyReleaseTraversal(b *testing.B) {
 
 // Contended parallel benchmarks. The single-goroutine benchmarks above
 // cannot see the commit path's shared cache lines (the global clock and the
-// serial-fallback lock); these can. Run them with -cpu 4 (or higher) and
-// compare policies with benchstat (see EXPERIMENTS.md). The gv1/gv5
-// sub-benchmarks differ only in Profile.ClockPolicy; the distributed
-// commit lock is active in both.
-
-func benchPolicies(b *testing.B, prof Profile, run func(b *testing.B, rt *Runtime)) {
-	for _, pol := range []ClockPolicy{ClockGV1, ClockGV5} {
-		p := prof
-		p.ClockPolicy = pol
-		b.Run(pol.String(), func(b *testing.B) {
-			run(b, NewRuntime(p))
-		})
-	}
-}
+// serial-fallback lock); these can. Run them with -cpu 2 (or higher); see
+// EXPERIMENTS.md.
 
 // benchCells is a cache-line-padded group of cells so that disjoint
 // parallel writers conflict only on commit-path metadata, never on data.
@@ -105,21 +93,20 @@ type benchCells struct {
 var benchGoroutineID atomic.Uint64
 
 func BenchmarkParallelReadOnlyTx(b *testing.B) {
-	benchPolicies(b, Profile{}, func(b *testing.B, rt *Runtime) {
-		cells := make([]Word, 16)
-		for i := range cells {
-			cells[i].Init(uint64(i))
+	rt := NewRuntime(Profile{})
+	cells := make([]Word, 16)
+	for i := range cells {
+		cells[i].Init(uint64(i))
+	}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			rt.Atomic(func(tx *Tx) {
+				for j := range cells {
+					_ = cells[j].Load(tx)
+				}
+			})
 		}
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				rt.Atomic(func(tx *Tx) {
-					for j := range cells {
-						_ = cells[j].Load(tx)
-					}
-				})
-			}
-		})
 	})
 }
 
@@ -127,76 +114,72 @@ func BenchmarkParallelReadOnlyTx(b *testing.B) {
 // worker writes its own padded cell group, so the only shared state is the
 // clock and the commit lock.
 func BenchmarkParallelWriteTx(b *testing.B) {
-	benchPolicies(b, Profile{}, func(b *testing.B, rt *Runtime) {
-		groups := make([]benchCells, 64)
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			g := &groups[benchGoroutineID.Add(1)%uint64(len(groups))]
-			i := uint64(0)
-			for pb.Next() {
-				i++
-				rt.Atomic(func(tx *Tx) {
-					for j := range g.cells {
-						g.cells[j].Store(tx, i)
-					}
-				})
-			}
-		})
+	rt := NewRuntime(Profile{})
+	groups := make([]benchCells, 64)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		g := &groups[benchGoroutineID.Add(1)%uint64(len(groups))]
+		i := uint64(0)
+		for pb.Next() {
+			i++
+			rt.Atomic(func(tx *Tx) {
+				for j := range g.cells {
+					g.cells[j].Store(tx, i)
+				}
+			})
+		}
 	})
 }
 
 func BenchmarkParallelReadWriteTx(b *testing.B) {
-	benchPolicies(b, Profile{}, func(b *testing.B, rt *Runtime) {
-		shared := make([]Word, 16)
-		groups := make([]benchCells, 64)
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			g := &groups[benchGoroutineID.Add(1)%uint64(len(groups))]
-			i := uint64(0)
-			for pb.Next() {
-				i++
-				rt.Atomic(func(tx *Tx) {
-					s := uint64(0)
-					for j := 0; j < 8; j++ {
-						s += shared[(i+uint64(j))%16].Load(tx)
-					}
-					g.cells[0].Store(tx, s+i)
-				})
-			}
-		})
+	rt := NewRuntime(Profile{})
+	shared := make([]Word, 16)
+	groups := make([]benchCells, 64)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		g := &groups[benchGoroutineID.Add(1)%uint64(len(groups))]
+		i := uint64(0)
+		for pb.Next() {
+			i++
+			rt.Atomic(func(tx *Tx) {
+				s := uint64(0)
+				for j := 0; j < 8; j++ {
+					s += shared[(i+uint64(j))%16].Load(tx)
+				}
+				g.cells[0].Store(tx, s+i)
+			})
+		}
 	})
 }
 
 // BenchmarkParallelWindowTx models a hand-over-hand window walk: a chain
 // traversal with early release plus a private write, with an occasional
-// write to the shared chain so GV5's validation-driven clock advances and
-// GV1's writer ticks both appear.
+// write to the shared chain so readers meet writers' clock ticks.
 func BenchmarkParallelWindowTx(b *testing.B) {
-	benchPolicies(b, Profile{}, func(b *testing.B, rt *Runtime) {
-		chain := make([]Word, 256)
-		groups := make([]benchCells, 64)
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			id := benchGoroutineID.Add(1)
-			g := &groups[id%uint64(len(groups))]
-			i := uint64(0)
-			for pb.Next() {
-				i++
-				start := int((id*31 + i*7) % uint64(len(chain)-16))
-				rt.Atomic(func(tx *Tx) {
-					for j := 0; j < 16; j++ {
-						_ = chain[start+j].Load(tx)
-						if j > 4 {
-							tx.ForgetReadsBefore(tx.ReadMark() - 4)
-						}
+	rt := NewRuntime(Profile{})
+	chain := make([]Word, 256)
+	groups := make([]benchCells, 64)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		id := benchGoroutineID.Add(1)
+		g := &groups[id%uint64(len(groups))]
+		i := uint64(0)
+		for pb.Next() {
+			i++
+			start := int((id*31 + i*7) % uint64(len(chain)-16))
+			rt.Atomic(func(tx *Tx) {
+				for j := 0; j < 16; j++ {
+					_ = chain[start+j].Load(tx)
+					if j > 4 {
+						tx.ForgetReadsBefore(tx.ReadMark() - 4)
 					}
-					if i%64 == 0 {
-						chain[start].Store(tx, i)
-					}
-					g.cells[0].Store(tx, i)
-				})
-			}
-		})
+				}
+				if i%64 == 0 {
+					chain[start].Store(tx, i)
+				}
+				g.cells[0].Store(tx, i)
+			})
+		}
 	})
 }
 
@@ -204,28 +187,27 @@ func BenchmarkParallelWindowTx(b *testing.B) {
 // most transactions commit speculatively, but a steady trickle escalates to
 // serial mode and must revoke the reader bias.
 func BenchmarkParallelSerialPressure(b *testing.B) {
-	benchPolicies(b, Profile{MaxAttempts: 2}, func(b *testing.B, rt *Runtime) {
-		groups := make([]benchCells, 64)
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			g := &groups[benchGoroutineID.Add(1)%uint64(len(groups))]
-			i := uint64(0)
-			for pb.Next() {
-				i++
-				if i%128 == 0 {
-					rt.Atomic(func(tx *Tx) {
-						if !tx.Serial() {
-							tx.Restart()
-						}
-						g.cells[0].Store(tx, i)
-					})
-				} else {
-					rt.Atomic(func(tx *Tx) {
-						g.cells[0].Store(tx, i)
-					})
-				}
+	rt := NewRuntime(Profile{MaxAttempts: 2})
+	groups := make([]benchCells, 64)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		g := &groups[benchGoroutineID.Add(1)%uint64(len(groups))]
+		i := uint64(0)
+		for pb.Next() {
+			i++
+			if i%128 == 0 {
+				rt.Atomic(func(tx *Tx) {
+					if !tx.Serial() {
+						tx.Restart()
+					}
+					g.cells[0].Store(tx, i)
+				})
+			} else {
+				rt.Atomic(func(tx *Tx) {
+					g.cells[0].Store(tx, i)
+				})
 			}
-		})
+		}
 	})
 }
 

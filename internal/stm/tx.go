@@ -106,7 +106,6 @@ type Tx struct {
 
 	// Counted by the owner in plain fields, published by flush (stats.go).
 	extensions    uint64 // snapshot extensions performed
-	clockCASes    uint64 // clock-advance CAS attempts performed
 	slowPaths     uint64 // commit-lock slow-path acquisitions
 	commits       uint32
 	writeCommits  uint32
@@ -116,6 +115,7 @@ type Tx struct {
 	slotHash uint64         // per-Tx BRAVO commit-slot hash (fixed at creation)
 	stats    *statBlock     // where flush publishes: the context's own block, or the fallback
 	conflict *atomic.Uint64 // version word that caused the last abort, if known
+	_        [8]byte        // fills the fourth line
 }
 
 // txSeq hands out distinct slot hashes to transaction contexts; consecutive
@@ -334,7 +334,7 @@ func (tx *Tx) readable(m *atomic.Uint64) uint64 {
 		}
 		// The cell committed after our snapshot; try to slide the snapshot
 		// forward instead of aborting.
-		tx.extend(v1)
+		tx.extend()
 	}
 }
 
@@ -352,23 +352,13 @@ func (tx *Tx) loadWord(m, v *atomic.Uint64) uint64 {
 	}
 }
 
-// extend slides the snapshot forward past the observed cell version,
+// extend slides the snapshot forward to the clock — which is at or above
+// every cell version, the one that sent the caller here included —
 // aborting if any prior read has been overwritten (which would make the
 // extended snapshot inconsistent). On success subsequent reads accept
-// versions up to the new snapshot. Under GV1 the published clock already
-// covers every committed version, so the lazy-clock advance never fires.
-func (tx *Tx) extend(observed uint64) {
+// versions up to the new snapshot.
+func (tx *Tx) extend() {
 	newRv := tx.rt.now()
-	if newRv < observed {
-		newRv = tx.advanceClock(observed)
-	}
-	tx.extendTo(newRv)
-}
-
-// extendTo validates the read set against the new snapshot bound newRv and
-// adopts it. newRv must be at or above every version the caller has
-// observed (extend establishes that; see clock.go for why it matters).
-func (tx *Tx) extendTo(newRv uint64) {
 	for i := tx.rsHead; i < len(tx.rs); i++ {
 		if tx.rs[i].m.Load() != tx.rs[i].ver {
 			tx.conflict = tx.rs[i].m
@@ -493,19 +483,14 @@ func (tx *Tx) commit() bool {
 		e.prev = cur
 	}
 
-	// GV1's unique-version fetch stays inline; the lazy policy's
-	// publication dance lives in writeVersion (clock.go).
-	var wv uint64
-	if rt.prof.ClockPolicy == ClockGV1 {
-		wv = rt.clock.Add(2)
-	} else {
-		wv = tx.writeVersion(slot)
-	}
+	// The write version is unique to this commit and above every version
+	// any cell carries.
+	wv := rt.clock.Add(2)
 
 	// Phase 2: validate the read set, unless no other transaction can have
-	// committed since our snapshot (TL2's rv+2 == wv fast path — valid
-	// only under GV1, where write versions are unique).
-	if rt.prof.ClockPolicy != ClockGV1 || wv != tx.rv+2 {
+	// committed since our snapshot (TL2's rv+2 == wv fast path, sound
+	// because write versions are unique).
+	if wv != tx.rv+2 {
 		for i := tx.rsHead; i < len(tx.rs); i++ {
 			r := &tx.rs[i]
 			cur := r.m.Load()
@@ -522,10 +507,7 @@ func (tx *Tx) commit() bool {
 		}
 	}
 
-	// Phase 3: write back and release each lock with the new version. GV5
-	// write versions are not unique, so keep each cell's version strictly
-	// increasing by bumping past the pre-lock version on collision (never
-	// fires under GV1).
+	// Phase 3: write back and release each lock with the new version.
 	for i := range tx.ws {
 		e := &tx.ws[i]
 		if e.obj != nil {
@@ -533,11 +515,7 @@ func (tx *Tx) commit() bool {
 		} else {
 			e.dst.Store(e.val)
 		}
-		nv := wv
-		if nv <= e.prev {
-			nv = e.prev + 2
-		}
-		e.m.Store(nv)
+		e.m.Store(wv)
 	}
 	return true
 }

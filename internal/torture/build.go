@@ -167,10 +167,16 @@ func buildOne(cfg Config, guard *guardCollector, obsName string) (*instance, err
 		Threads:    cfg.Threads,
 		RingEvents: 512,
 	})
-	win := core.Window{W: cfg.Window}
-	validator := func(ok func() bool, what string) func() error {
+	// What every TM-backed structure is built from; the family's ModeByName
+	// adds the selector pair.
+	tm := reclaim.Config{
+		Threads: cfg.Threads, Window: core.Window{W: cfg.Window},
+		ArenaPolicy: cfg.Policy, Guard: cfg.Guard, GuardSink: sink, Obs: dom,
+	}
+	var ok bool
+	validator := func(holds func() bool, what string) func() error {
 		return func() error {
-			if !ok() {
+			if !holds() {
 				return fmt.Errorf("%s violated", what)
 			}
 			return nil
@@ -194,23 +200,18 @@ func buildOne(cfg Config, guard *guardCollector, obsName string) (*instance, err
 			})
 			break
 		}
-		mode, kind, ok := list.ModeByName(cfg.Variant, cfg.Structure == StructDoubly)
-		if !ok {
+		if tm.Mode, tm.RRKind, ok = list.ModeByName(cfg.Variant, cfg.Structure == StructDoubly); !ok {
 			return nil, undefined
-		}
-		lcfg := list.Config{
-			Mode: mode, RRKind: kind, Threads: cfg.Threads, Window: win,
-			ArenaPolicy: cfg.Policy, Guard: cfg.Guard, GuardSink: sink, Obs: dom,
 		}
 		inst.obs = dom
 		switch cfg.Structure {
 		case StructSingly:
-			set = list.New(lcfg)
+			set = list.New(tm)
 		case StructDoubly:
-			d := list.NewDoubly(lcfg)
+			d := list.NewDoubly(tm)
 			set, inst.validate = d, validator(d.ValidateLinks, "prev/next link symmetry")
 		case StructHash:
-			set = list.NewHashTable(lcfg, cfg.Threads*4)
+			set = list.NewHashTable(tm, cfg.Threads*4)
 		}
 
 	case StructITree, StructETree:
@@ -223,33 +224,24 @@ func buildOne(cfg Config, guard *guardCollector, obsName string) (*instance, err
 			inst.perKey = 2
 			break
 		}
-		mode, kind, ok := tree.ModeByName(cfg.Variant, cfg.Structure == StructITree)
-		if !ok {
+		if tm.Mode, tm.RRKind, ok = tree.ModeByName(cfg.Variant, cfg.Structure == StructITree); !ok {
 			return nil, undefined
-		}
-		tcfg := tree.Config{
-			Mode: mode, RRKind: kind, Threads: cfg.Threads, Window: win,
-			ArenaPolicy: cfg.Policy, Guard: cfg.Guard, GuardSink: sink, Obs: dom,
 		}
 		inst.obs = dom
 		if cfg.Structure == StructITree {
-			t := tree.NewInternal(tcfg)
+			t := tree.NewInternal(tm)
 			set, inst.validate = t, validator(t.ValidateBST, "BST ordering invariant")
 		} else {
-			t := tree.NewExternal(tcfg)
+			t := tree.NewExternal(tm)
 			set, inst.validate = t, validator(t.ValidateRouting, "external-tree routing invariant")
 			inst.perKey = 2
 		}
 
 	case StructSkip:
-		mode, kind, ok := skiplist.ModeByName(cfg.Variant)
-		if !ok {
+		if tm.Mode, tm.RRKind, ok = skiplist.ModeByName(cfg.Variant); !ok {
 			return nil, undefined
 		}
-		s := skiplist.New(skiplist.Config{
-			Mode: mode, RRKind: kind, Threads: cfg.Threads, Window: win,
-			ArenaPolicy: cfg.Policy, Guard: cfg.Guard, GuardSink: sink, Obs: dom,
-		})
+		s := skiplist.New(tm)
 		inst.obs = dom
 		set, inst.validate = s, validator(s.ValidateLevels, "skiplist level invariant")
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hohtx/internal/arena"
 	"hohtx/internal/obs"
@@ -138,9 +139,65 @@ func Run(cfg Config) (Report, error) {
 	return runOn(cfg, inst)
 }
 
+// A cell that has not finished by its deadline is a failure with evidence,
+// not a CI timeout. The deadline is watchdogPerOp for each of the run's
+// Ops × Threads operations (at least watchdogMinOps of them): a clean cell
+// spends microseconds on one, the race detector on a busy host tens of them.
+const (
+	watchdogPerOp  = 2 * time.Millisecond
+	watchdogMinOps = 2000
+)
+
 // runOn drives a pre-built instance (split out so tests can inspect the
-// structure after the run).
+// structure after the run) under the watchdog.
 func runOn(cfg Config, inst *instance) (Report, error) {
+	type outcome struct {
+		rep Report
+		err error
+	}
+	done := make(chan outcome, 1)
+	leases := make([]atomic.Pointer[string], cfg.Threads)
+	go func() {
+		rep, err := drive(cfg, inst, leases)
+		done <- outcome{rep, err}
+	}()
+	limit := time.Duration(max(cfg.Ops*cfg.Threads, watchdogMinOps)) * watchdogPerOp
+	select {
+	case o := <-done:
+		return o.rep, o.err
+	case <-time.After(limit):
+	}
+	// The run's goroutines are still out there, so everything below is read
+	// under them: why each shard's transactions abort, who holds which
+	// worker id, and where every goroutine is.
+	evidence := []string{fmt.Sprintf("watchdog: not finished after %v", limit)}
+	shards := []sets.Set{inst.set}
+	if sh, ok := inst.set.(*serve.Sharded); ok {
+		shards = shards[:0]
+		for i := 0; i < sh.ShardCount(); i++ {
+			shards = append(shards, sh.Shard(i))
+		}
+	}
+	for i, sh := range shards {
+		if r, ok := sh.(sets.TMStatsReporter); ok {
+			evidence = append(evidence, fmt.Sprintf("shard %d: %v", i, r.TMStats()))
+		}
+	}
+	for tid := range leases {
+		who := "free"
+		if p := leases[tid].Load(); p != nil {
+			who = "leased by " + *p
+		}
+		evidence = append(evidence, fmt.Sprintf("tid %d: %s", tid, who))
+	}
+	buf := make([]byte, 1<<20)
+	evidence = append(evidence, "goroutines:\n"+string(buf[:runtime.Stack(buf, true)]))
+	return Report{}, runError(cfg, inst, evidence)
+}
+
+// drive is one run: the phases, then the checks. leases[tid] names the
+// holder of worker id tid while it is leased, for the watchdog's report.
+func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report, error) {
 	var rep Report
 	s := inst.set
 	if cfg.Registry != nil {
@@ -157,6 +214,13 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 	// state (reservations, hazard slots, allocator magazines) must not
 	// leak between the streams that share a slot over time.
 	pool := serve.NewPool(s, serve.PoolConfig{Slots: cfg.Threads, Obs: inst.obs})
+	lease := func(do func(context.Context, func(int)) error, who string, fn func(tid int)) {
+		_ = do(context.Background(), func(tid int) {
+			leases[tid].Store(&who)
+			defer leases[tid].Store(nil)
+			fn(tid)
+		})
+	}
 
 	// Span arming: the serving layer threads an obs.Span through every
 	// stamping site (stm attempt loop, serial fallback, reclamation
@@ -177,7 +241,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 	// something to chew on from the first operation.
 	presence := make([]int64, cfg.Keys+1)
 	seed := cfg.Seed
-	_ = pool.Do(context.Background(), func(tid int) {
+	lease(pool.Do, "prefill", func(tid int) {
 		for i := uint64(0); i < cfg.Keys/2; i++ {
 			k := 1 + splitmix64(&seed)%cfg.Keys
 			if s.Insert(tid, k) {
@@ -210,7 +274,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 			fixtures = append(fixtures, k)
 			fixSet[k] = true
 		}
-		_ = pool.Do(context.Background(), func(tid int) {
+		lease(pool.Do, "scan fixtures", func(tid int) {
 			for _, k := range fixtures {
 				if !s.Insert(tid, k) {
 					scanFails = append(scanFails, fmt.Sprintf("scan oracle: fixture %d insert failed", k))
@@ -244,7 +308,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 					lo = fixBase // fixture suffix only
 				}
 				last, seenFix := uint64(0), 0
-				_ = h.Do(context.Background(), func(tid int) {
+				lease(h.Do, "scanner", func(tid int) {
 					sp.Reset("ASCEND", obs.Now())
 					armSpan(tid, sp)
 					defer func() { armSpan(tid, nil); sp.Finish(obs.Now()) }()
@@ -304,13 +368,14 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 			}()
 			h := pool.Handle()
 			sp := new(obs.Span) // one span object, re-armed per lease batch
+			who := fmt.Sprint("worker ", w)
 			rng := cfg.Seed*0x2545f4914f6cdd1d + uint64(w+1)
 			var batch []sets.Op
 			if cfg.BatchOps > 1 {
 				batch = make([]sets.Op, 0, cfg.BatchOps)
 			}
 			for i := 0; i < cfg.Ops; {
-				_ = h.Do(context.Background(), func(tid int) {
+				lease(h.Do, who, func(tid int) {
 					sp.Reset("torture", obs.Now())
 					armSpan(tid, sp)
 					defer func() { armSpan(tid, nil); sp.Finish(obs.Now()) }()
@@ -393,7 +458,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 				case <-stopPairs:
 					// Leave the pair absent so the oracle, snapshot range and
 					// memory books below are untouched by the pin.
-					_ = h.Do(context.Background(), func(tid int) { s.Apply(tid, del) })
+					lease(h.Do, "pair toggler", func(tid int) { s.Apply(tid, del) })
 					return
 				default:
 				}
@@ -401,7 +466,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 				if on {
 					ops = del
 				}
-				_ = h.Do(context.Background(), func(tid int) { s.Apply(tid, ops) })
+				lease(h.Do, "pair toggler", func(tid int) { s.Apply(tid, ops) })
 			}
 		}()
 		go func() { // observer
@@ -412,7 +477,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 			// finish before this goroutine is first scheduled, and the pin
 			// must still record at least one check.
 			for {
-				_ = h.Do(context.Background(), func(tid int) {
+				lease(h.Do, "pair observer", func(tid int) {
 					res := s.Apply(tid, look)
 					pairChecks.Add(1)
 					if res[0] != res[1] {
@@ -439,7 +504,7 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 		scanWg.Wait()
 		// Retire the fixtures before quiesce so the exact oracle, snapshot
 		// range and memory books below see only the run's own key space.
-		_ = pool.Do(context.Background(), func(tid int) {
+		lease(pool.Do, "scan fixtures", func(tid int) {
 			for _, k := range fixtures {
 				if !s.Remove(tid, k) {
 					scanFails = append(scanFails, fmt.Sprintf("scan oracle: fixture %d missing at teardown", k))

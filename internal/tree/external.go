@@ -30,7 +30,7 @@ var _ sets.MemoryReporter = (*External)(nil)
 
 // NewExternal constructs an external-tree set.
 func NewExternal(cfg Config) *External {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults(8, 16)
 	b := newBase(cfg)
 	t := &External{base: b}
 	l0 := b.initNode(sent0, arena.Nil, arena.Nil)

@@ -20,7 +20,7 @@ var _ sets.MemoryReporter = (*Internal)(nil)
 
 // NewInternal constructs an internal-tree set.
 func NewInternal(cfg Config) *Internal {
-	b := newBase(cfg.withDefaults())
+	b := newBase(cfg.WithDefaults(8, 16))
 	// Its two-children removal revokes nodes that stay linked, which only
 	// the precise links can do.
 	b.requirePrecise("the internal tree")

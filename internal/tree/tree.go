@@ -91,64 +91,10 @@ func (b *base) batchResults(tid, n int) []sets.Result {
 	return ts.batchOut[:n]
 }
 
-// Config parameterizes tree construction.
-type Config struct {
-	// Mode selects the mechanism; default ModeRR.
-	Mode Mode
-	// RRKind selects the reservation implementation for ModeRR.
-	RRKind core.Kind
-	// Threads is the number of distinct tids. Required.
-	Threads int
-	// Window is the hand-over-hand window policy; ignored for ModeHTM.
-	Window core.Window
-	// Profile overrides the TM profile; the zero value uses the paper's
-	// tree setting (serial fallback after 8 attempts, §5).
-	Profile stm.Profile
-	// ArenaPolicy selects the allocator free-list policy.
-	ArenaPolicy arena.Policy
-	// ScanThreshold is the retire batch size for the deferred modes
-	// (scan threshold, self-tick cadence); default 64.
-	ScanThreshold int
-	// TableBits/Assoc size the reservation metadata (see core.Config).
-	TableBits int
-	Assoc     int
-	// YieldShift enables simulated preemption inside transactions (see
-	// stm.Profile.YieldShift); it composes with whatever Profile is in
-	// effect.
-	YieldShift uint8
-	// ClockPolicy selects the TM global-clock policy (see
-	// stm.Profile.ClockPolicy); composes with the Profile like YieldShift.
-	ClockPolicy stm.ClockPolicy
-	// Guard enables the arena use-after-free sanitizer (see guard.go and
-	// the identically named field in package list).
-	Guard bool
-	// GuardSink receives guard violations instead of the default panic.
-	GuardSink func(arena.GuardEvent)
-	// Obs, when non-nil, threads the observability domain through every
-	// layer the tree owns (see the identically named field in package
-	// list). Nil keeps every instrumented site at a single nil/branch
-	// check.
-	Obs *obs.Domain
-}
-
-func (c Config) withDefaults() Config {
-	if c.Threads <= 0 {
-		c.Threads = 8
-	}
-	if c.Profile == (stm.Profile{}) {
-		c.Profile = stm.HTMProfile(8)
-	}
-	if c.YieldShift != 0 {
-		c.Profile.YieldShift = c.YieldShift
-	}
-	if c.ClockPolicy != 0 {
-		c.Profile.ClockPolicy = c.ClockPolicy
-	}
-	if c.Window.W == 0 {
-		c.Window.W = 16
-	}
-	return c
-}
+// Config parameterizes tree construction; see reclaim.Config. A zero Profile
+// means the paper's tree setting (serial fallback after 8 attempts, §5) and
+// a zero Window, W = 16.
+type Config = reclaim.Config
 
 // base carries the machinery shared by the internal and external trees.
 type base struct {
@@ -180,12 +126,11 @@ func newBase(cfg Config) *base {
 	}
 	b.guard = reclaim.GuardFor(b.ar)
 	b.link = reclaim.New(cfg.Mode, reclaim.Nodes{
-		Threads: cfg.Threads, ScanThreshold: cfg.ScanThreshold,
-		Kind: cfg.RRKind, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
+		Config:  cfg,
 		Dead:    func(h arena.Handle) *stm.Word { return &b.ar.At(h).dead },
 		Live:    b.ar.Live,
 		Free:    b.ar.Free,
-		Runtime: b.rt, Guard: b.guard, Obs: cfg.Obs,
+		Runtime: b.rt, Guard: b.guard,
 	})
 	if b.link.Traits().WholeOp {
 		b.win = core.Window{} // unbounded: one transaction per op
