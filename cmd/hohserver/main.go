@@ -16,7 +16,7 @@
 // Usage:
 //
 //	hohserver                                  # RR-V singly list on 127.0.0.1:7070
-//	hohserver -family etree -variant TMHP      # any bench variant works
+//	hohserver -family etree -variant TMHP      # any row × variant of internal/family
 //	hohserver -family skip -variant TMVBR      # extended matrix (DESIGN.md §14)
 //	hohserver -shards 4 -threads 2             # 4 independent STM instances
 //	hohserver -addr :7070 -threads 8 -obs 127.0.0.1:6070
@@ -55,11 +55,13 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
 	"hohtx"
 	"hohtx/internal/bench"
+	"hohtx/internal/family"
 	"hohtx/internal/obs"
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
@@ -67,8 +69,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "TCP listen address")
-	family := flag.String("family", "singly", "structure family: singly, doubly, itree, etree, skip")
-	variant := flag.String("variant", "RR-V", "variant: RR-V, RR-XO, RR-SO, RR-FA, RR-DM, RR-SA, HTM, TMHP, TMHE, TMVBR, REF, ER, LFLeak, LFHP")
+	fam := flag.String("family", family.Singly, "structure family: "+strings.Join(family.Names(), ", "))
+	variant := flag.String("variant", "RR-V", "variant the family takes (an undefined one lists them)")
 	threads := flag.Int("threads", 8, "worker slots per shard (the set's Threads)")
 	shards := flag.Int("shards", 1, "independent STM instances; keys hash-partition across them")
 	window := flag.Int("window", 0, "hand-over-hand window W (0 = tuned default)")
@@ -111,7 +113,7 @@ func main() {
 		// someone can look at it.
 		Observe: *obsAddr != "",
 	}
-	sharded, err := bench.BuildSharded(bench.Family(*family), spec, *threads, *shards)
+	sharded, err := bench.BuildSharded(bench.Family(*fam), spec, *threads, *shards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hohserver:", err)
 		os.Exit(2)
@@ -189,7 +191,7 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Fprintf(os.Stderr, "hohserver: %s/%s, %d shard(s) × %d worker slots, listening on %s\n",
-		*family, sharded.Name(), *shards, *threads, ln.Addr())
+		*fam, sharded.Name(), *shards, *threads, ln.Addr())
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)

@@ -17,16 +17,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"hohtx/internal/arena"
+	"hohtx/internal/family"
 	"hohtx/internal/obs"
 	"hohtx/internal/torture"
 )
 
 func main() {
 	var (
-		structure = flag.String("structure", "singly", "structure to torture (singly|doubly|hash|itree|etree|skip)")
-		variant   = flag.String("variant", "RR-List", "mechanism variant (see internal/torture.Variants)")
+		structure = flag.String("structure", family.Singly, "structure to torture ("+strings.Join(family.Names(), "|")+")")
+		variant   = flag.String("variant", "RR-V", "mechanism variant the structure takes (an undefined one lists them)")
 		policy    = flag.Int("policy", 0, "arena free-list policy (0=local magazines, 1=shared)")
 		threads   = flag.Int("threads", 4, "worker thread count")
 		ops       = flag.Int("ops", 2000, "operations per worker")

@@ -33,18 +33,16 @@ type named = interface{ Name() string }
 func probe(t *testing.T, s named) built {
 	t.Helper()
 	v := reflect.Indirect(reflect.ValueOf(s))
-	for !v.FieldByName("rt").IsValid() {
-		// The wrappers: HashTable.l, Map.t.
-		inner := v.FieldByName("l")
+	if !v.FieldByName("RT").IsValid() {
+		// Every structure embeds the chassis (reclaim.Chassis) but the one
+		// wrapper: Map.t.
+		inner := v.FieldByName("t")
 		if !inner.IsValid() {
-			inner = v.FieldByName("t")
-		}
-		if !inner.IsValid() {
-			t.Fatalf("%T: no runtime and no wrapped structure", s)
+			t.Fatalf("%T: no chassis and no wrapped structure", s)
 		}
 		v = reflect.Indirect(inner)
 	}
-	prof := v.FieldByName("rt").Elem().FieldByName("prof")
+	prof := v.FieldByName("RT").Elem().FieldByName("prof")
 	win := v.FieldByName("win")
 	name, _, _ := strings.Cut(s.Name(), "/")
 	return built{
@@ -59,8 +57,8 @@ func probe(t *testing.T, s named) built {
 			W:         int(win.FieldByName("W").Int()),
 			NoScatter: win.FieldByName("NoScatter").Bool(),
 		},
-		threads: v.FieldByName("threads").Len(),
-		policy:  arena.Policy(v.FieldByName("ar").Elem().FieldByName("cfg").FieldByName("Policy").Uint()),
+		threads: v.FieldByName("ops").Len(),
+		policy:  arena.Policy(v.FieldByName("Ar").Elem().FieldByName("cfg").FieldByName("Policy").Uint()),
 	}
 }
 

@@ -53,11 +53,11 @@ package hohtx
 import (
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
+	"hohtx/internal/family"
 	"hohtx/internal/list"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
-	"hohtx/internal/skiplist"
 	"hohtx/internal/stm"
 	"hohtx/internal/tree"
 )
@@ -197,35 +197,46 @@ func (c Config) internal() reclaim.Config {
 	return out
 }
 
+// build constructs the named family's structure from its row of the
+// family table, the one place the repository's structures are listed.
+func build(name string, cfg Config) Set {
+	row, err := family.ByName(name)
+	if err != nil {
+		panic(err) // the names below are the table's own constants
+	}
+	return row.New(cfg.internal())
+}
+
 // NewListSet returns a singly linked list set (best for small key ranges
 // and teaching; O(n) operations).
-func NewListSet(cfg Config) Set { return list.New(cfg.internal()) }
+func NewListSet(cfg Config) Set { return build(family.Singly, cfg) }
 
 // NewDoublyListSet returns a doubly linked list set; removals unlink in a
 // second, smaller transaction (§4.2), which reduces conflicts under
 // write-heavy loads.
-func NewDoublyListSet(cfg Config) Set { return list.NewDoubly(cfg.internal()) }
+func NewDoublyListSet(cfg Config) Set { return build(family.Doubly, cfg) }
 
 // NewInternalTreeSet returns an unbalanced internal BST set (§4.3).
-func NewInternalTreeSet(cfg Config) Set { return tree.NewInternal(cfg.internal()) }
+func NewInternalTreeSet(cfg Config) Set { return build(family.ITree, cfg) }
 
 // NewExternalTreeSet returns an unbalanced external BST set; keys live in
 // leaves, making removals structurally simple (no successor swaps).
-func NewExternalTreeSet(cfg Config) Set { return tree.NewExternal(cfg.internal()) }
+func NewExternalTreeSet(cfg Config) Set { return build(family.ETree, cfg) }
 
 // NewHashSet returns a hash set of bucketed hand-over-hand chains — the
 // structure the paper's conclusion proposes as the next application of
 // revocable reservations. buckets is rounded up to a power of two; size it
-// for a small expected load factor (e.g. expected keys / 4).
+// for a small expected load factor (e.g. expected keys / 4). (The family
+// table's hash row is this constructor at the harnesses' bucket count.)
 func NewHashSet(cfg Config, buckets int) Set {
-	return list.NewHashTable(cfg.internal(), buckets)
+	return list.NewHashTable(cfg.internal(), max(buckets, 1))
 }
 
 // NewSkipListSet returns a skiplist set — the probabilistically balanced
 // answer to the paper's "balanced trees" future-work item: O(log n)
 // expected operations, one Revoke per removal regardless of node height,
 // and precise reclamation throughout.
-func NewSkipListSet(cfg Config) Set { return skiplist.New(cfg.internal()) }
+func NewSkipListSet(cfg Config) Set { return build(family.Skip, cfg) }
 
 // Ascender is implemented by sets that support ordered iteration
 // (currently NewListSet, NewDoublyListSet, NewSkipListSet, and

@@ -2,9 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"hohtx/internal/family"
 	"hohtx/internal/sets"
 )
 
@@ -66,13 +68,28 @@ func TestRunProducesThroughput(t *testing.T) {
 	}
 }
 
+// TestBuildEveryPaperVariant builds every family × variant the family table
+// defines through Build — hash included, which no line of this package names
+// — plus the series the figures plot by name, so the table cannot drop one.
 func TestBuildEveryPaperVariant(t *testing.T) {
-	cases := map[Family][]string{
+	cases := map[Family][]string{}
+	for _, name := range family.Names() {
+		row, _ := family.ByName(name)
+		cases[Family(name)] = row.Variants()
+	}
+	for fam, names := range map[Family][]string{
 		FamilySingly:       append(RRNames(), "HTM", "TMHP", "TMHE", "TMVBR", "REF", "LFLeak", "LFHP"),
 		FamilyDoubly:       append(RRNames(), "HTM", "TMHP", "TMHE", "TMVBR"),
 		FamilyInternalTree: append(RRNames(), "HTM"),
 		FamilyExternalTree: append(RRNames(), "HTM", "TMHP", "TMHE", "TMVBR", "LFLeak"),
-		FamilySkipList:     append(RRNames(), "HTM", "TMHE", "TMVBR"),
+		FamilySkipList:     append(RRNames(), "HTM", "TMHP", "TMHE", "TMVBR"),
+		Family("hash"):     {"RR-V"},
+	} {
+		for _, name := range names {
+			if !slices.Contains(cases[fam], name) {
+				t.Errorf("the family table no longer defines %s/%s", fam, name)
+			}
+		}
 	}
 	for fam, names := range cases {
 		for _, name := range names {

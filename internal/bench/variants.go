@@ -1,37 +1,31 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
-	"hohtx/internal/list"
-	"hohtx/internal/lockfree"
+	"hohtx/internal/family"
 	"hohtx/internal/obs"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
-	"hohtx/internal/skiplist"
 	"hohtx/internal/stm"
-	"hohtx/internal/tree"
 )
 
-// Family identifies which data structure an experiment runs on.
+// Family identifies which data structure an experiment runs on: the name of
+// a row of the family table (internal/family), which is where every family
+// that exists is listed. The constants name the ones the figures use.
 type Family string
 
 const (
-	// FamilySingly is the singly linked list (Figure 2).
-	FamilySingly Family = "singly"
-	// FamilyDoubly is the doubly linked list (Figures 3 and 5).
-	FamilyDoubly Family = "doubly"
-	// FamilyInternalTree is the internal BST (Figure 6).
-	FamilyInternalTree Family = "itree"
-	// FamilyExternalTree is the external BST (Figure 7).
-	FamilyExternalTree Family = "etree"
-	// FamilySkipList is the skiplist (paper §6 future work; extension
-	// benches only).
-	FamilySkipList Family = "skip"
+	FamilySingly       Family = family.Singly // Figure 2
+	FamilyDoubly       Family = family.Doubly // Figures 3 and 5
+	FamilyInternalTree Family = family.ITree  // Figure 6
+	FamilyExternalTree Family = family.ETree  // Figure 7
+	FamilySkipList     Family = family.Skip   // paper §6 future work; extension benches only
 )
 
 // VariantSpec fully determines how to build one series' data structure.
@@ -78,12 +72,8 @@ func obsDomain(spec VariantSpec, threads int) *obs.Domain {
 	if !spec.Observe {
 		return nil
 	}
-	name := spec.ObsName
-	if name == "" {
-		name = spec.Name
-	}
 	return obs.NewDomain(obs.DomainConfig{
-		Name:        name,
+		Name:        cmp.Or(spec.ObsName, spec.Name),
 		Threads:     threads,
 		SampleShift: BenchSampleShift,
 	})
@@ -106,100 +96,44 @@ func simShift(disabled bool) uint8 {
 	return SimYieldShift
 }
 
-// BestWindow returns the tuned window size for a family at a thread count,
-// following the paper's findings: "Up to 4 threads, a window size of 16 is
-// best. At 8 threads, the balance tips in favor of a window size of 8"
-// (§5.2) for the lists; the trees favor larger windows at low thread
-// counts (§5.4).
+// BestWindow returns the tuned window size for a family at a thread count
+// (the family's row has the paper's findings); 0 for an unknown family.
 func BestWindow(f Family, threads int) int {
-	switch f {
-	case FamilySingly, FamilyDoubly:
-		if threads <= 4 {
-			return 16
-		}
-		return 8
-	default:
-		if threads <= 2 {
-			return 32
-		}
-		return 16
+	row, err := family.ByName(string(f))
+	if err != nil {
+		return 0
 	}
+	return row.Window(threads)
 }
 
 // Build constructs the variant for a family at a thread count. It returns
-// an error for combinations the paper does not define (e.g. REF on the
-// doubly linked list). Which labels a family takes is the structure
-// package's own ModeByName; the lock-free comparators are the only names
-// resolved here.
+// an error for combinations the family table does not define (e.g. REF on
+// the doubly linked list), naming the ones it does.
 func Build(f Family, spec VariantSpec, threads int) (sets.Set, error) {
+	row, err := family.ByName(string(f))
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
 	w := spec.Window
 	if w == 0 {
-		w = BestWindow(f, threads)
+		w = row.Window(threads)
 	}
-	undefined := fmt.Errorf("bench: variant %q is undefined for family %q", spec.Name, f)
-	yield := simShift(spec.NoSimulatedPreemption)
-	// tm is the Config of a TM-backed variant: the family supplies the
-	// selector pair ModeByName resolved and its own serial-fallback
-	// threshold, which a capacity override has to restate.
-	tm := func(mode reclaim.Mode, kind core.Kind, attempts int) reclaim.Config {
-		cfg := reclaim.Config{
-			Mode: mode, RRKind: kind, Threads: threads,
-			Window:      core.Window{W: w, NoScatter: spec.NoScatter},
-			ArenaPolicy: spec.Policy, Assoc: spec.Assoc,
-			YieldShift: yield, Obs: obsDomain(spec, threads),
-		}
-		if spec.Capacity > 0 {
-			cfg.Profile = stm.Profile{Capacity: spec.Capacity, MaxAttempts: attempts}
-		}
-		return cfg
+	cfg := reclaim.Config{
+		Threads:     threads,
+		Window:      core.Window{W: w, NoScatter: spec.NoScatter},
+		ArenaPolicy: spec.Policy, Assoc: spec.Assoc,
+		YieldShift: simShift(spec.NoSimulatedPreemption), Obs: obsDomain(spec, threads),
 	}
-
-	switch f {
-	case FamilySingly, FamilyDoubly:
-		if spec.Name == "LFLeak" || spec.Name == "LFHP" {
-			if f == FamilyDoubly {
-				return nil, undefined // no lock-free doubly linked list (as in the paper)
-			}
-			return lockfree.NewHarrisList(lockfree.ListConfig{
-				Threads:           threads,
-				UseHazardPointers: spec.Name == "LFHP",
-				ArenaPolicy:       spec.Policy,
-				YieldShift:        yield,
-			}), nil
-		}
-		mode, kind, ok := list.ModeByName(spec.Name, f == FamilyDoubly)
-		if !ok {
-			return nil, undefined
-		}
-		if f == FamilyDoubly {
-			return list.NewDoubly(tm(mode, kind, 2)), nil
-		}
-		return list.New(tm(mode, kind, 2)), nil
-
-	case FamilyInternalTree, FamilyExternalTree:
-		if spec.Name == "LFLeak" {
-			if f == FamilyInternalTree {
-				return nil, undefined // the lock-free comparator tree is external (as in the paper)
-			}
-			return lockfree.NewNMTree(lockfree.NMConfig{Threads: threads, YieldShift: yield}), nil
-		}
-		mode, kind, ok := tree.ModeByName(spec.Name, f == FamilyInternalTree)
-		if !ok {
-			return nil, undefined
-		}
-		if f == FamilyInternalTree {
-			return tree.NewInternal(tm(mode, kind, 8)), nil
-		}
-		return tree.NewExternal(tm(mode, kind, 8)), nil
-
-	case FamilySkipList:
-		mode, kind, ok := skiplist.ModeByName(spec.Name)
-		if !ok {
-			return nil, undefined
-		}
-		return skiplist.New(tm(mode, kind, 8)), nil
+	if spec.Capacity > 0 {
+		// A capacity override has to restate the family's own
+		// serial-fallback threshold.
+		cfg.Profile = stm.Profile{Capacity: spec.Capacity, MaxAttempts: row.Attempts}
 	}
-	return nil, fmt.Errorf("bench: unknown family %q", f)
+	set, err := row.Build(spec.Name, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
+	return set, nil
 }
 
 // BuildSharded constructs shards independent instances of a variant —
@@ -220,11 +154,7 @@ func BuildSharded(f Family, spec VariantSpec, threads, shards int) (*serve.Shard
 	for i := range parts {
 		s := spec
 		if s.Observe {
-			base := s.ObsName
-			if base == "" {
-				base = s.Name
-			}
-			s.ObsName = fmt.Sprintf("%s-s%d", base, i)
+			s.ObsName = fmt.Sprintf("%s-s%d", cmp.Or(s.ObsName, s.Name), i)
 		}
 		set, err := Build(f, s, threads)
 		if err != nil {

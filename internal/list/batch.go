@@ -37,21 +37,16 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 		return nil
 	}
 	ts := &l.threads[tid]
-	ts.ops += uint64(len(ops))
-	if l.enterEpoch(tid) {
+	if l.ep != nil { // ModeER's epoch bracket; see applyAt
+		l.ep.Enter(tid)
 		defer l.ep.Exit(tid)
 	}
-	// Result and visit-order buffers live in per-thread state and are
-	// reused across batches (grow-only): the returned slice is valid until
-	// the same thread's next Apply, which every caller respects — the
-	// serving layer copies per-shard results out before the next shard
-	// runs. A fresh pair of slices per batch was measurable GC pressure
-	// at wire speed.
-	if cap(ts.batchOut) < len(ops) {
-		ts.batchOut = make([]sets.Result, len(ops))
+	// Result and visit-order buffers are per-thread and grow-only (see
+	// reclaim.Chassis.Results for the contract).
+	out := l.Results(tid, len(ops))
+	if cap(ts.batchOrder) < len(ops) {
 		ts.batchOrder = make([]int, len(ops))
 	}
-	out := ts.batchOut[:len(ops)]
 	// Visit order: chain, then key, then arrival order — one monotone
 	// cursor pass per chain, with same-key ops applied in program order.
 	// Sorted by hand (shellsort) rather than sort.Slice: the latter boxes
@@ -62,27 +57,27 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 		order[i] = i
 	}
 	sortOrder(order, ops, chainOf)
-	l.rt.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
+	l.Batch(tid, len(ops), func(tx *stm.Tx) {
 		pos := 0
 		for pos < len(order) {
 			chain := chainOf(ops[order[pos]].Key)
 			prevH := chainHead(chain)
-			currH := l.guard.Link(tx, tid, prevH, l.ar.At(prevH).next.Load(tx))
+			currH := l.Guard.Link(tx, tid, prevH, l.Ar.At(prevH).next.Load(tx))
 			var ck uint64
 			ckKnown := false
 			for pos < len(order) && chainOf(ops[order[pos]].Key) == chain {
 				key := ops[order[pos]].Key
 				for !currH.IsNil() {
-					n := l.ar.At(currH)
+					n := l.Ar.At(currH)
 					if !ckKnown {
-						ck = l.guard.Word(tx, tid, currH, n.key.Load(tx))
+						ck = l.Guard.Word(tx, tid, currH, n.key.Load(tx))
 						ckKnown = true
 					}
 					if ck >= key {
 						break
 					}
 					prevH = currH
-					currH = l.guard.Link(tx, tid, currH, n.next.Load(tx))
+					currH = l.Guard.Link(tx, tid, currH, n.next.Load(tx))
 					ckKnown = false
 				}
 				present := !currH.IsNil() && ck == key
@@ -102,7 +97,7 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 						if !present {
 							out[i] = false
 						} else {
-							nxt := l.guard.Link(tx, tid, currH, l.ar.At(currH).next.Load(tx))
+							nxt := l.Guard.Link(tx, tid, currH, l.Ar.At(currH).next.Load(tx))
 							removeAt(tx, tid, prevH, currH)
 							currH = nxt
 							ckKnown = false
@@ -124,7 +119,7 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 // batch form of the singly linked Insert's not-found callback.
 func (l *List) insertSingly(tx *stm.Tx, tid int, key uint64, prevH, currH arena.Handle) arena.Handle {
 	nh := l.allocNode(tx, tid, key, currH, arena.Nil)
-	l.ar.At(prevH).next.Store(tx, uint64(nh))
+	l.Ar.At(prevH).next.Store(tx, uint64(nh))
 	return nh
 }
 
@@ -154,9 +149,9 @@ func (d *DList) Apply(tid int, ops []sets.Op) []sets.Result {
 
 func (d *DList) insertDoubly(tx *stm.Tx, tid int, key uint64, prevH, currH arena.Handle) arena.Handle {
 	nh := d.allocNode(tx, tid, key, currH, prevH)
-	d.ar.At(prevH).next.Store(tx, uint64(nh))
+	d.Ar.At(prevH).next.Store(tx, uint64(nh))
 	if !currH.IsNil() {
-		d.ar.At(currH).prev.Store(tx, uint64(nh))
+		d.Ar.At(currH).prev.Store(tx, uint64(nh))
 	}
 	return nh
 }
@@ -165,7 +160,7 @@ func (d *DList) insertDoubly(tx *stm.Tx, tid int, key uint64, prevH, currH arena
 // link (prevH is unused: the batch engine's callback shape).
 func (d *DList) removeDoublyInTx(tx *stm.Tx, tid int, _, currH arena.Handle) {
 	d.unlinkDoubly(tx, tid, currH)
-	d.link.Unlinked(tx, tid, currH, d.threads[tid].ops)
+	d.Unlinked(tx, tid, currH)
 }
 
 // Apply implements sets.Set for the hash table: ops are grouped by bucket

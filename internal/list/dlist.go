@@ -28,12 +28,14 @@ func NewDoubly(cfg Config) *DList {
 	if !cfg.Mode.Generic() {
 		panic("list: ModeREF and ModeER are only implemented for the singly linked list")
 	}
-	return &DList{List: *New(cfg)}
+	d := new(DList)
+	d.init(cfg)
+	return d
 }
 
 // Insert implements sets.Set, maintaining prev links.
 func (d *DList) Insert(tid int, key uint64) bool {
-	res, _ := d.apply(tid, key, false,
+	res, _ := d.applyAt(tid, key, d.head, false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
 			d.insertDoubly(tx, tid, key, prevH, currH)
@@ -52,10 +54,10 @@ const (
 
 // Remove implements sets.Set.
 func (d *DList) Remove(tid int, key uint64) bool {
-	if d.traits.WholeOp {
+	if d.Traits.WholeOp {
 		// Single-transaction removal; the traversal and unlink commit
 		// together, so no hold is involved.
-		res, _ := d.apply(tid, key, false,
+		res, _ := d.applyAt(tid, key, d.head, false,
 			func(tx *stm.Tx, prevH, currH arena.Handle) bool {
 				d.removeDoublyInTx(tx, tid, prevH, currH)
 				return true
@@ -66,7 +68,7 @@ func (d *DList) Remove(tid int, key uint64) bool {
 	}
 	for {
 		// Phase 1: locate the node and leave our hold attached to it.
-		found, _ := d.apply(tid, key, true,
+		found, _ := d.applyAt(tid, key, d.head, true,
 			func(tx *stm.Tx, prevH, currH arena.Handle) bool { return true },
 			func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		)
@@ -94,12 +96,12 @@ func (d *DList) Remove(tid int, key uint64) bool {
 // reservation cannot tell that from a spurious loss.
 func (d *DList) removePhase2(tid int) int {
 	out := retryOp
-	d.rt.AtomicT(tid, func(tx *stm.Tx) {
+	d.RT.AtomicT(tid, func(tx *stm.Tx) {
 		out = retryOp
-		h, _, held := d.link.Resume(tx, tid)
-		d.link.Drop(tx, tid, held)
+		h, _, held := d.Link.Resume(tx, tid)
+		d.Link.Drop(tx, tid, held)
 		if !held {
-			if d.traits.StrictLoss {
+			if d.Traits.StrictLoss {
 				out = lostOp
 			}
 			return
@@ -113,17 +115,17 @@ func (d *DList) removePhase2(tid int) int {
 // unlinkDoubly splices currH out using its own links; the predecessor is
 // always a real node (ultimately the head sentinel).
 func (d *DList) unlinkDoubly(tx *stm.Tx, tid int, currH arena.Handle) {
-	curr := d.ar.At(currH)
-	p := d.guard.Link(tx, tid, currH, curr.prev.Load(tx))
-	nx := d.guard.Link(tx, tid, currH, curr.next.Load(tx))
+	curr := d.Ar.At(currH)
+	p := d.Guard.Link(tx, tid, currH, curr.prev.Load(tx))
+	nx := d.Guard.Link(tx, tid, currH, curr.next.Load(tx))
 	if p.IsNil() {
 		// Only a poisoned prev defuses to Nil (real predecessors bottom out
 		// at the head sentinel); this attempt is doomed, skip the splice.
 		return
 	}
-	d.ar.At(p).next.Store(tx, uint64(nx))
+	d.Ar.At(p).next.Store(tx, uint64(nx))
 	if !nx.IsNil() {
-		d.ar.At(nx).prev.Store(tx, uint64(p))
+		d.Ar.At(nx).prev.Store(tx, uint64(p))
 	}
 }
 
@@ -131,8 +133,8 @@ func (d *DList) unlinkDoubly(tx *stm.Tx, tid int, currH arena.Handle) {
 // test helper and requires quiescence.
 func (d *DList) ValidateLinks() bool {
 	prev := d.head
-	for h := arena.Handle(d.ar.At(d.head).next.Raw()); !h.IsNil(); {
-		n := d.ar.At(h)
+	for h := arena.Handle(d.Ar.At(d.head).next.Raw()); !h.IsNil(); {
+		n := d.Ar.At(h)
 		if arena.Handle(n.prev.Raw()) != prev {
 			return false
 		}

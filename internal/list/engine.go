@@ -7,10 +7,10 @@ import (
 
 // The hand-over-hand window engine (Listing 5's Apply), shared by the
 // singly and doubly linked lists. The closure below is one window
-// transaction and stm.Runtime.Chain is the loop that runs them; the
-// traversal position is carried across transactions by the list's link (the
-// seam in internal/reclaim, whose file header states each mechanism's resume
-// protocol).
+// transaction and the chassis's Op (stm.Runtime.Chain) the loop that runs
+// them; the traversal position is carried across transactions by the list's
+// link (the seam in internal/reclaim, whose file header states each
+// mechanism's resume protocol).
 
 // applyFn is a terminal-phase callback; prevH's successor is currH at the
 // transaction's snapshot. For the found callback currH holds the key; for
@@ -18,39 +18,26 @@ import (
 // Nil) and an insert belongs between prevH and currH.
 type applyFn func(tx *stm.Tx, prevH, currH arena.Handle) bool
 
-// apply runs one set operation. If reserveFound is true, a successful
-// found-terminal leaves the operation's linking mechanism attached to
-// currH instead of releasing it (phase one of the doubly linked list's
-// two-transaction remove, §4.2) and returns currH as target.
-func (l *List) apply(tid int, key uint64, reserveFound bool, onFound, onNotFound applyFn) (res bool, target arena.Handle) {
-	return l.applyAt(tid, key, l.head, reserveFound, onFound, onNotFound)
-}
-
-// applyAt is apply with an explicit traversal root, letting one List's
-// machinery serve many independent chains (the hash table's buckets).
+// applyAt runs one set operation on the chain rooted at head (the list's
+// own, or one of the hash table's buckets). If reserveFound is true, a
+// successful found-terminal leaves the operation's linking mechanism
+// attached to currH instead of releasing it (phase one of the doubly linked
+// list's two-transaction remove, §4.2) and returns currH as target.
 func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool, onFound, onNotFound applyFn) (res bool, target arena.Handle) {
 	ts := &l.threads[tid]
-	ts.ops++
-	if l.enterEpoch(tid) {
+	if l.ep != nil {
+		// ModeER: an epoch critical section around the operation, so nodes
+		// its released reads still point at cannot be reclaimed under it.
+		l.ep.Enter(tid)
 		defer l.ep.Exit(tid)
 	}
-	l.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
+	l.Op(tid, func(tx *stm.Tx) (more bool) {
 		// Reset per attempt: the closure re-runs on abort.
 		res = false
 		target = arena.Nil
 
-		win := l.window()
-		startH, _, held := l.link.Resume(tx, tid)
-		var budget int
-		if held {
-			budget = win.Next()
-		} else {
-			startH = head
-			budget = win.First(tx)
-		}
-
-		prevH := startH
-		currH := l.guard.Link(tx, tid, prevH, l.ar.At(prevH).next.Load(tx))
+		prevH, _, held, budget := l.Start(tx, tid, head, 0)
+		currH := l.Guard.Link(tx, tid, prevH, l.Ar.At(prevH).next.Load(tx))
 		steps := 0
 		var k uint64
 		for !currH.IsNil() {
@@ -64,13 +51,13 @@ func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool
 				}
 				ts.marks[steps%w] = tx.ReadMark()
 			}
-			n := l.ar.At(currH) // one handle translation per node visited
-			k = l.guard.Word(tx, tid, currH, n.key.Load(tx))
+			n := l.Ar.At(currH) // one handle translation per node visited
+			k = l.Guard.Word(tx, tid, currH, n.key.Load(tx))
 			if k >= key || steps >= budget {
 				break
 			}
 			prevH = currH
-			currH = l.guard.Link(tx, tid, currH, n.next.Load(tx))
+			currH = l.Guard.Link(tx, tid, currH, n.next.Load(tx))
 			steps++
 		}
 
@@ -78,20 +65,20 @@ func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool
 		case !currH.IsNil() && k == key:
 			res = onFound(tx, prevH, currH)
 			if reserveFound {
-				l.link.Hold(tx, tid, held, currH, 0)
+				l.Link.Hold(tx, tid, held, currH, 0)
 				target = currH
 			} else {
-				l.link.Drop(tx, tid, held)
+				l.Link.Drop(tx, tid, held)
 			}
 			return false
 		case currH.IsNil() || k > key:
 			res = onNotFound(tx, prevH, currH)
-			l.link.Drop(tx, tid, held)
+			l.Link.Drop(tx, tid, held)
 			return false
 		default:
 			// Budget exhausted mid-traversal: hand over to the next
 			// window at currH.
-			l.link.Hold(tx, tid, held, currH, 0)
+			l.Link.Hold(tx, tid, held, currH, 0)
 			return true
 		}
 	})

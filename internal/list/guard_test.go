@@ -20,9 +20,9 @@ func guardHarness(t *testing.T, sink func(arena.GuardEvent)) (*List, arena.Handl
 			t.Fatalf("setup insert %d failed", k)
 		}
 	}
-	h1 := arena.Handle(l.ar.At(l.head).next.Raw())
-	h2 := arena.Handle(l.ar.At(h1).next.Raw())
-	l.ar.Free(0, h2) // deliberate use-after-free setup: node 2 is still linked
+	h1 := arena.Handle(l.Ar.At(l.head).next.Raw())
+	h2 := arena.Handle(l.Ar.At(h1).next.Raw())
+	l.Ar.Free(0, h2) // deliberate use-after-free setup: node 2 is still linked
 	return l, h2
 }
 
@@ -60,10 +60,10 @@ func TestGuardBenignDoomedReaderNotCounted(t *testing.T) {
 	})
 
 	attempt := 0
-	l.rt.Atomic(func(tx *stm.Tx) {
+	l.RT.Atomic(func(tx *stm.Tx) {
 		attempt++
 		if attempt == 1 {
-			_ = l.guard.Word(tx, 0, h2, l.ar.At(h2).key.Load(tx)) // doomed read
+			_ = l.Guard.Word(tx, 0, h2, l.Ar.At(h2).key.Load(tx)) // doomed read
 			tx.Restart()                                          // ...that never commits
 		}
 	})
@@ -82,10 +82,10 @@ func TestGuardBenignDoomedReaderNotCounted(t *testing.T) {
 func TestGuardPoisonedLinkDefusesToNil(t *testing.T) {
 	l, h2 := guardHarness(t, func(arena.GuardEvent) {})
 	attempt := 0
-	l.rt.Atomic(func(tx *stm.Tx) {
+	l.RT.Atomic(func(tx *stm.Tx) {
 		attempt++
 		if attempt == 1 {
-			if h := l.guard.Link(tx, 0, h2, l.ar.At(h2).next.Load(tx)); !h.IsNil() {
+			if h := l.Guard.Link(tx, 0, h2, l.Ar.At(h2).next.Load(tx)); !h.IsNil() {
 				t.Errorf("poisoned link loaded as %v, want Nil", h)
 			}
 			tx.Restart()

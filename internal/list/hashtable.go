@@ -6,7 +6,6 @@ import (
 	"hohtx/internal/arena"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
-	"hohtx/internal/stm"
 )
 
 // HashTable is a concurrent hash set built from bucketed hand-over-hand
@@ -22,8 +21,10 @@ import (
 // Compared to the plain list, traversals are short (load factor) and
 // conflicts only arise within a bucket; the reservation mechanism is
 // exercised exactly as in the list (window cuts near the end of long
-// buckets, revocation on remove, immediate reclamation).
+// buckets, revocation on remove, immediate reclamation). What the table
+// reports about itself is its list's chassis.
 type HashTable struct {
+	*reclaim.Chassis[node]
 	l     *List
 	heads []arena.Handle
 	mask  uint64
@@ -33,23 +34,24 @@ var _ sets.Set = (*HashTable)(nil)
 var _ sets.MemoryReporter = (*HashTable)(nil)
 
 // NewHashTable constructs a hash set with the given bucket count (rounded
-// up to a power of two). All Config fields mean what they do for New; REF
-// and ER modes are supported too, since buckets are ordinary chains.
+// up to a power of two; below 1 means four per thread, a small load factor
+// at the harnesses' key ranges). All Config fields mean what they do for
+// New; REF and ER modes are supported too, since buckets are ordinary chains.
 func NewHashTable(cfg Config, buckets int) *HashTable {
+	l := New(cfg)
 	if buckets < 1 {
-		buckets = 1
+		buckets = 4 * len(l.threads)
 	}
 	b := 1
 	for b < buckets {
 		b <<= 1
 	}
-	l := New(cfg)
 	heads := make([]arena.Handle, b)
 	heads[0] = l.head
 	for i := 1; i < b; i++ {
-		heads[i] = l.newSentinel()
+		heads[i], _ = l.NewSentinel()
 	}
-	return &HashTable{l: l, heads: heads, mask: uint64(b - 1)}
+	return &HashTable{Chassis: &l.Chassis, l: l, heads: heads, mask: uint64(b - 1)}
 }
 
 // bucketIndex returns the bucket number for a key.
@@ -74,53 +76,23 @@ func (h *HashTable) Buckets() int { return len(h.heads) }
 // Name implements sets.Set.
 func (h *HashTable) Name() string { return h.l.Name() + "/hash" }
 
-// Register implements sets.Set.
-func (h *HashTable) Register(tid int) { h.l.Register(tid) }
-
-// Finish implements sets.Set.
-func (h *HashTable) Finish(tid int) { h.l.Finish(tid) }
-
 // Lookup implements sets.Set.
-func (h *HashTable) Lookup(tid int, key uint64) bool {
-	res, _ := h.l.applyAt(tid, key, h.bucket(key), false,
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return true },
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
-	)
-	return res
-}
+func (h *HashTable) Lookup(tid int, key uint64) bool { return h.l.lookupAt(tid, key, h.bucket(key)) }
 
 // Insert implements sets.Set.
-func (h *HashTable) Insert(tid int, key uint64) bool {
-	res, _ := h.l.applyAt(tid, key, h.bucket(key), false,
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-			h.l.insertSingly(tx, tid, key, prevH, currH)
-			return true
-		},
-	)
-	return res
-}
+func (h *HashTable) Insert(tid int, key uint64) bool { return h.l.insertAt(tid, key, h.bucket(key)) }
 
-// Remove implements sets.Set: unlink, revoke, reclaim immediately — the
-// bucket chain behaves exactly like Listing 5's list.
-func (h *HashTable) Remove(tid int, key uint64) bool {
-	res, _ := h.l.applyAt(tid, key, h.bucket(key), false,
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-			h.l.unlinkAndReclaim(tx, tid, prevH, currH)
-			return true
-		},
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
-	)
-	return res
-}
+// Remove implements sets.Set: the bucket chain behaves exactly like Listing
+// 5's list.
+func (h *HashTable) Remove(tid int, key uint64) bool { return h.l.removeAt(tid, key, h.bucket(key)) }
 
 // Snapshot implements sets.Set (quiescence required): the union of all
 // buckets, sorted.
 func (h *HashTable) Snapshot() []uint64 {
 	var out []uint64
 	for _, head := range h.heads {
-		for n := arena.Handle(h.l.ar.At(head).next.Raw()); !n.IsNil(); {
-			nd := h.l.ar.At(n)
+		for n := arena.Handle(h.Ar.At(head).next.Raw()); !n.IsNil(); {
+			nd := h.Ar.At(n)
 			out = append(out, nd.key.Raw())
 			n = arena.Handle(nd.next.Raw())
 		}
@@ -129,35 +101,14 @@ func (h *HashTable) Snapshot() []uint64 {
 	return out
 }
 
-// LiveNodes implements sets.MemoryReporter (includes one sentinel per
-// bucket).
-func (h *HashTable) LiveNodes() uint64 { return h.l.LiveNodes() }
-
-// DeferredNodes implements sets.MemoryReporter.
-func (h *HashTable) DeferredNodes() uint64 { return h.l.DeferredNodes() }
-
-// TMStats delegates to the shared runtime.
-func (h *HashTable) TMStats() stm.Stats { return h.l.TMStats() }
-
-// GuardStats exposes the arena sanitizer counters (zero when guard is off).
-func (h *HashTable) GuardStats() arena.GuardStats { return h.l.GuardStats() }
-
-// ReclaimStats and ReclaimTraits expose the deferred-reclamation counters
-// and the mode's fixed properties.
-func (h *HashTable) ReclaimStats() reclaim.Stats   { return h.l.ReclaimStats() }
-func (h *HashTable) ReclaimTraits() reclaim.Traits { return h.l.ReclaimTraits() }
-
-// SetWindow implements the runtime window knob.
-func (h *HashTable) SetWindow(w int) { h.l.SetWindow(w) }
-
 // BucketSizes returns each bucket's current length (diagnostics and tests;
 // quiescence required).
 func (h *HashTable) BucketSizes() []int {
 	out := make([]int, len(h.heads))
 	for i, head := range h.heads {
-		for n := arena.Handle(h.l.ar.At(head).next.Raw()); !n.IsNil(); {
+		for n := arena.Handle(h.Ar.At(head).next.Raw()); !n.IsNil(); {
 			out[i]++
-			n = arena.Handle(h.l.ar.At(n).next.Raw())
+			n = arena.Handle(h.Ar.At(n).next.Raw())
 		}
 	}
 	return out

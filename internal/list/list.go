@@ -13,11 +13,7 @@
 package list
 
 import (
-	"sync/atomic"
-
 	"hohtx/internal/arena"
-	"hohtx/internal/core"
-	"hohtx/internal/obs"
 	"hohtx/internal/pad"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
@@ -40,13 +36,6 @@ const (
 	ModeTMVBR = reclaim.ModeTMVBR
 )
 
-// ModeByName resolves a variant label ("RR-V", "HTM", "TMHP", …) to the
-// Config selector pair; doubly restricts it to what NewDoubly accepts.
-func ModeByName(name string, doubly bool) (Mode, core.Kind, bool) {
-	m, k, ok := reclaim.ModeByName(name)
-	return m, k, ok && (m.Generic() || !doubly)
-}
-
 // node is the shared node layout. Every field is a transactional cell;
 // recycled nodes are re-initialized with transactional stores only (see
 // the arena package comment for why). The trailing pad keeps concurrent
@@ -60,16 +49,20 @@ type node struct {
 	_    pad.Line
 }
 
-// threadState is the per-thread operation stamp used for reclamation-delay
-// accounting, plus traversal scratch.
-type threadState struct {
-	ops   uint64
-	marks []uint64 // ModeER: read marks of the last W spine nodes (nil otherwise)
+// words is the node's one enumeration of its cells (reclaim.Layout.Words).
+func (n *node) words(f func(*stm.Word, uint64), x uint64) {
+	f(&n.key, x)
+	f(&n.next, x)
+	f(&n.prev, x)
+	f(&n.dead, x)
+	f(&n.rc, x)
+}
 
-	// Grow-only batch scratch (see applyBatch): the result and visit-order
-	// buffers are reused across this thread's batches, so steady-state
-	// Apply allocates nothing.
-	batchOut   []sets.Result
+// threadState is one thread's traversal scratch.
+type threadState struct {
+	marks []uint64 // ModeER: read marks of the last W spine nodes (nil otherwise)
+	// batchOrder is applyBatch's grow-only visit-order buffer, reused across
+	// this thread's batches so steady-state Apply allocates nothing.
 	batchOrder []int
 	_          pad.Line
 }
@@ -79,25 +72,14 @@ type threadState struct {
 // and a zero Window, W = 8.
 type Config = reclaim.Config
 
-// List is the singly linked set (Listing 5).
+// List is the singly linked set (Listing 5): the chassis, a head sentinel
+// and the traversals in engine.go, batch.go and iter.go.
 type List struct {
-	rt *stm.Runtime
-	ar *arena.Arena[node]
-	// link is the mode's linking-and-reclamation mechanism (the seam): it
-	// carries the traversal position between window transactions and takes
-	// over every node the list allocates or unlinks.
-	link        reclaim.Link
-	traits      reclaim.Traits  // link.Traits(), read once
-	ep          *reclaim.Epochs // ModeER only: brackets every operation
-	canAscend   bool
-	win         core.Window
-	winOverride atomic.Int32
-	head        arena.Handle
-	threads     []threadState
-	guard       reclaim.Guard
-	obs         *obs.Domain
-	scanWindows *obs.Histogram // window txs per Ascend (nil without Obs)
-	scanRenavs  *obs.Histogram // re-navigations per Ascend (nil without Obs)
+	reclaim.Chassis[node]
+	ep        *reclaim.Epochs // ModeER only: brackets every operation
+	canAscend bool
+	head      arena.Handle
+	threads   []threadState
 }
 
 var _ sets.Set = (*List)(nil)
@@ -105,115 +87,47 @@ var _ sets.MemoryReporter = (*List)(nil)
 
 // New constructs a singly linked list set.
 func New(cfg Config) *List {
-	cfg = cfg.WithDefaults(2, 8)
-	l := &List{
-		rt: stm.NewRuntime(cfg.Profile),
-		ar: arena.New[node](arena.Config{
-			Policy: cfg.ArenaPolicy, Threads: cfg.Threads,
-			Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
-		}),
-		win:     cfg.Window,
-		threads: make([]threadState, cfg.Threads),
-		// The reservation cursor (iter.go) is offered on the paper's own
-		// modes only.
-		canAscend: cfg.Mode == ModeRR || cfg.Mode == ModeHTM,
-	}
-	l.ar.SetRetire(func(n *node) { retireNode(n, l.rt.VersionFence()) })
-	if cfg.Guard {
-		l.ar.SetPoison(poisonNode)
-	}
-	l.guard = reclaim.GuardFor(l.ar)
-	nodes := reclaim.Nodes{
-		Config:  cfg,
-		Dead:    func(h arena.Handle) *stm.Word { return &l.ar.At(h).dead },
-		Live:    l.ar.Live,
-		Free:    l.ar.Free,
-		Runtime: l.rt, Guard: l.guard,
-	}
-	// The one place the list asks which mechanism it was given.
-	switch cfg.Mode {
-	case ModeREF:
-		l.link = newRefLink(l)
-	case ModeER:
-		l.link = newERLink(l, nodes)
-	default:
-		l.link = reclaim.New(cfg.Mode, nodes)
-	}
-	l.traits = l.link.Traits()
-	if l.traits.WholeOp {
-		l.win = core.Window{} // unbounded: one transaction per op
-	}
-	if cfg.Obs != nil {
-		l.obs = cfg.Obs
-		l.scanWindows = cfg.Obs.Hist(obs.HistAscendWindows, "txs")
-		l.scanRenavs = cfg.Obs.Hist(obs.HistAscendRenavs, "navs")
-		l.rt.SetObserver(cfg.Obs.TxProbe())
-		l.ar.SetObserver(cfg.Obs.AllocProbe())
-	}
-	l.head = l.newSentinel()
+	l := new(List)
+	l.init(cfg)
 	return l
 }
 
-// newSentinel allocates a chain root. Sentinels are construction-time only
-// (never shared before the constructor returns), so non-transactional Init
-// is safe here and only here.
-func (l *List) newSentinel() arena.Handle {
-	h := l.ar.Alloc(0)
-	n := l.ar.At(h)
-	n.key.Init(0)
-	n.next.Init(0)
-	n.prev.Init(0)
-	n.dead.Init(0)
-	n.rc.Init(0)
-	return h
+// init builds the list in place (the chassis's hooks hold its address).
+func (l *List) init(cfg Config) {
+	cfg = cfg.WithDefaults(2, 8)
+	l.threads = make([]threadState, cfg.Threads)
+	// The reservation cursor (iter.go) is offered on the paper's own modes
+	// only.
+	l.canAscend = cfg.Mode == ModeRR || cfg.Mode == ModeHTM
+	l.Init(cfg, reclaim.Layout[node]{
+		Words: (*node).words,
+		Dead:  func(h arena.Handle) *stm.Word { return &l.Ar.At(h).dead },
+		Local: l.localLink,
+	})
+	l.head, _ = l.NewSentinel()
 }
-
-// Runtime exposes the list's TM runtime (statistics, ablation benches).
-func (l *List) Runtime() *stm.Runtime { return l.rt }
-
-// ObsDomain returns the observability domain wired at construction (nil
-// when Config.Obs was nil).
-func (l *List) ObsDomain() *obs.Domain { return l.obs }
-
-// SetWindow changes the hand-over-hand window size at runtime (0 restores
-// the configured value). The paper proposes contention-driven window
-// tuning as future work; this is the knob that enables it (see
-// examples/tuner). Safe to call concurrently with operations: in-flight
-// windows finish at their old size.
-func (l *List) SetWindow(w int) { l.winOverride.Store(int32(w)) }
-
-// window returns the effective window policy for a new transaction. A
-// list whose operations are single transactions stays unbounded: it has no
-// way to resume a cut window.
-func (l *List) window() core.Window {
-	win := l.win
-	if o := l.winOverride.Load(); o > 0 && !win.Unbounded() {
-		win.W = int(o)
-	}
-	return win
-}
-
-// Name implements sets.Set.
-func (l *List) Name() string { return l.link.Name() }
-
-// Register implements sets.Set.
-func (l *List) Register(tid int) { l.link.Register(tid) }
-
-// Finish implements sets.Set: it flushes deferred reclamation.
-func (l *List) Finish(tid int) { l.link.Finish(tid, l.threads[tid].ops) }
 
 // Lookup implements sets.Set.
-func (l *List) Lookup(tid int, key uint64) bool {
-	res, _ := l.apply(tid, key, false,
+func (l *List) Lookup(tid int, key uint64) bool { return l.lookupAt(tid, key, l.head) }
+
+// Insert implements sets.Set.
+func (l *List) Insert(tid int, key uint64) bool { return l.insertAt(tid, key, l.head) }
+
+// Remove implements sets.Set.
+func (l *List) Remove(tid int, key uint64) bool { return l.removeAt(tid, key, l.head) }
+
+// lookupAt, insertAt and removeAt are the singly linked operations on the
+// chain rooted at head (the list's own, or one of the hash table's buckets).
+func (l *List) lookupAt(tid int, key uint64, head arena.Handle) bool {
+	res, _ := l.applyAt(tid, key, head, false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return true },
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 	)
 	return res
 }
 
-// Insert implements sets.Set.
-func (l *List) Insert(tid int, key uint64) bool {
-	res, _ := l.apply(tid, key, false,
+func (l *List) insertAt(tid int, key uint64, head arena.Handle) bool {
+	res, _ := l.applyAt(tid, key, head, false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
 			l.insertSingly(tx, tid, key, prevH, currH)
@@ -223,9 +137,9 @@ func (l *List) Insert(tid int, key uint64) bool {
 	return res
 }
 
-// Remove implements sets.Set.
-func (l *List) Remove(tid int, key uint64) bool {
-	res, _ := l.apply(tid, key, false,
+// removeAt is Listing 5's Remove: unlink, revoke, reclaim at the commit.
+func (l *List) removeAt(tid int, key uint64, head arena.Handle) bool {
+	res, _ := l.applyAt(tid, key, head, false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
 			l.unlinkAndReclaim(tx, tid, prevH, currH)
 			return true
@@ -237,14 +151,9 @@ func (l *List) Remove(tid int, key uint64) bool {
 
 // allocNode allocates and transactionally initializes a node holding key
 // with successor nextH and (for the doubly linked list) predecessor prevH,
-// returning its handle. If the transaction aborts the node is returned to
-// the arena.
+// returning its handle.
 func (l *List) allocNode(tx *stm.Tx, tid int, key uint64, nextH, prevH arena.Handle) arena.Handle {
-	nh := l.ar.Alloc(tid)
-	l.link.Born(tx, tid, nh)
-	n := l.ar.At(nh)
-	// Transactional stores: the slot may be recycled, and some doomed
-	// reader may still hold a stale handle to it (see package arena).
+	nh, n := l.Alloc(tx, tid)
 	n.key.Store(tx, key)
 	n.next.Store(tx, uint64(nextH))
 	n.prev.Store(tx, uint64(prevH))
@@ -257,32 +166,15 @@ func (l *List) allocNode(tx *stm.Tx, tid int, key uint64, nextH, prevH arena.Han
 // list and hands it to the link — for ModeRR that is Listing 5's λfound
 // for Remove: unlink, Revoke, then free at the commit point.
 func (l *List) unlinkAndReclaim(tx *stm.Tx, tid int, prevH, currH arena.Handle) {
-	l.ar.At(prevH).next.Store(tx, uint64(l.guard.Link(tx, tid, currH, l.ar.At(currH).next.Load(tx))))
-	l.link.Unlinked(tx, tid, currH, l.threads[tid].ops)
+	l.Ar.At(prevH).next.Store(tx, uint64(l.Guard.Link(tx, tid, currH, l.Ar.At(currH).next.Load(tx))))
+	l.Unlinked(tx, tid, currH)
 }
-
-// LiveNodes implements sets.MemoryReporter (includes the head sentinel).
-func (l *List) LiveNodes() uint64 { return l.ar.Stats().Live }
-
-// DeferredNodes implements sets.MemoryReporter.
-func (l *List) DeferredNodes() uint64 { return l.link.Stats().Deferred }
-
-// ReclaimStats exposes the deferred-reclamation counters (zero for the
-// precise modes).
-func (l *List) ReclaimStats() reclaim.Stats { return l.link.Stats() }
-
-// ReclaimTraits reports the mode's fixed reclamation properties.
-func (l *List) ReclaimTraits() reclaim.Traits { return l.traits }
-
-// TMStats returns the full TM statistics snapshot (per-cause aborts,
-// clock and commit-lock counters).
-func (l *List) TMStats() stm.Stats { return l.rt.Stats() }
 
 // Snapshot implements sets.Set. Callers must ensure quiescence.
 func (l *List) Snapshot() []uint64 {
 	var out []uint64
-	for h := arena.Handle(l.ar.At(l.head).next.Raw()); !h.IsNil(); {
-		n := l.ar.At(h)
+	for h := arena.Handle(l.Ar.At(l.head).next.Raw()); !h.IsNil(); {
+		n := l.Ar.At(h)
 		out = append(out, n.key.Raw())
 		h = arena.Handle(n.next.Raw())
 	}

@@ -171,8 +171,8 @@ func TestFigure1Scenario(t *testing.T) {
 			}
 			// Locate the node holding 30.
 			var h30 arena.Handle
-			for h := arena.Handle(l.ar.At(l.head).next.Raw()); !h.IsNil(); h = arena.Handle(l.ar.At(h).next.Raw()) {
-				if l.ar.At(h).key.Raw() == 30 {
+			for h := arena.Handle(l.Ar.At(l.head).next.Raw()); !h.IsNil(); h = arena.Handle(l.Ar.At(h).next.Raw()) {
+				if l.Ar.At(h).key.Raw() == 30 {
 					h30 = h
 					break
 				}
@@ -181,18 +181,18 @@ func TestFigure1Scenario(t *testing.T) {
 				t.Fatal("node 30 not found")
 			}
 			// T2's first window ends reserving node 30 (as in the figure).
-			l.rt.Atomic(func(tx *stm.Tx) { l.link.Hold(tx, 2, false, h30, 0) })
+			l.RT.Atomic(func(tx *stm.Tx) { l.Link.Hold(tx, 2, false, h30, 0) })
 			// T4 removes 30: revokes all reservations of it and frees it
 			// before Remove returns.
 			if !l.Remove(4, 30) {
 				t.Fatal("Remove(30) failed")
 			}
-			if l.ar.Live(h30) {
+			if l.Ar.Live(h30) {
 				t.Fatal("node 30 still allocated after Remove returned (not precise)")
 			}
 			// T2's next transaction must see its reservation revoked …
-			got := stm.Run(l.rt, func(tx *stm.Tx) arena.Handle {
-				h, _, _ := l.link.Resume(tx, 2)
+			got := stm.Run(l.RT, func(tx *stm.Tx) arena.Handle {
+				h, _, _ := l.Link.Resume(tx, 2)
 				return h
 			})
 			if !got.IsNil() {
@@ -448,21 +448,21 @@ func TestRRVLookupWindowsCommitReadOnly(t *testing.T) {
 			for k := uint64(1); k <= n; k++ {
 				l.Insert(0, 2*k)
 			}
-			before, fence := l.rt.Stats(), l.rt.VersionFence()
+			before, fence := l.RT.Stats(), l.RT.VersionFence()
 			for k := uint64(2*n - 8); k <= 2*n; k++ {
 				if got, want := l.Lookup(0, k), k%2 == 0; got != want {
 					t.Fatalf("Lookup(%d) = %v, want %v", k, got, want)
 				}
 			}
-			after := l.rt.Stats()
+			after := l.RT.Stats()
 
 			if windows := after.Commits - before.Commits; windows <= n/w {
 				t.Fatalf("lookups committed %d transactions, want more than n/W = %d", windows, n/w)
 			}
 			wrote := after.WriteCommits - before.WriteCommits
-			moved := l.rt.VersionFence() != fence
+			moved := l.RT.VersionFence() != fence
 			if tc.readOnly && (wrote != 0 || moved) {
-				t.Fatalf("lookup windows wrote: %d write commits, clock %d -> %d", wrote, fence, l.rt.VersionFence())
+				t.Fatalf("lookup windows wrote: %d write commits, clock %d -> %d", wrote, fence, l.RT.VersionFence())
 			}
 			if !tc.readOnly && (wrote == 0 || !moved) {
 				t.Fatalf("lookup windows committed read-only: %d write commits, clock moved %v", wrote, moved)
@@ -490,13 +490,13 @@ func TestAllocatedSlotPostdatesSnapshot(t *testing.T) {
 			l.Insert(0, 10)
 			l.Insert(0, 20)
 			attempts, survived := 0, false
-			l.rt.AtomicT(0, func(tx *stm.Tx) {
+			l.RT.AtomicT(0, func(tx *stm.Tx) {
 				if attempts++; attempts > 1 {
 					return
 				}
-				h10 := arena.Handle(l.ar.At(l.head).next.Load(tx))
-				h20 := arena.Handle(l.ar.At(h10).next.Load(tx))
-				if got := l.ar.At(h20).key.Load(tx); got != 20 {
+				h10 := arena.Handle(l.Ar.At(l.head).next.Load(tx))
+				h20 := arena.Handle(l.Ar.At(h10).next.Load(tx))
+				if got := l.Ar.At(h20).key.Load(tx); got != 20 {
 					t.Fatalf("second node holds %d, want 20", got)
 				}
 				removed := make(chan bool)

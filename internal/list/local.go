@@ -2,7 +2,6 @@ package list
 
 import (
 	"hohtx/internal/arena"
-	"hohtx/internal/core"
 	"hohtx/internal/pad"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/stm"
@@ -11,6 +10,15 @@ import (
 // The two list-local implementations of the seam (reclaim.Link): the modes
 // whose mechanism lives in the list's own node layout or traversal, and
 // which the singly linked list and the hash table alone define.
+
+// localLink is the list's reclaim.Layout.Local: the chassis calls it for a
+// mode the seam has no generic link for.
+func (l *List) localLink(mode Mode, n reclaim.Nodes) reclaim.Link {
+	if mode == ModeREF {
+		return newRefLink(l, n.Threads)
+	}
+	return newERLink(l, n)
+}
 
 // refStart is one thread's committed REF resume position.
 type refStart struct {
@@ -29,9 +37,9 @@ type refLink struct {
 	holdHook func(a, b, c uint64) // starts[tid a] = handle b
 }
 
-func newRefLink(l *List) *refLink {
-	r := &refLink{l: l, starts: make([]refStart, len(l.threads))}
-	r.freeHook = func(a, b, _ uint64) { l.ar.Free(int(a), arena.Handle(b)) }
+func newRefLink(l *List, threads int) *refLink {
+	r := &refLink{l: l, starts: make([]refStart, threads)}
+	r.freeHook = func(a, b, _ uint64) { l.Ar.Free(int(a), arena.Handle(b)) }
 	r.holdHook = func(a, b, _ uint64) { r.starts[int(a)].h = arena.Handle(b) }
 	return r
 }
@@ -49,16 +57,16 @@ func (r *refLink) Revoke(*stm.Tx, arena.Handle) {
 
 func (r *refLink) Born(tx *stm.Tx, tid int, h arena.Handle) {
 	tx.OnAbortCall(r.freeHook, uint64(tid), uint64(h), 0)
-	r.l.ar.At(h).dead.Load(tx) // the snapshot must postdate the slot's last free: reclaim's freer.born
+	r.l.Ar.At(h).dead.Load(tx) // the snapshot must postdate the slot's last free: reclaim's freer.born
 }
 
 // release drops one count from h, freeing it at commit if that was the
 // last one on a logically deleted node.
 func (r *refLink) release(tx *stm.Tx, tid int, h arena.Handle) {
-	n := r.l.ar.At(h)
-	v := r.l.guard.Word(tx, tid, h, n.rc.Load(tx)) - 1
+	n := r.l.Ar.At(h)
+	v := r.l.Guard.Word(tx, tid, h, n.rc.Load(tx)) - 1
 	n.rc.Store(tx, v)
-	if v == 0 && r.l.guard.Word(tx, tid, h, n.dead.Load(tx)) != 0 {
+	if v == 0 && r.l.Guard.Word(tx, tid, h, n.dead.Load(tx)) != 0 {
 		tx.OnCommitCall(r.freeHook, uint64(tid), uint64(h), 0)
 	}
 }
@@ -68,7 +76,7 @@ func (r *refLink) Resume(tx *stm.Tx, tid int) (arena.Handle, uint64, bool) {
 	if s.IsNil() {
 		return arena.Nil, 0, false
 	}
-	if r.l.guard.Word(tx, tid, s, r.l.ar.At(s).dead.Load(tx)) != 0 {
+	if r.l.Guard.Word(tx, tid, s, r.l.Ar.At(s).dead.Load(tx)) != 0 {
 		// Removed since our last window: give back our count and restart.
 		// The commit that ends this attempt also moves starts off s (every
 		// path from a failed Resume reaches Hold or Drop), so the count is
@@ -80,8 +88,8 @@ func (r *refLink) Resume(tx *stm.Tx, tid int) (arena.Handle, uint64, bool) {
 }
 
 func (r *refLink) Hold(tx *stm.Tx, tid int, held bool, h arena.Handle, _ uint64) {
-	n := r.l.ar.At(h)
-	n.rc.Store(tx, r.l.guard.Word(tx, tid, h, n.rc.Load(tx))+1)
+	n := r.l.Ar.At(h)
+	n.rc.Store(tx, r.l.Guard.Word(tx, tid, h, n.rc.Load(tx))+1)
 	if held {
 		r.release(tx, tid, r.starts[tid].h)
 	}
@@ -96,19 +104,19 @@ func (r *refLink) Drop(tx *stm.Tx, tid int, held bool) {
 }
 
 func (r *refLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, _ uint64) {
-	n := r.l.ar.At(h)
+	n := r.l.Ar.At(h)
 	n.dead.Store(tx, 1)
-	if r.l.guard.Word(tx, tid, h, n.rc.Load(tx)) == 0 {
+	if r.l.Guard.Word(tx, tid, h, n.rc.Load(tx)) == 0 {
 		tx.OnCommitCall(r.freeHook, uint64(tid), uint64(h), 0)
 	}
 	// Otherwise the last window-holder's release frees it.
 }
 
-// erLink is ModeER: the seam's deferred link over epochs — ER never cuts a
-// window, so it never holds — plus the one structure-side duty ER adds at
-// an unlink. The other two parts of the mode, the epoch bracket around
-// every operation and the rolling early release, are in the traversal
-// (engine.go, batch.go).
+// erLink is ModeER: the seam's deferred link over epochs — every operation
+// is one unbounded transaction (W bounds the retained read suffix instead),
+// so it never holds — plus the one structure-side duty ER adds at an unlink.
+// The other two parts of the mode, the epoch bracket around every operation
+// and the rolling early release, are in the traversal (engine.go, batch.go).
 type erLink struct {
 	reclaim.Link
 	l *List
@@ -116,12 +124,17 @@ type erLink struct {
 
 func newERLink(l *List, n reclaim.Nodes) erLink {
 	l.ep = reclaim.NewEpochs(n.Threads, n.ScanThreshold, n.Free)
-	l.ep.Guard = l.ar.Guarded()
+	l.ep.Guard = l.Ar.Guarded()
 	for i := range l.threads {
-		l.threads[i].marks = make([]uint64, l.win.W)
+		l.threads[i].marks = make([]uint64, n.Window.W)
 	}
-	l.win = core.Window{} // one unbounded transaction; W bounds the retained read suffix instead
 	return erLink{reclaim.NewDeferred(ModeER.String(), l.ep, n), l}
+}
+
+func (e erLink) Traits() reclaim.Traits {
+	t := e.Link.Traits()
+	t.WholeOp = true
+	return t
 }
 
 func (e erLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, stamp uint64) {
@@ -130,19 +143,7 @@ func (e erLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, stamp uint64) {
 	// (un-released) read suffix, so this write is what makes a racing
 	// insert-after-h or remove-of-successor abort even though the writes
 	// to our predecessor were early-released.
-	n := e.l.ar.At(h)
-	n.next.Store(tx, uint64(e.l.guard.Link(tx, tid, h, n.next.Load(tx))))
+	n := e.l.Ar.At(h)
+	n.next.Store(tx, uint64(e.l.Guard.Link(tx, tid, h, n.next.Load(tx))))
 	e.Link.Unlinked(tx, tid, h, stamp)
-}
-
-// enterEpoch opens ModeER's epoch critical section around one operation,
-// so nodes its released reads still point at cannot be physically
-// reclaimed underneath it, and reports whether the caller must close it
-// (l.ep.Exit). Every other mode has no epochs and nothing to bracket.
-func (l *List) enterEpoch(tid int) bool {
-	if l.ep == nil {
-		return false
-	}
-	l.ep.Enter(tid)
-	return true
 }

@@ -1,0 +1,299 @@
+package reclaim
+
+import (
+	"sync/atomic"
+
+	"hohtx/internal/arena"
+	"hohtx/internal/core"
+	"hohtx/internal/obs"
+	"hohtx/internal/pad"
+	"hohtx/internal/stm"
+)
+
+// The structure chassis.
+//
+// Every TM-backed structure is the same machine around a different node: a
+// TM runtime, a node arena, the link that carries a traversal from one
+// window transaction to the next, the load-side guard, a window policy and
+// the observability wiring. Chassis is that machine, assembled once and in
+// the one order that is sound (Init). A structure embeds it and supplies a
+// Layout — what its node is made of — and its traversals; everything a
+// harness or a server asks a structure about itself (sets.Set's lifecycle
+// half and every optional view beside it) is answered here.
+//
+// Reclamation safety, the free side. Every Free first retires the node's
+// cell versions to the runtime's version fence (in every mode): a
+// transaction that read its way to the node before the unlinking commit's
+// write-back cannot then take a fresh read of the dead cells — the lifted
+// versions force a snapshot extension, which fails on the rewritten link
+// and aborts the attempt. Real HTM gets this from hardware conflict
+// detection; without it a read-only window (which never revalidates at
+// commit) could assemble a zombie snapshot from a recycled node, which is
+// what the torture harness's sanitizer caught on singly/TMHP under a loaded
+// scheduler. With Config.Guard set a freed node's value words are then
+// overwritten with arena.PoisonWord (atomic stores: racing doomed readers
+// stay race-detector clean) for Guard, the load side, to find. Both sweeps,
+// and a sentinel's initialization, come from Layout.Words, so a cell a node
+// type declares and its enumeration forgets is a failing test
+// (TestWordsEnumerateEveryCell in each structure package), not a silent
+// use-after-free window.
+
+// Layout is what a structure tells the chassis about its node type N.
+type Layout[N any] struct {
+	// Words calls f(w, x) for every transactional cell of n, once each.
+	Words func(n *N, f func(w *stm.Word, x uint64), x uint64)
+	// Dead returns the logical-deletion cell of the node named by h; see
+	// Nodes.Dead.
+	Dead func(h arena.Handle) *stm.Word
+	// Local builds the link of a mode that is not Generic, from the
+	// structure's own node layout (the list's REF and ER). It runs with
+	// the chassis's RT, Ar and Guard already in place. Nil means the
+	// structure takes generic modes only.
+	Local func(mode Mode, n Nodes) Link
+}
+
+// opState is one thread's operation stamp (reclamation-delay accounting)
+// and its Apply result buffer.
+type opState struct {
+	n   uint64
+	out []bool
+	_   pad.Line
+}
+
+// Chassis carries what every TM-backed structure over node type N is built
+// on. The exported fields are read on the traversal paths, directly.
+type Chassis[N any] struct {
+	RT *stm.Runtime
+	Ar *arena.Arena[N]
+	// Link is the mode's linking-and-reclamation mechanism (the seam,
+	// link.go); Traits is Link.Traits(), read once.
+	Link   Link
+	Traits Traits
+	Guard  Guard
+
+	words       func(*N, func(*stm.Word, uint64), uint64)
+	win         core.Window
+	winOverride atomic.Int32
+	ops         []opState
+	obs         *obs.Domain
+	scanWindows *obs.Histogram // window txs per Cursor (nil without Obs)
+	scanRenavs  *obs.Histogram // re-navigations per Cursor (nil without Obs)
+}
+
+// Init assembles the chassis for cfg, whose defaults the structure has
+// filled in (Config.WithDefaults). The order matters: the retire hook needs
+// the runtime, the guard needs the arena's guard mode, the link needs all
+// three, and only the link knows whether windows can be cut at all.
+func (c *Chassis[N]) Init(cfg Config, lay Layout[N]) {
+	c.RT = stm.NewRuntime(cfg.Profile)
+	c.Ar = arena.New[N](arena.Config{
+		Policy: cfg.ArenaPolicy, Threads: cfg.Threads,
+		Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
+	})
+	c.words, c.win = lay.Words, cfg.Window
+	c.ops = make([]opState, cfg.Threads)
+	c.Ar.SetRetire(func(n *N) { lay.Words(n, (*stm.Word).Retire, c.RT.VersionFence()) })
+	if cfg.Guard {
+		c.Ar.SetPoison(func(n *N) { lay.Words(n, (*stm.Word).Poison, arena.PoisonWord) })
+	}
+	c.Guard = GuardFor(c.Ar)
+	nodes := Nodes{
+		Config: cfg, Dead: lay.Dead, Live: c.Ar.Live, Free: c.Ar.Free,
+		Runtime: c.RT, Guard: c.Guard,
+	}
+	// The one place a structure's mechanism is chosen.
+	if cfg.Mode.Generic() {
+		c.Link = New(cfg.Mode, nodes)
+	} else if lay.Local != nil {
+		c.Link = lay.Local(cfg.Mode, nodes)
+	} else {
+		panic("reclaim: mode " + cfg.Mode.String() + " needs a structure-local link this structure does not have")
+	}
+	c.Traits = c.Link.Traits()
+	if c.Traits.WholeOp {
+		c.win = core.Window{} // unbounded: a cut window could not be resumed
+	}
+	if cfg.Obs != nil {
+		c.obs = cfg.Obs
+		c.scanWindows = cfg.Obs.Hist(obs.HistAscendWindows, "txs")
+		c.scanRenavs = cfg.Obs.Hist(obs.HistAscendRenavs, "navs")
+		c.RT.SetObserver(cfg.Obs.TxProbe())
+		c.Ar.SetObserver(cfg.Obs.AllocProbe())
+	}
+}
+
+// NewSentinel allocates a node with every cell zero. Sentinels are
+// construction-time only (never shared before the constructor returns), so
+// non-transactional initialization is safe here and only here.
+func (c *Chassis[N]) NewSentinel() (arena.Handle, *N) {
+	h := c.Ar.Alloc(0)
+	n := c.Ar.At(h)
+	c.words(n, (*stm.Word).Init, 0)
+	return h, n
+}
+
+// Alloc allocates a node inside tid's transaction and announces it to the
+// link; the node goes back to the arena if the attempt aborts. The caller
+// must initialize every cell with transactional stores: the slot may be
+// recycled, and a doomed reader may still hold a stale handle to it (see
+// package arena).
+func (c *Chassis[N]) Alloc(tx *stm.Tx, tid int) (arena.Handle, *N) {
+	h := c.Ar.Alloc(tid)
+	c.Link.Born(tx, tid, h)
+	return h, c.Ar.At(h)
+}
+
+// Unlinked hands a node this transaction just unlinked to the link, stamped
+// with the thread's operation count.
+func (c *Chassis[N]) Unlinked(tx *stm.Tx, tid int, h arena.Handle) {
+	c.Link.Unlinked(tx, tid, h, c.ops[tid].n)
+}
+
+// Op runs one operation of tid's: window is one window transaction, and
+// stm.Runtime.Chain the loop that runs them until one returns false.
+func (c *Chassis[N]) Op(tid int, window func(tx *stm.Tx) (more bool)) {
+	c.ops[tid].n++
+	c.RT.Chain(tid, window)
+}
+
+// Batch runs n operations of tid's as one transaction (sets.Set.Apply).
+func (c *Chassis[N]) Batch(tid, n int, fn func(tx *stm.Tx)) {
+	c.ops[tid].n += uint64(n)
+	c.RT.AtomicBatchT(tid, n, fn)
+}
+
+// Results returns tid's Apply result buffer sized for n operations. It is
+// grow-only and reused, so what Apply returns is valid until the same
+// thread's next Apply — which every caller respects (the serving layer
+// copies per-shard results out before the next shard runs); a fresh slice
+// per batch was measurable GC pressure at wire speed.
+func (c *Chassis[N]) Results(tid, n int) []bool {
+	ts := &c.ops[tid]
+	if cap(ts.out) < n {
+		ts.out = make([]bool, n)
+	}
+	return ts.out[:n]
+}
+
+// Start resolves a window of tid's: where it begins — the thread's held
+// position and word if its link still has them, root and rootWord
+// otherwise — and how many steps it may take.
+func (c *Chassis[N]) Start(tx *stm.Tx, tid int, root arena.Handle, rootWord uint64) (h arena.Handle, word uint64, held bool, budget int) {
+	win := c.win
+	if o := c.winOverride.Load(); o > 0 && !win.Unbounded() {
+		win.W = int(o)
+	}
+	if h, word, held = c.Link.Resume(tx, tid); held {
+		return h, word, true, win.Next()
+	}
+	return root, rootWord, false, win.First(tx)
+}
+
+// Cursor is the ordered-iteration protocol behind sets.Ascender, whose
+// weak-consistency contract it implements: the iterator's position *is* a
+// hold. Each step runs one window transaction that resumes where the last
+// one stopped, collects up to a budget of keys, and holds where it stops;
+// the keys are delivered to fn between windows. If a concurrent Remove
+// revokes the position (or a relaxed reservation loses it spuriously) the
+// next window starts from root and re-navigates by key, so iteration always
+// makes progress and never touches freed memory, while removals stay free
+// to reclaim immediately.
+//
+// window is the structure's traversal. From (start, word), taking at most
+// budget steps, it appends every key >= last it passes to batch, ascending,
+// and returns the node and word to hold — a node whose key is below every
+// key not yet collected — or Nil when the structure is exhausted. It must
+// stop at the budget even with nothing collected: re-navigation after a
+// revocation stays windowed too.
+//
+// The hold is released no matter how the scan ends: exhaustion, fn
+// returning false, or a panicking fn (the release is deferred, so the panic
+// propagates with no hold left behind — a leaked hold would make the
+// thread's next operation resume from a stale position and skip smaller
+// keys).
+func (c *Chassis[N]) Cursor(tid int, from uint64, root arena.Handle, rootWord uint64, fn func(key uint64) bool,
+	window func(tx *stm.Tx, start arena.Handle, word uint64, budget int, last uint64, batch []uint64) ([]uint64, arena.Handle, uint64)) {
+	c.ops[tid].n++
+	last := from // the next key delivered must be >= last
+	var batch []uint64
+	holding := false // a hold survives outside the current window
+	windows, renavs := 0, 0
+	defer func() {
+		if holding {
+			c.RT.AtomicT(tid, func(tx *stm.Tx) { c.Link.Drop(tx, tid, true) })
+		}
+		if c.scanWindows != nil {
+			c.scanWindows.Record(uint64(windows))
+			c.scanRenavs.Record(uint64(renavs))
+		}
+	}()
+	for {
+		var done, resumed bool
+		c.RT.AtomicT(tid, func(tx *stm.Tx) {
+			start, word, held, budget := c.Start(tx, tid, root, rootWord)
+			var at arena.Handle
+			batch, at, word = window(tx, start, word, budget, last, batch[:0])
+			if done, resumed = at.IsNil(), held; done {
+				c.Link.Drop(tx, tid, held)
+			} else {
+				c.Link.Hold(tx, tid, held, at, word)
+			}
+		})
+		windows++
+		if windows > 1 && !resumed {
+			// The previous hold was gone: this window re-navigated by key.
+			renavs++
+		}
+		holding = !done
+		for _, k := range batch {
+			if !fn(k) {
+				return
+			}
+			last = k + 1
+		}
+		if done {
+			return
+		}
+	}
+}
+
+// Name implements part of sets.Set: the variant label.
+func (c *Chassis[N]) Name() string { return c.Link.Name() }
+
+// Register implements part of sets.Set.
+func (c *Chassis[N]) Register(tid int) { c.Link.Register(tid) }
+
+// Finish implements part of sets.Set: it flushes tid's deferred reclamation.
+func (c *Chassis[N]) Finish(tid int) { c.Link.Finish(tid, c.ops[tid].n) }
+
+// Runtime exposes the structure's TM runtime (statistics, ablation benches).
+func (c *Chassis[N]) Runtime() *stm.Runtime { return c.RT }
+
+// ObsDomain implements sets.ObsReporter (nil when Config.Obs was nil).
+func (c *Chassis[N]) ObsDomain() *obs.Domain { return c.obs }
+
+// SetWindow implements sets.Tunable: it changes the hand-over-hand window
+// size at runtime (0 restores the configured value). The paper proposes
+// contention-driven window tuning as future work; this is the knob that
+// enables it (examples/tuner). Safe to call concurrently with operations:
+// in-flight windows finish at their old size. A structure whose operations
+// are single transactions stays unbounded.
+func (c *Chassis[N]) SetWindow(w int) { c.winOverride.Store(int32(w)) }
+
+// TMStats implements sets.TMStatsReporter.
+func (c *Chassis[N]) TMStats() stm.Stats { return c.RT.Stats() }
+
+// ReclaimStats implements sets.ReclaimReporter (zero for the precise modes).
+func (c *Chassis[N]) ReclaimStats() Stats { return c.Link.Stats() }
+
+// ReclaimTraits reports the mode's fixed reclamation properties.
+func (c *Chassis[N]) ReclaimTraits() Traits { return c.Traits }
+
+// LiveNodes implements sets.MemoryReporter (sentinels included).
+func (c *Chassis[N]) LiveNodes() uint64 { return c.Ar.Stats().Live }
+
+// DeferredNodes implements sets.MemoryReporter.
+func (c *Chassis[N]) DeferredNodes() uint64 { return c.Link.Stats().Deferred }
+
+// GuardStats implements sets.GuardReporter (zero when guard mode is off).
+func (c *Chassis[N]) GuardStats() arena.GuardStats { return c.Ar.GuardStats() }

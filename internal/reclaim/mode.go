@@ -111,6 +111,17 @@ func (m Mode) Generic() bool {
 	return m <= ModeHTM || int(m) < len(modes) && modes[m].scheme != nil
 }
 
+// Modes returns every mode in the table, registered schemes included, in
+// table order: what the family table derives a structure's variant list
+// from, so a RegisterScheme'd mode gets sweep cells without being named.
+func Modes() []Mode {
+	out := make([]Mode, len(modes))
+	for i := range out {
+		out[i] = Mode(i)
+	}
+	return out
+}
+
 // ModeByName resolves a variant label — a reservation kind's name
 // ("RR-V"), or a mode's ("HTM", "TMHP", …) — to the Config selector pair.
 func ModeByName(name string) (Mode, core.Kind, bool) {

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -40,17 +41,22 @@ type pipelineCfg struct {
 	shards    int
 	autoBatch int
 	traced    bool
+	family    bench.Family // zero: the singly linked list
 }
 
 func (c pipelineCfg) String() string {
-	return fmt.Sprintf("%s/shards=%d/autobatch=%d/obs=%v", c.variant, c.shards, c.autoBatch, c.traced)
+	s := fmt.Sprintf("%s/shards=%d/autobatch=%d/obs=%v", c.variant, c.shards, c.autoBatch, c.traced)
+	if c.family != "" {
+		s = string(c.family) + "/" + s
+	}
+	return s
 }
 
 // startPipelineServer builds the cell's server over fresh shards and
 // returns the aggregate view of those shards beside its address.
 func startPipelineServer(t *testing.T, cfg pipelineCfg, maxKey uint64, maxBatch int) (*serve.Sharded, string) {
 	t.Helper()
-	sh, err := bench.BuildSharded(bench.FamilySingly,
+	sh, err := bench.BuildSharded(cmp.Or(cfg.family, bench.FamilySingly),
 		bench.VariantSpec{Name: cfg.variant, Observe: cfg.traced}, goldenSlots, cfg.shards)
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -94,6 +100,8 @@ type wireModel struct {
 	maxKey   uint64
 	maxBatch int
 	baseline uint64 // live nodes of the empty shards (sentinels)
+	name     string // what INFO calls the variant: shard 0's Name
+	scans    bool   // the structure offers the reservation cursor
 	keys     map[uint64]bool
 }
 
@@ -233,7 +241,7 @@ func (m *wireModel) reply(r request) string {
 		if !ok || n < 1 {
 			return fmt.Sprintf("ERR ascend: bad count %q\n", nArg)
 		}
-		if !m.precise() {
+		if !m.scans {
 			return "ERR scan unsupported\n"
 		}
 		var out strings.Builder
@@ -260,7 +268,7 @@ func (m *wireModel) reply(r request) string {
 		if m.cfg.shards > 1 {
 			multi = "per-shard"
 		}
-		if m.precise() {
+		if m.scans {
 			scan = "atomic-window"
 			if m.cfg.shards > 1 {
 				scan = "merged"
@@ -271,7 +279,7 @@ func (m *wireModel) reply(r request) string {
 			live = fmt.Sprint(m.baseline + uint64(len(m.keys)))
 		}
 		out := fmt.Sprintf("variant=%s shards=%d slots=%d keys=%d live=%s deferred=# conns=1 maxbatch=%d autobatch=%d multi=%s scan=%s commits=# ro_commits=# rw_commits=# serial=# aborts=#",
-			m.cfg.variant, m.cfg.shards, goldenSlots, len(m.keys), live,
+			m.name, m.cfg.shards, goldenSlots, len(m.keys), live,
 			m.maxBatch, m.cfg.autoBatch, multi, scan)
 		if m.cfg.traced {
 			out += " obs=#"
@@ -395,18 +403,22 @@ func TestGoldenTranscript(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		for _, ab := range []int{0, 8} {
 			for _, traced := range []bool{false, true} {
-				cells = append(cells, pipelineCfg{"RR-V", shards, ab, traced})
+				cells = append(cells, pipelineCfg{variant: "RR-V", shards: shards, autoBatch: ab, traced: traced})
 			}
 		}
 	}
 	// One variant that cannot scan: same script, ERR scan unsupported.
-	cells = append(cells, pipelineCfg{"TMHP", 1, 0, false}, pipelineCfg{"TMHP", 2, 8, true})
+	cells = append(cells, pipelineCfg{variant: "TMHP", shards: 1}, pipelineCfg{variant: "TMHP", shards: 2, autoBatch: 8, traced: true})
+	// And a family no line of the serving stack or the harness names: hash is
+	// one row of the family table (it has no order, so it cannot scan either).
+	cells = append(cells, pipelineCfg{variant: "RR-V", shards: 1, family: "hash"}, pipelineCfg{variant: "RR-V", shards: 2, autoBatch: 8, traced: true, family: "hash"})
 	for _, cfg := range cells {
 		for _, pipelined := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%v/pipelined=%v", cfg, pipelined), func(t *testing.T) {
 				sh, addr := startPipelineServer(t, cfg, goldenMaxKey, goldenMaxBatch)
 				m := &wireModel{cfg: cfg, maxKey: goldenMaxKey, maxBatch: goldenMaxBatch,
-					baseline: sh.LiveNodes(), keys: map[uint64]bool{}}
+					baseline: sh.LiveNodes(), name: sh.Shard(0).Name(), scans: sh.CanAscend(),
+					keys: map[uint64]bool{}}
 				nc, err := net.Dial("tcp", addr)
 				if err != nil {
 					t.Fatalf("dial: %v", err)
@@ -444,7 +456,7 @@ func TestGoldenTranscript(t *testing.T) {
 // still served before the connection drops.
 func TestGoldenUnterminatedFinalRequest(t *testing.T) {
 	for _, ab := range []int{0, 8} {
-		_, addr := startPipelineServer(t, pipelineCfg{"RR-V", 2, ab, false}, goldenMaxKey, goldenMaxBatch)
+		_, addr := startPipelineServer(t, pipelineCfg{variant: "RR-V", shards: 2, autoBatch: ab}, goldenMaxKey, goldenMaxBatch)
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
@@ -467,7 +479,7 @@ func TestWireMatchesShardedTwin(t *testing.T) {
 	const maxKey, rounds = 400, 60
 	for _, shards := range []int{1, 2, 3} {
 		for _, ab := range []int{0, 8} {
-			cfg := pipelineCfg{"RR-V", shards, ab, false}
+			cfg := pipelineCfg{variant: "RR-V", shards: shards, autoBatch: ab}
 			t.Run(cfg.String(), func(t *testing.T) {
 				served, addr := startPipelineServer(t, cfg, maxKey, 64)
 				twin := newSharded(t, shards, 1)

@@ -20,18 +20,16 @@ func (s *SkipList) Apply(tid int, ops []sets.Op) []sets.Result {
 		return nil
 	}
 	ts := &s.threads[tid]
-	ts.ops += uint64(len(ops))
-	if cap(ts.batchOut) < len(ops) {
-		ts.batchOut = make([]sets.Result, len(ops))
+	if cap(ts.batchHeights) < len(ops) {
 		ts.batchHeights = make([]int, len(ops))
 	}
-	out, heights := ts.batchOut[:len(ops)], ts.batchHeights[:len(ops)]
+	out, heights := s.Results(tid, len(ops)), ts.batchHeights[:len(ops)]
 	for i, op := range ops {
 		if op.Kind == sets.OpInsert {
 			heights[i] = s.randHeight(tid)
 		}
 	}
-	s.rt.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
+	s.Batch(tid, len(ops), func(tx *stm.Tx) {
 		for i, op := range ops {
 			switch op.Kind {
 			case sets.OpInsert:
@@ -39,8 +37,8 @@ func (s *SkipList) Apply(tid int, ops []sets.Op) []sets.Result {
 			case sets.OpRemove:
 				out[i] = s.removeInTx(tx, tid, op.Key)
 			default:
-				c := &searchCtx{tx: tx, tid: tid, curr: s.head, level: MaxHeight - 1}
-				out[i] = s.run(c, op.Key, int(^uint(0)>>1), 0, 0) == advMatched
+				c := &searchCtx{tx: tx, tid: tid, curr: s.head, level: top}
+				out[i] = s.run(c, op.Key, unbounded, 0, 0) == advMatched
 			}
 		}
 	})
@@ -49,8 +47,7 @@ func (s *SkipList) Apply(tid int, ops []sets.Op) []sets.Result {
 
 // insertInTx is Insert's link phase with an uncut in-transaction descent.
 func (s *SkipList) insertInTx(tx *stm.Tx, tid int, key uint64, h int) bool {
-	c := &searchCtx{tx: tx, tid: tid, curr: s.head, level: MaxHeight - 1}
-	unbounded := int(^uint(0) >> 1)
+	c := &searchCtx{tx: tx, tid: tid, curr: s.head, level: top}
 	if c.level >= h {
 		switch s.run(c, key, unbounded, h, h) {
 		case advMatched:
@@ -74,16 +71,16 @@ func (s *SkipList) insertInTx(tx *stm.Tx, tid int, key uint64, h int) bool {
 // match is at the victim's top level, so the predecessors at every level
 // collect in the same pass.
 func (s *SkipList) removeInTx(tx *stm.Tx, tid int, key uint64) bool {
-	c := &searchCtx{tx: tx, tid: tid, curr: s.head, level: MaxHeight - 1}
-	if s.run(c, key, int(^uint(0)>>1), 0, 0) == advStopped {
+	c := &searchCtx{tx: tx, tid: tid, curr: s.head, level: top}
+	if s.run(c, key, unbounded, 0, 0) == advStopped {
 		return false
 	}
-	victim := s.guard.Link(tx, tid, c.curr, s.ar.At(c.curr).next[c.level].Load(tx))
+	victim := s.Guard.Link(tx, tid, c.curr, s.Ar.At(c.curr).next[c.level].Load(tx))
 	if victim.IsNil() {
 		// Poisoned link (doomed snapshot): abort and re-run the batch.
 		tx.Restart()
 	}
-	vh := int(s.guard.Word(tx, tid, victim, s.ar.At(victim).height.Load(tx)))
+	vh := int(s.Guard.Word(tx, tid, victim, s.Ar.At(victim).height.Load(tx)))
 	if c.level != vh-1 {
 		// Unreachable from an uncut descent unless the snapshot is doomed.
 		tx.Restart()

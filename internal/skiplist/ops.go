@@ -6,7 +6,7 @@ import (
 )
 
 // Traversal engine. Each operation's closure is one window transaction and
-// stm.Runtime.Chain is the loop that runs them.
+// the chassis's Op (stm.Runtime.Chain) is the loop that runs them.
 //
 // Searches descend from the head's top level, advancing right while the
 // next key is smaller and dropping a level otherwise. Window cuts hold the
@@ -50,12 +50,12 @@ const (
 // run descends toward key until a terminal condition. The frame never
 // drops below stopLevel, and never cuts below noCutBelow.
 func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel int) advanceResult {
-	n := s.ar.At(c.curr) // translated once per node, carried across levels
+	n := s.Ar.At(c.curr) // translated once per node, carried across levels
 	for {
-		nextH := s.guard.Link(c.tx, c.tid, c.curr, n.next[c.level].Load(c.tx))
+		nextH := s.Guard.Link(c.tx, c.tid, c.curr, n.next[c.level].Load(c.tx))
 		if !nextH.IsNil() {
-			next := s.ar.At(nextH)
-			nk := s.guard.Word(c.tx, c.tid, nextH, next.key.Load(c.tx))
+			next := s.Ar.At(nextH)
+			nk := s.Guard.Word(c.tx, c.tid, nextH, next.key.Load(c.tx))
 			if nk == key {
 				return advMatched
 			}
@@ -75,42 +75,27 @@ func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel i
 	}
 }
 
-// windowStart resolves the traversal origin for one transaction: the
-// thread's held node and level if its link still has them, the head's top
-// level otherwise.
-func (s *SkipList) windowStart(tx *stm.Tx, tid int) (arena.Handle, int, bool) {
-	if h, level, held := s.link.Resume(tx, tid); held {
-		return h, int(level), true
-	}
-	return s.head, MaxHeight - 1, false
-}
-
-// budgetFor computes a window budget (unbounded when the operation
-// demands a single uncut traversal).
-func (s *SkipList) budgetFor(tx *stm.Tx, held, full bool) int {
-	if full {
-		return int(^uint(0) >> 1)
-	}
-	if held {
-		return s.win.Next()
-	}
-	return s.win.First(tx)
-}
+// top is the word of a traversal that starts at the head: its top level.
+// unbounded is the budget of an operation that demands a single uncut
+// traversal.
+const (
+	top       = MaxHeight - 1
+	unbounded = int(^uint(0) >> 1)
+)
 
 // Lookup implements sets.Set.
 func (s *SkipList) Lookup(tid int, key uint64) bool {
-	s.threads[tid].ops++
 	var res bool
-	s.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
-		start, level, held := s.windowStart(tx, tid)
-		c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
-		r := s.run(c, key, s.budgetFor(tx, held, false), 0, 0)
+	s.Op(tid, func(tx *stm.Tx) (more bool) {
+		start, level, held, budget := s.Start(tx, tid, s.head, top)
+		c := &searchCtx{tx: tx, tid: tid, curr: start, level: int(level)}
+		r := s.run(c, key, budget, 0, 0)
 		if r == advCut {
-			s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
+			s.Link.Hold(tx, tid, held, c.curr, uint64(c.level))
 			return true
 		}
 		res = r == advMatched
-		s.link.Drop(tx, tid, held)
+		s.Link.Drop(tx, tid, held)
 		return false
 	})
 	return res
@@ -122,16 +107,16 @@ func (s *SkipList) Lookup(tid int, key uint64) bool {
 // non-Nil, treats that node as the search boundary instead (the remove
 // path, where the "duplicate" is the victim itself).
 func (s *SkipList) collectPreds(c *searchCtx, key uint64, stopAt arena.Handle, preds *[MaxHeight]arena.Handle) bool {
-	n := s.ar.At(c.curr)
+	n := s.Ar.At(c.curr)
 	for l := c.level; l >= 0; l-- {
 		c.level = l
 		for {
-			nextH := s.guard.Link(c.tx, c.tid, c.curr, n.next[l].Load(c.tx))
+			nextH := s.Guard.Link(c.tx, c.tid, c.curr, n.next[l].Load(c.tx))
 			if nextH.IsNil() || nextH == stopAt {
 				break
 			}
-			next := s.ar.At(nextH)
-			nk := s.guard.Word(c.tx, c.tid, nextH, next.key.Load(c.tx))
+			next := s.Ar.At(nextH)
+			nk := s.Guard.Word(c.tx, c.tid, nextH, next.key.Load(c.tx))
 			if nk == key {
 				if stopAt.IsNil() {
 					return false // duplicate insert
@@ -151,15 +136,13 @@ func (s *SkipList) collectPreds(c *searchCtx, key uint64, stopAt arena.Handle, p
 // linkNode allocates a node of height h holding key and links it in after
 // preds[0:h].
 func (s *SkipList) linkNode(tx *stm.Tx, tid int, key uint64, h int, preds *[MaxHeight]arena.Handle) {
-	nh := s.ar.Alloc(tid)
-	s.link.Born(tx, tid, nh)
-	n := s.ar.At(nh)
+	nh, n := s.Alloc(tx, tid)
 	n.key.Store(tx, key)
 	n.height.Store(tx, uint64(h))
 	n.dead.Store(tx, 0)
 	for l := 0; l < h; l++ {
-		p := s.ar.At(preds[l])
-		n.next[l].Store(tx, uint64(s.guard.Link(tx, tid, preds[l], p.next[l].Load(tx))))
+		p := s.Ar.At(preds[l])
+		n.next[l].Store(tx, uint64(s.Guard.Link(tx, tid, preds[l], p.next[l].Load(tx))))
 		p.next[l].Store(tx, uint64(nh))
 	}
 }
@@ -168,26 +151,23 @@ func (s *SkipList) linkNode(tx *stm.Tx, tid int, key uint64, h int, preds *[MaxH
 // hands it to the link: a single Unlinked — for ModeRR a single Revoke —
 // per removal, independent of height.
 func (s *SkipList) unlinkNode(tx *stm.Tx, tid int, victim arena.Handle, vh int, preds *[MaxHeight]arena.Handle) {
-	v := s.ar.At(victim)
+	v := s.Ar.At(victim)
 	for l := 0; l < vh; l++ {
-		s.ar.At(preds[l]).next[l].Store(tx, uint64(s.guard.Link(tx, tid, victim, v.next[l].Load(tx))))
+		s.Ar.At(preds[l]).next[l].Store(tx, uint64(s.Guard.Link(tx, tid, victim, v.next[l].Load(tx))))
 	}
-	s.link.Unlinked(tx, tid, victim, s.threads[tid].ops)
+	s.Unlinked(tx, tid, victim)
 }
 
 // Insert implements sets.Set. The new node's height is drawn before the
 // traversal so window cuts can stop at the level where predecessor
 // collection must begin.
 func (s *SkipList) Insert(tid int, key uint64) bool {
-	ts := &s.threads[tid]
-	ts.ops++
 	h := s.randHeight(tid)
 	var res bool
-	s.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
+	s.Op(tid, func(tx *stm.Tx) (more bool) {
 		res = false
-		start, level, held := s.windowStart(tx, tid)
-		c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
-		budget := s.budgetFor(tx, held, false)
+		start, level, held, budget := s.Start(tx, tid, s.head, top)
+		c := &searchCtx{tx: tx, tid: tid, curr: start, level: int(level)}
 
 		// Phase 1: hand-over-hand down to level h (cuts allowed, the
 		// descent stops at level h so phase 2 owns h-1..0).
@@ -195,10 +175,10 @@ func (s *SkipList) Insert(tid int, key uint64) bool {
 			switch s.run(c, key, budget, h, h) {
 			case advMatched:
 				// key exists (met at a level >= h)
-				s.link.Drop(tx, tid, held)
+				s.Link.Drop(tx, tid, held)
 				return false
 			case advCut:
-				s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
+				s.Link.Hold(tx, tid, held, c.curr, uint64(c.level))
 				return true
 			case advStopped:
 				c.level-- // step below the boundary into phase 2
@@ -215,12 +195,12 @@ func (s *SkipList) Insert(tid int, key uint64) bool {
 		}
 		if !s.collectPreds(c, key, arena.Nil, &preds) {
 			// duplicate at a level below h
-			s.link.Drop(tx, tid, held)
+			s.Link.Drop(tx, tid, held)
 			return false
 		}
 		s.linkNode(tx, tid, key, h, &preds)
 		res = true
-		s.link.Drop(tx, tid, held)
+		s.Link.Drop(tx, tid, held)
 		return false
 	})
 	return res
@@ -233,38 +213,37 @@ func (s *SkipList) Insert(tid int, key uint64) bool {
 // can meet the victim below its top; in that case the hold is dropped and
 // the operation retries with one uncut traversal.
 func (s *SkipList) Remove(tid int, key uint64) bool {
-	s.threads[tid].ops++
 	var res bool
 	full := false
-	s.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
+	s.Op(tid, func(tx *stm.Tx) (more bool) {
 		res = false
-		start, level, held := s.windowStart(tx, tid)
+		start, level, held, budget := s.Start(tx, tid, s.head, top)
 		if full {
-			start, level, held = s.head, MaxHeight-1, false
+			start, level, held, budget = s.head, top, false, unbounded
 		}
-		c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
-		switch s.run(c, key, s.budgetFor(tx, held, full), 0, 0) {
+		c := &searchCtx{tx: tx, tid: tid, curr: start, level: int(level)}
+		switch s.run(c, key, budget, 0, 0) {
 		case advStopped:
-			s.link.Drop(tx, tid, held)
+			s.Link.Drop(tx, tid, held)
 			return false
 		case advCut:
-			s.link.Hold(tx, tid, held, c.curr, uint64(c.level))
+			s.Link.Hold(tx, tid, held, c.curr, uint64(c.level))
 			return true
 		case advMatched:
 		}
-		victim := s.guard.Link(tx, tid, c.curr, s.ar.At(c.curr).next[c.level].Load(tx))
+		victim := s.Guard.Link(tx, tid, c.curr, s.Ar.At(c.curr).next[c.level].Load(tx))
 		if victim.IsNil() {
 			// Only a poisoned link defuses to Nil after advMatched; this
 			// attempt is doomed — restart with a full descent.
-			s.link.Drop(tx, tid, held)
+			s.Link.Drop(tx, tid, held)
 			full = true
 			return true
 		}
-		vh := int(s.guard.Word(tx, tid, victim, s.ar.At(victim).height.Load(tx)))
+		vh := int(s.Guard.Word(tx, tid, victim, s.Ar.At(victim).height.Load(tx)))
 		if c.level != vh-1 {
 			// Met the victim under its tower (resumed traversal):
 			// restart with a full descent that sees its top.
-			s.link.Drop(tx, tid, held)
+			s.Link.Drop(tx, tid, held)
 			full = true
 			return true
 		}
@@ -274,7 +253,7 @@ func (s *SkipList) Remove(tid int, key uint64) bool {
 		}
 		s.unlinkNode(tx, tid, victim, vh, &preds)
 		res = true
-		s.link.Drop(tx, tid, held)
+		s.Link.Drop(tx, tid, held)
 		return false
 	})
 	return res

@@ -28,8 +28,6 @@ package skiplist
 
 import (
 	"hohtx/internal/arena"
-	"hohtx/internal/core"
-	"hohtx/internal/obs"
 	"hohtx/internal/pad"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
@@ -53,13 +51,6 @@ const (
 	ModeTMVBR = reclaim.ModeTMVBR
 )
 
-// ModeByName resolves a variant label ("RR-V", "HTM", "TMHE", …) to the
-// Config selector pair.
-func ModeByName(name string) (Mode, core.Kind, bool) {
-	m, k, ok := reclaim.ModeByName(name)
-	return m, k, ok && m.Generic()
-}
-
 // node is a skiplist element. height is immutable after the insert that
 // published the node commits; next[0:height] are the forward links; dead
 // is the deferred modes' logical-deletion mark.
@@ -71,13 +62,19 @@ type node struct {
 	_      pad.Line
 }
 
+// words is the node's one enumeration of its cells (reclaim.Layout.Words).
+func (n *node) words(f func(*stm.Word, uint64), x uint64) {
+	f(&n.key, x)
+	f(&n.height, x)
+	f(&n.dead, x)
+	for l := range n.next {
+		f(&n.next[l], x)
+	}
+}
+
 type threadState struct {
-	ops uint64
 	rng uint64
-	// Apply's grow-only scratch: results and drawn insert heights. The
-	// returned slice is valid until this thread's next Apply (the list's
-	// contract, which the serving layer already honours).
-	batchOut     []sets.Result
+	// batchHeights is Apply's grow-only scratch for drawn insert heights.
 	batchHeights []int
 	_            pad.Line
 }
@@ -87,21 +84,13 @@ type threadState struct {
 // W = 16.
 type Config = reclaim.Config
 
-// SkipList is the concurrent set.
+// SkipList is the concurrent set: the chassis (a hold's word is the resume
+// level), a full-height head sentinel with key 0, and the traversals in
+// ops.go, batch.go and iter.go.
 type SkipList struct {
-	rt *stm.Runtime
-	ar *arena.Arena[node]
-	// link is the mode's linking-and-reclamation mechanism (the seam; see
-	// internal/reclaim/link.go). A hold's word is the resume level.
-	link    reclaim.Link
-	win     core.Window
-	head    arena.Handle // sentinel at full height, key 0
+	reclaim.Chassis[node]
+	head    arena.Handle
 	threads []threadState
-	guard   reclaim.Guard
-	obs     *obs.Domain
-
-	scanWindows *obs.Histogram // window txs per Ascend (nil without Obs)
-	scanRenavs  *obs.Histogram // re-navigations per Ascend (nil without Obs)
 }
 
 var _ sets.Set = (*SkipList)(nil)
@@ -110,66 +99,22 @@ var _ sets.MemoryReporter = (*SkipList)(nil)
 // New constructs a skiplist set.
 func New(cfg Config) *SkipList {
 	cfg = cfg.WithDefaults(8, 16)
-	s := &SkipList{
-		rt: stm.NewRuntime(cfg.Profile),
-		ar: arena.New[node](arena.Config{
-			Threads: cfg.Threads, Policy: cfg.ArenaPolicy,
-			Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
-		}),
-		win:     cfg.Window,
-		threads: make([]threadState, cfg.Threads),
-	}
-	s.ar.SetRetire(func(n *node) { retireNode(n, s.rt.VersionFence()) })
-	if cfg.Guard {
-		s.ar.SetPoison(poisonNode)
-	}
-	s.guard = reclaim.GuardFor(s.ar)
-	s.link = reclaim.New(cfg.Mode, reclaim.Nodes{
-		Config:  cfg,
-		Dead:    func(h arena.Handle) *stm.Word { return &s.ar.At(h).dead },
-		Live:    s.ar.Live,
-		Free:    s.ar.Free,
-		Runtime: s.rt, Guard: s.guard,
+	s := &SkipList{threads: make([]threadState, cfg.Threads)}
+	s.Init(cfg, reclaim.Layout[node]{
+		Words: (*node).words,
+		Dead:  func(h arena.Handle) *stm.Word { return &s.Ar.At(h).dead },
 	})
-	if s.link.Traits().WholeOp {
-		s.win = core.Window{} // unbounded: one transaction per op
-	}
-	if cfg.Obs != nil {
-		s.obs = cfg.Obs
-		s.scanWindows = cfg.Obs.Hist(obs.HistAscendWindows, "txs")
-		s.scanRenavs = cfg.Obs.Hist(obs.HistAscendRenavs, "navs")
-		s.rt.SetObserver(cfg.Obs.TxProbe())
-		s.ar.SetObserver(cfg.Obs.AllocProbe())
-	}
 	for i := range s.threads {
 		s.threads[i].rng = uint64(i)*0x9e3779b97f4a7c15 + 0xdeadbeef
 	}
-	s.head = s.ar.Alloc(0)
-	h := s.ar.At(s.head)
-	h.key.Init(0)
+	var h *node
+	s.head, h = s.NewSentinel()
 	h.height.Init(MaxHeight)
-	h.dead.Init(0)
-	for l := 0; l < MaxHeight; l++ {
-		h.next[l].Init(0)
-	}
 	return s
 }
 
 // Name implements sets.Set.
-func (s *SkipList) Name() string { return s.link.Name() + "/skip" }
-
-// Register implements sets.Set.
-func (s *SkipList) Register(tid int) { s.link.Register(tid) }
-
-// Finish implements sets.Set: the deferred modes drain their retired
-// lists (no-op for the precise modes).
-func (s *SkipList) Finish(tid int) { s.link.Finish(tid, s.threads[tid].ops) }
-
-// Runtime exposes the TM runtime.
-func (s *SkipList) Runtime() *stm.Runtime { return s.rt }
-
-// ObsDomain returns the attached observability domain (nil when detached).
-func (s *SkipList) ObsDomain() *obs.Domain { return s.obs }
+func (s *SkipList) Name() string { return s.Chassis.Name() + "/skip" }
 
 // randHeight draws a geometric height in [1, MaxHeight] (p = 1/2).
 func (s *SkipList) randHeight(tid int) int {
@@ -187,28 +132,11 @@ func (s *SkipList) randHeight(tid int) int {
 	return h
 }
 
-// TMStats returns the full TM statistics snapshot (per-cause aborts,
-// clock and commit-lock counters).
-func (s *SkipList) TMStats() stm.Stats { return s.rt.Stats() }
-
-// ReclaimStats exposes the deferred-reclamation counters (zero for the
-// precise modes).
-func (s *SkipList) ReclaimStats() reclaim.Stats { return s.link.Stats() }
-
-// ReclaimTraits reports the mode's fixed reclamation properties.
-func (s *SkipList) ReclaimTraits() reclaim.Traits { return s.link.Traits() }
-
-// LiveNodes implements sets.MemoryReporter.
-func (s *SkipList) LiveNodes() uint64 { return s.ar.Stats().Live }
-
-// DeferredNodes implements sets.MemoryReporter.
-func (s *SkipList) DeferredNodes() uint64 { return s.link.Stats().Deferred }
-
 // Snapshot implements sets.Set via the bottom level (quiescence required).
 func (s *SkipList) Snapshot() []uint64 {
 	var out []uint64
-	for h := arena.Handle(s.ar.At(s.head).next[0].Raw()); !h.IsNil(); {
-		n := s.ar.At(h)
+	for h := arena.Handle(s.Ar.At(s.head).next[0].Raw()); !h.IsNil(); {
+		n := s.Ar.At(h)
 		out = append(out, n.key.Raw())
 		h = arena.Handle(n.next[0].Raw())
 	}
@@ -224,8 +152,8 @@ func (s *SkipList) ValidateLevels() bool {
 	}
 	for l := 0; l < MaxHeight; l++ {
 		prev := uint64(0)
-		for h := arena.Handle(s.ar.At(s.head).next[l].Raw()); !h.IsNil(); {
-			n := s.ar.At(h)
+		for h := arena.Handle(s.Ar.At(s.head).next[l].Raw()); !h.IsNil(); {
+			n := s.Ar.At(h)
 			k := n.key.Raw()
 			if l > 0 && !bottom[k] {
 				return false // node on level l missing from level 0

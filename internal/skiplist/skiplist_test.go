@@ -226,7 +226,7 @@ func TestRRVLookupWindowsCommitReadOnly(t *testing.T) {
 	for k := uint64(1); k <= n; k++ {
 		s.Insert(0, 2*k)
 	}
-	before, fence := s.rt.Stats(), s.rt.VersionFence()
+	before, fence := s.RT.Stats(), s.RT.VersionFence()
 	const lookups = 64
 	for i := uint64(0); i < lookups; i++ {
 		k := 1 + i*(2*n/lookups)
@@ -234,11 +234,11 @@ func TestRRVLookupWindowsCommitReadOnly(t *testing.T) {
 			t.Fatalf("Lookup(%d) = %v, want %v", k, got, want)
 		}
 	}
-	after := s.rt.Stats()
+	after := s.RT.Stats()
 	if windows := after.Commits - before.Commits; windows < 2*lookups {
 		t.Fatalf("%d lookups committed %d transactions, want several windows each", lookups, windows)
 	}
-	if wrote := after.WriteCommits - before.WriteCommits; wrote != 0 || s.rt.VersionFence() != fence {
-		t.Fatalf("lookup windows wrote: %d write commits, clock %d -> %d", wrote, fence, s.rt.VersionFence())
+	if wrote := after.WriteCommits - before.WriteCommits; wrote != 0 || s.RT.VersionFence() != fence {
+		t.Fatalf("lookup windows wrote: %d write commits, clock %d -> %d", wrote, fence, s.RT.VersionFence())
 	}
 }

@@ -6,58 +6,27 @@ import (
 
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
-	"hohtx/internal/list"
-	"hohtx/internal/lockfree"
+	"hohtx/internal/family"
 	"hohtx/internal/obs"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
-	"hohtx/internal/skiplist"
-	"hohtx/internal/tree"
 )
 
-// Structure names accepted by Config.Structure.
-const (
-	StructSingly = "singly" // singly linked list
-	StructDoubly = "doubly" // doubly linked list
-	StructHash   = "hash"   // bucketed hash set
-	StructITree  = "itree"  // internal BST
-	StructETree  = "etree"  // external BST
-	StructSkip   = "skip"   // skiplist
-)
+// Structures lists every structure the harness can torture: the family
+// table's names, which Config.Structure takes.
+func Structures() []string { return family.Names() }
 
-// Structures lists every structure the harness can torture.
-func Structures() []string {
-	return []string{StructSingly, StructDoubly, StructHash, StructITree, StructETree, StructSkip}
-}
-
-// Variants returns the mechanism labels defined for a structure: the six
-// reservation kinds, the whole-operation HTM baseline, whichever of the
-// deferred-reclamation comparators (TMHP, REF, ER) and lock-free
-// baselines (Leak, LFHP) the paper defines for it, plus the extended
-// reclamation matrix's TMHE and TMVBR (DESIGN.md §14) wherever the
-// structure supports deferred modes.
+// Variants returns the mechanism labels the family table defines for a
+// structure (nil for an unknown one): the six reservation kinds, HTM,
+// whichever modes of internal/reclaim the structure takes — a scheme added
+// with reclaim.RegisterScheme included — and its lock-free comparators.
 func Variants(structure string) []string {
-	var rr []string
-	for _, k := range core.Kinds() {
-		rr = append(rr, k.String())
-	}
-	switch structure {
-	case StructSingly:
-		return append(rr, "HTM", "TMHP", "TMHE", "TMVBR", "REF", "ER", "Leak", "LFHP")
-	case StructDoubly:
-		return append(rr, "HTM", "TMHP", "TMHE", "TMVBR")
-	case StructHash:
-		return append(rr, "HTM", "TMHP", "TMHE", "TMVBR", "REF", "ER")
-	case StructITree:
-		return append(rr, "HTM")
-	case StructETree:
-		return append(rr, "HTM", "TMHP", "TMHE", "TMVBR", "Leak")
-	case StructSkip:
-		return append(rr, "HTM", "TMHE", "TMVBR")
-	default:
+	row, err := family.ByName(structure)
+	if err != nil {
 		return nil
 	}
+	return row.Variants()
 }
 
 // guardCollector gathers use-after-free events reported by the arena so a
@@ -78,15 +47,6 @@ func (g *guardCollector) take() []arena.GuardEvent {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.events
-}
-
-// reclaimer is what every tortured set reports about its reclamation: the
-// counters, and the scheme's own facts (reclaim.Traits) — which discipline
-// the memory books follow, how many Finish rounds drain it, whether round
-// one's leftovers are slot-bounded.
-type reclaimer interface {
-	ReclaimStats() reclaim.Stats
-	ReclaimTraits() reclaim.Traits
 }
 
 // instance is a built structure plus the metadata the invariant checks
@@ -147,115 +107,49 @@ func build(cfg Config) (*instance, error) {
 	return inst, nil
 }
 
-// buildOne constructs a single structure × variant × policy instance,
-// reporting guard events into the given collector (nil = unguarded) and
-// naming its observability domain obsName. Which variants a structure
-// takes is the structure package's ModeByName; only the lock-free
-// baselines are resolved here.
+// buildOne constructs a single structure × variant × policy instance from
+// the structure's row of the family table, reporting guard events into the
+// given collector (nil = unguarded) and naming its observability domain
+// obsName.
 func buildOne(cfg Config, guard *guardCollector, obsName string) (*instance, error) {
-	inst := &instance{perKey: 1}
-	undefined := fmt.Errorf("torture: variant %q is undefined for %s", cfg.Variant, cfg.Structure)
+	row, err := family.ByName(cfg.Structure)
+	if err != nil {
+		return nil, fmt.Errorf("torture: %w", err)
+	}
 	var sink func(arena.GuardEvent)
 	if guard != nil {
 		sink = guard.sink
 	}
 	// Every TM-backed instance carries an always-sampled observability
 	// domain so a failed run can dump its flight recorder next to the repro
-	// line. The lock-free baselines return before it is attached.
+	// line; the lock-free baselines ignore it.
 	dom := obs.NewDomain(obs.DomainConfig{
 		Name:       obsName,
 		Threads:    cfg.Threads,
 		RingEvents: 512,
 	})
-	// What every TM-backed structure is built from; the family's ModeByName
-	// adds the selector pair.
-	tm := reclaim.Config{
+	set, err := row.Build(cfg.Variant, reclaim.Config{
 		Threads: cfg.Threads, Window: core.Window{W: cfg.Window},
 		ArenaPolicy: cfg.Policy, Guard: cfg.Guard, GuardSink: sink, Obs: dom,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("torture: %w", err)
 	}
-	var ok bool
-	validator := func(holds func() bool, what string) func() error {
-		return func() error {
-			if !holds() {
-				return fmt.Errorf("%s violated", what)
+	inst := &instance{
+		set: set, perKey: row.PerKey,
+		traits: set.ReclaimTraits(), reclaim: set.ReclaimStats,
+	}
+	if row.Holds != nil {
+		inst.validate = func() error {
+			if !row.Holds(set) {
+				return fmt.Errorf("%s violated", row.Invariant)
 			}
 			return nil
 		}
 	}
-	var set interface {
-		sets.Set
-		reclaimer
-	}
-
-	switch cfg.Structure {
-	case StructSingly, StructDoubly, StructHash:
-		if cfg.Variant == "Leak" || cfg.Variant == "LFHP" {
-			if cfg.Structure != StructSingly {
-				return nil, undefined
-			}
-			set = lockfree.NewHarrisList(lockfree.ListConfig{
-				Threads:           cfg.Threads,
-				UseHazardPointers: cfg.Variant == "LFHP",
-				ArenaPolicy:       cfg.Policy,
-			})
-			break
-		}
-		if tm.Mode, tm.RRKind, ok = list.ModeByName(cfg.Variant, cfg.Structure == StructDoubly); !ok {
-			return nil, undefined
-		}
-		inst.obs = dom
-		switch cfg.Structure {
-		case StructSingly:
-			set = list.New(tm)
-		case StructDoubly:
-			d := list.NewDoubly(tm)
-			set, inst.validate = d, validator(d.ValidateLinks, "prev/next link symmetry")
-		case StructHash:
-			set = list.NewHashTable(tm, cfg.Threads*4)
-		}
-
-	case StructITree, StructETree:
-		if cfg.Variant == "Leak" {
-			if cfg.Structure != StructETree {
-				return nil, undefined
-			}
-			t := lockfree.NewNMTree(lockfree.NMConfig{Threads: cfg.Threads})
-			set, inst.validate = t, validator(t.ValidateRouting, "NM-tree routing invariant")
-			inst.perKey = 2
-			break
-		}
-		if tm.Mode, tm.RRKind, ok = tree.ModeByName(cfg.Variant, cfg.Structure == StructITree); !ok {
-			return nil, undefined
-		}
-		inst.obs = dom
-		if cfg.Structure == StructITree {
-			t := tree.NewInternal(tm)
-			set, inst.validate = t, validator(t.ValidateBST, "BST ordering invariant")
-		} else {
-			t := tree.NewExternal(tm)
-			set, inst.validate = t, validator(t.ValidateRouting, "external-tree routing invariant")
-			inst.perKey = 2
-		}
-
-	case StructSkip:
-		if tm.Mode, tm.RRKind, ok = skiplist.ModeByName(cfg.Variant); !ok {
-			return nil, undefined
-		}
-		s := skiplist.New(tm)
-		inst.obs = dom
-		set, inst.validate = s, validator(s.ValidateLevels, "skiplist level invariant")
-
-	default:
-		return nil, fmt.Errorf("torture: unknown structure %q", cfg.Structure)
-	}
-
-	inst.set = set
-	inst.traits = set.ReclaimTraits()
-	inst.reclaim = set.ReclaimStats
-	if inst.obs != nil {
-		// TM-backed: guardable, and every Apply is one transaction.
-		inst.guard = guard
-		inst.atomicBatch = true
+	if _, tm := set.(sets.TMStatsReporter); tm {
+		// TM-backed: observed, guardable, and every Apply is one transaction.
+		inst.obs, inst.guard, inst.atomicBatch = dom, guard, true
 	}
 	if mr, ok := inst.set.(sets.MemoryReporter); ok {
 		// The freshly built structure's sentinel/bootstrap node count is
@@ -300,16 +194,9 @@ func buildSharded(cfg Config, guard *guardCollector) (*instance, error) {
 		}
 	}
 	inst.reclaim = func() reclaim.Stats {
-		var out reclaim.Stats
+		var out reclaim.Stats // PeakDeferred sums to an upper bound: peaks need not align
 		for _, si := range subs {
-			st := si.reclaim()
-			out.Retired += st.Retired
-			out.Freed += st.Freed
-			out.Deferred += st.Deferred
-			out.PeakDeferred += st.PeakDeferred // upper bound: peaks need not align
-			out.Scans += st.Scans
-			out.DelayOpsSum += st.DelayOpsSum
-			out.Leftover += st.Leftover
+			out.Add(si.reclaim())
 		}
 		return out
 	}
@@ -320,34 +207,50 @@ func buildSharded(cfg Config, guard *guardCollector) (*instance, error) {
 					return fmt.Errorf("shard %d: %w", i, err)
 				}
 			}
-			mr, ok := si.set.(sets.MemoryReporter)
-			if !ok {
-				continue
-			}
-			live, def := mr.LiveNodes(), mr.DeferredNodes()
-			expect := si.baseLive + si.perKey*uint64(len(si.set.Snapshot()))
-			switch {
-			case !si.traits.Deferred:
-				if live != expect {
-					return fmt.Errorf("shard %d: precise mode: live %d != expected %d", i, live, expect)
-				}
-				if def != 0 {
-					return fmt.Errorf("shard %d: precise mode: %d deferred nodes", i, def)
-				}
-			case si.traits.Leak:
-				if live != expect+def {
-					return fmt.Errorf("shard %d: leak mode: live %d != %d expected + %d leaked", i, live, expect, def)
-				}
-			default:
-				if def != 0 {
-					return fmt.Errorf("shard %d: deferred mode: %d nodes still deferred after full drain", i, def)
-				}
-				if live != expect {
-					return fmt.Errorf("shard %d: deferred mode after drain: live %d != expected %d", i, live, expect)
+			if mr, ok := si.set.(sets.MemoryReporter); ok {
+				bad := si.checkBooks(mr, uint64(len(si.set.Snapshot())))
+				if len(bad) > 0 {
+					return fmt.Errorf("shard %d: %s", i, bad[0])
 				}
 			}
 		}
 		return nil
 	}
 	return inst, nil
+}
+
+// checkBooks balances the instance's memory books at quiescence, after the
+// full drain, for a structure holding size keys. Precise modes must balance
+// exactly — that is the paper's claim; deferred modes balance once the
+// deferred remainder is added back, and non-leaky deferred modes must have
+// drained to zero.
+func (inst *instance) checkBooks(mr sets.MemoryReporter, size uint64) (bad []string) {
+	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
+	live, def := mr.LiveNodes(), mr.DeferredNodes()
+	expect := inst.baseLive + inst.perKey*size
+	switch {
+	case !inst.traits.Deferred:
+		if live != expect {
+			fail("precise mode: live %d != sentinels %d + %d per key × size %d = %d",
+				live, inst.baseLive, inst.perKey, size, expect)
+		}
+		if def != 0 {
+			fail("precise mode: %d deferred nodes", def)
+		}
+	case inst.traits.Leak:
+		if live != expect+def {
+			fail("leak mode: live %d != %d expected + %d leaked", live, expect, def)
+		}
+	default:
+		if def != 0 {
+			fail("deferred mode: %d nodes still deferred after full drain", def)
+		}
+		if left := inst.reclaim().Leftover; left != 0 {
+			fail("deferred mode: %d leftover retirees after full drain", left)
+		}
+		if live != expect {
+			fail("deferred mode after drain: live %d != expected %d", live, expect)
+		}
+	}
+	return bad
 }

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"hohtx/internal/family"
 	"math/rand"
 	"sync"
 	"testing"
@@ -101,7 +102,7 @@ func (s *toyHP) Stats() reclaim.Stats {
 	return st
 }
 
-var seamStructures = []string{StructSingly, StructETree, StructSkip}
+var seamStructures = []string{family.Singly, family.ETree, family.Skip}
 
 // TestSeamTestOnlySchemeVsModel drives each structure over the toy scheme
 // with a long sequential script against a map model, through sets.Set only.

@@ -591,40 +591,15 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 		fail("oracle size %d != snapshot size %d", want, len(snap))
 	}
 
-	// Memory books. Precise modes must balance exactly — that is the
-	// paper's claim; deferred modes balance once the deferred remainder is
-	// added back, and non-leaky deferred modes must have drained to zero.
+	// Memory books, in aggregate (a sharded instance's validator below
+	// balances each shard's own too).
 	if mr, ok := s.(sets.MemoryReporter); ok {
 		rep.Live = mr.LiveNodes()
 		rep.Deferred = mr.DeferredNodes()
 		rs := inst.reclaim()
 		rep.Leftover = rs.Leftover
 		rep.AvgDelayOps = rs.AvgDelayOps()
-		expect := inst.baseLive + inst.perKey*uint64(len(snap))
-		switch {
-		case !inst.traits.Deferred:
-			if rep.Live != expect {
-				fail("precise mode: live %d != sentinels %d + %d per key × size %d = %d",
-					rep.Live, inst.baseLive, inst.perKey, len(snap), expect)
-			}
-			if rep.Deferred != 0 {
-				fail("precise mode: %d deferred nodes", rep.Deferred)
-			}
-		case inst.traits.Leak:
-			if rep.Live != expect+rep.Deferred {
-				fail("leak mode: live %d != %d expected + %d leaked", rep.Live, expect, rep.Deferred)
-			}
-		default:
-			if rep.Deferred != 0 {
-				fail("deferred mode: %d nodes still deferred after full drain", rep.Deferred)
-			}
-			if rep.Leftover != 0 {
-				fail("deferred mode: %d leftover retirees after full drain", rep.Leftover)
-			}
-			if rep.Live != expect {
-				fail("deferred mode after drain: live %d != expected %d", rep.Live, expect)
-			}
-		}
+		failures = append(failures, inst.checkBooks(mr, uint64(len(snap)))...)
 	}
 
 	if inst.validate != nil {

@@ -3,6 +3,7 @@ package torture
 import (
 	"flag"
 	"fmt"
+	"hohtx/internal/family"
 	"strings"
 	"testing"
 
@@ -81,7 +82,8 @@ func TestTortureRejectsUnknown(t *testing.T) {
 		{Structure: "ring", Variant: "HTM"},
 		{Structure: "doubly", Variant: "REF"},
 		{Structure: "itree", Variant: "TMHP"},
-		{Structure: "skip", Variant: "Leak"},
+		{Structure: "skip", Variant: "LFLeak"},
+		{Structure: "singly", Variant: "Leak"}, // the comparator is spelled LFLeak everywhere
 	} {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("Run(%s/%s) accepted an undefined combination", cfg.Structure, cfg.Variant)
@@ -93,7 +95,7 @@ func TestTortureRejectsUnknown(t *testing.T) {
 // built instance and checks the error carries both the repro line and the
 // flight-recorder dump (lifecycle events + abort attribution).
 func TestTortureFailureDumpsFlightRecorder(t *testing.T) {
-	cfg := Config{Structure: StructSingly, Variant: "RR-FA", Threads: 2, Ops: 200, Keys: 32}
+	cfg := Config{Structure: family.Singly, Variant: "RR-FA", Threads: 2, Ops: 200, Keys: 32}
 	cfg = cfg.withDefaults()
 	inst, err := build(cfg)
 	if err != nil {
@@ -140,7 +142,7 @@ func TestTortureBatchOps(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/s%d", tc.variant, tc.shards), func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
-				Structure: StructSingly, Variant: tc.variant,
+				Structure: family.Singly, Variant: tc.variant,
 				Threads: 4, Ops: 600, Keys: 64, Window: 4,
 				Shards: tc.shards, BatchOps: 8, Seed: 0xba7c4,
 			}
@@ -174,12 +176,12 @@ func TestTortureScanOracle(t *testing.T) {
 		shards             int
 		wantScans          bool
 	}{
-		{StructSingly, "RR-V", 1, true},
-		{StructSingly, "HTM", 1, true},
-		{StructSingly, "RR-FA", 3, true}, // merged cross-shard cursor
-		{StructSkip, "RR-V", 2, true},
-		{StructSingly, "TMHP", 1, false}, // Ascender but CanAscend() == false
-		{StructITree, "HTM", 1, false},   // no Ascender at all
+		{family.Singly, "RR-V", 1, true},
+		{family.Singly, "HTM", 1, true},
+		{family.Singly, "RR-FA", 3, true}, // merged cross-shard cursor
+		{family.Skip, "RR-V", 2, true},
+		{family.Singly, "TMHP", 1, false}, // Ascender but CanAscend() == false
+		{family.ITree, "HTM", 1, false},   // no Ascender at all
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%s/%s/s%d", tc.structure, tc.variant, tc.shards), func(t *testing.T) {
@@ -246,7 +248,7 @@ func TestTortureSharded(t *testing.T) {
 		t.Run(variant, func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
-				Structure: StructSingly, Variant: variant,
+				Structure: family.Singly, Variant: variant,
 				Threads: 4, Ops: 600, Keys: 96, Window: 4,
 				Shards: 4, Seed: 0xbeef, Guard: true,
 			}
@@ -270,12 +272,12 @@ func TestTortureSharded(t *testing.T) {
 // failure dump shows all of them), summed sentinel baseline, and a clean
 // run through runOn with the per-shard validator engaged.
 func TestTortureShardedBuild(t *testing.T) {
-	single, err := build(Config{Structure: StructSingly, Variant: "RR-V"}.withDefaults())
+	single, err := build(Config{Structure: family.Singly, Variant: "RR-V"}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Structure: StructSingly, Variant: "RR-V",
+		Structure: family.Singly, Variant: "RR-V",
 		Threads: 2, Ops: 200, Keys: 64, Shards: 3,
 	}
 	cfg = cfg.withDefaults()

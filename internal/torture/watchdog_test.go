@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"hohtx/internal/family"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func (s stallList) Lookup(tid int, key uint64) bool {
 // transaction statistics by cause, who holds which worker id, and every
 // goroutine's stack — the parked frame among them.
 func TestWatchdogFires(t *testing.T) {
-	cfg := Config{Structure: StructSingly, Variant: "RR-V", Threads: 2, Ops: 200, Keys: 32}.withDefaults()
+	cfg := Config{Structure: family.Singly, Variant: "RR-V", Threads: 2, Ops: 200, Keys: 32}.withDefaults()
 	inst, err := build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +66,7 @@ func TestBatchedReuseTerminates(t *testing.T) {
 	if testing.Short() {
 		seeds = 25
 	}
-	for _, structure := range []string{StructSingly, StructDoubly} {
+	for _, structure := range []string{family.Singly, family.Doubly} {
 		for _, variant := range []string{"RR-V", "RR-DM", "TMVBR", "HTM"} {
 			t.Run(structure+"/"+variant, func(t *testing.T) {
 				for seed := uint64(1); seed <= seeds; seed++ {

@@ -17,17 +17,7 @@ import (
 
 // Apply implements sets.Set for the internal tree.
 func (t *Internal) Apply(tid int, ops []sets.Op) []sets.Result {
-	if len(ops) == 0 {
-		return nil
-	}
-	out := t.batchResults(tid, len(ops))
-	t.threads[tid].ops += uint64(len(ops))
-	t.rt.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
-		for i, op := range ops {
-			out[i] = t.applyOneInTx(tx, tid, op)
-		}
-	})
-	return out
+	return t.applyBatch(tid, ops, t.applyOneInTx)
 }
 
 // applyOneInTx is one full descent inside the batch transaction. The root
@@ -42,13 +32,13 @@ func (t *Internal) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 		if currH.IsNil() {
 			if op.Kind == sets.OpInsert {
 				nh := t.allocNode(tx, tid, op.Key, arena.Nil, arena.Nil)
-				child(t.ar.At(prevH), dir).Store(tx, uint64(nh))
+				child(t.Ar.At(prevH), dir).Store(tx, uint64(nh))
 				return true
 			}
 			return false
 		}
-		n := t.ar.At(currH)
-		ck := t.guard.Word(tx, tid, currH, n.key.Load(tx))
+		n := t.Ar.At(currH)
+		ck := t.Guard.Word(tx, tid, currH, n.key.Load(tx))
 		if ck == op.Key {
 			switch op.Kind {
 			case sets.OpLookup:
@@ -62,10 +52,10 @@ func (t *Internal) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 		}
 		prevH = currH
 		if op.Key < ck {
-			currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
+			currH = t.Guard.Link(tx, tid, currH, n.left.Load(tx))
 			dir = 0
 		} else {
-			currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
+			currH = t.Guard.Link(tx, tid, currH, n.right.Load(tx))
 			dir = 1
 		}
 	}
@@ -73,17 +63,7 @@ func (t *Internal) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 
 // Apply implements sets.Set for the external tree.
 func (t *External) Apply(tid int, ops []sets.Op) []sets.Result {
-	if len(ops) == 0 {
-		return nil
-	}
-	out := t.batchResults(tid, len(ops))
-	t.threads[tid].ops += uint64(len(ops))
-	t.rt.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
-		for i, op := range ops {
-			out[i] = t.applyOneInTx(tx, tid, op)
-		}
-	})
-	return out
+	return t.applyBatch(tid, ops, t.applyOneInTx)
 }
 
 // applyOneInTx descends from the root to the leaf covering op.Key. A full
@@ -99,9 +79,9 @@ func (t *External) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 	pDir, cDir := 0, 0
 	currH := t.root
 	for {
-		n := t.ar.At(currH)
-		if t.guard.Link(tx, tid, currH, n.left.Load(tx)).IsNil() {
-			leafKey := t.guard.Word(tx, tid, currH, n.key.Load(tx))
+		n := t.Ar.At(currH)
+		if t.Guard.Link(tx, tid, currH, n.left.Load(tx)).IsNil() {
+			leafKey := t.Guard.Word(tx, tid, currH, n.key.Load(tx))
 			switch op.Kind {
 			case sets.OpLookup:
 				return leafKey == op.Key
@@ -116,26 +96,26 @@ func (t *External) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 				} else {
 					router = t.allocNode(tx, tid, op.Key, currH, newLeaf)
 				}
-				child(t.ar.At(pH), cDir).Store(tx, uint64(router))
+				child(t.Ar.At(pH), cDir).Store(tx, uint64(router))
 				return true
 			default:
 				if leafKey != op.Key {
 					return false
 				}
-				sibling := uint64(t.guard.Link(tx, tid, pH, child(t.ar.At(pH), 1-cDir).Load(tx)))
-				child(t.ar.At(gH), pDir).Store(tx, sibling)
-				t.reclaimNode(tx, tid, pH)
-				t.reclaimNode(tx, tid, currH)
+				sibling := uint64(t.Guard.Link(tx, tid, pH, child(t.Ar.At(pH), 1-cDir).Load(tx)))
+				child(t.Ar.At(gH), pDir).Store(tx, sibling)
+				t.Unlinked(tx, tid, pH)
+				t.Unlinked(tx, tid, currH)
 				return true
 			}
 		}
 		gH, pDir = pH, cDir
 		pH = currH
-		if op.Key < t.guard.Word(tx, tid, currH, n.key.Load(tx)) {
-			currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
+		if op.Key < t.Guard.Word(tx, tid, currH, n.key.Load(tx)) {
+			currH = t.Guard.Link(tx, tid, currH, n.left.Load(tx))
 			cDir = 0
 		} else {
-			currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
+			currH = t.Guard.Link(tx, tid, currH, n.right.Load(tx))
 			cDir = 1
 		}
 		if currH.IsNil() {

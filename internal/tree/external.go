@@ -42,7 +42,7 @@ func NewExternal(cfg Config) *External {
 }
 
 // applyExt is the hand-over-hand window engine for the external tree: the
-// closure is one window transaction, stm.Runtime.Chain the loop.
+// closure is one window transaction, the chassis's Op the loop.
 // onLeaf runs in the terminal window with the reached leaf and its
 // ancestor routers: gH (grandparent), pH (parent), with pH the pDir-child
 // of gH and the leaf the lDir-child of pH. needsDepth is how many
@@ -51,26 +51,17 @@ func NewExternal(cfg Config) *External {
 func (t *External) applyExt(tid int, key uint64, needsDepth int,
 	onLeaf func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool) bool {
 
-	ts := &t.threads[tid]
-	ts.ops++
 	var res bool
-	t.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
+	t.Op(tid, func(tx *stm.Tx) (more bool) {
 		res = false
-		win := t.window()
-		startH, held := t.windowStart(tx, tid, t.root)
-		var budget int
-		if held {
-			budget = win.Next()
-		} else {
-			budget = win.First(tx)
-		}
+		startH, _, held, budget := t.Start(tx, tid, t.root, 0)
 		gH, pH := arena.Nil, arena.Nil
 		pDir, cDir := 0, 0
 		currH := startH
 		steps := 0
 		for {
-			n := t.ar.At(currH)
-			if t.guard.Link(tx, tid, currH, n.left.Load(tx)).IsNil() {
+			n := t.Ar.At(currH)
+			if t.Guard.Link(tx, tid, currH, n.left.Load(tx)).IsNil() {
 				// Reached a leaf.
 				depth := 0
 				if !pH.IsNil() {
@@ -80,31 +71,31 @@ func (t *External) applyExt(tid int, key uint64, needsDepth int,
 					depth = 2
 				}
 				if depth < needsDepth {
-					t.link.Drop(tx, tid, held)
+					t.Link.Drop(tx, tid, held)
 					return true // restart from the root next window
 				}
 				res = onLeaf(tx, gH, pH, currH, pDir, cDir)
-				t.link.Drop(tx, tid, held)
+				t.Link.Drop(tx, tid, held)
 				return false
 			}
 			if steps >= budget {
-				t.link.Hold(tx, tid, held, currH, 0)
+				t.Link.Hold(tx, tid, held, currH, 0)
 				return true
 			}
 			gH, pDir = pH, cDir
 			pH = currH
-			if key < t.guard.Word(tx, tid, currH, n.key.Load(tx)) {
-				currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
+			if key < t.Guard.Word(tx, tid, currH, n.key.Load(tx)) {
+				currH = t.Guard.Link(tx, tid, currH, n.left.Load(tx))
 				cDir = 0
 			} else {
-				currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
+				currH = t.Guard.Link(tx, tid, currH, n.right.Load(tx))
 				cDir = 1
 			}
 			if currH.IsNil() {
 				// A router's children are never Nil; only a poisoned
 				// link defuses to Nil. This attempt is doomed — drop
 				// the hold and retry from the root.
-				t.link.Drop(tx, tid, held)
+				t.Link.Drop(tx, tid, held)
 				return true
 			}
 			steps++
@@ -117,7 +108,7 @@ func (t *External) applyExt(tid int, key uint64, needsDepth int,
 func (t *External) Lookup(tid int, key uint64) bool {
 	return t.applyExt(tid, key, 0,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			return t.guard.Word(tx, tid, leafH, t.ar.At(leafH).key.Load(tx)) == key
+			return t.Guard.Word(tx, tid, leafH, t.Ar.At(leafH).key.Load(tx)) == key
 		},
 	)
 }
@@ -129,7 +120,7 @@ func (t *External) Insert(tid int, key uint64) bool {
 	}
 	return t.applyExt(tid, key, 1,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leafKey := t.guard.Word(tx, tid, leafH, t.ar.At(leafH).key.Load(tx))
+			leafKey := t.Guard.Word(tx, tid, leafH, t.Ar.At(leafH).key.Load(tx))
 			if leafKey == key {
 				return false
 			}
@@ -140,7 +131,7 @@ func (t *External) Insert(tid int, key uint64) bool {
 			} else {
 				router = t.allocNode(tx, tid, key, leafH, newLeaf)
 			}
-			child(t.ar.At(pH), lDir).Store(tx, uint64(router))
+			child(t.Ar.At(pH), lDir).Store(tx, uint64(router))
 			return true
 		},
 	)
@@ -151,13 +142,13 @@ func (t *External) Insert(tid int, key uint64) bool {
 func (t *External) Remove(tid int, key uint64) bool {
 	return t.applyExt(tid, key, 2,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			if t.guard.Word(tx, tid, leafH, t.ar.At(leafH).key.Load(tx)) != key {
+			if t.Guard.Word(tx, tid, leafH, t.Ar.At(leafH).key.Load(tx)) != key {
 				return false
 			}
-			sibling := uint64(t.guard.Link(tx, tid, pH, child(t.ar.At(pH), 1-lDir).Load(tx)))
-			child(t.ar.At(gH), pDir).Store(tx, sibling)
-			t.reclaimNode(tx, tid, pH)
-			t.reclaimNode(tx, tid, leafH)
+			sibling := uint64(t.Guard.Link(tx, tid, pH, child(t.Ar.At(pH), 1-lDir).Load(tx)))
+			child(t.Ar.At(gH), pDir).Store(tx, sibling)
+			t.Unlinked(tx, tid, pH)
+			t.Unlinked(tx, tid, leafH)
 			return true
 		},
 	)
@@ -172,7 +163,7 @@ func (t *External) Snapshot() []uint64 {
 		if h.IsNil() {
 			return
 		}
-		n := t.ar.At(h)
+		n := t.Ar.At(h)
 		l := arena.Handle(n.left.Raw())
 		if l.IsNil() {
 			if k := n.key.Raw(); k <= MaxKey {
@@ -198,7 +189,7 @@ func (t *External) ValidateRouting() bool {
 		if !ok || h.IsNil() {
 			return
 		}
-		n := t.ar.At(h)
+		n := t.Ar.At(h)
 		k := n.key.Raw()
 		l := arena.Handle(n.left.Raw())
 		r := arena.Handle(n.right.Raw())

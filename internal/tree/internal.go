@@ -36,7 +36,7 @@ func child(n *node, dir int) *stm.Word {
 }
 
 // apply is the hand-over-hand window engine for the internal tree (the
-// closure is one window transaction, stm.Runtime.Chain the loop). The
+// closure is one window transaction, the chassis's Op the loop). The
 // found callback receives the matching node and its parent (with dir
 // selecting which child of the parent it is); the missing callback
 // receives the insertion point. needsParent makes a match at a resumed
@@ -47,50 +47,41 @@ func (t *Internal) apply(tid int, key uint64, needsParent bool,
 	onFound func(tx *stm.Tx, parentH, currH arena.Handle, dir int) bool,
 	onMissing func(tx *stm.Tx, parentH arena.Handle, dir int) bool) bool {
 
-	ts := &t.threads[tid]
-	ts.ops++
 	var res bool
-	t.rt.Chain(tid, func(tx *stm.Tx) (more bool) {
+	t.Op(tid, func(tx *stm.Tx) (more bool) {
 		res = false
-		win := t.window()
-		startH, held := t.windowStart(tx, tid, t.root)
-		var budget int
-		if held {
-			budget = win.Next()
-		} else {
-			budget = win.First(tx)
-		}
+		startH, _, held, budget := t.Start(tx, tid, t.root, 0)
 		prevH, currH := arena.Nil, startH
 		dir := 0
 		steps := 0
 		for {
 			if currH.IsNil() {
 				res = onMissing(tx, prevH, dir)
-				t.link.Drop(tx, tid, held)
+				t.Link.Drop(tx, tid, held)
 				return false
 			}
-			n := t.ar.At(currH)
-			ck := t.guard.Word(tx, tid, currH, n.key.Load(tx))
+			n := t.Ar.At(currH)
+			ck := t.Guard.Word(tx, tid, currH, n.key.Load(tx))
 			if ck == key {
 				if needsParent && prevH.IsNil() {
 					// Matched at the resumed start: ancestors unknown.
-					t.link.Drop(tx, tid, held)
+					t.Link.Drop(tx, tid, held)
 					return true // restart from the root
 				}
 				res = onFound(tx, prevH, currH, dir)
-				t.link.Drop(tx, tid, held)
+				t.Link.Drop(tx, tid, held)
 				return false
 			}
 			if steps >= budget {
-				t.link.Hold(tx, tid, held, currH, 0)
+				t.Link.Hold(tx, tid, held, currH, 0)
 				return true // hand over to the next window at currH
 			}
 			prevH = currH
 			if key < ck {
-				currH = t.guard.Link(tx, tid, currH, n.left.Load(tx))
+				currH = t.Guard.Link(tx, tid, currH, n.left.Load(tx))
 				dir = 0
 			} else {
-				currH = t.guard.Link(tx, tid, currH, n.right.Load(tx))
+				currH = t.Guard.Link(tx, tid, currH, n.right.Load(tx))
 				dir = 1
 			}
 			steps++
@@ -116,7 +107,7 @@ func (t *Internal) Insert(tid int, key uint64) bool {
 		func(tx *stm.Tx, parentH, currH arena.Handle, dir int) bool { return false },
 		func(tx *stm.Tx, parentH arena.Handle, dir int) bool {
 			nh := t.allocNode(tx, tid, key, arena.Nil, arena.Nil)
-			child(t.ar.At(parentH), dir).Store(tx, uint64(nh))
+			child(t.Ar.At(parentH), dir).Store(tx, uint64(nh))
 			return true
 		},
 	)
@@ -138,19 +129,19 @@ func (t *Internal) Remove(tid int, key uint64) bool {
 // removeFound deletes the matched node vH (the dir-child of parentH),
 // dispatching on its child count.
 func (t *Internal) removeFound(tx *stm.Tx, tid int, parentH, vH arena.Handle, dir int) {
-	v := t.ar.At(vH)
-	lH := t.guard.Link(tx, tid, vH, v.left.Load(tx))
-	rH := t.guard.Link(tx, tid, vH, v.right.Load(tx))
+	v := t.Ar.At(vH)
+	lH := t.Guard.Link(tx, tid, vH, v.left.Load(tx))
+	rH := t.Guard.Link(tx, tid, vH, v.right.Load(tx))
 	switch {
 	case lH.IsNil() && rH.IsNil():
-		child(t.ar.At(parentH), dir).Store(tx, 0)
-		t.reclaimNode(tx, tid, vH)
+		child(t.Ar.At(parentH), dir).Store(tx, 0)
+		t.Unlinked(tx, tid, vH)
 	case lH.IsNil():
-		child(t.ar.At(parentH), dir).Store(tx, uint64(rH))
-		t.reclaimNode(tx, tid, vH)
+		child(t.Ar.At(parentH), dir).Store(tx, uint64(rH))
+		t.Unlinked(tx, tid, vH)
 	case rH.IsNil():
-		child(t.ar.At(parentH), dir).Store(tx, uint64(lH))
-		t.reclaimNode(tx, tid, vH)
+		child(t.Ar.At(parentH), dir).Store(tx, uint64(lH))
+		t.Unlinked(tx, tid, vH)
 	default:
 		t.removeTwoChildren(tx, tid, vH, rH)
 	}
@@ -162,32 +153,32 @@ func (t *Internal) removeFound(tx *stm.Tx, tid int, parentH, vH arena.Handle, di
 // invalidates — is revoked so resumed traversals in that region restart.
 func (t *Internal) removeTwoChildren(tx *stm.Tx, tid int, vH, rH arena.Handle) {
 	// The victim's key changes: holds on it become unsafe.
-	t.link.Revoke(tx, vH)
+	t.Link.Revoke(tx, vH)
 	// Walk to the leftmost descendant of the right child, revoking the
 	// path as we go (this is the multi-Revoke cost Figure 6 studies). The
 	// walk's last node is the successor, which Unlinked revokes below.
 	parentOfL := vH
 	lH := rH
 	for {
-		next := t.guard.Link(tx, tid, lH, t.ar.At(lH).left.Load(tx))
+		next := t.Guard.Link(tx, tid, lH, t.Ar.At(lH).left.Load(tx))
 		if next.IsNil() {
 			break
 		}
-		t.link.Revoke(tx, lH)
+		t.Link.Revoke(tx, lH)
 		parentOfL = lH
 		lH = next
 	}
-	l := t.ar.At(lH)
+	l := t.Ar.At(lH)
 	// Move the successor's key up, then splice the successor out by
 	// promoting its right child.
-	t.ar.At(vH).key.Store(tx, t.guard.Word(tx, tid, lH, l.key.Load(tx)))
-	promoted := uint64(t.guard.Link(tx, tid, lH, l.right.Load(tx)))
+	t.Ar.At(vH).key.Store(tx, t.Guard.Word(tx, tid, lH, l.key.Load(tx)))
+	promoted := uint64(t.Guard.Link(tx, tid, lH, l.right.Load(tx)))
 	if parentOfL == vH {
-		t.ar.At(vH).right.Store(tx, promoted)
+		t.Ar.At(vH).right.Store(tx, promoted)
 	} else {
-		t.ar.At(parentOfL).left.Store(tx, promoted)
+		t.Ar.At(parentOfL).left.Store(tx, promoted)
 	}
-	t.reclaimNode(tx, tid, lH)
+	t.Unlinked(tx, tid, lH)
 }
 
 // Snapshot implements sets.Set via an in-order walk (quiescence required).
@@ -198,12 +189,12 @@ func (t *Internal) Snapshot() []uint64 {
 		if h.IsNil() {
 			return
 		}
-		n := t.ar.At(h)
+		n := t.Ar.At(h)
 		walk(arena.Handle(n.left.Raw()))
 		out = append(out, n.key.Raw())
 		walk(arena.Handle(n.right.Raw()))
 	}
-	walk(arena.Handle(t.ar.At(t.root).left.Raw()))
+	walk(arena.Handle(t.Ar.At(t.root).left.Raw()))
 	return out
 }
 
@@ -216,7 +207,7 @@ func (t *Internal) ValidateBST() bool {
 		if h.IsNil() || !ok {
 			return
 		}
-		n := t.ar.At(h)
+		n := t.Ar.At(h)
 		k := n.key.Raw()
 		if k < lo || k >= hi {
 			ok = false
@@ -225,6 +216,6 @@ func (t *Internal) ValidateBST() bool {
 		walk(arena.Handle(n.left.Raw()), lo, k)
 		walk(arena.Handle(n.right.Raw()), k+1, hi)
 	}
-	walk(arena.Handle(t.ar.At(t.root).left.Raw()), 0, sent2)
+	walk(arena.Handle(t.Ar.At(t.root).left.Raw()), 0, sent2)
 	return ok
 }

@@ -51,7 +51,7 @@ func (m *Map) Put(tid int, key, val uint64) (prev uint64, existed bool) {
 	t := m.t
 	res := t.applyExt(tid, key, 1,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leaf := t.ar.At(leafH)
+			leaf := t.Ar.At(leafH)
 			if leaf.key.Load(tx) == key {
 				cell := valueCell(leaf)
 				prev = cell.Load(tx)
@@ -59,7 +59,7 @@ func (m *Map) Put(tid int, key, val uint64) (prev uint64, existed bool) {
 				return true
 			}
 			newLeaf := t.allocNode(tx, tid, key, arena.Nil, arena.Nil)
-			valueCell(t.ar.At(newLeaf)).Store(tx, val)
+			valueCell(t.Ar.At(newLeaf)).Store(tx, val)
 			leafKey := leaf.key.Load(tx)
 			var router arena.Handle
 			if key < leafKey {
@@ -67,7 +67,7 @@ func (m *Map) Put(tid int, key, val uint64) (prev uint64, existed bool) {
 			} else {
 				router = t.allocNode(tx, tid, key, leafH, newLeaf)
 			}
-			child(t.ar.At(pH), lDir).Store(tx, uint64(router))
+			child(t.Ar.At(pH), lDir).Store(tx, uint64(router))
 			return false
 		},
 	)
@@ -80,7 +80,7 @@ func (m *Map) Get(tid int, key uint64) (uint64, bool) {
 	var val uint64
 	ok := t.applyExt(tid, key, 0,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leaf := t.ar.At(leafH)
+			leaf := t.Ar.At(leafH)
 			if leaf.key.Load(tx) != key {
 				return false
 			}
@@ -98,15 +98,15 @@ func (m *Map) Delete(tid int, key uint64) (uint64, bool) {
 	var val uint64
 	ok := t.applyExt(tid, key, 2,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leaf := t.ar.At(leafH)
+			leaf := t.Ar.At(leafH)
 			if leaf.key.Load(tx) != key {
 				return false
 			}
 			val = valueCell(leaf).Load(tx)
-			sibling := child(t.ar.At(pH), 1-lDir).Load(tx)
-			child(t.ar.At(gH), pDir).Store(tx, sibling)
-			t.reclaimNode(tx, tid, pH)
-			t.reclaimNode(tx, tid, leafH)
+			sibling := child(t.Ar.At(pH), 1-lDir).Load(tx)
+			child(t.Ar.At(gH), pDir).Store(tx, sibling)
+			t.Unlinked(tx, tid, pH)
+			t.Unlinked(tx, tid, leafH)
 			return true
 		},
 	)
@@ -125,7 +125,7 @@ func (m *Map) Entries() (keys, vals []uint64) {
 		if h.IsNil() {
 			return
 		}
-		n := t.ar.At(h)
+		n := t.Ar.At(h)
 		l := arena.Handle(n.left.Raw())
 		if l.IsNil() {
 			if k := n.key.Raw(); k <= MaxKey {

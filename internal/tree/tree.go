@@ -20,11 +20,7 @@
 package tree
 
 import (
-	"sync/atomic"
-
 	"hohtx/internal/arena"
-	"hohtx/internal/core"
-	"hohtx/internal/obs"
 	"hohtx/internal/pad"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
@@ -44,14 +40,6 @@ const (
 	ModeTMHE  = reclaim.ModeTMHE
 	ModeTMVBR = reclaim.ModeTMVBR
 )
-
-// ModeByName resolves a variant label ("RR-V", "HTM", "TMHP", …) to the
-// Config selector pair for the external tree, or — with internal set —
-// the internal tree.
-func ModeByName(name string, internal bool) (Mode, core.Kind, bool) {
-	m, k, ok := reclaim.ModeByName(name)
-	return m, k, ok && m.Generic() && (!internal || m <= ModeHTM)
-}
 
 // sentinel keys; user keys must be below sent0.
 const (
@@ -73,22 +61,12 @@ type node struct {
 	_     pad.Line
 }
 
-type threadState struct {
-	ops uint64
-	// batchOut is Apply's grow-only result buffer: the returned slice is
-	// valid until this thread's next Apply (the list's contract, which the
-	// serving layer already honours).
-	batchOut []sets.Result
-	_        pad.Line
-}
-
-// batchResults returns tid's result buffer sized for n ops.
-func (b *base) batchResults(tid, n int) []sets.Result {
-	ts := &b.threads[tid]
-	if cap(ts.batchOut) < n {
-		ts.batchOut = make([]sets.Result, n)
-	}
-	return ts.batchOut[:n]
+// words is the node's one enumeration of its cells (reclaim.Layout.Words).
+func (n *node) words(f func(*stm.Word, uint64), x uint64) {
+	f(&n.key, x)
+	f(&n.left, x)
+	f(&n.right, x)
+	f(&n.dead, x)
 }
 
 // Config parameterizes tree construction; see reclaim.Config. A zero Profile
@@ -96,82 +74,42 @@ func (b *base) batchResults(tid, n int) []sets.Result {
 // a zero Window, W = 16.
 type Config = reclaim.Config
 
-// base carries the machinery shared by the internal and external trees.
+// base is what the internal and external trees share: the chassis and the
+// node constructors.
 type base struct {
-	rt *stm.Runtime
-	ar *arena.Arena[node]
-	// link is the mode's linking-and-reclamation mechanism (the seam; see
-	// internal/reclaim/link.go).
-	link        reclaim.Link
-	win         core.Window
-	winOverride atomic.Int32
-	threads     []threadState
-	guard       reclaim.Guard
-	obs         *obs.Domain
+	reclaim.Chassis[node]
 }
 
 func newBase(cfg Config) *base {
-	b := &base{
-		rt: stm.NewRuntime(cfg.Profile),
-		ar: arena.New[node](arena.Config{
-			Policy: cfg.ArenaPolicy, Threads: cfg.Threads,
-			Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
-		}),
-		win:     cfg.Window,
-		threads: make([]threadState, cfg.Threads),
-	}
-	b.ar.SetRetire(func(n *node) { retireNode(n, b.rt.VersionFence()) })
-	if cfg.Guard {
-		b.ar.SetPoison(poisonNode)
-	}
-	b.guard = reclaim.GuardFor(b.ar)
-	b.link = reclaim.New(cfg.Mode, reclaim.Nodes{
-		Config:  cfg,
-		Dead:    func(h arena.Handle) *stm.Word { return &b.ar.At(h).dead },
-		Live:    b.ar.Live,
-		Free:    b.ar.Free,
-		Runtime: b.rt, Guard: b.guard,
+	b := new(base)
+	b.Init(cfg.WithDefaults(8, 16), reclaim.Layout[node]{
+		Words: (*node).words,
+		Dead:  func(h arena.Handle) *stm.Word { return &b.Ar.At(h).dead },
 	})
-	if b.link.Traits().WholeOp {
-		b.win = core.Window{} // unbounded: one transaction per op
-	}
-	if cfg.Obs != nil {
-		b.obs = cfg.Obs
-		b.rt.SetObserver(cfg.Obs.TxProbe())
-		b.ar.SetObserver(cfg.Obs.AllocProbe())
-	}
 	return b
 }
 
 // requirePrecise panics if the tree was built over deferred reclamation,
 // which who (named in the message) cannot run on.
 func (b *base) requirePrecise(who string) {
-	if b.link.Traits().Deferred {
-		panic("tree: " + who + " requires ModeRR or ModeHTM, not " + b.link.Name())
+	if b.Traits.Deferred {
+		panic("tree: " + who + " requires ModeRR or ModeHTM, not " + b.Name())
 	}
 }
 
-// ObsDomain returns the attached observability domain (nil when detached).
-func (b *base) ObsDomain() *obs.Domain { return b.obs }
-
-// initNode allocates a sentinel-phase node with non-transactional Init
-// (construction only: the node has never been shared).
+// initNode allocates a sentinel-phase node (construction only: the node has
+// never been shared).
 func (b *base) initNode(key uint64, left, right arena.Handle) arena.Handle {
-	h := b.ar.Alloc(0)
-	n := b.ar.At(h)
+	h, n := b.NewSentinel()
 	n.key.Init(key)
 	n.left.Init(uint64(left))
 	n.right.Init(uint64(right))
-	n.dead.Init(0)
 	return h
 }
 
-// allocNode allocates and transactionally initializes a node (recycled
-// slots require transactional stores; see package arena).
+// allocNode allocates and transactionally initializes a node.
 func (b *base) allocNode(tx *stm.Tx, tid int, key uint64, left, right arena.Handle) arena.Handle {
-	h := b.ar.Alloc(tid)
-	b.link.Born(tx, tid, h)
-	n := b.ar.At(h)
+	h, n := b.Alloc(tx, tid)
 	n.key.Store(tx, key)
 	n.left.Store(tx, uint64(left))
 	n.right.Store(tx, uint64(right))
@@ -179,58 +117,17 @@ func (b *base) allocNode(tx *stm.Tx, tid int, key uint64, left, right arena.Hand
 	return h
 }
 
-// Runtime exposes the tree's TM runtime.
-func (b *base) Runtime() *stm.Runtime { return b.rt }
-
-// SetWindow changes the hand-over-hand window size at runtime (0 restores
-// the configured value); see the identically named method in package list.
-func (b *base) SetWindow(w int) { b.winOverride.Store(int32(w)) }
-
-// window returns the effective window policy for a new transaction.
-func (b *base) window() core.Window {
-	win := b.win
-	if o := b.winOverride.Load(); o > 0 && !win.Unbounded() {
-		win.W = int(o)
+// applyBatch is both trees' sets.Set.Apply: the whole op slice inside one
+// transaction, each op a full descent by one (see batch.go).
+func (b *base) applyBatch(tid int, ops []sets.Op, one func(tx *stm.Tx, tid int, op sets.Op) bool) []sets.Result {
+	if len(ops) == 0 {
+		return nil
 	}
-	return win
-}
-
-// Name implements part of sets.Set.
-func (b *base) Name() string { return b.link.Name() }
-
-// Register implements part of sets.Set.
-func (b *base) Register(tid int) { b.link.Register(tid) }
-
-// Finish implements part of sets.Set.
-func (b *base) Finish(tid int) { b.link.Finish(tid, b.threads[tid].ops) }
-
-// TMStats returns the full TM statistics snapshot (per-cause aborts,
-// clock and commit-lock counters).
-func (b *base) TMStats() stm.Stats { return b.rt.Stats() }
-
-// ReclaimStats exposes the deferred-reclamation counters (zero for the
-// precise modes).
-func (b *base) ReclaimStats() reclaim.Stats { return b.link.Stats() }
-
-// ReclaimTraits reports the mode's fixed reclamation properties.
-func (b *base) ReclaimTraits() reclaim.Traits { return b.link.Traits() }
-
-// LiveNodes implements sets.MemoryReporter.
-func (b *base) LiveNodes() uint64 { return b.ar.Stats().Live }
-
-// DeferredNodes implements sets.MemoryReporter.
-func (b *base) DeferredNodes() uint64 { return b.link.Stats().Deferred }
-
-// windowStart resolves the window's starting node: the thread's held
-// position if its link still has one, the root otherwise.
-func (b *base) windowStart(tx *stm.Tx, tid int, root arena.Handle) (arena.Handle, bool) {
-	if h, _, held := b.link.Resume(tx, tid); held {
-		return h, true
-	}
-	return root, false
-}
-
-// reclaimNode hands a node this transaction unlinked to the link.
-func (b *base) reclaimNode(tx *stm.Tx, tid int, h arena.Handle) {
-	b.link.Unlinked(tx, tid, h, b.threads[tid].ops)
+	out := b.Results(tid, len(ops))
+	b.Batch(tid, len(ops), func(tx *stm.Tx) {
+		for i, op := range ops {
+			out[i] = one(tx, tid, op)
+		}
+	})
+	return out
 }
