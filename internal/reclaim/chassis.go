@@ -92,9 +92,9 @@ func (c *Chassis[N]) Init(cfg Config, lay Layout[N]) {
 	})
 	c.words, c.win = lay.Words, cfg.Window
 	c.ops = make([]opState, cfg.Threads)
-	c.Ar.SetRetire(func(n *N) { lay.Words(n, (*stm.Word).Retire, c.RT.VersionFence()) })
+	c.Ar.SetRetire(func(n *N) { c.words(n, (*stm.Word).Retire, c.RT.VersionFence()) })
 	if cfg.Guard {
-		c.Ar.SetPoison(func(n *N) { lay.Words(n, (*stm.Word).Poison, arena.PoisonWord) })
+		c.Ar.SetPoison(func(n *N) { c.words(n, (*stm.Word).Poison, arena.PoisonWord) })
 	}
 	c.Guard = GuardFor(c.Ar)
 	nodes := Nodes{
