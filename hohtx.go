@@ -245,7 +245,9 @@ func NewSkipListSet(cfg Config) Set { return build(family.Skip, cfg) }
 // fn returns false; the traversal is hand-over-hand (the iterator's
 // position is itself a revocable reservation) and weakly consistent: keys
 // present for the whole scan appear exactly once, in strictly ascending
-// order, and concurrent removals still reclaim immediately. Variants
+// order, and concurrent removals still reclaim immediately. AscendN is
+// Ascend told beforehand how many keys are wanted: it reads nothing past
+// the last of them. Variants
 // whose reclamation scheme cannot hold a revocable cursor (TMHP, REF, ER
 // and the lock-free baselines) return ErrScanUnsupported instead of
 // iterating.

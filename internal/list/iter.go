@@ -16,18 +16,26 @@ import (
 // sets.ErrScanUnsupported — they have no revocable cursor position, so a
 // windowed scan could dereference reclaimed nodes.
 func (l *List) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
+	return l.AscendN(tid, from, 0, fn)
+}
+
+// AscendN implements sets.Ascender: Ascend, over after limit keys when
+// limit > 0.
+func (l *List) AscendN(tid int, from uint64, limit int, fn func(key uint64) bool) error {
 	if !l.canAscend {
 		return sets.ErrScanUnsupported
 	}
-	l.Cursor(tid, from, l.head, 0, fn,
-		func(tx *stm.Tx, prevH arena.Handle, _ uint64, budget int, last uint64, batch []uint64) ([]uint64, arena.Handle, uint64) {
+	l.Cursor(tid, from, limit, l.head, 0, fn,
+		func(tx *stm.Tx, prevH arena.Handle, _ uint64, budget, want int, last uint64, batch []uint64) ([]uint64, arena.Handle, uint64) {
 			// Navigate to the first key >= last (no-op when resuming at a
 			// held node, whose key is < last by construction).
 			currH := arena.Handle(l.Ar.At(prevH).next.Load(tx))
 			for steps := 0; !currH.IsNil() && steps < budget; steps++ {
 				n := l.Ar.At(currH)
 				if k := n.key.Load(tx); k >= last {
-					batch = append(batch, k)
+					if batch = append(batch, k); len(batch) == want {
+						return batch, currH, 0 // the scan's last key: nothing past it is read
+					}
 				}
 				prevH = currH
 				currH = arena.Handle(n.next.Load(tx))

@@ -9,6 +9,7 @@ import (
 	"hohtx/internal/core"
 	"hohtx/internal/obs"
 	"hohtx/internal/sets"
+	"hohtx/internal/stm"
 )
 
 func TestAscendSequential(t *testing.T) {
@@ -224,10 +225,23 @@ func TestAscendConcurrent(t *testing.T) {
 	var violations atomic.Int64
 	for round := 0; round < 30; round++ {
 		var got []uint64
-		l.Ascend(0, 0, func(key uint64) bool {
+		collect := func(key uint64) bool {
 			got = append(got, key)
 			return true
-		})
+		}
+		if round%2 == 0 {
+			l.Ascend(0, 0, collect)
+		} else {
+			// The same scan as a chain of bounded pulls, the way the
+			// serving layer's merge runs it.
+			for from, full := uint64(0), true; full; {
+				n := len(got)
+				l.AscendN(0, from, 7, collect)
+				if full = len(got)-n == 7; full {
+					from = got[len(got)-1] + 1
+				}
+			}
+		}
 		seen := 0
 		lastKey := uint64(0)
 		for _, k := range got {
@@ -247,5 +261,106 @@ func TestAscendConcurrent(t *testing.T) {
 	wg.Wait()
 	if violations.Load() != 0 {
 		t.Fatalf("%d ordering violations", violations.Load())
+	}
+}
+
+// boundedList builds keys 1..keys on tid 0 of a two-thread RR-V list.
+func boundedList(w, keys, capacity int) *List {
+	l := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+		Window: core.Window{W: w, NoScatter: true}, Profile: stm.Profile{Capacity: capacity}})
+	l.Register(0)
+	l.Register(1)
+	for k := 1; k <= keys; k++ {
+		l.Insert(0, uint64(k))
+	}
+	return l
+}
+
+// stopAt is the consumer that ends a scan itself, at its k-th key.
+func stopAt(k int) func(uint64) bool {
+	return func(uint64) bool { k--; return k > 0 }
+}
+
+// TestAscendBounded pins what telling the cursor its bound buys over
+// stopping it from fn at the same key: the same keys, one transaction fewer
+// (the final window drops the hold itself), no hold left behind — also when
+// fn panics before the bound — and nothing read past the last key.
+func TestAscendBounded(t *testing.T) {
+	const keys, k = 40, 5
+	commits := func(scan func(l *List, fn func(uint64) bool) error, fn func(uint64) bool) (uint64, []uint64) {
+		l := boundedList(2, keys, 0)
+		var got []uint64
+		c0 := l.TMStats().Commits
+		if err := scan(l, func(key uint64) bool { got = append(got, key); return fn(key) }); err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+		return l.TMStats().Commits - c0, got
+	}
+	stopped, gotStopped := commits(func(l *List, fn func(uint64) bool) error { return l.Ascend(0, 1, fn) }, stopAt(k))
+	bounded, gotBounded := commits(func(l *List, fn func(uint64) bool) error { return l.AscendN(0, 1, k, fn) },
+		func(uint64) bool { return true })
+	if len(gotBounded) != k || len(gotStopped) != k || gotBounded[k-1] != k || gotStopped[k-1] != k {
+		t.Fatalf("bounded scan delivered %v, fn-stopped scan %v, want keys 1..%d from both", gotBounded, gotStopped, k)
+	}
+	if stopped-bounded != 1 {
+		t.Fatalf("fn-stopped scan committed %d transactions, bounded scan %d: want exactly one fewer (the trailing drop)", stopped, bounded)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		panicAt uint64
+	}{{"bounded", 0}, {"panicked", 3}} {
+		l := boundedList(2, 20, 0)
+		baseline := l.LiveNodes() - 20
+		func() {
+			defer func() {
+				if (recover() != nil) != (tc.panicAt != 0) {
+					t.Fatalf("%s: consumer panic expected at key %d", tc.name, tc.panicAt)
+				}
+			}()
+			_ = l.AscendN(0, 1, k, func(key uint64) bool {
+				if key == tc.panicAt {
+					panic("consumer bug")
+				}
+				return true
+			})
+		}()
+		if !l.Lookup(0, 1) {
+			t.Fatalf("%s: Lookup(1) false after the scan: its hold outlived it", tc.name)
+		}
+		for key := uint64(1); key <= 20; key++ {
+			if !l.Remove(1, key) {
+				t.Fatalf("%s: Remove(%d) failed after the scan", tc.name, key)
+			}
+		}
+		if live := l.LiveNodes(); live != baseline {
+			t.Fatalf("%s: live nodes = %d after removing all, want baseline %d", tc.name, live, baseline)
+		}
+	}
+
+	// What a scan reads, measured as the smallest transaction capacity it
+	// runs under without a capacity abort (one window covers the scan here).
+	// Bounded at k keys among forty it reads less than a whole scan of a list
+	// that holds those k keys and nothing else — which has no key past the
+	// k-th to visit, and still reads the k-th node's link to learn so.
+	footprint := func(keys int, scan func(l *List)) int {
+		for c := 1; c < 4*keys+16; c++ {
+			l := boundedList(64, keys, c)
+			a0 := l.TMStats().Aborts[stm.CauseCapacity]
+			scan(l)
+			if l.TMStats().Aborts[stm.CauseCapacity] == a0 {
+				return c
+			}
+		}
+		t.Fatal("scan aborts on capacity under every capacity tried")
+		return 0
+	}
+	all := func(uint64) bool { return true }
+	atK := footprint(keys, func(l *List) { _ = l.AscendN(0, 1, k, all) })
+	whole := footprint(k, func(l *List) { _ = l.Ascend(0, 1, all) })
+	byFn := footprint(keys, func(l *List) { _ = l.Ascend(0, 1, stopAt(k)) })
+	if atK >= whole || byFn <= whole {
+		t.Fatalf("cells read: %d bounded at %d of %d keys, %d by a whole scan of %d keys, %d stopped by fn at %d; want them in that order",
+			atK, k, keys, whole, k, byFn, k)
 	}
 }

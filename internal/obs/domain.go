@@ -281,14 +281,16 @@ const (
 	HistBatchSplits  = "batch_splits"
 
 	// Scan names: whole-ASCEND service time at the server (parse → merge
-	// → END written), and per-scan cursor behavior at the structure —
-	// window transactions per scan and how many of them had to
-	// re-navigate by key because a concurrent writer revoked the held
-	// position. Renavigations are the cursor-vs-writer interference the
-	// scan benchmarks measure.
-	HistServeAscendNs = "serve_ascend_ns"
-	HistAscendWindows = "ascend_windows"
-	HistAscendRenavs  = "ascend_renavigations"
+	// → END written) and the keys it pulled from the shards' cursors to
+	// emit what it emitted (pulled ÷ emitted is the merge's waste), and
+	// per-scan cursor behavior at the structure — window transactions per
+	// scan and how many of them had to re-navigate by key because a
+	// concurrent writer revoked the held position. Renavigations are the
+	// cursor-vs-writer interference the scan benchmarks measure.
+	HistServeAscendNs     = "serve_ascend_ns"
+	HistServeAscendPulled = "serve_ascend_pulled"
+	HistAscendWindows     = "ascend_windows"
+	HistAscendRenavs      = "ascend_renavigations"
 )
 
 // TxProbe bundles what the stm runtime records into. Obtained from a
@@ -360,6 +362,21 @@ type ServeProbe struct {
 	BatchOp  *Histogram // ops per executed sub-transaction
 	Splits   *Histogram // sub-transactions per wire batch (1 = unsplit)
 	AscendNs *Histogram // whole-ASCEND service time (merge + stream)
+
+	pulled atomic.Pointer[Histogram] // see Pulled
+}
+
+// Pulled is the histogram of the keys one ASCEND pulled from the shards'
+// cursors. Unlike its siblings it is registered by the first scan recorded
+// into it: a histogram is 10 kB, and a server that is never asked to scan
+// does not carry one more of them for it.
+func (p *ServeProbe) Pulled() *Histogram {
+	h := p.pulled.Load()
+	if h == nil {
+		h = p.D.Hist(HistServeAscendPulled, "keys")
+		p.pulled.Store(h)
+	}
+	return h
 }
 
 // ServeProbe builds the server-facing probe.

@@ -469,13 +469,15 @@ func TestServeProbeHistograms(t *testing.T) {
 	p.SetNs.RecordAt(0, 300)
 	p.DelNs.Record(400)
 	p.AscendNs.Record(500)
+	p.Pulled().Record(76)
 
 	want := map[string]uint64{
-		HistServeGetNs:    1,
-		HistServeSetNs:    2,
-		HistServeDelNs:    1,
-		HistServeAscendNs: 1,
-		HistServeBatchNs:  0,
+		HistServeGetNs:        1,
+		HistServeSetNs:        2,
+		HistServeDelNs:        1,
+		HistServeAscendNs:     1,
+		HistServeAscendPulled: 1,
+		HistServeBatchNs:      0,
 	}
 	snap := d.Snapshot()
 	seen := map[string]uint64{}

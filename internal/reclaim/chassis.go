@@ -1,6 +1,7 @@
 package reclaim
 
 import (
+	"math"
 	"sync/atomic"
 
 	"hohtx/internal/arena"
@@ -52,12 +53,13 @@ type Layout[N any] struct {
 	Local func(mode Mode, n Nodes) Link
 }
 
-// opState is one thread's operation stamp (reclamation-delay accounting)
-// and its Apply result buffer.
+// opState is one thread's operation stamp (reclamation-delay accounting),
+// its Apply result buffer and its Cursor's key buffer.
 type opState struct {
-	n   uint64
-	out []bool
-	_   pad.Line
+	n     uint64
+	out   []bool
+	batch []uint64
+	_     pad.Line
 }
 
 // Chassis carries what every TM-backed structure over node type N is built
@@ -199,23 +201,35 @@ func (c *Chassis[N]) Start(tx *stm.Tx, tid int, root arena.Handle, rootWord uint
 // makes progress and never touches freed memory, while removals stay free
 // to reclaim immediately.
 //
+// limit > 0 bounds the scan at that many keys (sets.Ascender.AscendN). A
+// scan that knows its last key ends where that key is: the window that
+// collects it stops there instead of walking on to its budget, and drops
+// the hold in that same transaction, so a bounded scan leaves nothing for a
+// trailing transaction to release.
+//
 // window is the structure's traversal. From (start, word), taking at most
 // budget steps, it appends every key >= last it passes to batch, ascending,
 // and returns the node and word to hold — a node whose key is below every
 // key not yet collected — or Nil when the structure is exhausted. It must
 // stop at the budget even with nothing collected: re-navigation after a
-// revocation stays windowed too.
+// revocation stays windowed too. It also stops as soon as batch holds want
+// keys; what it returns to hold is then not used.
 //
-// The hold is released no matter how the scan ends: exhaustion, fn
-// returning false, or a panicking fn (the release is deferred, so the panic
-// propagates with no hold left behind — a leaked hold would make the
+// The hold is released no matter how the scan ends: exhaustion, the limit,
+// fn returning false, or a panicking fn (the release is deferred, so the
+// panic propagates with no hold left behind — a leaked hold would make the
 // thread's next operation resume from a stale position and skip smaller
-// keys).
-func (c *Chassis[N]) Cursor(tid int, from uint64, root arena.Handle, rootWord uint64, fn func(key uint64) bool,
-	window func(tx *stm.Tx, start arena.Handle, word uint64, budget int, last uint64, batch []uint64) ([]uint64, arena.Handle, uint64)) {
-	c.ops[tid].n++
+// keys). The key buffer is the thread's own and grow-only, so a scan
+// allocates nothing once warm.
+func (c *Chassis[N]) Cursor(tid int, from uint64, limit int, root arena.Handle, rootWord uint64, fn func(key uint64) bool,
+	window func(tx *stm.Tx, start arena.Handle, word uint64, budget, want int, last uint64, batch []uint64) ([]uint64, arena.Handle, uint64)) {
+	ts := &c.ops[tid]
+	ts.n++
 	last := from // the next key delivered must be >= last
-	var batch []uint64
+	left := limit
+	if left <= 0 {
+		left = math.MaxInt // unbounded: no batch is ever that long
+	}
 	holding := false // a hold survives outside the current window
 	windows, renavs := 0, 0
 	defer func() {
@@ -232,8 +246,8 @@ func (c *Chassis[N]) Cursor(tid int, from uint64, root arena.Handle, rootWord ui
 		c.RT.AtomicT(tid, func(tx *stm.Tx) {
 			start, word, held, budget := c.Start(tx, tid, root, rootWord)
 			var at arena.Handle
-			batch, at, word = window(tx, start, word, budget, last, batch[:0])
-			if done, resumed = at.IsNil(), held; done {
+			ts.batch, at, word = window(tx, start, word, budget, left, last, ts.batch[:0])
+			if done, resumed = at.IsNil() || len(ts.batch) == left, held; done {
 				c.Link.Drop(tx, tid, held)
 			} else {
 				c.Link.Hold(tx, tid, held, at, word)
@@ -245,7 +259,7 @@ func (c *Chassis[N]) Cursor(tid int, from uint64, root arena.Handle, rootWord ui
 			renavs++
 		}
 		holding = !done
-		for _, k := range batch {
+		for _, k := range ts.batch {
 			if !fn(k) {
 				return
 			}
@@ -254,6 +268,7 @@ func (c *Chassis[N]) Cursor(tid int, from uint64, root arena.Handle, rootWord ui
 		if done {
 			return
 		}
+		left -= len(ts.batch)
 	}
 }
 

@@ -143,17 +143,17 @@ func TestServeAllocsMulti(t *testing.T) {
 	}
 }
 
-// TestServeAllocsAscend pins the scan path: an ASCEND 64 over 300 resident
-// keys, on one shard and merged over two (both shards pull a full chunk).
-// The server's share is zero: the per-shard cursors keep their buffers (a
-// head index, not a reslice) and their pull sinks across requests. What is
-// left is list.Ascend's own 4 per call (its batch buffer and window
-// closure), one call per shard pulled. At the parent commit the same
-// request cost 13 allocations on one shard and 26 on two: every request
-// dropped the cursor buffers and regrew them by doubling, and every pull
-// built a closure.
+// TestServeAllocsAscend pins the scan path at zero: an ASCEND 64 over 300
+// resident keys, on one shard and merged over two (where a shard that owns
+// more than its pull's share is pulled a second time). The per-shard cursors
+// keep their buffers (a head index, not a reslice) and their pull sinks
+// across requests, and the structure's cursor collects into the worker
+// slot's own key buffer. The parent columns are for the record: what the
+// request cost when list.Ascend grew a batch buffer per call (4 per pull),
+// and before that when every request also dropped the cursor buffers and
+// every pull built a closure (13 per pull).
 func TestServeAllocsAscend(t *testing.T) {
-	const perPull, parentPerPull = 4, 13
+	const parentPerPull, grandparentPerPull = 4, 13
 	for _, cfg := range allocConfigs {
 		for _, shards := range []int{1, 2} {
 			srv := newAllocShards(t, 2, shards, cfg.traced)
@@ -161,8 +161,9 @@ func TestServeAllocsAscend(t *testing.T) {
 			for k := 1; k <= 300; k++ {
 				c.serveLine([]byte(fmt.Sprintf("SET %d", k)))
 			}
-			name := fmt.Sprintf("%s/ASCEND-64/shards=%d (parent: %d)", cfg.name, shards, parentPerPull*shards)
-			pinAt(t, name, srv, "ASCEND 1 64\n", 1, float64(perPull*shards))
+			name := fmt.Sprintf("%s/ASCEND-64/shards=%d (parents: %d, %d)", cfg.name, shards,
+				parentPerPull*shards, grandparentPerPull*shards)
+			pinZero(t, name, srv, "ASCEND 1 64\n", 1)
 		}
 	}
 }
@@ -272,6 +273,28 @@ func TestStructureAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(300, func() { set.Insert(0, 151); set.Remove(0, 151) }); got > row.update {
 			t.Errorf("%s/%s insert+remove: %.2f allocs/op, want <= %.0f (before the seam: %.0f)",
 				row.name, set.Name(), got, row.update, row.parentUpdate)
+		}
+	}
+
+	// The reservation cursor, bounded (what a merge's pull is) and stopped by
+	// its consumer: the keys a window collects go into the thread's own
+	// buffer, so a scan of several windows allocates nothing once that has
+	// grown (4 per call on the list and 5 on the skiplist when each call
+	// grew its own).
+	for _, set := range []sets.Set{singly(reclaim.ModeRR), skip(reclaim.ModeRR)} {
+		set.Register(0)
+		for k := uint64(1); k <= 200; k++ {
+			set.Insert(0, k)
+		}
+		asc, n := set.(sets.Ascender), 0
+		all := func(uint64) bool { return true }
+		stopAt64 := func(uint64) bool { n++; return n < 64 }
+		_ = asc.Ascend(0, 1, all) // prime the buffer
+		if got := testing.AllocsPerRun(300, func() { _ = asc.AscendN(0, 1, 64, all) }); got != 0 {
+			t.Errorf("%T AscendN-64: %.2f allocs/op, want 0", set, got)
+		}
+		if got := testing.AllocsPerRun(300, func() { n = 0; _ = asc.Ascend(0, 1, stopAt64) }); got != 0 {
+			t.Errorf("%T Ascend stopped at 64: %.2f allocs/op, want 0", set, got)
 		}
 	}
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hohtx/internal/bench"
+	"hohtx/internal/obs"
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
 	"hohtx/internal/tree"
@@ -245,6 +246,131 @@ func TestAscendWireWeakConsistency(t *testing.T) {
 			close(stop)
 			wg.Wait()
 		})
+	}
+}
+
+// TestAscendWireLopsided is the merge's worst case for a pull sized by an
+// even share: every key of the range lives on shard 0, so shard 1's cursor
+// is done after one empty pull and shard 0's first pull — capped at one
+// chunk of 64 — is under a third of an ASCEND 200. The refill path delivers
+// the rest, each time re-navigating by key on a fresh lease, while writers
+// churn other keys of the same shard inside the range. The contract is
+// sets.Ascender's: strictly ascending, every present-throughout key, no
+// impossible key — and exactly n keys, since more than n are always there.
+func TestAscendWireLopsided(t *testing.T) {
+	const shards, n = 2, 200
+	_, _, addr := startShardedServer(t, shards, 4)
+	scanner := dialClient(t, addr)
+	var stable, churn []uint64
+	stableSet, churnSet := map[uint64]bool{}, map[uint64]bool{}
+	for k := uint64(1); len(churn) < 250; k++ {
+		switch {
+		case serve.ShardOf(k, shards) != 0:
+		case len(stable) == len(churn):
+			stable, stableSet[k] = append(stable, k), true
+		default:
+			churn, churnSet[k] = append(churn, k), true
+		}
+	}
+	var reqs []string
+	for _, k := range stable {
+		reqs = append(reqs, fmt.Sprintf("SET %d", k))
+	}
+	scanner.roundTrip(t, reqs...)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Errorf("writer dial: %v", err)
+				return
+			}
+			defer c.Close()
+			br, bw := bufio.NewReader(c), bufio.NewWriter(c)
+			for i := w; ; i += 2 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := churn[i%len(churn)]
+				fmt.Fprintf(bw, "SET %d\nDEL %d\n", k, k)
+				if bw.Flush() != nil {
+					return
+				}
+				for j := 0; j < 2; j++ {
+					if _, err := br.ReadString('\n'); err != nil {
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for round := 0; round < 20; round++ {
+		got := scanner.ascend(t, 1, n)
+		if len(got) != n {
+			t.Fatalf("round %d: %d keys, want %d", round, len(got), n)
+		}
+		last, seen := uint64(0), 0
+		for _, k := range got {
+			if k <= last {
+				t.Fatalf("round %d: not strictly ascending at %d", round, k)
+			}
+			last = k
+			switch {
+			case stableSet[k]:
+				seen++
+			case !churnSet[k]:
+				t.Fatalf("round %d: impossible key %d", round, k)
+			}
+		}
+		for _, k := range stable {
+			if k <= last {
+				seen--
+			}
+		}
+		if seen != 0 {
+			t.Fatalf("round %d: %d stable key(s) at or below the last key emitted (%d) are missing", round, -seen, last)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestAscendPulledPerEmitted reads the merge's waste off the server's own
+// books: serve_ascend_pulled is the keys an ASCEND took from the shards'
+// cursors, and every scan here emits its full 64. One shard pulls what it
+// emits, exactly. Two shards pulled 2 keys per key emitted when each was
+// asked for the whole request; asked for a share and a slack they stay
+// under 1.35, refills included.
+func TestAscendPulledPerEmitted(t *testing.T) {
+	const scans, n = 200, 64
+	for _, shards := range []int{1, 2} {
+		ts := startTracedServer(t, shards, 2)
+		cl := dialClient(t, ts.addr)
+		var reqs []string
+		for k := 1; k <= 2000; k++ {
+			reqs = append(reqs, fmt.Sprintf("SET %d", k))
+		}
+		cl.roundTrip(t, reqs...)
+		for i := 0; i < scans; i++ {
+			if got := cl.ascend(t, uint64(1+i*9), n); len(got) != n {
+				t.Fatalf("%d shard(s): ASCEND %d %d returned %d keys", shards, 1+i*9, n, len(got))
+			}
+		}
+		h, ok := ts.dom.Snapshot().Hist(obs.HistServeAscendPulled)
+		if !ok || h.Count != scans {
+			t.Fatalf("%d shard(s): %s = %+v, want %d scans recorded", shards, obs.HistServeAscendPulled, h, scans)
+		}
+		waste := float64(h.Sum) / (scans * n)
+		if shards == 1 && h.Sum != scans*n || waste < 1 || waste > 1.35 {
+			t.Fatalf("%d shard(s): %d keys pulled for %d emitted (%.3f each), want exactly 1 on one shard and <= 1.35 on two",
+				shards, h.Sum, scans*n, waste)
+		}
 	}
 }
 

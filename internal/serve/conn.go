@@ -604,9 +604,9 @@ func (c *conn) execOps(ops []sets.Op, split int, perOpErr bool) bool {
 
 // serveAscend executes one ASCEND <lo> <n> request: stream up to n keys
 // ≥ lo as "OK <k>" lines, terminated by END. It is the streaming merge
-// with a refill that enters the shard's bracket around each chunk pull, so
-// cursor commits and renavigations stamp the span's tx phases and no
-// cursor position is ever held across a lease (see ascendChunk). A lease
+// bounded at n, with a pull that enters the shard's bracket around each
+// sub-scan, so cursor commits and renavigations stamp the span's tx phases
+// and no cursor position is ever held across a lease (see pullSize). A lease
 // failure mid-stream terminates the scan with an ERR line — the scan's
 // alternate terminator — under the shedding contract.
 func (c *conn) serveAscend(_ *verb, args []byte) bool {
@@ -619,7 +619,7 @@ func (c *conn) serveAscend(_ *verb, args []byte) bool {
 	if we.code != wireOK {
 		return c.reject("ascend: ", we)
 	}
-	left, we := parseCount(nArg)
+	n, we := parseCount(nArg)
 	if we.code != wireOK {
 		return c.reject("ascend: ", we)
 	}
@@ -631,20 +631,21 @@ func (c *conn) serveAscend(_ *verb, args []byte) bool {
 	for i := range c.cursors {
 		c.cursors[i].reset(lo)
 	}
-	err := mergeAscend(c.cursors, func(i int, cur *shardCursor) error {
+	pulled := 0
+	err := mergeAscend(c.cursors, n, func(i int, cur *shardCursor, max int) error {
 		slot, err := c.enter(i, sp)
 		if err != nil {
 			return err
 		}
-		err = cur.pull(s.view.asc[i], slot, min(left, ascendChunk))
+		err = cur.pull(s.view.asc[i], slot, max)
 		c.leave(i, slot, sp)
+		pulled += len(cur.buf)
 		return err
 	}, func(key uint64) bool {
 		c.scratch = strconv.AppendUint(append(c.scratch[:0], "OK "...), key, 10)
 		c.scratch = append(c.scratch, '\n')
 		c.bw.Write(c.scratch)
-		left--
-		return left > 0
+		return true
 	})
 	w0 := stamp(sp)
 	keep := true
@@ -660,6 +661,7 @@ func (c *conn) serveAscend(_ *verb, args []byte) bool {
 	}
 	if end := c.finish(sp, w0); err == nil && c.sampled() {
 		s.probe.AscendNs.RecordAt(c.id, uint64(end-t0))
+		s.probe.Pulled().RecordAt(c.id, uint64(pulled))
 	}
 	return keep
 }

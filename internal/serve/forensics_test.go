@@ -24,6 +24,7 @@ import (
 // a live obs HTTP endpoint serving /slowlog and /hotkeys.
 type tracedServer struct {
 	srv   *serve.Server
+	dom   *obs.Domain // the server's own domain (serve histograms)
 	pools []*serve.Pool
 	addr  string // wire protocol address
 	obs   string // obs endpoint host:port (also advertised via INFO obs=)
@@ -78,7 +79,7 @@ func startTracedServer(t *testing.T, shards, slots int) *tracedServer {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return &tracedServer{srv: srv, pools: pools, addr: ln.Addr().String(), obs: bound.String()}
+	return &tracedServer{srv: srv, dom: dom, pools: pools, addr: ln.Addr().String(), obs: bound.String()}
 }
 
 // getJSON fetches a forensics endpoint and decodes it — the decode

@@ -1,6 +1,10 @@
 package serve
 
-import "hohtx/internal/sets"
+import (
+	"math"
+
+	"hohtx/internal/sets"
+)
 
 // The shard plan: how a multi-key request is laid over the shards. Sharded
 // (one caller-owned worker id, valid on every shard) and the connection
@@ -32,13 +36,33 @@ func splitByShard(p *shardPlan, ops []sets.Op, shards int) {
 	}
 }
 
-// ascendChunk is the per-shard pull size for the streaming merge: each
-// pull runs one bounded sub-scan whose reservation hold is dropped before
-// the pull returns, so no cursor position is held while the merge is busy
+// ascendChunk is the most one pull takes from a shard, and pullSlack what a
+// pull takes beyond the shard's even share of the keys the scan still
+// wants. Each pull is one sub-scan bounded at its size (sets.Ascender's
+// AscendN), which gives up its reservation hold in the transaction that
+// reads its last key, so no cursor position is held while the merge is busy
 // with other shards — or, in the server, while the shard's worker slot is
 // released between pulls (a hold outliving its lease would make the slot's
 // next owner resume from a stale position).
-const ascendChunk = 64
+const (
+	ascendChunk = 64
+	pullSlack   = 6
+)
+
+// pullSize is how many keys a pull takes from one of shards cursors when the
+// merge still wants left. Every key pulled is a node visited, and only left
+// of them will be emitted, so a shard is asked for its share: of the next
+// left keys a shard owns Binomial(left, 1/shards) — 32 ± 4 of 64 on two
+// shards — and the slack covers about a standard deviation and a half. A
+// shard that owned more drains before the scan is over and the merge's
+// refill pulls again, sized by what is left then (one scan in eight at
+// ASCEND 64 on two shards; EXPERIMENTS.md "ASCEND pays for the keys it
+// emits" has the sweep). One shard owns every key and is asked for all of
+// them; a long scan is capped by the chunk either way.
+func pullSize(left, shards int) int {
+	left = min(left, ascendChunk*shards) // past this the chunk decides, and the sum below cannot overflow
+	return min(left, ascendChunk, (left-1)/shards+1+pullSlack)
+}
 
 // shardCursor is one shard's position in a streaming merge. Cursors are
 // used in place and never copied once pulled from: take is bound to the
@@ -48,7 +72,6 @@ type shardCursor struct {
 	buf  []uint64          // keys pulled; buf[head:] are not yet emitted
 	head int               // kept instead of reslicing buf, so its capacity survives
 	done bool              // the shard holds nothing at or above next
-	room int               // keys the running pull may still take
 	take func(uint64) bool // = sink, bound once
 }
 
@@ -58,17 +81,18 @@ func (c *shardCursor) reset(from uint64) {
 }
 
 // pull refills the drained cursor with up to max keys from a, advancing
-// next past the last one. The sub-scan ends itself (sink → false), so the
-// underlying reservation hold is released before pull returns.
+// next past the last one. The sub-scan is bounded at max, so it reads no
+// key it will not deliver and its reservation hold is released before pull
+// returns.
 func (c *shardCursor) pull(a sets.Ascender, tid, max int) error {
 	if c.take == nil {
 		c.take = c.sink
 	}
-	c.buf, c.head, c.room = c.buf[:0], 0, max
-	if err := a.Ascend(tid, c.next, c.take); err != nil {
+	c.buf, c.head = c.buf[:0], 0
+	if err := a.AscendN(tid, c.next, max, c.take); err != nil {
 		return err
 	}
-	c.done = c.room > 0
+	c.done = len(c.buf) < max
 	if n := len(c.buf); n > 0 {
 		c.next = c.buf[n-1] + 1
 	}
@@ -77,24 +101,29 @@ func (c *shardCursor) pull(a sets.Ascender, tid, max int) error {
 
 func (c *shardCursor) sink(k uint64) bool {
 	c.buf = append(c.buf, k)
-	c.room--
-	return c.room > 0
+	return true
 }
 
 // mergeAscend streams the cursors' keys to emit in ascending order until
-// emit returns false or every cursor is exhausted. A cursor with nothing
-// buffered that is not done is handed to refill first — in ascending shard
-// order, the grouped-lease discipline that keeps two merges (or a merge
-// and a MULTI) from deadlocking on each other's slots; a refill error ends
-// the merge and is returned. Shards partition the keys and every cursor is
-// ascending, so the merged stream is strictly ascending and exactly-once.
-func mergeAscend(cursors []shardCursor, refill func(i int, cur *shardCursor) error, emit func(key uint64) bool) error {
+// emit returns false, limit keys are out (limit <= 0: no limit) or every
+// cursor is exhausted. A cursor with nothing buffered that is not done is
+// handed to pull first, with the size its pull should have (pullSize of what
+// the merge still wants) — in ascending shard order, the grouped-lease
+// discipline that keeps two merges (or a merge and a MULTI) from
+// deadlocking on each other's slots; a pull error ends the merge and is
+// returned. Shards partition the keys and every cursor is ascending, so the
+// merged stream is strictly ascending and exactly-once.
+func mergeAscend(cursors []shardCursor, limit int, pull func(i int, cur *shardCursor, max int) error, emit func(key uint64) bool) error {
+	left := limit
+	if left <= 0 {
+		left = math.MaxInt
+	}
 	for {
 		best := -1
 		for i := range cursors {
 			cur := &cursors[i]
 			if cur.head == len(cur.buf) && !cur.done {
-				if err := refill(i, cur); err != nil {
+				if err := pull(i, cur, pullSize(left, len(cursors))); err != nil {
 					return err
 				}
 			}
@@ -109,7 +138,7 @@ func mergeAscend(cursors []shardCursor, refill func(i int, cur *shardCursor) err
 			return nil
 		}
 		cur := &cursors[best]
-		if !emit(cur.buf[cur.head]) {
+		if left--; !emit(cur.buf[cur.head]) || left == 0 {
 			return nil
 		}
 		cur.head++

@@ -195,7 +195,7 @@ func (s *Sharded) Snapshot() []uint64 {
 		total += len(cursors[i].buf)
 	}
 	out := make([]uint64, 0, total)
-	_ = mergeAscend(cursors, nil, func(k uint64) bool {
+	_ = mergeAscend(cursors, 0, nil, func(k uint64) bool {
 		out = append(out, k)
 		return true
 	})
@@ -211,18 +211,25 @@ func (s *Sharded) Snapshot() []uint64 {
 // not — no weaker than the single-shard contract's treatment of
 // concurrent writers.
 func (s *Sharded) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
+	return s.AscendN(tid, from, 0, fn)
+}
+
+// AscendN implements sets.Ascender: Ascend, over after limit keys when
+// limit > 0 — and then the merge sizes each pull by what it still wants, as
+// it does for the server.
+func (s *Sharded) AscendN(tid int, from uint64, limit int, fn func(key uint64) bool) error {
 	if s.asc == nil {
 		return sets.ErrScanUnsupported
 	}
 	if len(s.asc) == 1 {
-		return s.asc[0].Ascend(tid, from, fn)
+		return s.asc[0].AscendN(tid, from, limit, fn)
 	}
 	cursors := make([]shardCursor, len(s.asc))
 	for i := range cursors {
 		cursors[i].next = from
 	}
-	return mergeAscend(cursors, func(i int, cur *shardCursor) error {
-		return cur.pull(s.asc[i], tid, ascendChunk)
+	return mergeAscend(cursors, limit, func(i int, cur *shardCursor, max int) error {
+		return cur.pull(s.asc[i], tid, max)
 	}, fn)
 }
 

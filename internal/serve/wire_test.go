@@ -68,10 +68,16 @@ func TestLineScannerUnterminatedTail(t *testing.T) {
 	}
 }
 
-func TestParseUintBytes(t *testing.T) {
-	cases := []string{"0", "1", "007", "42", "18446744073709551615", // max uint64
+// uintCases and intCases are the parsers' tables, and the fuzz targets'
+// first seeds (fuzz_test.go).
+var (
+	uintCases = []string{"0", "1", "007", "42", "18446744073709551615", // max uint64
 		"", "-1", "+1", " 1", "1 ", "x", "12x", "18446744073709551616", "99999999999999999999"}
-	for _, c := range cases {
+	intCases = []string{"0", "1", "-3", "+3", "4096", "", "-", "x", "1.5"}
+)
+
+func TestParseUintBytes(t *testing.T) {
+	for _, c := range uintCases {
 		want, werr := strconv.ParseUint(c, 10, 64)
 		got, ok := parseUintBytes([]byte(c))
 		if ok != (werr == nil) || (ok && got != want) {
@@ -81,7 +87,7 @@ func TestParseUintBytes(t *testing.T) {
 }
 
 func TestParseIntBytes(t *testing.T) {
-	for _, c := range []string{"0", "1", "-3", "+3", "4096", "", "-", "x", "1.5"} {
+	for _, c := range intCases {
 		want, werr := strconv.Atoi(c)
 		got, ok := parseIntBytes([]byte(c))
 		if ok != (werr == nil) || (ok && got != want) {

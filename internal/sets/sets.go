@@ -75,10 +75,21 @@ var ErrScanUnsupported = errors.New("sets: scan unsupported by this variant")
 // revokes the cursor's reservation, the cursor re-navigates from its last
 // delivered key — position is durable by key, not by node.
 //
+// AscendN is Ascend for a caller that knows how many keys it wants: the
+// scan is over after limit keys (limit <= 0 means no limit, which is what
+// Ascend passes). What the caller could do itself by returning false from
+// fn at its limit-th key, the scan can do cheaper when told beforehand: it
+// reads nothing past that key and gives up its position in the transaction
+// that found it.
+//
+// fn runs between the scan's transactions and must not operate on the set
+// under the scan's own tid, whose position the scan is holding.
+//
 // Implementations that cannot scan return ErrScanUnsupported without
 // calling fn.
 type Ascender interface {
 	Ascend(tid int, from uint64, fn func(key uint64) bool) error
+	AscendN(tid int, from uint64, limit int, fn func(key uint64) bool) error
 }
 
 // ascendGate is the capability check of an Ascender whose support depends

@@ -21,8 +21,14 @@ import (
 // Every mode supports it (ModeHTM runs the whole scan as one transaction):
 // a cursor resumes exactly like a point operation, through the link.
 func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
-	s.Cursor(tid, from, s.head, top, fn,
-		func(tx *stm.Tx, curr arena.Handle, word uint64, budget int, last uint64, batch []uint64) ([]uint64, arena.Handle, uint64) {
+	return s.AscendN(tid, from, 0, fn)
+}
+
+// AscendN implements sets.Ascender: Ascend, over after limit keys when
+// limit > 0.
+func (s *SkipList) AscendN(tid int, from uint64, limit int, fn func(key uint64) bool) error {
+	s.Cursor(tid, from, limit, s.head, top, fn,
+		func(tx *stm.Tx, curr arena.Handle, word uint64, budget, want int, last uint64, batch []uint64) ([]uint64, arena.Handle, uint64) {
 			n, level := s.Ar.At(curr), int(word)
 			for steps := 0; steps < budget; {
 				nextH := s.Guard.Link(tx, tid, curr, n.next[level].Load(tx))
@@ -43,7 +49,9 @@ func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error 
 					}
 					// Bottom chain: deliver (keys here ascend, so every
 					// subsequent key also clears last).
-					batch = append(batch, nk)
+					if batch = append(batch, nk); len(batch) == want {
+						return batch, curr, uint64(level) // the scan's last key: nothing past it is read
+					}
 				}
 				// Advance rightward (toward the resume point above level 0,
 				// collecting along the bottom at level 0). Only rightward

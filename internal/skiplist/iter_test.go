@@ -7,6 +7,7 @@ import (
 
 	"hohtx/internal/core"
 	"hohtx/internal/obs"
+	"hohtx/internal/stm"
 )
 
 func TestSkipAscendSequential(t *testing.T) {
@@ -189,11 +190,26 @@ func TestSkipAscendConcurrent(t *testing.T) {
 	var violations atomic.Int64
 	for round := 0; round < 30; round++ {
 		var got []uint64
-		if err := s.Ascend(0, 0, func(key uint64) bool {
+		collect := func(key uint64) bool {
 			got = append(got, key)
 			return true
-		}); err != nil {
-			t.Fatalf("round %d: Ascend: %v", round, err)
+		}
+		if round%2 == 0 {
+			if err := s.Ascend(0, 0, collect); err != nil {
+				t.Fatalf("round %d: Ascend: %v", round, err)
+			}
+		} else {
+			// The same scan as a chain of bounded pulls, the way the
+			// serving layer's merge runs it.
+			for from, full := uint64(0), true; full; {
+				n := len(got)
+				if err := s.AscendN(0, from, 7, collect); err != nil {
+					t.Fatalf("round %d: AscendN: %v", round, err)
+				}
+				if full = len(got)-n == 7; full {
+					from = got[len(got)-1] + 1
+				}
+			}
 		}
 		seen := 0
 		lastKey := uint64(0)
@@ -214,6 +230,107 @@ func TestSkipAscendConcurrent(t *testing.T) {
 	wg.Wait()
 	if violations.Load() != 0 {
 		t.Fatalf("%d ordering violations", violations.Load())
+	}
+}
+
+// boundedSkip builds keys 1..keys on tid 0 of a two-thread RR-V skiplist.
+func boundedSkip(w, keys, capacity int) *SkipList {
+	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+		Window: core.Window{W: w, NoScatter: true}, Profile: stm.Profile{Capacity: capacity}})
+	s.Register(0)
+	s.Register(1)
+	for k := 1; k <= keys; k++ {
+		s.Insert(0, uint64(k))
+	}
+	return s
+}
+
+// stopAt is the consumer that ends a scan itself, at its k-th key.
+func stopAt(k int) func(uint64) bool {
+	return func(uint64) bool { k--; return k > 0 }
+}
+
+// TestSkipAscendBounded pins what telling the cursor its bound buys over
+// stopping it from fn at the same key: the same keys, one transaction fewer
+// (the final window drops the hold itself), no hold left behind — also when
+// fn panics before the bound — and nothing read past the last key.
+func TestSkipAscendBounded(t *testing.T) {
+	const keys, k = 40, 5
+	commits := func(scan func(s *SkipList, fn func(uint64) bool) error, fn func(uint64) bool) (uint64, []uint64) {
+		s := boundedSkip(2, keys, 0)
+		var got []uint64
+		c0 := s.TMStats().Commits
+		if err := scan(s, func(key uint64) bool { got = append(got, key); return fn(key) }); err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+		return s.TMStats().Commits - c0, got
+	}
+	stopped, gotStopped := commits(func(s *SkipList, fn func(uint64) bool) error { return s.Ascend(0, 1, fn) }, stopAt(k))
+	bounded, gotBounded := commits(func(s *SkipList, fn func(uint64) bool) error { return s.AscendN(0, 1, k, fn) },
+		func(uint64) bool { return true })
+	if len(gotBounded) != k || len(gotStopped) != k || gotBounded[k-1] != k || gotStopped[k-1] != k {
+		t.Fatalf("bounded scan delivered %v, fn-stopped scan %v, want keys 1..%d from both", gotBounded, gotStopped, k)
+	}
+	if stopped-bounded != 1 {
+		t.Fatalf("fn-stopped scan committed %d transactions, bounded scan %d: want exactly one fewer (the trailing drop)", stopped, bounded)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		panicAt uint64
+	}{{"bounded", 0}, {"panicked", 3}} {
+		s := boundedSkip(2, 20, 0)
+		baseline := s.LiveNodes() - 20
+		func() {
+			defer func() {
+				if (recover() != nil) != (tc.panicAt != 0) {
+					t.Fatalf("%s: consumer panic expected at key %d", tc.name, tc.panicAt)
+				}
+			}()
+			_ = s.AscendN(0, 1, k, func(key uint64) bool {
+				if key == tc.panicAt {
+					panic("consumer bug")
+				}
+				return true
+			})
+		}()
+		if !s.Lookup(0, 1) {
+			t.Fatalf("%s: Lookup(1) false after the scan: its hold outlived it", tc.name)
+		}
+		for key := uint64(1); key <= 20; key++ {
+			if !s.Remove(1, key) {
+				t.Fatalf("%s: Remove(%d) failed after the scan", tc.name, key)
+			}
+		}
+		if live := s.LiveNodes(); live != baseline {
+			t.Fatalf("%s: live nodes = %d after removing all, want baseline %d", tc.name, live, baseline)
+		}
+	}
+
+	// What a scan reads, measured as the smallest transaction capacity it
+	// runs under without a capacity abort (one window covers the scan here,
+	// and the heights drawn are the same in every instance). A key further
+	// costs exactly its link and its key, so the scan stopped at the key
+	// before; stopped by fn it had already read on.
+	footprint := func(scan func(s *SkipList)) int {
+		for c := 1; c < 4*keys; c++ {
+			s := boundedSkip(64, keys, c)
+			a0 := s.TMStats().Aborts[stm.CauseCapacity]
+			scan(s)
+			if s.TMStats().Aborts[stm.CauseCapacity] == a0 {
+				return c
+			}
+		}
+		t.Fatal("scan aborts on capacity under every capacity tried")
+		return 0
+	}
+	all := func(uint64) bool { return true }
+	atK := footprint(func(s *SkipList) { _ = s.AscendN(0, 1, k, all) })
+	atK1 := footprint(func(s *SkipList) { _ = s.AscendN(0, 1, k+1, all) })
+	byFn := footprint(func(s *SkipList) { _ = s.Ascend(0, 1, stopAt(k)) })
+	if atK1-atK != 2 || byFn <= atK1 {
+		t.Fatalf("cells read: %d bounded at %d keys, %d at %d, %d stopped by fn at %d; want +2 per key and fn-stopped well past both",
+			atK, k, atK1, k+1, byFn, k)
 	}
 }
 
