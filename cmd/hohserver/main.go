@@ -37,12 +37,15 @@
 // only time-slice, so hohserver warns, and clamps the default -threads
 // down to fit (an explicit -threads is respected, with the warning).
 //
-// With -obs the process also serves the observability endpoint
-// (/metrics, /snapshot, /flight, /debug/pprof/) with the server's
-// per-verb service-time histograms, each shard's pool domain
-// ("server-pool-s<i>": lease-wait histogram, backpressure gauges), each
-// shard's transaction-level domain, and per-shard commit/serial/lease
-// roll-up gauges on the server domain next to shard_count.
+// The server always keeps its own domain — per-verb service-time
+// histograms, per-shard commit/serial/lease roll-up gauges next to
+// shard_count, request spans feeding the slowlog (the SLOWLOG verb) and
+// the hot-key sketches — and one per shard's pool ("server-pool-s<i>":
+// lease-wait histogram, backpressure gauges). With -obs the process also
+// serves them over HTTP (/metrics, /snapshot, /slowlog, /hotkeys,
+// /debug/pprof/) and attaches each shard's transaction-level domain:
+// commit latency, retire→free delay, and the flight recorder with its
+// who-aborted-whom matrix behind /flight.
 // SIGINT/SIGTERM drain gracefully: accepting stops, in-flight pipelines
 // finish, worker slots are flushed, and the final stats line prints.
 package main

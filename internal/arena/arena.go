@@ -49,6 +49,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hohtx/internal/obs"
 	"hohtx/internal/pad"
 )
 
@@ -278,7 +279,7 @@ type Arena[T any] struct {
 	retire func(*T)
 
 	guard *guardState[T] // nil unless Config.Guard
-	obsv  *obsState      // nil unless SetObserver attached a probe (obs.go)
+	obsv  *obs.TxProbe   // nil unless SetObserver attached a probe
 }
 
 // New creates an Arena with the given configuration.
@@ -326,6 +327,11 @@ func (a *Arena[T]) SetPoison(f func(*T)) {
 // that retires every cell's version (stm.Word.Retire); see that method for
 // why recycling is unsound without it. Call once, before any Free.
 func (a *Arena[T]) SetRetire(f func(*T)) { a.retire = f }
+
+// SetObserver attaches the structure's probe (nil detaches): every Free
+// then logs a sampled flight event, which is where a postmortem reads when
+// a slot went back. Wire it before the arena is shared.
+func (a *Arena[T]) SetObserver(p *obs.TxProbe) { a.obsv = p }
 
 // Policy reports the arena's free-list policy.
 func (a *Arena[T]) Policy() Policy { return a.cfg.Policy }
@@ -393,9 +399,6 @@ func (a *Arena[T]) Alloc(tid int) Handle {
 		au.lastAllocTid.Store(int32(tid))
 		au.allocs.Add(1)
 	}
-	if o := a.obsv; o != nil {
-		a.noteAlloc(o, tid, idx, g)
-	}
 	return makeHandle(idx, g+1)
 }
 
@@ -433,11 +436,7 @@ func (a *Arena[T]) Free(tid int, h Handle) {
 			a.guard.poison(&s.val)
 		}
 	}
-	if o := a.obsv; o != nil {
-		// Stamp while the slot is still unreachable, for the same reason
-		// the poisoner runs here: the recycling Alloc must observe it.
-		a.noteFree(o, tid, h)
-	}
+	a.obsv.Note(tid, obs.EvFree, uint64(h))
 	m := &a.mags[tid]
 	m.frees.Add(1)
 	if a.cfg.Policy == PolicyLocal {
@@ -552,15 +551,6 @@ func (a *Arena[T]) grow(seen int) {
 		copy(nextAu, curAu)
 		nextAu[len(curAu)] = &auditPage{slots: make([]slotAudit, pageSize)}
 		a.guard.audits.Store(&nextAu)
-	}
-	if o := a.obsv; o != nil {
-		// Grow the stamp shadow before publishing the page: any index
-		// reachable through the new pages vector then has a stamp cell.
-		curSt := *o.stamps.Load()
-		nextSt := make([]*stampPage, len(curSt)+1)
-		copy(nextSt, curSt)
-		nextSt[len(curSt)] = &stampPage{slots: make([]atomic.Uint64, pageSize)}
-		o.stamps.Store(&nextSt)
 	}
 	a.pages.Store(&next)
 	a.grows.Add(1)

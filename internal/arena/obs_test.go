@@ -6,49 +6,31 @@ import (
 	"hohtx/internal/obs"
 )
 
-// TestFreeReuseDistance pins the op-clock arithmetic: free at clock c,
-// reuse at clock c+k after k-1 intervening ops → recorded distance k.
-func TestFreeReuseDistance(t *testing.T) {
+// TestFreeFlightEvent pins what the arena contributes to the flight
+// recorder: one event per Free, carrying the freed handle and the freeing
+// tid, and nothing for an Alloc, fresh or recycling.
+func TestFreeFlightEvent(t *testing.T) {
 	a := New[uint64](Config{Threads: 2, Policy: PolicyLocal})
-	d := obs.NewDomain(obs.DomainConfig{Name: "arena-test", Threads: 2})
-	a.SetObserver(d.AllocProbe())
+	p := obs.NewDomain(obs.DomainConfig{Name: "arena-test", Threads: 2}).TxProbe()
+	a.SetObserver(p)
 
-	h := a.Alloc(0) // clock 1
-	a.Free(0, h)    // clock 2: slot stamped 2
-	_ = a.Alloc(0)  // clock 3: reuses the slot (LIFO magazine), distance 1
+	h := a.Alloc(0)
+	a.Free(0, h)
+	_ = a.Alloc(0) // reuses the slot (LIFO magazine)
+	h2 := a.Alloc(1)
+	a.Free(1, h2)
 
-	s := d.Snapshot()
-	hs, ok := s.Hist(obs.HistReuseOps)
-	if !ok || hs.Count != 1 {
-		t.Fatalf("reuse hist: %+v ok=%v", hs, ok)
+	ev := p.Rec.Events()
+	if len(ev) != 2 {
+		t.Fatalf("recorder saw %d events, want the 2 frees: %+v", len(ev), ev)
 	}
-	if hs.Sum != 1 || hs.Max != 1 {
-		t.Fatalf("distance sum=%d max=%d, want 1/1", hs.Sum, hs.Max)
-	}
-
-	// A second cycle with an intervening op stretches the distance.
-	h2 := a.Alloc(0) // clock 4 (fresh slot, no distance recorded)
-	h3 := a.Alloc(1) // clock 5 (fresh)
-	a.Free(0, h2)    // clock 6: stamped 6
-	a.Free(1, h3)    // clock 7: stamped 7
-	_ = a.Alloc(0)   // clock 8: reuses h2's slot, distance 2
-	hs, _ = d.Snapshot().Hist(obs.HistReuseOps)
-	if hs.Count != 2 || hs.Sum != 3 {
-		t.Fatalf("after second cycle count=%d sum=%d, want 2/3", hs.Count, hs.Sum)
-	}
-
-	// Free and reuse events are in the flight recorder.
-	var frees, reuses int
-	for _, e := range d.Recorder().Events() {
-		switch e.Kind {
-		case obs.EvFree:
-			frees++
-		case obs.EvReuse:
-			reuses++
+	for i, want := range []struct {
+		tid int32
+		h   Handle
+	}{{0, h}, {1, h2}} {
+		if e := ev[i]; e.Kind != obs.EvFree || e.Tid != want.tid || Handle(e.Ref) != want.h {
+			t.Fatalf("event %d = %+v, want free of %v by t%d", i, e, want.h, want.tid)
 		}
-	}
-	if frees != 3 || reuses != 2 {
-		t.Fatalf("recorder saw %d frees / %d reuses, want 3/2", frees, reuses)
 	}
 }
 
@@ -56,39 +38,11 @@ func TestFreeReuseDistance(t *testing.T) {
 func TestObserverDisabledRecordsNothing(t *testing.T) {
 	a := New[uint64](Config{Threads: 1})
 	d := obs.NewDomain(obs.DomainConfig{Name: "arena-off", Threads: 1, SampleShift: -1})
-	a.SetObserver(d.AllocProbe())
+	a.SetObserver(d.TxProbe())
 	h := a.Alloc(0)
 	a.Free(0, h)
 	_ = a.Alloc(0)
-	s := d.Snapshot()
-	if hs, ok := s.Hist(obs.HistReuseOps); ok && hs.Count != 0 {
-		t.Fatalf("disabled observer recorded %d distances", hs.Count)
-	}
-	if s.Events != 0 {
+	if s := d.Snapshot(); s.Events != 0 {
 		t.Fatalf("disabled observer recorded %d events", s.Events)
-	}
-}
-
-// TestObserverBackfillAfterGrowth attaches the observer after pages exist
-// and checks stamps still work (and growth keeps the shadow in lockstep).
-func TestObserverBackfillAfterGrowth(t *testing.T) {
-	a := New[uint64](Config{Threads: 1})
-	pre := a.Alloc(0) // grows page 0 before the observer exists
-	d := obs.NewDomain(obs.DomainConfig{Name: "arena-late", Threads: 1})
-	a.SetObserver(d.AllocProbe())
-	a.Free(0, pre)
-	_ = a.Alloc(0) // recycles pre's slot
-	hs, ok := d.Snapshot().Hist(obs.HistReuseOps)
-	if !ok || hs.Count != 1 {
-		t.Fatalf("backfilled stamps missed the reuse: %+v ok=%v", hs, ok)
-	}
-	// Force growth past page 0 with the observer attached.
-	for i := 0; i < pageSize+8; i++ {
-		_ = a.Alloc(0)
-	}
-	stamps := *a.obsv.stamps.Load()
-	pages := *a.pages.Load()
-	if len(stamps) != len(pages) {
-		t.Fatalf("stamp shadow has %d pages, slots have %d", len(stamps), len(pages))
 	}
 }

@@ -17,26 +17,28 @@ type DomainConfig struct {
 	// Name labels the domain in snapshots and metric exports (e.g.
 	// "singly/TMHP"). Required for Serve; free-form otherwise.
 	Name string
-	// Threads sizes the flight recorder's per-thread rings. Zero means
-	// recorder events from any tid share one overflow ring.
+	// Threads sizes the per-tid span table and, on a domain that observes
+	// transactions (TxProbe), the flight recorder's per-thread rings. Zero
+	// means no span table, and recorder events from any tid share one
+	// overflow ring.
 	Threads int
-	// SampleShift sets the initial sampling rate: one in 2^shift events
-	// is recorded (0 = every event). Negative disables recording
-	// entirely; SetSampleShift changes it at runtime.
+	// SampleShift sets the sampling rate: one in 2^shift events is
+	// recorded (0 = every event). Negative disables recording entirely.
 	SampleShift int
-	// RingEvents is the per-thread flight-recorder capacity in events
-	// (default 256).
-	RingEvents int
 }
 
-// Domain is one observed component's instrument bundle: a sampling gate,
-// named histograms, gauges, a flight recorder and an abort-attribution
-// table. A data structure instance owns at most one Domain; a nil *Domain
-// everywhere means "observability off" at the cost of a nil check.
+// Domain is one observed component's export unit: a name, a sampling gate,
+// named histograms, gauges, the per-tid span table and the serving layer's
+// forensic sinks. What records a structure's transactions (the flight
+// recorder, the attribution table) belongs to the domain's TxProbe, which
+// only a domain that is asked for one carries. A data structure instance
+// owns at most one Domain; a nil *Domain everywhere means "observability
+// off" at the cost of a nil check.
 type Domain struct {
-	name  string
-	shift atomic.Int32
-	ctrs  [sampleShards]struct {
+	name    string
+	threads int
+	shift   int32 // fixed at construction: the gate reads it plainly
+	ctrs    [sampleShards]struct {
 		n atomic.Uint64
 		_ pad.Line
 	}
@@ -44,9 +46,7 @@ type Domain struct {
 	mu     sync.Mutex
 	hists  []*Histogram
 	gauges []gaugeEntry
-
-	rec  *Recorder
-	attr *AttrTable
+	tx     *TxProbe // nil until the first TxProbe call
 
 	// spans is the per-tid request-span table (see span.go): the serving
 	// layer arms tid's slot before running an operation, and the stm /
@@ -74,34 +74,22 @@ type gaugeEntry struct {
 
 // NewDomain creates a Domain.
 func NewDomain(cfg DomainConfig) *Domain {
-	d := &Domain{
-		name: cfg.Name,
-		rec:  NewRecorder(cfg.Threads, cfg.RingEvents),
-		attr: NewAttrTable(),
-	}
+	d := &Domain{name: cfg.Name, threads: cfg.Threads, shift: int32(cfg.SampleShift)}
 	if cfg.Threads > 0 {
 		d.spans = make([]paddedSpanSlot, cfg.Threads)
 	}
-	d.shift.Store(int32(cfg.SampleShift))
 	return d
 }
 
 // Name returns the domain's label.
 func (d *Domain) Name() string { return d.name }
 
-// SetSampleShift changes the sampling rate at runtime: one in 2^shift
-// events is recorded; negative disables recording.
-func (d *Domain) SetSampleShift(shift int) { d.shift.Store(int32(shift)) }
-
-// SampleShift returns the current sampling shift.
-func (d *Domain) SampleShift() int { return int(d.shift.Load()) }
-
 // Sampled is the per-event gate every instrumented site consults. With
-// sampling disabled (negative shift) the cost is one atomic load and one
-// branch — the "disabled cost" the package comment promises. hint is any
-// per-thread value (tid, slot hash) used to shard the sampling counters.
+// sampling disabled (negative shift) the cost is one load and one branch —
+// the "disabled cost" the package comment promises. hint is any per-thread
+// value (tid, slot hash) used to shard the sampling counters.
 func (d *Domain) Sampled(hint uint64) bool {
-	s := d.shift.Load()
+	s := d.shift
 	if s < 0 {
 		return false
 	}
@@ -117,6 +105,10 @@ func (d *Domain) Sampled(hint uint64) bool {
 func (d *Domain) Hist(name, unit string) *Histogram {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.histLocked(name, unit)
+}
+
+func (d *Domain) histLocked(name, unit string) *Histogram {
 	for _, h := range d.hists {
 		if h.name == name {
 			return h
@@ -140,9 +132,6 @@ func (d *Domain) Gauge(name string, f func() uint64) {
 	}
 	d.gauges = append(d.gauges, gaugeEntry{name: name, read: f})
 }
-
-// Recorder returns the domain's flight recorder.
-func (d *Domain) Recorder() *Recorder { return d.rec }
 
 // SetSlowlog attaches the domain's slowlog (the registry's /slowlog
 // handler serves every attached one). Nil-safe.
@@ -186,9 +175,6 @@ func (d *Domain) HotKeysOf() []*HotKeys {
 	return d.hot
 }
 
-// Attr returns the domain's abort-attribution table.
-func (d *Domain) Attr() *AttrTable { return d.attr }
-
 // GaugeSnapshot is one gauge's point-in-time value.
 type GaugeSnapshot struct {
 	Name  string `json:"name"`
@@ -216,8 +202,9 @@ func (s DomainSnapshot) Hist(name string) (HistSnapshot, bool) {
 	return HistSnapshot{}, false
 }
 
-// Snapshot captures the domain's histograms, gauges and attribution
-// edges. Nil-safe: a nil domain yields a zero snapshot.
+// Snapshot captures the domain's histograms and gauges and, when it
+// observes transactions, its event count and attribution edges. Nil-safe:
+// a nil domain yields a zero snapshot.
 func (d *Domain) Snapshot() DomainSnapshot {
 	if d == nil {
 		return DomainSnapshot{}
@@ -225,143 +212,125 @@ func (d *Domain) Snapshot() DomainSnapshot {
 	d.mu.Lock()
 	hists := append([]*Histogram(nil), d.hists...)
 	gauges := append([]gaugeEntry(nil), d.gauges...)
+	p := d.tx
 	d.mu.Unlock()
-	s := DomainSnapshot{
-		Name:        d.name,
-		SampleShift: int(d.shift.Load()),
-		Events:      d.rec.seq.Load(),
-	}
+	s := DomainSnapshot{Name: d.name, SampleShift: int(d.shift)}
 	for _, h := range hists {
 		s.Histograms = append(s.Histograms, h.Snapshot())
 	}
 	for _, g := range gauges {
 		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: g.name, Value: g.read()})
 	}
-	s.Aborts = d.attr.Edges()
+	if p != nil {
+		s.Events = p.Rec.seq.Load()
+		s.Aborts = p.Attr.Edges()
+	}
 	return s
 }
 
 // DumpFlight writes a human-readable postmortem: the tail of the flight
 // recorder followed by the top attribution edges. tailEvents ≤ 0 dumps
-// everything.
+// everything. A domain that observes no transactions (nil included) has
+// neither, and writes nothing.
 func (d *Domain) DumpFlight(w io.Writer, tailEvents int) {
 	if d == nil {
 		return
 	}
-	fmt.Fprintf(w, "flight recorder (%s, sample shift %d):\n", d.name, d.shift.Load())
-	d.rec.DumpTail(w, tailEvents)
+	d.mu.Lock()
+	p := d.tx
+	d.mu.Unlock()
+	if p == nil {
+		return
+	}
+	fmt.Fprintf(w, "flight recorder (%s, sample shift %d):\n", d.name, d.shift)
+	p.Rec.DumpTail(w, tailEvents)
 	fmt.Fprintln(w, "who-aborted-whom:")
-	d.attr.DumpEdges(w, 16)
+	p.Attr.DumpEdges(w, 16)
 }
 
-// Standard histogram names, shared between the recording sites and the
-// consumers that pull percentiles out of snapshots.
+// Histogram names that someone outside this package refers to by symbol
+// (the recording site, or a consumer pulling percentiles out of a
+// snapshot). CI's "Every instrument has a reader" leg fails on one that
+// nobody does; the serving layer's per-verb and batch series are named
+// where ServeProbe registers them.
 const (
 	HistCommitNs   = "commit_latency_ns"
-	HistBackoffNs  = "backoff_ns"
-	HistHoldNs     = "reservation_hold_ns"
-	HistReuseOps   = "free_reuse_dist_ops"
 	HistReclaimOps = "reclaim_delay_ops"
 
-	// Serving-layer names (internal/serve): how long an Acquire waited
-	// for a worker slot, and the set operation's service time per
-	// protocol verb (slot leased → operation done; parse and reply
-	// rendering are the request span's lease and write phases).
+	// How long an Acquire waited for a worker slot (internal/serve).
 	HistLeaseWaitNs = "lease_wait_ns"
-	HistServeGetNs  = "serve_get_ns"
-	HistServeSetNs  = "serve_set_ns"
-	HistServeDelNs  = "serve_del_ns"
 
-	// Batch names (internal/serve): whole-batch service time, executed
-	// sub-transaction sizes in ops (after shard routing and capacity
-	// splitting), and the number of sub-transactions each wire batch was
-	// split into (1 = served whole).
-	HistServeBatchNs = "serve_batch_ns"
-	HistBatchOps     = "batch_tx_ops"
-	HistBatchSplits  = "batch_splits"
-
-	// Scan names: whole-ASCEND service time at the server (parse → merge
-	// → END written) and the keys it pulled from the shards' cursors to
-	// emit what it emitted (pulled ÷ emitted is the merge's waste), and
-	// per-scan cursor behavior at the structure — window transactions per
-	// scan and how many of them had to re-navigate by key because a
-	// concurrent writer revoked the held position. Renavigations are the
-	// cursor-vs-writer interference the scan benchmarks measure.
-	HistServeAscendNs     = "serve_ascend_ns"
+	// The keys one ASCEND pulled from the shards' cursors to emit what it
+	// emitted (pulled ÷ emitted is the merge's waste), and per-scan cursor
+	// behavior at the structure — window transactions per scan and how
+	// many of them had to re-navigate by key because a concurrent writer
+	// revoked the held position.
 	HistServeAscendPulled = "serve_ascend_pulled"
 	HistAscendWindows     = "ascend_windows"
 	HistAscendRenavs      = "ascend_renavigations"
 )
 
-// TxProbe bundles what the stm runtime records into. Obtained from a
-// Domain once at wiring time so the hot path never takes the registry
-// lock.
+// TxProbe is the one structure-level instrument: what the stm runtime,
+// the arena and the deferred-reclamation scheme of one structure record
+// into. It owns the flight recorder and the cell→writer attribution table,
+// so a domain nobody asks for a TxProbe (the server's, a lease pool's)
+// carries neither.
 type TxProbe struct {
-	D         *Domain
-	CommitNs  *Histogram // whole-Atomic latency of committed transactions
-	BackoffNs *Histogram // per-backoff delay between attempts
-	Rec       *Recorder
-	Attr      *AttrTable
+	D        *Domain
+	CommitNs *Histogram // whole-Atomic latency of committed transactions
+	DelayOps *Histogram // retire→free distance in operation stamps
+	Rec      *Recorder
+	Attr     *AttrTable
 }
 
-// TxProbe builds the stm-facing probe.
+// TxProbe returns the domain's transaction probe, building it on the first
+// call; reclaim.Chassis makes that call once, at wiring time, so the hot
+// path never takes the registry lock.
 func (d *Domain) TxProbe() *TxProbe {
-	return &TxProbe{
-		D:         d,
-		CommitNs:  d.Hist(HistCommitNs, "ns"),
-		BackoffNs: d.Hist(HistBackoffNs, "ns"),
-		Rec:       d.rec,
-		Attr:      d.attr,
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.tx == nil {
+		d.tx = &TxProbe{
+			D:        d,
+			CommitNs: d.histLocked(HistCommitNs, "ns"),
+			DelayOps: d.histLocked(HistReclaimOps, "ops"),
+			Rec:      NewRecorder(d.threads, ringEvents),
+			Attr:     NewAttrTable(),
+		}
+	}
+	return d.tx
+}
+
+// Note logs a sampled lifecycle event that happens outside a transaction
+// attempt: a retirement, a physical free. ref is the arena handle. Nil-safe,
+// and split so that the nil check inlines: a detached site costs that check
+// and no call.
+func (p *TxProbe) Note(tid int, kind EventKind, ref uint64) {
+	if p != nil {
+		p.note(tid, kind, ref)
 	}
 }
 
-// AllocProbe bundles what the arena records into.
-type AllocProbe struct {
-	D         *Domain
-	ReuseDist *Histogram // free→reuse distance in arena ops
-	Rec       *Recorder
-}
-
-// AllocProbe builds the arena-facing probe.
-func (d *Domain) AllocProbe() *AllocProbe {
-	return &AllocProbe{D: d, ReuseDist: d.Hist(HistReuseOps, "ops"), Rec: d.rec}
-}
-
-// HoldProbe bundles what the reservation hold-time wrapper records into.
-type HoldProbe struct {
-	D      *Domain
-	HoldNs *Histogram // reservation acquire→release/revoke wall time
-}
-
-// HoldProbe builds the core-facing probe.
-func (d *Domain) HoldProbe() *HoldProbe {
-	return &HoldProbe{D: d, HoldNs: d.Hist(HistHoldNs, "ns")}
-}
-
-// ReclaimProbe bundles what the deferred-reclamation schemes record into.
-type ReclaimProbe struct {
-	D        *Domain
-	DelayOps *Histogram // retire→free distance in operation stamps
-	Rec      *Recorder
-}
-
-// ReclaimProbe builds the reclaim-facing probe.
-func (d *Domain) ReclaimProbe() *ReclaimProbe {
-	return &ReclaimProbe{D: d, DelayOps: d.Hist(HistReclaimOps, "ops"), Rec: d.rec}
+func (p *TxProbe) note(tid int, kind EventKind, ref uint64) {
+	if p.D.Sampled(uint64(tid)) {
+		p.Rec.Emit(tid, kind, 0, ref, 0)
+	}
 }
 
 // ServeProbe bundles what the network serving layer records into: one
-// service-time histogram per mutating/reading protocol verb, plus the
-// batch-path histograms (MULTI and auto-batched bursts).
+// service-time histogram per mutating/reading protocol verb (slot leased →
+// operation done; parse and reply rendering are the request span's lease
+// and write phases), plus the batch-path histograms (MULTI and
+// auto-batched bursts).
 type ServeProbe struct {
 	D        *Domain
 	GetNs    *Histogram // GET service time
 	SetNs    *Histogram // SET service time
 	DelNs    *Histogram // DEL service time
 	BatchNs  *Histogram // whole-batch service time (all sub-transactions)
-	BatchOp  *Histogram // ops per executed sub-transaction
+	BatchOp  *Histogram // ops per executed sub-transaction, after routing and capacity splitting
 	Splits   *Histogram // sub-transactions per wire batch (1 = unsplit)
-	AscendNs *Histogram // whole-ASCEND service time (merge + stream)
+	AscendNs *Histogram // whole-ASCEND service time (parse → merge → END written)
 
 	pulled atomic.Pointer[Histogram] // see Pulled
 }
@@ -383,12 +352,12 @@ func (p *ServeProbe) Pulled() *Histogram {
 func (d *Domain) ServeProbe() *ServeProbe {
 	return &ServeProbe{
 		D:        d,
-		GetNs:    d.Hist(HistServeGetNs, "ns"),
-		SetNs:    d.Hist(HistServeSetNs, "ns"),
-		DelNs:    d.Hist(HistServeDelNs, "ns"),
-		BatchNs:  d.Hist(HistServeBatchNs, "ns"),
-		BatchOp:  d.Hist(HistBatchOps, "ops"),
-		Splits:   d.Hist(HistBatchSplits, "txs"),
-		AscendNs: d.Hist(HistServeAscendNs, "ns"),
+		GetNs:    d.Hist("serve_get_ns", "ns"),
+		SetNs:    d.Hist("serve_set_ns", "ns"),
+		DelNs:    d.Hist("serve_del_ns", "ns"),
+		BatchNs:  d.Hist("serve_batch_ns", "ns"),
+		BatchOp:  d.Hist("batch_tx_ops", "ops"),
+		Splits:   d.Hist("batch_splits", "txs"),
+		AscendNs: d.Hist("serve_ascend_ns", "ns"),
 	}
 }

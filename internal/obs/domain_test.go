@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestSamplingGate(t *testing.T) {
@@ -13,13 +15,13 @@ func TestSamplingGate(t *testing.T) {
 			t.Fatal("negative shift must never sample")
 		}
 	}
-	d.SetSampleShift(0)
+	d = NewDomain(DomainConfig{Name: "gate", SampleShift: 0})
 	for i := 0; i < 100; i++ {
 		if !d.Sampled(uint64(i)) {
 			t.Fatal("shift 0 must always sample")
 		}
 	}
-	d.SetSampleShift(3)
+	d = NewDomain(DomainConfig{Name: "gate", SampleShift: 3})
 	hits := 0
 	const n = 8000
 	for i := 0; i < n; i++ {
@@ -162,15 +164,47 @@ func TestPromExport(t *testing.T) {
 
 func TestDumpFlight(t *testing.T) {
 	d := NewDomain(DomainConfig{Name: "dump", Threads: 2})
-	d.Recorder().Emit(0, EvBegin, 0, 0, 1)
-	d.Recorder().Emit(0, EvAbort, 1, 0xdead, ^uint64(0))
-	d.Attr().NoteAbort(0, -1)
 	var b strings.Builder
+	if d.DumpFlight(&b, 0); b.Len() != 0 {
+		t.Fatalf("a domain with no TxProbe dumped:\n%s", b.String())
+	}
+	p := d.TxProbe()
+	p.Rec.Emit(0, EvBegin, 0, 0, 1)
+	p.Rec.Emit(0, EvAbort, 1, 0xdead, ^uint64(0))
+	p.Attr.NoteAbort(0, -1)
 	d.DumpFlight(&b, 0)
 	out := b.String()
 	for _, want := range []string{"flight recorder (dump", "begin", "cause=read-conflict", "who-aborted-whom", "aborted t0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("flight dump missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestServerDomainRetainsNoRecorder pins what a domain that observes no
+// transactions costs: the server's, with its ServeProbe, retains its seven
+// histograms and little else — no flight rings, no attribution table
+// (173 kB at Threads: 2 when NewDomain built both for everyone).
+func TestServerDomainRetainsNoRecorder(t *testing.T) {
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	d := NewDomain(DomainConfig{Name: "server", Threads: 2})
+	p := d.ServeProbe()
+	after := live()
+	hists := uint64(7 * unsafe.Sizeof(Histogram{}))
+	if after > before+hists+16<<10 {
+		t.Fatalf("server domain + ServeProbe retain %d B; seven histograms are %d B and the budget beside them 16 kB",
+			after-before, hists)
+	}
+	runtime.KeepAlive(p)
+	// The recorder and the table exist once somebody observes transactions.
+	if tx := d.TxProbe(); tx.Rec == nil || tx.Attr == nil || d.TxProbe() != tx {
+		t.Fatal("TxProbe must build the recorder and the table, once")
 	}
 }

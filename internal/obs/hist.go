@@ -59,8 +59,9 @@ type Histogram struct {
 	shards [histShards]histShard
 }
 
-// NewHistogram creates a standalone histogram (tests; Domain.Hist is the
-// normal constructor and registers the histogram for snapshot/export).
+// NewHistogram creates a standalone histogram, one no domain exports
+// (cmd/hohload's client-side latencies; tests). Domain.Hist is the
+// constructor that registers the histogram for snapshot/export.
 func NewHistogram(name, unit string) *Histogram {
 	return &Histogram{name: name, unit: unit}
 }

@@ -32,9 +32,6 @@ const (
 	EvRetire
 	// EvFree is a physical arena free; Ref is the arena handle.
 	EvFree
-	// EvReuse is an allocation that recycled a previously freed slot; Ref
-	// is the new handle and Aux the free→reuse distance in arena ops.
-	EvReuse
 )
 
 // String returns the event kind's short dump label.
@@ -52,8 +49,6 @@ func (k EventKind) String() string {
 		return "retire"
 	case EvFree:
 		return "free"
-	case EvReuse:
-		return "reuse"
 	default:
 		return fmt.Sprintf("ev?%d", uint8(k))
 	}
@@ -115,15 +110,18 @@ type Recorder struct {
 	rings []ring
 }
 
+// ringEvents is a TxProbe's per-thread ring capacity: both of the
+// recorder's readers (torture's failure report, /flight) print a tail of
+// 200 events, and the last 200 of the merge lie within every ring's last
+// 200.
+const ringEvents = 256
+
 // NewRecorder creates a recorder with one ring of perThread events for
 // each of threads tids, plus one shared overflow ring for events emitted
 // without a tid.
 func NewRecorder(threads, perThread int) *Recorder {
 	if threads < 0 {
 		threads = 0
-	}
-	if perThread <= 0 {
-		perThread = 256
 	}
 	r := &Recorder{rings: make([]ring, threads+1)}
 	for i := range r.rings {
@@ -185,8 +183,6 @@ func formatEvent(w io.Writer, e Event) {
 		fmt.Fprintf(w, "  [%7d] t%-2d retire  %s\n", e.Seq, e.Tid, handleString(e.Ref))
 	case EvFree:
 		fmt.Fprintf(w, "  [%7d] t%-2d free    %s\n", e.Seq, e.Tid, handleString(e.Ref))
-	case EvReuse:
-		fmt.Fprintf(w, "  [%7d] t%-2d reuse   %s dist=%d\n", e.Seq, e.Tid, handleString(e.Ref), e.Aux)
 	default:
 		fmt.Fprintf(w, "  [%7d] t%-2d %v ref=0x%x aux=%d\n", e.Seq, e.Tid, e.Kind, e.Ref, e.Aux)
 	}
@@ -201,9 +197,6 @@ func handleString(h uint64) string {
 	return fmt.Sprintf("h%d.g%d", uint32(h), uint32(h>>32)&0x3fffffff)
 }
 
-// Dump writes every recorded event, Seq-ordered, to w.
-func (r *Recorder) Dump(w io.Writer) { r.dump(w, r.Events()) }
-
 // DumpTail writes the last n recorded events (by Seq) to w — the form the
 // torture harness appends to failure reports.
 func (r *Recorder) DumpTail(w io.Writer, n int) {
@@ -212,10 +205,6 @@ func (r *Recorder) DumpTail(w io.Writer, n int) {
 		fmt.Fprintf(w, "  ... %d earlier events elided ...\n", len(ev)-n)
 		ev = ev[len(ev)-n:]
 	}
-	r.dump(w, ev)
-}
-
-func (r *Recorder) dump(w io.Writer, ev []Event) {
 	if len(ev) == 0 {
 		fmt.Fprintln(w, "  (no events recorded)")
 		return

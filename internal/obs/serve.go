@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -202,9 +203,13 @@ func (r *Registry) Handler() http.Handler {
 		}
 	})
 	mux.HandleFunc("/slowlog", func(w http.ResponseWriter, req *http.Request) {
-		n := 0
+		n := 0 // no n: everything retained
 		if v := req.URL.Query().Get("n"); v != "" {
-			fmt.Sscanf(v, "%d", &n)
+			var err error
+			if n, err = strconv.Atoi(v); err != nil || n < 0 {
+				http.Error(w, "slowlog: n must be a non-negative integer", http.StatusBadRequest)
+				return
+			}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

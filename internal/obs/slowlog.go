@@ -19,12 +19,12 @@ type slowGate struct {
 	_      pad.Line
 }
 
-// DefaultSlowlogSize is the per-window entry capacity when the serving
-// layer does not configure one.
-const DefaultSlowlogSize = 32
-
-// DefaultSlowlogWindow is the rotation period when unconfigured.
-const DefaultSlowlogWindow = 10 * time.Second
+// DefaultSlowlogSize is the serving layer's per-window entry capacity and
+// DefaultSlowlogWindow its rotation period.
+const (
+	DefaultSlowlogSize   = 32
+	DefaultSlowlogWindow = 10 * time.Second
+)
 
 // SlowEntry is one captured slow request: everything a postmortem needs
 // to explain the latency without re-running the workload — the verb and
@@ -106,14 +106,8 @@ type Slowlog struct {
 }
 
 // NewSlowlog builds a slowlog holding the size slowest requests per
-// rotation window (≤ 0 picks the defaults).
+// rotation window.
 func NewSlowlog(size int, window time.Duration) *Slowlog {
-	if size <= 0 {
-		size = DefaultSlowlogSize
-	}
-	if window <= 0 {
-		window = DefaultSlowlogWindow
-	}
 	s := &Slowlog{cap: size, window: int64(window), curStart: Now()}
 	s.gate.expiry.Store(s.curStart + s.window)
 	return s

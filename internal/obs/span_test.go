@@ -472,12 +472,14 @@ func TestServeProbeHistograms(t *testing.T) {
 	p.Pulled().Record(76)
 
 	want := map[string]uint64{
-		HistServeGetNs:        1,
-		HistServeSetNs:        2,
-		HistServeDelNs:        1,
-		HistServeAscendNs:     1,
+		"serve_get_ns":        1,
+		"serve_set_ns":        2,
+		"serve_del_ns":        1,
+		"serve_ascend_ns":     1,
 		HistServeAscendPulled: 1,
-		HistServeBatchNs:      0,
+		"serve_batch_ns":      0,
+		"batch_tx_ops":        0,
+		"batch_splits":        0,
 	}
 	snap := d.Snapshot()
 	seen := map[string]uint64{}

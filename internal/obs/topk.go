@@ -5,8 +5,7 @@ import (
 	"sync"
 )
 
-// DefaultTopK is the sketch capacity when the serving layer does not
-// configure one.
+// DefaultTopK is the serving layer's sketch capacity.
 const DefaultTopK = 16
 
 // TopKItem is one tracked key with its estimated count. The space-saving
@@ -37,11 +36,8 @@ type topkSlot struct {
 	err   uint64
 }
 
-// NewTopK builds a sketch tracking at most k keys (≤ 0 picks the default).
+// NewTopK builds a sketch tracking at most k ≥ 1 keys.
 func NewTopK(k int) *TopK {
-	if k <= 0 {
-		k = DefaultTopK
-	}
 	return &TopK{k: k, keys: make([]uint64, 0, k), slots: make([]topkSlot, 0, k)}
 }
 

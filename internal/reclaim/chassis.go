@@ -119,8 +119,11 @@ func (c *Chassis[N]) Init(cfg Config, lay Layout[N]) {
 		c.obs = cfg.Obs
 		c.scanWindows = cfg.Obs.Hist(obs.HistAscendWindows, "txs")
 		c.scanRenavs = cfg.Obs.Hist(obs.HistAscendRenavs, "navs")
-		c.RT.SetObserver(cfg.Obs.TxProbe())
-		c.Ar.SetObserver(cfg.Obs.AllocProbe())
+		// One probe for the whole structure; a deferred link has already
+		// handed the same one to its scheme (NewDeferred).
+		p := cfg.Obs.TxProbe()
+		c.RT.SetObserver(p)
+		c.Ar.SetObserver(p)
 	}
 }
 

@@ -55,12 +55,15 @@ type Config struct {
 	// (torture harnesses collect events; tests assert on them). Only
 	// meaningful with Guard set.
 	GuardSink func(arena.GuardEvent)
-	// Obs, when non-nil, threads the observability domain through every
-	// layer the structure owns: commit/backoff latency and abort
-	// attribution on the TM runtime, free→reuse distances on the arena,
-	// hold times on the reservation, retire→free delays and a
-	// deferred-depth gauge on the deferred-reclamation scheme. Nil keeps
-	// every instrumented site at a single nil/branch check.
+	// Obs, when non-nil, is the domain the structure exports through. Its
+	// one obs.TxProbe goes to every layer the structure owns: the TM
+	// runtime (commit latency, transaction lifecycle events, abort
+	// attribution, request-span phases), the arena (free events) and the
+	// deferred-reclamation scheme (retire events, retire→free delays), and
+	// the domain itself gets the scan histograms and the deferred-depth
+	// gauges. The reservation is not instrumented: observing a structure
+	// does not change which path its windows take. Nil keeps every
+	// instrumented site at a single nil/branch check.
 	Obs *obs.Domain
 }
 

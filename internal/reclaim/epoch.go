@@ -103,7 +103,7 @@ func (e *Epochs) Retire(tid int, h arena.Handle, stamp uint64) {
 	g := e.global.Load()
 	t.pending = append(t.pending, epochRetiree{h: h, stamp: stamp, epoch: g})
 	e.stats[tid].noteRetire()
-	e.noteRetireEv(tid, h)
+	e.probe.Note(tid, obs.EvRetire, uint64(h))
 	t.sinceAdvance++
 	if t.sinceAdvance >= e.advanceEvery {
 		t.sinceAdvance = 0
@@ -201,7 +201,7 @@ func (l *Leak) ClearSlots(tid int) {}
 // Retire implements Scheme by leaking h.
 func (l *Leak) Retire(tid int, h arena.Handle, stamp uint64) {
 	l.stats[tid].noteRetire()
-	l.noteRetireEv(tid, h)
+	l.probe.Note(tid, obs.EvRetire, uint64(h))
 }
 
 // Flush is a no-op: nothing is ever freed.

@@ -97,7 +97,7 @@ func (hp *HazardPointers) Retire(tid int, h arena.Handle, stamp uint64) {
 	t := &hp.threads[tid]
 	t.retired = append(t.retired, retiree{h: h, stamp: stamp})
 	hp.stats[tid].noteRetire()
-	hp.noteRetireEv(tid, h)
+	hp.probe.Note(tid, obs.EvRetire, uint64(h))
 	if len(t.retired) >= hp.threshold {
 		hp.scan(tid, stamp)
 	}

@@ -210,7 +210,7 @@ func (he *HazardEras) Retire(tid int, h arena.Handle, stamp uint64) {
 		h: h, birth: he.birth.get(h.Index()), del: del, stamp: stamp,
 	})
 	he.stats[tid].noteRetire()
-	he.noteRetireEv(tid, h)
+	he.probe.Note(tid, obs.EvRetire, uint64(h))
 	t.sinceAdvance++
 	if t.sinceAdvance >= he.eraFreq {
 		t.sinceAdvance = 0

@@ -198,12 +198,12 @@ type heldWord struct {
 // Resume and Hold run once per window, so what they cost is what a window
 // costs beyond its node visits. RR-V — the kind whose windows write nothing
 // shared — is therefore called through its concrete type (v), which lets
-// the compiler see through Get and Reserve; the other kinds, and RR-V under
-// the hold-time wrapper (core.Observed), go through the interface (rr).
+// the compiler see through Get and Reserve, observed or not; the other
+// kinds go through the interface (rr).
 type precise struct {
 	freer
 	rr       core.Reservation
-	v        *core.V // rr's concrete value when it is a bare RR-V, else nil
+	v        *core.V // rr's concrete value when it is RR-V, else nil
 	strict   bool    // rr.Strict(), read once
 	words    []heldWord
 	wordHook func(a, b, c uint64) // words[tid a] = b
@@ -211,9 +211,6 @@ type precise struct {
 
 func newPrecise(n Nodes) *precise {
 	rr := core.New(n.RRKind, core.Config{Threads: n.Threads, TableBits: n.TableBits, Assoc: n.Assoc})
-	if n.Obs != nil {
-		rr = core.Observed(rr, n.Obs.HoldProbe(), n.Threads)
-	}
 	p := &precise{freer: newFreer(n), rr: rr, strict: rr.Strict(), words: make([]heldWord, n.Threads)}
 	p.v, _ = rr.(*core.V)
 	p.wordHook = func(a, b, _ uint64) { p.words[int(a)].v = b }
@@ -348,7 +345,7 @@ func NewDeferred(name string, sch Scheme, n Nodes) Link {
 		sch.ClearSlots(int(a))
 	}
 	if n.Obs != nil {
-		sch.SetObserver(n.Obs.ReclaimProbe())
+		sch.SetObserver(n.Obs.TxProbe())
 		n.Obs.Gauge("deferred_depth", func() uint64 { return sch.Stats().Deferred })
 		n.Obs.Gauge("peak_deferred", func() uint64 { return sch.Stats().PeakDeferred })
 	}

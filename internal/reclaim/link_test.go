@@ -5,6 +5,7 @@ import (
 
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
+	"hohtx/internal/obs"
 	"hohtx/internal/stm"
 )
 
@@ -414,5 +415,18 @@ func TestVBRResumeOptimisticLoadIsNotReported(t *testing.T) {
 	}
 	if gs := r.ar.GuardStats(); gs.Violations != 0 || len(events) != 0 {
 		t.Fatalf("guard reported %d violations (%v) for the bracketed load", gs.Violations, events)
+	}
+}
+
+// TestObservedPreciseKeepsDirectV pins that attaching Config.Obs does not
+// take RR-V off its direct-call path: the link New builds still holds the
+// bare *core.V, which Resume and Hold call through its concrete type.
+func TestObservedPreciseKeepsDirectV(t *testing.T) {
+	r := newRig(false, nil)
+	n := r.nodes(core.KindV)
+	n.Obs = obs.NewDomain(obs.DomainConfig{Name: "link-test", Threads: rigThreads})
+	p := New(ModeRR, n).(*precise)
+	if p.v == nil || p.rr != core.Reservation(p.v) {
+		t.Fatalf("observed RR-V link: v = %v, rr is a %T; want the one bare *core.V in both", p.v, p.rr)
 	}
 }

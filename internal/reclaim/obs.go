@@ -8,25 +8,19 @@ import (
 // observer is embedded in every scheme so SetObserver promotes uniformly.
 // With no probe attached each instrumented site costs one nil check; the
 // physical-free flight event is the arena's job (it sees every free), so
-// the scheme layer contributes the retire events and the retire→free
-// delay distribution that Stats.DelayOpsSum only aggregates.
+// the scheme layer contributes the retire events (probe.Note at each
+// Retire) and the retire→free delay distribution that Stats.DelayOpsSum
+// only aggregates.
 type observer struct {
-	probe *obs.ReclaimProbe
+	probe *obs.TxProbe
 }
 
 // SetObserver attaches an obs probe to the scheme (nil detaches). Wire it
 // before the scheme is shared, as NewDeferred does.
-func (o *observer) SetObserver(p *obs.ReclaimProbe) { o.probe = p }
+func (o *observer) SetObserver(p *obs.TxProbe) { o.probe = p }
 
 // Born is the default for schemes that keep no per-node birth state.
 func (o *observer) Born(arena.Handle) {}
-
-// noteRetireEv logs a sampled retirement.
-func (o *observer) noteRetireEv(tid int, h arena.Handle) {
-	if p := o.probe; p != nil && p.D.Sampled(uint64(tid)) {
-		p.Rec.Emit(tid, obs.EvRetire, 0, uint64(h), 0)
-	}
-}
 
 // noteFreeEv records a sampled retire→free delay (in operation stamps).
 func (o *observer) noteFreeEv(tid int, delay uint64) {

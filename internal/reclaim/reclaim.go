@@ -132,7 +132,7 @@ type Scheme interface {
 	// Traits reports the scheme's fixed properties.
 	Traits() Traits
 	// SetObserver attaches an obs probe (nil detaches).
-	SetObserver(p *obs.ReclaimProbe)
+	SetObserver(p *obs.TxProbe)
 	// Name is the scheme's short label in benchmark output.
 	Name() string
 }

@@ -110,7 +110,7 @@ func (v *VBR) Retire(tid int, h arena.Handle, stamp uint64) {
 	t := &v.threads[tid]
 	t.pending = append(t.pending, vbrRetiree{h: h, rv: v.clock(), stamp: stamp})
 	v.stats[tid].noteRetire()
-	v.noteRetireEv(tid, h)
+	v.probe.Note(tid, obs.EvRetire, uint64(h))
 	t.sinceTick++
 	if t.sinceTick >= v.tickEvery {
 		t.sinceTick = 0

@@ -90,7 +90,8 @@ func keysEq(a, b []uint64) bool {
 // with point ops — each scan byte-identical to the quiescent snapshot
 // range it covers.
 func TestAscendWireSingleShard(t *testing.T) {
-	_, set, addr := startServer(t, 2)
+	ts := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{})
+	set, addr := ts.sh.Shard(0), ts.addr
 	cl := dialClient(t, addr)
 
 	var setReqs []string
@@ -145,7 +146,8 @@ func TestAscendWireSingleShard(t *testing.T) {
 func TestAscendWireSharded(t *testing.T) {
 	for _, shards := range []int{2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			_, sh, addr := startShardedServer(t, shards, 2)
+			ts := startServer(t, newSharded(t, shards, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{})
+			sh, addr := ts.sh, ts.addr
 			cl := dialClient(t, addr)
 			var setReqs []string
 			for k := 1; k <= 500; k += 2 {
@@ -180,9 +182,9 @@ func TestAscendWireWeakConsistency(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			var addr string
 			if shards == 1 {
-				_, _, addr = startServer(t, 4)
+				addr = startServer(t, newSharded(t, 1, 4), serve.PoolConfig{Slots: 4}, serve.ServerConfig{}).addr
 			} else {
-				_, _, addr = startShardedServer(t, shards, 4)
+				addr = startServer(t, newSharded(t, shards, 4), serve.PoolConfig{Slots: 4}, serve.ServerConfig{}).addr
 			}
 			scanner := dialClient(t, addr)
 			var stableReqs []string
@@ -259,7 +261,7 @@ func TestAscendWireWeakConsistency(t *testing.T) {
 // impossible key — and exactly n keys, since more than n are always there.
 func TestAscendWireLopsided(t *testing.T) {
 	const shards, n = 2, 200
-	_, _, addr := startShardedServer(t, shards, 4)
+	addr := startServer(t, newSharded(t, shards, 4), serve.PoolConfig{Slots: 4}, serve.ServerConfig{}).addr
 	scanner := dialClient(t, addr)
 	var stable, churn []uint64
 	stableSet, churnSet := map[uint64]bool{}, map[uint64]bool{}
@@ -350,7 +352,7 @@ func TestAscendWireLopsided(t *testing.T) {
 func TestAscendPulledPerEmitted(t *testing.T) {
 	const scans, n = 200, 64
 	for _, shards := range []int{1, 2} {
-		ts := startTracedServer(t, shards, 2)
+		ts := startServer(t, observedShards(t, shards, 2), serve.PoolConfig{Slots: 2}, tracedConfig(t, 2))
 		cl := dialClient(t, ts.addr)
 		var reqs []string
 		for k := 1; k <= 2000; k++ {
@@ -362,7 +364,7 @@ func TestAscendPulledPerEmitted(t *testing.T) {
 				t.Fatalf("%d shard(s): ASCEND %d %d returned %d keys", shards, 1+i*9, n, len(got))
 			}
 		}
-		h, ok := ts.dom.Snapshot().Hist(obs.HistServeAscendPulled)
+		h, ok := ts.cfg.Obs.Snapshot().Hist(obs.HistServeAscendPulled)
 		if !ok || h.Count != scans {
 			t.Fatalf("%d shard(s): %s = %+v, want %d scans recorded", shards, obs.HistServeAscendPulled, h, scans)
 		}
@@ -372,30 +374,6 @@ func TestAscendPulledPerEmitted(t *testing.T) {
 				shards, h.Sum, scans*n, waste)
 		}
 	}
-}
-
-// startServerOn builds a single-shard server over an arbitrary set.
-func startServerOn(t *testing.T, set sets.Set, slots int) string {
-	t.Helper()
-	pool := serve.NewPool(set, serve.PoolConfig{Slots: slots})
-	srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-serveErr; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return ln.Addr().String()
 }
 
 // TestAscendWireUnsupported pins the never-panic contract: variants that
@@ -418,7 +396,7 @@ func TestAscendWireUnsupported(t *testing.T) {
 		{"rr-itree", build(bench.FamilyInternalTree, "RR-V")},
 	} {
 		t.Run(tc.label, func(t *testing.T) {
-			addr := startServerOn(t, tc.set, 2)
+			addr := startServer(t, serve.NewSharded([]sets.Set{tc.set}), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 			cl := dialClient(t, addr)
 			cl.roundTrip(t, "SET 10", "SET 20")
 			cl.sendLines(t, "ASCEND 1 10")
@@ -443,26 +421,9 @@ func TestAscendWireUnsupported(t *testing.T) {
 // ERR lines — and the SAME connection keeps working once the pool frees
 // up. Before this fix the server dropped the whole pipelined connection.
 func TestServerSaturationKeepsConnection(t *testing.T) {
-	set := newSet(t, 1)
-	pool := serve.NewPool(set, serve.PoolConfig{Slots: 1, MaxWaiters: 1})
-	srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}, AutoBatch: 8})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-serveErr; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	cl := dialClient(t, ln.Addr().String())
+	ts := startServer(t, newSharded(t, 1, 1), serve.PoolConfig{Slots: 1, MaxWaiters: 1}, serve.ServerConfig{AutoBatch: 8})
+	pool := ts.pools[0]
+	cl := dialClient(t, ts.addr)
 	if r := cl.roundTrip(t, "SET 7")[0]; r != "1" {
 		t.Fatalf("warm-up SET -> %q", r)
 	}
@@ -544,7 +505,7 @@ func TestServerMaxKeyDefault(t *testing.T) {
 	if tree.MaxKey != ^uint64(0)-3 {
 		t.Fatalf("tree.MaxKey = %d, want %d", uint64(tree.MaxKey), ^uint64(0)-3)
 	}
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl := dialClient(t, addr)
 	if r := cl.roundTrip(t, fmt.Sprintf("GET %d", uint64(tree.MaxKey)))[0]; r != "0" {
 		t.Fatalf("GET tree.MaxKey -> %q, want 0 (in range)", r)

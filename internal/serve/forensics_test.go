@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"reflect"
 	"strconv"
@@ -19,18 +18,10 @@ import (
 	"hohtx/internal/sets"
 )
 
-// tracedServer is a loopback server with request tracing armed: an obs
-// domain on the server, Observe-enabled structure domains per shard, and
-// a live obs HTTP endpoint serving /slowlog and /hotkeys.
-type tracedServer struct {
-	srv   *serve.Server
-	dom   *obs.Domain // the server's own domain (serve histograms)
-	pools []*serve.Pool
-	addr  string // wire protocol address
-	obs   string // obs endpoint host:port (also advertised via INFO obs=)
-}
-
-func startTracedServer(t *testing.T, shards, slots int) *tracedServer {
+// tracedConfig is the ServerConfig that arms request tracing: the server's
+// own obs domain (cfg.Obs: serve histograms, slowlog, hot keys) behind a
+// live obs HTTP endpoint (cfg.ObsAddr, which INFO then advertises as obs=).
+func tracedConfig(t *testing.T, slots int) serve.ServerConfig {
 	t.Helper()
 	dom := obs.NewDomain(obs.DomainConfig{Name: "server", Threads: slots})
 	reg := obs.NewRegistry()
@@ -39,47 +30,18 @@ func startTracedServer(t *testing.T, shards, slots int) *tracedServer {
 	if err != nil {
 		t.Fatalf("obs.Serve: %v", err)
 	}
+	return serve.ServerConfig{Obs: dom, ObsAddr: bound.String()}
+}
 
-	spec := bench.VariantSpec{Name: "RR-V", Observe: true}
-	backends := make([]serve.Backend, shards)
-	pools := make([]*serve.Pool, shards)
-	if shards <= 1 {
-		set, err := bench.Build(bench.FamilySingly, spec, slots)
-		if err != nil {
-			t.Fatalf("build: %v", err)
-		}
-		pools[0] = serve.NewPool(set, serve.PoolConfig{Slots: slots})
-		backends[0] = serve.Backend{Set: set, Pool: pools[0]}
-	} else {
-		sh, err := bench.BuildSharded(bench.FamilySingly, spec, slots, shards)
-		if err != nil {
-			t.Fatalf("build sharded: %v", err)
-		}
-		for i := 0; i < shards; i++ {
-			pools[i] = serve.NewPool(sh.Shard(i), serve.PoolConfig{Slots: slots})
-			backends[i] = serve.Backend{Set: sh.Shard(i), Pool: pools[i]}
-		}
-	}
-	srv := serve.NewServer(serve.ServerConfig{
-		Shards: backends, Obs: dom, ObsAddr: bound.String(),
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// observedShards builds RR-V lists that each carry a transaction-level obs
+// domain, as `hohserver -obs` does: request spans are armed on those.
+func observedShards(t *testing.T, shards, slots int) *serve.Sharded {
+	t.Helper()
+	sh, err := bench.BuildSharded(bench.FamilySingly, bench.VariantSpec{Name: "RR-V", Observe: true}, slots, shards)
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		t.Fatalf("build: %v", err)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-serveErr; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return &tracedServer{srv: srv, dom: dom, pools: pools, addr: ln.Addr().String(), obs: bound.String()}
+	return sh
 }
 
 // getJSON fetches a forensics endpoint and decodes it — the decode
@@ -104,7 +66,7 @@ func getJSON(t *testing.T, hostport, path string, v any) {
 // holds, a request must queue — and its slowlog entry must say so, with
 // the wait phase dominating the breakdown.
 func TestSlowlogCapturesWaitDominatedRequest(t *testing.T) {
-	ts := startTracedServer(t, 1, 1)
+	ts := startServer(t, observedShards(t, 1, 1), serve.PoolConfig{Slots: 1}, tracedConfig(t, 1))
 	cl := dialClient(t, ts.addr)
 
 	// Hold the only worker slot, then send a request that has to queue
@@ -129,7 +91,7 @@ func TestSlowlogCapturesWaitDominatedRequest(t *testing.T) {
 	}
 
 	var dumps []obs.SlowlogDump
-	getJSON(t, ts.obs, "/slowlog", &dumps)
+	getJSON(t, ts.cfg.ObsAddr, "/slowlog", &dumps)
 	if len(dumps) != 1 || len(dumps[0].Entries) == 0 {
 		t.Fatalf("/slowlog = %+v, want one domain with entries", dumps)
 	}
@@ -215,7 +177,7 @@ func TestHotKeysAbortAttribution(t *testing.T) {
 				conns  = 4
 				hotKey = 5
 			)
-			ts := startTracedServer(t, shards, 4)
+			ts := startServer(t, observedShards(t, shards, 4), serve.PoolConfig{Slots: 4}, tracedConfig(t, 4))
 			clients := make([]*client, conns)
 			for c := range clients {
 				clients[c] = dialClient(t, ts.addr)
@@ -253,7 +215,7 @@ func TestHotKeysAbortAttribution(t *testing.T) {
 				}
 
 				var dumps []obs.HotKeysDump
-				getJSON(t, ts.obs, "/hotkeys", &dumps)
+				getJSON(t, ts.cfg.ObsAddr, "/hotkeys", &dumps)
 				if len(dumps) != 1 {
 					t.Fatalf("/hotkeys = %d domains, want 1", len(dumps))
 				}
@@ -291,7 +253,7 @@ func TestHotKeysAbortAttribution(t *testing.T) {
 			// The slowlog endpoint must be live and valid JSON on every shard
 			// count; after hundreds of traced requests it cannot be empty.
 			var slow []obs.SlowlogDump
-			getJSON(t, ts.obs, "/slowlog", &slow)
+			getJSON(t, ts.cfg.ObsAddr, "/slowlog", &slow)
 			if len(slow) != 1 || len(slow[0].Entries) == 0 {
 				t.Errorf("/slowlog = %+v, want a populated dump", slow)
 			}
@@ -303,14 +265,14 @@ func TestHotKeysAbortAttribution(t *testing.T) {
 // INFO as obs=<addr> (the hohload auto-discovery hook); an untraced one
 // stays silent.
 func TestInfoAdvertisesObs(t *testing.T) {
-	ts := startTracedServer(t, 1, 2)
+	ts := startServer(t, observedShards(t, 1, 2), serve.PoolConfig{Slots: 2}, tracedConfig(t, 2))
 	cl := dialClient(t, ts.addr)
 	info := cl.roundTrip(t, "INFO")[0]
-	if want := "obs=" + ts.obs; !strings.Contains(info, want) {
+	if want := "obs=" + ts.cfg.ObsAddr; !strings.Contains(info, want) {
 		t.Errorf("INFO %q missing %q", info, want)
 	}
 
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl2 := dialClient(t, addr)
 	if info := cl2.roundTrip(t, "INFO")[0]; strings.Contains(info, "obs=") {
 		t.Errorf("untraced INFO %q advertises an obs endpoint", info)
@@ -320,13 +282,13 @@ func TestInfoAdvertisesObs(t *testing.T) {
 // TestSlowlogVerbErrors: SLOWLOG rejects malformed counts, and reports
 // plainly when the server has no tracing to dump.
 func TestSlowlogVerbErrors(t *testing.T) {
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl := dialClient(t, addr)
 	if r := cl.roundTrip(t, "SLOWLOG 5")[0]; !strings.HasPrefix(r, "ERR") {
 		t.Errorf("SLOWLOG on untraced server -> %q, want ERR", r)
 	}
 
-	ts := startTracedServer(t, 1, 2)
+	ts := startServer(t, observedShards(t, 1, 2), serve.PoolConfig{Slots: 2}, tracedConfig(t, 2))
 	cl2 := dialClient(t, ts.addr)
 	if r := cl2.roundTrip(t, "SLOWLOG x")[0]; !strings.HasPrefix(r, "ERR") {
 		t.Errorf("SLOWLOG x -> %q, want ERR", r)
@@ -437,7 +399,7 @@ func TestStmStampsSpan(t *testing.T) {
 func TestSlowlogPhasesReconcile(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ts := startTracedServer(t, shards, 1)
+			ts := startServer(t, observedShards(t, shards, 1), serve.PoolConfig{Slots: 1}, tracedConfig(t, 1))
 			cl := dialClient(t, ts.addr)
 
 			frame := []string{"MULTI 80"}
@@ -545,7 +507,7 @@ func TestSlowlogPhasesReconcile(t *testing.T) {
 			// reply is here the request must be too.
 			cl.roundTrip(t, "SET 150")
 			var dumps []obs.HotKeysDump
-			getJSON(t, ts.obs, "/hotkeys", &dumps)
+			getJSON(t, ts.cfg.ObsAddr, "/hotkeys", &dumps)
 			found := false
 			for _, it := range dumps[0].Rollup.ByLatency {
 				found = found || it.Key == 150

@@ -3,18 +3,21 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"hohtx/internal/sets"
 )
 
-// Native fuzz targets for the wire codec (ROADMAP 1(c), first slice). The
-// codec claims parity with the strconv and bufio calls it replaced; each
-// target holds it to that reference on whatever bytes the fuzzer finds.
-// `go test` runs the seeds; nightly.yml runs each target under -fuzz for a
-// minute. The seeds are wire_test.go's tables and the argument tokens and
-// framings the golden transcript (pipeline_test.go) sends.
+// Native fuzz targets for the wire codec (ROADMAP 1(c)). The codec claims
+// parity with the strconv, bufio and fmt calls it replaced; each target
+// holds it to that reference on whatever bytes the fuzzer finds. `go test`
+// runs the seeds; nightly.yml runs each target under -fuzz for a minute.
+// The seeds are wire_test.go's tables and the argument tokens, body lines
+// and framings the golden transcript (pipeline_test.go) sends.
 
 // goldenTokens are the key and count arguments of the golden transcript's
 // requests, well-formed and not.
@@ -91,6 +94,106 @@ func FuzzLineScanner(f *testing.F) {
 			}
 			if refErr != nil {
 				return
+			}
+		}
+	})
+}
+
+// refWireErr is the diagnosis as the fmt.Errorf calls worded it before it
+// became a value: fmt's %q and %d, and an "op <i>: " scope inside a MULTI
+// body.
+func refWireErr(we wireErr, bound uint64) string {
+	scope := ""
+	if we.op > 0 {
+		scope = fmt.Sprintf("op %d: ", we.op-1)
+	}
+	switch we.code {
+	case errMissingKey:
+		return scope + "missing key"
+	case errBadKey:
+		return scope + fmt.Sprintf("bad key %q", we.arg)
+	case errKeyRange:
+		return scope + fmt.Sprintf("key %d out of range [1, %d]", we.key, bound)
+	case errNotKeyOp:
+		return scope + "not a key op"
+	case errBadCount:
+		return scope + fmt.Sprintf("bad count %q", we.arg)
+	case errOversize:
+		return scope + fmt.Sprintf("batch of %d exceeds max %d", we.key, bound)
+	}
+	return scope
+}
+
+// FuzzAppendWireErr holds appendWireErr to fmt's rendering of the same
+// diagnosis — the quoting of an arbitrary offending token above all (%q
+// escapes control bytes, quotes, invalid UTF-8) — and to append's contract:
+// what dst already held stays in front.
+func FuzzAppendWireErr(f *testing.F) {
+	for _, c := range wireErrCases {
+		f.Add(c.we.code, c.we.op, c.we.arg, c.we.key, uint64(9999))
+	}
+	for _, tok := range goldenTokens {
+		f.Add(errBadKey, int32(0), []byte(tok), uint64(0), uint64(1000))
+		f.Add(errBadCount, int32(2), []byte(tok), uint64(0), uint64(8))
+	}
+	f.Add(errBadKey, int32(1), []byte("\"\\\xff\u2028\x7f\t"), uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, code uint8, op int32, arg []byte, key, bound uint64) {
+		we := wireErr{code: code, op: op, arg: arg, key: key}
+		want := "ERR " + refWireErr(we, bound)
+		if got := string(appendWireErr([]byte("ERR "), we, bound)); got != want {
+			t.Fatalf("appendWireErr(%+v, %d) = %q; fmt renders %q", we, bound, got, want)
+		}
+	})
+}
+
+// refParseOp is parseOp as the protocol grammar words it, on strings: the
+// verb is what precedes the first space, the key argument everything after
+// it, a decimal in [1, maxKey] that strconv reads. It returns the op, or
+// the diagnosis fmt renders.
+func refParseOp(line string, maxKey uint64) (sets.Op, string) {
+	name, arg, _ := strings.Cut(line, " ")
+	kind, point := map[string]sets.OpKind{"GET": sets.OpLookup, "SET": sets.OpInsert, "DEL": sets.OpRemove}[name]
+	switch key, err := strconv.ParseUint(arg, 10, 64); {
+	case !point:
+		return sets.Op{}, "not a key op"
+	case arg == "":
+		return sets.Op{}, "missing key"
+	case err != nil:
+		return sets.Op{}, fmt.Sprintf("bad key %q", arg)
+	case key < 1 || key > maxKey:
+		return sets.Op{}, fmt.Sprintf("key %d out of range [1, %d]", key, maxKey)
+	default:
+		return sets.Op{Kind: kind, Key: key}, ""
+	}
+}
+
+// FuzzParseOp holds a MULTI body line's parse (parseOp: lookupVerb, then
+// parseKey) to refParseOp — the same op, or the same diagnosis once
+// rendered — and a line that is well formed as strings.Fields sees it (a
+// point verb, one space, digits in range, nothing else) to acceptance.
+func FuzzParseOp(f *testing.F) {
+	for _, verb := range []string{"GET", "SET", "DEL", "get", "LEN", "MULTI", "ASCEND", "", "GETX", "GE"} {
+		f.Add([]byte(verb), uint64(1000))
+		for _, tok := range append(uintCases, goldenTokens...) {
+			f.Add([]byte(verb+" "+tok), uint64(1000))
+		}
+	}
+	for _, line := range []string{" GET 5", "GET  5", "GET\t5", "SET 5\r", "DEL 5 ", "GET 18446744073709551615", "FROB 1", "SET zero"} {
+		f.Add([]byte(line), uint64(1000))
+		f.Add([]byte(line), ^uint64(0))
+	}
+	f.Fuzz(func(t *testing.T, line []byte, maxKey uint64) {
+		s := &Server{maxKey: maxKey}
+		wantOp, wantDiag := refParseOp(string(line), maxKey)
+		op, we := s.parseOp(line)
+		if diag := string(appendWireErr(nil, we, maxKey)); diag != wantDiag || (diag == "" && op != wantOp) {
+			t.Fatalf("parseOp(%q), max key %d = %+v, %q; the grammar on strings gives %+v, %q", line, maxKey, op, diag, wantOp, wantDiag)
+		}
+		if fs := strings.Fields(string(line)); len(fs) == 2 && strings.Join(fs, " ") == string(line) {
+			key, err := strconv.ParseUint(fs[1], 10, 64)
+			wellFormed := (fs[0] == "GET" || fs[0] == "SET" || fs[0] == "DEL") && err == nil && key >= 1 && key <= maxKey
+			if wellFormed != (we.code == wireOK) || (wellFormed && op.Key != key) {
+				t.Fatalf("parseOp(%q), max key %d = %+v, code %d; as fields %q it is well formed: %v", line, maxKey, op, we.code, fs, wellFormed)
 			}
 		}
 	})

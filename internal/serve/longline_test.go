@@ -3,6 +3,8 @@ package serve_test
 import (
 	"strings"
 	"testing"
+
+	"hohtx/internal/serve"
 )
 
 // Request lines longer than the server's 4 KiB reader buffer must parse
@@ -13,7 +15,7 @@ import (
 const longPad = 5000 // zeros; line length > 4<<10 reader buffer
 
 func TestLongLineValidRequest(t *testing.T) {
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl := dialClient(t, addr)
 	padded := "SET " + strings.Repeat("0", longPad) + "42"
 	got := cl.roundTrip(t, padded, "GET 42", "DEL 42")
@@ -25,7 +27,7 @@ func TestLongLineValidRequest(t *testing.T) {
 }
 
 func TestLongLineGarbage(t *testing.T) {
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl := dialClient(t, addr)
 	garbage := "GET " + strings.Repeat("x", longPad)
 	got := cl.roundTrip(t, garbage, "SET 7", "GET 7")
@@ -42,7 +44,7 @@ func TestLongLineGarbage(t *testing.T) {
 // MULTI body reader (a different scan loop than the top-level dispatch)
 // and an oversized garbage body line through the drain path.
 func TestLongLineMultiBody(t *testing.T) {
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl := dialClient(t, addr)
 	pad := strings.Repeat("0", longPad)
 	cl.send(t, "MULTI 3", "SET "+pad+"9", "GET "+pad+"9", "DEL 9")

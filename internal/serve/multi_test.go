@@ -1,12 +1,9 @@
 package serve_test
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
@@ -46,36 +43,12 @@ func (cl *client) multi(t *testing.T, ops ...string) []string {
 	return cl.read(t, len(ops))
 }
 
-// startServerCfg is startServer with the batch knobs exposed.
-func startServerCfg(t *testing.T, slots, maxBatch, autoBatch int) (*serve.Server, sets.Set, string) {
-	t.Helper()
-	set := newSet(t, slots)
-	pool := serve.NewPool(set, serve.PoolConfig{Slots: slots})
-	srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}, MaxBatch: maxBatch, AutoBatch: autoBatch})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-serveErr; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return srv, set, ln.Addr().String()
-}
-
 // TestMultiEndToEnd drives a single-shard MULTI through insert, in-batch
 // read-own-writes, and removal, and checks precise reclamation holds for
 // batched removes over the wire.
 func TestMultiEndToEnd(t *testing.T) {
-	srv, set, addr := startServer(t, 2)
+	ts := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{})
+	srv, set, addr := ts.srv, ts.sh.Shard(0), ts.addr
 	mem := set.(sets.MemoryReporter)
 	baseline := mem.LiveNodes()
 	cl := dialClient(t, addr)
@@ -115,7 +88,7 @@ func TestMultiEndToEnd(t *testing.T) {
 // TestMultiMalformedCount checks every malformed count shape gets exactly
 // one ERR line, executes nothing, and leaves the connection usable.
 func TestMultiMalformedCount(t *testing.T) {
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl := dialClient(t, addr)
 	for _, req := range []string{"MULTI", "MULTI x", "MULTI 0", "MULTI -3", "MULTI 1.5"} {
 		cl.send(t, req)
@@ -133,7 +106,7 @@ func TestMultiMalformedCount(t *testing.T) {
 // ERR line, its body is drained so the connection stays in frame, and a
 // batch beyond the drain bound drops the connection instead.
 func TestMultiOversized(t *testing.T) {
-	_, _, addr := startServerCfg(t, 2, 4, 0)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{MaxBatch: 4}).addr
 	cl := dialClient(t, addr)
 
 	// 5 > MaxBatch=4: rejected, body consumed, nothing executed.
@@ -162,7 +135,7 @@ func TestMultiOversized(t *testing.T) {
 // whole batch — no partial execution — while the remaining body is
 // drained and the connection survives.
 func TestMultiBadBody(t *testing.T) {
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl := dialClient(t, addr)
 	cl.send(t, "MULTI 3", "SET 20", "LEN", "SET 21")
 	if got := cl.read(t, 1)[0]; !strings.HasPrefix(got, "ERR multi: op 1:") {
@@ -178,7 +151,7 @@ func TestMultiBadBody(t *testing.T) {
 // TestMultiInterleaved pipelines MULTI frames between plain verbs in one
 // burst and checks the replies come back in request order.
 func TestMultiInterleaved(t *testing.T) {
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl := dialClient(t, addr)
 	cl.send(t,
 		"SET 1",
@@ -200,7 +173,8 @@ func TestMultiInterleaved(t *testing.T) {
 // every op still gets its reply in order, and INFO discloses the weaker
 // cross-shard contract as multi=per-shard.
 func TestMultiSharded(t *testing.T) {
-	srv, _, addr := startShardedServer(t, 2, 2)
+	ts := startServer(t, newSharded(t, 2, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{})
+	srv, addr := ts.srv, ts.addr
 	if srv.Shards() != 2 {
 		t.Fatalf("shards = %d", srv.Shards())
 	}
@@ -238,7 +212,7 @@ func TestMultiSharded(t *testing.T) {
 // TestMultiInfoAtomic checks a single-shard server advertises the strong
 // contract.
 func TestMultiInfoAtomic(t *testing.T) {
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl := dialClient(t, addr)
 	info := cl.roundTrip(t, "INFO")[0]
 	if !strings.Contains(info, "multi=atomic") {
@@ -251,7 +225,8 @@ func TestMultiInfoAtomic(t *testing.T) {
 // of plain verbs exactly like an unbatched one, including interleaved
 // non-key verbs and malformed lines, and the memory books still balance.
 func TestMultiAutoBatch(t *testing.T) {
-	srv, set, addr := startServerCfg(t, 2, 0, 4)
+	ts := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{AutoBatch: 4})
+	srv, set, addr := ts.srv, ts.sh.Shard(0), ts.addr
 	mem := set.(sets.MemoryReporter)
 	baseline := mem.LiveNodes()
 	cl := dialClient(t, addr)

@@ -3,7 +3,6 @@ package serve_test
 import (
 	"bufio"
 	"cmp"
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"hohtx/internal/bench"
 	"hohtx/internal/obs"
@@ -52,45 +50,21 @@ func (c pipelineCfg) String() string {
 	return s
 }
 
-// startPipelineServer builds the cell's server over fresh shards and
-// returns the aggregate view of those shards beside its address.
-func startPipelineServer(t *testing.T, cfg pipelineCfg, maxKey uint64, maxBatch int) (*serve.Sharded, string) {
+// pipelineServer starts the cell's server over fresh shards and returns the
+// aggregate view of those shards beside its address.
+func pipelineServer(t *testing.T, cfg pipelineCfg, maxKey uint64, maxBatch int) (*serve.Sharded, string) {
 	t.Helper()
 	sh, err := bench.BuildSharded(cmp.Or(cfg.family, bench.FamilySingly),
 		bench.VariantSpec{Name: cfg.variant, Observe: cfg.traced}, goldenSlots, cfg.shards)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	backends := make([]serve.Backend, cfg.shards)
-	for i := range backends {
-		backends[i] = serve.Backend{
-			Set:  sh.Shard(i),
-			Pool: serve.NewPool(sh.Shard(i), serve.PoolConfig{Slots: goldenSlots}),
-		}
-	}
-	sc := serve.ServerConfig{Shards: backends, MaxKey: maxKey, MaxBatch: maxBatch, AutoBatch: cfg.autoBatch}
+	sc := serve.ServerConfig{MaxKey: maxKey, MaxBatch: maxBatch, AutoBatch: cfg.autoBatch}
 	if cfg.traced {
 		sc.Obs = obs.NewDomain(obs.DomainConfig{Name: "server", Threads: goldenSlots})
 		sc.ObsAddr = "127.0.0.1:1"
 	}
-	srv := serve.NewServer(sc)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-serveErr; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return sh, ln.Addr().String()
+	return sh, startServer(t, sh, serve.PoolConfig{Slots: goldenSlots}, sc).addr
 }
 
 // wireModel answers requests the way the protocol grammar says a server
@@ -415,7 +389,7 @@ func TestGoldenTranscript(t *testing.T) {
 	for _, cfg := range cells {
 		for _, pipelined := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%v/pipelined=%v", cfg, pipelined), func(t *testing.T) {
-				sh, addr := startPipelineServer(t, cfg, goldenMaxKey, goldenMaxBatch)
+				sh, addr := pipelineServer(t, cfg, goldenMaxKey, goldenMaxBatch)
 				m := &wireModel{cfg: cfg, maxKey: goldenMaxKey, maxBatch: goldenMaxBatch,
 					baseline: sh.LiveNodes(), name: sh.Shard(0).Name(), scans: sh.CanAscend(),
 					keys: map[uint64]bool{}}
@@ -456,7 +430,7 @@ func TestGoldenTranscript(t *testing.T) {
 // still served before the connection drops.
 func TestGoldenUnterminatedFinalRequest(t *testing.T) {
 	for _, ab := range []int{0, 8} {
-		_, addr := startPipelineServer(t, pipelineCfg{variant: "RR-V", shards: 2, autoBatch: ab}, goldenMaxKey, goldenMaxBatch)
+		_, addr := pipelineServer(t, pipelineCfg{variant: "RR-V", shards: 2, autoBatch: ab}, goldenMaxKey, goldenMaxBatch)
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
@@ -481,7 +455,7 @@ func TestWireMatchesShardedTwin(t *testing.T) {
 		for _, ab := range []int{0, 8} {
 			cfg := pipelineCfg{variant: "RR-V", shards: shards, autoBatch: ab}
 			t.Run(cfg.String(), func(t *testing.T) {
-				served, addr := startPipelineServer(t, cfg, maxKey, 64)
+				served, addr := pipelineServer(t, cfg, maxKey, 64)
 				twin := newSharded(t, shards, 1)
 				twin.Register(0)
 				rng := rand.New(rand.NewSource(int64(100*shards + ab)))

@@ -69,14 +69,6 @@ type ServerConfig struct {
 	// ObsAddr, when set, is advertised in INFO as obs=<addr> so load
 	// generators can discover the obs endpoint without a second flag.
 	ObsAddr string
-	// SlowlogSize caps how many slow requests each window retains (zero =
-	// obs.DefaultSlowlogSize); SlowlogWindow is the rotation period (zero
-	// = obs.DefaultSlowlogWindow). Ignored without Obs.
-	SlowlogSize   int
-	SlowlogWindow time.Duration
-	// HotKeyK sizes the per-shard space-saving sketches (zero =
-	// obs.DefaultTopK). Ignored without Obs.
-	HotKeyK int
 }
 
 // Server speaks the repository's line protocol over one or more shards:
@@ -169,11 +161,11 @@ func NewServer(cfg ServerConfig) *Server {
 		s.maxBatch = DefaultMaxBatch
 	}
 	if d := cfg.Obs; d != nil {
-		s.slow = obs.NewSlowlog(cfg.SlowlogSize, cfg.SlowlogWindow)
+		s.slow = obs.NewSlowlog(obs.DefaultSlowlogSize, obs.DefaultSlowlogWindow)
 		d.SetSlowlog(s.slow)
 		s.hot = make([]*obs.HotKeys, len(s.shards))
 		for i := range s.hot {
-			s.hot[i] = obs.NewHotKeys(cfg.HotKeyK)
+			s.hot[i] = obs.NewHotKeys(obs.DefaultTopK)
 		}
 		d.SetHotKeys(s.hot)
 		s.probe = d.ServeProbe()

@@ -15,30 +15,84 @@ import (
 	"hohtx/internal/sets"
 )
 
-// startServer builds an RR-V singly list, a pool, and a listening server
-// on a loopback port; the cleanup shuts everything down.
-func startServer(t *testing.T, slots int) (*serve.Server, sets.Set, string) {
+// testServer is a server on a loopback port and what its tests reach for.
+type testServer struct {
+	srv   *serve.Server
+	cfg   serve.ServerConfig // as served: Shards filled in
+	sh    *serve.Sharded     // the shards as one aggregate
+	pools []*serve.Pool      // per shard
+	addr  string
+	// drain shuts the server down and checks it leaked nothing. It runs
+	// once: a test that inspects the drained state calls it, and the
+	// cleanup startServer registers calls it for everyone else.
+	drain func()
+}
+
+// startServer is the one way a test in this package gets a listening
+// server: sh's shards, each behind its own pool built from pc, under cfg
+// (whose Shards it fills in). Its drain makes every test that serves a leak
+// test. After Shutdown — which no test may fail or outlast — every pool is
+// idle, no request span is left armed on any worker id of any shard's
+// domain, and each shard's arena holds exactly its keys, the sentinels it
+// started with and what its scheme still defers.
+func startServer(t *testing.T, sh *serve.Sharded, pc serve.PoolConfig, cfg serve.ServerConfig) *testServer {
 	t.Helper()
-	set := newSet(t, slots)
-	pool := serve.NewPool(set, serve.PoolConfig{Slots: slots})
-	srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}})
+	n := sh.ShardCount()
+	ts := &testServer{sh: sh, pools: make([]*serve.Pool, n)}
+	cfg.Shards = make([]serve.Backend, n)
+	sentinels := make([]uint64, n)
+	for i := range cfg.Shards {
+		set := sh.Shard(i)
+		ts.pools[i] = serve.NewPool(set, pc)
+		cfg.Shards[i] = serve.Backend{Set: set, Pool: ts.pools[i]}
+		if mem, ok := set.(sets.MemoryReporter); ok {
+			sentinels[i] = mem.LiveNodes() - mem.DeferredNodes() - uint64(len(set.Snapshot()))
+		}
+	}
+	ts.cfg, ts.srv = cfg, serve.NewServer(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
+	ts.addr = ln.Addr().String()
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-serveErr; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return srv, set, ln.Addr().String()
+	go func() { serveErr <- ts.srv.Serve(ln) }()
+	var once sync.Once
+	ts.drain = func() {
+		once.Do(func() {
+			t.Helper()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := ts.srv.Shutdown(ctx); err != nil {
+				t.Errorf("Shutdown: %v", err)
+			}
+			if err := <-serveErr; err != nil {
+				t.Errorf("Serve: %v", err)
+			}
+			for i, pool := range ts.pools {
+				if st := pool.Stats(); st.Outstanding != 0 || st.Waiting != 0 {
+					t.Errorf("shard %d pool after drain: %d slots leased, %d waiters queued", i, st.Outstanding, st.Waiting)
+				}
+				set := sh.Shard(i)
+				if or, ok := set.(sets.ObsReporter); ok {
+					for tid := 0; tid < pool.Slots(); tid++ {
+						if or.ObsDomain().SpanOf(tid) != nil {
+							t.Errorf("shard %d: a request span is still armed on worker %d after drain", i, tid)
+						}
+					}
+				}
+				if mem, ok := set.(sets.MemoryReporter); ok {
+					keys, deferred := uint64(len(set.Snapshot())), mem.DeferredNodes()
+					if live := mem.LiveNodes(); live != keys+sentinels[i]+deferred {
+						t.Errorf("shard %d after drain: %d live nodes, want %d keys + %d sentinels + %d deferred",
+							i, live, keys, sentinels[i], deferred)
+					}
+				}
+			}
+		})
+	}
+	t.Cleanup(ts.drain)
+	return ts
 }
 
 // client is a test-side pipelined protocol client.
@@ -84,7 +138,8 @@ func (cl *client) roundTrip(t *testing.T, reqs ...string) []string {
 // precise-reclamation claim must hold over the wire — LiveNodes is back
 // to the empty-set baseline before the last reply is read.
 func TestServerEndToEnd(t *testing.T) {
-	srv, set, addr := startServer(t, 4)
+	ts := startServer(t, newSharded(t, 1, 4), serve.PoolConfig{Slots: 4}, serve.ServerConfig{})
+	srv, set, addr := ts.srv, ts.sh.Shard(0), ts.addr
 	mem := set.(sets.MemoryReporter)
 	baseline := mem.LiveNodes()
 
@@ -141,7 +196,8 @@ func TestServerEndToEnd(t *testing.T) {
 // worker slots — the contract the lease pool exists to provide — and
 // checks the memory books balance when the storm is over.
 func TestServerManyConnections(t *testing.T) {
-	_, set, addr := startServer(t, 2)
+	ts := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{})
+	set, addr := ts.sh.Shard(0), ts.addr
 	mem := set.(sets.MemoryReporter)
 	baseline := mem.LiveNodes()
 
@@ -184,7 +240,7 @@ func TestServerManyConnections(t *testing.T) {
 // TestServerProtocolErrors checks malformed requests get ERR replies and
 // leave the connection usable.
 func TestServerProtocolErrors(t *testing.T) {
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl := dialClient(t, addr)
 	for _, tc := range []struct{ req, wantPrefix string }{
 		{"BOGUS 1", "ERR unknown command"},
@@ -208,7 +264,7 @@ func TestServerProtocolErrors(t *testing.T) {
 // TestServerInfo checks the INFO line carries the variant and live
 // memory the load generator samples for its flatness report.
 func TestServerInfo(t *testing.T) {
-	_, _, addr := startServer(t, 2)
+	addr := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 	cl := dialClient(t, addr)
 	cl.roundTrip(t, "SET 1", "SET 2")
 	info := cl.roundTrip(t, "INFO")[0]
@@ -222,17 +278,9 @@ func TestServerInfo(t *testing.T) {
 // TestServerDrain checks Shutdown completes while a connection sits idle
 // (the drain deadline unblocks its read) and that Serve returns nil.
 func TestServerDrain(t *testing.T) {
-	set := newSet(t, 2)
-	pool := serve.NewPool(set, serve.PoolConfig{Slots: 2})
-	srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
+	ts := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{})
 
-	c, err := net.Dial("tcp", ln.Addr().String())
+	c, err := net.Dial("tcp", ts.addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -243,16 +291,10 @@ func TestServerDrain(t *testing.T) {
 	if line, _ := br.ReadString('\n'); line != "1\n" {
 		t.Fatalf("SET -> %q", line)
 	}
-	// The connection now idles in a blocked read; drain must not hang.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve returned %v after drain, want nil", err)
-	}
-	if _, err := pool.Acquire(context.Background()); err != serve.ErrClosed {
+	// The connection now idles in a blocked read; drain must not hang
+	// (it fails the test if Shutdown or Serve returns an error).
+	ts.drain()
+	if _, err := ts.pools[0].Acquire(context.Background()); err != serve.ErrClosed {
 		t.Fatalf("pool after Shutdown: %v, want serve.ErrClosed", err)
 	}
 }
@@ -282,14 +324,7 @@ func TestServerDeferredSchemesLoopback(t *testing.T) {
 			mem := set.(sets.MemoryReporter)
 			baseline := mem.LiveNodes()
 
-			pool := serve.NewPool(set, serve.PoolConfig{Slots: slots})
-			srv := serve.NewServer(serve.ServerConfig{Shards: []serve.Backend{{Set: set, Pool: pool}}})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("listen: %v", err)
-			}
-			serveErr := make(chan error, 1)
-			go func() { serveErr <- srv.Serve(ln) }()
+			ts := startServer(t, serve.NewSharded([]sets.Set{set}), serve.PoolConfig{Slots: slots}, serve.ServerConfig{})
 
 			const conns, opsEach = 4, 40
 			var wg sync.WaitGroup
@@ -297,7 +332,7 @@ func TestServerDeferredSchemesLoopback(t *testing.T) {
 				wg.Add(1)
 				go func(cid int) {
 					defer wg.Done()
-					c, err := net.Dial("tcp", ln.Addr().String())
+					c, err := net.Dial("tcp", ts.addr)
 					if err != nil {
 						t.Errorf("dial: %v", err)
 						return
@@ -323,19 +358,12 @@ func TestServerDeferredSchemesLoopback(t *testing.T) {
 			}
 			wg.Wait()
 
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				t.Fatalf("Shutdown: %v", err)
-			}
-			if err := <-serveErr; err != nil {
-				t.Fatalf("Serve: %v", err)
-			}
+			ts.drain()
 			// Shutdown closed the pool (one Finish sweep); one more round
 			// frees retirees the first sweep left pinned by era
 			// reservations that later slots only cleared in their own
 			// Finish.
-			pool.FinishAll()
+			ts.pools[0].FinishAll()
 			if live := mem.LiveNodes(); live != baseline {
 				t.Fatalf("live nodes after drain = %d, want baseline %d", live, baseline)
 			}

@@ -133,38 +133,6 @@ func TestShardedFacade(t *testing.T) {
 	}
 }
 
-// startShardedServer builds an N-shard server, each shard with its own
-// lease pool, listening on a loopback port.
-func startShardedServer(t *testing.T, shards, slots int) (*serve.Server, *serve.Sharded, string) {
-	t.Helper()
-	sh := newSharded(t, shards, slots)
-	backends := make([]serve.Backend, shards)
-	for i := range backends {
-		backends[i] = serve.Backend{
-			Set:  sh.Shard(i),
-			Pool: serve.NewPool(sh.Shard(i), serve.PoolConfig{Slots: slots}),
-		}
-	}
-	srv := serve.NewServer(serve.ServerConfig{Shards: backends})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-serveErr; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return srv, sh, ln.Addr().String()
-}
-
 // parseInfo splits an INFO reply into its key=value fields.
 func parseInfo(t *testing.T, line string) map[string]string {
 	t.Helper()
@@ -184,7 +152,8 @@ func parseInfo(t *testing.T, line string) map[string]string {
 // DEL storm the summed live-node count is back at the baseline — precise
 // reclamation per shard, observed through one front end.
 func TestShardedServerEndToEnd(t *testing.T) {
-	srv, sh, addr := startShardedServer(t, 3, 2)
+	ts := startServer(t, newSharded(t, 3, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{})
+	srv, sh, addr := ts.srv, ts.sh, ts.addr
 	baseline := sh.LiveNodes()
 
 	cl := dialClient(t, addr)
@@ -266,7 +235,8 @@ func TestShardedServerEndToEnd(t *testing.T) {
 // be a plausible prefix state (0 ≤ len ≤ keyspace) and INFO must stay
 // well-formed with deferred=0 throughout.
 func TestShardedServerConcurrentChurn(t *testing.T) {
-	_, sh, addr := startShardedServer(t, 4, 2)
+	ts := startServer(t, newSharded(t, 4, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{})
+	sh, addr := ts.sh, ts.addr
 	baseline := sh.LiveNodes()
 
 	const conns, opsEach, span = 6, 80, 64
@@ -346,7 +316,8 @@ func TestShardedServerConcurrentChurn(t *testing.T) {
 // connection deadline turns a regression into a test failure instead of
 // a hung suite.
 func TestShardedServerCrossShardNoDeadlock(t *testing.T) {
-	_, sh, addr := startShardedServer(t, 2, 1)
+	ts := startServer(t, newSharded(t, 2, 1), serve.PoolConfig{Slots: 1}, serve.ServerConfig{})
+	sh, addr := ts.sh, ts.addr
 	// One key per shard, found by routing.
 	var keys [2]uint64
 	for k := uint64(1); keys[0] == 0 || keys[1] == 0; k++ {

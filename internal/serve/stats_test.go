@@ -1,12 +1,21 @@
 package serve_test
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"reflect"
+	"runtime"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hohtx/internal/arena"
+	"hohtx/internal/family"
+	"hohtx/internal/obs"
 	"hohtx/internal/reclaim"
+	"hohtx/internal/serve"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -123,5 +132,143 @@ func TestShardedStatsAreTheShardsSum(t *testing.T) {
 	}
 	if got := sh.LiveNodes(); got != live {
 		t.Errorf("LiveNodes = %d, shards sum to %d", got, live)
+	}
+}
+
+// TestDeferredBooksReconcile (ROADMAP 5(a), one reconciliation): how many
+// retired nodes still wait to be freed has three readers that share no
+// code past the scheme's counters — the scheme's own books (retired −
+// freed), the deferred_depth gauge on the structure's obs domain, and
+// deferred= in INFO over the wire — and on a loopback TMHP server under
+// MULTI churn they agree.
+//
+// Exactly, whenever nothing is in flight. Mid-run each of the two exports
+// is read between two readings of the books, (R1, F1) before and (R2, F2)
+// after. Retired and freed only grow, so at every instant in between the
+// true depth lies in [R1 − F2, R2 − F1]: the interval is as wide as the
+// retirements and frees that completed while the sample was being taken,
+// which is the bound. One more per worker slot on either side: a retire
+// bumps retired, then deferred, in two atomic adds (a free likewise), and a
+// slot can be between its two.
+func TestDeferredBooksReconcile(t *testing.T) {
+	const (
+		slots, conns, batch = 2, 3, 16
+		threshold           = 24 // hazard scan threshold: a scan every other DEL frame
+		samples             = 8
+	)
+	row, err := family.ByName(family.Singly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := obs.NewDomain(obs.DomainConfig{Name: "singly/TMHP", Threads: slots})
+	set, err := row.Build("TMHP", reclaim.Config{Threads: slots, ScanThreshold: threshold, Obs: dom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := startServer(t, serve.NewSharded([]sets.Set{set}), serve.PoolConfig{Slots: slots}, serve.ServerConfig{})
+	control := dialClient(t, ts.addr)
+
+	// The two ways the depth leaves the process.
+	depthGauge := func() int64 {
+		t.Helper()
+		for _, g := range dom.Snapshot().Gauges {
+			if g.Name == "deferred_depth" {
+				return int64(g.Value)
+			}
+		}
+		t.Fatal("the structure's domain has no deferred_depth gauge")
+		return 0
+	}
+	infoDeferred := func() int64 {
+		t.Helper()
+		d, err := strconv.ParseInt(parseInfo(t, control.roundTrip(t, "INFO")[0])["deferred"], 10, 64)
+		if err != nil {
+			t.Fatalf("INFO deferred=: %v", err)
+		}
+		return d
+	}
+
+	// Each connection alternates a frame of SETs with a frame of DELs over
+	// its own keys until told to stop.
+	stop := make(chan struct{})
+	var frames atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		nc, err := net.Dial("tcp", ts.addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer nc.Close()
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
+			for f := 0; ; f++ {
+				verb := [2]string{"SET", "DEL"}[f&1]
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				fmt.Fprintf(bw, "MULTI %d\n", batch)
+				for k := 1; k <= batch; k++ {
+					fmt.Fprintf(bw, "%s %d\n", verb, c*1000+k)
+				}
+				if err := bw.Flush(); err != nil {
+					t.Errorf("conn %d: %v", c, err)
+					return
+				}
+				for k := 1; k <= batch; k++ {
+					if line, err := br.ReadString('\n'); err != nil || line != "1\n" {
+						t.Errorf("conn %d %s %d -> %q, %v", c, verb, c*1000+k, line, err)
+						return
+					}
+				}
+				frames.Add(1)
+			}
+		}(c)
+	}
+
+	var peak int64
+	for s := 0; s < samples; s++ {
+		for next := frames.Load() + 20; frames.Load() < next && !t.Failed(); {
+			runtime.Gosched()
+		}
+		// Each export is bracketed on its own: the gauge is one call away,
+		// INFO a round trip during which whole frames run.
+		b1 := set.ReclaimStats()
+		gauge := depthGauge()
+		b2 := set.ReclaimStats()
+		info := infoDeferred()
+		b3 := set.ReclaimStats()
+		for _, r := range []struct {
+			name          string
+			depth         int64
+			before, after reclaim.Stats
+		}{{"deferred_depth", gauge, b1, b2}, {"INFO deferred=", info, b2, b3}} {
+			lo := int64(r.before.Retired) - int64(r.after.Freed) - slots
+			hi := int64(r.after.Retired) - int64(r.before.Freed) + slots
+			if r.depth < lo || r.depth > hi {
+				t.Errorf("sample %d: %s %d; the books bracket the depth in [%d, %d] (retired %d→%d, freed %d→%d)",
+					s, r.name, r.depth, lo, hi, r.before.Retired, r.after.Retired, r.before.Freed, r.after.Freed)
+			}
+		}
+		peak = max(peak, gauge, info)
+	}
+	close(stop)
+	wg.Wait()
+	if peak == 0 {
+		t.Error("nothing was deferred at any sample: the churn this test reconciles under did not retire")
+	}
+	// Nothing in flight: the three agree exactly, before Shutdown and —
+	// the two that outlive the server — after its Finish sweep.
+	st := set.ReclaimStats()
+	if gauge, info := depthGauge(), infoDeferred(); int64(st.Retired-st.Freed) != gauge || gauge != info {
+		t.Errorf("at quiescence: retired-freed %d, deferred_depth %d, INFO deferred= %d", st.Retired-st.Freed, gauge, info)
+	}
+	ts.drain()
+	st = set.ReclaimStats()
+	if gauge := depthGauge(); int64(st.Retired-st.Freed) != gauge {
+		t.Errorf("after drain: retired-freed %d, deferred_depth %d", st.Retired-st.Freed, gauge)
 	}
 }

@@ -96,23 +96,28 @@ func TestParseIntBytes(t *testing.T) {
 	}
 }
 
-// TestWireErrMessages pins the rendered diagnoses byte-for-byte to the
-// fmt.Errorf strings the protocol has always produced, so replacing the
-// heap-allocated errors with value diagnoses is invisible on the wire.
+// wireErrCases are diagnoses beside the fmt.Errorf strings the protocol has
+// always produced for them (bound 9999), and FuzzAppendWireErr's first seeds.
+var wireErrCases = []struct {
+	we   wireErr
+	want string
+}{
+	{wireErr{code: errMissingKey}, "missing key"},
+	{wireErr{code: errBadKey, arg: []byte("zero")}, fmt.Sprintf("bad key %q", "zero")},
+	{wireErr{code: errBadKey, arg: []byte("1\x00x")}, fmt.Sprintf("bad key %q", "1\x00x")},
+	{wireErr{code: errKeyRange, key: 123456}, fmt.Sprintf("key %d out of range [1, %d]", 123456, 9999)},
+	{wireErr{code: errNotKeyOp}, "not a key op"},
+	{wireErr{code: errBadCount, arg: []byte("+0")}, fmt.Sprintf("bad count %q", "+0")},
+	{wireErr{code: errOversize, key: 10000}, fmt.Sprintf("batch of %d exceeds max %d", 10000, 9999)},
+	{wireErr{code: errBadKey, op: 3, arg: []byte("zero")}, fmt.Sprintf("op %d: bad key %q", 2, "zero")},
+}
+
+// TestWireErrMessages pins the rendered diagnoses byte-for-byte to those
+// strings, so replacing the heap-allocated errors with value diagnoses is
+// invisible on the wire.
 func TestWireErrMessages(t *testing.T) {
-	const maxKey = 9999
-	cases := []struct {
-		we   wireErr
-		want string
-	}{
-		{wireErr{code: errMissingKey}, "missing key"},
-		{wireErr{code: errBadKey, arg: []byte("zero")}, fmt.Sprintf("bad key %q", "zero")},
-		{wireErr{code: errBadKey, arg: []byte("1\x00x")}, fmt.Sprintf("bad key %q", "1\x00x")},
-		{wireErr{code: errKeyRange, key: 123456}, fmt.Sprintf("key %d out of range [1, %d]", 123456, maxKey)},
-		{wireErr{code: errNotKeyOp}, "not a key op"},
-	}
-	for _, c := range cases {
-		if got := string(appendWireErr(nil, c.we, maxKey)); got != c.want {
+	for _, c := range wireErrCases {
+		if got := string(appendWireErr(nil, c.we, 9999)); got != c.want {
 			t.Errorf("appendWireErr(%+v) = %q, want %q", c.we, got, c.want)
 		}
 	}

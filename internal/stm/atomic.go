@@ -138,13 +138,7 @@ func (rt *Runtime) window(tx *Tx, p *obs.TxProbe, sp *obs.Span, batch int, fn fu
 			}
 			continue
 		}
-		if sampled {
-			b0 := obs.Now()
-			backoff(tx, attempt)
-			p.BackoffNs.RecordAt(tx.slotHash, uint64(obs.Now()-b0))
-		} else {
-			backoff(tx, attempt)
-		}
+		backoff(tx, attempt)
 	}
 }
 

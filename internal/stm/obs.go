@@ -3,10 +3,10 @@ package stm
 import "hohtx/internal/obs"
 
 // Observability hooks. The runtime's aggregate counters (stats.go) answer
-// "how many"; the obs probe answers "how long" and "who": commit latency
-// and backoff histograms, a flight recorder of sampled transaction
-// lifecycles, and a who-aborted-whom attribution table keyed by the
-// conflicting cell's version word.
+// "how many"; the obs probe answers "how long" and "who": the commit
+// latency histogram, a flight recorder of sampled transaction lifecycles,
+// and a who-aborted-whom attribution table keyed by the conflicting cell's
+// version word.
 //
 // The sampling decision is made once per transaction, not per event, so
 // each sampled transaction contributes a complete begin→(abort|serial)*→
@@ -20,9 +20,6 @@ import "hohtx/internal/obs"
 // synchronized with in-flight transactions: wire it before the runtime is
 // shared, as the data structure constructors do.
 func (rt *Runtime) SetObserver(p *obs.TxProbe) { rt.obs = p }
-
-// Observer returns the attached probe (nil when observability is off).
-func (rt *Runtime) Observer() *obs.TxProbe { return rt.obs }
 
 // noteCommit records a sampled transaction's whole-call latency, claims
 // the written cells in the attribution table and logs the commit.

@@ -4,6 +4,7 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestObserverTrace(t *testing.T) {
 		t.Fatalf("counter = %d", w.Raw())
 	}
 
-	ev := d.Recorder().Events()
+	ev := d.TxProbe().Rec.Events()
 	var kinds []obs.EventKind
 	for _, e := range ev {
 		if e.Tid != 2 {
@@ -138,6 +139,37 @@ func TestObserverTrace(t *testing.T) {
 	}
 	if len(s.Aborts) != 1 || s.Aborts[0].Victim != 2 || s.Aborts[0].Owner != -1 {
 		t.Fatalf("attribution edges: %+v", s.Aborts)
+	}
+}
+
+// TestObsCauseNamesMirrorAbortCause pins the table obs keeps by hand: it
+// sits below stm in the import order, so it names abort causes by ordinal
+// (obs.causeNames) and counts them in a fixed array (spanMaxCauses). Every
+// cause stamped the way the runtime stamps it — onto a request span and
+// into the recorder's abort line — must come back under its own String; a
+// cause past the span's array would come back as nothing at all, which is
+// how numCauses ≤ spanMaxCauses is checked from here.
+func TestObsCauseNamesMirrorAbortCause(t *testing.T) {
+	rec := obs.NewRecorder(1, int(numCauses))
+	for c := CauseNone; c < numCauses; c++ {
+		var sp obs.Span
+		sp.NoteAbort(uint8(c), -1)
+		got := sp.Causes()
+		if len(got) != 1 || got[0].Cause != c.String() || got[0].Count != 1 {
+			t.Errorf("span tallies for cause %d (%v) = %+v", c, c, got)
+		}
+		rec.Emit(0, obs.EvAbort, uint8(c), 0, ^uint64(0))
+	}
+	var b strings.Builder
+	rec.DumpTail(&b, 0)
+	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
+	if len(lines) != int(numCauses) {
+		t.Fatalf("recorder dumped %d lines for %d aborts:\n%s", len(lines), numCauses, b.String())
+	}
+	for c := CauseNone; c < numCauses; c++ {
+		if want := " cause=" + c.String() + " "; !strings.Contains(lines[c], want) {
+			t.Errorf("abort line for cause %d = %q, want it to carry %q", c, lines[c], want)
+		}
 	}
 }
 
@@ -169,7 +201,7 @@ func TestObserverAttribution(t *testing.T) {
 		w.Store(tx, v+100)
 	})
 
-	edges := d.Attr().Edges()
+	edges := d.TxProbe().Attr.Edges()
 	found := false
 	for _, e := range edges {
 		if e.Victim == 3 && e.Owner == 1 {

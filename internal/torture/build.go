@@ -123,11 +123,7 @@ func buildOne(cfg Config, guard *guardCollector, obsName string) (*instance, err
 	// Every TM-backed instance carries an always-sampled observability
 	// domain so a failed run can dump its flight recorder next to the repro
 	// line; the lock-free baselines ignore it.
-	dom := obs.NewDomain(obs.DomainConfig{
-		Name:       obsName,
-		Threads:    cfg.Threads,
-		RingEvents: 512,
-	})
+	dom := obs.NewDomain(obs.DomainConfig{Name: obsName, Threads: cfg.Threads})
 	set, err := row.Build(cfg.Variant, reclaim.Config{
 		Threads: cfg.Threads, Window: core.Window{W: cfg.Window},
 		ArenaPolicy: cfg.Policy, Guard: cfg.Guard, GuardSink: sink, Obs: dom,

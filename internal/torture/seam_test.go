@@ -33,9 +33,9 @@ var toyMode = reclaim.RegisterScheme("TMTOY", func(n reclaim.Nodes) reclaim.Sche
 	return &toyHP{slots: map[[2]int]arena.Handle{}, free: n.Free}
 })
 
-func (s *toyHP) Name() string                  { return "toy" }
-func (s *toyHP) Born(arena.Handle)             {}
-func (s *toyHP) SetObserver(*obs.ReclaimProbe) {}
+func (s *toyHP) Name() string             { return "toy" }
+func (s *toyHP) Born(arena.Handle)        {}
+func (s *toyHP) SetObserver(*obs.TxProbe) {}
 func (s *toyHP) Traits() reclaim.Traits {
 	return reclaim.Traits{Deferred: true, DrainRounds: 2, StrandBound: true, Pins: true}
 }
