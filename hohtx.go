@@ -247,10 +247,9 @@ func NewSkipListSet(cfg Config) Set { return build(family.Skip, cfg) }
 // present for the whole scan appear exactly once, in strictly ascending
 // order, and concurrent removals still reclaim immediately. AscendN is
 // Ascend told beforehand how many keys are wanted: it reads nothing past
-// the last of them. Variants
-// whose reclamation scheme cannot hold a revocable cursor (TMHP, REF, ER
-// and the lock-free baselines) return ErrScanUnsupported instead of
-// iterating.
+// the last of them. The skiplist scans under every mode; the lists only
+// under RR and HTM (their other modes return ErrScanUnsupported instead of
+// iterating); the lock-free baselines never (they are not Ascenders).
 type Ascender = sets.Ascender
 
 // ErrScanUnsupported is returned by Ascender.Ascend when the variant

@@ -333,9 +333,6 @@ func (a *Arena[T]) SetRetire(f func(*T)) { a.retire = f }
 // a slot went back. Wire it before the arena is shared.
 func (a *Arena[T]) SetObserver(p *obs.TxProbe) { a.obsv = p }
 
-// Policy reports the arena's free-list policy.
-func (a *Arena[T]) Policy() Policy { return a.cfg.Policy }
-
 // At returns the object named by h. It never fails for any handle ever
 // returned by Alloc, even after the slot was freed or recycled (see the
 // package comment); it panics only on the nil handle, a foreign index, or a
@@ -447,15 +444,6 @@ func (a *Arena[T]) Free(tid int, h Handle) {
 		return
 	}
 	a.pushShared(idx)
-}
-
-// FreeBatch releases a batch of handles (used by the deferred-reclamation
-// baselines, whose batched frees are exactly the allocator-contention
-// trigger Figure 5 studies).
-func (a *Arena[T]) FreeBatch(tid int, hs []Handle) {
-	for _, h := range hs {
-		a.Free(tid, h)
-	}
 }
 
 func (a *Arena[T]) slotAt(idx uint32) *slot[T] {

@@ -59,10 +59,10 @@ func TestERSmallReadFootprint(t *testing.T) {
 			l.Lookup(0, n) // full-length traversal
 		}
 	}
-	if s := er.Runtime().Stats(); s.Aborts[capacityCause()] != 0 {
+	if s := er.RT.Stats(); s.Aborts[capacityCause()] != 0 {
 		t.Fatalf("ER hit %d capacity aborts; early release is not shrinking the read set", s.Aborts[capacityCause()])
 	}
-	if s := htm.Runtime().Stats(); s.SerialCommits == 0 {
+	if s := htm.RT.Stats(); s.SerialCommits == 0 {
 		t.Fatal("HTM baseline never serialized despite capacity 64 over a 300-node traversal")
 	}
 }

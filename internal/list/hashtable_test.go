@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hohtx/internal/core"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 )
 
@@ -17,9 +18,9 @@ func hashVariants(threads int) []*HashTable {
 	}
 	out = append(out,
 		NewHashTable(Config{Mode: ModeHTM, Threads: threads}, 16),
-		NewHashTable(Config{Mode: ModeTMHP, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
-		NewHashTable(Config{Mode: ModeTMHE, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
-		NewHashTable(Config{Mode: ModeTMVBR, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
+		NewHashTable(Config{Mode: reclaim.ModeTMHP, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
+		NewHashTable(Config{Mode: reclaim.ModeTMHE, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
+		NewHashTable(Config{Mode: reclaim.ModeTMVBR, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
 	)
 	return out
 }

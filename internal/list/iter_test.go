@@ -8,6 +8,7 @@ import (
 
 	"hohtx/internal/core"
 	"hohtx/internal/obs"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -77,7 +78,7 @@ func TestAscendHTMMode(t *testing.T) {
 // (they used to panic, which an ASCEND wire request could trigger
 // remotely) and never call fn.
 func TestAscendUnsupportedModes(t *testing.T) {
-	for _, mode := range []Mode{ModeTMHP, ModeTMHE, ModeTMVBR, ModeREF, ModeER} {
+	for _, mode := range []Mode{reclaim.ModeTMHP, reclaim.ModeTMHE, reclaim.ModeTMVBR, ModeREF, ModeER} {
 		l := New(Config{Mode: mode, Threads: 1, Window: core.Window{W: 4}})
 		l.Register(0)
 		l.Insert(0, 1)

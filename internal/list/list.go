@@ -24,16 +24,14 @@ import (
 // for what each value means.
 type Mode = reclaim.Mode
 
-// The modes the lists accept. ModeREF and ModeER are implemented here (the
-// singly linked list and the hash table only); the rest are the seam's.
+// The modes the lists' own code names: the precise pair, and REF and ER,
+// which are implemented here (the singly linked list and the hash table
+// only) rather than in the seam.
 const (
-	ModeRR    = reclaim.ModeRR
-	ModeHTM   = reclaim.ModeHTM
-	ModeTMHP  = reclaim.ModeTMHP
-	ModeREF   = reclaim.ModeREF
-	ModeER    = reclaim.ModeER
-	ModeTMHE  = reclaim.ModeTMHE
-	ModeTMVBR = reclaim.ModeTMVBR
+	ModeRR  = reclaim.ModeRR
+	ModeHTM = reclaim.ModeHTM
+	ModeREF = reclaim.ModeREF
+	ModeER  = reclaim.ModeER
 )
 
 // node is the shared node layout. Every field is a transactional cell;

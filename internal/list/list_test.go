@@ -8,6 +8,7 @@ import (
 
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -20,9 +21,9 @@ func variants(threads int, w int) []*List {
 	}
 	out = append(out,
 		New(Config{Mode: ModeHTM, Threads: threads}),
-		New(Config{Mode: ModeTMHP, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
-		New(Config{Mode: ModeTMHE, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
-		New(Config{Mode: ModeTMVBR, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		New(Config{Mode: reclaim.ModeTMHP, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		New(Config{Mode: reclaim.ModeTMHE, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		New(Config{Mode: reclaim.ModeTMVBR, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
 		New(Config{Mode: ModeREF, Threads: threads, Window: core.Window{W: w}}),
 		New(Config{Mode: ModeER, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
 	)
@@ -131,7 +132,7 @@ func TestPreciseReclamation(t *testing.T) {
 // TestTMHPDefersReclamation checks the contrast case: hazard-pointer
 // reclamation leaves retired nodes unfreed until a scan.
 func TestTMHPDefersReclamation(t *testing.T) {
-	l := New(Config{Mode: ModeTMHP, Threads: 1, Window: core.Window{W: 4}, ScanThreshold: 1000})
+	l := New(Config{Mode: reclaim.ModeTMHP, Threads: 1, Window: core.Window{W: 4}, ScanThreshold: 1000})
 	l.Register(0)
 	for key := uint64(1); key <= 50; key++ {
 		l.Insert(0, key)
@@ -284,13 +285,13 @@ func TestConcurrentStressTinyCapacity(t *testing.T) {
 		Profile: stm.Profile{Capacity: 24, MaxAttempts: 2},
 	})
 	runStress(t, l, 4, 600, 64, l)
-	if l.Runtime().Stats().SerialCommits == 0 {
+	if l.RT.Stats().SerialCommits == 0 {
 		t.Fatal("expected serial fallbacks with capacity 24")
 	}
 }
 
 func TestDoublySequential(t *testing.T) {
-	for _, mode := range []Mode{ModeRR, ModeHTM, ModeTMHP, ModeTMHE, ModeTMVBR} {
+	for _, mode := range []Mode{ModeRR, ModeHTM, reclaim.ModeTMHP, reclaim.ModeTMHE, reclaim.ModeTMVBR} {
 		cfg := Config{Mode: mode, RRKind: core.KindFA, Threads: 1, Window: core.Window{W: 3}}
 		d := NewDoubly(cfg)
 		t.Run(d.Name(), func(t *testing.T) {
@@ -358,9 +359,9 @@ func TestDoublyConcurrentStress(t *testing.T) {
 	}
 	all = append(all,
 		NewDoubly(Config{Mode: ModeHTM, Threads: threads}),
-		NewDoubly(Config{Mode: ModeTMHP, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
-		NewDoubly(Config{Mode: ModeTMHE, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
-		NewDoubly(Config{Mode: ModeTMVBR, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
+		NewDoubly(Config{Mode: reclaim.ModeTMHP, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
+		NewDoubly(Config{Mode: reclaim.ModeTMHE, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
+		NewDoubly(Config{Mode: reclaim.ModeTMVBR, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
 	)
 	for _, d := range all {
 		t.Run(d.Name(), func(t *testing.T) {
@@ -481,7 +482,7 @@ func TestRRVLookupWindowsCommitReadOnly(t *testing.T) {
 // then spin in the attempt's own pending writes without ever validating a
 // read. The allocation must abort the attempt instead.
 func TestAllocatedSlotPostdatesSnapshot(t *testing.T) {
-	for _, mode := range []Mode{ModeRR, ModeHTM, ModeREF, ModeTMHP} {
+	for _, mode := range []Mode{ModeRR, ModeHTM, ModeREF, reclaim.ModeTMHP} {
 		t.Run(mode.String(), func(t *testing.T) {
 			// ScanThreshold 1: the deferred mode frees at its first retire.
 			l := New(Config{Mode: mode, Threads: 2, ArenaPolicy: arena.PolicyShared, ScanThreshold: 1})

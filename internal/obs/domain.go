@@ -81,9 +81,6 @@ func NewDomain(cfg DomainConfig) *Domain {
 	return d
 }
 
-// Name returns the domain's label.
-func (d *Domain) Name() string { return d.name }
-
 // Sampled is the per-event gate every instrumented site consults. With
 // sampling disabled (negative shift) the cost is one load and one branch —
 // the "disabled cost" the package comment promises. hint is any per-thread

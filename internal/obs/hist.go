@@ -19,14 +19,6 @@ const histShards = 16
 // BucketOf returns the bucket index for a value.
 func BucketOf(v uint64) int { return bits.Len64(v) }
 
-// BucketLower returns the smallest value in bucket i.
-func BucketLower(i int) uint64 {
-	if i <= 0 {
-		return 0
-	}
-	return 1 << uint(i-1)
-}
-
 // BucketUpper returns the largest value in bucket i (the value quantile
 // estimates report, so the estimate errs upward by at most one bucket).
 func BucketUpper(i int) uint64 {
@@ -65,9 +57,6 @@ type Histogram struct {
 func NewHistogram(name, unit string) *Histogram {
 	return &Histogram{name: name, unit: unit}
 }
-
-// Name returns the histogram's export name.
-func (h *Histogram) Name() string { return h.name }
 
 // Record adds v on shard 0. Single-threaded callers only; concurrent
 // recorders should use RecordAt with a per-thread hint.
@@ -173,31 +162,4 @@ func (s HistSnapshot) Quantile(q float64) uint64 {
 		}
 	}
 	return s.Max
-}
-
-// Mean returns the arithmetic mean of recorded values (exact, not
-// bucketed: Sum and Count are tracked directly).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// Merge folds o into s (same bucket layout by construction).
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	if len(o.Buckets) > len(s.Buckets) {
-		s.Buckets = append(s.Buckets, make([]uint64, len(o.Buckets)-len(s.Buckets))...)
-	}
-	for b := range o.Buckets {
-		s.Buckets[b] += o.Buckets[b]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.P50 = s.Quantile(0.50)
-	s.P90 = s.Quantile(0.90)
-	s.P99 = s.Quantile(0.99)
 }

@@ -17,7 +17,7 @@ func TestSlowlogHandlerChecksN(t *testing.T) {
 	sl := NewSlowlog(8, time.Hour)
 	d.SetSlowlog(sl)
 	for i := 0; i < 3; i++ {
-		sp := NewSpan("GET")
+		sp := newSpan("GET")
 		sp.Finish(sp.start + int64(100*(i+1)))
 		sl.Observe(sp)
 	}

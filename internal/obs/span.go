@@ -84,13 +84,6 @@ type Span struct {
 	live     bool // guards double-finish / reset-while-armed
 }
 
-// NewSpan creates a span running from now.
-func NewSpan(verb string) *Span {
-	sp := &Span{}
-	sp.Reset(verb, Now())
-	return sp
-}
-
 // Reset re-arms a finished (or fresh) span for a request that began at
 // start — a Now stamp the caller already holds, typically the previous
 // request's end. Resetting a live span panics: a span that comes back

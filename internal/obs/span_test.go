@@ -8,6 +8,16 @@ import (
 	"unsafe"
 )
 
+// newSpan returns a span armed for verb, running from now.
+func newSpan(verb string) *Span {
+	sp := &Span{}
+	sp.Reset(verb, Now())
+	return sp
+}
+
+// add charges weight w to key in t, as a batch of one.
+func add(t *TopK, key, w uint64) { t.AddAll([]KeyWeight{{key, w}}) }
+
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -22,7 +32,7 @@ func mustPanic(t *testing.T, what string, fn func()) {
 // harness relies on: a live span cannot be re-armed (a leaked span), and
 // a span cannot finish twice (two paths would publish one request).
 func TestSpanLifecyclePanics(t *testing.T) {
-	sp := NewSpan("GET")
+	sp := newSpan("GET")
 	mustPanic(t, "Reset on live span", func() { sp.Reset("GET", Now()) })
 	sp.Finish(Now())
 	mustPanic(t, "second Finish", func() { sp.Finish(Now()) })
@@ -88,7 +98,7 @@ func TestConnForensicStateSize(t *testing.T) {
 // count is kept, owners deduplicate into the bounded list, and cause
 // ordinals tally under their stm-mirrored names.
 func TestSpanBoundedCapture(t *testing.T) {
-	sp := NewSpan("MULTI")
+	sp := newSpan("MULTI")
 	for k := uint64(1); k <= 10; k++ {
 		sp.AddKey(k)
 	}
@@ -148,7 +158,7 @@ func TestSpanTableBounds(t *testing.T) {
 	}
 
 	d := NewDomain(DomainConfig{Name: "t"}) // Threads unset: no span table
-	sp := NewSpan("GET")
+	sp := newSpan("GET")
 	d.SetSpan(0, sp)
 	if d.SpanOf(0) != nil {
 		t.Error("span table absent but SpanOf returned a span")
@@ -300,9 +310,9 @@ func TestSlowlogEntrySnapshot(t *testing.T) {
 // whose true weight exceeds N/k is always retained.
 func TestTopKSpaceSaving(t *testing.T) {
 	k := NewTopK(2)
-	k.Add(1, 3)
-	k.Add(2, 2)
-	k.Add(3, 1) // evicts key 2 (min, count 2): key 3 reports 3 with err 2
+	add(k, 1, 3)
+	add(k, 2, 2)
+	add(k, 3, 1) // evicts key 2 (min, count 2): key 3 reports 3 with err 2
 	items := k.Items()
 	if len(items) != 2 {
 		t.Fatalf("Items = %+v, want 2 entries", items)
@@ -321,9 +331,9 @@ func TestTopKSpaceSaving(t *testing.T) {
 	// Heavy hitter: key 1's true weight (13 of N=19) far exceeds N/k; it
 	// must still be present — and ranked first — after churn.
 	for i := uint64(10); i < 20; i++ {
-		k.Add(i, 1)
+		add(k, i, 1)
 	}
-	k.Add(1, 10)
+	add(k, 1, 10)
 	items = k.Items()
 	if items[0].Key != 1 {
 		t.Errorf("heavy hitter evicted: %+v", items)
@@ -346,7 +356,7 @@ func TestTopKAddAllEqualsAdds(t *testing.T) {
 		for i := 0; i < len(seq); i += batch {
 			chunk := seq[i:min(i+batch, len(seq))]
 			for _, it := range chunk {
-				one.Add(it.Key, it.W)
+				add(one, it.Key, it.W)
 			}
 			all.AddAll(chunk)
 			if a, b := one.Items(), all.Items(); !reflect.DeepEqual(a, b) {
@@ -376,8 +386,8 @@ func TestBurstPublishesInOrder(t *testing.T) {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		shard, key, ns, aborts := int(rng>>40)%2, 1+(rng>>33)%19, 100+(rng>>20)%900, (rng>>10)%3
 		b.Key(shard, key, ns, aborts)
-		direct[shard].Latency.Add(key, ns)
-		direct[shard].Aborts.Add(key, aborts)
+		add(direct[shard].Latency, key, ns)
+		add(direct[shard].Aborts, key, aborts)
 		if i%7 == 0 {
 			b.Publish()
 		}
@@ -396,10 +406,10 @@ func TestBurstPublishesInOrder(t *testing.T) {
 func TestRollupHot(t *testing.T) {
 	a := NewHotKeys(4)
 	b := NewHotKeys(4)
-	a.Aborts.Add(1, 5)
-	a.Latency.Add(1, 100)
-	b.Aborts.Add(2, 9)
-	b.Latency.Add(2, 50)
+	add(a.Aborts, 1, 5)
+	add(a.Latency, 1, 100)
+	add(b.Aborts, 2, 9)
+	add(b.Latency, 2, 50)
 	r := RollupHot([]*HotKeys{a, nil, b})
 	if r.Shard != -1 {
 		t.Errorf("rollup shard = %d, want -1", r.Shard)
@@ -419,9 +429,6 @@ func TestHistSnapshotEdgeCases(t *testing.T) {
 	if empty.Quantile(0.5) != 0 || empty.Quantile(math.NaN()) != 0 {
 		t.Error("empty snapshot quantile != 0")
 	}
-	if m := empty.Mean(); m != 0 || math.IsNaN(m) {
-		t.Errorf("empty snapshot Mean = %v, want 0", m)
-	}
 
 	h := NewHistogram("t", "ns")
 	h.Record(5)
@@ -437,9 +444,6 @@ func TestHistSnapshotEdgeCases(t *testing.T) {
 		if got := s.Quantile(q); got != 100 {
 			t.Errorf("Quantile(%v) = %d, want recorded max 100", q, got)
 		}
-	}
-	if m := s.Mean(); m != 52.5 {
-		t.Errorf("Mean = %v, want 52.5 (exact, not bucketed)", m)
 	}
 
 	// Single-bucket population: every quantile lands in that bucket, and

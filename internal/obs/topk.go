@@ -44,9 +44,6 @@ func NewTopK(k int) *TopK {
 // KeyWeight is one sketch update: weight W for Key.
 type KeyWeight struct{ Key, W uint64 }
 
-// Add adds weight w for key (w 0 is a no-op).
-func (t *TopK) Add(key uint64, w uint64) { t.AddAll([]KeyWeight{{key, w}}) }
-
 // AddAll applies items in order under one lock acquisition: the sketch
 // ends up exactly as len(items) Adds would have left it — what lets a
 // connection publish a whole burst's keys at once. An empty batch takes no

@@ -284,9 +284,6 @@ func (c *Chassis[N]) Register(tid int) { c.Link.Register(tid) }
 // Finish implements part of sets.Set: it flushes tid's deferred reclamation.
 func (c *Chassis[N]) Finish(tid int) { c.Link.Finish(tid, c.ops[tid].n) }
 
-// Runtime exposes the structure's TM runtime (statistics, ablation benches).
-func (c *Chassis[N]) Runtime() *stm.Runtime { return c.RT }
-
 // ObsDomain implements sets.ObsReporter (nil when Config.Obs was nil).
 func (c *Chassis[N]) ObsDomain() *obs.Domain { return c.obs }
 

@@ -137,8 +137,8 @@ func TestHEBirthRestampOnReuse(t *testing.T) {
 	}
 
 	he.Protect(1, 0, arena.Handle(1)) // re-publish: reservation now at era 2
-	old := he.Era()
-	for he.Era() == old {
+	old := he.era.Load()
+	for he.era.Load() == old {
 		// Advance the era so the next incarnation is born strictly later
 		// than the published reservation.
 		he.Retire(0, heAlloc(a, he, 0), 3)

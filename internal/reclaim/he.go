@@ -162,9 +162,6 @@ func (he *HazardEras) Name() string { return "HE" }
 // Traits implements Scheme.
 func (he *HazardEras) Traits() Traits { return Traits{Deferred: true, DrainRounds: 2, Pins: true} }
 
-// Era returns the current global era (exposed for tests and gauges).
-func (he *HazardEras) Era() uint64 { return he.era.Load() }
-
 // Born implements Scheme: it records the current era as h's birth era.
 // The seam calls it immediately after h is allocated, before the node is
 // published (an aborted alloc leaves a stale entry; the slot's next

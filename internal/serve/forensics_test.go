@@ -295,6 +295,13 @@ func TestSlowlogVerbErrors(t *testing.T) {
 	}
 }
 
+// newSpan returns a span armed for verb, running from now.
+func newSpan(verb string) *obs.Span {
+	sp := &obs.Span{}
+	sp.Reset(verb, obs.Now())
+	return sp
+}
+
 // TestAcquireSpanStampsWait: a queued lease stamps the span's Wait phase
 // with the time spent behind other leaseholders; the uncontended fast
 // path stamps nothing.
@@ -302,7 +309,7 @@ func TestAcquireSpanStampsWait(t *testing.T) {
 	set := newSet(t, 1)
 	p := serve.NewPool(set, serve.PoolConfig{Slots: 1})
 
-	sp := obs.NewSpan("GET")
+	sp := newSpan("GET")
 	h := p.Handle()
 	if slot, err := h.AcquireSpan(context.Background(), sp); err != nil {
 		t.Fatalf("fast-path AcquireSpan: %v", err)
@@ -312,7 +319,7 @@ func TestAcquireSpanStampsWait(t *testing.T) {
 			t.Errorf("uncontended acquire stamped wait=%d, want 0", got)
 		}
 
-		sp2 := obs.NewSpan("GET")
+		sp2 := newSpan("GET")
 		const stall = 40 * time.Millisecond
 		got := make(chan int, 1)
 		go func() {
@@ -355,7 +362,7 @@ func TestStmStampsSpan(t *testing.T) {
 	for i := range ops {
 		ops[i] = sets.Op{Kind: sets.OpInsert, Key: uint64(i + 1)}
 	}
-	sp := obs.NewSpan("MULTI")
+	sp := newSpan("MULTI")
 	err = p.Do(context.Background(), func(tid int) {
 		dom.SetSpan(tid, sp)
 		defer dom.SetSpan(tid, nil)

@@ -17,7 +17,10 @@ import (
 // holds it to that reference on whatever bytes the fuzzer finds. `go test`
 // runs the seeds; nightly.yml runs each target under -fuzz for a minute.
 // The seeds are wire_test.go's tables and the argument tokens, body lines
-// and framings the golden transcript (pipeline_test.go) sends.
+// and framings the golden transcript (pipeline_test.go) sends. The one
+// target above the codec, FuzzServeMulti (a whole MULTI frame through a
+// loopback server), sits in pipeline_test.go beside the wire model it is
+// held to.
 
 // goldenTokens are the key and count arguments of the golden transcript's
 // requests, well-formed and not.

@@ -174,11 +174,7 @@ func TestMultiInterleaved(t *testing.T) {
 // cross-shard contract as multi=per-shard.
 func TestMultiSharded(t *testing.T) {
 	ts := startServer(t, newSharded(t, 2, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{})
-	srv, addr := ts.srv, ts.addr
-	if srv.Shards() != 2 {
-		t.Fatalf("shards = %d", srv.Shards())
-	}
-	cl := dialClient(t, addr)
+	cl := dialClient(t, ts.addr)
 
 	// Keys 1..8 split across shards by ShardOf; the batch mixes them.
 	var ops []string
@@ -197,12 +193,12 @@ func TestMultiSharded(t *testing.T) {
 			t.Fatalf("mixed reply %d = %q, want %q (all: %v)", i, got[i], want[i], got)
 		}
 	}
-	if srv.Len() != 7 {
-		t.Fatalf("Len = %d, want 7", srv.Len())
+	if n := ts.srv.Len(); n != 7 {
+		t.Fatalf("Len = %d, want 7", n)
 	}
 
 	info := cl.roundTrip(t, "INFO")[0]
-	for _, wantField := range []string{"multi=per-shard", "maxbatch=", "commits=", "ro_commits=", "rw_commits=", "serial=", "aborts="} {
+	for _, wantField := range []string{"shards=2 ", "multi=per-shard", "maxbatch=", "commits=", "ro_commits=", "rw_commits=", "serial=", "aborts="} {
 		if !strings.Contains(info, wantField) {
 			t.Errorf("sharded INFO %q missing %q", info, wantField)
 		}

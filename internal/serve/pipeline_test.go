@@ -9,8 +9,10 @@ import (
 	"net"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"hohtx/internal/bench"
 	"hohtx/internal/obs"
@@ -52,7 +54,7 @@ func (c pipelineCfg) String() string {
 
 // pipelineServer starts the cell's server over fresh shards and returns the
 // aggregate view of those shards beside its address.
-func pipelineServer(t *testing.T, cfg pipelineCfg, maxKey uint64, maxBatch int) (*serve.Sharded, string) {
+func pipelineServer(t testing.TB, cfg pipelineCfg, maxKey uint64, maxBatch int) (*serve.Sharded, string) {
 	t.Helper()
 	sh, err := bench.BuildSharded(cmp.Or(cfg.family, bench.FamilySingly),
 		bench.VariantSpec{Name: cfg.variant, Observe: cfg.traced}, goldenSlots, cfg.shards)
@@ -96,26 +98,11 @@ func (m *wireModel) keyErr(arg string) (uint64, string) {
 	return k, ""
 }
 
-// count parses a wire count: an optional sign, then a few digits.
+// count parses a wire count: a decimal with an optional sign, as strconv
+// reads it (leading zeros included), of at most 1<<62.
 func count(arg string) (int, bool) {
-	digits := arg
-	if arg != "" && (arg[0] == '+' || arg[0] == '-') {
-		digits = arg[1:]
-	}
-	if digits == "" || len(digits) > 9 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	if arg[0] == '-' {
-		n = -n
-	}
-	return n, true
+	n, err := strconv.ParseInt(arg, 10, 64)
+	return int(n), err == nil && n <= 1<<62
 }
 
 // op applies one GET/SET/DEL line, or names why it is not one.
@@ -443,6 +430,74 @@ func TestGoldenUnterminatedFinalRequest(t *testing.T) {
 			t.Fatalf("autobatch=%d: got %q, %v; want 1 1 1", ab, got, err)
 		}
 	}
+}
+
+// FuzzServeMulti sends one whole MULTI frame per input — "MULTI " and the
+// count argument, then body lines cut from the second argument — through
+// serveMulti on one loopback server, and holds the reply and a LEN after it
+// (the frame left the connection in step) to wireModel (ROADMAP 1(c)). The
+// body is as many lines as a count the server accepts or drains says,
+// truncated or padded with "GET 1", and empty where the count is malformed
+// or drops the connection. Each input starts from an empty set, so a
+// crasher replays alone. The seeds are the golden transcript's frames.
+func FuzzServeMulti(f *testing.F) {
+	for _, r := range goldenScript() {
+		if arg, ok := strings.CutPrefix(r.head, "MULTI"); ok {
+			f.Add(strings.TrimPrefix(arg, " "), strings.Join(r.body, "\n"))
+		}
+	}
+	f.Add("0000000088", "SET 1") // ten digits: a model that capped counts at nine hung here
+	cfg := pipelineCfg{variant: "RR-V", shards: 2}
+	sh, addr := pipelineServer(f, cfg, goldenMaxKey, goldenMaxBatch)
+	m := &wireModel{cfg: cfg, maxKey: goldenMaxKey, maxBatch: goldenMaxBatch,
+		baseline: sh.LiveNodes(), name: sh.Shard(0).Name(), scans: sh.CanAscend(),
+		keys: map[uint64]bool{}}
+	f.Fuzz(func(t *testing.T, arg, body string) {
+		if strings.Contains(arg, "\n") {
+			t.Skip("the count argument is one line")
+		}
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer nc.Close()
+		_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+		br := bufio.NewReader(nc)
+		// roundTrip sends r and checks the reply; it reports whether the
+		// reply dropped the connection.
+		roundTrip := func(r request) (closed bool) {
+			t.Helper()
+			wire := r.wire()
+			if _, err := io.WriteString(nc, wire); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			// The server frames lines as ReadString + TrimRight "\r\n" does.
+			r.head = strings.TrimRight(r.head, "\r")
+			for i := range r.body {
+				r.body[i] = strings.TrimRight(r.body[i], "\r")
+			}
+			want := m.reply(r)
+			if got := readReply(t, br, want, true); got != want {
+				t.Fatalf("%q:\n got %q\nwant %q", wire, got, want)
+			}
+			return strings.HasSuffix(want, closes)
+		}
+		for _, k := range m.sorted() {
+			roundTrip(request{head: fmt.Sprintf("DEL %d", k)})
+		}
+
+		r := request{head: "MULTI " + arg}
+		if n, ok := count(strings.TrimRight(arg, "\r")); ok && n >= 1 && n <= goldenMaxBatch*16 {
+			r.body = strings.Split(body, "\n")
+			for len(r.body) < n {
+				r.body = append(r.body, "GET 1")
+			}
+			r.body = r.body[:n]
+		}
+		if !roundTrip(r) {
+			roundTrip(request{head: "LEN"})
+		}
+	})
 }
 
 // TestWireMatchesShardedTwin is the differential: random op runs (plain

@@ -192,9 +192,6 @@ func NewServer(cfg ServerConfig) *Server {
 // this server's successful SET/DEL balance).
 func (s *Server) Len() int64 { return s.keys.Load() }
 
-// Shards returns how many shards the server routes across.
-func (s *Server) Shards() int { return len(s.shards) }
-
 // Serve accepts connections on ln until Shutdown closes it. It returns
 // nil on a drain-initiated stop and the accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {

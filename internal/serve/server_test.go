@@ -35,7 +35,7 @@ type testServer struct {
 // idle, no request span is left armed on any worker id of any shard's
 // domain, and each shard's arena holds exactly its keys, the sentinels it
 // started with and what its scheme still defers.
-func startServer(t *testing.T, sh *serve.Sharded, pc serve.PoolConfig, cfg serve.ServerConfig) *testServer {
+func startServer(t testing.TB, sh *serve.Sharded, pc serve.PoolConfig, cfg serve.ServerConfig) *testServer {
 	t.Helper()
 	n := sh.ShardCount()
 	ts := &testServer{sh: sh, pools: make([]*serve.Pool, n)}

@@ -56,9 +56,9 @@ type Set interface {
 }
 
 // ErrScanUnsupported is returned by Ascend when the variant cannot run a
-// reservation cursor (the deferred-reclamation baselines have no revocable
-// position to hold, so a hand-over-hand scan would dereference reclaimed
-// nodes). Callers — the serve layer in particular — must treat it as a
+// reservation cursor: the lists under any mode but RR and HTM (the skiplist
+// scans under every mode; the lock-free baselines are not Ascenders at
+// all). Callers — the serve layer in particular — must treat it as a
 // capability miss, not a crash: it replaces the panic that used to make a
 // misconfigured variant remotely killable.
 var ErrScanUnsupported = errors.New("sets: scan unsupported by this variant")

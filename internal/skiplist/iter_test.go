@@ -7,12 +7,13 @@ import (
 
 	"hohtx/internal/core"
 	"hohtx/internal/obs"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/stm"
 )
 
 func TestSkipAscendSequential(t *testing.T) {
 	for _, k := range core.Kinds() {
-		s := New(Config{Mode: ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 3}})
+		s := New(Config{Mode: reclaim.ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 3}})
 		t.Run(s.Name(), func(t *testing.T) {
 			s.Register(0)
 			for key := uint64(2); key <= 80; key += 2 {
@@ -66,7 +67,7 @@ func TestSkipAscendSequential(t *testing.T) {
 }
 
 func TestSkipAscendHTMMode(t *testing.T) {
-	s := New(Config{Mode: ModeHTM, Threads: 1})
+	s := New(Config{Mode: reclaim.ModeHTM, Threads: 1})
 	s.Register(0)
 	for key := uint64(1); key <= 10; key++ {
 		s.Insert(0, key)
@@ -83,7 +84,7 @@ func TestSkipAscendHTMMode(t *testing.T) {
 // TestSkipAscendPanicReleasesHold mirrors the list regression: a
 // panicking consumer must not leave the cursor's reservation behind.
 func TestSkipAscendPanicReleasesHold(t *testing.T) {
-	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+	s := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 2,
 		Window: core.Window{W: 2, NoScatter: true}})
 	s.Register(0)
 	s.Register(1)
@@ -122,7 +123,7 @@ func TestSkipAscendPanicReleasesHold(t *testing.T) {
 // for present-throughout keys) and counts at least one re-navigation.
 func TestSkipAscendRenavigation(t *testing.T) {
 	dom := obs.NewDomain(obs.DomainConfig{Name: "skip-iter-test", Threads: 2, SampleShift: 0})
-	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+	s := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 2,
 		Window: core.Window{W: 2, NoScatter: true}, Obs: dom})
 	s.Register(0)
 	s.Register(1)
@@ -163,7 +164,7 @@ func TestSkipAscendRenavigation(t *testing.T) {
 // churn with immediate reclamation recycling nodes mid-scan.
 func TestSkipAscendConcurrent(t *testing.T) {
 	const stable = 50 // odd keys 1..99 stay put
-	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 4, Window: core.Window{W: 4}})
+	s := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 4, Window: core.Window{W: 4}})
 	s.Register(0)
 	for k := uint64(1); k <= 99; k += 2 {
 		s.Insert(0, k)
@@ -235,7 +236,7 @@ func TestSkipAscendConcurrent(t *testing.T) {
 
 // boundedSkip builds keys 1..keys on tid 0 of a two-thread RR-V skiplist.
 func boundedSkip(w, keys, capacity int) *SkipList {
-	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+	s := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 2,
 		Window: core.Window{W: w, NoScatter: true}, Profile: stm.Profile{Capacity: capacity}})
 	s.Register(0)
 	s.Register(1)
@@ -339,7 +340,7 @@ func TestSkipAscendBounded(t *testing.T) {
 // weak-consistency contract under concurrent churn (covering the
 // dead-checked resume path where RR uses revocation).
 func TestSkipAscendDeferredModes(t *testing.T) {
-	for _, mode := range []Mode{ModeTMHE, ModeTMVBR} {
+	for _, mode := range []reclaim.Mode{reclaim.ModeTMHE, reclaim.ModeTMVBR} {
 		s := New(Config{Mode: mode, Threads: 4, Window: core.Window{W: 4}, ScanThreshold: 8})
 		t.Run(s.Name(), func(t *testing.T) {
 			if !s.CanAscend() {

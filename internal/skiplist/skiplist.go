@@ -38,19 +38,6 @@ import (
 // far beyond the benchmark sizes.
 const MaxHeight = 20
 
-// Mode selects the synchronization/reclamation mechanism; see reclaim.Mode.
-// The skiplist takes the two precise modes and every deferred scheme the
-// seam serves.
-type Mode = reclaim.Mode
-
-// The modes the skiplist's figures use.
-const (
-	ModeRR    = reclaim.ModeRR
-	ModeHTM   = reclaim.ModeHTM
-	ModeTMHE  = reclaim.ModeTMHE
-	ModeTMVBR = reclaim.ModeTMVBR
-)
-
 // node is a skiplist element. height is immutable after the insert that
 // published the node commits; next[0:height] are the forward links; dead
 // is the deferred modes' logical-deletion mark.

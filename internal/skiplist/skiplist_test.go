@@ -7,18 +7,19 @@ import (
 	"testing"
 
 	"hohtx/internal/core"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 )
 
 func variants(threads, w int) []*SkipList {
 	var out []*SkipList
 	for _, k := range core.Kinds() {
-		out = append(out, New(Config{Mode: ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
+		out = append(out, New(Config{Mode: reclaim.ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
 	}
 	out = append(out,
-		New(Config{Mode: ModeHTM, Threads: threads}),
-		New(Config{Mode: ModeTMHE, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
-		New(Config{Mode: ModeTMVBR, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		New(Config{Mode: reclaim.ModeHTM, Threads: threads}),
+		New(Config{Mode: reclaim.ModeTMHE, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		New(Config{Mode: reclaim.ModeTMVBR, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
 	)
 	return out
 }
@@ -99,7 +100,7 @@ func TestSequentialVsModel(t *testing.T) {
 }
 
 func TestPreciseReclamation(t *testing.T) {
-	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 1, Window: core.Window{W: 4}})
+	s := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 1, Window: core.Window{W: 4}})
 	s.Register(0)
 	for k := uint64(1); k <= 300; k++ {
 		s.Insert(0, k)
@@ -121,7 +122,7 @@ func TestPreciseReclamation(t *testing.T) {
 }
 
 func TestHeightDistribution(t *testing.T) {
-	s := New(Config{Mode: ModeHTM, Threads: 1})
+	s := New(Config{Mode: reclaim.ModeHTM, Threads: 1})
 	counts := map[int]int{}
 	for i := 0; i < 20000; i++ {
 		counts[s.randHeight(0)]++
@@ -195,7 +196,7 @@ func TestConcurrentStress(t *testing.T) {
 // TestRemoveTallTowers forces removals of tall nodes whose unlink touches
 // many levels, including via resumed traversals (tiny window).
 func TestRemoveTallTowers(t *testing.T) {
-	s := New(Config{Mode: ModeRR, RRKind: core.KindXO, Threads: 2, Window: core.Window{W: 1}})
+	s := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindXO, Threads: 2, Window: core.Window{W: 1}})
 	s.Register(0)
 	s.Register(1)
 	// Insert enough keys that some towers are 5+ levels tall.
@@ -221,7 +222,7 @@ func TestRemoveTallTowers(t *testing.T) {
 // state: no write commit, and the runtime's clock stays where it was.
 func TestRRVLookupWindowsCommitReadOnly(t *testing.T) {
 	const n, w = 1024, 2
-	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 1, Window: core.Window{W: w}})
+	s := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 1, Window: core.Window{W: w}})
 	s.Register(0)
 	for k := uint64(1); k <= n; k++ {
 		s.Insert(0, 2*k)

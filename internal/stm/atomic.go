@@ -8,8 +8,9 @@ import "hohtx/internal/obs"
 // re-run in serial mode under an exclusive lock, where it cannot fail.
 //
 // fn may be executed multiple times and must therefore be free of side
-// effects other than through transactional cells, Tx.OnCommit and
-// Tx.OnAbort. fn must not start nested Atomic transactions on any runtime.
+// effects other than through transactional cells, Tx.OnCommitCall and
+// Tx.OnAbortCall. fn must not start nested Atomic transactions on any
+// runtime.
 //
 // A panic in fn (other than the internal abort signal) propagates to the
 // caller after locks are released and abort hooks run.

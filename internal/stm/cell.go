@@ -166,50 +166,3 @@ func (l *Local) Store(tx *Tx, x uint64) {
 	}
 	tx.wn++
 }
-
-// Ptr is a transactional typed pointer cell, provided for library users who
-// want to attach arbitrary payloads (e.g. map values) to transactional
-// structures. The repository's own data structures use Word cells holding
-// arena handles instead.
-//
-// The zero Ptr holds nil. Ptrs must not be copied after first use.
-type Ptr[T any] struct {
-	m atomic.Uint64
-	v atomic.Pointer[T]
-}
-
-// pendingPtr is the deferred write-back object for a Ptr store.
-type pendingPtr[T any] struct {
-	dst *atomic.Pointer[T]
-	val *T
-}
-
-func (p *pendingPtr[T]) apply() { p.dst.Store(p.val) }
-
-// Load returns the pointer stored in the cell as of the transaction's
-// snapshot.
-func (p *Ptr[T]) Load(tx *Tx) *T {
-	if obj, ok := tx.findWriteObj(&p.m); ok {
-		pp, _ := obj.(*pendingPtr[T])
-		return pp.val
-	}
-	for {
-		v1 := tx.readable(&p.m)
-		val := p.v.Load()
-		if p.m.Load() == v1 {
-			tx.recordRead(&p.m, v1)
-			return val
-		}
-	}
-}
-
-// Store buffers a write of x to the cell.
-func (p *Ptr[T]) Store(tx *Tx, x *T) {
-	tx.writeObj(&p.m, &pendingPtr[T]{dst: &p.v, val: x})
-}
-
-// Init sets the cell without a transaction; see Word.Init.
-func (p *Ptr[T]) Init(x *T) { p.v.Store(x) }
-
-// Raw returns the current pointer without transactional protection.
-func (p *Ptr[T]) Raw() *T { return p.v.Load() }

@@ -49,6 +49,13 @@ func TestTxLayout(t *testing.T) {
 	if got := unsafe.Sizeof(statBlock{}); got%pad.CacheLine != 0 {
 		t.Fatalf("statBlock is %d bytes, not a whole number of cache lines: pad it", got)
 	}
+	// One write-set entry shape and one hook shape: four words each.
+	if got := unsafe.Sizeof(wentry{}); got != 32 {
+		t.Fatalf("wentry is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(txHook{}); got != 32 {
+		t.Fatalf("txHook is %d bytes, want 32", got)
+	}
 
 	rt := NewRuntime(Profile{})
 	type span struct{ lo, hi uintptr }
@@ -240,6 +247,89 @@ func TestStatsExactAtQuiescence(t *testing.T) {
 	}
 }
 
+// TestStatsLagBoundedByChainsInFlight pins the bound Stats states (PR 20,
+// ROADMAP 5(a)): a snapshot taken mid-run lags the truth by at most the
+// chains in flight. Each goroutine runs chains of known window counts and
+// keeps two counts: windows committed so far (by a commit hook, which runs
+// before the chain's flush) and windows of chains that have returned (so
+// have flushed). A reader brackets every snapshot's Commits between the
+// flushed total read before it and the committed total read after it. At
+// quiescence the three are one number; and a chain running alone shows its
+// own windows only when it ends.
+func TestStatsLagBoundedByChainsInFlight(t *testing.T) {
+	const tids = 4
+	chains := 400
+	if testing.Short() {
+		chains = 80
+	}
+	rt := NewRuntime(Profile{})
+	var committed, flushed [tids]atomic.Uint64
+	total := func(c *[tids]atomic.Uint64) (n uint64) {
+		for i := range c {
+			n += c[i].Load()
+		}
+		return n
+	}
+	onCommit := func(tid, _, _ uint64) { committed[tid].Add(1) }
+
+	var stop atomic.Bool
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for !stop.Load() {
+			lo := total(&flushed)
+			s := rt.Stats()
+			if hi := total(&committed); s.Commits < lo || s.Commits > hi {
+				t.Errorf("mid-run Commits = %d, outside [%d flushed, %d committed]", s.Commits, lo, hi)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for tid := 0; tid < tids; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			var cell Word
+			for c := 0; c < chains; c++ {
+				windows := 1 + (c+tid)%16
+				left := windows
+				rt.Chain(tid, func(tx *Tx) bool {
+					if left%2 == 0 {
+						cell.Store(tx, uint64(c))
+					} else {
+						cell.Load(tx)
+					}
+					tx.OnCommitCall(onCommit, uint64(tid), 0, 0)
+					left--
+					return left > 0
+				})
+				flushed[tid].Add(uint64(windows))
+			}
+		}(tid)
+	}
+	wg.Wait()
+	stop.Store(true)
+	reader.Wait()
+	if got, c, f := rt.Stats().Commits, total(&committed), total(&flushed); got != c || c != f {
+		t.Fatalf("at quiescence Commits = %d, committed %d, flushed %d: want one number", got, c, f)
+	}
+
+	before := rt.Stats().Commits
+	windows := 0
+	rt.Chain(0, func(tx *Tx) bool {
+		if got := rt.Stats().Commits; got != before {
+			t.Errorf("window %d of a chain running alone: Commits = %d, want %d until the chain ends", windows, got, before)
+		}
+		windows++
+		return windows < 5
+	})
+	if got := rt.Stats().Commits; got != before+5 {
+		t.Fatalf("after the chain: Commits = %d, want %d", got, before+5)
+	}
+}
+
 // TestContextFallback: which context a transaction runs in. A tid runs in
 // the one it owns, created on its first transaction without disturbing the
 // others'; tid -1, and a tid whose context is busy (a transaction nested in
@@ -296,7 +386,7 @@ func TestContextFallback(t *testing.T) {
 		rt.Chain(2, func(tx *Tx) bool {
 			window++
 			w.Store(tx, 3)
-			tx.OnAbort(func() { hooks++ })
+			tx.OnAbortCall(func(_, _, _ uint64) { hooks++ }, 0, 0, 0)
 			if window == 2 {
 				panic("boom")
 			}

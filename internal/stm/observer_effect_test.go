@@ -37,11 +37,11 @@ func TestObservedLookupSchedulesNoCommitHook(t *testing.T) {
 		if windows := l.TMStats().Commits - before; windows < 100 {
 			t.Fatalf("%s: 33 lookups committed %d windows; the chains this test is about did not run", tc.name, windows)
 		}
-		if l.Runtime().EverScheduledCommitHook(1) {
+		if l.RT.EverScheduledCommitHook(1) {
 			t.Errorf("%s: a lookup window scheduled a commit hook", tc.name)
 		}
 		// The probe is not blind: a Remove frees its node at commit.
-		if l.Remove(0, 7); !l.Runtime().EverScheduledCommitHook(0) {
+		if l.Remove(0, 7); !l.RT.EverScheduledCommitHook(0) {
 			t.Errorf("%s: the removing tid shows no commit hook", tc.name)
 		}
 	}

@@ -186,14 +186,6 @@ func (s Stats) TotalAborts() uint64 {
 	return t
 }
 
-// AbortRate returns aborted attempts per committed transaction.
-func (s Stats) AbortRate() float64 {
-	if s.Commits == 0 {
-		return 0
-	}
-	return float64(s.TotalAborts()) / float64(s.Commits)
-}
-
 // String renders the snapshot compactly for logs and examples.
 func (s Stats) String() string {
 	return fmt.Sprintf(
@@ -242,8 +234,8 @@ func (rt *Runtime) Stats() Stats {
 	return out
 }
 
-// ResetStats zeroes the runtime's counters (benchmarks call this between
-// measurement phases).
+// ResetStats zeroes the runtime's counters (tests call this between
+// phases).
 func (rt *Runtime) ResetStats() {
 	rt.blocks(func(b *statBlock) {
 		b.commits.Store(0)

@@ -210,37 +210,3 @@ func BenchmarkParallelSerialPressure(b *testing.B) {
 		}
 	})
 }
-
-// TestPtrConcurrent hammers a Ptr cell from writers and snapshot readers.
-func TestPtrConcurrent(t *testing.T) {
-	rt := NewRuntime(Profile{})
-	type pair struct{ a, b uint64 }
-	var p Ptr[pair]
-	p.Init(&pair{})
-	done := make(chan struct{})
-	var torn atomic.Int64
-	go func() {
-		defer close(done)
-		for i := uint64(1); i <= 3000; i++ {
-			v := &pair{a: i, b: i * 2}
-			rt.Atomic(func(tx *Tx) { p.Store(tx, v) })
-		}
-	}()
-	for {
-		select {
-		case <-done:
-			if torn.Load() > 0 {
-				t.Fatalf("%d torn pointer reads", torn.Load())
-			}
-			if got := p.Raw(); got.a != 3000 || got.b != 6000 {
-				t.Fatalf("final = %+v", got)
-			}
-			return
-		default:
-		}
-		got := Run(rt, func(tx *Tx) *pair { return p.Load(tx) })
-		if got.b != got.a*2 {
-			torn.Add(1)
-		}
-	}
-}

@@ -61,44 +61,29 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	}
 }
 
-func TestPtrCell(t *testing.T) {
-	rt := newTestRuntime()
-	type payload struct{ s string }
-	var p Ptr[payload]
-	if got := Run(rt, func(tx *Tx) *payload { return p.Load(tx) }); got != nil {
-		t.Fatalf("zero Ptr loads %v, want nil", got)
-	}
-	val := &payload{s: "hello"}
-	rt.Atomic(func(tx *Tx) {
-		p.Store(tx, val)
-		if got := p.Load(tx); got != val {
-			t.Errorf("read-own-write Ptr = %v, want %v", got, val)
-		}
-	})
-	if p.Raw() != val {
-		t.Fatal("Ptr commit lost")
-	}
-}
-
+// TestOnCommitOnAbort: a commit hook runs exactly once, with the arguments
+// it was registered with, and an abort hook once per aborted attempt.
 func TestOnCommitOnAbort(t *testing.T) {
 	rt := newTestRuntime()
 	var w Word
-	var committed, aborted int
-	tries := 0
+	var committed, aborted []uint64
+	onCommit := func(a, b, c uint64) { committed = append(committed, a, b, c) }
+	onAbort := func(a, _, _ uint64) { aborted = append(aborted, a) }
+	tries := uint64(0)
 	rt.Atomic(func(tx *Tx) {
 		tries++
-		w.Store(tx, uint64(tries))
-		tx.OnCommit(func() { committed++ })
-		tx.OnAbort(func() { aborted++ })
+		w.Store(tx, tries)
+		tx.OnCommitCall(onCommit, tries, 7, 9)
+		tx.OnAbortCall(onAbort, tries, 0, 0)
 		if tries < 3 {
 			tx.Restart()
 		}
 	})
-	if committed != 1 {
-		t.Errorf("commit hooks ran %d times, want 1", committed)
+	if len(committed) != 3 || committed[0] != 3 || committed[1] != 7 || committed[2] != 9 {
+		t.Errorf("commit hooks ran with %v, want once with [3 7 9]", committed)
 	}
-	if aborted != 2 {
-		t.Errorf("abort hooks ran %d times, want 2", aborted)
+	if len(aborted) != 2 || aborted[0] != 1 || aborted[1] != 2 {
+		t.Errorf("abort hooks ran for attempts %v, want [1 2]", aborted)
 	}
 }
 

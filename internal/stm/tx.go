@@ -29,18 +29,14 @@ type rentry struct {
 	ver uint64
 }
 
-// applier is a deferred write-back action for non-Word cells.
-type applier interface{ apply() }
-
-// wentry is one write-set record. Exactly one of dst (Word write) or obj
-// (typed cell write) is set. prev caches the pre-lock version during commit
-// so locks can be released on failure and self-locks recognized during
-// read-set validation.
+// wentry is one write-set record: a pending store of val to the Word whose
+// version word is m and value word dst. prev caches the pre-lock version
+// during commit so locks can be released on failure and self-locks
+// recognized during read-set validation.
 type wentry struct {
 	m    *atomic.Uint64
 	dst  *atomic.Uint64
 	val  uint64
-	obj  applier
 	prev uint64
 }
 
@@ -70,7 +66,7 @@ type lentry struct {
 //	line 4  per-call bookkeeping and the counts flush publishes
 type Tx struct {
 	rv uint64 // snapshot (read) version; even
-	// wfilter has one bit set per pending Word/Ptr write, chosen by
+	// wfilter has one bit set per pending Word write, chosen by
 	// filterBit from the address of the cell's version word. A clear bit
 	// proves the cell has no pending write (addWrite sets the bit of every
 	// entry it appends, so there are no false negatives); a set bit means
@@ -167,62 +163,41 @@ func (tx *Tx) reset(serial bool) {
 // only matters under speculation.
 func (tx *Tx) Serial() bool { return tx.serial }
 
-// Runtime returns the runtime this transaction belongs to.
-func (tx *Tx) Runtime() *Runtime { return tx.rt }
-
 // Restart aborts the current attempt and re-executes the transaction from
 // the beginning (possibly in serial mode, per the runtime's profile).
 func (tx *Tx) Restart() {
 	tx.abort(CauseExplicit)
 }
 
-// txHook is one deferred effect. Two shapes share the queue: a plain
-// closure (fn) and an argument-carrying call fn3(a, b, c). The latter
-// exists so per-operation hot paths can register reclamation work against
-// a function value bound once at construction time — a closure capturing
-// the operation's (tid, handle, stamp) heap-allocates on every removal,
-// while fn3 carries them inline and allocates nothing.
+// txHook is one deferred effect: the call fn(a, b, c). Hot paths register
+// reclamation work against a function value bound once at construction
+// time — a closure capturing the operation's (tid, handle, stamp) would
+// heap-allocate on every removal, while the arguments travel inline here
+// and allocate nothing.
 type txHook struct {
-	fn      func()
-	fn3     func(a, b, c uint64)
+	fn      func(a, b, c uint64)
 	a, b, c uint64
 }
 
-func (h *txHook) run() {
-	if h.fn != nil {
-		h.fn()
-		return
-	}
-	h.fn3(h.a, h.b, h.c)
-}
+func (h *txHook) run() { h.fn(h.a, h.b, h.c) }
 
-// OnCommit registers fn to run exactly once, after this transaction has
-// committed and released all commit-time locks. The paper observes that
-// memory management inside transactions hurts performance; the data
-// structures in this repository queue node frees here, which keeps
+// OnCommitCall registers fn(a, b, c) to run exactly once, after this
+// transaction has committed and released all commit-time locks. The paper
+// observes that memory management inside transactions hurts performance;
+// the data structures in this repository queue node frees here, which keeps
 // reclamation *immediate* (it happens at the commit point, before the
-// enclosing operation returns) while staying outside speculation.
-func (tx *Tx) OnCommit(fn func()) {
-	tx.commitHooks = append(tx.commitHooks, txHook{fn: fn})
-}
-
-// OnCommitCall is OnCommit's zero-allocation form: fn(a, b, c) runs at
-// the commit point. Pass a function value bound once (a struct field, a
-// method value hoisted out of the hot path), not a fresh closure — the
-// arguments travel inline, so nothing escapes per call.
+// enclosing operation returns) while staying outside speculation. Pass a
+// function value bound once (a struct field, a method value hoisted out of
+// the hot path), not a fresh closure, so nothing escapes per call.
 func (tx *Tx) OnCommitCall(fn func(a, b, c uint64), a, b, c uint64) {
-	tx.commitHooks = append(tx.commitHooks, txHook{fn3: fn, a: a, b: b, c: c})
+	tx.commitHooks = append(tx.commitHooks, txHook{fn: fn, a: a, b: b, c: c})
 }
 
-// OnAbort registers fn to run if this attempt aborts (it is discarded on
-// commit). Used to return speculatively allocated nodes to the allocator.
-func (tx *Tx) OnAbort(fn func()) {
-	tx.abortHooks = append(tx.abortHooks, txHook{fn: fn})
-}
-
-// OnAbortCall is OnAbort's zero-allocation form (see OnCommitCall).
+// OnAbortCall registers fn(a, b, c) to run if this attempt aborts (it is
+// discarded on commit). Used to return speculatively allocated nodes to the
+// allocator.
 func (tx *Tx) OnAbortCall(fn func(a, b, c uint64), a, b, c uint64) {
-	tx.abortHooks = append(tx.abortHooks, txHook{fn3: fn, a: a, b: b, c: c})
+	tx.abortHooks = append(tx.abortHooks, txHook{fn: fn, a: a, b: b, c: c})
 }
 
 // abort unwinds the attempt with the given cause.
@@ -316,7 +291,7 @@ func filterBit(m *atomic.Uint64) uint64 {
 // transaction may read at: unlocked and no newer than the snapshot. It waits
 // out a committing writer (briefly) and extends the snapshot over a newer
 // version, aborting where either fails. The caller loads the value and
-// confirms the version still stands. Word.Load and Ptr.Load share it.
+// confirms the version still stands (loadWord).
 func (tx *Tx) readable(m *atomic.Uint64) uint64 {
 	for spins := 0; ; spins++ {
 		v1 := m.Load()
@@ -377,14 +352,6 @@ func (tx *Tx) findWrite(m *atomic.Uint64) (uint64, bool) {
 	return 0, false
 }
 
-// findWriteObj looks up a pending typed-cell write.
-func (tx *Tx) findWriteObj(m *atomic.Uint64) (applier, bool) {
-	if i, ok := tx.lookupWrite(m); ok {
-		return tx.ws[i].obj, true
-	}
-	return nil, false
-}
-
 func (tx *Tx) lookupWrite(m *atomic.Uint64) (int, bool) {
 	if tx.wfilter&filterBit(m) == 0 {
 		return 0, false
@@ -442,10 +409,6 @@ func (tx *Tx) addWrite(e wentry) {
 
 func (tx *Tx) writeWord(m, dst *atomic.Uint64, val uint64) {
 	tx.addWrite(wentry{m: m, dst: dst, val: val})
-}
-
-func (tx *Tx) writeObj(m *atomic.Uint64, obj applier) {
-	tx.addWrite(wentry{m: m, obj: obj})
 }
 
 // commit attempts to make the transaction's writes visible atomically.
@@ -510,11 +473,7 @@ func (tx *Tx) commit() bool {
 	// Phase 3: write back and release each lock with the new version.
 	for i := range tx.ws {
 		e := &tx.ws[i]
-		if e.obj != nil {
-			e.obj.apply()
-		} else {
-			e.dst.Store(e.val)
-		}
+		e.dst.Store(e.val)
 		e.m.Store(wv)
 	}
 	return true

@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"hohtx/internal/core"
+	"hohtx/internal/reclaim"
 )
 
 func TestMapBasics(t *testing.T) {
-	for _, mode := range []Mode{ModeRR, ModeHTM} {
+	for _, mode := range []reclaim.Mode{reclaim.ModeRR, reclaim.ModeHTM} {
 		m := NewMap(Config{Mode: mode, RRKind: core.KindV, Threads: 1, Window: core.Window{W: 4}})
 		t.Run(m.Name(), func(t *testing.T) {
 			m.Register(0)
@@ -42,7 +43,7 @@ func TestMapBasics(t *testing.T) {
 }
 
 func TestMapVsModel(t *testing.T) {
-	m := NewMap(Config{Mode: ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 3}})
+	m := NewMap(Config{Mode: reclaim.ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 3}})
 	m.Register(0)
 	rng := rand.New(rand.NewSource(31))
 	model := map[uint64]uint64{}
@@ -94,7 +95,7 @@ func TestMapVsModel(t *testing.T) {
 func TestMapConcurrentPerKeyMonotonic(t *testing.T) {
 	const threads = 4
 	const keys = 8
-	m := NewMap(Config{Mode: ModeRR, RRKind: core.KindV, Threads: threads, Window: core.Window{W: 4}})
+	m := NewMap(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: threads, Window: core.Window{W: 4}})
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	// One writer per key publishes val = round*keys + key (monotonic).

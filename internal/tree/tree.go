@@ -27,20 +27,6 @@ import (
 	"hohtx/internal/stm"
 )
 
-// Mode selects the synchronization/reclamation mechanism; see reclaim.Mode.
-type Mode = reclaim.Mode
-
-// The modes the trees take: the two precise ones on both trees and, on the
-// external tree only (the paper knows of no internal trees using hazard
-// pointers), every deferred scheme the seam serves.
-const (
-	ModeRR    = reclaim.ModeRR
-	ModeHTM   = reclaim.ModeHTM
-	ModeTMHP  = reclaim.ModeTMHP
-	ModeTMHE  = reclaim.ModeTMHE
-	ModeTMVBR = reclaim.ModeTMVBR
-)
-
 // sentinel keys; user keys must be below sent0.
 const (
 	sent0 = ^uint64(0) - 2 // external tree: initial empty leaf
