@@ -47,11 +47,13 @@
 // commit latency, retire→free delay, and the flight recorder with its
 // who-aborted-whom matrix behind /flight.
 // SIGINT/SIGTERM drain gracefully: accepting stops, in-flight pipelines
-// finish, worker slots are flushed, and the final stats line prints.
+// finish, worker slots are flushed, and the final stats line prints; a
+// drain whose verdict finds the books unbalanced exits 1.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -201,13 +203,14 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 
+	var drain error // Shutdown's verdict: unbalanced books exit 1
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "hohserver: %v: draining\n", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "hohserver: forced close:", err)
+		if drain = srv.Shutdown(ctx); errors.Is(drain, context.DeadlineExceeded) {
+			fmt.Fprintln(os.Stderr, "hohserver: forced close: in-flight pipelines outlasted the drain")
 		}
 		<-done
 	case err := <-done:
@@ -233,6 +236,10 @@ func main() {
 	if tx := hohtx.StatsOf(sharded); tx.Commits > 0 {
 		fmt.Fprintf(os.Stderr, "hohserver: tx commits=%d ro_commits=%d rw_commits=%d aborts=%d serial=%d\n",
 			tx.Commits, tx.ReadOnlyCommits(), tx.WriteCommits, tx.Aborts, tx.Serial)
+	}
+	if errors.Is(drain, serve.ErrUnbalanced) {
+		fmt.Fprintln(os.Stderr, "hohserver:", drain)
+		os.Exit(1)
 	}
 }
 

@@ -70,15 +70,16 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("ok: %s\n  size=%d inserts=%d removes=%d live=%d deferred=%d leftover=%d avg_delay_ops=%.1f poisonReads=%d violations=%d scans=%d\n",
-			cfg, rep.Size, rep.Inserts, rep.Removes, rep.Live, rep.Deferred,
-			rep.Leftover, rep.AvgDelayOps, rep.PoisonReads, rep.Violations, rep.ScanChecks)
+			cfg, rep.Size, rep.Inserts, rep.Removes, rep.Books.Live, rep.Books.Deferred,
+			rep.Books.Leftover, rep.AvgDelayOps, rep.PoisonReads, rep.Violations, rep.ScanChecks)
 		return
 	}
 
 	var failed []string
 	combos, runs := 0, 0
-	for _, st := range torture.Structures() {
-		for _, v := range torture.Variants(st) {
+	for _, st := range family.Names() {
+		row, _ := family.ByName(st)
+		for _, v := range row.Variants() {
 			for _, pol := range []arena.Policy{arena.PolicyLocal, arena.PolicyShared} {
 				combos++
 				comboFailed := 0
@@ -109,7 +110,7 @@ func main() {
 					polName = "shared"
 				}
 				fmt.Printf("%-7s %-7s %-6s rounds=%d failed=%d size=%d leftover=%d avg_delay_ops=%.1f\n",
-					st, v, polName, *rounds, comboFailed, last.Size, last.Leftover, last.AvgDelayOps)
+					st, v, polName, *rounds, comboFailed, last.Size, last.Books.Leftover, last.AvgDelayOps)
 			}
 		}
 	}

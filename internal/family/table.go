@@ -20,13 +20,14 @@ import (
 	"hohtx/internal/tree"
 )
 
-// Set is what every variant the table builds provides: the set, and its
-// reclamation discipline (the memory books a harness checks follow from
-// reclaim.Traits).
+// Set is what every variant the table builds provides (the table checks it
+// at compile time): the set, its node counts, its reclamation counters,
+// and its memory books, whose Traits name the discipline it drains by.
 type Set interface {
 	sets.Set
+	sets.MemoryReporter
 	sets.ReclaimReporter
-	ReclaimTraits() reclaim.Traits
+	sets.BooksReporter
 }
 
 // The family names, as front ends spell them.
@@ -67,8 +68,6 @@ type Row struct {
 	Attempts int
 	// Window is the tuned window size at a thread count.
 	Window func(threads int) int
-	// PerKey is how many arena nodes one resident key costs.
-	PerKey uint64
 	// Invariant names, and Holds checks, the family's shape invariant on a
 	// quiescent structure (nil: the sorted snapshot is all there is).
 	Invariant string
@@ -119,13 +118,13 @@ var table = []Row{
 	{
 		Name: Singly, New: tm(list.New), Deferred: true, Local: true,
 		LockFree: []Comparator{{"LFLeak", harris(false)}, {"LFHP", harris(true)}},
-		Attempts: 2, Window: listWindow, PerKey: 1,
+		Attempts: 2, Window: listWindow,
 	},
 	{
 		// No REF (the paper drops reference counting after the singly
 		// linked list) and no lock-free doubly linked list (as in the paper).
 		Name: Doubly, New: tm(list.NewDoubly), Deferred: true,
-		Attempts: 2, Window: listWindow, PerKey: 1,
+		Attempts: 2, Window: listWindow,
 		Invariant: "prev/next link symmetry",
 		Holds:     func(s Set) bool { return s.(*list.DList).ValidateLinks() },
 	},
@@ -133,26 +132,25 @@ var table = []Row{
 		// Four buckets per thread: chains long enough to cut windows in.
 		Name: Hash, Deferred: true, Local: true,
 		New:      func(cfg reclaim.Config) Set { return list.NewHashTable(cfg, 0) },
-		Attempts: 2, Window: listWindow, PerKey: 1,
+		Attempts: 2, Window: listWindow,
 	},
 	{
 		// The lock-free comparator tree is external (as in the paper).
 		Name: ITree, New: tm(tree.NewInternal),
-		Attempts: 8, Window: treeWindow, PerKey: 1,
+		Attempts: 8, Window: treeWindow,
 		Invariant: "BST ordering invariant",
 		Holds:     func(s Set) bool { return s.(*tree.Internal).ValidateBST() },
 	},
 	{
-		// A key is a leaf and the router above it.
 		Name: ETree, New: tm(tree.NewExternal), Deferred: true,
 		LockFree: []Comparator{{"LFLeak", nmTree}},
-		Attempts: 8, Window: treeWindow, PerKey: 2,
+		Attempts: 8, Window: treeWindow,
 		Invariant: "external-tree routing invariant",
 		Holds:     func(s Set) bool { return s.(routed).ValidateRouting() },
 	},
 	{
 		Name: Skip, New: tm(skiplist.New), Deferred: true,
-		Attempts: 8, Window: treeWindow, PerKey: 1,
+		Attempts: 8, Window: treeWindow,
 		Invariant: "skiplist level invariant",
 		Holds:     func(s Set) bool { return s.(*skiplist.SkipList).ValidateLevels() },
 	},

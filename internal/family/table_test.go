@@ -14,7 +14,8 @@ import (
 
 // TestEveryVariantBuildsAndRuns builds every row × variant the table
 // defines and runs the basic operations on it, under the name it was asked
-// for: whatever a row says it takes, it takes.
+// for — whatever a row says it takes, it takes — and its drained memory
+// books balance.
 func TestEveryVariantBuildsAndRuns(t *testing.T) {
 	for _, name := range Names() {
 		row, err := ByName(name)
@@ -33,9 +34,15 @@ func TestEveryVariantBuildsAndRuns(t *testing.T) {
 			if !s.Insert(0, 11) || !s.Lookup(0, 11) || s.Insert(0, 11) || !s.Remove(0, 11) || s.Lookup(0, 11) {
 				t.Errorf("%s/%s: basic operations failed", name, v)
 			}
+			s.Insert(0, 12)
+			s.Insert(0, 13)
 			s.Finish(0)
 			if row.Holds != nil && !row.Holds(s) {
 				t.Errorf("%s/%s: %s violated on a quiescent structure", name, v, row.Invariant)
+			}
+			// Each structure answers for its own shape: sentinels, nodes per key.
+			if err := s.Books(uint64(len(s.Snapshot()))).Check(true); err != nil {
+				t.Errorf("%s/%s: %v", name, v, err)
 			}
 		}
 	}
@@ -86,6 +93,7 @@ func TestEveryFamilyImplementsEveryView(t *testing.T) {
 			for view, ok := range map[string]bool{
 				"TMStatsReporter": implements[sets.TMStatsReporter](s),
 				"ReclaimReporter": implements[sets.ReclaimReporter](s),
+				"BusyReporter":    implements[sets.BusyReporter](s),
 				"GuardReporter":   implements[sets.GuardReporter](s),
 				"ObsReporter":     implements[sets.ObsReporter](s),
 				"MemoryReporter":  implements[sets.MemoryReporter](s),

@@ -37,10 +37,6 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 		return nil
 	}
 	ts := &l.threads[tid]
-	if l.ep != nil { // ModeER's epoch bracket; see applyAt
-		l.ep.Enter(tid)
-		defer l.ep.Exit(tid)
-	}
 	// Result and visit-order buffers are per-thread and grow-only (see
 	// reclaim.Chassis.Results for the contract).
 	out := l.Results(tid, len(ops))

@@ -2,7 +2,6 @@ package list
 
 import (
 	"hohtx/internal/arena"
-	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
@@ -18,8 +17,6 @@ import (
 type DList struct {
 	List
 }
-
-var _ sets.Set = (*DList)(nil)
 
 // NewDoubly constructs a doubly linked list set. The list-local modes are
 // not supported (the paper drops reference counting after the singly

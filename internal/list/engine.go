@@ -25,12 +25,6 @@ type applyFn func(tx *stm.Tx, prevH, currH arena.Handle) bool
 // list's two-transaction remove, §4.2) and returns currH as target.
 func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool, onFound, onNotFound applyFn) (res bool, target arena.Handle) {
 	ts := &l.threads[tid]
-	if l.ep != nil {
-		// ModeER: an epoch critical section around the operation, so nodes
-		// its released reads still point at cannot be reclaimed under it.
-		l.ep.Enter(tid)
-		defer l.ep.Exit(tid)
-	}
 	l.Op(tid, func(tx *stm.Tx) (more bool) {
 		// Reset per attempt: the closure re-runs on abort.
 		res = false

@@ -5,7 +5,6 @@ import (
 
 	"hohtx/internal/arena"
 	"hohtx/internal/reclaim"
-	"hohtx/internal/sets"
 )
 
 // HashTable is a concurrent hash set built from bucketed hand-over-hand
@@ -29,9 +28,6 @@ type HashTable struct {
 	heads []arena.Handle
 	mask  uint64
 }
-
-var _ sets.Set = (*HashTable)(nil)
-var _ sets.MemoryReporter = (*HashTable)(nil)
 
 // NewHashTable constructs a hash set with the given bucket count (rounded
 // up to a power of two; below 1 means four per thread, a small load factor

@@ -16,7 +16,6 @@ import (
 	"hohtx/internal/arena"
 	"hohtx/internal/pad"
 	"hohtx/internal/reclaim"
-	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
@@ -74,14 +73,10 @@ type Config = reclaim.Config
 // and the traversals in engine.go, batch.go and iter.go.
 type List struct {
 	reclaim.Chassis[node]
-	ep        *reclaim.Epochs // ModeER only: brackets every operation
 	canAscend bool
 	head      arena.Handle
 	threads   []threadState
 }
-
-var _ sets.Set = (*List)(nil)
-var _ sets.MemoryReporter = (*List)(nil)
 
 // New constructs a singly linked list set.
 func New(cfg Config) *List {

@@ -49,6 +49,8 @@ func (r *refLink) Traits() reclaim.Traits {
 	return reclaim.Traits{DrainRounds: 1, StrictLoss: true}
 }
 func (r *refLink) Register(int)         {}
+func (r *refLink) Begin(int)            {}
+func (r *refLink) End(int)              {}
 func (r *refLink) Finish(int, uint64)   {}
 func (r *refLink) Stats() reclaim.Stats { return reclaim.Stats{} }
 func (r *refLink) Revoke(*stm.Tx, arena.Handle) {
@@ -114,22 +116,27 @@ func (r *refLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, _ uint64) {
 
 // erLink is ModeER: the seam's deferred link over epochs — every operation
 // is one unbounded transaction (W bounds the retained read suffix instead),
-// so it never holds — plus the one structure-side duty ER adds at an unlink.
-// The other two parts of the mode, the epoch bracket around every operation
-// and the rolling early release, are in the traversal (engine.go, batch.go).
+// so it never holds — plus an epoch critical section as Begin/End, so nodes
+// an operation's released reads still point at cannot be reclaimed under
+// it, and a version bump at an unlink. The mode's rolling early release is
+// in the traversal (engine.go).
 type erLink struct {
 	reclaim.Link
-	l *List
+	l           *List
+	enter, exit func(tid int) // the epochs' Enter and Exit
 }
 
 func newERLink(l *List, n reclaim.Nodes) erLink {
-	l.ep = reclaim.NewEpochs(n.Threads, n.ScanThreshold, n.Free)
-	l.ep.Guard = l.Ar.Guarded()
+	ep := reclaim.NewEpochs(n.Threads, n.ScanThreshold, n.Free)
+	ep.Guard = l.Ar.Guarded()
 	for i := range l.threads {
 		l.threads[i].marks = make([]uint64, n.Window.W)
 	}
-	return erLink{reclaim.NewDeferred(ModeER.String(), l.ep, n), l}
+	return erLink{reclaim.NewDeferred(ModeER.String(), ep, n), l, ep.Enter, ep.Exit}
 }
+
+func (e erLink) Begin(tid int) { e.enter(tid) }
+func (e erLink) End(tid int)   { e.exit(tid) }
 
 func (e erLink) Traits() reclaim.Traits {
 	t := e.Link.Traits()

@@ -57,9 +57,6 @@ type opCounter struct {
 	_ pad.Line
 }
 
-var _ sets.Set = (*HarrisList)(nil)
-var _ sets.MemoryReporter = (*HarrisList)(nil)
-
 // ListConfig parameterizes NewHarrisList.
 type ListConfig struct {
 	// Threads is the number of distinct tids. Required.
@@ -276,7 +273,14 @@ func (l *HarrisList) LiveNodes() uint64 { return l.ar.Stats().Live }
 // contrasts with precise reclamation).
 func (l *HarrisList) DeferredNodes() uint64 { return l.rec.Stats().Deferred }
 
-// ReclaimStats and ReclaimTraits expose the scheme's counters and fixed
-// properties.
-func (l *HarrisList) ReclaimStats() reclaim.Stats   { return l.rec.Stats() }
-func (l *HarrisList) ReclaimTraits() reclaim.Traits { return l.rec.Traits() }
+// ReclaimStats exposes the scheme's counters.
+func (l *HarrisList) ReclaimStats() reclaim.Stats { return l.rec.Stats() }
+
+// Books implements sets.BooksReporter: one head sentinel, one node per key.
+func (l *HarrisList) Books(keys uint64) reclaim.Books {
+	st := l.rec.Stats()
+	return reclaim.Books{
+		Live: l.ar.Stats().Live, Sentinels: 1, PerKey: 1, Keys: keys,
+		Deferred: st.Deferred, Leftover: st.Leftover, Traits: l.rec.Traits(),
+	}
+}

@@ -60,9 +60,6 @@ type NMTree struct {
 	ops       []opCounter
 }
 
-var _ sets.Set = (*NMTree)(nil)
-var _ sets.MemoryReporter = (*NMTree)(nil)
-
 // NMConfig parameterizes NewNMTree.
 type NMConfig struct {
 	// Threads is the number of distinct tids. Required.
@@ -368,7 +365,15 @@ func (t *NMTree) LiveNodes() uint64 { return t.ar.Stats().Live }
 // DeferredNodes implements sets.MemoryReporter: the leaked node count.
 func (t *NMTree) DeferredNodes() uint64 { return t.leak.Stats().Deferred }
 
-// ReclaimStats and ReclaimTraits expose the leak scheme's counters and
-// fixed properties.
-func (t *NMTree) ReclaimStats() reclaim.Stats   { return t.leak.Stats() }
-func (t *NMTree) ReclaimTraits() reclaim.Traits { return t.leak.Traits() }
+// ReclaimStats exposes the leak scheme's counters.
+func (t *NMTree) ReclaimStats() reclaim.Stats { return t.leak.Stats() }
+
+// Books implements sets.BooksReporter: the five sentinel nodes NewNMTree
+// builds, and a leaf and its router per key.
+func (t *NMTree) Books(keys uint64) reclaim.Books {
+	st := t.leak.Stats()
+	return reclaim.Books{
+		Live: t.ar.Stats().Live, Sentinels: 5, PerKey: 2, Keys: keys,
+		Deferred: st.Deferred, Leftover: st.Leftover, Traits: t.leak.Traits(),
+	}
+}

@@ -51,6 +51,9 @@ type Layout[N any] struct {
 	// the chassis's RT, Ar and Guard already in place. Nil means the
 	// structure takes generic modes only.
 	Local func(mode Mode, n Nodes) Link
+	// PerKey is how many nodes one resident key costs (Books.PerKey), zero
+	// meaning one; the external tree's is 2, a leaf and its router.
+	PerKey uint64
 }
 
 // opState is one thread's operation stamp (reclamation-delay accounting),
@@ -74,6 +77,8 @@ type Chassis[N any] struct {
 	Guard  Guard
 
 	words       func(*N, func(*stm.Word, uint64), uint64)
+	perKey      uint64 // Layout.PerKey
+	sentinels   uint64 // nodes NewSentinel made
 	win         core.Window
 	winOverride atomic.Int32
 	ops         []opState
@@ -92,7 +97,7 @@ func (c *Chassis[N]) Init(cfg Config, lay Layout[N]) {
 		Policy: cfg.ArenaPolicy, Threads: cfg.Threads,
 		Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
 	})
-	c.words, c.win = lay.Words, cfg.Window
+	c.words, c.win, c.perKey = lay.Words, cfg.Window, max(lay.PerKey, 1)
 	c.ops = make([]opState, cfg.Threads)
 	c.Ar.SetRetire(func(n *N) { c.words(n, (*stm.Word).Retire, c.RT.VersionFence()) })
 	if cfg.Guard {
@@ -131,6 +136,7 @@ func (c *Chassis[N]) Init(cfg Config, lay Layout[N]) {
 // construction-time only (never shared before the constructor returns), so
 // non-transactional initialization is safe here and only here.
 func (c *Chassis[N]) NewSentinel() (arena.Handle, *N) {
+	c.sentinels++
 	h := c.Ar.Alloc(0)
 	n := c.Ar.At(h)
 	c.words(n, (*stm.Word).Init, 0)
@@ -158,12 +164,16 @@ func (c *Chassis[N]) Unlinked(tx *stm.Tx, tid int, h arena.Handle) {
 // stm.Runtime.Chain the loop that runs them until one returns false.
 func (c *Chassis[N]) Op(tid int, window func(tx *stm.Tx) (more bool)) {
 	c.ops[tid].n++
+	c.Link.Begin(tid)
+	defer c.Link.End(tid)
 	c.RT.Chain(tid, window)
 }
 
 // Batch runs n operations of tid's as one transaction (sets.Set.Apply).
 func (c *Chassis[N]) Batch(tid, n int, fn func(tx *stm.Tx)) {
 	c.ops[tid].n += uint64(n)
+	c.Link.Begin(tid)
+	defer c.Link.End(tid)
 	c.RT.AtomicBatchT(tid, n, fn)
 }
 
@@ -218,12 +228,12 @@ func (c *Chassis[N]) Start(tx *stm.Tx, tid int, root arena.Handle, rootWord uint
 // revocation stays windowed too. It also stops as soon as batch holds want
 // keys; what it returns to hold is then not used.
 //
-// The hold is released no matter how the scan ends: exhaustion, the limit,
-// fn returning false, or a panicking fn (the release is deferred, so the
-// panic propagates with no hold left behind — a leaked hold would make the
-// thread's next operation resume from a stale position and skip smaller
-// keys). The key buffer is the thread's own and grow-only, so a scan
-// allocates nothing once warm.
+// The hold is released and the Link.Begin/End bracket closed however the
+// scan ends: exhaustion, the limit, fn returning false, or a panicking fn
+// (the release is deferred, so the panic propagates with no hold left
+// behind — a leaked hold would make the thread's next operation resume from
+// a stale position and skip smaller keys). The key buffer is the thread's
+// own and grow-only, so a scan allocates nothing once warm.
 func (c *Chassis[N]) Cursor(tid int, from uint64, limit int, root arena.Handle, rootWord uint64, fn func(key uint64) bool,
 	window func(tx *stm.Tx, start arena.Handle, word uint64, budget, want int, last uint64, batch []uint64) ([]uint64, arena.Handle, uint64)) {
 	ts := &c.ops[tid]
@@ -235,10 +245,12 @@ func (c *Chassis[N]) Cursor(tid int, from uint64, limit int, root arena.Handle, 
 	}
 	holding := false // a hold survives outside the current window
 	windows, renavs := 0, 0
+	c.Link.Begin(tid)
 	defer func() {
 		if holding {
 			c.RT.AtomicT(tid, func(tx *stm.Tx) { c.Link.Drop(tx, tid, true) })
 		}
+		c.Link.End(tid)
 		if c.scanWindows != nil {
 			c.scanWindows.Record(uint64(windows))
 			c.scanRenavs.Record(uint64(renavs))
@@ -301,8 +313,18 @@ func (c *Chassis[N]) TMStats() stm.Stats { return c.RT.Stats() }
 // ReclaimStats implements sets.ReclaimReporter (zero for the precise modes).
 func (c *Chassis[N]) ReclaimStats() Stats { return c.Link.Stats() }
 
-// ReclaimTraits reports the mode's fixed reclamation properties.
-func (c *Chassis[N]) ReclaimTraits() Traits { return c.Traits }
+// Books implements sets.BooksReporter: the nodes NewSentinel made, the
+// Layout's nodes per key, the link's deferred remainder and Traits.
+func (c *Chassis[N]) Books(keys uint64) Books {
+	st := c.Link.Stats()
+	return Books{
+		Live: c.Ar.Stats().Live, Sentinels: c.sentinels, PerKey: c.perKey, Keys: keys,
+		Deferred: st.Deferred, Leftover: st.Leftover, Traits: c.Traits,
+	}
+}
+
+// Busy implements sets.BusyReporter.
+func (c *Chassis[N]) Busy(tid int) bool { return c.RT.Busy(tid) }
 
 // LiveNodes implements sets.MemoryReporter (sentinels included).
 func (c *Chassis[N]) LiveNodes() uint64 { return c.Ar.Stats().Live }

@@ -19,6 +19,9 @@ import (
 // structure. Link is that parameter. A structure describes its nodes once
 // (Nodes), holds one Link, and calls:
 //
+//	Begin     once as an operation starts, End once as it ends — the
+//	          chassis's Op, Batch and Cursor make the calls, End deferred
+//	          (the dds/bclx managers' op_begin/op_end)
 //	Resume    at the top of every window: where does it start, and does
 //	          the thread still hold that position?
 //	Hold      when a window's budget runs out: attach to the next start,
@@ -71,9 +74,9 @@ import (
 // report before the second check could discard the value; that was the
 // TMVBR false positive EXPERIMENTS.md records.)
 
-// Link is the seam. Every method except Register, Finish, Stats, Name and
-// Traits runs inside the caller's transaction; tid identifies the calling
-// thread as everywhere else.
+// Link is the seam. Every method except Register, Begin, End, Finish,
+// Stats, Name and Traits runs inside the caller's transaction; tid
+// identifies the calling thread as everywhere else.
 type Link interface {
 	// Name is the variant label ("RR-V", "HTM", "TMHP", …).
 	Name() string
@@ -81,6 +84,10 @@ type Link interface {
 	Traits() Traits
 	// Register announces that tid will use the link (sets.Set.Register).
 	Register(tid int)
+	// Begin and End bracket one of tid's operations, outside its
+	// transactions: ER's epoch critical section; every other pair is empty.
+	Begin(tid int)
+	End(tid int)
 	// Resume reports where tid's window starts: the handle and word of its
 	// last committed Hold, if the thread still holds it. Not held means
 	// start from the root.
@@ -220,6 +227,8 @@ func newPrecise(n Nodes) *precise {
 func (p *precise) Name() string     { return p.rr.Name() }
 func (p *precise) Traits() Traits   { return Traits{DrainRounds: 1, StrictLoss: p.strict} }
 func (p *precise) Register(tid int) { p.rr.Register(tid) }
+func (*precise) Begin(int)          {}
+func (*precise) End(int)            {}
 
 func (p *precise) Resume(tx *stm.Tx, tid int) (arena.Handle, uint64, bool) {
 	var r uint64
@@ -278,6 +287,8 @@ type wholeOp struct{ freer }
 func (*wholeOp) Name() string   { return ModeHTM.String() }
 func (*wholeOp) Traits() Traits { return Traits{DrainRounds: 1, StrictLoss: true, WholeOp: true} }
 func (*wholeOp) Register(int)   {}
+func (*wholeOp) Begin(int)      {}
+func (*wholeOp) End(int)        {}
 
 func (*wholeOp) Resume(*stm.Tx, int) (arena.Handle, uint64, bool) { return arena.Nil, 0, false }
 
@@ -322,8 +333,8 @@ type deferred struct {
 }
 
 // NewDeferred builds the deferred link over sch, labelled name. New calls
-// it for the table's modes; the list calls it for ER, whose scheme it
-// also brackets operations with.
+// it for the table's modes; the list calls it for ER, whose link wraps it
+// with the epoch bracket.
 func NewDeferred(name string, sch Scheme, n Nodes) Link {
 	d := &deferred{
 		freer: newFreer(n), name: name, sch: sch, traits: sch.Traits(),
@@ -355,6 +366,8 @@ func NewDeferred(name string, sch Scheme, n Nodes) Link {
 func (d *deferred) Name() string   { return d.name }
 func (d *deferred) Traits() Traits { return d.traits }
 func (d *deferred) Register(int)   {}
+func (d *deferred) Begin(int)      {}
+func (d *deferred) End(int)        {}
 
 func (d *deferred) Resume(tx *stm.Tx, tid int) (arena.Handle, uint64, bool) {
 	ts := &d.threads[tid]

@@ -19,6 +19,8 @@
 package reclaim
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"hohtx/internal/arena"
@@ -101,6 +103,52 @@ type Traits struct {
 	// WholeOp (Link only): nothing links transactions, so every operation
 	// must be a single one (the paper's HTM baseline).
 	WholeOp bool
+}
+
+// Books are one structure's memory books, and Check is the conservation
+// equation they must satisfy at quiescence — the paper's claim, written
+// once: the arena holds exactly its sentinels, its keys' nodes and what the
+// mechanism still defers, and under precise reclamation nothing is deferred.
+type Books struct {
+	Live      uint64 // arena nodes allocated and not freed, sentinels included
+	Sentinels uint64 // nodes the structure allocated at construction
+	PerKey    uint64 // arena nodes one resident key costs
+	Keys      uint64 // resident keys: the caller's count (structures keep none)
+	Deferred  uint64 // retired and not yet freed
+	Leftover  uint64 // retirees the scheme's last pass per thread could not free
+	Traits    Traits // the mechanism's
+}
+
+// Add accumulates o into b (several shards as one): the counts sum, and
+// PerKey and Traits, which every shard shares, are o's.
+// serve.TestStatsAddSumsEveryField fails on a count this does not sum.
+func (b *Books) Add(o Books) {
+	b.Live += o.Live
+	b.Sentinels += o.Sentinels
+	b.Keys += o.Keys
+	b.Deferred += o.Deferred
+	b.Leftover += o.Leftover
+	b.PerKey, b.Traits = o.PerKey, o.Traits
+}
+
+// Check balances the books at quiescence; drained says the Finish sweeps
+// Traits.DrainRounds asks for have run. Precise modes defer nothing; a
+// drained deferred mode, unless it leaks, has nothing deferred or left
+// over; and in every mode live = sentinels + per key × keys + deferred.
+// The error names each failure, and the equation's residual.
+func (b Books) Check(drained bool) error {
+	var waits, residual error
+	switch {
+	case !b.Traits.Deferred && b.Deferred != 0:
+		waits = fmt.Errorf("precise mode: %d deferred nodes", b.Deferred)
+	case b.Traits.Deferred && !b.Traits.Leak && drained && b.Deferred+b.Leftover != 0:
+		waits = fmt.Errorf("deferred mode after full drain: %d nodes still deferred, %d leftover retirees", b.Deferred, b.Leftover)
+	}
+	if want := b.Sentinels + b.PerKey*b.Keys + b.Deferred; b.Live != want {
+		residual = fmt.Errorf("live %d != %d sentinels + %d per key × %d keys + %d deferred: residual %+d",
+			b.Live, b.Sentinels, b.PerKey, b.Keys, b.Deferred, int64(b.Live-want))
+	}
+	return errors.Join(waits, residual)
 }
 
 // Scheme is the interface shared by the deferred-reclamation baselines:

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 
 	"hohtx/internal/obs"
@@ -16,6 +17,9 @@ var (
 	ErrSaturated = errors.New("serve: lease pool saturated")
 	// ErrClosed is returned by Acquire after Close.
 	ErrClosed = errors.New("serve: lease pool closed")
+	// ErrUnbalanced is wrapped by every failure of the verdict a drain ends
+	// with (Sharded.Books, Server.Shutdown).
+	ErrUnbalanced = errors.New("serve: books do not balance at drain")
 )
 
 // PoolConfig parameterizes NewPool.
@@ -73,12 +77,13 @@ type Pool struct {
 	waitHist   *obs.Histogram // nil when unobserved
 
 	mu     sync.Mutex
-	idle   sync.Cond // signaled when closed && outstanding == 0
-	free   []int     // LIFO stack of free slot ids (warm reuse)
+	idle   chan struct{} // closed once the pool is closed with no lease out
+	free   []int         // LIFO stack of free slot ids (warm reuse)
 	isFree []bool
 	queue  []*waiter
 	closed bool
 	stats  PoolStats
+	swept  sync.Once // the one Finish sweep closing owes
 }
 
 // NewPool builds a pool over set. cfg.Slots must equal the set's
@@ -100,8 +105,8 @@ func NewPool(set sets.Set, cfg PoolConfig) *Pool {
 		maxWaiters: cfg.MaxWaiters,
 		free:       make([]int, 0, cfg.Slots),
 		isFree:     make([]bool, cfg.Slots),
+		idle:       make(chan struct{}),
 	}
-	p.idle.L = &p.mu
 	for s := cfg.Slots - 1; s >= 0; s-- { // slot 0 on top of the stack
 		set.Register(s)
 		p.free = append(p.free, s)
@@ -157,7 +162,7 @@ func (p *Pool) Release(slot int) {
 	p.free = append(p.free, slot)
 	p.isFree[slot] = true
 	if p.closed && p.stats.Outstanding == 0 {
-		p.idle.Signal()
+		close(p.idle)
 	}
 	p.mu.Unlock()
 }
@@ -306,28 +311,43 @@ func (p *Pool) FinishAll() {
 
 // Close rejects new Acquires, fails queued waiters with ErrClosed, waits
 // for outstanding leases to be released, then flushes every slot.
-func (p *Pool) Close() {
+func (p *Pool) Close() { _ = p.shut(context.Background()) }
+
+// shut is Close with the wait bounded by ctx: when ctx ends first, it
+// flushes nothing and names the worker ids still leased.
+func (p *Pool) shut(ctx context.Context) error {
 	p.mu.Lock()
-	if p.closed {
-		for p.stats.Outstanding > 0 {
-			p.idle.Wait()
+	if !p.closed {
+		p.closed = true
+		for _, w := range p.queue {
+			if !w.canceled {
+				close(w.ch)
+			}
 		}
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	for _, w := range p.queue {
-		if !w.canceled {
-			close(w.ch)
+		p.queue = nil
+		p.stats.Waiting = 0
+		if p.stats.Outstanding == 0 {
+			close(p.idle)
 		}
-	}
-	p.queue = nil
-	p.stats.Waiting = 0
-	for p.stats.Outstanding > 0 {
-		p.idle.Wait()
 	}
 	p.mu.Unlock()
-	p.FinishAll()
+	select {
+	case <-p.idle:
+	case <-ctx.Done():
+	}
+	var leased []error
+	p.mu.Lock()
+	for slot, free := range p.isFree {
+		if !free {
+			leased = append(leased, fmt.Errorf("worker %d still leased", slot))
+		}
+	}
+	p.mu.Unlock()
+	if len(leased) > 0 {
+		return errors.Join(leased...)
+	}
+	p.swept.Do(p.FinishAll)
+	return nil
 }
 
 // Handle is a pool client with slot affinity: Acquire prefers the slot

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -197,6 +199,9 @@ func (s *Server) Len() int64 { return s.keys.Load() }
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
+	if s.draining.Load() {
+		_ = ln.Close() // Shutdown came first
+	}
 	s.mu.Unlock()
 	for {
 		c, err := ln.Accept()
@@ -221,8 +226,12 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Shutdown drains the server: stop accepting, give in-flight pipelines a
 // grace period to finish, then wait for every connection goroutine (or
-// force-close them when ctx ends first). The pools are closed last, which
-// flushes every shard's worker slots.
+// force-close them when ctx ends first, which returns ctx.Err()). The pools
+// close last, waiting until ctx ends for their leases, and two Finish
+// sweeps drain every scheme (reclaim.Traits.DrainRounds). Then the verdict
+// (Sharded.Books, DESIGN.md §6): an error wrapping ErrUnbalanced names each
+// worker id still leased, with a span armed or its transaction context
+// busy, and each shard whose drained books do not balance.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -252,8 +261,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 		err = ctx.Err()
 	}
-	for _, b := range s.shards {
-		b.Pool.Close()
+	var leased []error
+	for i, b := range s.shards {
+		if e := b.Pool.shut(ctx); e != nil {
+			leased = append(leased, fmt.Errorf("shard %d: %w", i, e))
+		}
 	}
-	return err
+	if len(leased) > 0 {
+		return errors.Join(err, fmt.Errorf("%w: %w", ErrUnbalanced, errors.Join(leased...)))
+	}
+	for _, b := range s.shards {
+		b.Pool.FinishAll()
+	}
+	_, books := s.view.Books(s.shards[0].Pool.Slots(), true)
+	return errors.Join(err, books)
 }

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -11,8 +12,11 @@ import (
 	"time"
 
 	"hohtx/internal/bench"
+	"hohtx/internal/list"
+	"hohtx/internal/obs"
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
+	"hohtx/internal/stm"
 )
 
 // testServer is a server on a loopback port and what its tests reach for.
@@ -31,23 +35,19 @@ type testServer struct {
 // startServer is the one way a test in this package gets a listening
 // server: sh's shards, each behind its own pool built from pc, under cfg
 // (whose Shards it fills in). Its drain makes every test that serves a leak
-// test. After Shutdown — which no test may fail or outlast — every pool is
-// idle, no request span is left armed on any worker id of any shard's
-// domain, and each shard's arena holds exactly its keys, the sentinels it
-// started with and what its scheme still defers.
+// test: Shutdown, which no test may fail or outlast, ends with the verdict
+// (Sharded.Books) — every pool idle, no request span armed and no
+// transaction context busy on any worker id of any shard, and each shard's
+// drained arena holding exactly its sentinels, its keys' nodes and nothing
+// deferred.
 func startServer(t testing.TB, sh *serve.Sharded, pc serve.PoolConfig, cfg serve.ServerConfig) *testServer {
 	t.Helper()
 	n := sh.ShardCount()
 	ts := &testServer{sh: sh, pools: make([]*serve.Pool, n)}
 	cfg.Shards = make([]serve.Backend, n)
-	sentinels := make([]uint64, n)
 	for i := range cfg.Shards {
-		set := sh.Shard(i)
-		ts.pools[i] = serve.NewPool(set, pc)
-		cfg.Shards[i] = serve.Backend{Set: set, Pool: ts.pools[i]}
-		if mem, ok := set.(sets.MemoryReporter); ok {
-			sentinels[i] = mem.LiveNodes() - mem.DeferredNodes() - uint64(len(set.Snapshot()))
-		}
+		ts.pools[i] = serve.NewPool(sh.Shard(i), pc)
+		cfg.Shards[i] = serve.Backend{Set: sh.Shard(i), Pool: ts.pools[i]}
 	}
 	ts.cfg, ts.srv = cfg, serve.NewServer(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -68,26 +68,6 @@ func startServer(t testing.TB, sh *serve.Sharded, pc serve.PoolConfig, cfg serve
 			}
 			if err := <-serveErr; err != nil {
 				t.Errorf("Serve: %v", err)
-			}
-			for i, pool := range ts.pools {
-				if st := pool.Stats(); st.Outstanding != 0 || st.Waiting != 0 {
-					t.Errorf("shard %d pool after drain: %d slots leased, %d waiters queued", i, st.Outstanding, st.Waiting)
-				}
-				set := sh.Shard(i)
-				if or, ok := set.(sets.ObsReporter); ok {
-					for tid := 0; tid < pool.Slots(); tid++ {
-						if or.ObsDomain().SpanOf(tid) != nil {
-							t.Errorf("shard %d: a request span is still armed on worker %d after drain", i, tid)
-						}
-					}
-				}
-				if mem, ok := set.(sets.MemoryReporter); ok {
-					keys, deferred := uint64(len(set.Snapshot())), mem.DeferredNodes()
-					if live := mem.LiveNodes(); live != keys+sentinels[i]+deferred {
-						t.Errorf("shard %d after drain: %d live nodes, want %d keys + %d sentinels + %d deferred",
-							i, live, keys, sentinels[i], deferred)
-					}
-				}
 			}
 		})
 	}
@@ -358,18 +338,100 @@ func TestServerDeferredSchemesLoopback(t *testing.T) {
 			}
 			wg.Wait()
 
+			// Shutdown's two Finish sweeps free retirees the first left
+			// pinned by era reservations that later slots only cleared in
+			// their own Finish.
 			ts.drain()
-			// Shutdown closed the pool (one Finish sweep); one more round
-			// frees retirees the first sweep left pinned by era
-			// reservations that later slots only cleared in their own
-			// Finish.
-			ts.pools[0].FinishAll()
 			if live := mem.LiveNodes(); live != baseline {
 				t.Fatalf("live nodes after drain = %d, want baseline %d", live, baseline)
 			}
 			if def := mem.DeferredNodes(); def != 0 {
 				t.Fatalf("deferred nodes after drain = %d, want 0", def)
 			}
+		})
+	}
+}
+
+// TestServerBooksExternalTree serves the external tree, whose every key is
+// a leaf and the router above it, and leaves keys in it at the drain: the
+// verdict must take the tree's two nodes per key from the tree itself, not
+// assume one.
+func TestServerBooksExternalTree(t *testing.T) {
+	set, err := bench.Build(bench.FamilyExternalTree, bench.VariantSpec{Name: "RR-V"}, 2)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	ts := startServer(t, serve.NewSharded([]sets.Set{set}), serve.PoolConfig{Slots: 2}, serve.ServerConfig{})
+	cl := dialClient(t, ts.addr)
+	for i, r := range cl.roundTrip(t, "SET 5", "SET 9", "SET 2", "DEL 9", "SET 7") {
+		if r != "1" {
+			t.Fatalf("request %d -> %q, want 1", i+1, r)
+		}
+	}
+	// Three keys stay in the tree; the drain's verdict balances the books.
+}
+
+// TestShutdownNamesWhatIsNotAtRest: the verdict Shutdown ends with has
+// teeth. A worker id a test holds past the drain, a request span left
+// armed, and a transaction context left busy each make Shutdown fail,
+// naming the shard and the worker id; once the test lets go, Shutdown
+// succeeds.
+func TestShutdownNamesWhatIsNotAtRest(t *testing.T) {
+	const slots = 2
+	for _, tc := range []struct {
+		name string
+		want string
+		// hold puts shard 1's worker 1 in the state under test and returns
+		// what lets it go.
+		hold func(t *testing.T, ts *testServer) (release func())
+	}{
+		{"leased", "shard 1: worker 1 still leased", func(t *testing.T, ts *testServer) func() {
+			h := ts.pools[1].Handle()
+			first, _ := h.Acquire(context.Background())
+			second, _ := h.Acquire(context.Background())
+			h.Release(first)
+			if second != 1 {
+				t.Fatalf("leased worker %d, want 1", second)
+			}
+			return func() { h.Release(second) }
+		}},
+		{"span", "shard 1: worker 1: a request span is still armed", func(t *testing.T, ts *testServer) func() {
+			dom := ts.sh.Shard(1).(sets.ObsReporter).ObsDomain()
+			sp := new(obs.Span)
+			sp.Reset("TEST", obs.Now())
+			dom.SetSpan(1, sp)
+			return func() { dom.SetSpan(1, nil) }
+		}},
+		{"busy", "shard 1: worker 1: transaction context busy", func(t *testing.T, ts *testServer) func() {
+			rt := ts.sh.Shard(1).(*list.List).RT
+			started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				rt.Chain(1, func(*stm.Tx) bool {
+					close(started)
+					<-release
+					return false
+				})
+			}()
+			<-started
+			return func() { close(release); <-done }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sh, err := bench.BuildSharded(bench.FamilySingly, bench.VariantSpec{Name: "RR-V", Observe: true}, slots, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := startServer(t, sh, serve.PoolConfig{Slots: slots}, serve.ServerConfig{})
+			release := tc.hold(t, ts)
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			err = ts.srv.Shutdown(ctx)
+			if !errors.Is(err, serve.ErrUnbalanced) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Shutdown = %v, want ErrUnbalanced naming %q", err, tc.want)
+			}
+			release()
+			ts.drain() // Shutdown again, now with everything at rest
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 
 	"hohtx/internal/arena"
@@ -256,6 +257,41 @@ func (s *Sharded) DeferredNodes() (n uint64) {
 		n += m.DeferredNodes()
 	}
 	return n
+}
+
+// Books is the verdict at quiescence, shard by shard: no worker id below
+// slots has a request span armed or its transaction context busy, and the
+// shard's books balance against its own keys (reclaim.Books.Check), so two
+// shards leaking in opposite directions cannot cancel. sum adds the books
+// read; err, wrapping ErrUnbalanced, names every shard and worker id that
+// failed.
+func (s *Sharded) Books(slots int, drained bool) (sum reclaim.Books, err error) {
+	var errs []error
+	for i, sh := range s.shards {
+		n := len(errs)
+		busy, _ := sh.(sets.BusyReporter)
+		for tid := 0; tid < slots; tid++ {
+			if s.doms[i].SpanOf(tid) != nil {
+				errs = append(errs, fmt.Errorf("shard %d: worker %d: a request span is still armed", i, tid))
+			}
+			if busy != nil && busy.Busy(tid) {
+				errs = append(errs, fmt.Errorf("shard %d: worker %d: transaction context busy", i, tid))
+			}
+		}
+		r, ok := sh.(sets.BooksReporter)
+		if !ok || len(errs) > n {
+			continue // no arena, or not at rest: the books cannot be read
+		}
+		b := r.Books(uint64(len(sh.Snapshot())))
+		if e := b.Check(drained); e != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", i, e))
+		}
+		sum.Add(b)
+	}
+	if len(errs) > 0 {
+		err = fmt.Errorf("%w: %w", ErrUnbalanced, errors.Join(errs...))
+	}
+	return sum, err
 }
 
 // SetWindow adjusts the hand-over-hand window on every shard (the

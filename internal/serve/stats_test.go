@@ -6,6 +6,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -66,27 +67,34 @@ func leafValue(leaf reflect.Value) float64 {
 
 // checkAddSumsEveryField fills two values of T with a distinct number in
 // every numeric leaf, adds them, and wants every leaf to hold the two
-// numbers' sum: a field that Add forgets keeps the receiver's number.
-func checkAddSumsEveryField[T any](t *testing.T, add func(dst *T, o T)) {
+// numbers' sum: a field that Add forgets keeps the receiver's number. The
+// top-level fields named in shared are not sums and are skipped.
+func checkAddSumsEveryField[T any](t *testing.T, add func(dst *T, o T), shared ...string) {
 	t.Helper()
+	leaves := func(v reflect.Value, visit func(path string, leaf reflect.Value)) {
+		for i := 0; i < v.NumField(); i++ {
+			if name := v.Type().Field(i).Name; !slices.Contains(shared, name) {
+				numericLeaves(t, v.Field(i), "."+name, visit)
+			}
+		}
+	}
 	var a, b T
 	n := uint64(0)
 	for _, v := range []*T{&a, &b} {
-		numericLeaves(t, reflect.ValueOf(v).Elem(), reflect.TypeOf(a).String(), func(_ string, leaf reflect.Value) {
+		leaves(reflect.ValueOf(v).Elem(), func(_ string, leaf reflect.Value) {
 			n++
 			setLeaf(leaf, n*1000+n)
 		})
 	}
-	leaves := n / 2
-	if leaves == 0 {
+	if n == 0 {
 		t.Fatalf("%T has no numeric fields", a)
 	}
 	sum := a
 	add(&sum, b)
 	want := map[string]float64{}
-	numericLeaves(t, reflect.ValueOf(a), "", func(p string, leaf reflect.Value) { want[p] = leafValue(leaf) })
-	numericLeaves(t, reflect.ValueOf(b), "", func(p string, leaf reflect.Value) { want[p] += leafValue(leaf) })
-	numericLeaves(t, reflect.ValueOf(sum), "", func(p string, leaf reflect.Value) {
+	leaves(reflect.ValueOf(a), func(p string, leaf reflect.Value) { want[p] = leafValue(leaf) })
+	leaves(reflect.ValueOf(b), func(p string, leaf reflect.Value) { want[p] += leafValue(leaf) })
+	leaves(reflect.ValueOf(sum), func(p string, leaf reflect.Value) {
 		if got := leafValue(leaf); got != want[p] {
 			t.Errorf("%T%s = %v after Add, want %v: Add does not sum this field", a, p, got, want[p])
 		}
@@ -94,14 +102,22 @@ func checkAddSumsEveryField[T any](t *testing.T, add func(dst *T, o T)) {
 }
 
 // TestStatsAddSumsEveryField is the one-place proof for a counter: adding
-// a numeric field to stm.Stats, reclaim.Stats or arena.GuardStats without
-// summing it in that type's Add fails here, and summing it there — an edit
-// in the counter's own package — is all the aggregate views (Sharded, and
-// through it the server's INFO and gauges) need to carry it.
+// a numeric field to stm.Stats, reclaim.Stats, arena.GuardStats or
+// reclaim.Books without summing it in that type's Add fails here, and
+// summing it there — an edit in the counter's own package — is all the
+// aggregate views (Sharded, and through it the server's INFO, gauges and
+// drain verdict) need to carry it. The books' PerKey and Traits are the
+// structure's and the mechanism's, shared by every shard: Add carries them.
 func TestStatsAddSumsEveryField(t *testing.T) {
 	checkAddSumsEveryField(t, (*stm.Stats).Add)
 	checkAddSumsEveryField(t, (*reclaim.Stats).Add)
 	checkAddSumsEveryField(t, (*arena.GuardStats).Add)
+	checkAddSumsEveryField(t, (*reclaim.Books).Add, "PerKey", "Traits")
+	var sum reclaim.Books
+	sum.Add(reclaim.Books{PerKey: 2, Traits: reclaim.Traits{Deferred: true, DrainRounds: 2}})
+	if sum.PerKey != 2 || sum.Traits.DrainRounds != 2 {
+		t.Errorf("Books.Add dropped the shard's PerKey or Traits: %+v", sum)
+	}
 }
 
 // TestShardedStatsAreTheShardsSum closes the loop on a live instance: the

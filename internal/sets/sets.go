@@ -179,6 +179,17 @@ type ReclaimReporter interface {
 	ReclaimStats() reclaim.Stats
 }
 
+// BooksReporter exposes a structure's memory books (reclaim.Books) holding
+// keys resident keys: the caller's count, a quiescent Snapshot's length.
+type BooksReporter interface {
+	Books(keys uint64) reclaim.Books
+}
+
+// BusyReporter exposes whether tid's transaction context is in use.
+type BusyReporter interface {
+	Busy(tid int) bool
+}
+
 // GuardReporter exposes the arena's use-after-free sanitizer counters.
 type GuardReporter interface {
 	GuardStats() arena.GuardStats

@@ -30,7 +30,6 @@ import (
 	"hohtx/internal/arena"
 	"hohtx/internal/pad"
 	"hohtx/internal/reclaim"
-	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
@@ -79,9 +78,6 @@ type SkipList struct {
 	head    arena.Handle
 	threads []threadState
 }
-
-var _ sets.Set = (*SkipList)(nil)
-var _ sets.MemoryReporter = (*SkipList)(nil)
 
 // New constructs a skiplist set.
 func New(cfg Config) *SkipList {

@@ -238,6 +238,14 @@ func (rt *Runtime) context(tid int) *Tx {
 	return t[tid]
 }
 
+// Busy reports whether tid's own context is in use: a chain runs on it or
+// has not yet published its counts. Read it where tid is handed on (Local's
+// owner contract), as after a lease pool closes.
+func (rt *Runtime) Busy(tid int) bool {
+	t := rt.ctxs.Load()
+	return t != nil && tid < len(*t) && (*t)[tid] != nil && (*t)[tid].busy
+}
+
 // release publishes the chain's counts and gives the context back.
 func (rt *Runtime) release(tx *Tx) {
 	tx.flush()

@@ -10,12 +10,10 @@
 //     remove toggles presence, so presence after quiesce equals prefill
 //     presence + successful inserts − successful removes, independent of
 //     interleaving);
-//   - arena accounting balances: Live == sentinels + perKey·|set| for the
-//     precise modes, with the deferred remainder explicitly accounted for
-//     (and bounded) in the HP/epoch/leak modes;
-//   - hazard-pointer leftovers drain to zero after a second Finish round
-//     (the first round can strand retirees pinned by hazards of threads
-//     that finished later);
+//   - the verdict at quiescence (serve.Sharded.Books): every worker id at
+//     rest, and each shard's drained books balanced (reclaim.Books: live =
+//     sentinels + per key × keys + deferred, nothing deferred unless the
+//     mode leaks), with hazard leftovers slot-bounded after round one;
 //   - guard mode (arena use-after-free sanitizer) observed zero committed
 //     reads of freed slots;
 //   - structure-specific shape validators (link symmetry, BST ordering,

@@ -148,7 +148,7 @@ func TestSeamTestOnlySchemeVsModel(t *testing.T) {
 				t.Fatalf("final snapshot %v, model %v", got, keys)
 			}
 			s.Finish(0)
-			st := inst.reclaim()
+			st := inst.view.ReclaimStats()
 			if st.Retired == 0 || st.Deferred != 0 || st.Freed != st.Retired {
 				t.Fatalf("toy scheme's books after Finish: %+v", st)
 			}

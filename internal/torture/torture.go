@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,14 +12,15 @@ import (
 
 	"hohtx/internal/arena"
 	"hohtx/internal/obs"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
 )
 
 // Config fully determines one torture run; String() is the repro line.
 type Config struct {
-	Structure string       // see Structures()
-	Variant   string       // see Variants(structure)
+	Structure string       // a family table row's name (family.Names)
+	Variant   string       // a variant the row takes (family.Row.Variants)
 	Policy    arena.Policy // allocator free-list policy
 	Threads   int          // concurrent worker count (default 4)
 	Ops       int          // operations per worker (default 2000)
@@ -94,17 +95,15 @@ func (c Config) String() string {
 
 // Report summarizes a completed run.
 type Report struct {
-	Size        int     // final set cardinality
-	Inserts     uint64  // successful inserts (workers, not prefill)
-	Removes     uint64  // successful removes
-	Live        uint64  // arena live nodes after quiesce
-	Deferred    uint64  // retired-but-unfreed nodes after quiesce
-	Leftover    uint64  // scheme leftovers after the final Finish round
-	AvgDelayOps float64 // mean retire→free distance in op stamps (deferred schemes)
-	PoisonReads uint64  // benign doomed-reader poison observations (guard)
-	Violations  uint64  // committed use-after-free reads (guard; must be 0)
-	PairChecks  uint64  // batch-atomicity observer transactions (BatchOps runs)
-	ScanChecks  uint64  // concurrent scan-oracle iterations (Ascender variants)
+	Size        int           // final set cardinality
+	Inserts     uint64        // successful inserts (workers, not prefill)
+	Removes     uint64        // successful removes
+	Books       reclaim.Books // the drained books the verdict read, summed over shards
+	AvgDelayOps float64       // mean retire→free distance in op stamps (deferred schemes)
+	PoisonReads uint64        // benign doomed-reader poison observations (guard)
+	Violations  uint64        // committed use-after-free reads (guard; must be 0)
+	PairChecks  uint64        // batch-atomicity observer transactions (BatchOps runs)
+	ScanChecks  uint64        // concurrent scan-oracle iterations (Ascender variants)
 }
 
 // leaseBatch is how many operations a worker runs under one slot lease
@@ -171,15 +170,8 @@ func runOn(cfg Config, inst *instance) (Report, error) {
 	// under them: why each shard's transactions abort, who holds which
 	// worker id, and where every goroutine is.
 	evidence := []string{fmt.Sprintf("watchdog: not finished after %v", limit)}
-	shards := []sets.Set{inst.set}
-	if sh, ok := inst.set.(*serve.Sharded); ok {
-		shards = shards[:0]
-		for i := 0; i < sh.ShardCount(); i++ {
-			shards = append(shards, sh.Shard(i))
-		}
-	}
-	for i, sh := range shards {
-		if r, ok := sh.(sets.TMStatsReporter); ok {
+	for i := 0; i < inst.view.ShardCount(); i++ {
+		if r, ok := inst.view.Shard(i).(sets.TMStatsReporter); ok {
 			evidence = append(evidence, fmt.Sprintf("shard %d: %v", i, r.TMStats()))
 		}
 	}
@@ -230,12 +222,7 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 	// panics on a span the previous batch leaked, Finish on a double
 	// finish. Lock-free baselines carry no domain; their workers still
 	// cycle the spans, pinning the lifecycle discipline itself.
-	armSpan := func(tid int, sp *obs.Span) {}
-	if sh, ok := s.(*serve.Sharded); ok && len(inst.obsAll) > 0 {
-		armSpan = sh.ArmSpan
-	} else if inst.obs != nil {
-		armSpan = inst.obs.SetSpan
-	}
+	armSpan := inst.view.ArmSpan
 
 	// Prefill about half the key space single-threaded so removals have
 	// something to chew on from the first operation.
@@ -548,7 +535,7 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 			// stale era reservation strands every retiree whose lifetime
 			// interval contains it, which the slot count does not cap.
 			bound := uint64(cfg.Threads) * 3 * uint64(cfg.Shards)
-			if left := inst.reclaim().Leftover; left > bound {
+			if left := inst.view.ReclaimStats().Leftover; left > bound {
 				fail("after Finish round 1: %d leftover retirees exceeds the hazard-slot bound %d", left, bound)
 			}
 		}
@@ -582,7 +569,7 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 	for k := uint64(1); k <= cfg.Keys; k++ {
 		if presence[k] == 1 {
 			want++
-			if !contains(snap, k) {
+			if _, ok := slices.BinarySearch(snap, k); !ok {
 				fail("oracle says key %d present, snapshot disagrees", k)
 			}
 		}
@@ -591,16 +578,13 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 		fail("oracle size %d != snapshot size %d", want, len(snap))
 	}
 
-	// Memory books, in aggregate (a sharded instance's validator below
-	// balances each shard's own too).
-	if mr, ok := s.(sets.MemoryReporter); ok {
-		rep.Live = mr.LiveNodes()
-		rep.Deferred = mr.DeferredNodes()
-		rs := inst.reclaim()
-		rep.Leftover = rs.Leftover
-		rep.AvgDelayOps = rs.AvgDelayOps()
-		failures = append(failures, inst.checkBooks(mr, uint64(len(snap)))...)
+	// The verdict at quiescence, shard by shard: every worker id at rest,
+	// and each shard's drained memory books balanced against its own keys.
+	var err error
+	if rep.Books, err = inst.view.Books(cfg.Threads, true); err != nil {
+		fail("%v", err)
 	}
+	rep.AvgDelayOps = inst.view.ReclaimStats().AvgDelayOps()
 
 	if inst.validate != nil {
 		if err := inst.validate(); err != nil {
@@ -609,7 +593,7 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 	}
 
 	if inst.guard != nil {
-		gs := guardStatsOf(s)
+		gs := inst.view.GuardStats()
 		rep.PoisonReads = gs.PoisonReads
 		rep.Violations = gs.Violations
 		for _, ev := range inst.guard.take() {
@@ -624,19 +608,6 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 		return rep, runError(cfg, inst, failures)
 	}
 	return rep, nil
-}
-
-// guardStatsOf fetches the sanitizer counters from any guarded structure.
-func guardStatsOf(s sets.Set) arena.GuardStats {
-	if g, ok := s.(sets.GuardReporter); ok {
-		return g.GuardStats()
-	}
-	return arena.GuardStats{}
-}
-
-func contains(sorted []uint64, k uint64) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= k })
-	return i < len(sorted) && sorted[i] == k
 }
 
 // flightDumpTail bounds how much of the flight recorder a failure embeds.

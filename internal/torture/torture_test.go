@@ -33,8 +33,9 @@ func TestTortureSweep(t *testing.T) {
 		baseSeed = 0x5eed
 	}
 	combo := uint64(0)
-	for _, structure := range Structures() {
-		for _, variant := range Variants(structure) {
+	for _, structure := range family.Names() {
+		row, _ := family.ByName(structure)
+		for _, variant := range row.Variants() {
 			for _, policy := range []arena.Policy{arena.PolicyLocal, arena.PolicyShared} {
 				combo++
 				cfg := Config{
@@ -260,8 +261,8 @@ func TestTortureSharded(t *testing.T) {
 				t.Fatalf("degenerate run: %d inserts, %d removes (repro: %s)",
 					rep.Inserts, rep.Removes, cfg)
 			}
-			if rep.Deferred != 0 {
-				t.Fatalf("%d deferred nodes after full drain (repro: %s)", rep.Deferred, cfg)
+			if rep.Books.Deferred != 0 {
+				t.Fatalf("%d deferred nodes after full drain (repro: %s)", rep.Books.Deferred, cfg)
 			}
 		})
 	}
@@ -269,8 +270,8 @@ func TestTortureSharded(t *testing.T) {
 
 // TestTortureShardedBuild checks the combined instance's metadata: one
 // obs domain per shard (each under its own name, so a live registry or a
-// failure dump shows all of them), summed sentinel baseline, and a clean
-// run through runOn with the per-shard validator engaged.
+// failure dump shows all of them), summed sentinel counts, and a clean
+// run through runOn with the per-shard verdict engaged.
 func TestTortureShardedBuild(t *testing.T) {
 	single, err := build(Config{Structure: family.Singly, Variant: "RR-V"}.withDefaults())
 	if err != nil {
@@ -285,17 +286,18 @@ func TestTortureShardedBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(inst.obsAll); got != 3 {
+	if got := len(inst.domains()); got != 3 {
 		t.Fatalf("sharded instance carries %d obs domains, want 3", got)
 	}
-	if want := 3 * single.baseLive; inst.baseLive != want {
-		t.Fatalf("sharded baseLive %d != 3 × single %d", inst.baseLive, single.baseLive)
+	one, _ := single.view.Books(0, false)
+	if all, err := inst.view.Books(0, false); err != nil || all.Sentinels != 3*one.Sentinels {
+		t.Fatalf("sharded books %+v (%v): want 3 × single's %d sentinels", all, err, one.Sentinels)
 	}
 	if got := inst.set.Name(); got != "RR-V×3" {
 		t.Fatalf("sharded set name %q, want RR-V×3", got)
 	}
-	if inst.validate == nil {
-		t.Fatal("sharded instance has no per-shard validator")
+	if got := inst.view.ShardCount(); got != 3 {
+		t.Fatalf("the verdict's view has %d shards, want 3", got)
 	}
 	if _, err := runOn(cfg, inst); err != nil {
 		t.Fatalf("clean sharded run failed: %v", err)

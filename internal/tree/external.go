@@ -2,7 +2,6 @@ package tree
 
 import (
 	"hohtx/internal/arena"
-	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
@@ -25,13 +24,9 @@ type External struct {
 	root arena.Handle
 }
 
-var _ sets.Set = (*External)(nil)
-var _ sets.MemoryReporter = (*External)(nil)
-
 // NewExternal constructs an external-tree set.
 func NewExternal(cfg Config) *External {
-	cfg = cfg.WithDefaults(8, 16)
-	b := newBase(cfg)
+	b := newBase(cfg, 2) // a key is a leaf and the router above it
 	t := &External{base: b}
 	l0 := b.initNode(sent0, arena.Nil, arena.Nil)
 	l1 := b.initNode(sent1, arena.Nil, arena.Nil)

@@ -2,7 +2,6 @@ package tree
 
 import (
 	"hohtx/internal/arena"
-	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
@@ -15,12 +14,9 @@ type Internal struct {
 	root arena.Handle // sentinel; the tree hangs off its left child
 }
 
-var _ sets.Set = (*Internal)(nil)
-var _ sets.MemoryReporter = (*Internal)(nil)
-
 // NewInternal constructs an internal-tree set.
 func NewInternal(cfg Config) *Internal {
-	b := newBase(cfg.WithDefaults(8, 16))
+	b := newBase(cfg, 1)
 	// Its two-children removal revokes nodes that stay linked, which only
 	// the precise links can do.
 	b.requirePrecise("the internal tree")

@@ -66,11 +66,12 @@ type base struct {
 	reclaim.Chassis[node]
 }
 
-func newBase(cfg Config) *base {
+func newBase(cfg Config, perKey uint64) *base {
 	b := new(base)
 	b.Init(cfg.WithDefaults(8, 16), reclaim.Layout[node]{
-		Words: (*node).words,
-		Dead:  func(h arena.Handle) *stm.Word { return &b.Ar.At(h).dead },
+		Words:  (*node).words,
+		Dead:   func(h arena.Handle) *stm.Word { return &b.Ar.At(h).dead },
+		PerKey: perKey,
 	})
 	return b
 }
