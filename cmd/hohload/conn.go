@@ -25,7 +25,6 @@ type config struct {
 	scanfrac int     // percent of requests that are ASCEND scans (batch 1 only)
 	scanlen  int
 	seed     uint64
-	warmup   bool
 	obsAddr  string
 }
 

@@ -303,7 +303,7 @@ func TestRunEndToEnd(t *testing.T) {
 		} {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, mode.name), func(t *testing.T) {
 				cfg := &config{addr: startReal(t, bench.FamilySingly, shards), conns: 2, depth: 4, keys: 256, reads: 50, ops: 2001,
-					rate: mode.rate, batch: mode.batch, scanfrac: mode.scanfrac, scanlen: 16, seed: 7, warmup: true}
+					rate: mode.rate, batch: mode.batch, scanfrac: mode.scanfrac, scanlen: 16, seed: 7}
 				if err := cfg.validate(); err != nil {
 					t.Fatal(err)
 				}

@@ -79,7 +79,6 @@ func main() {
 	flag.IntVar(&cfg.scanlen, "scanlen", 64, "keys per ASCEND scan (with -scanfrac)")
 	flag.StringVar(&cfg.obsAddr, "obsaddr", "", "server obs endpoint (hohserver -obs); default: the one INFO advertises")
 	flag.Uint64Var(&cfg.seed, "seed", 20170724, "workload seed")
-	flag.BoolVar(&cfg.warmup, "warmup", true, "prefill half the key range before measuring (so the live-node envelope reflects steady state, not ramp-up)")
 	cmd := flag.String("cmd", "", "one-shot mode: send these ';'-separated requests and print the replies")
 	flag.Parse()
 
@@ -132,14 +131,13 @@ type report struct {
 	fz         forensics
 }
 
-// run prefills, then drives cfg.conns connections while a monitor samples
-// INFO: variant and slot count for the report, the live-node envelope for
-// the flatness check.
+// run prefills half the key range (so the live-node envelope reflects
+// steady state, not ramp-up), then drives cfg.conns connections while a
+// monitor samples INFO: variant and slot count for the report, the
+// live-node envelope for the flatness check.
 func run(cfg *config) (*report, error) {
-	if cfg.warmup {
-		if err := prefill(cfg.addr, cfg.keys, cfg.seed); err != nil {
-			return nil, fmt.Errorf("warmup: %w", err)
-		}
+	if err := prefill(cfg.addr, cfg.keys, cfg.seed); err != nil {
+		return nil, fmt.Errorf("warmup: %w", err)
 	}
 	mon, err := startMonitor(cfg.addr)
 	if err != nil {

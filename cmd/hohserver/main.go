@@ -20,13 +20,13 @@
 //	hohserver -family skip -variant TMVBR      # extended matrix (DESIGN.md §14)
 //	hohserver -shards 4 -threads 2             # 4 independent STM instances
 //	hohserver -addr :7070 -threads 8 -obs 127.0.0.1:6070
-//	hohserver -maxbatch 512 -autobatch 64      # batch knobs (DESIGN.md §11)
+//	hohserver -autobatch 64                    # burst coalescing (DESIGN.md §11)
 //
-// -maxbatch caps MULTI frame sizes (oversized frames get one ERR line and
-// execute nothing). -autobatch N > 1 transparently coalesces pipelined
-// bursts of plain GET/SET/DEL into batch transactions of at most N ops —
-// the capacity-aware split threshold; replies are unchanged, only the
-// transaction boundaries move.
+// MULTI frames are capped at serve.DefaultMaxBatch ops (oversized frames
+// get one ERR line and execute nothing). -autobatch N > 1 transparently
+// coalesces pipelined bursts of plain GET/SET/DEL into batch transactions
+// of at most N ops — the capacity-aware split threshold; replies are
+// unchanged, only the transaction boundaries move.
 //
 // With -shards N the key space hash-partitions across N fully independent
 // instances — each with its own global version clock, serial-fallback
@@ -78,10 +78,7 @@ func main() {
 	variant := flag.String("variant", "RR-V", "variant the family takes (an undefined one lists them)")
 	threads := flag.Int("threads", 8, "worker slots per shard (the set's Threads)")
 	shards := flag.Int("shards", 1, "independent STM instances; keys hash-partition across them")
-	window := flag.Int("window", 0, "hand-over-hand window W (0 = tuned default)")
-	waiters := flag.Int("waiters", 0, "lease wait-queue bound per shard (0 = 16×slots, <0 = unbounded)")
 	obsAddr := flag.String("obs", "", "observability endpoint address (empty = off)")
-	maxBatch := flag.Int("maxbatch", 0, "max ops per MULTI frame (0 = default)")
 	autoBatch := flag.Int("autobatch", 0, "coalesce pipelined single-key bursts into batches of at most N ops (0/1 = off)")
 	flag.Parse()
 
@@ -112,8 +109,7 @@ func main() {
 	}
 
 	spec := bench.VariantSpec{
-		Name:   *variant,
-		Window: *window,
+		Name: *variant,
 		// The per-transaction domain is only worth its sampling cost when
 		// someone can look at it.
 		Observe: *obsAddr != "",
@@ -140,9 +136,7 @@ func main() {
 			})
 			poolDoms = append(poolDoms, poolDom)
 		}
-		pools[i] = serve.NewPool(sharded.Shard(i), serve.PoolConfig{
-			Slots: *threads, MaxWaiters: *waiters, Obs: poolDom,
-		})
+		pools[i] = serve.NewPool(sharded.Shard(i), serve.PoolConfig{Slots: *threads, Obs: poolDom})
 		backends[i] = serve.Backend{Set: sharded.Shard(i), Pool: pools[i]}
 	}
 	// Per-shard roll-ups on the server domain: one glance at /metrics
@@ -186,8 +180,7 @@ func main() {
 
 	srv := serve.NewServer(serve.ServerConfig{
 		Shards: backends, MaxKey: hohtx.MaxKey, Obs: dom,
-		MaxBatch: *maxBatch, AutoBatch: *autoBatch,
-		ObsAddr: boundObs,
+		AutoBatch: *autoBatch, ObsAddr: boundObs,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -36,30 +36,36 @@ func probe(t *testing.T, s named) built {
 	if !v.FieldByName("RT").IsValid() {
 		// Every structure embeds the chassis (reclaim.Chassis) but the one
 		// wrapper: Map.t.
-		inner := v.FieldByName("t")
-		if !inner.IsValid() {
-			t.Fatalf("%T: no chassis and no wrapped structure", s)
-		}
-		v = reflect.Indirect(inner)
+		v = reflect.Indirect(field(t, v, "t"))
 	}
-	prof := v.FieldByName("RT").Elem().FieldByName("prof")
-	win := v.FieldByName("win")
+	prof := field(t, field(t, v, "RT").Elem(), "prof")
+	win := field(t, v, "win")
 	name, _, _ := strings.Cut(s.Name(), "/")
 	return built{
 		name: name,
 		profile: stm.Profile{
-			Capacity:    int(prof.FieldByName("Capacity").Int()),
-			MaxAttempts: int(prof.FieldByName("MaxAttempts").Int()),
-			SpinBase:    int(prof.FieldByName("SpinBase").Int()),
-			YieldShift:  uint8(prof.FieldByName("YieldShift").Uint()),
+			Capacity:    int(field(t, prof, "Capacity").Int()),
+			MaxAttempts: int(field(t, prof, "MaxAttempts").Int()),
+			YieldShift:  uint8(field(t, prof, "YieldShift").Uint()),
 		},
 		window: core.Window{
-			W:         int(win.FieldByName("W").Int()),
-			NoScatter: win.FieldByName("NoScatter").Bool(),
+			W:         int(field(t, win, "W").Int()),
+			NoScatter: field(t, win, "NoScatter").Bool(),
 		},
-		threads: v.FieldByName("ops").Len(),
-		policy:  arena.Policy(v.FieldByName("Ar").Elem().FieldByName("cfg").FieldByName("Policy").Uint()),
+		threads: field(t, v, "ops").Len(),
+		policy:  arena.Policy(field(t, field(t, field(t, v, "Ar").Elem(), "cfg"), "Policy").Uint()),
 	}
+}
+
+// field returns v's field name, and fails the test naming both when v has
+// no such field (a renamed or deleted field), where reflect would panic.
+func field(t *testing.T, v reflect.Value, name string) reflect.Value {
+	t.Helper()
+	f := v.FieldByName(name)
+	if !f.IsValid() {
+		t.Fatalf("%s has no field %s: update probe to the structure's layout", v.Type(), name)
+	}
+	return f
 }
 
 // resolved is p as stm.NewRuntime stores it.

@@ -264,7 +264,7 @@ type Arena[T any] struct {
 	poolOps  atomic.Uint64
 	grows    atomic.Uint64
 	fresh    atomic.Uint64
-	_pad2    pad.Line
+	_        pad.Line
 	mags     []magazine
 	magCap   int
 	magFlush int
@@ -607,13 +607,11 @@ func (a *Arena[T]) GuardStats() GuardStats {
 
 // Stats is a point-in-time snapshot of allocator activity.
 type Stats struct {
-	Allocs   uint64 // total allocations
-	Frees    uint64 // total frees
-	Live     uint64 // Allocs - Frees (clamped at 0): objects currently allocated
-	Fresh    uint64 // allocations served by the bump pointer (new memory)
-	PoolOps  uint64 // shared-pool critical sections (contention proxy)
-	Pages    uint64 // slab pages allocated from the Go heap
-	Capacity uint64 // total slots backed by pages
+	Allocs  uint64 // total allocations
+	Frees   uint64 // total frees
+	Live    uint64 // Allocs - Frees (clamped at 0): objects currently allocated
+	Fresh   uint64 // allocations served by the bump pointer (new memory)
+	PoolOps uint64 // shared-pool critical sections (contention proxy)
 }
 
 // Stats aggregates per-thread counters. Totals may lag concurrent activity
@@ -633,7 +631,5 @@ func (a *Arena[T]) Stats() Stats {
 	}
 	st.Fresh = a.fresh.Load()
 	st.PoolOps = a.poolOps.Load()
-	st.Pages = uint64(len(*a.pages.Load()))
-	st.Capacity = st.Pages * pageSize
 	return st
 }

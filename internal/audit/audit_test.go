@@ -1,8 +1,11 @@
-// Package audit holds one test, TestEveryDeclarationHasACaller: ROADMAP
-// 5(e)'s rule ("a surface nothing reads is deleted") applied to every
-// package under internal/. Go lets no code outside this module import an
-// internal/ package, so a declaration there that only _test.go files
-// reference is dead for every user. The package has no non-test files.
+// Package audit applies ROADMAP 5(e)'s rule ("a surface nothing reads is
+// deleted") to every package under internal/, at two levels.
+// TestEveryDeclarationHasACaller audits declarations: Go lets no code
+// outside this module import an internal/ package, so a declaration there
+// that only _test.go files reference is dead for every user.
+// TestEverySettableValueIsUsed (settable_test.go) audits what a caller can
+// set: struct fields and command-line flags. The package has no non-test
+// files.
 package audit
 
 import (
@@ -22,10 +25,12 @@ import (
 
 const module = "hohtx"
 
-// kept is the allowlist: declarations under internal/ that nothing but tests
-// calls and that stay, each with its reason. A key is the declaration's
-// name qualified by its package's path below internal/ (and by its
-// receiver's type name, for a method).
+// kept is the allowlist of both audits: declarations under internal/ that
+// nothing but tests calls, fields that fail a settable-value rule and
+// flags no user finds, each staying with its reason. A declaration's key is
+// its name qualified by its package's path below internal/ (and by its
+// receiver's type name, for a method); a field's is its struct type's name
+// so qualified, then the field's; a flag's is "<command> -<name>".
 var kept = map[string]string{
 	"reclaim.RegisterScheme":     "the seam's one-place extension point; ROADMAP 2(b) builds Hyaline on it",
 	"stm.Run":                    "test vocabulary: a one-shot transaction returning a value",
@@ -36,6 +41,17 @@ var kept = map[string]string{
 	"list.HashTable.Buckets":     "test vocabulary: the bucket count the hash table's tests check",
 	"list.HashTable.BucketSizes": "test vocabulary: the per-bucket spread the hash table's tests check",
 	"core.NumKinds":              "test vocabulary: the bound tests iterate the reservation kinds to",
+
+	"reclaim.Config.ScanThreshold":            "test vocabulary: makes the deferred schemes reclaim at the first retire",
+	"lockfree.ListConfig.ScanThreshold":       "test vocabulary: makes the lock-free list's hazard scan run at the first retire",
+	"arena.Config.MagazineSize":               "test vocabulary: a small magazine forces overflow to the shared pool",
+	"arena.Stats.Fresh":                       "test vocabulary: pins that overflowed slots are reused, not freshly bumped",
+	"arena.Stats.PoolOps":                     "test vocabulary: pins that magazine overflow reaches the shared pool",
+	"core.Config.TableBits":                   "test vocabulary: a small table forces bucket collisions",
+	"core.Config.Assoc":                       "test vocabulary: fewer arrays force set-associative collisions",
+	"serve.ServerConfig.MaxBatch":             "test vocabulary: a small cap exercises MULTI's over-the-cap rejection",
+	"serve.ServerConfig.MaxKey":               "benchmark/stack.go sets it; goes with ROADMAP 4(a)'s benchmark PR",
+	"bench.VariantSpec.NoSimulatedPreemption": "ROADMAP 10 deletes the yield chain whole",
 }
 
 // TestEveryDeclarationHasACaller type-checks every package of the module
@@ -52,14 +68,7 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and its stdlib imports from source")
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := newLoader(root)
-	if err := l.loadAll(); err != nil {
-		t.Fatal(err)
-	}
+	l := loadRepo(t)
 	a := newAudit(l)
 	a.run()
 
@@ -84,17 +93,41 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	}
 
 	// An allowlist entry must name a declaration that exists and that still
-	// needs the entry.
+	// needs the entry. Entries for fields and flags are
+	// TestEverySettableValueIsUsed's.
+	declKept := 0
 	for key := range kept {
 		d := a.byKey[key]
 		switch {
+		case d == nil && (strings.Contains(key, " ") || fieldKey(l, key)):
+			continue
 		case d == nil:
 			t.Errorf("kept names %s, which is not a declaration under internal/", key)
 		case a.reachedWithoutKept[d.obj]:
 			t.Errorf("kept names %s, which non-test code reaches: drop the entry", key)
 		}
+		declKept++
 	}
-	t.Logf("%d packages, %d audited declarations, %d kept", len(l.pkgs), a.audited, len(kept))
+	t.Logf("%d packages, %d audited declarations, %d kept", len(l.pkgs), a.audited, declKept)
+}
+
+var repo *loader
+
+// loadRepo loads the repository once for both audits.
+func loadRepo(t *testing.T) *loader {
+	t.Helper()
+	if repo == nil {
+		root, err := filepath.Abs(filepath.Join("..", ".."))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := newLoader(root)
+		if err := l.loadAll(); err != nil {
+			t.Fatal(err)
+		}
+		repo = l
+	}
+	return repo
 }
 
 // pkg is one type-checked module package: its non-test files only.
@@ -197,9 +230,10 @@ func (l *loader) load(path string) (*pkg, error) {
 		return nil, err
 	}
 	p := &pkg{path: path, info: &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -56,15 +56,12 @@ func TestRunProducesThroughput(t *testing.T) {
 		}
 		return s
 	}
-	res, err := Run(mk, tinyWorkload(), RunConfig{Threads: 4, Trials: 2, Seed: 5, Verify: true})
+	res, err := Run(mk, tinyWorkload(), RunConfig{Threads: 4, Trials: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MopsPerSec <= 0 {
 		t.Fatal("no throughput measured")
-	}
-	if res.Variant != "RR-V" {
-		t.Fatalf("variant = %q", res.Variant)
 	}
 }
 

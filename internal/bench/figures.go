@@ -104,7 +104,7 @@ func runCell(o Opts, fig, panel string, f Family, spec VariantSpec, wl Workload,
 	if probe := mk(threads); probe == nil {
 		return buildErr
 	}
-	res, err := Run(mk, wl, RunConfig{Threads: threads, Trials: o.Trials, Seed: o.Seed, Verify: true})
+	res, err := Run(mk, wl, RunConfig{Threads: threads, Trials: o.Trials, Seed: o.Seed})
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@ func TestQuickCompare(t *testing.T) {
 				t.Fatal(err)
 			}
 			return s
-		}, wl, RunConfig{Threads: 4, Trials: 1, Seed: 9, Verify: true})
+		}, wl, RunConfig{Threads: 4, Trials: 1, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,6 @@ import (
 
 // Result is the measurement for one (variant, workload, threads) cell.
 type Result struct {
-	Variant string
 	Threads int
 	// MopsPerSec is total throughput in million operations per second,
 	// averaged over trials.
@@ -58,14 +57,12 @@ type RunConfig struct {
 	Threads int
 	Trials  int
 	Seed    int64
-	// Verify enables the post-run balance check (snapshot size must equal
-	// prefill + successful inserts − successful removes). It is cheap
-	// relative to the run and on by default in the figure drivers.
-	Verify bool
 }
 
 // Run measures one cell: Trials independent constructions, each prefilled
 // to 50% and then hammered with the workload's mix from Threads workers.
+// After each trial it checks the balance: the snapshot's size must equal
+// prefill + successful inserts − successful removes (cheap beside the run).
 func Run(mk MakeSet, w Workload, cfg RunConfig) (Result, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 1
@@ -75,7 +72,6 @@ func Run(mk MakeSet, w Workload, cfg RunConfig) (Result, error) {
 	res.Threads = cfg.Threads
 	for trial := 0; trial < cfg.Trials; trial++ {
 		s := mk(cfg.Threads)
-		res.Variant = s.Name()
 		Prefill(s, w, cfg.Threads, cfg.Seed+int64(trial))
 
 		prefillCount := int64(w.KeyRange() / 2)
@@ -114,12 +110,10 @@ func Run(mk MakeSet, w Workload, cfg RunConfig) (Result, error) {
 		total := float64(w.OpsPerThread) * float64(cfg.Threads)
 		mops = append(mops, total/elapsed.Seconds()/1e6)
 
-		if cfg.Verify {
-			want := prefillCount + succIns.Load() - succRem.Load()
-			if got := int64(len(s.Snapshot())); got != want {
-				return res, fmt.Errorf("%s: balance violated after trial %d: |set|=%d want %d",
-					s.Name(), trial, got, want)
-			}
+		want := prefillCount + succIns.Load() - succRem.Load()
+		if got := int64(len(s.Snapshot())); got != want {
+			return res, fmt.Errorf("%s: balance violated after trial %d: |set|=%d want %d",
+				s.Name(), trial, got, want)
 		}
 		if trial == cfg.Trials-1 {
 			res.fillStats(s, total)

@@ -42,9 +42,6 @@ type VariantSpec struct {
 	NoScatter bool
 	// Policy selects the arena free-list policy (Fig. 5).
 	Policy arena.Policy
-	// Assoc overrides A for the set-associative schemes (ablations);
-	// zero keeps the paper's A = 8.
-	Assoc int
 	// Capacity overrides the simulated HTM's tracked-cell capacity
 	// (ablations; zero keeps the profile default).
 	Capacity int
@@ -121,8 +118,8 @@ func Build(f Family, spec VariantSpec, threads int) (sets.Set, error) {
 	cfg := reclaim.Config{
 		Threads:     threads,
 		Window:      core.Window{W: w, NoScatter: spec.NoScatter},
-		ArenaPolicy: spec.Policy, Assoc: spec.Assoc,
-		YieldShift: simShift(spec.NoSimulatedPreemption), Obs: obsDomain(spec, threads),
+		ArenaPolicy: spec.Policy,
+		YieldShift:  simShift(spec.NoSimulatedPreemption), Obs: obsDomain(spec, threads),
 	}
 	if spec.Capacity > 0 {
 		// A capacity override has to restate the family's own

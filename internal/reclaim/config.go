@@ -36,9 +36,6 @@ type Config struct {
 	// hazard-pointer scan threshold, VBR's self-tick cadence); default 64,
 	// the paper's best-performing setting.
 	ScanThreshold int
-	// TableBits/Assoc size the reservation metadata (see core.Config).
-	TableBits int
-	Assoc     int
 	// YieldShift enables simulated preemption inside transactions (see
 	// stm.Profile.YieldShift); it composes with whatever Profile is in
 	// effect.

@@ -14,8 +14,12 @@ import (
 // retirements so that reader reservations go stale and retirees whose
 // lifetime the stale eras do not intersect become freeable; once per
 // retirement is the canonical setting and the retire path's only shared
-// write, so the default keeps it.
+// write, so the scheme keeps it.
 const DefaultEraFreq = 1
+
+// heSlots is the era slots each thread publishes: the traversal's parity
+// pair.
+const heSlots = 2
 
 // heRetiree is one logically deleted node stamped with its lifetime
 // interval: the era it was allocated in and the era it was retired in.
@@ -93,8 +97,8 @@ func (t *eraTable) grow(p int) {
 // HazardEras implements the Hazard Eras scheme (Ramalhete & Correia,
 // SPAA 2017 — see PAPERS.md): hazard-pointer-shaped reservations that
 // publish an *era* instead of a pointer. A global era clock advances
-// every EraFreq retirements; readers republish the current era in their
-// slot at each protection point; each retiree carries its lifetime
+// every DefaultEraFreq retirements; readers republish the current era in
+// their slot at each protection point; each retiree carries its lifetime
 // interval [birth era, delete era] and is freed once no published
 // reservation falls inside that interval. One stale reservation
 // therefore blocks only the nodes whose lifetime it intersects — nodes
@@ -117,41 +121,29 @@ type HazardEras struct {
 	birth     eraTable
 	free      FreeFunc
 	threshold int
-	eraFreq   int
-	perThread int
 }
 
 // HEConfig parameterizes NewHazardEras.
 type HEConfig struct {
-	Threads        int // number of participating threads (required)
-	SlotsPerThread int // era slots per thread; default 2 (traversal parity pair)
-	ScanThreshold  int // retired-list length that triggers a scan; default 64
-	EraFreq        int // retirements between era advances; default 1
-	Free           FreeFunc
+	Threads       int // number of participating threads (required)
+	ScanThreshold int // retired-list length that triggers a scan; default 64
+	Free          FreeFunc
 }
 
 // NewHazardEras creates a hazard-era domain.
 func NewHazardEras(cfg HEConfig) *HazardEras {
-	if cfg.SlotsPerThread <= 0 {
-		cfg.SlotsPerThread = 2
-	}
 	if cfg.ScanThreshold <= 0 {
 		cfg.ScanThreshold = DefaultScanThreshold
-	}
-	if cfg.EraFreq <= 0 {
-		cfg.EraFreq = DefaultEraFreq
 	}
 	he := &HazardEras{
 		threads:   make([]heThread, cfg.Threads),
 		stats:     make([]threadStats, cfg.Threads),
 		free:      cfg.Free,
 		threshold: cfg.ScanThreshold,
-		eraFreq:   cfg.EraFreq,
-		perThread: cfg.SlotsPerThread,
 	}
 	he.era.Store(1) // era 0 means "empty reservation" in the slots
 	for i := range he.threads {
-		he.threads[i].slots = make([]atomic.Uint64, cfg.SlotsPerThread)
+		he.threads[i].slots = make([]atomic.Uint64, heSlots)
 	}
 	return he
 }
@@ -198,8 +190,8 @@ func (he *HazardEras) ClearSlots(tid int) {
 }
 
 // Retire implements Scheme: h is queued with its [birth, delete] era
-// interval, the global era advances every EraFreq retirements, and a
-// scan runs once the thread has accumulated ScanThreshold retirements.
+// interval, the global era advances every DefaultEraFreq retirements, and
+// a scan runs once the thread has accumulated ScanThreshold retirements.
 func (he *HazardEras) Retire(tid int, h arena.Handle, stamp uint64) {
 	t := &he.threads[tid]
 	del := he.era.Load()
@@ -209,7 +201,7 @@ func (he *HazardEras) Retire(tid int, h arena.Handle, stamp uint64) {
 	he.stats[tid].noteRetire()
 	he.probe.Note(tid, obs.EvRetire, uint64(h))
 	t.sinceAdvance++
-	if t.sinceAdvance >= he.eraFreq {
+	if t.sinceAdvance >= DefaultEraFreq {
 		t.sinceAdvance = 0
 		he.era.CompareAndSwap(del, del+1)
 	}
@@ -242,7 +234,7 @@ func (he *HazardEras) scan(tid int, stamp uint64) {
 	}
 	st := &he.stats[tid]
 	st.scans.Add(1)
-	reserved := make([]uint64, 0, len(he.threads)*he.perThread)
+	reserved := make([]uint64, 0, len(he.threads)*heSlots)
 	for i := range he.threads {
 		for j := range he.threads[i].slots {
 			if e := he.threads[i].slots[j].Load(); e != 0 {

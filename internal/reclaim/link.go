@@ -217,7 +217,7 @@ type precise struct {
 }
 
 func newPrecise(n Nodes) *precise {
-	rr := core.New(n.RRKind, core.Config{Threads: n.Threads, TableBits: n.TableBits, Assoc: n.Assoc})
+	rr := core.New(n.RRKind, core.Config{Threads: n.Threads})
 	p := &precise{freer: newFreer(n), rr: rr, strict: rr.Strict(), words: make([]heldWord, n.Threads)}
 	p.v, _ = rr.(*core.V)
 	p.wordHook = func(a, b, _ uint64) { p.words[int(a)].v = b }

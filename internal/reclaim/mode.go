@@ -75,9 +75,7 @@ var modes = []modeSpec{
 		})
 	}},
 	ModeTMHE: {"TMHE", func(n Nodes) Scheme {
-		return NewHazardEras(HEConfig{
-			Threads: n.Threads, SlotsPerThread: 2, ScanThreshold: n.ScanThreshold, Free: n.Free,
-		})
+		return NewHazardEras(HEConfig{Threads: n.Threads, ScanThreshold: n.ScanThreshold, Free: n.Free})
 	}},
 	ModeTMVBR: {"TMVBR", func(n Nodes) Scheme {
 		return NewVBR(VBRConfig{

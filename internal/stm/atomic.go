@@ -184,13 +184,17 @@ func runHooks(hooks []txHook) {
 	}
 }
 
+// spinBase scales the bounded exponential backoff between attempts, in
+// iterations of a pause loop.
+const spinBase = 16
+
 // backoff delays a conflicted transaction before its next attempt, with
 // exponentially growing bounded jitter.
 func backoff(tx *Tx, attempt int) {
 	if attempt > 8 {
 		attempt = 8
 	}
-	limit := uint64(tx.rt.prof.SpinBase) << uint(attempt)
+	limit := uint64(spinBase) << uint(attempt)
 	n := tx.nextRand() % (limit + 1)
 	for i := uint64(0); i < n; i++ {
 		pause(int(i & 7))

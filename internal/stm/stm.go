@@ -107,9 +107,6 @@ type Profile struct {
 	// large default (64). The paper's GCC setup uses 2 for the list
 	// experiments and 8 for the trees.
 	MaxAttempts int
-	// SpinBase scales the bounded exponential backoff between attempts,
-	// in iterations of a pause loop. Zero means a small default.
-	SpinBase int
 	// YieldShift, when nonzero, makes each transactional access yield the
 	// processor with probability 1/(1<<YieldShift). This simulates
 	// preemption-driven interleaving so that transactions overlap in
@@ -168,9 +165,6 @@ type Runtime struct {
 func NewRuntime(p Profile) *Runtime {
 	if p.MaxAttempts == 0 {
 		p.MaxAttempts = 64
-	}
-	if p.SpinBase == 0 {
-		p.SpinBase = 16
 	}
 	rt := &Runtime{prof: p}
 	rt.commitLock.arm()
