@@ -90,12 +90,15 @@ func main() {
 						Structure: st, Variant: v, Policy: pol,
 						Threads: *threads + r%4, Ops: *ops, Keys: *keys,
 						LookupPct: 10 + (combos*7+r*13)%40,
-						Window:    2 + (combos+r)%7,
+						Window:    2 + (combos+r)%7,       // 2..7, or the served window below
 						Shards:    1 + ((combos+r)%2)*2,   // alternate 1 and 3 shards
 						BatchOps:  1 + ((combos+r+1)%2)*7, // alternate per-op and batches of 8
 						Seed:      *seed + uint64(runs),
 						Guard:     true,
 						Registry:  reg,
+					}
+					if (combos+r)%7 == 6 {
+						cfg.Window = row.Window(cfg.Threads)
 					}
 					rep, err := torture.Run(cfg)
 					if err != nil {

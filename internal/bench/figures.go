@@ -209,23 +209,27 @@ func figure3(o Opts) error {
 }
 
 // figure4: window-size impact on the singly linked list, 10-bit keys, 33%
-// lookups; RR-FA and RR-XO as the strict/relaxed representatives, plus the
+// lookups; RR-FA and RR-XO as the strict/relaxed representatives, the
 // no-scatter ablation for RR-XO (the paper highlights scatter's importance
-// for RR-XO).
+// for RR-XO), and RR-V, the variant the server runs. W goes past the
+// paper's 32 so the sweep can show a knee above it.
 func figure4(o Opts) error {
 	wl := Workload{KeyBits: 10, LookupPct: 33, OpsPerThread: o.ops(200_000)}
-	for _, w := range []int{1, 2, 4, 8, 16, 32} {
+	for _, w := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
 		panel := fmt.Sprintf("W=%d", w)
 		for _, th := range o.Threads {
-			if err := runCell(o, "fig4", panel, FamilySingly, VariantSpec{Name: "RR-FA", Window: w}, wl, th, ""); err != nil {
-				return err
-			}
-			if err := runCell(o, "fig4", panel, FamilySingly, VariantSpec{Name: "RR-XO", Window: w}, wl, th, ""); err != nil {
-				return err
-			}
-			if err := runCell(o, "fig4", panel, FamilySingly,
-				VariantSpec{Name: "RR-XO", Window: w, NoScatter: true}, wl, th, "RR-XO/noscatter"); err != nil {
-				return err
+			for _, c := range []struct {
+				spec  VariantSpec
+				label string
+			}{
+				{VariantSpec{Name: "RR-FA", Window: w}, ""},
+				{VariantSpec{Name: "RR-XO", Window: w}, ""},
+				{VariantSpec{Name: "RR-XO", Window: w, NoScatter: true}, "RR-XO/noscatter"},
+				{VariantSpec{Name: "RR-V", Window: w}, ""},
+			} {
+				if err := runCell(o, "fig4", panel, FamilySingly, c.spec, wl, th, c.label); err != nil {
+					return err
+				}
 			}
 		}
 	}

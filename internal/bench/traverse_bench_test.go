@@ -16,9 +16,10 @@ import (
 // keys/4 is what one node visit costs: two transactional reads (key, next)
 // and one handle translation, plus the window commits spread over W nodes.
 // It reads the same whatever the list's size when the cost is instructions
-// rather than cache misses — from 256 keys up; at 64 keys an operation is
-// one window over 16 nodes on a list two workers fight over, and the row
-// reads the per-window fixed cost and the conflicts instead. Compare two
+// rather than cache misses — from 256 keys up; at 64 keys the whole list
+// (~32 nodes) is shorter than BestWindow's 64, so an operation is one or two
+// windows (the first is scattered) on a list two workers fight over, and the
+// row reads the per-window fixed cost and the conflicts instead. Compare two
 // checkouts by building this package once per side (`go test -c`) and
 // alternating the binaries at `-test.cpu 2`.
 

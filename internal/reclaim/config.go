@@ -22,9 +22,10 @@ type Config struct {
 	// Threads is the number of distinct tids that will operate on the
 	// structure. Required.
 	Threads int
-	// Window is the hand-over-hand window policy. The paper's best
-	// settings are thread-count dependent (Figure 4); 8–16 are good
-	// defaults. Ignored (unbounded) for ModeHTM.
+	// Window is the hand-over-hand window policy. The best setting is
+	// thread-count dependent (Figure 4); the family table (internal/family)
+	// holds each family's tuned values and where they were measured.
+	// Ignored (unbounded) for ModeHTM.
 	Window core.Window
 	// Profile overrides the TM speculation profile. The zero value means
 	// the paper's setting for the structure: HTM simulation with serial

@@ -46,10 +46,13 @@ func TestTortureSweep(t *testing.T) {
 					Ops:       ops,
 					Keys:      keys,
 					LookupPct: 10 + int(combo*7%40), // 10..49
-					Window:    2 + int(combo%7),     // 2..8
+					Window:    2 + int(combo%7),     // 2..7, or the served window below
 					Shards:    1 + int(combo%2),     // alternate unsharded / 2-shard
 					Seed:      baseSeed + combo,
 					Guard:     true, // ignored by variants without an arena guard
+				}
+				if combo%7 == 6 {
+					cfg.Window = row.Window(cfg.Threads)
 				}
 				name := fmt.Sprintf("%s/%s/%s/s%d", structure, variant, policyName(policy), cfg.Shards)
 				t.Run(name, func(t *testing.T) {
