@@ -27,13 +27,16 @@ type txOp struct {
 	Value uint8
 }
 
-// Each property runs twice: as scripted, and with every transaction first
-// writing more than wsMapThreshold other cells, so that the scripted reads
-// and writes meet the write-set filter with most of its bits set and
-// read-own-writes goes through the map. Each of those runs in a pooled
-// context and in an owned one.
+// Each property runs as scripted and with every transaction first writing
+// other cells, so that the scripted reads and writes meet the write-set
+// filter with most or all of its bits set and an index that grows during the
+// attempt. 32 cells fill the first 64-slot table to its bound, so the
+// script's first new write grows it between two scripted steps; 300 grow it
+// to 1 024 slots before the script starts. A restarted attempt and the next
+// transaction reuse the grown table. Each of those runs in a pooled context
+// and in an owned one.
 func TestQuickSequentialEquivalence(t *testing.T) {
-	for _, ballast := range []int{0, wsMapThreshold + 8} {
+	for _, ballast := range []int{0, 32, 300} {
 		t.Run(fmt.Sprintf("ballast=%d", ballast), func(t *testing.T) {
 			for _, tid := range ownedAndPooled {
 				quickSequentialEquivalence(t, ballast, tid)

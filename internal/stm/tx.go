@@ -12,12 +12,6 @@ import (
 // short write-back window, so a small bound suffices.
 const readLockSpins = 64
 
-// wsMapThreshold is the write-set size beyond which read-own-writes lookup
-// switches from linear scan to a map. Hand-over-hand transactions write a
-// handful of cells; only whole-operation (HTM-baseline) transactions on big
-// structures ever cross this.
-const wsMapThreshold = 24
-
 // abortSig is the panic sentinel used internally to unwind an aborting
 // transaction out of user code. It never escapes Atomic.
 type abortSig struct{}
@@ -61,7 +55,7 @@ type lentry struct {
 //	line 1  everything Word.Load's fast path tests or writes: rv, wfilter,
 //	        rs, rsHead, limit, wn, yieldShift (serial, cause and busy fill
 //	        the word)
-//	line 2  ws, ls, wmap (read-own-writes past the filter), rt
+//	line 2  ws, ls, widx (read-own-writes past the filter), rt
 //	line 3  commit and abort hooks, rsBase, rng
 //	line 4  per-call bookkeeping and the counts flush publishes
 type Tx struct {
@@ -90,9 +84,13 @@ type Tx struct {
 	// Tx.
 	busy bool
 
-	ws   []wentry
-	ls   []lentry               // pending Local stores (see cell.go)
-	wmap map[*atomic.Uint64]int // lazily built past wsMapThreshold
+	ws []wentry
+	ls []lentry // pending Local stores (see cell.go)
+	// widx indexes ws by cell: an open-addressing table of a power-of-two
+	// length at least twice len(ws), whose slot holds a write-set position
+	// + 1, or 0 when empty. It only grows, so a context keeps the largest
+	// table it has needed; reset empties just the slots the attempt filled.
+	widx *[]int32
 	rt   *Runtime
 
 	commitHooks []txHook
@@ -126,6 +124,7 @@ func newTx(rt *Runtime, tid int, stats *statBlock) *Tx {
 		rs:         make([]rentry, 0, 256),
 		ws:         make([]wentry, 0, 32),
 		ls:         make([]lentry, 0, 8),
+		widx:       new([]int32),
 		rng:        0x9e3779b97f4a7c15,
 		yieldShift: rt.prof.YieldShift,
 		slotHash:   txSeq.Add(1) * 0x9e3779b97f4a7c15,
@@ -147,13 +146,17 @@ func (tx *Tx) reset(serial bool) {
 	tx.rs = tx.rs[:0]
 	tx.rsHead = 0
 	tx.rsBase = 0
+	// Empty the index slots the last attempt filled, not the table (that
+	// would cost the largest write set the context ever held), newest
+	// first: the table then is as it was when the entry went in, so its
+	// probe still finds it.
+	for i, t := len(tx.ws)-1, *tx.widx; i >= 0; i-- {
+		t[tx.slot(t, tx.ws[i].m)] = 0
+	}
 	tx.ws = tx.ws[:0]
 	tx.ls = tx.ls[:0]
 	tx.wn = 0
 	tx.wfilter = 0
-	if tx.wmap != nil {
-		clear(tx.wmap)
-	}
 	tx.commitHooks = tx.commitHooks[:0]
 	tx.abortHooks = tx.abortHooks[:0]
 }
@@ -352,21 +355,30 @@ func (tx *Tx) findWrite(m *atomic.Uint64) (uint64, bool) {
 	return 0, false
 }
 
+// lookupWrite returns the write-set position of the pending write to the
+// cell with version word m, if there is one. A set filter bit guarantees an
+// index with at least one entry.
 func (tx *Tx) lookupWrite(m *atomic.Uint64) (int, bool) {
 	if tx.wfilter&filterBit(m) == 0 {
 		return 0, false
 	}
-	if tx.wmap != nil && len(tx.ws) > wsMapThreshold {
-		i, ok := tx.wmap[m]
-		return i, ok
+	t := *tx.widx
+	p := t[tx.slot(t, m)]
+	return int(p) - 1, p != 0
+}
+
+// slot probes the index t linearly for the cell with version word m and
+// returns where it stops: the slot holding m's write-set position + 1, or the
+// first empty one. The probe starts at middle bits of the product filterBit
+// takes its top six from, so the cells that share a filter bit still spread
+// over the table.
+func (tx *Tx) slot(t []int32, m *atomic.Uint64) int {
+	mask := len(t) - 1
+	s := int(uint64(uintptr(unsafe.Pointer(m)))*0x9e3779b97f4a7c15>>32) & mask
+	for t[s] != 0 && tx.ws[t[s]-1].m != m {
+		s = (s + 1) & mask
 	}
-	// Scan backwards: recently written cells are the likeliest re-reads.
-	for i := len(tx.ws) - 1; i >= 0; i-- {
-		if tx.ws[i].m == m {
-			return i, true
-		}
-	}
-	return 0, false
+	return s
 }
 
 // findLocal returns the index of the pending store to l, or -1. A
@@ -381,30 +393,32 @@ func (tx *Tx) findLocal(l *Local) int {
 }
 
 // addWrite records a write-set entry, deduplicating by cell so commit never
-// tries to lock the same cell twice.
+// tries to lock the same cell twice. The probe that de-duplicates is the one
+// that finds a new entry its empty slot, so it is not gated by the filter.
 func (tx *Tx) addWrite(e wentry) {
-	if i, ok := tx.lookupWrite(e.m); ok {
-		e.prev = tx.ws[i].prev
-		tx.ws[i] = e
+	n := len(tx.ws)
+	t := *tx.widx
+	if 2*(n+1) > len(t) {
+		// Double the index (to twice ws's starting capacity the first time)
+		// and re-insert ws in order, as reset's newest-first emptying needs.
+		t = make([]int32, max(2*len(t), 64))
+		for i := range tx.ws {
+			t[tx.slot(t, tx.ws[i].m)] = int32(i + 1)
+		}
+		*tx.widx = t
+	}
+	s := tx.slot(t, e.m)
+	if p := t[s]; p != 0 {
+		e.prev = tx.ws[p-1].prev
+		tx.ws[p-1] = e
 		return
 	}
 	tx.checkCapacity()
 	tx.maybeYield()
+	t[s] = int32(n + 1)
 	tx.ws = append(tx.ws, e)
 	tx.wn++
 	tx.wfilter |= filterBit(e.m)
-	if len(tx.ws) > wsMapThreshold {
-		if tx.wmap == nil {
-			tx.wmap = make(map[*atomic.Uint64]int, 4*wsMapThreshold)
-		}
-		if len(tx.wmap) == 0 {
-			for i := range tx.ws {
-				tx.wmap[tx.ws[i].m] = i
-			}
-		} else {
-			tx.wmap[e.m] = len(tx.ws) - 1
-		}
-	}
 }
 
 func (tx *Tx) writeWord(m, dst *atomic.Uint64, val uint64) {
