@@ -46,7 +46,6 @@ func probe(t *testing.T, s named) built {
 		profile: stm.Profile{
 			Capacity:    int(field(t, prof, "Capacity").Int()),
 			MaxAttempts: int(field(t, prof, "MaxAttempts").Int()),
-			YieldShift:  uint8(field(t, prof, "YieldShift").Uint()),
 		},
 		window: core.Window{
 			W:         int(field(t, win, "W").Int()),
@@ -82,22 +81,21 @@ type knobs struct {
 	win     core.Window
 	prof    stm.Profile
 	policy  arena.Policy
-	yield   uint8
 }
 
 func (k knobs) list() list.Config {
 	return list.Config{RRKind: k.kind, Threads: k.threads, Window: k.win,
-		Profile: k.prof, ArenaPolicy: k.policy, YieldShift: k.yield}
+		Profile: k.prof, ArenaPolicy: k.policy}
 }
 
 func (k knobs) tree() tree.Config {
 	return tree.Config{RRKind: k.kind, Threads: k.threads, Window: k.win,
-		Profile: k.prof, ArenaPolicy: k.policy, YieldShift: k.yield}
+		Profile: k.prof, ArenaPolicy: k.policy}
 }
 
 func (k knobs) skip() skiplist.Config {
 	return skiplist.Config{RRKind: k.kind, Threads: k.threads, Window: k.win,
-		Profile: k.prof, ArenaPolicy: k.policy, YieldShift: k.yield}
+		Profile: k.prof, ArenaPolicy: k.policy}
 }
 
 // TestConfigDefaults pins what a structure's constructor makes of the
@@ -121,8 +119,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	for _, f := range families {
 		htm := stm.HTMProfile(f.attempts)
-		htmYield := htm
-		htmYield.YieldShift = 3
 		kind := core.Kind(0).String() // the zero RRKind
 		dflt := built{kind, resolved(htm), core.Window{W: f.w}, 8, arena.PolicyLocal}
 		for _, c := range []struct {
@@ -132,12 +128,10 @@ func TestConfigDefaults(t *testing.T) {
 		}{
 			{"zero Config", knobs{}, dflt},
 			{"Threads below one", knobs{threads: -3}, dflt},
-			{"YieldShift over the default Profile", knobs{yield: 3},
-				built{kind, resolved(htmYield), core.Window{W: f.w}, 8, arena.PolicyLocal}},
-			{"YieldShift into a caller's Profile", knobs{prof: stm.Profile{MaxAttempts: 5}, yield: 3},
-				built{kind, resolved(stm.Profile{MaxAttempts: 5, YieldShift: 3}), core.Window{W: f.w}, 8, arena.PolicyLocal}},
+			{"a caller's Profile", knobs{prof: stm.Profile{MaxAttempts: 5}},
+				built{kind, resolved(stm.Profile{MaxAttempts: 5}), core.Window{W: f.w}, 8, arena.PolicyLocal}},
 			{"everything set", knobs{core.KindSA, 3, core.Window{W: 5, NoScatter: true},
-				stm.Profile{MaxAttempts: 7}, arena.PolicyShared, 0},
+				stm.Profile{MaxAttempts: 7}, arena.PolicyShared},
 				built{"RR-SA", resolved(stm.Profile{MaxAttempts: 7}), core.Window{W: 5, NoScatter: true}, 3, arena.PolicyShared}},
 		} {
 			if got := probe(t, f.build(c.set)); got != c.want {
@@ -148,7 +142,8 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestPublicConfigMapping pins the translation of the public Config: every
-// constructor hands every field on, the same way.
+// constructor hands every field on, the same way, and a zero Window is the
+// family table's tuned window at the thread count.
 func TestPublicConfigMapping(t *testing.T) {
 	mk := map[string]func(Config) named{
 		"map": func(c Config) named { return NewOrderedMap(c) },
@@ -158,24 +153,30 @@ func TestPublicConfigMapping(t *testing.T) {
 	}
 	set := Config{
 		Threads: 3, Reservation: RRDirectMapped, Window: 5, NoScatter: true,
-		SharedPool: true, SerialAfter: 4, SimulatePreemption: true,
+		SharedPool: true, SerialAfter: 4,
 	}
-	preempted := stm.HTMProfile(4)
-	preempted.YieldShift = 5
-	want := built{"RR-DM", resolved(preempted), core.Window{W: 5, NoScatter: true}, 3, arena.PolicyShared}
+	want := built{"RR-DM", resolved(stm.HTMProfile(4)), core.Window{W: 5, NoScatter: true}, 3, arena.PolicyShared}
 	for name, build := range mk {
 		if got := probe(t, build(set)); got != want {
 			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
 		}
 		// And nothing is set that was not asked for: the zero Config is the
-		// structure's own defaults.
-		attempts, w := 8, 16
+		// structure's own defaults, whose 8 threads take the lists' window 8
+		// and the trees' 16; at 2 threads the tuned windows are 64 and 32.
+		attempts, w8, w2 := 8, 16, 32
 		if name == "list" || name == "dlist" || name == "hash" {
-			attempts, w = 2, 8
+			attempts, w8, w2 = 2, 8, 64
 		}
-		zero := built{"RR-V", resolved(stm.HTMProfile(attempts)), core.Window{W: w}, 8, arena.PolicyLocal}
-		if got := probe(t, build(Config{})); got != zero {
-			t.Errorf("%s, zero Config:\n got %+v\nwant %+v", name, got, zero)
+		for _, c := range []struct {
+			cfg  Config
+			want built
+		}{
+			{Config{}, built{"RR-V", resolved(stm.HTMProfile(attempts)), core.Window{W: w8}, 8, arena.PolicyLocal}},
+			{Config{Threads: 2}, built{"RR-V", resolved(stm.HTMProfile(attempts)), core.Window{W: w2}, 2, arena.PolicyLocal}},
+		} {
+			if got := probe(t, build(c.cfg)); got != c.want {
+				t.Errorf("%s, %+v:\n got %+v\nwant %+v", name, c.cfg, got, c.want)
+			}
 		}
 	}
 }

@@ -88,15 +88,3 @@ func ExampleAscender() {
 	// Output:
 	// [3 5 9]
 }
-
-// The window knob can be turned while the set is live (the paper's
-// future-work adaptive tuning builds on this; see examples/tuner).
-func ExampleTunable() {
-	set := hohtx.NewListSet(hohtx.Config{Threads: 1, Window: 32})
-	set.Register(0)
-	set.(hohtx.Tunable).SetWindow(4) // takes effect for the next window
-	set.Insert(0, 9)
-	fmt.Println(set.Lookup(0, 9))
-	// Output:
-	// true
-}

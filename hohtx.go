@@ -139,7 +139,8 @@ func (r Reservation) kind() core.Kind {
 func (r Reservation) String() string { return r.kind().String() }
 
 // Config tunes a set. The zero value is usable: 8 threads, RR-V
-// reservations, a window of 8 (lists) or 16 (trees), scatter enabled.
+// reservations, the structure's tuned window at that thread count (8 for
+// the lists, 16 for the trees and the skiplist), scatter enabled.
 type Config struct {
 	// Threads is the number of distinct worker ids that will call into
 	// the set concurrently.
@@ -148,8 +149,11 @@ type Config struct {
 	Reservation Reservation
 	// Window is W, the maximum node visits per transaction. Smaller
 	// windows abort less under contention, larger ones commit less
-	// often; the paper's tuning is 16 up to 4 threads and 8 beyond for
-	// lists (§5.2). Zero picks a sensible default.
+	// often. Zero picks the structure's tuned window at Threads, the value
+	// the benchmark harness and cmd/hohserver use: for the lists and the
+	// hash set 64 up to 4 threads and 8 beyond (measured on a 2-CPU host;
+	// the paper's is 16 up to 4 threads, §5.2), for the trees, the ordered
+	// map and the skiplist 32 up to 2 threads and 16 beyond.
 	Window int
 	// NoScatter disables randomizing the first window's length. Leave
 	// scattering on unless you are reproducing the paper's ablation.
@@ -167,18 +171,12 @@ type Config struct {
 	// commit path"). Zero uses the paper's settings (2 for lists, 8 for
 	// trees).
 	SerialAfter int
-	// SimulatePreemption injects scheduler yields inside transactions so
-	// that they interleave even on a single-core host. Leave it off on
-	// real multicore machines; turn it on to study conflict behavior
-	// (aborts, revocations, window tuning) where the hardware cannot
-	// produce true parallelism.
-	SimulatePreemption bool
 }
 
-// internal translates the public Config to the one the structures take. A
-// field left zero stays zero there, so each structure fills in its own
-// defaults (the list or the tree setting).
-func (c Config) internal() reclaim.Config {
+// internal translates the public Config to the one row's structure takes.
+// The defaults are the structure's own (the list or the tree setting), but
+// for the window: the row's tuned value at the thread count.
+func (c Config) internal(row *family.Row) reclaim.Config {
 	out := reclaim.Config{
 		Mode:    reclaim.ModeRR,
 		RRKind:  c.Reservation.kind(),
@@ -191,20 +189,27 @@ func (c Config) internal() reclaim.Config {
 	if c.SerialAfter > 0 {
 		out.Profile = stm.HTMProfile(c.SerialAfter)
 	}
-	if c.SimulatePreemption {
-		out.YieldShift = 5
+	out = out.WithDefaults(row.Attempts, 0)
+	if out.Window.W == 0 {
+		out.Window.W = row.Window(out.Threads)
 	}
 	return out
 }
 
-// build constructs the named family's structure from its row of the
-// family table, the one place the repository's structures are listed.
-func build(name string, cfg Config) Set {
+// rowOf returns the named family's row of the family table, the one place
+// the repository's structures are listed.
+func rowOf(name string) *family.Row {
 	row, err := family.ByName(name)
 	if err != nil {
 		panic(err) // the names below are the table's own constants
 	}
-	return row.New(cfg.internal())
+	return row
+}
+
+// build constructs the named family's structure from its row.
+func build(name string, cfg Config) Set {
+	row := rowOf(name)
+	return row.New(cfg.internal(row))
 }
 
 // NewListSet returns a singly linked list set (best for small key ranges
@@ -229,7 +234,7 @@ func NewExternalTreeSet(cfg Config) Set { return build(family.ETree, cfg) }
 // for a small expected load factor (e.g. expected keys / 4). (The family
 // table's hash row is this constructor at the harnesses' bucket count.)
 func NewHashSet(cfg Config, buckets int) Set {
-	return list.NewHashTable(cfg.internal(), max(buckets, 1))
+	return list.NewHashTable(cfg.internal(rowOf(family.Hash)), max(buckets, 1))
 }
 
 // NewSkipListSet returns a skiplist set — the probabilistically balanced
@@ -262,17 +267,11 @@ var ErrScanUnsupported = sets.ErrScanUnsupported
 type OrderedMap = tree.Map
 
 // NewOrderedMap constructs an ordered map. It accepts the same Config as
-// the sets (window, reservation scheme, allocator policy).
+// the sets (window, reservation scheme, allocator policy), with the
+// external tree's defaults.
 func NewOrderedMap(cfg Config) *OrderedMap {
-	return tree.NewMap(cfg.internal())
+	return tree.NewMap(cfg.internal(rowOf(family.ETree)))
 }
-
-// Tunable is implemented by every Set built by this package: SetWindow
-// adjusts the hand-over-hand window size W while the set is in use (0
-// restores the configured value). The paper proposes contention-driven
-// window tuning as future work; examples/tuner builds it on this knob and
-// on StatsOf's abort counts.
-type Tunable = sets.Tunable
 
 // TxStats summarizes a set's transactional behavior.
 type TxStats struct {

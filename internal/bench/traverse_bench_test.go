@@ -28,9 +28,7 @@ const pointWorkers = 2
 
 func buildPrefilled(b *testing.B, f Family, name string, keyBits int) (sets.Set, Workload) {
 	b.Helper()
-	// Yield injection is off whatever -cpu says: it sends every read down
-	// the slow path, and what a read costs without it is the measurement.
-	s, err := Build(f, VariantSpec{Name: name, NoSimulatedPreemption: true}, pointWorkers)
+	s, err := Build(f, VariantSpec{Name: name}, pointWorkers)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +96,7 @@ func BenchmarkPointOps(b *testing.B) {
 func BenchmarkWindow(b *testing.B) {
 	const keyBits = 8
 	workers := min(runtime.GOMAXPROCS(0), pointWorkers)
-	s, err := Build(FamilySingly, VariantSpec{Name: "RR-V", Window: 1, NoScatter: true, NoSimulatedPreemption: true}, pointWorkers)
+	s, err := Build(FamilySingly, VariantSpec{Name: "RR-V", Window: 1, NoScatter: true}, pointWorkers)
 	if err != nil {
 		b.Fatal(err)
 	}

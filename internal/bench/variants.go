@@ -3,7 +3,6 @@ package bench
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
@@ -45,9 +44,6 @@ type VariantSpec struct {
 	// Capacity overrides the simulated HTM's tracked-cell capacity
 	// (ablations; zero keeps the profile default).
 	Capacity int
-	// NoSimulatedPreemption disables the automatic yield injection on
-	// single-core hosts (see SimYieldShift).
-	NoSimulatedPreemption bool
 	// Observe attaches a fresh observability domain (package obs) to the
 	// structure; the runner pulls latency and reclamation percentiles out
 	// of it through the ObsReporter interface. The lock-free variants have
@@ -76,23 +72,6 @@ func obsDomain(spec VariantSpec, threads int) *obs.Domain {
 	})
 }
 
-// SimYieldShift is the yield-injection rate used to simulate preemptive
-// interleaving when the host has a single CPU: every transactional access
-// (or lock-free node visit) yields with probability 1/2^5. Without it, a
-// one-core host runs each microsecond-scale transaction to completion
-// between scheduler quanta and the conflict dynamics the paper's
-// evaluation studies never occur; see EXPERIMENTS.md ("Concurrency
-// simulation").
-const SimYieldShift = 5
-
-// simShift returns the yield shift to apply given the host's parallelism.
-func simShift(disabled bool) uint8 {
-	if disabled || runtime.GOMAXPROCS(0) > 1 {
-		return 0
-	}
-	return SimYieldShift
-}
-
 // BestWindow returns the tuned window size for a family at a thread count
 // (the family's row has the paper's findings); 0 for an unknown family.
 func BestWindow(f Family, threads int) int {
@@ -119,7 +98,7 @@ func Build(f Family, spec VariantSpec, threads int) (sets.Set, error) {
 		Threads:     threads,
 		Window:      core.Window{W: w, NoScatter: spec.NoScatter},
 		ArenaPolicy: spec.Policy,
-		YieldShift:  simShift(spec.NoSimulatedPreemption), Obs: obsDomain(spec, threads),
+		Obs:         obsDomain(spec, threads),
 	}
 	if spec.Capacity > 0 {
 		// A capacity override has to restate the family's own

@@ -41,8 +41,8 @@ const (
 )
 
 // Comparator is a lock-free baseline a family is measured against. New
-// reads Threads, ArenaPolicy and YieldShift from the Config and ignores
-// the rest: nothing in a lock-free structure is transactional.
+// reads Threads and ArenaPolicy from the Config and ignores the rest:
+// nothing in a lock-free structure is transactional.
 type Comparator struct {
 	Name string
 	New  func(reclaim.Config) Set
@@ -104,14 +104,13 @@ func tm[T Set](mk func(reclaim.Config) T) func(reclaim.Config) Set {
 func harris(hp bool) func(reclaim.Config) Set {
 	return func(cfg reclaim.Config) Set {
 		return lockfree.NewHarrisList(lockfree.ListConfig{
-			Threads: cfg.Threads, UseHazardPointers: hp,
-			ArenaPolicy: cfg.ArenaPolicy, YieldShift: cfg.YieldShift,
+			Threads: cfg.Threads, UseHazardPointers: hp, ArenaPolicy: cfg.ArenaPolicy,
 		})
 	}
 }
 
 func nmTree(cfg reclaim.Config) Set {
-	return lockfree.NewNMTree(lockfree.NMConfig{Threads: cfg.Threads, YieldShift: cfg.YieldShift})
+	return lockfree.NewNMTree(lockfree.NMConfig{Threads: cfg.Threads})
 }
 
 // routed is both external trees, TM-backed and lock-free.

@@ -7,7 +7,6 @@ import (
 
 	"hohtx/internal/core"
 	"hohtx/internal/reclaim"
-	"hohtx/internal/serve"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -97,7 +96,6 @@ func TestEveryFamilyImplementsEveryView(t *testing.T) {
 				"GuardReporter":   implements[sets.GuardReporter](s),
 				"ObsReporter":     implements[sets.ObsReporter](s),
 				"MemoryReporter":  implements[sets.MemoryReporter](s),
-				"Tunable":         implements[sets.Tunable](s),
 			} {
 				if !ok {
 					t.Errorf("%s/%v does not implement sets.%s", name, m, view)
@@ -110,41 +108,4 @@ func TestEveryFamilyImplementsEveryView(t *testing.T) {
 func implements[V any](s sets.Set) bool {
 	_, ok := s.(V)
 	return ok
-}
-
-// TestSetWindowReachesEveryFamily: SetWindow(1) through the sharded facade
-// must make a lookup take more window transactions on every structure that
-// cuts windows — the skiplist used to ignore it (it had no SetWindow, so a
-// 1 000-key lookup on two shards stayed at 2 commits).
-func TestSetWindowReachesEveryFamily(t *testing.T) {
-	const keys = 1000
-	for _, name := range Names() {
-		row, _ := ByName(name)
-		parts := make([]sets.Set, 2)
-		for i := range parts {
-			parts[i], _ = row.Build("RR-V", reclaim.Config{Threads: 1, Window: core.Window{W: 512, NoScatter: true}})
-		}
-		sh := serve.NewSharded(parts)
-		sh.Register(0)
-		for k := uint64(1); k <= keys; k++ {
-			sh.Insert(0, k)
-		}
-		lookups := func() uint64 {
-			before := sh.TMStats().Commits
-			for k := uint64(1); k <= keys; k += 100 {
-				if !sh.Lookup(0, k) {
-					t.Fatalf("%s: key %d lost", name, k)
-				}
-			}
-			return sh.TMStats().Commits - before
-		}
-		wide := lookups()
-		sh.SetWindow(1)
-		narrow := lookups()
-		sh.SetWindow(0)
-		restored := lookups()
-		if narrow < 2*wide || restored != wide {
-			t.Errorf("%s: %d commits at W=512, %d at SetWindow(1), %d after SetWindow(0)", name, wide, narrow, restored)
-		}
-	}
 }

@@ -392,28 +392,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-// TestSetWindowLive flips the window size while operations are in flight;
-// correctness must be unaffected (the knob only changes cut frequency).
-func TestSetWindowLive(t *testing.T) {
-	const threads = 4
-	l := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: threads, Window: core.Window{W: 16}})
-	stop := make(chan struct{})
-	go func() {
-		w := 1
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			l.SetWindow(w)
-			w = w%32 + 1
-		}
-	}()
-	runStress(t, l, threads, 1000, 64, l)
-	close(stop)
-}
-
 func TestEmptyAndSingleton(t *testing.T) {
 	l := New(Config{Mode: ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 1}})
 	l.Register(0)

@@ -12,7 +12,6 @@
 package lockfree
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"hohtx/internal/arena"
@@ -44,12 +43,11 @@ type lfNode struct {
 // LFLeak, approximating an ideal deferred reclaimer), reclaim.HazardPointers
 // frees them once unprotected (LFHP).
 type HarrisList struct {
-	ar        *arena.Arena[lfNode]
-	rec       reclaim.Scheme
-	head      arena.Handle
-	leak      bool
-	yieldMask uint64 // nonzero enables simulated preemption in find
-	ops       []opCounter
+	ar   *arena.Arena[lfNode]
+	rec  reclaim.Scheme
+	head arena.Handle
+	leak bool
+	ops  []opCounter
 }
 
 type opCounter struct {
@@ -68,11 +66,6 @@ type ListConfig struct {
 	ScanThreshold int
 	// ArenaPolicy selects the allocator free-list policy.
 	ArenaPolicy arena.Policy
-	// YieldShift enables simulated preemption: traversals yield the
-	// processor every 1<<YieldShift node visits, so that lock-free
-	// operations interleave on a single-core host the way they would on
-	// the paper's multicore machine. Zero disables it.
-	YieldShift uint8
 }
 
 // NewHarrisList constructs the list with a head sentinel.
@@ -84,9 +77,6 @@ func NewHarrisList(cfg ListConfig) *HarrisList {
 		ar:   arena.New[lfNode](arena.Config{Threads: cfg.Threads, Policy: cfg.ArenaPolicy}),
 		ops:  make([]opCounter, cfg.Threads),
 		leak: !cfg.UseHazardPointers,
-	}
-	if cfg.YieldShift != 0 {
-		l.yieldMask = 1<<cfg.YieldShift - 1
 	}
 	if cfg.UseHazardPointers {
 		l.rec = reclaim.NewHazardPointers(reclaim.HPConfig{
@@ -134,7 +124,6 @@ func (l *HarrisList) Apply(tid int, ops []sets.Op) []sets.Result {
 // Nil) is protected by hazard slot 1 and prev by slot 2, and
 // *prevCell == currH held after both hazards were published.
 func (l *HarrisList) find(tid int, key uint64) (prevCell *atomic.Uint64, currH arena.Handle, currKey uint64, found bool) {
-	visits := uint64(tid)
 retry:
 	for {
 		prevH := l.head
@@ -142,10 +131,6 @@ retry:
 		prevCell = &l.ar.At(prevH).next
 		currRaw := prevCell.Load()
 		for {
-			visits++
-			if l.yieldMask != 0 && visits&l.yieldMask == 0 {
-				runtime.Gosched() // simulated preemption point
-			}
 			if marked(currRaw) {
 				// prev itself was logically deleted: its next carries the
 				// mark, so this edge must not be treated as clean.

@@ -260,7 +260,7 @@ func TestNMTreeSequentialVsModel(t *testing.T) {
 
 func TestNMTreeConcurrentStress(t *testing.T) {
 	const threads = 8
-	tr := NewNMTree(NMConfig{Threads: threads, YieldShift: 4})
+	tr := NewNMTree(NMConfig{Threads: threads})
 	stressSet(t, tr, threads, 3000, 128)
 	if !tr.ValidateRouting() {
 		t.Fatal("routing invalid after stress")
@@ -269,7 +269,7 @@ func TestNMTreeConcurrentStress(t *testing.T) {
 
 func TestNMTreeContentionSameKeys(t *testing.T) {
 	const threads = 8
-	tr := NewNMTree(NMConfig{Threads: threads, YieldShift: 4})
+	tr := NewNMTree(NMConfig{Threads: threads})
 	var wg sync.WaitGroup
 	var ins, rem atomic.Int64
 	for w := 0; w < threads; w++ {

@@ -1,7 +1,6 @@
 package lockfree
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"hohtx/internal/arena"
@@ -53,20 +52,16 @@ type nmNode struct {
 
 // NMTree is the lock-free external BST set.
 type NMTree struct {
-	ar        *arena.Arena[nmNode]
-	leak      *reclaim.Leak
-	root      arena.Handle // R sentinel router
-	yieldMask uint64
-	ops       []opCounter
+	ar   *arena.Arena[nmNode]
+	leak *reclaim.Leak
+	root arena.Handle // R sentinel router
+	ops  []opCounter
 }
 
 // NMConfig parameterizes NewNMTree.
 type NMConfig struct {
 	// Threads is the number of distinct tids. Required.
 	Threads int
-	// YieldShift enables simulated preemption (yield every
-	// 1<<YieldShift descents); see lockfree.ListConfig.
-	YieldShift uint8
 }
 
 // NewNMTree constructs the tree with the standard sentinel arrangement.
@@ -79,9 +74,6 @@ func NewNMTree(cfg NMConfig) *NMTree {
 		ar:   arena.New[nmNode](arena.Config{Threads: threads}),
 		leak: reclaim.NewLeak(threads),
 		ops:  make([]opCounter, threads),
-	}
-	if cfg.YieldShift != 0 {
-		t.yieldMask = 1<<cfg.YieldShift - 1
 	}
 	mk := func(key uint64, left, right arena.Handle) arena.Handle {
 		h := t.ar.Alloc(0)
@@ -141,12 +133,7 @@ func (t *NMTree) seek(key uint64, s *seekRecord) {
 	s.leaf = addrOf(parentField)
 	currentField := t.childField(s.leaf, key).Load()
 	current := addrOf(currentField)
-	visits := uint64(0)
 	for !current.IsNil() {
-		visits++
-		if t.yieldMask != 0 && (visits+t.yieldMask>>1)&t.yieldMask == 0 {
-			runtime.Gosched() // simulated preemption point
-		}
 		if !tagged(parentField) {
 			s.ancestor = s.parent
 			s.successor = s.leaf

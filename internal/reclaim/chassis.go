@@ -2,7 +2,6 @@ package reclaim
 
 import (
 	"math"
-	"sync/atomic"
 
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
@@ -80,7 +79,6 @@ type Chassis[N any] struct {
 	perKey      uint64 // Layout.PerKey
 	sentinels   uint64 // nodes NewSentinel made
 	win         core.Window
-	winOverride atomic.Int32
 	ops         []opState
 	obs         *obs.Domain
 	scanWindows *obs.Histogram // window txs per Cursor (nil without Obs)
@@ -194,14 +192,10 @@ func (c *Chassis[N]) Results(tid, n int) []bool {
 // position and word if its link still has them, root and rootWord
 // otherwise — and how many steps it may take.
 func (c *Chassis[N]) Start(tx *stm.Tx, tid int, root arena.Handle, rootWord uint64) (h arena.Handle, word uint64, held bool, budget int) {
-	win := c.win
-	if o := c.winOverride.Load(); o > 0 && !win.Unbounded() {
-		win.W = int(o)
-	}
 	if h, word, held = c.Link.Resume(tx, tid); held {
-		return h, word, true, win.Next()
+		return h, word, true, c.win.Next()
 	}
-	return root, rootWord, false, win.First(tx)
+	return root, rootWord, false, c.win.First(tx)
 }
 
 // Cursor is the ordered-iteration protocol behind sets.Ascender, whose
@@ -298,14 +292,6 @@ func (c *Chassis[N]) Finish(tid int) { c.Link.Finish(tid, c.ops[tid].n) }
 
 // ObsDomain implements sets.ObsReporter (nil when Config.Obs was nil).
 func (c *Chassis[N]) ObsDomain() *obs.Domain { return c.obs }
-
-// SetWindow implements sets.Tunable: it changes the hand-over-hand window
-// size at runtime (0 restores the configured value). The paper proposes
-// contention-driven window tuning as future work; this is the knob that
-// enables it (examples/tuner). Safe to call concurrently with operations:
-// in-flight windows finish at their old size. A structure whose operations
-// are single transactions stays unbounded.
-func (c *Chassis[N]) SetWindow(w int) { c.winOverride.Store(int32(w)) }
 
 // TMStats implements sets.TMStatsReporter.
 func (c *Chassis[N]) TMStats() stm.Stats { return c.RT.Stats() }

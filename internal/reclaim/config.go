@@ -37,10 +37,6 @@ type Config struct {
 	// hazard-pointer scan threshold, VBR's self-tick cadence); default 64,
 	// the paper's best-performing setting.
 	ScanThreshold int
-	// YieldShift enables simulated preemption inside transactions (see
-	// stm.Profile.YieldShift); it composes with whatever Profile is in
-	// effect.
-	YieldShift uint8
 	// Guard enables the arena use-after-free sanitizer: freed nodes are
 	// poisoned and any *committed* read of a dead node is reported (see
 	// each structure's guard.go). Off by default, and off it costs a
@@ -75,9 +71,6 @@ func (c Config) WithDefaults(attempts, w int) Config {
 	}
 	if c.Profile == (stm.Profile{}) {
 		c.Profile = stm.HTMProfile(attempts)
-	}
-	if c.YieldShift != 0 {
-		c.Profile.YieldShift = c.YieldShift
 	}
 	if c.Window.W == 0 {
 		c.Window.W = w

@@ -55,7 +55,6 @@ type Sharded struct {
 	tm    []sets.TMStatsReporter
 	rec   []sets.ReclaimReporter
 	guard []sets.GuardReporter
-	tune  []sets.Tunable
 }
 
 // NewSharded builds the facade over the given shards, which must all be
@@ -77,7 +76,6 @@ func NewSharded(shards []sets.Set) *Sharded {
 		tm:     viewsOf[sets.TMStatsReporter](shards),
 		rec:    viewsOf[sets.ReclaimReporter](shards),
 		guard:  viewsOf[sets.GuardReporter](shards),
-		tune:   viewsOf[sets.Tunable](shards),
 	}
 	for i, sh := range shards {
 		if or, ok := sh.(sets.ObsReporter); ok {
@@ -292,14 +290,6 @@ func (s *Sharded) Books(slots int, drained bool) (sum reclaim.Books, err error) 
 		err = fmt.Errorf("%w: %w", ErrUnbalanced, errors.Join(errs...))
 	}
 	return sum, err
-}
-
-// SetWindow adjusts the hand-over-hand window on every shard (the
-// hohtx.Tunable contract; examples/tuner drives it).
-func (s *Sharded) SetWindow(w int) {
-	for _, t := range s.tune {
-		t.SetWindow(w)
-	}
 }
 
 // TMStats sums the shards' STM runtime counters — each shard has its own

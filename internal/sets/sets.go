@@ -201,12 +201,6 @@ type ObsReporter interface {
 	ObsDomain() *obs.Domain
 }
 
-// Tunable is a structure whose hand-over-hand window can be changed while
-// it runs.
-type Tunable interface {
-	SetWindow(w int)
-}
-
 // KeysEqual reports whether got (already sorted) equals want (any order);
 // it sorts a copy of want.
 func KeysEqual(got, want []uint64) bool {

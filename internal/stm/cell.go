@@ -44,8 +44,8 @@ type Word struct {
 // The common read — no pending write to the cell, version unlocked and within
 // the snapshot, room in the read log and under the footprint limit — is done
 // here with no call; everything else (a pending write, a locked or newer
-// cell, log growth, the capacity abort, yield injection) takes the full
-// protocol in loadWord, which re-reads the cell from scratch.
+// cell, log growth, the capacity abort) takes the full protocol in loadWord,
+// which re-reads the cell from scratch.
 func (w *Word) Load(tx *Tx) uint64 {
 	if tx.wfilter&filterBit(&w.m) == 0 {
 		if v1 := w.m.Load(); v1&lockedBit == 0 && v1 <= tx.rv {
@@ -150,18 +150,17 @@ func (l *Local) Load(tx *Tx) uint64 {
 // transaction commits.
 //
 // Like Word.Load, the common store — the first to this Local, with room in
-// the log, under the footprint limit and no yield to draw — makes no call.
+// the log and under the footprint limit — makes no call.
 func (l *Local) Store(tx *Tx, x uint64) {
 	if i := tx.findLocal(l); i >= 0 {
 		tx.ls[i].val = x
 		return
 	}
-	if n := len(tx.ls); n < cap(tx.ls) && tx.yieldShift == 0 && tx.footprint() < tx.limit {
+	if n := len(tx.ls); n < cap(tx.ls) && tx.footprint() < tx.limit {
 		tx.ls = tx.ls[:n+1]
 		tx.ls[n] = lentry{dst: l, val: x}
 	} else {
 		tx.checkCapacity()
-		tx.maybeYield()
 		tx.ls = append(tx.ls, lentry{dst: l, val: x})
 	}
 	tx.wn++

@@ -37,7 +37,6 @@ func TestTxLayout(t *testing.T) {
 		{"rsHead", unsafe.Offsetof(tx.rsHead) + unsafe.Sizeof(tx.rsHead)},
 		{"limit", unsafe.Offsetof(tx.limit) + unsafe.Sizeof(tx.limit)},
 		{"wn", unsafe.Offsetof(tx.wn) + unsafe.Sizeof(tx.wn)},
-		{"yieldShift", unsafe.Offsetof(tx.yieldShift) + unsafe.Sizeof(tx.yieldShift)},
 	} {
 		if f.end > pad.CacheLine {
 			t.Fatalf("read-path field %s ends at byte %d, past the first cache line", f.name, f.end)

@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// The read path's fast path is the slow path, observably. Word.Load answers
-// the common read without a call; yield injection sends every read down the
-// full protocol instead, so running one script at YieldShift 0 and 1 runs it
-// on both paths. Each run is also held to a model written here from the
+// The read path's fast path is the slow path, observably. Word.Load and
+// Local.Store answer the common access without a call and decline it when
+// their log is full; clipping both logs to their length before every step
+// sends each access down the full protocol instead (recordRead, Store's
+// appending branch), so running one script unclipped and clipped runs it on
+// both paths. Each run is also held to a model written here from the
 // rules alone — read-own-writes, one log entry per read that is not of a
 // pending write, and the capacity rule "live reads + pending Word writes +
 // pending Local stores >= Capacity, checked before the access is recorded"
@@ -39,7 +41,7 @@ type rpOutcome struct {
 	CapAt      int      // step at which the first attempt hit CauseCapacity, or -1
 	Logged     uint64   // ReadMark at the end of the committing attempt
 	Live       int      // reads still tracked at its end
-	Draws      int      // maybeYield draws of the committing attempt
+	Locals     int      // Local stores pending at its end
 	Commits    uint64
 	Serial     uint64
 	Extensions uint64
@@ -53,7 +55,7 @@ const (
 )
 
 // rpModel predicts a script's outcome from the rules in the header comment.
-func rpModel(script []rpStep, capacity int, ys uint8) rpOutcome {
+func rpModel(script []rpStep, capacity int) rpOutcome {
 	out := rpOutcome{CapAt: -1}
 	committed := make([]uint64, rpWords)
 	for i := range committed {
@@ -67,20 +69,16 @@ func rpModel(script []rpStep, capacity int, ys uint8) rpOutcome {
 			vals     []uint64
 			reads    uint64
 			released uint64
-			draws    int
 			marks    [4]uint64
 			ws       = map[int]uint64{}
 			ls       = map[int]bool{}
 			snap     = bumps
 			fired    = false
 		)
-		record := func(step int) bool { // the capacity rule, then the yield draw
+		record := func(step int) bool { // the capacity rule
 			if capacity > 0 && !serial && int(reads-released)+len(ws)+len(ls) >= capacity {
 				out.CapAt = step
 				return false
-			}
-			if ys != 0 {
-				draws++
 			}
 			return true
 		}
@@ -133,7 +131,7 @@ func rpModel(script []rpStep, capacity int, ys uint8) rpOutcome {
 			out.Aborts[CauseCapacity]++
 			continue
 		}
-		out.Vals, out.Logged, out.Live, out.Draws = vals, reads, int(reads-released), draws
+		out.Vals, out.Logged, out.Live, out.Locals = vals, reads, int(reads-released), len(ls)
 		out.Commits = 1
 		if serial {
 			out.Serial = 1
@@ -142,26 +140,16 @@ func rpModel(script []rpStep, capacity int, ys uint8) rpOutcome {
 	}
 }
 
-// rngSteps counts the xorshift steps from state a to state b.
-func rngSteps(t *testing.T, a, b uint64) int {
-	t.Helper()
-	tx := Tx{rng: a}
-	for n := 0; n <= 4*rpWords; n++ {
-		if tx.rng == b {
-			return n
-		}
-		tx.nextRand()
-	}
-	t.Fatal("generator state not reached: something other than maybeYield drew from it")
-	return 0
-}
-
 // rpRun executes the script as one transaction of a new runtime, in tid's
 // context, over words returned to their initial state, and reports what it
-// observed beside the model's prediction.
-func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, ys uint8) (got, want rpOutcome) {
+// observed beside the model's prediction. With slow set it clips the read log
+// and the Local log to their length before every step, so no access finds
+// room in them. appended counts the committing attempt's recorded accesses
+// (log entries added) that found their log full: the ones recordRead or
+// Store's appending branch recorded.
+func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, slow bool) (got, want rpOutcome, appended int) {
 	t.Helper()
-	rt := NewRuntime(Profile{Capacity: capacity, YieldShift: ys, MaxAttempts: 4})
+	rt := NewRuntime(Profile{Capacity: capacity, MaxAttempts: 4})
 	for i := range words {
 		words[i].m.Store(0) // versions are relative to a runtime's clock
 		words[i].v.Store(uint64(i) + 1)
@@ -174,7 +162,7 @@ func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, y
 	rt.AtomicT(tid, func(tx *Tx) {
 		attempt++
 		got.Vals = got.Vals[:0]
-		rng0 := tx.rng
+		appended = 0
 		var marks [4]uint64
 		at := 0
 		defer func() {
@@ -186,15 +174,28 @@ func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, y
 				panic(r)
 			}
 		}()
+		// count notes whether a step added an entry to a log that was full.
+		count := func(before, after, capBefore int) {
+			if after > before && before == capBefore {
+				appended++
+			}
+		}
 		for n, st := range script {
 			at = n
+			if slow {
+				tx.rs, tx.ls = tx.rs[:len(tx.rs):len(tx.rs)], tx.ls[:len(tx.ls):len(tx.ls)]
+			}
 			switch st.kind {
 			case rpLoad:
+				l, c := len(tx.rs), cap(tx.rs)
 				got.Vals = append(got.Vals, words[st.i].Load(tx))
+				count(l, len(tx.rs), c)
 			case rpStore:
 				words[st.i].Store(tx, st.v)
 			case rpLocal:
+				l, c := len(tx.ls), cap(tx.ls)
 				locals[st.i].Store(tx, st.v)
+				count(l, len(tx.ls), c)
 			case rpMark:
 				marks[st.i] = tx.ReadMark()
 			case rpForget:
@@ -215,7 +216,7 @@ func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, y
 		}
 		got.Logged = tx.ReadMark()
 		got.Live = len(tx.rs) - tx.rsHead
-		got.Draws = rngSteps(t, rng0, tx.rng)
+		got.Locals = len(tx.ls)
 	})
 	st := rt.Stats()
 	bumps := uint64(0)
@@ -225,7 +226,7 @@ func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, y
 		}
 	}
 	got.Commits, got.Serial, got.Extensions, got.Aborts = st.Commits-bumps, st.SerialCommits, st.Extensions, st.Aborts
-	return got, rpModel(script, capacity, ys)
+	return got, rpModel(script, capacity), appended
 }
 
 // collidingPair finds a word the scripts read and a word they never read
@@ -296,6 +297,13 @@ func TestReadPathFastIsSlow(t *testing.T) {
 			s = append(s, rpStep{kind: rpBump, i: 20, v: 4242})
 			return loadsFrom(s, 20, rpReads)
 		}},
+		{"local-at-the-cliff", func([]Word) []rpStep {
+			// The access that reaches capacity 8, and then 448, is a Local
+			// store: Store's own fast path must decline it too.
+			s := append(loadsFrom(nil, 0, 8), rpStep{kind: rpLocal, i: 0, v: 1})
+			s = append(loadsFrom(s, 8, 447), rpStep{kind: rpLocal, i: 1, v: 2})
+			return loadsFrom(s, 447, rpReads)
+		}},
 		{"mix", func([]Word) []rpStep {
 			// Reads, early-released reads, Word writes and Local stores
 			// interleaved; the forgets stop early so that the footprint
@@ -326,22 +334,22 @@ func TestReadPathFastIsSlow(t *testing.T) {
 				script := sc.build(words)
 				for _, tid := range ownedAndPooled {
 					var byPath [2]rpOutcome
-					for ys := uint8(0); ys <= 1; ys++ {
-						got, want := rpRun(t, tid, words, script, capacity, ys)
+					for i, slow := range []bool{false, true} {
+						got, want, appended := rpRun(t, tid, words, script, capacity, slow)
 						if d := got.differ(want); d != "" {
-							t.Fatalf("tid %d, YieldShift %d, observed vs model: %s", tid, ys, d)
+							t.Fatalf("tid %d, slow %v, observed vs model: %s", tid, slow, d)
 						}
 						if (capacity != 0) != (got.CapAt >= 0) {
-							t.Fatalf("tid %d, YieldShift %d: capacity %d, abort at step %d: the script is too short to find the cliff", tid, ys, capacity, got.CapAt)
+							t.Fatalf("tid %d, slow %v: capacity %d, abort at step %d: the script is too short to find the cliff", tid, slow, capacity, got.CapAt)
 						}
-						byPath[ys] = got
+						// The clipped run records every access through the full
+						// protocol; the unclipped one only the few that outgrow
+						// the log.
+						if recorded := int(got.Logged) + got.Locals; slow && appended != recorded || !slow && appended*2 >= recorded {
+							t.Fatalf("tid %d, slow %v: %d of %d recorded accesses found their log full", tid, slow, appended, recorded)
+						}
+						byPath[i] = got
 					}
-					// Yield injection draws once per recorded access and never
-					// otherwise; nothing else may tell the two paths apart.
-					if byPath[0].Draws != 0 || byPath[1].Draws == 0 {
-						t.Fatalf("tid %d, yield draws: %d at YieldShift 0, %d at YieldShift 1", tid, byPath[0].Draws, byPath[1].Draws)
-					}
-					byPath[1].Draws = 0
 					if d := byPath[0].differ(byPath[1]); d != "" {
 						t.Fatalf("tid %d, fast path vs slow path: %s", tid, d)
 					}

@@ -49,8 +49,8 @@ import (
 // AbortCause classifies why a speculative transaction attempt failed.
 // Exposing abort causes to the data structure is the capability the paper
 // names as future work ("GCC TM does not expose the fact of an abort, or
-// its cause, to the programmer", §5.2); this repository uses it to build
-// the adaptive window tuner exercised in examples/tuner.
+// its cause, to the programmer", §5.2); this repository counts aborts by
+// cause (Stats.Aborts) and reports them in the figures' abort breakdown.
 type AbortCause uint8
 
 const (
@@ -107,16 +107,6 @@ type Profile struct {
 	// large default (64). The paper's GCC setup uses 2 for the list
 	// experiments and 8 for the trees.
 	MaxAttempts int
-	// YieldShift, when nonzero, makes each transactional access yield the
-	// processor with probability 1/(1<<YieldShift). This simulates
-	// preemption-driven interleaving so that transactions overlap in
-	// logical time even on a single-core host: without it, a 1-CPU box
-	// runs every microsecond-scale transaction to completion between
-	// scheduler quanta and the conflict dynamics the paper studies never
-	// materialize. The benchmark harness enables it automatically when
-	// GOMAXPROCS == 1 (see EXPERIMENTS.md); yields never occur while
-	// commit-time locks are held.
-	YieldShift uint8
 }
 
 // HTMProfile returns the profile used to model the paper's hardware TM:

@@ -53,8 +53,7 @@ type lentry struct {
 // order below is also the line layout:
 //
 //	line 1  everything Word.Load's fast path tests or writes: rv, wfilter,
-//	        rs, rsHead, limit, wn, yieldShift (serial, cause and busy fill
-//	        the word)
+//	        rs, rsHead, limit, wn (serial, cause and busy fill the word)
 //	line 2  ws, ls, widx (read-own-writes past the filter), rt
 //	line 3  commit and abort hooks, rsBase, rng
 //	line 4  per-call bookkeeping and the counts flush publishes
@@ -73,12 +72,9 @@ type Tx struct {
 	limit int
 	// wn is len(ws)+len(ls), the write side of the footprint, kept beside
 	// the read side so the capacity predicate reads one line.
-	wn int32
-	// yieldShift is the profile's YieldShift, copied when the Tx is created
-	// (a Tx serves one Runtime, whose profile never changes).
-	yieldShift uint8
-	serial     bool // true when running under the exclusive serial lock
-	cause      AbortCause
+	wn     int32
+	serial bool // true when running under the exclusive serial lock
+	cause  AbortCause
 	// busy marks the context a tid owns (Runtime.ctxs) in use by a chain;
 	// release tells owned from pooled by it, so it is never set on a pooled
 	// Tx.
@@ -120,16 +116,15 @@ var txSeq atomic.Uint64
 // newTx returns a context of rt that publishes its counts into stats.
 func newTx(rt *Runtime, tid int, stats *statBlock) *Tx {
 	return &Tx{
-		rt:         rt,
-		rs:         make([]rentry, 0, 256),
-		ws:         make([]wentry, 0, 32),
-		ls:         make([]lentry, 0, 8),
-		widx:       new([]int32),
-		rng:        0x9e3779b97f4a7c15,
-		yieldShift: rt.prof.YieldShift,
-		slotHash:   txSeq.Add(1) * 0x9e3779b97f4a7c15,
-		tid:        int32(tid),
-		stats:      stats,
+		rt:       rt,
+		rs:       make([]rentry, 0, 256),
+		ws:       make([]wentry, 0, 32),
+		ls:       make([]lentry, 0, 8),
+		widx:     new([]int32),
+		rng:      0x9e3779b97f4a7c15,
+		slotHash: txSeq.Add(1) * 0x9e3779b97f4a7c15,
+		tid:      int32(tid),
+		stats:    stats,
 	}
 }
 
@@ -255,27 +250,19 @@ func (tx *Tx) ForgetReadsBefore(mark uint64) {
 	}
 }
 
-// maybeYield simulates a preemption point per the profile's YieldShift.
-func (tx *Tx) maybeYield() {
-	if s := tx.yieldShift; s != 0 && tx.nextRand()&(1<<s-1) == 0 {
-		runtime.Gosched()
-	}
-}
-
 // recordRead appends a validated read to the read set.
 func (tx *Tx) recordRead(m *atomic.Uint64, ver uint64) {
 	tx.checkCapacity()
 	tx.rs = append(tx.rs, rentry{m: m, ver: ver})
-	tx.maybeYield()
 }
 
-// logRead is recordRead when recording takes no call: the log has room, the
-// footprint is under the limit (checkCapacity's predicate, before the entry
-// is recorded) and no yield is to be drawn. It reports false, having changed
-// nothing, when any of the three needs recordRead itself.
+// logRead is recordRead when recording takes no call: the log has room and
+// the footprint is under the limit (checkCapacity's predicate, before the
+// entry is recorded). It reports false, having changed nothing, when either
+// needs recordRead itself.
 func (tx *Tx) logRead(m *atomic.Uint64, ver uint64) bool {
 	n := len(tx.rs)
-	if n >= cap(tx.rs) || tx.yieldShift != 0 || tx.footprint() >= tx.limit {
+	if n >= cap(tx.rs) || tx.footprint() >= tx.limit {
 		return false
 	}
 	tx.rs = tx.rs[:n+1]
@@ -414,7 +401,6 @@ func (tx *Tx) addWrite(e wentry) {
 		return
 	}
 	tx.checkCapacity()
-	tx.maybeYield()
 	t[s] = int32(n + 1)
 	tx.ws = append(tx.ws, e)
 	tx.wn++
