@@ -155,7 +155,10 @@ type slot[T any] struct {
 
 // page is one slab of slots. Pages are never released, which is what makes
 // dereferencing stale handles memory-safe. The slots are an array, not a
-// slice, so a page pointer is already the address of slot 0 and At is three
+// slice, so a page pointer is already the address of slot 0. Page 0 is
+// allocated by New and never replaced, so the arena keeps its address beside
+// the vector: a slot on it is the arena's page0 plus the index, one load off
+// the arena, and only a slot on a later page takes the vector's three
 // dependent loads (the vector's header, the page pointer, the slot).
 type page[T any] struct {
 	slots [pageSize]slot[T]
@@ -253,6 +256,7 @@ type magazine struct {
 type Arena[T any] struct {
 	cfg Config
 
+	page0 *page[T]                   // (*pages)[0], fixed by New: slotAt's short path
 	pages atomic.Pointer[[]*page[T]] // grow-only vector of pages
 	next  atomic.Uint32              // bump pointer for never-used slots
 	_     pad.Line
@@ -262,7 +266,6 @@ type Arena[T any] struct {
 	poolMu   sync.Mutex
 	pool     []uint32 // shared free indices
 	poolOps  atomic.Uint64
-	grows    atomic.Uint64
 	fresh    atomic.Uint64
 	_        pad.Line
 	mags     []magazine
@@ -296,12 +299,13 @@ func New[T any](cfg Config) *Arena[T] {
 		magCap:   cfg.MagazineSize,
 		magFlush: cfg.MagazineSize / 2,
 	}
-	empty := make([]*page[T], 0)
-	a.pages.Store(&empty)
+	a.page0 = new(page[T])
+	pages := []*page[T]{a.page0}
+	a.pages.Store(&pages)
 	if cfg.Guard {
 		a.guard = &guardState[T]{accessCheck: cfg.AccessCheck}
-		emptyAudits := make([]*auditPage, 0)
-		a.guard.audits.Store(&emptyAudits)
+		audits := []*auditPage{{slots: make([]slotAudit, pageSize)}}
+		a.guard.audits.Store(&audits)
 	}
 	return a
 }
@@ -344,9 +348,7 @@ func (a *Arena[T]) At(h Handle) *T {
 	if uint64(h)&userBit != 0 {
 		panic("arena: At on handle with user bit set; strip marks first")
 	}
-	idx := h.Index()
-	pages := *a.pages.Load()
-	return &pages[idx>>pageShift].slots[idx&pageMask].val
+	return &a.slotAt(h.Index()).val
 }
 
 // Live reports whether h still names the allocation it was created by,
@@ -356,11 +358,10 @@ func (a *Arena[T]) Live(h Handle) bool {
 		return false
 	}
 	idx := h.Index()
-	pages := *a.pages.Load()
-	if int(idx>>pageShift) >= len(pages) {
+	if idx >= pageSize && int(idx>>pageShift) >= len(*a.pages.Load()) {
 		return false
 	}
-	return pages[idx>>pageShift].slots[idx&pageMask].gen.Load()&genMask == h.Gen()
+	return a.slotAt(idx).gen.Load()&genMask == h.Gen()
 }
 
 // Alloc returns a handle to a slot that is exclusively owned by the caller
@@ -446,9 +447,14 @@ func (a *Arena[T]) Free(tid int, h Handle) {
 	a.pushShared(idx)
 }
 
+// slotAt is the one slot translation (At, Live, Alloc, Free, Audit): an
+// index on page 0 is page0 plus the index, with no load of the page vector;
+// a later page's goes through the vector.
 func (a *Arena[T]) slotAt(idx uint32) *slot[T] {
-	pages := *a.pages.Load()
-	return &pages[idx>>pageShift].slots[idx&pageMask]
+	if idx < pageSize {
+		return &a.page0.slots[idx]
+	}
+	return &(*a.pages.Load())[idx>>pageShift].slots[idx&pageMask]
 }
 
 // refill moves up to magFlush indices from the shared pool into m.
@@ -541,7 +547,6 @@ func (a *Arena[T]) grow(seen int) {
 		a.guard.audits.Store(&nextAu)
 	}
 	a.pages.Store(&next)
-	a.grows.Add(1)
 }
 
 // auditAt returns the guard audit record for a slot index (guard mode only).

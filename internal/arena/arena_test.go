@@ -114,8 +114,8 @@ func TestUserBitRejected(t *testing.T) {
 }
 
 func TestGrowthAcrossPages(t *testing.T) {
-	a := New[obj](Config{Threads: 1})
-	n := pageSize*2 + 3
+	a := newGuarded(nil) // guarded, so Audit and the poisoner are checked too
+	n := pageSize*2 + 4
 	hs := make([]Handle, n)
 	for i := range hs {
 		hs[i] = a.Alloc(0)
@@ -126,11 +126,59 @@ func TestGrowthAcrossPages(t *testing.T) {
 			t.Fatalf("slot %d corrupted: %d", i, got)
 		}
 	}
-	if pages := len(*a.pages.Load()); pages < 3 {
-		t.Fatalf("expected >= 3 pages, got %d", pages)
+	pages := *a.pages.Load()
+	if len(pages) < 3 {
+		t.Fatalf("expected >= 3 pages, got %d", len(pages))
+	}
+	if a.page0 != pages[0] {
+		t.Fatal("growth replaced page 0: the short translation names a page the vector does not")
 	}
 	if st := a.Stats(); st.Live != uint64(n) {
 		t.Fatalf("live = %d, want %d", st.Live, n)
+	}
+
+	// The last slot of page 0 (short translation) and the first slots past
+	// it (the vector's) resolve, through every entry point, to the slot the
+	// vector names.
+	freed := map[uint32]bool{}
+	for _, idx := range []uint32{pageSize - 1, pageSize, 2*pageSize + 2} {
+		h := hs[idx]
+		slot := &pages[idx>>pageShift].slots[idx&pageMask]
+		switch {
+		case h.Index() != idx:
+			t.Fatalf("handle %v for slot %d", h, idx)
+		case a.At(h) != &slot.val:
+			t.Fatalf("slot %d: At names another slot than the page vector", idx)
+		case !a.Live(h):
+			t.Fatalf("slot %d: Live reports a live handle dead", idx)
+		case a.Audit(h) != SlotAudit{LastAllocTid: 0, LastFreeTid: 0, Allocs: 1, Gen: h.Gen()}:
+			t.Fatalf("slot %d: audit %+v before the free", idx, a.Audit(h))
+		}
+		a.Free(0, h)
+		freed[idx] = true
+		switch {
+		case slot.val != twoWords{PoisonWord, PoisonWord}:
+			t.Fatalf("slot %d: the free poisoned another slot (payload %#x)", idx, slot.val)
+		case !freed[idx-1] && a.At(hs[idx-1]).a != uint64(idx-1) || a.At(hs[idx+1]).a != uint64(idx+1):
+			t.Fatalf("slot %d: a neighbour changed", idx)
+		case a.Live(h):
+			t.Fatalf("slot %d: Live reports a freed handle live", idx)
+		case slot.gen.Load() != h.Gen()+1:
+			t.Fatalf("slot %d: generation %d after the free of gen %d", idx, slot.gen.Load(), h.Gen())
+		case a.Audit(h) != SlotAudit{Allocs: 1, Frees: 1, Gen: h.Gen() + 1}:
+			t.Fatalf("slot %d: audit %+v after the free", idx, a.Audit(h))
+		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "double free") {
+					t.Fatalf("slot %d: second free: panic %q, want a double free", idx, msg)
+				}
+			}()
+			a.Free(0, h)
+		}()
+	}
+	if a.Live(makeHandle(uint32(len(pages))*pageSize, 1)) {
+		t.Fatal("Live reports a handle past the last page live")
 	}
 }
 

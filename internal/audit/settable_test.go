@@ -65,6 +65,22 @@ func New(c Config) int {
 	return c.Size + c.Unset + c.Copied + c.Fixed
 }
 `,
+	"internal/knob/meter.go": `package knob
+
+import "sync/atomic"
+
+// Meter: hits is only added to, a write alone; seq's Add result is used,
+// which reads it.
+type Meter struct {
+	hits atomic.Uint64
+	seq  atomic.Uint64
+}
+
+func (m *Meter) Tick() uint64 {
+	m.hits.Add(1)
+	return m.seq.Add(1)
+}
+`,
 	"cmd/torture/main.go": `package main
 
 import (
@@ -113,6 +129,7 @@ func TestSettableAuditHasTeeth(t *testing.T) {
 		"internal/knob/knob.go:7: knob.Config.Unset: never set",
 		"internal/knob/knob.go:8: knob.Config.Copied: never set",
 		"internal/knob/knob.go:9: knob.Config.Fixed: every setter gives it 4",
+		"internal/knob/meter.go:8: knob.Meter.hits: never read",
 	}
 	r := settable(l, nil)
 	if !reflect.DeepEqual(r.findings, want) {
@@ -594,7 +611,8 @@ func (w *walker) embedded(sel *ast.SelectorExpr, write bool) {
 }
 
 // selector records a field read, or a method call's use of its receiver: a
-// pointer method called on a field held by value may write it.
+// pointer method called on a field held by value may write it, and read it
+// too — unless it is a sync/atomic write whose result is dropped.
 func (w *walker) selector(sel *ast.SelectorExpr) {
 	s := w.info.Selections[sel]
 	if s == nil {
@@ -614,9 +632,28 @@ func (w *walker) selector(sel *ast.SelectorExpr) {
 		ptr := recv != nil && isPointer(recv.Type())
 		w.embedded(sel, ptr)
 		if ptr && !isPointer(w.info.TypeOf(sel.X)) {
-			w.target(sel.X, setter{}, true)
+			w.target(sel.X, setter{}, !w.atomicWrite(sel, s.Obj()))
 		}
 	}
+}
+
+// atomicWrites are the sync/atomic methods that write their receiver and
+// read it only to return a value.
+var atomicWrites = map[string]bool{"Add": true, "Store": true, "And": true, "Or": true}
+
+// atomicWrite reports whether sel, a method selection being walked, is a
+// call of a sync/atomic write as a statement: x.n.Add(1) alone writes n and
+// reads nothing, where v := x.n.Add(1) reads it as well.
+func (w *walker) atomicWrite(sel *ast.SelectorExpr, m types.Object) bool {
+	if m.Pkg() == nil || m.Pkg().Path() != "sync/atomic" || !atomicWrites[m.Name()] || len(w.stack) < 3 {
+		return false
+	}
+	call, ok := w.stack[len(w.stack)-2].(*ast.CallExpr)
+	if !ok || call.Fun != sel {
+		return false
+	}
+	_, stmt := w.stack[len(w.stack)-3].(*ast.ExprStmt)
+	return stmt
 }
 
 // literal records the fields a struct literal sets, and the ones it leaves

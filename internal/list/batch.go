@@ -63,18 +63,23 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 			ckKnown := false
 			for pos < len(order) && chainOf(ops[order[pos]].Key) == chain {
 				key := ops[order[pos]].Key
-				for !currH.IsNil() {
-					n := l.Ar.At(currH)
-					if !ckKnown {
-						ck = l.Guard.Word(tx, tid, currH, n.key.Load(tx))
+				if ckKnown && ck < key {
+					// The cursor's key was read for an earlier op (or
+					// inserted by one): step past it on its link alone.
+					prevH = currH
+					currH = l.Guard.Link(tx, tid, currH, l.Ar.At(currH).next.Load(tx))
+					ckKnown = false
+				}
+				for !ckKnown && !currH.IsNil() {
+					n := l.Ar.At(currH) // one translation, one stm call per node
+					nk, next, more := stm.LoadBelow(tx, &n.key, &n.next, key)
+					ck = l.Guard.Word(tx, tid, currH, nk)
+					if !more {
 						ckKnown = true
-					}
-					if ck >= key {
 						break
 					}
 					prevH = currH
-					currH = l.Guard.Link(tx, tid, currH, n.next.Load(tx))
-					ckKnown = false
+					currH = l.Guard.Link(tx, tid, currH, next)
 				}
 				present := !currH.IsNil() && ck == key
 				for pos < len(order) && ops[order[pos]].Key == key {

@@ -45,13 +45,20 @@ func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool
 				}
 				ts.marks[steps%w] = tx.ReadMark()
 			}
-			n := l.Ar.At(currH) // one handle translation per node visited
-			k = l.Guard.Word(tx, tid, currH, n.key.Load(tx))
-			if k >= key || steps >= budget {
+			// One handle translation and one stm call per node visited: the
+			// link is read only when the walk goes on past this node.
+			bound := key
+			if steps >= budget {
+				bound = 0
+			}
+			n := l.Ar.At(currH)
+			nk, next, more := stm.LoadBelow(tx, &n.key, &n.next, bound)
+			k = l.Guard.Word(tx, tid, currH, nk)
+			if !more {
 				break
 			}
 			prevH = currH
-			currH = l.Guard.Link(tx, tid, currH, n.next.Load(tx))
+			currH = l.Guard.Link(tx, tid, currH, next)
 			steps++
 		}
 

@@ -19,8 +19,8 @@ import (
 // and then passed validation. That is the checkable meaning of "precise
 // reclamation": no committed transaction ever observes freed memory.
 //
-// The structure loads the cell itself (stm.Word.Load, the only way a cell
-// is read) and hands the value to Word or Link. Both are small enough to
+// The structure loads the cell itself (stm.Word.Load, or stm.LoadBelow for
+// a node visit's key and link) and hands each value to Word or Link. Both are small enough to
 // inline at every call site, so the zero Guard — guard mode off — costs each
 // load one predictable branch and no call; CI's "Read path stays call-free"
 // leg fails naming whichever of them stops inlining.

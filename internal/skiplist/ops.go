@@ -49,22 +49,32 @@ const (
 
 // run descends toward key until a terminal condition. The frame never
 // drops below stopLevel, and never cuts below noCutBelow.
+//
+// A step right is one node visit: the next node's key and, when the walk
+// goes on past it at this level, its link there, in one stm call. Only a
+// drop of a level reads a link on its own.
 func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel int) advanceResult {
 	n := s.Ar.At(c.curr) // translated once per node, carried across levels
+	nextH := s.Guard.Link(c.tx, c.tid, c.curr, n.next[c.level].Load(c.tx))
 	for {
-		nextH := s.Guard.Link(c.tx, c.tid, c.curr, n.next[c.level].Load(c.tx))
 		if !nextH.IsNil() {
+			bound := key
+			if c.steps >= budget && c.level >= noCutBelow {
+				bound = 0 // a cut here: the next node's link is not read
+			}
 			next := s.Ar.At(nextH)
-			nk := s.Guard.Word(c.tx, c.tid, nextH, next.key.Load(c.tx))
+			nk, link, more := stm.LoadBelow(c.tx, &next.key, &next.next[c.level], bound)
+			nk = s.Guard.Word(c.tx, c.tid, nextH, nk)
 			if nk == key {
 				return advMatched
 			}
 			if nk < key {
-				if c.steps >= budget && c.level >= noCutBelow {
+				if !more {
 					return advCut
 				}
 				c.curr, n = nextH, next
 				c.steps++
+				nextH = s.Guard.Link(c.tx, c.tid, nextH, link)
 				continue
 			}
 		}
@@ -72,6 +82,7 @@ func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel i
 			return advStopped
 		}
 		c.level--
+		nextH = s.Guard.Link(c.tx, c.tid, c.curr, n.next[c.level].Load(c.tx))
 	}
 }
 
@@ -110,23 +121,20 @@ func (s *SkipList) collectPreds(c *searchCtx, key uint64, stopAt arena.Handle, p
 	n := s.Ar.At(c.curr)
 	for l := c.level; l >= 0; l-- {
 		c.level = l
-		for {
-			nextH := s.Guard.Link(c.tx, c.tid, c.curr, n.next[l].Load(c.tx))
-			if nextH.IsNil() || nextH == stopAt {
-				break
-			}
+		nextH := s.Guard.Link(c.tx, c.tid, c.curr, n.next[l].Load(c.tx))
+		for !nextH.IsNil() && nextH != stopAt {
+			// One node visit, as in run: the key, and the link only past it.
 			next := s.Ar.At(nextH)
-			nk := s.Guard.Word(c.tx, c.tid, nextH, next.key.Load(c.tx))
-			if nk == key {
-				if stopAt.IsNil() {
-					return false // duplicate insert
-				}
-				break // defensive: distinct node with equal key cannot exist
+			nk, link, more := stm.LoadBelow(c.tx, &next.key, &next.next[l], key)
+			nk = s.Guard.Word(c.tx, c.tid, nextH, nk)
+			if nk == key && stopAt.IsNil() {
+				return false // duplicate insert
 			}
-			if nk > key {
-				break
+			if !more {
+				break // nk > key, or (defensive) a distinct node with an equal key
 			}
 			c.curr, n = nextH, next
+			nextH = s.Guard.Link(c.tx, c.tid, nextH, link)
 		}
 		preds[l] = c.curr
 	}

@@ -47,17 +47,49 @@ type Word struct {
 // cell, log growth, the capacity abort) takes the full protocol in loadWord,
 // which re-reads the cell from scratch.
 func (w *Word) Load(tx *Tx) uint64 {
-	if tx.wfilter&filterBit(&w.m) == 0 {
-		if v1 := w.m.Load(); v1&lockedBit == 0 && v1 <= tx.rv {
-			val := w.v.Load()
-			if w.m.Load() == v1 && tx.logRead(&w.m, v1) {
-				return val
-			}
+	if f := tx.wfilter; f == 0 || f&filterBit(&w.m) == 0 {
+		if val, ver, ok := tx.cleanRead(w); ok && tx.logRead(&w.m, ver) {
+			return val
 		}
 	} else if val, ok := tx.findWrite(&w.m); ok {
 		return val
 	}
 	return tx.loadWord(&w.m, &w.v)
+}
+
+// LoadBelow is one node visit of an ordered descent: it loads key and, only
+// when that value is below bound, link as well, and reports whether it did.
+// It records exactly what key.Load and then (if more) link.Load would — the
+// same values, log entries, versions and capacity charge — so a caller whose
+// step is "read the key, then this node's link" makes one call per node
+// instead of two. Bound 0 reads the key alone.
+//
+// The common visit — neither cell has a pending write, both versions are
+// clean, and the log has room for both entries under the footprint limit — is
+// done here with one filter test and one room check. Anything else falls back
+// to the two Word.Loads, having changed nothing.
+func LoadBelow(tx *Tx, key, link *Word, bound uint64) (k, l uint64, more bool) {
+	if f := tx.wfilter; f == 0 || f&(filterBit(&key.m)|filterBit(&link.m)) == 0 {
+		if k, kver, ok := tx.cleanRead(key); ok {
+			if k >= bound {
+				if tx.logRead(&key.m, kver) {
+					return k, 0, false
+				}
+			} else if l, lver, ok := tx.cleanRead(link); ok {
+				if n := len(tx.rs); n+2 <= cap(tx.rs) && tx.footprint()+1 < tx.limit {
+					rs := tx.rs[:n+2]
+					rs[n] = rentry{m: &key.m, ver: kver}
+					rs[n+1] = rentry{m: &link.m, ver: lver}
+					tx.rs = rs
+					return k, l, true
+				}
+			}
+		}
+	}
+	if k = key.Load(tx); k >= bound {
+		return k, 0, false
+	}
+	return k, link.Load(tx), true
 }
 
 // Store buffers a write of x to the cell; the write takes effect if and

@@ -6,17 +6,21 @@ import (
 	"testing"
 )
 
-// The read path's fast path is the slow path, observably. Word.Load and
-// Local.Store answer the common access without a call and decline it when
-// their log is full; clipping both logs to their length before every step
-// sends each access down the full protocol instead (recordRead, Store's
-// appending branch), so running one script unclipped and clipped runs it on
-// both paths. Each run is also held to a model written here from the
-// rules alone — read-own-writes, one log entry per read that is not of a
-// pending write, and the capacity rule "live reads + pending Word writes +
-// pending Local stores >= Capacity, checked before the access is recorded"
-// — so the access at which CauseCapacity fires is pinned, not just equal on
-// both paths: the capacity cliff is a paper result (Figs. 6–7).
+// The read path's fast path is the slow path, observably. Word.Load,
+// LoadBelow and Local.Store answer the common access without a call and
+// decline it when their log is full; clipping both logs to their length
+// before every step sends each access down the full protocol instead
+// (recordRead, Store's appending branch), so running one script unclipped
+// and clipped runs it on both paths. A node visit (LoadBelow) declines to
+// its two Word.Loads, so in a clipped run its key read takes the full
+// protocol and its link read follows into the log that read grew. Each run
+// is also held to a model written here from the rules alone —
+// read-own-writes, one log entry per read that is not of a pending write, a
+// visit's link read only when its key is below the bound, and the capacity
+// rule "live reads + pending Word writes + pending Local stores >= Capacity,
+// checked before the access is recorded" — so the access at which
+// CauseCapacity fires is pinned, not just equal on both paths: the capacity
+// cliff is a paper result (Figs. 6–7).
 
 type rpKind uint8
 
@@ -27,6 +31,7 @@ const (
 	rpMark                 // remember ReadMark in slot i
 	rpForget               // ForgetReadsBefore(slot i)
 	rpBump                 // another transaction commits v to word i (speculative attempts only)
+	rpVisit                // LoadBelow: load word i, and word i+1 if word i's value is below v
 )
 
 type rpStep struct {
@@ -85,20 +90,29 @@ func rpModel(script []rpStep, capacity int) rpOutcome {
 	steps:
 		for n, st := range script {
 			switch st.kind {
-			case rpLoad:
-				if v, ok := ws[st.i]; ok {
+			case rpLoad, rpVisit:
+				cells := []int{st.i}
+				if st.kind == rpVisit {
+					cells = append(cells, st.i+1)
+				}
+				for c, i := range cells {
+					v, ok := ws[i]
+					if !ok {
+						if bumpSeq[i] > snap { // newer than the snapshot: extend
+							snap = bumps
+							out.Extensions++
+						}
+						if fired = !record(n); fired {
+							break steps
+						}
+						reads++
+						v = committed[i]
+					}
 					vals = append(vals, v)
-					continue
+					if c == 0 && st.kind == rpVisit && v >= st.v {
+						break // the key is not below the bound: no link read
+					}
 				}
-				if bumpSeq[st.i] > snap { // newer than the snapshot: extend
-					snap = bumps
-					out.Extensions++
-				}
-				if fired = !record(n); fired {
-					break steps
-				}
-				reads++
-				vals = append(vals, committed[st.i])
 			case rpStore:
 				if _, ok := ws[st.i]; !ok {
 					if fired = !record(n); fired {
@@ -144,10 +158,10 @@ func rpModel(script []rpStep, capacity int) rpOutcome {
 // context, over words returned to their initial state, and reports what it
 // observed beside the model's prediction. With slow set it clips the read log
 // and the Local log to their length before every step, so no access finds
-// room in them. appended counts the committing attempt's recorded accesses
-// (log entries added) that found their log full: the ones recordRead or
-// Store's appending branch recorded.
-func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, slow bool) (got, want rpOutcome, appended int) {
+// room in them. appended counts the committing attempt's steps that found
+// their log full and added to it: the ones recordRead or Store's appending
+// branch recorded. paired counts its visits that logged both their reads.
+func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, slow bool) (got, want rpOutcome, appended, paired int) {
 	t.Helper()
 	rt := NewRuntime(Profile{Capacity: capacity, MaxAttempts: 4})
 	for i := range words {
@@ -162,7 +176,7 @@ func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, s
 	rt.AtomicT(tid, func(tx *Tx) {
 		attempt++
 		got.Vals = got.Vals[:0]
-		appended = 0
+		appended, paired = 0, 0
 		var marks [4]uint64
 		at := 0
 		defer func() {
@@ -190,6 +204,16 @@ func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, s
 				l, c := len(tx.rs), cap(tx.rs)
 				got.Vals = append(got.Vals, words[st.i].Load(tx))
 				count(l, len(tx.rs), c)
+			case rpVisit:
+				l, c := len(tx.rs), cap(tx.rs)
+				k, next, more := LoadBelow(tx, &words[st.i], &words[st.i+1], st.v)
+				if got.Vals = append(got.Vals, k); more {
+					got.Vals = append(got.Vals, next)
+				}
+				count(l, len(tx.rs), c)
+				if len(tx.rs) == l+2 {
+					paired++
+				}
 			case rpStore:
 				words[st.i].Store(tx, st.v)
 			case rpLocal:
@@ -226,7 +250,7 @@ func rpRun(t *testing.T, tid int, words []Word, script []rpStep, capacity int, s
 		}
 	}
 	got.Commits, got.Serial, got.Extensions, got.Aborts = st.Commits-bumps, st.SerialCommits, st.Extensions, st.Aborts
-	return got, rpModel(script, capacity), appended
+	return got, rpModel(script, capacity), appended, paired
 }
 
 // collidingPair finds a word the scripts read and a word they never read
@@ -304,6 +328,48 @@ func TestReadPathFastIsSlow(t *testing.T) {
 			s = append(loadsFrom(s, 8, 447), rpStep{kind: rpLocal, i: 1, v: 2})
 			return loadsFrom(s, 447, rpReads)
 		}},
+		{"visits", func([]Word) []rpStep {
+			// Node visits over every pair of read words, the bound below,
+			// equal to and above the key (the words hold i+1), and 0.
+			var s []rpStep
+			for k := 0; k < 600; k++ {
+				i := k % (rpReads - 1)
+				bound := [...]uint64{^uint64(0), uint64(i) + 1, uint64(i), 0}[k%4]
+				s = append(s, rpStep{kind: rpVisit, i: i, v: bound})
+			}
+			return s
+		}},
+		{"visit-link-at-the-cliff", func([]Word) []rpStep {
+			// The access that reaches capacity 8, and then 448, is a
+			// visit's link read: footprint + 1 == Capacity at the visit, so
+			// its one room check must decline it.
+			s := append(loadsFrom(nil, 0, 7), rpStep{kind: rpVisit, i: 7, v: ^uint64(0)})
+			s = append(loadsFrom(s, 9, 447), rpStep{kind: rpVisit, i: 447, v: ^uint64(0)})
+			return loadsFrom(s, 449, rpReads)
+		}},
+		{"visit-pending-key", func([]Word) []rpStep {
+			// The key has a pending write (77): read from the write set,
+			// and compared with the bound as stored.
+			s := []rpStep{{kind: rpStore, i: 5, v: 77}}
+			for _, bound := range []uint64{78, 77, 0} {
+				s = append(s, rpStep{kind: rpVisit, i: 5, v: bound})
+			}
+			s = loadsFrom(s, 0, rpReads)
+			return append(s, rpStep{kind: rpVisit, i: 5, v: 100})
+		}},
+		{"visit-pending-link", func([]Word) []rpStep {
+			s := []rpStep{{kind: rpStore, i: 6, v: 77}}
+			for _, bound := range []uint64{100, 6, 0} {
+				s = append(s, rpStep{kind: rpVisit, i: 5, v: bound})
+			}
+			s = loadsFrom(s, 0, rpReads)
+			return append(s, rpStep{kind: rpVisit, i: 5, v: 100})
+		}},
+		{"visit-after-extension", func([]Word) []rpStep {
+			s := loadsFrom(nil, 0, 10)
+			s = append(s, rpStep{kind: rpBump, i: 21, v: 4242}, rpStep{kind: rpVisit, i: 20, v: 100})
+			return loadsFrom(s, 22, rpReads)
+		}},
 		{"mix", func([]Word) []rpStep {
 			// Reads, early-released reads, Word writes and Local stores
 			// interleaved; the forgets stop early so that the footprint
@@ -335,18 +401,18 @@ func TestReadPathFastIsSlow(t *testing.T) {
 				for _, tid := range ownedAndPooled {
 					var byPath [2]rpOutcome
 					for i, slow := range []bool{false, true} {
-						got, want, appended := rpRun(t, tid, words, script, capacity, slow)
+						got, want, appended, paired := rpRun(t, tid, words, script, capacity, slow)
 						if d := got.differ(want); d != "" {
 							t.Fatalf("tid %d, slow %v, observed vs model: %s", tid, slow, d)
 						}
 						if (capacity != 0) != (got.CapAt >= 0) {
 							t.Fatalf("tid %d, slow %v: capacity %d, abort at step %d: the script is too short to find the cliff", tid, slow, capacity, got.CapAt)
 						}
-						// The clipped run records every access through the full
-						// protocol; the unclipped one only the few that outgrow
-						// the log.
-						if recorded := int(got.Logged) + got.Locals; slow && appended != recorded || !slow && appended*2 >= recorded {
-							t.Fatalf("tid %d, slow %v: %d of %d recorded accesses found their log full", tid, slow, appended, recorded)
+						// The clipped run records every access but a visit's link
+						// read through the full protocol; the unclipped one only
+						// the few that outgrow the log.
+						if recorded := int(got.Logged) + got.Locals; slow && appended+paired != recorded || !slow && appended*2 >= recorded {
+							t.Fatalf("tid %d, slow %v: %d of %d recorded accesses found their log full (%d visits logged two)", tid, slow, appended, recorded, paired)
 						}
 						byPath[i] = got
 					}

@@ -63,7 +63,8 @@ type Tx struct {
 	// filterBit from the address of the cell's version word. A clear bit
 	// proves the cell has no pending write (addWrite sets the bit of every
 	// entry it appends, so there are no false negatives); a set bit means
-	// lookupWrite must be asked.
+	// lookupWrite must be asked. A zero filter — nothing written yet — needs
+	// no hash at all, which the read paths test first.
 	wfilter uint64
 	rs      []rentry
 	rsHead  int // entries below this index are early-released
@@ -265,9 +266,20 @@ func (tx *Tx) logRead(m *atomic.Uint64, ver uint64) bool {
 	if n >= cap(tx.rs) || tx.footprint() >= tx.limit {
 		return false
 	}
-	tx.rs = tx.rs[:n+1]
-	tx.rs[n] = rentry{m: m, ver: ver}
+	rs := tx.rs[:n+1] // through a local, the store needs no bounds check
+	rs[n] = rentry{m: m, ver: ver}
+	tx.rs = rs
 	return true
+}
+
+// cleanRead is the common read of w: its version is unlocked, no newer than
+// the snapshot and unchanged across the value load. It returns the value and
+// the version to log, or ok false when the read needs loadWord's protocol.
+// It records nothing.
+func (tx *Tx) cleanRead(w *Word) (val, ver uint64, ok bool) {
+	ver = w.m.Load()
+	val = w.v.Load()
+	return val, ver, ver&lockedBit == 0 && ver <= tx.rv && w.m.Load() == ver
 }
 
 // filterBit is the wfilter bit of the cell whose version word is m: the top
