@@ -69,9 +69,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("ok: %s\n  size=%d inserts=%d removes=%d live=%d deferred=%d leftover=%d avg_delay_ops=%.1f poisonReads=%d violations=%d scans=%d pairs=%d\n",
+		fmt.Printf("ok: %s\n  size=%d inserts=%d removes=%d live=%d deferred=%d leftover=%d avg_delay_ops=%.1f poisonReads=%d violations=%d scans=%d\n",
 			cfg, rep.Size, rep.Inserts, rep.Removes, rep.Books.Live, rep.Books.Deferred,
-			rep.Books.Leftover, rep.AvgDelayOps, rep.PoisonReads, rep.Violations, rep.ScanChecks, rep.PairChecks)
+			rep.Books.Leftover, rep.AvgDelayOps, rep.PoisonReads, rep.Violations, rep.ScanChecks)
 		return
 	}
 

@@ -37,14 +37,13 @@ func (g *guardCollector) take() []arena.GuardEvent {
 // need: the shards as one view (whose Books is the memory verdict), the
 // reclamation discipline, and the structure's shape validator.
 type instance struct {
-	set     sets.Set
-	view    *serve.Sharded  // the shards, even just one: the verdict, summed counters, span arming
-	guard   *guardCollector // nil when the variant cannot run guarded
-	obs     *obs.Domain     // shard 0's flight recorder; nil for the lock-free baselines
-	canScan bool            // Ascender-capable: the scan oracle engages
+	set   sets.Set
+	view  *serve.Sharded  // the shards, even just one: the verdict, summed counters, span arming
+	guard *guardCollector // nil when the variant cannot run guarded
+	obs   *obs.Domain     // shard 0's flight recorder; nil for the lock-free baselines
 	// atomicBatch marks structures whose Apply runs a batch as one
 	// transaction per shard (the TM-backed ones); the lock-free baselines
-	// document Apply as per-op, so the batch-atomicity pin skips them.
+	// document Apply as per-op, and the history records theirs op by op.
 	atomicBatch bool
 	traits      reclaim.Traits
 	validate    func() error
@@ -61,13 +60,10 @@ func (inst *instance) domains() (out []*obs.Domain) {
 	return out
 }
 
-// build constructs the instance for a run from the structure's row of the
-// family table: cfg.Shards (default 1) structure × variant × policy
-// instances, each under an always-sampled observability domain so a failed
-// run can dump its flight recorder next to the repro line (the lock-free
-// baselines ignore it), behind the serve.Sharded routing facade when there
-// are several. Guard events from every shard go to one collector, so a
-// violation anywhere fails the run with the one repro line.
+// build constructs cfg.Shards instances from the structure's row of the
+// family table, each under an always-sampled observability domain (a
+// failed run dumps its flight recorder), behind the serve.Sharded facade
+// when there are several; guard events from every shard go to one collector.
 func build(cfg Config) (*instance, error) {
 	row, err := family.ByName(cfg.Structure)
 	if err != nil {
@@ -112,6 +108,5 @@ func build(cfg Config) (*instance, error) {
 			return nil
 		}
 	}
-	inst.canScan = sets.CanAscend(inst.set)
 	return inst, nil
 }

@@ -5,11 +5,11 @@
 // concurrent operation mixes, then quiesces and checks every invariant the
 // claim implies:
 //
-//   - the final snapshot is strictly sorted and in the key range;
-//   - per-key presence matches an exact oracle (a successful insert or
-//     remove toggles presence, so presence after quiesce equals prefill
-//     presence + successful inserts − successful removes, independent of
-//     interleaving);
+//   - the final snapshot is strictly sorted;
+//   - the recorded history — every call's interval, ops and results, and
+//     every scan's start key and emitted keys — is linearizable, per key
+//     with scans held to ASCEND's weak contract, and per component of keys
+//     joined by atomic batches (check);
 //   - the verdict at quiescence (serve.Sharded.Books): every worker id at
 //     rest, and each shard's drained books balanced (reclaim.Books: live =
 //     sentinels + per key × keys + deferred, nothing deferred unless the
@@ -21,11 +21,8 @@
 //   - no operation panicked (double frees, bump-pointer exhaustion and
 //     guard violations without a sink all panic deterministically).
 //
-// Worker ids are not pinned: every run leases them through the
-// internal/serve pool in short batches, so one logical op stream migrates
-// across worker ids mid-run and per-slot state (reservations, hazard
-// slots, allocator magazines) is exercised by multiple streams in
-// sequence — the same id discipline a server front end imposes.
+// Worker ids are leased through the internal/serve pool in short batches,
+// the id discipline a server front end imposes.
 //
 // Every failure message embeds the Config repro string, so a schedule-
 // dependent bug becomes a reproducible failing seed.

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,17 +30,10 @@ type Config struct {
 	Seed      uint64       // schedule seed; 0 means 1
 	Guard     bool         // enable the arena use-after-free sanitizer
 	// BatchOps, when > 1, drives each worker's op stream through Set.Apply
-	// in groups of this many ops instead of one call per op — the exact
-	// oracle then also pins Apply's per-op results. On transactional
-	// structures the run additionally keeps a key pair beyond the oracle
-	// range that one goroutine batch-inserts/batch-removes together while
-	// another batch-looks-up both, asserting all-or-nothing visibility per
-	// batch (both present or neither, never one).
+	// in groups of this many ops instead of one call per op.
 	BatchOps int
-	// Shards partitions the key space across this many fully independent
-	// instances behind serve.Sharded (default 1 = unsharded). Every
-	// invariant is then checked twice: in aggregate on the facade, and per
-	// shard (each shard keeps its own exact memory book).
+	// Shards partitions the key space across this many independent
+	// instances behind serve.Sharded (default 1); each keeps its own books.
 	Shards int
 	// Registry, when non-nil, carries the run's observability domain for
 	// the duration of the run so a live /metrics endpoint (cmd/torture's
@@ -76,21 +69,18 @@ func (c Config) withDefaults() Config {
 // String renders the run as a reproducible `go run ./cmd/torture` command
 // line; it is embedded in every failure.
 func (c Config) String() string {
-	g := ""
-	if c.Guard {
-		g = " -guard"
-	}
-	sh := ""
+	s := fmt.Sprintf("torture -structure=%s -variant=%s -policy=%d -threads=%d -ops=%d -keys=%d -lookup=%d -window=%d -seed=%d",
+		c.Structure, c.Variant, c.Policy, c.Threads, c.Ops, c.Keys, c.LookupPct, c.Window, c.Seed)
 	if c.Shards > 1 {
-		sh = fmt.Sprintf(" -shards=%d", c.Shards)
+		s += fmt.Sprintf(" -shards=%d", c.Shards)
 	}
-	b := ""
 	if c.BatchOps > 1 {
-		b = fmt.Sprintf(" -batch=%d", c.BatchOps)
+		s += fmt.Sprintf(" -batch=%d", c.BatchOps)
 	}
-	return fmt.Sprintf(
-		"torture -structure=%s -variant=%s -policy=%d -threads=%d -ops=%d -keys=%d -lookup=%d -window=%d -seed=%d%s%s%s",
-		c.Structure, c.Variant, c.Policy, c.Threads, c.Ops, c.Keys, c.LookupPct, c.Window, c.Seed, sh, b, g)
+	if c.Guard {
+		s += " -guard"
+	}
+	return s
 }
 
 // Report summarizes a completed run.
@@ -102,8 +92,7 @@ type Report struct {
 	AvgDelayOps float64       // mean retire→free distance in op stamps (deferred schemes)
 	PoisonReads uint64        // benign doomed-reader poison observations (guard)
 	Violations  uint64        // committed use-after-free reads (guard; must be 0)
-	PairChecks  uint64        // batch-atomicity observer transactions (BatchOps runs)
-	ScanChecks  uint64        // concurrent scan-oracle iterations (Ascender variants)
+	ScanChecks  uint64        // checked scans: one per worker lease batch (Ascender variants)
 }
 
 // leaseBatch is how many operations a worker runs under one slot lease
@@ -120,12 +109,8 @@ func splitmix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// workerTally is one worker's contribution to the exact oracle.
-type workerTally struct {
-	ins []int64 // successful inserts per key
-	rem []int64 // successful removes per key
-	err error   // recovered panic, if any
-}
+// mix maps x to a well-spread value, statelessly.
+func mix(x uint64) uint64 { return splitmix64(&x) }
 
 // Run executes one torture configuration and checks every invariant.
 // The returned error (if any) embeds cfg.String() for reproduction.
@@ -138,10 +123,9 @@ func Run(cfg Config) (Report, error) {
 	return runOn(cfg, inst)
 }
 
-// A cell that has not finished by its deadline is a failure with evidence,
-// not a CI timeout. The deadline is watchdogPerOp for each of the run's
-// Ops × Threads operations (at least watchdogMinOps of them): a clean cell
-// spends microseconds on one, the race detector on a busy host tens of them.
+// A cell not finished by its deadline, watchdogPerOp for each of its
+// Ops × Threads operations (at least watchdogMinOps), fails with evidence:
+// a clean cell spends microseconds on an op, the race detector tens of them.
 const (
 	watchdogPerOp  = 2 * time.Millisecond
 	watchdogMinOps = 2000
@@ -199,12 +183,10 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 		}
 	}
 
-	// All worker-id traffic goes through a lease pool: it registers every
-	// slot up front, and each logical worker leases slots in short batches,
-	// so one op stream migrates across worker ids mid-run. That is a
-	// torture dimension the fixed-tid harness could not reach — per-slot
-	// state (reservations, hazard slots, allocator magazines) must not
-	// leak between the streams that share a slot over time.
+	// All worker-id traffic goes through a lease pool, in short batches, so
+	// one op stream migrates across worker ids mid-run: per-slot state
+	// (reservations, hazard slots, allocator magazines) must not leak
+	// between the streams that share a slot over time.
 	pool := serve.NewPool(s, serve.PoolConfig{Slots: cfg.Threads, Obs: inst.obs})
 	lease := func(do func(context.Context, func(int)) error, who string, fn func(tid int)) {
 		_ = do(context.Background(), func(tid int) {
@@ -214,306 +196,97 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 		})
 	}
 
-	// Span arming: the serving layer threads an obs.Span through every
-	// stamping site (stm attempt loop, serial fallback, reclamation
-	// scans, abort attribution). The harness re-arms one span per worker around
-	// every lease batch so those exact paths run under the race detector
-	// with tracing live, and so span lifecycle bugs become panics: Reset
-	// panics on a span the previous batch leaked, Finish on a double
-	// finish. Lock-free baselines carry no domain; their workers still
-	// cycle the spans, pinning the lifecycle discipline itself.
+	// Each worker re-arms one obs.Span around every lease batch, as the
+	// serving layer does, so the stamping sites run under the race detector
+	// with tracing live and span lifecycle bugs panic (Reset on a leaked
+	// span, Finish on a finished one).
 	armSpan := inst.view.ArmSpan
 
 	// Prefill about half the key space single-threaded so removals have
-	// something to chew on from the first operation.
-	presence := make([]int64, cfg.Keys+1)
+	// something to chew on from the first operation. It is history too.
+	pre := recorder{who: "prefill"}
 	seed := cfg.Seed
 	lease(pool.Do, "prefill", func(tid int) {
 		for i := uint64(0); i < cfg.Keys/2; i++ {
-			k := 1 + splitmix64(&seed)%cfg.Keys
-			if s.Insert(tid, k) {
-				presence[k] = 1
-			}
+			op := []sets.Op{{Kind: sets.OpInsert, Key: 1 + splitmix64(&seed)%cfg.Keys}}
+			inv := obs.Now()
+			res := sets.ApplyEach(s, tid, op)
+			pre.call(inv, obs.Now(), op, res)
 		}
 	})
 
-	// Scan oracle: while the workers churn, a scanner drives the Ascender
-	// reservation cursor end to end and checks the weak-consistency
-	// contract the wire ASCEND verb inherits. Fixture keys parked above
-	// both the oracle's key range and the pair pin's stay present for the
-	// whole churn phase, so every scan must deliver each fixture at or
-	// beyond its start key — and strictly ascending delivery makes that
-	// exactly-once. Everything else a scan observes must be an oracle key
-	// (in-flight churn is fine) or an in-flight pair-pin key; any other
-	// key is a phantom.
-	var scanChecks atomic.Uint64
-	var scanMu sync.Mutex
-	var scanFails []string
-	stopScan := make(chan struct{})
-	var scanWg sync.WaitGroup
-	var fixtures []uint64
-	if inst.canScan {
-		a := s.(sets.Ascender)
-		fixBase := cfg.Keys + 64
-		fixSet := make(map[uint64]bool, 8)
-		for i := uint64(0); i < 8; i++ {
-			k := fixBase + i*5
-			fixtures = append(fixtures, k)
-			fixSet[k] = true
-		}
-		lease(pool.Do, "scan fixtures", func(tid int) {
-			for _, k := range fixtures {
-				if !s.Insert(tid, k) {
-					scanFails = append(scanFails, fmt.Sprintf("scan oracle: fixture %d insert failed", k))
-				}
-			}
-		})
-		scanFail := func(format string, args ...any) {
-			scanMu.Lock()
-			if len(scanFails) < 8 { // a broken cursor would flood the report
-				scanFails = append(scanFails, fmt.Sprintf(format, args...))
-			}
-			scanMu.Unlock()
-		}
-		scanWg.Add(1)
-		go func() {
-			defer scanWg.Done()
-			h := pool.Handle()
-			sp := new(obs.Span) // pooled: one span object, re-armed per scan
-			rng := cfg.Seed ^ 0x5ca9
-			// Check-then-poll, as the pair observer below: the workers can
-			// finish before this goroutine is first scheduled, and the run
-			// must still record at least one scan.
-			for round := 0; ; round++ {
-				var lo uint64
-				switch round % 3 {
-				case 0:
-					lo = 0 // full scan
-				case 1:
-					lo = 1 + splitmix64(&rng)%cfg.Keys // mid-range start
-				default:
-					lo = fixBase // fixture suffix only
-				}
-				last, seenFix := uint64(0), 0
-				lease(h.Do, "scanner", func(tid int) {
-					sp.Reset("ASCEND", obs.Now())
-					armSpan(tid, sp)
-					defer func() { armSpan(tid, nil); sp.Finish(obs.Now()) }()
-					err := a.Ascend(tid, lo, func(k uint64) bool {
-						if k <= last && last != 0 {
-							scanFail("scan oracle: round %d from %d: %d after %d (order/duplicate)", round, lo, k, last)
-							return false
-						}
-						last = k
-						switch {
-						case k <= cfg.Keys: // oracle key, churned freely
-						case fixSet[k]:
-							seenFix++
-						case k < fixBase: // in-flight pair-pin key
-						default:
-							scanFail("scan oracle: round %d: phantom key %d", round, k)
-							return false
-						}
-						return true
-					})
-					if err != nil {
-						scanFail("scan oracle: round %d: Ascend: %v", round, err)
-					} else if seenFix != len(fixtures) {
-						scanFail("scan oracle: round %d from %d: %d of %d present-throughout fixtures delivered",
-							round, lo, seenFix, len(fixtures))
-					}
-				})
-				scanChecks.Add(1)
-				select {
-				case <-stopScan:
-					return
-				default:
-				}
-			}
-		}()
-	}
-
 	// Concurrent phase: every worker runs a deterministic op stream drawn
-	// from its own seed and tallies its successful mutations per key. The
-	// op stream is keyed to the worker index; which slot executes each
-	// batch is schedule-dependent and irrelevant to the oracle.
-	tallies := make([]workerTally, cfg.Threads)
+	// from its own seed and records each call, with its interval, in its
+	// own log. On Ascender instances each lease batch starts with one scan
+	// from a random key.
+	asc, _ := s.(sets.Ascender)
+	canScan := sets.CanAscend(s)
+	apply := s.Apply
+	if cfg.BatchOps <= 1 {
+		apply = func(tid int, ops []sets.Op) []bool { return sets.ApplyEach(s, tid, ops) } // the single-op methods
+	}
+	recs := make([]recorder, cfg.Threads)
+	errs := make([]error, cfg.Threads)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Threads; w++ {
+	for w := range recs {
+		recs[w] = recorder{who: fmt.Sprint("worker ", w), shards: cfg.Shards, atomic: inst.atomicBatch, log: make([]entry, 0, cfg.Ops+cfg.Ops/leaseBatch+1)}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			t := &tallies[w]
-			t.ins = make([]int64, cfg.Keys+1)
-			t.rem = make([]int64, cfg.Keys+1)
 			defer func() {
 				if r := recover(); r != nil {
-					buf := make([]byte, 8<<10)
-					buf = buf[:runtime.Stack(buf, false)]
-					t.err = fmt.Errorf("worker %d panicked: %v\n%s", w, r, buf)
+					errs[w] = fmt.Errorf("worker %d panicked: %v\n%s", w, r, debug.Stack())
 				}
 			}()
+			rec := &recs[w]
 			h := pool.Handle()
 			sp := new(obs.Span) // one span object, re-armed per lease batch
-			who := fmt.Sprint("worker ", w)
 			rng := cfg.Seed*0x2545f4914f6cdd1d + uint64(w+1)
-			var batch []sets.Op
-			if cfg.BatchOps > 1 {
-				batch = make([]sets.Op, 0, cfg.BatchOps)
-			}
+			batch := make([]sets.Op, 0, max(cfg.BatchOps, 1))
 			for i := 0; i < cfg.Ops; {
-				lease(h.Do, who, func(tid int) {
+				lease(h.Do, rec.who, func(tid int) {
 					sp.Reset("torture", obs.Now())
 					armSpan(tid, sp)
 					defer func() { armSpan(tid, nil); sp.Finish(obs.Now()) }()
-					for b := 0; b < leaseBatch && i < cfg.Ops; i = i + 1 {
+					if canScan {
+						lo, keys, inv := splitmix64(&rng)%(cfg.Keys+1), []uint64(nil), obs.Now()
+						if err := asc.Ascend(tid, lo, func(k uint64) bool { keys = append(keys, k); return true }); err != nil {
+							panic(fmt.Sprintf("Ascend from %d: %v", lo, err))
+						}
+						rec.log = append(rec.log, entry{who: rec.who, inv: inv, resp: obs.Now(), lo: lo, keys: keys})
+					}
+					for b := 0; b < leaseBatch && i < cfg.Ops; b, i = b+1, i+1 {
 						r := splitmix64(&rng)
 						k := 1 + (r>>16)%cfg.Keys
-						var kind sets.OpKind
-						switch {
-						case int(r%100) < cfg.LookupPct:
+						kind := sets.OpRemove
+						if int(r%100) < cfg.LookupPct {
 							kind = sets.OpLookup
-						case r&(1<<40) == 0:
+						} else if r&(1<<40) == 0 {
 							kind = sets.OpInsert
-						default:
-							kind = sets.OpRemove
 						}
-						if cfg.BatchOps > 1 {
-							// Same op stream, grouped through Apply: the exact
-							// oracle below then also pins Apply's per-op results
-							// against the sequential semantics.
-							batch = append(batch, sets.Op{Kind: kind, Key: k})
-							if len(batch) == cfg.BatchOps || i+1 == cfg.Ops {
-								for j, got := range s.Apply(tid, batch) {
-									if got {
-										switch batch[j].Kind {
-										case sets.OpInsert:
-											t.ins[batch[j].Key]++
-										case sets.OpRemove:
-											t.rem[batch[j].Key]++
-										}
-									}
-								}
-								b += len(batch)
-								batch = batch[:0]
-							}
+						batch = append(batch, sets.Op{Kind: kind, Key: k})
+						if len(batch) < cfg.BatchOps && b+1 < leaseBatch && i+1 < cfg.Ops {
 							continue
 						}
-						b++
-						switch kind {
-						case sets.OpLookup:
-							s.Lookup(tid, k)
-						case sets.OpInsert:
-							if s.Insert(tid, k) {
-								t.ins[k]++
-							}
-						default:
-							if s.Remove(tid, k) {
-								t.rem[k]++
-							}
-						}
+						inv := obs.Now()
+						res := apply(tid, batch)
+						rec.call(inv, obs.Now(), batch, res)
+						batch = batch[:0]
 					}
 				})
 			}
 		}(w)
 	}
-
-	// Batch-atomicity pin: while the workers churn, a toggler flips a key
-	// pair (outside the oracle's key range, co-resident on one shard) with
-	// two-op batches — insert both, then remove both — and an observer
-	// batch-looks-up both. Each lookup batch is one transaction, so it must
-	// see the pair together or not at all; one-of-two is a torn batch.
-	// The lock-free baselines document Apply as per-op (non-atomic), so the
-	// pin only runs where the contract holds.
-	var pairChecks, pairTorn atomic.Uint64
-	if cfg.BatchOps > 1 && inst.atomicBatch {
-		pA := cfg.Keys + 1
-		pB := pA + 1
-		for serve.ShardOf(pB, cfg.Shards) != serve.ShardOf(pA, cfg.Shards) {
-			pB++
-		}
-		stopPairs := make(chan struct{})
-		var pairWg sync.WaitGroup
-		pairWg.Add(2)
-		go func() { // toggler
-			defer pairWg.Done()
-			h := pool.Handle()
-			ins := []sets.Op{{Kind: sets.OpInsert, Key: pA}, {Kind: sets.OpInsert, Key: pB}}
-			del := []sets.Op{{Kind: sets.OpRemove, Key: pA}, {Kind: sets.OpRemove, Key: pB}}
-			for on := false; ; on = !on {
-				select {
-				case <-stopPairs:
-					// Leave the pair absent so the oracle, snapshot range and
-					// memory books below are untouched by the pin.
-					lease(h.Do, "pair toggler", func(tid int) { s.Apply(tid, del) })
-					return
-				default:
-				}
-				ops := ins
-				if on {
-					ops = del
-				}
-				lease(h.Do, "pair toggler", func(tid int) { s.Apply(tid, ops) })
-			}
-		}()
-		go func() { // observer
-			defer pairWg.Done()
-			h := pool.Handle()
-			look := []sets.Op{{Kind: sets.OpLookup, Key: pA}, {Kind: sets.OpLookup, Key: pB}}
-			// Check-then-poll order: on a single-CPU box the workers can
-			// finish before this goroutine is first scheduled, and the pin
-			// must still record at least one check.
-			for {
-				lease(h.Do, "pair observer", func(tid int) {
-					res := s.Apply(tid, look)
-					pairChecks.Add(1)
-					if res[0] != res[1] {
-						pairTorn.Add(1)
-					}
-				})
-				select {
-				case <-stopPairs:
-					return
-				default:
-				}
-			}
-		}()
-		wg.Wait()
-		close(stopPairs)
-		pairWg.Wait()
-	} else {
-		wg.Wait()
-	}
-	rep.PairChecks = pairChecks.Load()
-
-	if inst.canScan {
-		close(stopScan)
-		scanWg.Wait()
-		// Retire the fixtures before quiesce so the exact oracle, snapshot
-		// range and memory books below see only the run's own key space.
-		lease(pool.Do, "scan fixtures", func(tid int) {
-			for _, k := range fixtures {
-				if !s.Remove(tid, k) {
-					scanFails = append(scanFails, fmt.Sprintf("scan oracle: fixture %d missing at teardown", k))
-				}
-			}
-		})
-	}
-	rep.ScanChecks = scanChecks.Load()
+	wg.Wait()
 
 	var failures []string
 	fail := func(format string, args ...any) {
 		failures = append(failures, fmt.Sprintf(format, args...))
 	}
-	for i := range tallies {
-		if tallies[i].err != nil {
-			fail("%v", tallies[i].err)
+	for _, err := range errs {
+		if err != nil {
+			fail("%v", err)
 		}
-	}
-	failures = append(failures, scanFails...)
-	if torn := pairTorn.Load(); torn > 0 {
-		fail("batch atomicity: %d of %d pair lookups saw a torn batch (one key of an atomically toggled pair)",
-			torn, pairChecks.Load())
 	}
 	if len(failures) > 0 {
 		// A worker died mid-transaction; the structure may hold locks, so
@@ -521,19 +294,15 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 		return rep, runError(cfg, inst, failures)
 	}
 
-	// Quiesce and drain deferred reclamation. A sequential Finish sweep
-	// (pool.FinishAll) can leave a slot's retirees pinned by hazards that
-	// slots with higher ids only clear in their own (later) Finish; after
-	// round one the leftovers must be bounded by the published-slot count,
-	// and a second round — with every slot cleared — must free them all.
+	// Quiesce and drain deferred reclamation. After one Finish round a
+	// slot's retirees may still be pinned by hazards of slots with higher
+	// ids, at most the published-slot count; a second round frees them all.
 	pool.FinishAll()
 	if inst.traits.DrainRounds > 1 {
 		if inst.traits.StrandBound {
-			// Every shard holds the full slot complement (the facade registers
-			// each tid everywhere), so the hazard bound scales with the shard
-			// count. Hazard Eras takes round 2 but skips this bound: a single
-			// stale era reservation strands every retiree whose lifetime
-			// interval contains it, which the slot count does not cap.
+			// Every shard holds every slot, so the bound scales with shards.
+			// Hazard Eras skips it: one stale era strands every retiree whose
+			// lifetime contains it, which the slot count does not cap.
 			bound := uint64(cfg.Threads) * 3 * uint64(cfg.Shards)
 			if left := inst.view.ReclaimStats().Leftover; left > bound {
 				fail("after Finish round 1: %d leftover retirees exceeds the hazard-slot bound %d", left, bound)
@@ -542,41 +311,33 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 		pool.FinishAll()
 	}
 
-	// Exact oracle: presence after quiesce is prefill presence plus the
-	// net successful mutations, key by key, in any interleaving.
-	for k := uint64(1); k <= cfg.Keys; k++ {
-		for i := range tallies {
-			presence[k] += tallies[i].ins[k] - tallies[i].rem[k]
-			rep.Inserts += uint64(tallies[i].ins[k])
-			rep.Removes += uint64(tallies[i].rem[k])
-		}
-		if presence[k] != 0 && presence[k] != 1 {
-			fail("key %d: net presence %d (duplicate insert or phantom remove)", k, presence[k])
+	inv, snap := obs.Now(), s.Snapshot()
+	rep.Size = len(snap)
+	for i := 1; i < len(snap); i++ {
+		if snap[i-1] >= snap[i] {
+			fail("snapshot not strictly sorted at %d: %d then %d", i-1, snap[i-1], snap[i])
 		}
 	}
 
-	snap := s.Snapshot()
-	rep.Size = len(snap)
-	for i, k := range snap {
-		if k < 1 || k > cfg.Keys {
-			fail("snapshot[%d] = %d outside key range [1, %d]", i, k, cfg.Keys)
-		}
-		if i > 0 && snap[i-1] >= k {
-			fail("snapshot not strictly sorted at %d: %d then %d", i-1, snap[i-1], k)
-		}
-	}
-	want := 0
-	for k := uint64(1); k <= cfg.Keys; k++ {
-		if presence[k] == 1 {
-			want++
-			if _, ok := slices.BinarySearch(snap, k); !ok {
-				fail("oracle says key %d present, snapshot disagrees", k)
+	// One verdict on what every call returned: the history, closed by the
+	// snapshot as a scan after everything, must be linearizable.
+	history := append(pre.log, entry{who: "snapshot", inv: inv, resp: obs.Now(), keys: snap})
+	for _, r := range recs {
+		history = append(history, r.log...)
+		for _, e := range r.log {
+			if e.ops == nil {
+				rep.ScanChecks++
+			}
+			for j, op := range e.ops {
+				if e.res[j] && op.Kind == sets.OpInsert {
+					rep.Inserts++
+				} else if e.res[j] && op.Kind == sets.OpRemove {
+					rep.Removes++
+				}
 			}
 		}
 	}
-	if want != len(snap) {
-		fail("oracle size %d != snapshot size %d", want, len(snap))
-	}
+	failures = append(failures, check(history)...)
 
 	// The verdict at quiescence, shard by shard: every worker id at rest,
 	// and each shard's drained memory books balanced against its own keys.
@@ -618,11 +379,8 @@ func runError(cfg Config, inst *instance, failures []string) error {
 	fmt.Fprintf(&b, "torture run failed (repro: %s):\n  - %s",
 		cfg, strings.Join(failures, "\n  - "))
 	if inst != nil {
-		// Dump the flight recorder(s) right next to the repro line: the last
-		// few hundred lifecycle events plus the who-aborted-whom matrix are
-		// usually enough to localize a schedule-dependent bug without
-		// rerunning the seed under a debugger. A sharded run dumps every
-		// shard's recorder — the failing transaction lives in exactly one.
+		// Every shard's flight recorder, next to the repro line: the last
+		// lifecycle events and the who-aborted-whom matrix.
 		for _, d := range inst.domains() {
 			b.WriteString("\n")
 			d.DumpFlight(&b, flightDumpTail)

@@ -23,7 +23,7 @@ func sweepParams(short bool) (threads, ops int, keys uint64) {
 }
 
 // TestTortureSweep drives every structure × variant × allocator-policy
-// combination through the harness. Guard mode is enabled wherever the
+// combination through the harness, per-op and in batches of 8. Guard mode is enabled wherever the
 // variant supports it, so this is simultaneously a correctness sweep and a
 // use-after-free sanitizer sweep. Failures print a repro command line.
 func TestTortureSweep(t *testing.T) {
@@ -47,7 +47,8 @@ func TestTortureSweep(t *testing.T) {
 					Keys:      keys,
 					LookupPct: 10 + int(combo*7%40), // 10..49
 					Window:    2 + int(combo%7),     // 2..7, or the served window below
-					Shards:    1 + int(combo%2),     // alternate unsharded / 2-shard
+					Shards:    1 + int(combo%2),     // alternate unsharded / 2-shard,
+					BatchOps:  1 + 7*int(combo/2%2), // crossed with per-op / batches of 8
 					Seed:      baseSeed + combo,
 					Guard:     true, // ignored by variants without an arena guard
 				}
@@ -127,22 +128,19 @@ func TestTortureFailureDumpsFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestTortureBatchOps drives the oracle mix through Set.Apply and checks
-// the pair-atomicity observer engages on TM-backed variants: every batch
-// is all-or-nothing per shard, so the insert-both/remove-both toggler's
-// pair must never be seen half-applied. The lockfree variant documents
-// per-op application, so its run must skip the pin (PairChecks == 0).
+// TestTortureBatchOps drives the op mix through Set.Apply, unsharded and
+// behind the per-shard facade, and on the lock-free baseline whose Apply is
+// per-op: the history records each batch at the scope it is atomic in, and
+// the checker must accept every one of them.
 func TestTortureBatchOps(t *testing.T) {
 	for _, tc := range []struct {
-		variant   string
-		shards    int
-		wantPairs bool
+		variant string
+		shards  int
 	}{
-		{"RR-V", 1, true},
-		{"TMHP", 2, true},
-		{"LFHP", 1, false},
+		{"RR-V", 1},
+		{"TMHP", 2},
+		{"LFHP", 1},
 	} {
-		tc := tc
 		t.Run(fmt.Sprintf("%s/s%d", tc.variant, tc.shards), func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
@@ -158,22 +156,15 @@ func TestTortureBatchOps(t *testing.T) {
 				t.Fatalf("degenerate batch run: %d inserts, %d removes (repro: %s)",
 					rep.Inserts, rep.Removes, cfg)
 			}
-			if tc.wantPairs && rep.PairChecks == 0 {
-				t.Fatalf("pair-atomicity observer never ran (repro: %s)", cfg)
-			}
-			if !tc.wantPairs && rep.PairChecks != 0 {
-				t.Fatalf("pair pin ran %d checks on a variant that documents per-op Apply (repro: %s)",
-					rep.PairChecks, cfg)
-			}
 		})
 	}
 }
 
-// TestTortureScanOracle checks the concurrent scan oracle arms on every
-// Ascender-capable shape — singly/skip, RR and HTM, unsharded and behind
-// the merged sharded cursor — and stays off where scanning is undefined
-// (deferred-reclamation variants, trees), with the run's other invariants
-// (exact oracle, memory books) undisturbed by the fixture keys either way.
+// TestTortureScanOracle checks that every worker scans once per lease batch
+// on every Ascender-capable shape — singly/skip, RR and HTM, unsharded and
+// behind the merged sharded cursor — and that the checker accepts those
+// scans, and that no scan runs where scanning is undefined
+// (deferred-reclamation variants, trees).
 func TestTortureScanOracle(t *testing.T) {
 	for _, tc := range []struct {
 		structure, variant string
@@ -199,11 +190,12 @@ func TestTortureScanOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.wantScans && rep.ScanChecks == 0 {
-				t.Fatalf("scan oracle never ran on an Ascender variant (repro: %s)", cfg)
+			// 800 ops a worker is 13 lease batches of 64.
+			if want := uint64(4 * 13); tc.wantScans && rep.ScanChecks != want {
+				t.Fatalf("%d scans checked on an Ascender variant, want %d (repro: %s)", rep.ScanChecks, want, cfg)
 			}
 			if !tc.wantScans && rep.ScanChecks != 0 {
-				t.Fatalf("scan oracle ran %d checks on a variant without scan support (repro: %s)",
+				t.Fatalf("%d scans checked on a variant without scan support (repro: %s)",
 					rep.ScanChecks, cfg)
 			}
 		})
