@@ -1,21 +1,27 @@
 // Command benchfig regenerates the data series behind the paper's
 // evaluation figures (Figures 2–7 of "Hand-Over-Hand Transactions with
-// Precise Memory Reclamation", SPAA 2017), printing TSV to stdout, and
-// renders that TSV as the markdown tables recorded in EXPERIMENTS.md.
+// Precise Memory Reclamation", SPAA 2017) and this repository's
+// reclamation-delay study (8), printing TSV to stdout, and renders that TSV
+// as the markdown tables recorded in EXPERIMENTS.md.
 //
 // Usage:
 //
-//	benchfig -fig 2            # regenerate Figure 2's series
-//	benchfig -fig all -quick   # fast smoke pass over every figure
-//	benchfig -fig 6 -threads 1,2,4,8 -trials 5
+//	benchfig -fig 2                          # regenerate Figure 2's series
+//	benchfig -fig all -ops 20000 -treebits 14 # a fast pass over Figures 2–8
 //	benchfig table fig2.tsv                  # one table per (figure, panel), Mops/s
-//	benchfig table -metric aborts < fig2.tsv # aborts/op instead of throughput
+//	benchfig table -metric ratio < fig2.tsv  # any header column by name
 //
+// Each panel's series are measured together at each thread count: built and
+// prefilled once, then run in turns, one tenth of the operations at a time.
 // Column semantics: mops is total throughput (million operations per
-// second, all threads combined); aborts_per_op and serial_per_op are TM
-// conflict and serial-fallback rates; peak_deferred is the reclamation
-// scheme's high-water mark of logically-deleted-but-unfreed nodes (always
-// zero for the revocable reservation variants — the paper's point).
+// second, all threads combined) over the median tenth; ratio is the median
+// over tenths of the series' throughput over the figure's baseline in the
+// same tenth, ratio_iqr the spread of those ten ratios (q3 − q1), and ahead
+// the tenths out of 10 the series beat the baseline in; aborts_per_op and
+// serial_per_op are TM conflict and serial-fallback rates; peak_deferred is
+// the reclamation scheme's high-water mark of logically-deleted-but-unfreed
+// nodes (always zero for the revocable reservation variants — the paper's
+// point).
 package main
 
 import (
@@ -33,12 +39,10 @@ func main() {
 		tableMain(os.Args[2:])
 		return
 	}
-	fig := flag.String("fig", "all", "figure to regenerate: 2..7 or 'all'")
-	quick := flag.Bool("quick", false, "fast smoke mode (fewer ops/trials, 14-bit trees)")
+	fig := flag.String("fig", "all", "figure to regenerate: 2..8 or 'all' (2..8)")
 	threads := flag.String("threads", "1,2,4,8", "comma-separated thread counts")
-	trials := flag.Int("trials", 0, "trials per cell (default: 3, or 1 with -quick)")
 	seed := flag.Int64("seed", 0, "workload seed (default: fixed)")
-	ops := flag.Int("ops", 0, "per-thread operations per trial (default: 200000, paper uses 1e6)")
+	ops := flag.Int("ops", 0, "per-thread operations per series (default: 200000, paper uses 1e6)")
 	treebits := flag.Int("treebits", 0, "key bits for the big tree panels (default: 21 as in the paper)")
 	flag.Parse()
 
@@ -52,13 +56,12 @@ func main() {
 		ths = append(ths, n)
 	}
 	opts := bench.Opts{
-		Quick: *quick, Threads: ths, Trials: *trials, Seed: *seed,
-		OpsPerThread: *ops, TreeBits: *treebits, Out: os.Stdout,
+		Threads: ths, Seed: *seed, OpsPerThread: *ops, TreeBits: *treebits, Out: os.Stdout,
 	}
 
 	var figs []int
 	if *fig == "all" {
-		figs = []int{2, 3, 4, 5, 6, 7}
+		figs = []int{2, 3, 4, 5, 6, 7, 8}
 	} else {
 		n, err := strconv.Atoi(*fig)
 		if err != nil {
@@ -68,17 +71,10 @@ func main() {
 		figs = []int{n}
 	}
 	for _, n := range figs {
-		fmt.Printf("# Figure %d%s\n", n, quickNote(*quick))
+		fmt.Printf("# Figure %d\n", n)
 		if err := bench.Figure(n, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "benchfig: figure %d: %v\n", n, err)
 			os.Exit(1)
 		}
 	}
-}
-
-func quickNote(q bool) string {
-	if q {
-		return " (quick mode: reduced ops/trials; 21-bit panels shrunk to 14-bit)"
-	}
-	return ""
 }

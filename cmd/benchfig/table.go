@@ -11,28 +11,6 @@ import (
 	"strings"
 )
 
-// metric is a TSV column `benchfig table` can tabulate.
-type metric struct {
-	name  string
-	col   int
-	label string
-}
-
-var metrics = []metric{
-	{"mops", 5, "Mops/s"},
-	{"aborts", 7, "aborts/op"},
-	{"serial", 8, "serial/op"},
-	{"deferred", 9, "peak deferred"},
-	{"read", 10, "read-conflict aborts/op"},
-	{"valid", 11, "validation aborts/op"},
-	{"wlock", 12, "write-lock aborts/op"},
-	{"cap", 13, "capacity aborts/op"},
-	{"delay", 14, "mean reclamation delay (ops)"},
-	{"rp50", 15, "p50 reclamation delay (ops)"},
-	{"rp99", 16, "p99 reclamation delay (ops)"},
-	{"rmax", 17, "max reclamation delay (ops)"},
-}
-
 type table struct {
 	figure, panel string
 	variants      []string // insertion order
@@ -42,16 +20,12 @@ type table struct {
 
 // tableMain is `benchfig table [-metric m] [file]`: it renders the TSV
 // this program prints (a file, or stdin) as markdown tables, one per
-// (figure, panel): variants as rows, thread counts as columns.
+// (figure, panel): variants as rows, thread counts as columns. The metric
+// is any column the TSV's header row names.
 func tableMain(args []string) {
 	fs := flag.NewFlagSet("benchfig table", flag.ExitOnError)
-	name := fs.String("metric", "mops", "column to tabulate: mops, aborts, serial, deferred, read, valid, wlock, cap, delay, rp50, rp99, rmax")
+	name := fs.String("metric", "mops", "header column to tabulate (mops, ratio, aborts_per_op, …)")
 	fs.Parse(args)
-	m := slices.IndexFunc(metrics, func(m metric) bool { return m.name == *name })
-	if m < 0 {
-		fmt.Fprintf(os.Stderr, "benchfig table: unknown metric %q\n", *name)
-		os.Exit(2)
-	}
 	in := os.Stdin
 	if fs.NArg() > 0 {
 		f, err := os.Open(fs.Arg(0))
@@ -62,22 +36,34 @@ func tableMain(args []string) {
 		defer f.Close()
 		in = f
 	}
-	if err := renderTables(os.Stdout, in, metrics[m].col, metrics[m].label); err != nil {
+	if err := renderTables(os.Stdout, in, *name); err != nil {
 		fmt.Fprintln(os.Stderr, "benchfig table:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 }
 
-func renderTables(w io.Writer, in io.Reader, col int, label string) error {
+// renderTables finds the metric's column by name in each header row and
+// tabulates it from the rows that follow.
+func renderTables(w io.Writer, in io.Reader, metric string) error {
 	var order []string
 	tables := map[string]*table{}
+	col := -1
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "figure\t") {
+		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		f := strings.Split(line, "\t")
+		if f[0] == "figure" {
+			if col = slices.Index(f, metric); col < 0 {
+				return fmt.Errorf("unknown metric %q; the header names %s", metric, strings.Join(f, ", "))
+			}
+			continue
+		}
+		if col < 0 {
+			return fmt.Errorf("a row before the header row: %q", line)
+		}
 		if len(f) <= col {
 			continue
 		}
@@ -107,7 +93,7 @@ func renderTables(w io.Writer, in io.Reader, col int, label string) error {
 	for _, key := range order {
 		t := tables[key]
 		slices.Sort(t.threads)
-		fmt.Fprintf(w, "### %s — %s (%s)\n\n| variant |", t.figure, t.panel, label)
+		fmt.Fprintf(w, "### %s — %s (%s)\n\n| variant |", t.figure, t.panel, metric)
 		for _, th := range t.threads {
 			fmt.Fprintf(w, " %dT |", th)
 		}

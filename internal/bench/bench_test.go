@@ -2,8 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hohtx/internal/family"
@@ -50,20 +54,142 @@ func TestNextOpMix(t *testing.T) {
 	}
 }
 
-func TestRunProducesThroughput(t *testing.T) {
-	mk := func(threads int) sets.Set {
-		s, err := Build(FamilySingly, VariantSpec{Name: "RR-V", Window: 8}, threads)
+// logged wraps a set and records, in one shared order, every call the
+// measured run makes on it.
+type logged struct {
+	sets.Set
+	label string
+	log   *callLog
+	lie   atomic.Bool // report the first failed insert as a success
+}
+
+type call struct {
+	label string
+	what  string // "register", "op" or "finish"
+	tid   int
+}
+
+type callLog struct {
+	mu    sync.Mutex
+	calls []call
+}
+
+func (l *logged) add(what string, tid int) {
+	l.log.mu.Lock()
+	l.log.calls = append(l.log.calls, call{l.label, what, tid})
+	l.log.mu.Unlock()
+}
+
+func (l *logged) Register(tid int) { l.add("register", tid); l.Set.Register(tid) }
+func (l *logged) Finish(tid int)   { l.Set.Finish(tid); l.add("finish", tid) }
+func (l *logged) Lookup(tid int, k uint64) bool {
+	l.add("op", tid)
+	return l.Set.Lookup(tid, k)
+}
+func (l *logged) Remove(tid int, k uint64) bool {
+	l.add("op", tid)
+	return l.Set.Remove(tid, k)
+}
+func (l *logged) Insert(tid int, k uint64) bool {
+	l.add("op", tid)
+	ok := l.Set.Insert(tid, k)
+	return ok || l.lie.CompareAndSwap(true, false)
+}
+
+// loggedGroup builds a prefilled group of three RR-V/TMHP series, each
+// wrapped in a logged set; the one labelled liar lies once.
+func loggedGroup(t *testing.T, w Workload, threads int, liar string) ([]member, *callLog) {
+	log := &callLog{}
+	var group []member
+	for _, c := range []struct{ label, name string }{{"TMHP", "TMHP"}, {"RR-V", "RR-V"}, {"RR-V/8", "RR-V"}} {
+		s, err := Build(FamilySingly, VariantSpec{Name: c.name, Window: 8}, threads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		Prefill(s, w, threads, 5)
+		l := &logged{Set: s, label: c.label, log: log}
+		l.lie.Store(c.label == liar)
+		group = append(group, member{c.label, 8, l})
 	}
-	res, err := Run(mk, tinyWorkload(), RunConfig{Threads: 4, Trials: 2, Seed: 5})
+	return group, log
+}
+
+// TestGroupTakesTurnsInTenths drives the group runner through logged sets:
+// every series finishes tenth t before any series starts tenth t+1, a tid
+// registers before its first operation and finishes once, after its last,
+// and the baseline reads ratio 1, ahead 0.
+func TestGroupTakesTurnsInTenths(t *testing.T) {
+	const threads = 3
+	w := tinyWorkload()
+	group, log := loggedGroup(t, w, threads, "")
+	rs, err := measure(group, "TMHP", w, threads, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MopsPerSec <= 0 {
-		t.Fatal("no throughput measured")
+	type key struct {
+		label string
+		tid   int
+	}
+	ops := map[key]int{}
+	registered, finished := map[key]bool{}, map[key]bool{}
+	lastOfTenth := make([]int, tenths) // index of each tenth's last call
+	firstOfTenth := make([]int, tenths)
+	for i := range firstOfTenth {
+		firstOfTenth[i] = len(log.calls)
+	}
+	for i, c := range log.calls {
+		k := key{c.label, c.tid}
+		switch c.what {
+		case "register":
+			if registered[k] || ops[k] > 0 {
+				t.Fatalf("%s tid %d registered twice or after an operation", c.label, c.tid)
+			}
+			registered[k] = true
+		case "finish":
+			if finished[k] || ops[k] != w.OpsPerThread {
+				t.Fatalf("%s tid %d finished after %d of %d operations", c.label, c.tid, ops[k], w.OpsPerThread)
+			}
+			finished[k] = true
+		case "op":
+			if !registered[k] || finished[k] {
+				t.Fatalf("%s tid %d operated outside Register..Finish", c.label, c.tid)
+			}
+			tenth := ops[k] / (w.OpsPerThread / tenths)
+			ops[k]++
+			firstOfTenth[tenth] = min(firstOfTenth[tenth], i)
+			lastOfTenth[tenth] = i
+		}
+	}
+	for tn := 1; tn < tenths; tn++ {
+		if firstOfTenth[tn] < lastOfTenth[tn-1] {
+			t.Fatalf("tenth %d started (call %d) before tenth %d ended (call %d)",
+				tn, firstOfTenth[tn], tn-1, lastOfTenth[tn-1])
+		}
+	}
+	if len(finished) != len(group)*threads {
+		t.Fatalf("%d tids finished, want %d", len(finished), len(group)*threads)
+	}
+	for _, r := range rs {
+		if r.MopsPerSec <= 0 || r.Ratio <= 0 {
+			t.Fatalf("%s: no throughput measured: %+v", r.Series, r)
+		}
+		if r.Series == "TMHP" && (r.Ratio != 1 || r.RatioIQR != 0 || r.Ahead != 0) {
+			t.Fatalf("the baseline reads ratio %v, iqr %v, ahead %d", r.Ratio, r.RatioIQR, r.Ahead)
+		}
+	}
+}
+
+// TestGroupBalanceCatchesALie: a series whose Insert reports success on one
+// real failure fails the run, and the error names it.
+func TestGroupBalanceCatchesALie(t *testing.T) {
+	w := tinyWorkload()
+	group, _ := loggedGroup(t, w, 2, "RR-V/8")
+	_, err := measure(group, "TMHP", w, 2, 5)
+	if err == nil || !strings.Contains(err.Error(), "RR-V/8: balance violated") {
+		t.Fatalf("want RR-V/8's balance error, got %v", err)
+	}
+	if _, err := measure(group[1:], "TMHP", w, 2, 5); err == nil {
+		t.Fatal("a group without its baseline ran")
 	}
 }
 
@@ -168,37 +294,56 @@ func TestBestWindowFitsOneAttempt(t *testing.T) {
 	}
 }
 
-// TestFigureSmoke runs a minimal version of every figure driver end to end
-// (1 thread count, tiny ops) and sanity-checks the emitted series.
+// TestFigureSmoke runs every figure end to end at one thread count and tiny
+// op counts, and checks the rows: each group's baseline reads ratio 1 and
+// ahead 0, and every reservation (RR-*) series defers nothing — the paper's
+// precision claim.
 func TestFigureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure smoke is seconds-long")
 	}
-	for fig := 2; fig <= 7; fig++ {
-		fig := fig
-		t.Run(string(rune('0'+fig)), func(t *testing.T) {
+	base := map[string]string{"fig2": "TMHP", "fig3": "TMHP", "fig4": "W=16",
+		"fig5": "H-TMHP", "fig6": "HTM", "fig7": "HTM", "fig8": "TMHP"}
+	for fig := 2; fig <= 8; fig++ {
+		t.Run(strconv.Itoa(fig), func(t *testing.T) {
 			var buf bytes.Buffer
 			// Tiny settings: this exercises plumbing, not performance, and
-			// must stay fast under the race detector on one core.
-			opts := Opts{
-				Quick: true, Threads: []int{2}, Trials: 1,
-				OpsPerThread: 1500, TreeBits: 10, Out: &buf,
-			}
+			// must stay fast under the race detector.
+			opts := Opts{Threads: []int{2}, OpsPerThread: 1500, TreeBits: 10, Out: &buf}
 			if err := Figure(fig, opts); err != nil {
 				t.Fatal(err)
 			}
-			out := buf.String()
-			lines := strings.Split(strings.TrimSpace(out), "\n")
+			lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 			if len(lines) < 3 {
 				t.Fatalf("figure %d produced %d lines", fig, len(lines))
 			}
-			if !strings.HasPrefix(lines[0], "figure\t") {
-				t.Fatal("missing header")
+			head := strings.Split(lines[0], "\t")
+			col := func(row []string, name string) string {
+				i := slices.Index(head, name)
+				if i < 0 {
+					t.Fatalf("header lacks %s", name)
+				}
+				return row[i]
 			}
+			groups, based := map[string]bool{}, map[string]bool{}
 			for _, ln := range lines[1:] {
-				if !strings.HasPrefix(ln, "fig") {
+				row := strings.Split(ln, "\t")
+				if len(row) != len(head) || col(row, "figure") != fmt.Sprintf("fig%d", fig) {
 					t.Fatalf("bad row: %q", ln)
 				}
+				groups[col(row, "panel")+"|"+col(row, "threads")] = true
+				if col(row, "variant") == base[col(row, "figure")] {
+					if col(row, "ratio") != "1.000" || col(row, "ahead") != "0" {
+						t.Errorf("baseline row reads ratio %s, ahead %s: %q", col(row, "ratio"), col(row, "ahead"), ln)
+					}
+					based[col(row, "panel")+"|"+col(row, "threads")] = true
+				}
+				if strings.Contains(col(row, "panel")+" "+col(row, "variant"), "RR-") && col(row, "peak_deferred") != "0" {
+					t.Errorf("a reservation series deferred nodes: %q", ln)
+				}
+			}
+			if len(groups) != len(based) {
+				t.Errorf("%d groups, %d baseline rows", len(groups), len(based))
 			}
 		})
 	}

@@ -2,9 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hohtx/internal/obs"
@@ -12,15 +11,25 @@ import (
 	"hohtx/internal/stm"
 )
 
-// Result is the measurement for one (variant, workload, threads) cell.
+// tenths is how many turns a group's series take: each runs one tenth of
+// its operations, then hands the host to the next series.
+const tenths = 10
+
+// Result is the measurement of one series in a group.
 type Result struct {
+	Series  string
+	Window  int
 	Threads int
-	// MopsPerSec is total throughput in million operations per second,
-	// averaged over trials.
+	// MopsPerSec is total throughput in million operations per second over
+	// the median tenth.
 	MopsPerSec float64
-	// RelStddev is the relative standard deviation across trials (the
-	// paper reports variance below 3%).
-	RelStddev float64
+	// Ratio is the median over tenths of this series' throughput over the
+	// group baseline's in the same tenth; RatioIQR is q3 − q1 of those ten
+	// ratios, and Ahead the number of tenths in which the series beat the
+	// baseline. The baseline itself reads 1, 0 and 0.
+	Ratio    float64
+	RatioIQR float64
+	Ahead    int
 	// AbortsPerOp and SerialPerOp characterize TM behavior (0 for the
 	// lock-free variants).
 	AbortsPerOp float64
@@ -47,80 +56,122 @@ type Result struct {
 	ReclaimMaxOps uint64
 }
 
-// MakeSet constructs a fresh instance of a variant for the given thread
-// count (a fresh instance per trial keeps trials independent, as the
-// paper's 5-trial averages are).
-type MakeSet func(threads int) sets.Set
-
-// RunConfig controls a measurement.
-type RunConfig struct {
-	Threads int
-	Trials  int
-	Seed    int64
+// member is one series of a group: its label, its window and an instance
+// already prefilled to half the key range.
+type member struct {
+	label  string
+	window int
+	set    sets.Set
 }
 
-// Run measures one cell: Trials independent constructions, each prefilled
-// to 50% and then hammered with the workload's mix from Threads workers.
-// After each trial it checks the balance: the snapshot's size must equal
-// prefill + successful inserts − successful removes (cheap beside the run).
-func Run(mk MakeSet, w Workload, cfg RunConfig) (Result, error) {
-	if cfg.Trials <= 0 {
-		cfg.Trials = 1
-	}
-	var mops []float64
-	var res Result
-	res.Threads = cfg.Threads
-	for trial := 0; trial < cfg.Trials; trial++ {
-		s := mk(cfg.Threads)
-		Prefill(s, w, cfg.Threads, cfg.Seed+int64(trial))
+// turns is what one member's run keeps between its tenths.
+type turns struct {
+	state    []uint64 // each tid's splitmix state
+	ins, rem int64    // successful inserts and removes, all tids
+	mops     [tenths]float64
+}
 
-		prefillCount := int64(w.KeyRange() / 2)
-		var succIns, succRem atomic.Int64
-		var wg sync.WaitGroup
-		start := time.Now()
-		for t := 0; t < cfg.Threads; t++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
+// measure runs a group: the members take turns, one tenth of the operations
+// at a time, so host drift lands on every series alike, and each series is
+// reported against the baseline member tenth by tenth. Every member runs the
+// same operation streams. After the last tenth it checks each member's
+// balance: the snapshot's size must equal prefill + successful inserts −
+// successful removes.
+func measure(group []member, base string, w Workload, threads int, seed int64) ([]Result, error) {
+	b := slices.IndexFunc(group, func(m member) bool { return m.label == base })
+	if b < 0 {
+		return nil, fmt.Errorf("bench: the group lacks its baseline %s", base)
+	}
+	runs := make([]turns, len(group))
+	for i := range runs {
+		runs[i].state = make([]uint64, threads)
+		for tid := range threads {
+			runs[i].state[tid] = uint64(seed) + uint64(tid)*0x1234567 + 1
+		}
+	}
+	for t := range tenths {
+		for i, m := range group {
+			runs[i].tenth(m.set, w, t)
+		}
+	}
+	total := float64(w.OpsPerThread) * float64(threads)
+	out := make([]Result, len(group))
+	for i, m := range group {
+		r := &runs[i]
+		want := int64(w.KeyRange()/2) + r.ins - r.rem
+		if got := int64(len(m.set.Snapshot())); got != want {
+			return nil, fmt.Errorf("%s: balance violated: |set|=%d want %d", m.label, got, want)
+		}
+		ratios := make([]float64, tenths)
+		res := Result{Series: m.label, Window: m.window, Threads: threads, MopsPerSec: quantile(r.mops[:], 0.5)}
+		for t := range ratios {
+			ratios[t] = r.mops[t] / runs[b].mops[t]
+			if r.mops[t] > runs[b].mops[t] {
+				res.Ahead++
+			}
+		}
+		res.Ratio, res.RatioIQR = quantile(ratios, 0.5), quantile(ratios, 0.75)-quantile(ratios, 0.25)
+		res.fillStats(m.set, total)
+		out[i] = res
+	}
+	return out, nil
+}
+
+// tenth runs the t-th tenth of every tid's operations on s. A tid registers
+// before its first tenth and finishes after its last.
+func (r *turns) tenth(s sets.Set, w Workload, t int) {
+	n := (t+1)*w.OpsPerThread/tenths - t*w.OpsPerThread/tenths
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	start := time.Now()
+	for tid := range r.state {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if t == 0 {
 				s.Register(tid)
-				state := uint64(cfg.Seed) + uint64(tid)*0x1234567 + uint64(trial)*0xabcdef + 1
-				var ins, rem int64
-				for i := 0; i < w.OpsPerThread; i++ {
-					op, key := nextOp(w, &state)
-					switch op {
-					case opLookup:
-						s.Lookup(tid, key)
-					case opInsert:
-						if s.Insert(tid, key) {
-							ins++
-						}
-					default:
-						if s.Remove(tid, key) {
-							rem++
-						}
+			}
+			state := r.state[tid]
+			var ins, rem int64
+			for range n {
+				op, key := nextOp(w, &state)
+				switch op {
+				case opLookup:
+					s.Lookup(tid, key)
+				case opInsert:
+					if s.Insert(tid, key) {
+						ins++
+					}
+				default:
+					if s.Remove(tid, key) {
+						rem++
 					}
 				}
+			}
+			if t == tenths-1 {
 				s.Finish(tid)
-				succIns.Add(ins)
-				succRem.Add(rem)
-			}(t)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		total := float64(w.OpsPerThread) * float64(cfg.Threads)
-		mops = append(mops, total/elapsed.Seconds()/1e6)
-
-		want := prefillCount + succIns.Load() - succRem.Load()
-		if got := int64(len(s.Snapshot())); got != want {
-			return res, fmt.Errorf("%s: balance violated after trial %d: |set|=%d want %d",
-				s.Name(), trial, got, want)
-		}
-		if trial == cfg.Trials-1 {
-			res.fillStats(s, total)
-		}
+			}
+			mu.Lock()
+			r.state[tid] = state
+			r.ins += ins
+			r.rem += rem
+			mu.Unlock()
+		}()
 	}
-	res.MopsPerSec, res.RelStddev = meanRel(mops)
-	return res, nil
+	wg.Wait()
+	r.mops[t] = float64(n*len(r.state)) / time.Since(start).Seconds() / 1e6
+}
+
+// quantile is the q-quantile of xs, interpolating between order statistics.
+func quantile(xs []float64, q float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 >= len(s) {
+		return s[i]
+	}
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 }
 
 func (r *Result) fillStats(s sets.Set, totalOps float64) {
@@ -144,22 +195,4 @@ func (r *Result) fillStats(s sets.Set, totalOps float64) {
 			}
 		}
 	}
-}
-
-func meanRel(xs []float64) (mean, rel float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 || mean == 0 {
-		return mean, 0
-	}
-	var ss float64
-	for _, x := range xs {
-		ss += (x - mean) * (x - mean)
-	}
-	return mean, math.Sqrt(ss/float64(len(xs)-1)) / mean
 }
