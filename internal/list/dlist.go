@@ -32,7 +32,7 @@ func NewDoubly(cfg Config) *DList {
 
 // Insert implements sets.Set, maintaining prev links.
 func (d *DList) Insert(tid int, key uint64) bool {
-	res, _ := d.applyAt(tid, key, d.head, false,
+	res := d.applyAt(tid, key, d.head, false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
 			d.insertDoubly(tx, tid, key, prevH, currH)
@@ -54,7 +54,7 @@ func (d *DList) Remove(tid int, key uint64) bool {
 	if d.Traits.WholeOp {
 		// Single-transaction removal; the traversal and unlink commit
 		// together, so no hold is involved.
-		res, _ := d.applyAt(tid, key, d.head, false,
+		res := d.applyAt(tid, key, d.head, false,
 			func(tx *stm.Tx, prevH, currH arena.Handle) bool {
 				d.removeDoublyInTx(tx, tid, prevH, currH)
 				return true
@@ -65,7 +65,7 @@ func (d *DList) Remove(tid int, key uint64) bool {
 	}
 	for {
 		// Phase 1: locate the node and leave our hold attached to it.
-		found, _ := d.applyAt(tid, key, d.head, true,
+		found := d.applyAt(tid, key, d.head, true,
 			func(tx *stm.Tx, prevH, currH arena.Handle) bool { return true },
 			func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		)
@@ -86,7 +86,7 @@ func (d *DList) Remove(tid int, key uint64) bool {
 }
 
 // removePhase2 unlinks the node phase 1 left held, in its own transaction.
-// Resume can only return what phase 1 held. If the hold is gone, a link
+// Release can only return what phase 1 held. If the hold is gone, a link
 // whose losses are strict (a strict reservation, which only Revoke(target)
 // clears and only the thread removing target revokes; a dead mark or a
 // generation change) proves a racing Remove took the node; a relaxed
@@ -95,8 +95,7 @@ func (d *DList) removePhase2(tid int) int {
 	out := retryOp
 	d.RT.AtomicT(tid, func(tx *stm.Tx) {
 		out = retryOp
-		h, _, held := d.Link.Resume(tx, tid)
-		d.Link.Drop(tx, tid, held)
+		h, held := d.Release(tx, tid)
 		if !held {
 			if d.Traits.StrictLoss {
 				out = lostOp

@@ -8,9 +8,10 @@ import (
 // The hand-over-hand window engine (Listing 5's Apply), shared by the
 // singly and doubly linked lists. The closure below is one window
 // transaction and the chassis's Op (stm.Runtime.Chain) the loop that runs
-// them; the traversal position is carried across transactions by the list's
-// link (the seam in internal/reclaim, whose file header states each
-// mechanism's resume protocol).
+// them; the window returns where it stops, and the chassis carries that
+// position across transactions through the list's link (the seam in
+// internal/reclaim, whose file header states each mechanism's resume
+// protocol).
 
 // applyFn is a terminal-phase callback; prevH's successor is currH at the
 // transaction's snapshot. For the found callback currH holds the key; for
@@ -22,15 +23,11 @@ type applyFn func(tx *stm.Tx, prevH, currH arena.Handle) bool
 // own, or one of the hash table's buckets). If reserveFound is true, a
 // successful found-terminal leaves the operation's linking mechanism
 // attached to currH instead of releasing it (phase one of the doubly linked
-// list's two-transaction remove, §4.2) and returns currH as target.
-func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool, onFound, onNotFound applyFn) (res bool, target arena.Handle) {
+// list's two-transaction remove, §4.2).
+func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool, onFound, onNotFound applyFn) (res bool) {
 	ts := &l.threads[tid]
-	l.Op(tid, func(tx *stm.Tx) (more bool) {
-		// Reset per attempt: the closure re-runs on abort.
-		res = false
-		target = arena.Nil
-
-		prevH, _, held, budget := l.Start(tx, tid, head, 0)
+	l.Op(tid, head, 0, func(tx *stm.Tx, prevH arena.Handle, _ uint64, budget int) (arena.Handle, uint64, bool) {
+		res = false // reset per attempt: the window re-runs on abort
 		currH := l.Guard.Link(tx, tid, prevH, l.Ar.At(prevH).next.Load(tx))
 		steps := 0
 		var k uint64
@@ -66,22 +63,17 @@ func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool
 		case !currH.IsNil() && k == key:
 			res = onFound(tx, prevH, currH)
 			if reserveFound {
-				l.Link.Hold(tx, tid, held, currH, 0)
-				target = currH
-			} else {
-				l.Link.Drop(tx, tid, held)
+				return currH, 0, false // phase one keeps its hold
 			}
-			return false
+			return arena.Nil, 0, false
 		case currH.IsNil() || k > key:
 			res = onNotFound(tx, prevH, currH)
-			l.Link.Drop(tx, tid, held)
-			return false
+			return arena.Nil, 0, false
 		default:
 			// Budget exhausted mid-traversal: hand over to the next
 			// window at currH.
-			l.Link.Hold(tx, tid, held, currH, 0)
-			return true
+			return currH, 0, true
 		}
 	})
-	return res, target
+	return res
 }

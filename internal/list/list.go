@@ -112,7 +112,7 @@ func (l *List) Remove(tid int, key uint64) bool { return l.removeAt(tid, key, l.
 // lookupAt, insertAt and removeAt are the singly linked operations on the
 // chain rooted at head (the list's own, or one of the hash table's buckets).
 func (l *List) lookupAt(tid int, key uint64, head arena.Handle) bool {
-	res, _ := l.applyAt(tid, key, head, false,
+	res := l.applyAt(tid, key, head, false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return true },
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 	)
@@ -120,7 +120,7 @@ func (l *List) lookupAt(tid int, key uint64, head arena.Handle) bool {
 }
 
 func (l *List) insertAt(tid int, key uint64, head arena.Handle) bool {
-	res, _ := l.applyAt(tid, key, head, false,
+	res := l.applyAt(tid, key, head, false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
 			l.insertSingly(tx, tid, key, prevH, currH)
@@ -132,7 +132,7 @@ func (l *List) insertAt(tid int, key uint64, head arena.Handle) bool {
 
 // removeAt is Listing 5's Remove: unlink, revoke, reclaim at the commit.
 func (l *List) removeAt(tid int, key uint64, head arena.Handle) bool {
-	res, _ := l.applyAt(tid, key, head, false,
+	res := l.applyAt(tid, key, head, false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
 			l.unlinkAndReclaim(tx, tid, prevH, currH)
 			return true

@@ -116,14 +116,13 @@ func (r *refLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, _ uint64) {
 
 // erLink is ModeER: the seam's deferred link over epochs — every operation
 // is one unbounded transaction (W bounds the retained read suffix instead),
-// so it never holds — plus an epoch critical section as Begin/End, so nodes
+// so it never holds; the epochs' critical section is its Begin/End, so nodes
 // an operation's released reads still point at cannot be reclaimed under
-// it, and a version bump at an unlink. The mode's rolling early release is
+// it — plus a version bump at an unlink. The mode's rolling early release is
 // in the traversal (engine.go).
 type erLink struct {
 	reclaim.Link
-	l           *List
-	enter, exit func(tid int) // the epochs' Enter and Exit
+	l *List
 }
 
 func newERLink(l *List, n reclaim.Nodes) erLink {
@@ -132,11 +131,8 @@ func newERLink(l *List, n reclaim.Nodes) erLink {
 	for i := range l.threads {
 		l.threads[i].marks = make([]uint64, n.Window.W)
 	}
-	return erLink{reclaim.NewDeferred(ModeER.String(), ep, n), l, ep.Enter, ep.Exit}
+	return erLink{reclaim.NewDeferred(ModeER.String(), ep, n), l}
 }
-
-func (e erLink) Begin(tid int) { e.enter(tid) }
-func (e erLink) End(tid int)   { e.exit(tid) }
 
 func (e erLink) Traits() reclaim.Traits {
 	t := e.Link.Traits()

@@ -158,13 +158,48 @@ func (c *Chassis[N]) Unlinked(tx *stm.Tx, tid int, h arena.Handle) {
 	c.Link.Unlinked(tx, tid, h, c.ops[tid].n)
 }
 
-// Op runs one operation of tid's: window is one window transaction, and
-// stm.Runtime.Chain the loop that runs them until one returns false.
-func (c *Chassis[N]) Op(tid int, window func(tx *stm.Tx) (more bool)) {
+// Window is one window transaction of an operation (Listing 5's Apply, the
+// part a structure supplies). From start, with word — the structure's to
+// define (the skiplist's level) — and taking at most budget steps, it does
+// what it finds there and returns where it stops: at, with atWord, is where
+// the thread's next window resumes, and Nil holds nothing; more says
+// another window follows. A cut returns the node to resume from and more;
+// an operation's end returns Nil, or (the doubly linked list's first remove
+// phase) a node to stay held past it. more with a Nil at restarts the
+// operation from the root: the window could not finish from where the cuts
+// left it (the external tree's Remove resumed too close to its leaf to see
+// the grandparent, the skiplist's Remove under its victim's tower), so the
+// rest of the operation runs uncut.
+type Window func(tx *stm.Tx, start arena.Handle, word uint64, budget int) (at arena.Handle, atWord uint64, more bool)
+
+// Uncut is the budget of a window that runs its operation whole: inside a
+// Batch's transaction a structure runs each operation's window from the
+// root with it. An uncut window stops only where its operation ends, so one
+// that still asks for more has met a poisoned link: its snapshot is doomed,
+// and the caller restarts the transaction (tx.Restart).
+const Uncut = math.MaxInt
+
+// Op runs one operation of tid's as a chain of windows from root and
+// rootWord (stm.Runtime.Chain is the loop): each window starts where the
+// last one is held, or at the root if that hold is gone, and its end holds
+// at or drops the hold when at is Nil. After a restart the budget is
+// Uncut. (An attempt that asked for a restart and then aborted leaves the
+// rest uncut too; that costs a larger transaction, never a wrong answer.)
+func (c *Chassis[N]) Op(tid int, root arena.Handle, rootWord uint64, window Window) {
 	c.ops[tid].n++
 	c.Link.Begin(tid)
 	defer c.Link.End(tid)
-	c.RT.Chain(tid, window)
+	uncut := false
+	c.RT.Chain(tid, func(tx *stm.Tx) bool {
+		start, word, held, budget := c.start(tx, tid, root, rootWord)
+		if uncut {
+			budget = Uncut
+		}
+		at, atWord, more := window(tx, start, word, budget)
+		c.settle(tx, tid, held, at, atWord)
+		uncut = uncut || more && at.IsNil()
+		return more
+	})
 }
 
 // Batch runs n operations of tid's as one transaction (sets.Set.Apply).
@@ -173,6 +208,15 @@ func (c *Chassis[N]) Batch(tid, n int, fn func(tx *stm.Tx)) {
 	c.Link.Begin(tid)
 	defer c.Link.End(tid)
 	c.RT.AtomicBatchT(tid, n, fn)
+}
+
+// Release ends tid's hold inside the caller's transaction and returns it: the
+// held position, if the thread still holds it (the doubly linked list's
+// second remove phase unlinks what its first phase left held).
+func (c *Chassis[N]) Release(tx *stm.Tx, tid int) (h arena.Handle, held bool) {
+	h, _, held = c.Link.Resume(tx, tid)
+	c.Link.Drop(tx, tid, held)
+	return h, held
 }
 
 // Results returns tid's Apply result buffer sized for n operations. It is
@@ -188,14 +232,25 @@ func (c *Chassis[N]) Results(tid, n int) []bool {
 	return ts.out[:n]
 }
 
-// Start resolves a window of tid's: where it begins — the thread's held
+// start resolves a window of tid's: where it begins — the thread's held
 // position and word if its link still has them, root and rootWord
 // otherwise — and how many steps it may take.
-func (c *Chassis[N]) Start(tx *stm.Tx, tid int, root arena.Handle, rootWord uint64) (h arena.Handle, word uint64, held bool, budget int) {
+func (c *Chassis[N]) start(tx *stm.Tx, tid int, root arena.Handle, rootWord uint64) (h arena.Handle, word uint64, held bool, budget int) {
 	if h, word, held = c.Link.Resume(tx, tid); held {
 		return h, word, true, c.win.Next()
 	}
 	return root, rootWord, false, c.win.First(tx)
+}
+
+// settle ends a window of tid's: it holds at, with word, for the next
+// window, or drops the hold when at is Nil. held is what the window's start
+// reported.
+func (c *Chassis[N]) settle(tx *stm.Tx, tid int, held bool, at arena.Handle, word uint64) {
+	if at.IsNil() {
+		c.Link.Drop(tx, tid, held)
+	} else {
+		c.Link.Hold(tx, tid, held, at, word)
+	}
 }
 
 // Cursor is the ordered-iteration protocol behind sets.Ascender, whose
@@ -253,14 +308,13 @@ func (c *Chassis[N]) Cursor(tid int, from uint64, limit int, root arena.Handle, 
 	for {
 		var done, resumed bool
 		c.RT.AtomicT(tid, func(tx *stm.Tx) {
-			start, word, held, budget := c.Start(tx, tid, root, rootWord)
+			start, word, held, budget := c.start(tx, tid, root, rootWord)
 			var at arena.Handle
 			ts.batch, at, word = window(tx, start, word, budget, left, last, ts.batch[:0])
 			if done, resumed = at.IsNil() || len(ts.batch) == left, held; done {
-				c.Link.Drop(tx, tid, held)
-			} else {
-				c.Link.Hold(tx, tid, held, at, word)
+				at = arena.Nil
 			}
+			c.settle(tx, tid, held, at, word)
 		})
 		windows++
 		if windows > 1 && !resumed {

@@ -1,7 +1,9 @@
 package reclaim
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hohtx/internal/arena"
@@ -13,12 +15,12 @@ func (n *linkNode) words(f func(*stm.Word, uint64), x uint64) {
 	f(&n.val, x)
 }
 
-// newChassis assembles the chassis over the rig's node type, one sentinel
-// included, and wraps its link in a countLink.
-func newChassis(t *testing.T, lose int) (*Chassis[linkNode], *countLink, arena.Handle) {
+// newChassis assembles the chassis over the rig's node type under mode,
+// one sentinel included, and wraps its link in a countLink.
+func newChassis(t *testing.T, mode Mode, lose int) (*Chassis[linkNode], *countLink, arena.Handle) {
 	t.Helper()
 	c := new(Chassis[linkNode])
-	c.Init(Config{Threads: 1}.WithDefaults(2, 4), Layout[linkNode]{
+	c.Init(Config{Threads: 1, Mode: mode}.WithDefaults(2, 4), Layout[linkNode]{
 		Words: (*linkNode).words,
 		Dead:  func(h arena.Handle) *stm.Word { return &c.Ar.At(h).dead },
 	})
@@ -28,6 +30,26 @@ func newChassis(t *testing.T, lose int) (*Chassis[linkNode], *countLink, arena.H
 	c.Register(0)
 	return c, cl, root
 }
+
+// countScheme is a deferred scheme over epochs that counts the operation
+// brackets the deferred link forwards to it.
+type countScheme struct {
+	Scheme
+	enters, exits atomic.Int64
+}
+
+func (s *countScheme) Enter(tid int) { s.enters.Add(1); s.Scheme.Enter(tid) }
+func (s *countScheme) Exit(tid int)  { s.exits.Add(1); s.Scheme.Exit(tid) }
+
+// countMode selects a countScheme; counted is the last one the mode table
+// built.
+var (
+	counted   *countScheme
+	countMode = RegisterScheme("TMCOUNT", func(n Nodes) Scheme {
+		counted = &countScheme{Scheme: NewEpochs(n.Threads, n.ScanThreshold, n.Free)}
+		return counted
+	})
+)
 
 // countLink is a link that counts the operation brackets it is given and
 // loses the first lose nodes handed to Unlinked: they are never freed.
@@ -50,9 +72,20 @@ func (l *countLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, stamp uint64) 
 
 // TestChassisBracketsEveryOperation: Op, Batch and Cursor each open exactly
 // one Begin/End pair however many transactions they run, and a Cursor
-// whose consumer panics still closes its bracket.
+// whose consumer panics still closes its bracket. Under a registered
+// deferred scheme each pair reaches the scheme as one Enter and one Exit.
 func TestChassisBracketsEveryOperation(t *testing.T) {
-	c, cl, root := newChassis(t, 0)
+	for _, mode := range []Mode{ModeRR, countMode} {
+		t.Run(mode.String(), func(t *testing.T) { bracketEveryOperation(t, mode) })
+	}
+}
+
+// bracketEveryOperation runs an Op, a Batch, a Cursor and a Cursor whose
+// consumer panics on a chassis under mode, checking after each that the
+// link saw one more Begin/End pair, and the mode's scheme, when it is
+// countMode, one more Enter/Exit.
+func bracketEveryOperation(t *testing.T, mode Mode) {
+	c, cl, root := newChassis(t, mode, 0)
 	ops := 0
 	check := func(what string) {
 		t.Helper()
@@ -60,9 +93,18 @@ func TestChassisBracketsEveryOperation(t *testing.T) {
 		if cl.begins != ops || cl.ends != ops {
 			t.Fatalf("after %s: %d Begin and %d End, want %d each", what, cl.begins, cl.ends, ops)
 		}
+		if mode != countMode {
+			return
+		}
+		if in, out := counted.enters.Load(), counted.exits.Load(); in != int64(ops) || out != int64(ops) {
+			t.Fatalf("after %s: the scheme saw %d Enter and %d Exit, want %d each", what, in, out, ops)
+		}
 	}
 	windows := 0
-	c.Op(0, func(*stm.Tx) bool { windows++; return windows < 3 })
+	c.Op(0, root, 0, func(*stm.Tx, arena.Handle, uint64, int) (arena.Handle, uint64, bool) {
+		windows++
+		return arena.Nil, 0, windows < 3
+	})
 	check("an Op of three windows")
 	c.Batch(0, 4, func(*stm.Tx) {})
 	check("a Batch of four operations")
@@ -96,12 +138,45 @@ func TestChassisBracketsEveryOperation(t *testing.T) {
 	check("a Cursor whose consumer panicked")
 }
 
+// TestOpHoldsWhereAWindowStops: each window starts where the last one
+// stopped — at the node and word it returned, with the full budget — and
+// at the root after one that returned Nil, after which the operation runs
+// uncut; the operation's end leaves nothing held.
+func TestOpHoldsWhereAWindowStops(t *testing.T) {
+	c, _, root := newChassis(t, ModeRR, 0)
+	mid, _ := c.NewSentinel()
+	type start struct {
+		h      arena.Handle
+		word   uint64
+		budget int
+	}
+	var got []start
+	stops := []start{{mid, 7, 0}, {arena.Nil, 0, 0}, {mid, 8, 0}, {arena.Nil, 0, 0}}
+	c.Op(0, root, 5, func(_ *stm.Tx, h arena.Handle, word uint64, budget int) (arena.Handle, uint64, bool) {
+		got = append(got, start{h, word, budget})
+		at := stops[len(got)-1]
+		return at.h, at.word, len(got) < len(stops)
+	})
+	if len(got) > 0 && got[0].budget >= 1 && got[0].budget <= 4 {
+		got[0].budget = 4 // the first window's budget is scattered over 1..W
+	}
+	want := []start{{root, 5, 4}, {mid, 7, 4}, {root, 5, Uncut}, {mid, 8, Uncut}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("windows started at %v, want %v", got, want)
+	}
+	c.RT.AtomicT(0, func(tx *stm.Tx) {
+		if _, held := c.Release(tx, 0); held {
+			t.Error("a hold survived the operation's end")
+		}
+	})
+}
+
 // TestBooksCatchALostFree: a link that skips one free leaves a node nobody
 // owns, and the books check names it as the residual.
 func TestBooksCatchALostFree(t *testing.T) {
-	c, _, _ := newChassis(t, 1)
+	c, _, root := newChassis(t, ModeRR, 1)
 	var hs []arena.Handle
-	c.Op(0, func(tx *stm.Tx) bool {
+	c.Op(0, root, 0, func(tx *stm.Tx, _ arena.Handle, _ uint64, _ int) (arena.Handle, uint64, bool) {
 		hs = hs[:0]
 		for i := 0; i < 3; i++ {
 			h, n := c.Alloc(tx, 0)
@@ -109,16 +184,16 @@ func TestBooksCatchALostFree(t *testing.T) {
 			n.val.Store(tx, uint64(i))
 			hs = append(hs, h)
 		}
-		return false
+		return arena.Nil, 0, false
 	})
 	if err := c.Books(3).Check(true); err != nil {
 		t.Fatalf("three nodes, three keys: %v", err)
 	}
-	c.Op(0, func(tx *stm.Tx) bool {
+	c.Op(0, root, 0, func(tx *stm.Tx, _ arena.Handle, _ uint64, _ int) (arena.Handle, uint64, bool) {
 		for _, h := range hs {
 			c.Unlinked(tx, 0, h)
 		}
-		return false
+		return arena.Nil, 0, false
 	})
 	err := c.Books(0).Check(true)
 	if err == nil || !strings.Contains(err.Error(), "residual +1") {

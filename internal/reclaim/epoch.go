@@ -74,14 +74,14 @@ func (e *Epochs) Name() string { return "Epoch" }
 // retiree's epoch, so one round drains.
 func (e *Epochs) Traits() Traits { return Traits{Deferred: true, DrainRounds: 1} }
 
-// Enter marks the thread active in the current global epoch. Every data
-// structure operation must be bracketed by Enter/Exit.
+// Enter implements Scheme: it marks the thread active in the current global
+// epoch. Every data structure operation must be bracketed by Enter/Exit.
 func (e *Epochs) Enter(tid int) {
 	g := e.global.Load()
 	e.threads[tid].epoch.Store(g<<1 | 1)
 }
 
-// Exit marks the thread quiescent.
+// Exit implements Scheme: it marks the thread quiescent.
 func (e *Epochs) Exit(tid int) {
 	t := &e.threads[tid]
 	t.epoch.Store(t.epoch.Load() &^ 1)
@@ -185,6 +185,10 @@ type Leak struct {
 func NewLeak(threads int) *Leak {
 	return &Leak{stats: make([]threadStats, threads)}
 }
+
+// Enter and Exit implement Scheme: Leak has no operation bracket.
+func (l *Leak) Enter(int) {}
+func (l *Leak) Exit(int)  {}
 
 // Name implements Scheme.
 func (l *Leak) Name() string { return "Leak" }

@@ -66,6 +66,10 @@ func NewHazardPointers(cfg HPConfig) *HazardPointers {
 	return hp
 }
 
+// Enter and Exit implement Scheme: HazardPointers has no operation bracket.
+func (hp *HazardPointers) Enter(int) {}
+func (hp *HazardPointers) Exit(int)  {}
+
 // Name implements Scheme.
 func (hp *HazardPointers) Name() string { return "HP" }
 

@@ -148,6 +148,10 @@ func NewHazardEras(cfg HEConfig) *HazardEras {
 	return he
 }
 
+// Enter and Exit implement Scheme: HazardEras has no operation bracket.
+func (he *HazardEras) Enter(int) {}
+func (he *HazardEras) Exit(int)  {}
+
 // Name implements Scheme.
 func (he *HazardEras) Name() string { return "HE" }
 

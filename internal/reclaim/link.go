@@ -11,24 +11,27 @@ import (
 //
 // A hand-over-hand operation is a chain of window transactions (Listing 5),
 // and stm.Runtime.Chain is the loop that runs them: a structure's engine is
-// one closure, one window, that says whether another follows. What carries
-// the traversal position from one transaction to the next, and
+// one window that returns where it stops and whether another follows. What
+// carries the traversal position from one transaction to the next, and
 // what happens to a node a transaction unlinks, is the mechanism under
 // comparison — a revocable reservation, a hazard pointer, an era, nothing
 // at all — and it is a parameter of the traversal, not a property of the
 // structure. Link is that parameter. A structure describes its nodes once
-// (Nodes), holds one Link, and calls:
+// (Nodes) and runs its windows on the chassis (chassis.go), which holds
+// the one Link. The position protocol is the chassis's alone; a structure
+// calls only the last three:
 //
 //	Begin     once as an operation starts, End once as it ends — the
 //	          chassis's Op, Batch and Cursor make the calls, End deferred
 //	          (the dds/bclx managers' op_begin/op_end)
 //	Resume    at the top of every window: where does it start, and does
 //	          the thread still hold that position?
-//	Hold      when a window's budget runs out: attach to the next start,
-//	          release the previous one
-//	Drop      at operation end, or when a resumed position is abandoned
-//	Born      right after allocating a node
-//	Unlinked  right after unlinking one
+//	Hold      where a window stops with somewhere to stop at: attach to
+//	          it, release the previous hold
+//	Drop      where a window stops with nowhere: at operation end, or
+//	          when a resumed position is abandoned
+//	Born      right after allocating a node (through Chassis.Alloc)
+//	Unlinked  right after unlinking one (through Chassis.Unlinked)
 //	Revoke    for a node that stays linked but must not be resumed from
 //
 // Three implementations serve every structure: precise (the six revocable
@@ -85,7 +88,8 @@ type Link interface {
 	// Register announces that tid will use the link (sets.Set.Register).
 	Register(tid int)
 	// Begin and End bracket one of tid's operations, outside its
-	// transactions: ER's epoch critical section; every other pair is empty.
+	// transactions: the deferred link's are its Scheme's Enter and Exit
+	// (ER's epoch critical section); the other links' are empty.
 	Begin(tid int)
 	End(tid int)
 	// Resume reports where tid's window starts: the handle and word of its
@@ -333,8 +337,8 @@ type deferred struct {
 }
 
 // NewDeferred builds the deferred link over sch, labelled name. New calls
-// it for the table's modes; the list calls it for ER, whose link wraps it
-// with the epoch bracket.
+// it for the table's modes; the list calls it for ER, over the epochs whose
+// Enter and Exit are that mode's operation bracket.
 func NewDeferred(name string, sch Scheme, n Nodes) Link {
 	d := &deferred{
 		freer: newFreer(n), name: name, sch: sch, traits: sch.Traits(),
@@ -366,8 +370,8 @@ func NewDeferred(name string, sch Scheme, n Nodes) Link {
 func (d *deferred) Name() string   { return d.name }
 func (d *deferred) Traits() Traits { return d.traits }
 func (d *deferred) Register(int)   {}
-func (d *deferred) Begin(int)      {}
-func (d *deferred) End(int)        {}
+func (d *deferred) Begin(tid int)  { d.sch.Enter(tid) }
+func (d *deferred) End(tid int)    { d.sch.Exit(tid) }
 
 func (d *deferred) Resume(tx *stm.Tx, tid int) (arena.Handle, uint64, bool) {
 	ts := &d.threads[tid]

@@ -161,6 +161,11 @@ func (b Books) Check(drained bool) error {
 // monotonic per-thread counter (typically the thread's operation count)
 // used only for delay accounting.
 type Scheme interface {
+	// Enter and Exit bracket one of the thread's operations, outside its
+	// transactions (the deferred link's Begin and End): epochs' critical
+	// section; empty for every other scheme here.
+	Enter(tid int)
+	Exit(tid int)
 	// Protect publishes h in the thread's hazard slot i and returns h
 	// (h == 0 clears the slot). The caller must re-validate reachability
 	// after publishing (the standard hazard-pointer protocol).

@@ -90,6 +90,10 @@ func NewVBR(cfg VBRConfig) *VBR {
 	}
 }
 
+// Enter and Exit implement Scheme: VBR has no operation bracket.
+func (v *VBR) Enter(int) {}
+func (v *VBR) Exit(int)  {}
+
 // Name implements Scheme.
 func (v *VBR) Name() string { return "VBR" }
 

@@ -2,11 +2,13 @@ package skiplist
 
 import (
 	"hohtx/internal/arena"
+	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
-// Traversal engine. Each operation's closure is one window transaction and
-// the chassis's Op (stm.Runtime.Chain) is the loop that runs them.
+// Traversal engine. step is one window of an operation, the skiplist's one
+// descent: the chassis's Op (stm.Runtime.Chain) runs it window by window for
+// Lookup, Insert and Remove, and Apply runs it uncut inside one Batch.
 //
 // Searches descend from the head's top level, advancing right while the
 // next key is smaller and dropping a level otherwise. Window cuts hold the
@@ -22,7 +24,8 @@ import (
 // first match in one transaction. A remove that resumed *below* the
 // victim's top level cannot see the predecessors above it; it restarts
 // with a single uncut traversal (rare: it requires a window cut to have
-// landed under the victim's tower).
+// landed under the victim's tower). Inside a batch's uncut descent that
+// cannot happen unless the snapshot is doomed.
 
 // searchCtx carries one window transaction's traversal frame.
 type searchCtx struct {
@@ -87,29 +90,33 @@ func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel i
 }
 
 // top is the word of a traversal that starts at the head: its top level.
-// unbounded is the budget of an operation that demands a single uncut
-// traversal.
-const (
-	top       = MaxHeight - 1
-	unbounded = int(^uint(0) >> 1)
-)
+const top = MaxHeight - 1
 
-// Lookup implements sets.Set.
-func (s *SkipList) Lookup(tid int, key uint64) bool {
-	var res bool
-	s.Op(tid, func(tx *stm.Tx) (more bool) {
-		start, level, held, budget := s.Start(tx, tid, s.head, top)
-		c := &searchCtx{tx: tx, tid: tid, curr: start, level: int(level)}
-		r := s.run(c, key, budget, 0, 0)
-		if r == advCut {
-			s.Link.Hold(tx, tid, held, c.curr, uint64(c.level))
-			return true
-		}
-		res = r == advMatched
-		s.Link.Drop(tx, tid, held)
-		return false
+// op runs op (h is an insert's drawn height) under the chassis's Op.
+func (s *SkipList) op(tid int, op sets.Op, h int) (res bool) {
+	s.Op(tid, s.head, top, func(tx *stm.Tx, start arena.Handle, level uint64, budget int) (at arena.Handle, atLevel uint64, more bool) {
+		res, at, atLevel, more = s.step(tx, tid, op, h, start, level, budget)
+		return at, atLevel, more
 	})
 	return res
+}
+
+// step is one window of op from (start, level), taking at most budget
+// steps, as reclaim.Window returns it, with op's result when the window
+// ends the operation.
+func (s *SkipList) step(tx *stm.Tx, tid int, op sets.Op, h int, start arena.Handle, level uint64, budget int) (res bool, at arena.Handle, atLevel uint64, more bool) {
+	c := &searchCtx{tx: tx, tid: tid, curr: start, level: int(level)}
+	switch op.Kind {
+	case sets.OpLookup:
+		r := s.run(c, op.Key, budget, 0, 0)
+		if r == advCut {
+			return false, c.curr, uint64(c.level), true
+		}
+		return r == advMatched, arena.Nil, 0, false
+	case sets.OpInsert:
+		return s.insert(c, op.Key, h, budget)
+	}
+	return s.remove(c, op.Key, budget)
 }
 
 // collectPreds advances the frame along each level from c.level down to 0,
@@ -166,52 +173,16 @@ func (s *SkipList) unlinkNode(tx *stm.Tx, tid int, victim arena.Handle, vh int, 
 	s.Unlinked(tx, tid, victim)
 }
 
+// Lookup implements sets.Set.
+func (s *SkipList) Lookup(tid int, key uint64) bool {
+	return s.op(tid, sets.Op{Kind: sets.OpLookup, Key: key}, 0)
+}
+
 // Insert implements sets.Set. The new node's height is drawn before the
 // traversal so window cuts can stop at the level where predecessor
 // collection must begin.
 func (s *SkipList) Insert(tid int, key uint64) bool {
-	h := s.randHeight(tid)
-	var res bool
-	s.Op(tid, func(tx *stm.Tx) (more bool) {
-		res = false
-		start, level, held, budget := s.Start(tx, tid, s.head, top)
-		c := &searchCtx{tx: tx, tid: tid, curr: start, level: int(level)}
-
-		// Phase 1: hand-over-hand down to level h (cuts allowed, the
-		// descent stops at level h so phase 2 owns h-1..0).
-		if c.level >= h {
-			switch s.run(c, key, budget, h, h) {
-			case advMatched:
-				// key exists (met at a level >= h)
-				s.Link.Drop(tx, tid, held)
-				return false
-			case advCut:
-				s.Link.Hold(tx, tid, held, c.curr, uint64(c.level))
-				return true
-			case advStopped:
-				c.level-- // step below the boundary into phase 2
-			}
-		}
-		// Phase 2: collect predecessors for levels min(c.level, h-1)
-		// down to 0 and link, all in this transaction.
-		var preds [MaxHeight]arena.Handle
-		for l := h - 1; l > c.level; l-- {
-			// Resume level was already below h-1 (possible only on
-			// the first window when h == MaxHeight): the untouched
-			// upper levels' predecessor is the traversal origin.
-			preds[l] = c.curr
-		}
-		if !s.collectPreds(c, key, arena.Nil, &preds) {
-			// duplicate at a level below h
-			s.Link.Drop(tx, tid, held)
-			return false
-		}
-		s.linkNode(tx, tid, key, h, &preds)
-		res = true
-		s.Link.Drop(tx, tid, held)
-		return false
-	})
-	return res
+	return s.op(tid, sets.Op{Kind: sets.OpInsert, Key: key}, s.randHeight(tid))
 }
 
 // Remove implements sets.Set. A fresh traversal first meets the victim at
@@ -221,48 +192,64 @@ func (s *SkipList) Insert(tid int, key uint64) bool {
 // can meet the victim below its top; in that case the hold is dropped and
 // the operation retries with one uncut traversal.
 func (s *SkipList) Remove(tid int, key uint64) bool {
-	var res bool
-	full := false
-	s.Op(tid, func(tx *stm.Tx) (more bool) {
-		res = false
-		start, level, held, budget := s.Start(tx, tid, s.head, top)
-		if full {
-			start, level, held, budget = s.head, top, false, unbounded
-		}
-		c := &searchCtx{tx: tx, tid: tid, curr: start, level: int(level)}
-		switch s.run(c, key, budget, 0, 0) {
-		case advStopped:
-			s.Link.Drop(tx, tid, held)
-			return false
-		case advCut:
-			s.Link.Hold(tx, tid, held, c.curr, uint64(c.level))
-			return true
+	return s.op(tid, sets.Op{Kind: sets.OpRemove, Key: key}, 0)
+}
+
+// insert is Insert's window from c, for a node of height h.
+func (s *SkipList) insert(c *searchCtx, key uint64, h, budget int) (bool, arena.Handle, uint64, bool) {
+	// Phase 1: hand-over-hand down to level h (cuts allowed, the descent
+	// stops at level h so phase 2 owns h-1..0).
+	if c.level >= h {
+		switch s.run(c, key, budget, h, h) {
 		case advMatched:
+			return false, arena.Nil, 0, false // key exists (met at a level >= h)
+		case advCut:
+			return false, c.curr, uint64(c.level), true
+		case advStopped:
+			c.level-- // step below the boundary into phase 2
 		}
-		victim := s.Guard.Link(tx, tid, c.curr, s.Ar.At(c.curr).next[c.level].Load(tx))
-		if victim.IsNil() {
-			// Only a poisoned link defuses to Nil after advMatched; this
-			// attempt is doomed — restart with a full descent.
-			s.Link.Drop(tx, tid, held)
-			full = true
-			return true
-		}
-		vh := int(s.Guard.Word(tx, tid, victim, s.Ar.At(victim).height.Load(tx)))
-		if c.level != vh-1 {
-			// Met the victim under its tower (resumed traversal):
-			// restart with a full descent that sees its top.
-			s.Link.Drop(tx, tid, held)
-			full = true
-			return true
-		}
-		var preds [MaxHeight]arena.Handle
-		if !s.collectPreds(c, key, victim, &preds) {
-			panic("skiplist: unreachable: duplicate key beside victim")
-		}
-		s.unlinkNode(tx, tid, victim, vh, &preds)
-		res = true
-		s.Link.Drop(tx, tid, held)
-		return false
-	})
-	return res
+	}
+	// Phase 2: collect predecessors for levels min(c.level, h-1) down to 0
+	// and link, all in this transaction.
+	var preds [MaxHeight]arena.Handle
+	for l := h - 1; l > c.level; l-- {
+		// Resume level was already below h-1 (possible only on the first
+		// window when h == MaxHeight): the untouched upper levels'
+		// predecessor is the traversal origin.
+		preds[l] = c.curr
+	}
+	if !s.collectPreds(c, key, arena.Nil, &preds) {
+		return false, arena.Nil, 0, false // duplicate at a level below h
+	}
+	s.linkNode(c.tx, c.tid, key, h, &preds)
+	return true, arena.Nil, 0, false
+}
+
+// remove is Remove's window from c. Meeting the victim anywhere but at its
+// top level (a resumed traversal), or through a poisoned link, restarts
+// from the root.
+func (s *SkipList) remove(c *searchCtx, key uint64, budget int) (bool, arena.Handle, uint64, bool) {
+	switch s.run(c, key, budget, 0, 0) {
+	case advStopped:
+		return false, arena.Nil, 0, false
+	case advCut:
+		return false, c.curr, uint64(c.level), true
+	}
+	tx, tid := c.tx, c.tid
+	victim := s.Guard.Link(tx, tid, c.curr, s.Ar.At(c.curr).next[c.level].Load(tx))
+	if victim.IsNil() {
+		// Only a poisoned link defuses to Nil after advMatched; this
+		// attempt is doomed.
+		return false, arena.Nil, 0, true
+	}
+	vh := int(s.Guard.Word(tx, tid, victim, s.Ar.At(victim).height.Load(tx)))
+	if c.level != vh-1 {
+		return false, arena.Nil, 0, true // met under the victim's tower
+	}
+	var preds [MaxHeight]arena.Handle
+	if !s.collectPreds(c, key, victim, &preds) {
+		panic("skiplist: unreachable: duplicate key beside victim")
+	}
+	s.unlinkNode(tx, tid, victim, vh, &preds)
+	return true, arena.Nil, 0, false
 }

@@ -15,7 +15,10 @@
 // will resume from and remembers the level in thread-local state (the
 // level needs no protection: if the reservation is still valid the node is
 // still in every one of its chains with its key intact, so resuming the
-// descent from (node, level) is exactly a sequential search step).
+// descent from (node, level) is exactly a sequential search step). That
+// descent is one step per operation (ops.go): the chassis's Op runs it
+// window by window, holding or dropping the position between windows, and
+// Apply runs the same step uncut from the head inside one Batch.
 //
 // Removal unlinks the victim from all of its levels inside the final
 // transaction, revokes it once, and frees it at the commit point — precise
@@ -72,7 +75,7 @@ type Config = reclaim.Config
 
 // SkipList is the concurrent set: the chassis (a hold's word is the resume
 // level), a full-height head sentinel with key 0, and the traversals in
-// ops.go, batch.go and iter.go.
+// ops.go (the step batch.go runs too) and iter.go.
 type SkipList struct {
 	reclaim.Chassis[node]
 	head    arena.Handle

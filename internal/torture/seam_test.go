@@ -34,6 +34,8 @@ var toyMode = reclaim.RegisterScheme("TMTOY", func(n reclaim.Nodes) reclaim.Sche
 })
 
 func (s *toyHP) Name() string             { return "toy" }
+func (s *toyHP) Enter(int)                {}
+func (s *toyHP) Exit(int)                 {}
 func (s *toyHP) Born(arena.Handle)        {}
 func (s *toyHP) SetObserver(*obs.TxProbe) {}
 func (s *toyHP) Traits() reclaim.Traits {

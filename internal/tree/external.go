@@ -2,6 +2,7 @@ package tree
 
 import (
 	"hohtx/internal/arena"
+	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
@@ -36,117 +37,117 @@ func NewExternal(cfg Config) *External {
 	return t
 }
 
-// applyExt is the hand-over-hand window engine for the external tree: the
-// closure is one window transaction, the chassis's Op the loop.
-// onLeaf runs in the terminal window with the reached leaf and its
-// ancestor routers: gH (grandparent), pH (parent), with pH the pDir-child
-// of gH and the leaf the lDir-child of pH. needsDepth is how many
-// ancestors the operation requires (0 lookup, 1 insert, 2 remove); a
-// resumed window that reaches the leaf with fewer restarts from the root.
-func (t *External) applyExt(tid int, key uint64, needsDepth int,
-	onLeaf func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool) bool {
+// leaf is where an external-tree descent ends: the leaf h covering the key,
+// the lDir-child of its parent router pH, itself the pDir-child of gH.
+type leaf struct {
+	gH, pH, h  arena.Handle
+	pDir, lDir int
+}
 
-	var res bool
-	t.Op(tid, func(tx *stm.Tx) (more bool) {
-		res = false
-		startH, _, held, budget := t.Start(tx, tid, t.root, 0)
-		gH, pH := arena.Nil, arena.Nil
-		pDir, cDir := 0, 0
-		currH := startH
-		steps := 0
-		for {
-			n := t.Ar.At(currH)
-			if t.Guard.Link(tx, tid, currH, n.left.Load(tx)).IsNil() {
-				// Reached a leaf.
-				depth := 0
-				if !pH.IsNil() {
-					depth = 1
-				}
-				if !gH.IsNil() {
-					depth = 2
-				}
-				if depth < needsDepth {
-					t.Link.Drop(tx, tid, held)
-					return true // restart from the root next window
-				}
-				res = onLeaf(tx, gH, pH, currH, pDir, cDir)
-				t.Link.Drop(tx, tid, held)
-				return false
+// depth is how many ancestors of the leaf an operation needs: none to look,
+// the parent to insert under, the grandparent to remove the parent too.
+var depth = [...]int{sets.OpLookup: 0, sets.OpInsert: 1, sets.OpRemove: 2}
+
+// descend is the external tree's one descent, shared by the set's step and
+// the Map: one window from start toward key, taking at most budget steps.
+// It ends at key's leaf with more false, or stops early as a reclaim.Window
+// does: at a cut, holding at; or with a Nil at to restart from the root,
+// when a resumed window reaches the leaf with fewer than needs ancestors,
+// or meets a poisoned link.
+func (t *External) descend(tx *stm.Tx, tid int, key uint64, needs int, start arena.Handle, budget int) (lf leaf, at arena.Handle, more bool) {
+	lf.h = start
+	for steps := 0; ; steps++ {
+		n := t.Ar.At(lf.h)
+		if t.Guard.Link(tx, tid, lf.h, n.left.Load(tx)).IsNil() {
+			if needs > 0 && lf.pH.IsNil() || needs > 1 && lf.gH.IsNil() {
+				return leaf{}, arena.Nil, true
 			}
-			if steps >= budget {
-				t.Link.Hold(tx, tid, held, currH, 0)
-				return true
-			}
-			gH, pDir = pH, cDir
-			pH = currH
-			if key < t.Guard.Word(tx, tid, currH, n.key.Load(tx)) {
-				currH = t.Guard.Link(tx, tid, currH, n.left.Load(tx))
-				cDir = 0
-			} else {
-				currH = t.Guard.Link(tx, tid, currH, n.right.Load(tx))
-				cDir = 1
-			}
-			if currH.IsNil() {
-				// A router's children are never Nil; only a poisoned
-				// link defuses to Nil. This attempt is doomed — drop
-				// the hold and retry from the root.
-				t.Link.Drop(tx, tid, held)
-				return true
-			}
-			steps++
+			return lf, arena.Nil, false
 		}
-	})
-	return res
+		if steps >= budget {
+			return leaf{}, lf.h, true
+		}
+		lf.gH, lf.pDir = lf.pH, lf.lDir
+		lf.pH = lf.h
+		if key < t.Guard.Word(tx, tid, lf.h, n.key.Load(tx)) {
+			lf.h, lf.lDir = t.Guard.Link(tx, tid, lf.h, n.left.Load(tx)), 0
+		} else {
+			lf.h, lf.lDir = t.Guard.Link(tx, tid, lf.h, n.right.Load(tx)), 1
+		}
+		if lf.h.IsNil() {
+			// A router's children are never Nil; only a poisoned link
+			// defuses to Nil. This attempt is doomed.
+			return leaf{}, arena.Nil, true
+		}
+	}
+}
+
+// step is the external tree's set operation: the shared descent, then op at
+// the leaf (see the step type).
+func (t *External) step(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, budget int) (bool, arena.Handle, bool) {
+	lf, at, more := t.descend(tx, tid, op.Key, depth[op.Kind], start, budget)
+	if more {
+		return false, at, true
+	}
+	leafKey := t.Guard.Word(tx, tid, lf.h, t.Ar.At(lf.h).key.Load(tx))
+	found := leafKey == op.Key
+	switch {
+	case op.Kind == sets.OpLookup:
+		return found, arena.Nil, false
+	case op.Kind == sets.OpInsert && !found:
+		t.graft(tx, tid, lf, op.Key, leafKey)
+	case op.Kind == sets.OpRemove && found:
+		t.prune(tx, tid, lf)
+	default:
+		return false, arena.Nil, false
+	}
+	return true, arena.Nil, false
+}
+
+// graft replaces lf's leaf, whose key is leafKey, with a router over it and
+// a new leaf for key, returning the new leaf's node.
+func (t *External) graft(tx *stm.Tx, tid int, lf leaf, key, leafKey uint64) *node {
+	newLeaf := t.allocNode(tx, tid, key, arena.Nil, arena.Nil)
+	var router arena.Handle
+	if key < leafKey {
+		router = t.allocNode(tx, tid, leafKey, newLeaf, lf.h)
+	} else {
+		router = t.allocNode(tx, tid, key, lf.h, newLeaf)
+	}
+	child(t.Ar.At(lf.pH), lf.lDir).Store(tx, uint64(router))
+	return t.Ar.At(newLeaf)
+}
+
+// prune unlinks lf's leaf and its parent router, promoting the sibling
+// subtree to the grandparent.
+func (t *External) prune(tx *stm.Tx, tid int, lf leaf) {
+	sibling := uint64(t.Guard.Link(tx, tid, lf.pH, child(t.Ar.At(lf.pH), 1-lf.lDir).Load(tx)))
+	child(t.Ar.At(lf.gH), lf.pDir).Store(tx, sibling)
+	t.Unlinked(tx, tid, lf.pH)
+	t.Unlinked(tx, tid, lf.h)
 }
 
 // Lookup implements sets.Set.
 func (t *External) Lookup(tid int, key uint64) bool {
-	return t.applyExt(tid, key, 0,
-		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			return t.Guard.Word(tx, tid, leafH, t.Ar.At(leafH).key.Load(tx)) == key
-		},
-	)
+	return t.run(tid, t.root, sets.Op{Kind: sets.OpLookup, Key: key}, t.step)
 }
 
 // Insert implements sets.Set.
 func (t *External) Insert(tid int, key uint64) bool {
-	if key > MaxKey {
-		panic("tree: key out of range")
-	}
-	return t.applyExt(tid, key, 1,
-		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leafKey := t.Guard.Word(tx, tid, leafH, t.Ar.At(leafH).key.Load(tx))
-			if leafKey == key {
-				return false
-			}
-			newLeaf := t.allocNode(tx, tid, key, arena.Nil, arena.Nil)
-			var router arena.Handle
-			if key < leafKey {
-				router = t.allocNode(tx, tid, leafKey, newLeaf, leafH)
-			} else {
-				router = t.allocNode(tx, tid, key, leafH, newLeaf)
-			}
-			child(t.Ar.At(pH), lDir).Store(tx, uint64(router))
-			return true
-		},
-	)
+	return t.run(tid, t.root, sets.Op{Kind: sets.OpInsert, Key: key}, t.step)
 }
 
 // Remove implements sets.Set: it unlinks the leaf and its parent router,
 // promoting the sibling subtree to the grandparent.
 func (t *External) Remove(tid int, key uint64) bool {
-	return t.applyExt(tid, key, 2,
-		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			if t.Guard.Word(tx, tid, leafH, t.Ar.At(leafH).key.Load(tx)) != key {
-				return false
-			}
-			sibling := uint64(t.Guard.Link(tx, tid, pH, child(t.Ar.At(pH), 1-lDir).Load(tx)))
-			child(t.Ar.At(gH), pDir).Store(tx, sibling)
-			t.Unlinked(tx, tid, pH)
-			t.Unlinked(tx, tid, leafH)
-			return true
-		},
-	)
+	return t.run(tid, t.root, sets.Op{Kind: sets.OpRemove, Key: key}, t.step)
+}
+
+// Apply implements sets.Set. An uncut descent reaches every real leaf
+// through a parent router and a grandparent, so it never restarts for
+// depth.
+func (t *External) Apply(tid int, ops []sets.Op) []sets.Result {
+	return t.apply(tid, t.root, ops, t.step)
 }
 
 // Snapshot implements sets.Set (quiescence required); sentinel leaves are

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"hohtx/internal/arena"
+	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
@@ -31,95 +32,70 @@ func child(n *node, dir int) *stm.Word {
 	return &n.right
 }
 
-// apply is the hand-over-hand window engine for the internal tree (the
-// closure is one window transaction, the chassis's Op the loop). The
-// found callback receives the matching node and its parent (with dir
-// selecting which child of the parent it is); the missing callback
-// receives the insertion point. needsParent makes a match at a resumed
-// window's first node (whose parent is unknown — the paper's nodes store
-// child-direction, not parent pointers) drop its hold and restart from
-// the root; only Remove needs that.
-func (t *Internal) apply(tid int, key uint64, needsParent bool,
-	onFound func(tx *stm.Tx, parentH, currH arena.Handle, dir int) bool,
-	onMissing func(tx *stm.Tx, parentH arena.Handle, dir int) bool) bool {
-
-	var res bool
-	t.Op(tid, func(tx *stm.Tx) (more bool) {
-		res = false
-		startH, _, held, budget := t.Start(tx, tid, t.root, 0)
-		prevH, currH := arena.Nil, startH
-		dir := 0
-		steps := 0
-		for {
-			if currH.IsNil() {
-				res = onMissing(tx, prevH, dir)
-				t.Link.Drop(tx, tid, held)
-				return false
+// step is the internal tree's one descent: one window of op from start,
+// taking at most budget steps (see the step type). A Remove that matches
+// at a resumed window's first node — whose parent is unknown: the paper's
+// nodes store child-direction, not parent pointers — restarts from the
+// root.
+func (t *Internal) step(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, budget int) (bool, arena.Handle, bool) {
+	prevH, currH := arena.Nil, start
+	dir := 0
+	for steps := 0; ; steps++ {
+		if currH.IsNil() {
+			if op.Kind != sets.OpInsert {
+				return false, arena.Nil, false
 			}
-			n := t.Ar.At(currH)
-			ck := t.Guard.Word(tx, tid, currH, n.key.Load(tx))
-			if ck == key {
-				if needsParent && prevH.IsNil() {
-					// Matched at the resumed start: ancestors unknown.
-					t.Link.Drop(tx, tid, held)
-					return true // restart from the root
-				}
-				res = onFound(tx, prevH, currH, dir)
-				t.Link.Drop(tx, tid, held)
-				return false
-			}
-			if steps >= budget {
-				t.Link.Hold(tx, tid, held, currH, 0)
-				return true // hand over to the next window at currH
-			}
-			prevH = currH
-			if key < ck {
-				currH = t.Guard.Link(tx, tid, currH, n.left.Load(tx))
-				dir = 0
-			} else {
-				currH = t.Guard.Link(tx, tid, currH, n.right.Load(tx))
-				dir = 1
-			}
-			steps++
+			nh := t.allocNode(tx, tid, op.Key, arena.Nil, arena.Nil)
+			child(t.Ar.At(prevH), dir).Store(tx, uint64(nh))
+			return true, arena.Nil, false
 		}
-	})
-	return res
+		n := t.Ar.At(currH)
+		ck := t.Guard.Word(tx, tid, currH, n.key.Load(tx))
+		if ck == op.Key {
+			switch {
+			case op.Kind != sets.OpRemove:
+				return op.Kind == sets.OpLookup, arena.Nil, false
+			case prevH.IsNil():
+				return false, arena.Nil, true // matched at the resumed start: ancestors unknown
+			}
+			t.removeFound(tx, tid, prevH, currH, dir)
+			return true, arena.Nil, false
+		}
+		if steps >= budget {
+			return false, currH, true // hand over to the next window at currH
+		}
+		prevH = currH
+		if op.Key < ck {
+			currH = t.Guard.Link(tx, tid, currH, n.left.Load(tx))
+			dir = 0
+		} else {
+			currH = t.Guard.Link(tx, tid, currH, n.right.Load(tx))
+			dir = 1
+		}
+	}
 }
 
 // Lookup implements sets.Set.
 func (t *Internal) Lookup(tid int, key uint64) bool {
-	return t.apply(tid, key, false,
-		func(tx *stm.Tx, parentH, currH arena.Handle, dir int) bool { return true },
-		func(tx *stm.Tx, parentH arena.Handle, dir int) bool { return false },
-	)
+	return t.run(tid, t.root, sets.Op{Kind: sets.OpLookup, Key: key}, t.step)
 }
 
 // Insert implements sets.Set.
 func (t *Internal) Insert(tid int, key uint64) bool {
-	if key > MaxKey {
-		panic("tree: key out of range")
-	}
-	return t.apply(tid, key, false,
-		func(tx *stm.Tx, parentH, currH arena.Handle, dir int) bool { return false },
-		func(tx *stm.Tx, parentH arena.Handle, dir int) bool {
-			nh := t.allocNode(tx, tid, key, arena.Nil, arena.Nil)
-			child(t.Ar.At(parentH), dir).Store(tx, uint64(nh))
-			return true
-		},
-	)
+	return t.run(tid, t.root, sets.Op{Kind: sets.OpInsert, Key: key}, t.step)
 }
 
 // Remove implements sets.Set. The two-children case swaps in the leftmost
 // descendant of the right child and revokes the whole victim-to-successor
 // path (see the package comment).
 func (t *Internal) Remove(tid int, key uint64) bool {
-	return t.apply(tid, key, true,
-		func(tx *stm.Tx, parentH, vH arena.Handle, dir int) bool {
-			t.removeFound(tx, tid, parentH, vH, dir)
-			return true
-		},
-		func(tx *stm.Tx, parentH arena.Handle, dir int) bool { return false },
-	)
+	return t.run(tid, t.root, sets.Op{Kind: sets.OpRemove, Key: key}, t.step)
+}
+
+// Apply implements sets.Set. The root sentinel's key is +∞, so an uncut
+// descent's match always has a known parent.
+func (t *Internal) Apply(tid int, ops []sets.Op) []sets.Result {
+	return t.apply(tid, t.root, ops, t.step)
 }
 
 // removeFound deletes the matched node vH (the dir-child of parentH),

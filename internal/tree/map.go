@@ -42,74 +42,63 @@ func (m *Map) Finish(tid int) { m.t.Finish(tid) }
 // valueCell returns the leaf's payload cell.
 func valueCell(n *node) *stm.Word { return &n.dead }
 
+// op runs a map operation of kind on key: the external tree's shared
+// descent to key's leaf, and there fn, the operation's value logic, whose
+// result op returns. A key above MaxKey is absent, as in the set.
+func (m *Map) op(tid int, kind sets.OpKind, key uint64, fn func(tx *stm.Tx, lf leaf, leafKey uint64) bool) (res bool) {
+	if absent(sets.Op{Kind: kind, Key: key}) {
+		return false
+	}
+	t := m.t
+	t.Op(tid, t.root, 0, func(tx *stm.Tx, start arena.Handle, _ uint64, budget int) (arena.Handle, uint64, bool) {
+		lf, at, more := t.descend(tx, tid, key, depth[kind], start, budget)
+		if !more {
+			res = fn(tx, lf, t.Guard.Word(tx, tid, lf.h, t.Ar.At(lf.h).key.Load(tx)))
+		}
+		return at, 0, more
+	})
+	return res
+}
+
 // Put maps key to val, returning the previous value and whether the key
 // was already present.
 func (m *Map) Put(tid int, key, val uint64) (prev uint64, existed bool) {
-	if key > MaxKey {
-		panic("tree: key out of range")
-	}
-	t := m.t
-	res := t.applyExt(tid, key, 1,
-		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leaf := t.Ar.At(leafH)
-			if leaf.key.Load(tx) == key {
-				cell := valueCell(leaf)
-				prev = cell.Load(tx)
-				cell.Store(tx, val)
-				return true
-			}
-			newLeaf := t.allocNode(tx, tid, key, arena.Nil, arena.Nil)
-			valueCell(t.Ar.At(newLeaf)).Store(tx, val)
-			leafKey := leaf.key.Load(tx)
-			var router arena.Handle
-			if key < leafKey {
-				router = t.allocNode(tx, tid, leafKey, newLeaf, leafH)
-			} else {
-				router = t.allocNode(tx, tid, key, leafH, newLeaf)
-			}
-			child(t.Ar.At(pH), lDir).Store(tx, uint64(router))
+	existed = m.op(tid, sets.OpInsert, key, func(tx *stm.Tx, lf leaf, leafKey uint64) bool {
+		if prev = 0; leafKey != key {
+			valueCell(m.t.graft(tx, tid, lf, key, leafKey)).Store(tx, val)
 			return false
-		},
-	)
-	return prev, res
+		}
+		cell := valueCell(m.t.Ar.At(lf.h))
+		prev = cell.Load(tx)
+		cell.Store(tx, val)
+		return true
+	})
+	return prev, existed
 }
 
 // Get returns the value mapped to key.
-func (m *Map) Get(tid int, key uint64) (uint64, bool) {
-	t := m.t
-	var val uint64
-	ok := t.applyExt(tid, key, 0,
-		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leaf := t.Ar.At(leafH)
-			if leaf.key.Load(tx) != key {
-				return false
-			}
-			val = valueCell(leaf).Load(tx)
-			return true
-		},
-	)
+func (m *Map) Get(tid int, key uint64) (val uint64, ok bool) {
+	ok = m.op(tid, sets.OpLookup, key, func(tx *stm.Tx, lf leaf, leafKey uint64) bool {
+		if val = 0; leafKey != key {
+			return false
+		}
+		val = valueCell(m.t.Ar.At(lf.h)).Load(tx)
+		return true
+	})
 	return val, ok
 }
 
 // Delete removes key, returning its value and whether it was present. The
 // leaf and its parent router are reclaimed before Delete returns (precise).
-func (m *Map) Delete(tid int, key uint64) (uint64, bool) {
-	t := m.t
-	var val uint64
-	ok := t.applyExt(tid, key, 2,
-		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leaf := t.Ar.At(leafH)
-			if leaf.key.Load(tx) != key {
-				return false
-			}
-			val = valueCell(leaf).Load(tx)
-			sibling := child(t.Ar.At(pH), 1-lDir).Load(tx)
-			child(t.Ar.At(gH), pDir).Store(tx, sibling)
-			t.Unlinked(tx, tid, pH)
-			t.Unlinked(tx, tid, leafH)
-			return true
-		},
-	)
+func (m *Map) Delete(tid int, key uint64) (val uint64, ok bool) {
+	ok = m.op(tid, sets.OpRemove, key, func(tx *stm.Tx, lf leaf, leafKey uint64) bool {
+		if val = 0; leafKey != key {
+			return false
+		}
+		val = valueCell(m.t.Ar.At(lf.h)).Load(tx)
+		m.t.prune(tx, tid, lf)
+		return true
+	})
 	return val, ok
 }
 

@@ -9,6 +9,13 @@
 // version-based reclamation (TMVBR). Which mechanism a tree runs is the
 // link it was built with (internal/reclaim); the code here never asks.
 //
+// Each tree has one descent, its step: a window that walks from where the
+// chassis starts it and returns where it stops. Lookup, Insert and Remove
+// run it window by window under the chassis's Op, which holds or drops the
+// position between windows; Apply runs the same step uncut from the root,
+// once per op, inside one Batch transaction. Keys above MaxKey are the
+// sentinels' and absent to every operation (Insert panics on them).
+//
 // The delicate part is the internal tree's removal of a node with two
 // children: the victim's value is overwritten with its successor l (the
 // leftmost descendant of its right child) and the successor's node is
@@ -104,16 +111,58 @@ func (b *base) allocNode(tx *stm.Tx, tid int, key uint64, left, right arena.Hand
 	return h
 }
 
-// applyBatch is both trees' sets.Set.Apply: the whole op slice inside one
-// transaction, each op a full descent by one (see batch.go).
-func (b *base) applyBatch(tid int, ops []sets.Op, one func(tx *stm.Tx, tid int, op sets.Op) bool) []sets.Result {
+// step is a tree's one descent (Internal.step, External.step): one window
+// of op from start, taking at most budget steps, as reclaim.Window returns
+// it, with op's result when the window ends the operation.
+type step func(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, budget int) (res bool, at arena.Handle, more bool)
+
+// absent reports a key above MaxKey, which no tree holds (the sentinels'
+// keys are there): Insert panics on it, and every other operation answers
+// false without a descent.
+func absent(op sets.Op) bool {
+	if op.Key <= MaxKey {
+		return false
+	}
+	if op.Kind == sets.OpInsert {
+		panic("tree: key out of range")
+	}
+	return true
+}
+
+// run is op under the chassis's Op: the tree's step, one window at a time,
+// from root.
+func (b *base) run(tid int, root arena.Handle, op sets.Op, step step) (res bool) {
+	if absent(op) {
+		return false
+	}
+	b.Op(tid, root, 0, func(tx *stm.Tx, start arena.Handle, _ uint64, budget int) (at arena.Handle, _ uint64, more bool) {
+		res, at, more = step(tx, tid, op, start, budget)
+		return at, 0, more
+	})
+	return res
+}
+
+// apply is both trees' sets.Set.Apply: the whole op slice as one Batch, each
+// op the same step run uncut from root. No hold is involved, and the
+// single-op removal logic (the internal tree's successor-path revokes
+// included) is the same code, which keeps precise reclamation intact for
+// batches. Oversized batches overflow the transaction capacity and fall
+// back to serial mode; stm.Stats.Batch records that per batch-size bucket.
+func (b *base) apply(tid int, root arena.Handle, ops []sets.Op, step step) []sets.Result {
 	if len(ops) == 0 {
 		return nil
 	}
 	out := b.Results(tid, len(ops))
 	b.Batch(tid, len(ops), func(tx *stm.Tx) {
 		for i, op := range ops {
-			out[i] = one(tx, tid, op)
+			if absent(op) {
+				out[i] = false
+				continue
+			}
+			var more bool
+			if out[i], _, more = step(tx, tid, op, root, reclaim.Uncut); more {
+				tx.Restart() // a doomed snapshot: see reclaim.Uncut
+			}
 		}
 	})
 	return out

@@ -1,10 +1,12 @@
 package tree
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hohtx/internal/core"
 	"hohtx/internal/reclaim"
@@ -434,4 +436,79 @@ func TestKeyRangeGuard(t *testing.T) {
 		}
 	}()
 	tr.Insert(0, MaxKey+1)
+}
+
+// TestKeysAboveMaxKeyAreAbsent: the sentinels' keys lie above MaxKey, and no
+// call reaches them. Lookup, Remove, Apply, Map.Get and Map.Delete answer
+// false for every key above MaxKey and return (each runs under a deadline:
+// the external tree's Remove(^0) used to restart forever), an insert of one
+// panics inside Apply as it does alone, and the memory books still balance
+// (Remove(MaxKey+1) used to free two sentinels).
+func TestKeysAboveMaxKeyAreAbsent(t *testing.T) {
+	above := []uint64{MaxKey + 1, MaxKey + 2, ^uint64(0)}
+	within := func(t *testing.T, what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return", what)
+		}
+	}
+	for _, v := range allVariants(1, 2) {
+		t.Run(v.s.Name()+"/"+variantFamily(v), func(t *testing.T) {
+			s := v.s
+			s.Register(0)
+			for _, k := range above {
+				within(t, fmt.Sprintf("Lookup(%#x)", k), func() {
+					if s.Lookup(0, k) {
+						t.Errorf("Lookup(%#x) = true", k)
+					}
+				})
+				within(t, fmt.Sprintf("Remove(%#x)", k), func() {
+					if s.Remove(0, k) {
+						t.Errorf("Remove(%#x) = true", k)
+					}
+				})
+				within(t, fmt.Sprintf("Apply of %#x", k), func() {
+					ops := []sets.Op{{Kind: sets.OpLookup, Key: k}, {Kind: sets.OpRemove, Key: k}}
+					if got := s.Apply(0, ops); got[0] || got[1] {
+						t.Errorf("Apply(lookup, remove %#x) = %v", k, got)
+					}
+				})
+				within(t, fmt.Sprintf("Apply of an insert of %#x", k), func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("Apply inserted %#x", k)
+						}
+					}()
+					s.Apply(0, []sets.Op{{Kind: sets.OpInsert, Key: k}})
+				})
+			}
+			s.Finish(0)
+			if err := s.(sets.BooksReporter).Books(0).Check(true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Run("map", func(t *testing.T) {
+		m := NewMap(Config{Threads: 1, Window: core.Window{W: 2}})
+		m.Register(0)
+		for _, k := range above {
+			within(t, fmt.Sprintf("Get(%#x)", k), func() {
+				if _, ok := m.Get(0, k); ok {
+					t.Errorf("Get(%#x) found it", k)
+				}
+			})
+			within(t, fmt.Sprintf("Delete(%#x)", k), func() {
+				if _, ok := m.Delete(0, k); ok {
+					t.Errorf("Delete(%#x) found it", k)
+				}
+			})
+		}
+		if err := m.t.Books(0).Check(true); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
