@@ -2,6 +2,7 @@ package list
 
 import (
 	"hohtx/internal/arena"
+	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
@@ -32,14 +33,40 @@ func NewDoubly(cfg Config) *DList {
 
 // Insert implements sets.Set, maintaining prev links.
 func (d *DList) Insert(tid int, key uint64) bool {
-	res := d.applyAt(tid, key, d.head, false,
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-			d.insertDoubly(tx, tid, key, prevH, currH)
-			return true
-		},
-	)
-	return res
+	return d.run(tid, sets.Op{Kind: sets.OpInsert, Key: key}, d.head, d.at)
+}
+
+// Apply implements sets.Set. The two-phase reserve-then-unlink removal of
+// the single-op path collapses back into the enclosing transaction (as in
+// its ModeHTM path): traversal and unlink commit together, so no hold phase
+// is needed; the link still sees the victim unlinked, so ModeRR revokes it
+// for other threads' reservations.
+func (d *DList) Apply(tid int, ops []sets.Op) []sets.Result {
+	return d.apply(tid, ops, func(uint64) arena.Handle { return d.head }, d.at)
+}
+
+// at is the doubly linked list's terminal: an insert maintains the back
+// link too, and a remove unlinks currH in one phase, through its own links.
+func (d *DList) at(tx *stm.Tx, tid int, op sets.Op, prevH, currH arena.Handle, found bool) (bool, bool) {
+	switch {
+	case op.Kind == sets.OpInsert && !found:
+		nh := d.allocNode(tx, tid, op.Key, currH, prevH)
+		d.Ar.At(prevH).next.Store(tx, uint64(nh))
+		if !currH.IsNil() {
+			d.Ar.At(currH).prev.Store(tx, uint64(nh))
+		}
+	case op.Kind == sets.OpRemove && found:
+		d.unlink(tx, tid, currH)
+	default:
+		return op.Kind == sets.OpLookup && found, false
+	}
+	return true, false
+}
+
+// holdFound is the first remove phase's terminal: it finds the key and
+// stays held at it.
+func holdFound(_ *stm.Tx, _ int, _ sets.Op, _, _ arena.Handle, found bool) (bool, bool) {
+	return found, found
 }
 
 // phase-2 outcomes of the two-transaction remove.
@@ -51,25 +78,15 @@ const (
 
 // Remove implements sets.Set.
 func (d *DList) Remove(tid int, key uint64) bool {
+	op := sets.Op{Kind: sets.OpRemove, Key: key}
 	if d.Traits.WholeOp {
 		// Single-transaction removal; the traversal and unlink commit
 		// together, so no hold is involved.
-		res := d.applyAt(tid, key, d.head, false,
-			func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-				d.removeDoublyInTx(tx, tid, prevH, currH)
-				return true
-			},
-			func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
-		)
-		return res
+		return d.run(tid, op, d.head, d.at)
 	}
 	for {
 		// Phase 1: locate the node and leave our hold attached to it.
-		found := d.applyAt(tid, key, d.head, true,
-			func(tx *stm.Tx, prevH, currH arena.Handle) bool { return true },
-			func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
-		)
-		if !found {
+		if !d.run(tid, op, d.head, holdFound) {
 			return false
 		}
 		switch d.removePhase2(tid) {
@@ -102,27 +119,27 @@ func (d *DList) removePhase2(tid int) int {
 			}
 			return
 		}
-		d.removeDoublyInTx(tx, tid, arena.Nil, h)
+		d.unlink(tx, tid, h)
 		out = removedOp
 	})
 	return out
 }
 
-// unlinkDoubly splices currH out using its own links; the predecessor is
-// always a real node (ultimately the head sentinel).
-func (d *DList) unlinkDoubly(tx *stm.Tx, tid int, currH arena.Handle) {
+// unlink splices currH out using its own links and hands it to the link;
+// the predecessor is always a real node (ultimately the head sentinel).
+func (d *DList) unlink(tx *stm.Tx, tid int, currH arena.Handle) {
 	curr := d.Ar.At(currH)
 	p := d.Guard.Link(tx, tid, currH, curr.prev.Load(tx))
 	nx := d.Guard.Link(tx, tid, currH, curr.next.Load(tx))
-	if p.IsNil() {
-		// Only a poisoned prev defuses to Nil (real predecessors bottom out
-		// at the head sentinel); this attempt is doomed, skip the splice.
-		return
+	// Only a poisoned prev defuses to Nil (real predecessors bottom out at
+	// the head sentinel); this attempt is doomed, skip the splice.
+	if !p.IsNil() {
+		d.Ar.At(p).next.Store(tx, uint64(nx))
+		if !nx.IsNil() {
+			d.Ar.At(nx).prev.Store(tx, uint64(p))
+		}
 	}
-	d.Ar.At(p).next.Store(tx, uint64(nx))
-	if !nx.IsNil() {
-		d.Ar.At(nx).prev.Store(tx, uint64(p))
-	}
+	d.Unlinked(tx, tid, currH)
 }
 
 // ValidateLinks checks prev/next symmetry over the whole list; it is a

@@ -2,78 +2,95 @@ package list
 
 import (
 	"hohtx/internal/arena"
+	"hohtx/internal/reclaim"
+	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
-// The hand-over-hand window engine (Listing 5's Apply), shared by the
-// singly and doubly linked lists. The closure below is one window
-// transaction and the chassis's Op (stm.Runtime.Chain) the loop that runs
-// them; the window returns where it stops, and the chassis carries that
-// position across transactions through the list's link (the seam in
+// The hand-over-hand engine (Listing 5's Apply), shared by the singly and
+// doubly linked lists and the hash table's buckets. walk is the one loop
+// over a chain. A point operation runs it window by window under the
+// chassis's Op (stm.Runtime.Chain), which carries the position between
+// window transactions through the list's link (the seam in
 // internal/reclaim, whose file header states each mechanism's resume
-// protocol).
+// protocol); a batch runs it uncut, once per op, under the chassis's Apply.
+// Where the walk ends, the list's terminal does what the op does there.
 
-// applyFn is a terminal-phase callback; prevH's successor is currH at the
-// transaction's snapshot. For the found callback currH holds the key; for
-// the not-found callback currH is the first node with a larger key (or
-// Nil) and an insert belongs between prevH and currH.
-type applyFn func(tx *stm.Tx, prevH, currH arena.Handle) bool
+// terminal is what op does where its walk ends: prevH's successor is currH
+// at the transaction's snapshot, and currH holds op's key if found, or is
+// the first node with a larger key (or Nil) where an insert belongs. It
+// returns op's result, and hold to stay held at currH past the op (the
+// doubly linked list's first remove phase).
+type terminal func(tx *stm.Tx, tid int, op sets.Op, prevH, currH arena.Handle, found bool) (res, hold bool)
 
-// applyAt runs one set operation on the chain rooted at head (the list's
-// own, or one of the hash table's buckets). If reserveFound is true, a
-// successful found-terminal leaves the operation's linking mechanism
-// attached to currH instead of releasing it (phase one of the doubly linked
-// list's two-transaction remove, §4.2).
-func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool, onFound, onNotFound applyFn) (res bool) {
-	ts := &l.threads[tid]
+// walk runs from prevH, a node below key (a chain head at first), toward
+// key, taking at most budget steps. It returns the last node below key it
+// passed and its successor currH, and found: currH holds key. cut says the
+// budget ran out first, with currH a node below key, where the next window
+// resumes.
+//
+// marks is ModeER's rolling read release (nil otherwise): one unbounded
+// transaction, in which W bounds the retained read suffix instead. Only the
+// reads of the last len(marks) nodes stay under conflict detection;
+// everything older is released.
+func (l *List) walk(tx *stm.Tx, tid int, key uint64, prevH arena.Handle, budget int, marks []uint64) (_, currH arena.Handle, found, cut bool) {
+	currH = l.Guard.Link(tx, tid, prevH, l.Ar.At(prevH).next.Load(tx))
+	steps := 0
+	var k uint64
+	for !currH.IsNil() {
+		if w := len(marks); w != 0 {
+			if steps >= w {
+				tx.ForgetReadsBefore(marks[steps%w])
+			}
+			marks[steps%w] = tx.ReadMark()
+		}
+		// One handle translation and one stm call per node visited: the
+		// link is read only when the walk goes on past this node.
+		bound := key
+		if steps >= budget {
+			bound = 0
+		}
+		n := l.Ar.At(currH)
+		nk, next, more := stm.LoadBelow(tx, &n.key, &n.next, bound)
+		k = l.Guard.Word(tx, tid, currH, nk)
+		if !more {
+			break
+		}
+		prevH = currH
+		currH = l.Guard.Link(tx, tid, currH, next)
+		steps++
+	}
+	found = !currH.IsNil() && k == key
+	return prevH, currH, found, !found && !currH.IsNil() && k < key
+}
+
+// run is op on the chain rooted at head under the chassis's Op: the walk,
+// one window at a time, and at where it ends.
+func (l *List) run(tid int, op sets.Op, head arena.Handle, at terminal) (res bool) {
+	marks := l.threads[tid].marks
 	l.Op(tid, head, 0, func(tx *stm.Tx, prevH arena.Handle, _ uint64, budget int) (arena.Handle, uint64, bool) {
-		res = false // reset per attempt: the window re-runs on abort
-		currH := l.Guard.Link(tx, tid, prevH, l.Ar.At(prevH).next.Load(tx))
-		steps := 0
-		var k uint64
-		for !currH.IsNil() {
-			if w := len(ts.marks); w != 0 {
-				// ModeER: one unbounded transaction; W instead bounds
-				// the retained read suffix. Keep only the last W spine
-				// nodes' reads under conflict detection; everything
-				// older is released.
-				if steps >= w {
-					tx.ForgetReadsBefore(ts.marks[steps%w])
-				}
-				ts.marks[steps%w] = tx.ReadMark()
-			}
-			// One handle translation and one stm call per node visited: the
-			// link is read only when the walk goes on past this node.
-			bound := key
-			if steps >= budget {
-				bound = 0
-			}
-			n := l.Ar.At(currH)
-			nk, next, more := stm.LoadBelow(tx, &n.key, &n.next, bound)
-			k = l.Guard.Word(tx, tid, currH, nk)
-			if !more {
-				break
-			}
-			prevH = currH
-			currH = l.Guard.Link(tx, tid, currH, next)
-			steps++
+		prevH, currH, found, cut := l.walk(tx, tid, op.Key, prevH, budget, marks)
+		if cut {
+			return currH, 0, true // hand over to the next window at currH
 		}
-
-		switch {
-		case !currH.IsNil() && k == key:
-			res = onFound(tx, prevH, currH)
-			if reserveFound {
-				return currH, 0, false // phase one keeps its hold
-			}
-			return arena.Nil, 0, false
-		case currH.IsNil() || k > key:
-			res = onNotFound(tx, prevH, currH)
-			return arena.Nil, 0, false
-		default:
-			// Budget exhausted mid-traversal: hand over to the next
-			// window at currH.
-			return currH, 0, true
+		var hold bool
+		if res, hold = at(tx, tid, op, prevH, currH, found); hold {
+			return currH, 0, false
 		}
+		return arena.Nil, 0, false
 	})
 	return res
+}
+
+// apply is ops under the chassis's Apply, sorted into one pass per chain
+// (chainOf returns key's chain head): each op walks uncut from the
+// predecessor where the last op on its chain stopped, which is below its
+// key, and at does what it does there. The batch keeps every read: the walk
+// gets no ER marks.
+func (l *List) apply(tid int, ops []sets.Op, chainOf func(key uint64) arena.Handle, at terminal) []sets.Result {
+	return l.Chassis.Apply(tid, ops, arena.Nil, 0, chainOf, func(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, _ uint64) (bool, arena.Handle, uint64, bool) {
+		prevH, currH, found, _ := l.walk(tx, tid, op.Key, start, reclaim.Uncut, nil)
+		res, _ := at(tx, tid, op, prevH, currH, found)
+		return res, prevH, 0, false
+	})
 }

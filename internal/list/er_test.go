@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hohtx/internal/core"
+	"hohtx/internal/sets"
 )
 
 // ER-specific behavior: early release keeps transactions' tracked read
@@ -44,7 +45,9 @@ func TestERDefersReclamation(t *testing.T) {
 // TestERSmallReadFootprint: with the HTM-simulation capacity bound that
 // would reject a whole-list traversal, ER operations must still commit
 // speculatively (their tracked read suffix stays ~W), while a plain HTM
-// traversal of the same list must overflow into serial mode.
+// traversal of the same list must overflow into serial mode. So must the
+// same lookup as ER's batch of one: a batch is atomic, so it keeps every
+// read.
 func TestERSmallReadFootprint(t *testing.T) {
 	const n = 300
 	prof := profileWithCapacity(64)
@@ -64,6 +67,12 @@ func TestERSmallReadFootprint(t *testing.T) {
 	}
 	if s := htm.RT.Stats(); s.SerialCommits == 0 {
 		t.Fatal("HTM baseline never serialized despite capacity 64 over a 300-node traversal")
+	}
+	if got := er.Apply(0, []sets.Op{{Kind: sets.OpLookup, Key: n}}); !got[0] {
+		t.Fatalf("ER's batch lookup of %d missed", n)
+	}
+	if s := er.RT.Stats(); s.SerialCommits == 0 {
+		t.Fatal("ER's batch of one never serialized over a 300-node traversal: its walk released reads")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"hohtx/internal/arena"
 	"hohtx/internal/reclaim"
+	"hohtx/internal/sets"
 )
 
 // HashTable is a concurrent hash set built from bucketed hand-over-hand
@@ -50,20 +51,15 @@ func NewHashTable(cfg Config, buckets int) *HashTable {
 	return &HashTable{Chassis: &l.Chassis, l: l, heads: heads, mask: uint64(b - 1)}
 }
 
-// bucketIndex returns the bucket number for a key.
-func (h *HashTable) bucketIndex(key uint64) int {
+// bucket returns the chain root for a key.
+func (h *HashTable) bucket(key uint64) arena.Handle {
 	x := key
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return int(x & h.mask)
-}
-
-// bucket returns the chain root for a key.
-func (h *HashTable) bucket(key uint64) arena.Handle {
-	return h.heads[h.bucketIndex(key)]
+	return h.heads[x&h.mask]
 }
 
 // Buckets reports the bucket count.
@@ -73,14 +69,26 @@ func (h *HashTable) Buckets() int { return len(h.heads) }
 func (h *HashTable) Name() string { return h.l.Name() + "/hash" }
 
 // Lookup implements sets.Set.
-func (h *HashTable) Lookup(tid int, key uint64) bool { return h.l.lookupAt(tid, key, h.bucket(key)) }
+func (h *HashTable) Lookup(tid int, key uint64) bool {
+	return h.l.run(tid, sets.Op{Kind: sets.OpLookup, Key: key}, h.bucket(key), h.l.at)
+}
 
 // Insert implements sets.Set.
-func (h *HashTable) Insert(tid int, key uint64) bool { return h.l.insertAt(tid, key, h.bucket(key)) }
+func (h *HashTable) Insert(tid int, key uint64) bool {
+	return h.l.run(tid, sets.Op{Kind: sets.OpInsert, Key: key}, h.bucket(key), h.l.at)
+}
 
 // Remove implements sets.Set: the bucket chain behaves exactly like Listing
 // 5's list.
-func (h *HashTable) Remove(tid int, key uint64) bool { return h.l.removeAt(tid, key, h.bucket(key)) }
+func (h *HashTable) Remove(tid int, key uint64) bool {
+	return h.l.run(tid, sets.Op{Kind: sets.OpRemove, Key: key}, h.bucket(key), h.l.at)
+}
+
+// Apply implements sets.Set: ops are grouped by bucket and each bucket gets
+// one sorted pass, all inside one transaction.
+func (h *HashTable) Apply(tid int, ops []sets.Op) []sets.Result {
+	return h.l.apply(tid, ops, h.bucket, h.l.at)
+}
 
 // Snapshot implements sets.Set (quiescence required): the union of all
 // buckets, sorted.

@@ -9,13 +9,18 @@
 //
 // All variants share one node layout and one arena, so differences in the
 // figures come from the synchronization/reclamation mechanism, not from
-// memory layout.
+// memory layout. They also share one loop over a chain (engine.go's walk):
+// a point operation runs it window by window under the chassis's Op, and
+// Apply runs it uncut under the chassis's Apply, sorted into one pass per
+// chain, each op starting from the predecessor where the last one stopped.
+// Where the walk ends, each list's terminal does what the op does there.
 package list
 
 import (
 	"hohtx/internal/arena"
 	"hohtx/internal/pad"
 	"hohtx/internal/reclaim"
+	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
@@ -58,10 +63,7 @@ func (n *node) words(f func(*stm.Word, uint64), x uint64) {
 // threadState is one thread's traversal scratch.
 type threadState struct {
 	marks []uint64 // ModeER: read marks of the last W spine nodes (nil otherwise)
-	// batchOrder is applyBatch's grow-only visit-order buffer, reused across
-	// this thread's batches so steady-state Apply allocates nothing.
-	batchOrder []int
-	_          pad.Line
+	_     pad.Line
 }
 
 // Config parameterizes list construction; see reclaim.Config. A zero Profile
@@ -70,7 +72,7 @@ type threadState struct {
 type Config = reclaim.Config
 
 // List is the singly linked set (Listing 5): the chassis, a head sentinel
-// and the traversals in engine.go, batch.go and iter.go.
+// and the traversals in engine.go and iter.go.
 type List struct {
 	reclaim.Chassis[node]
 	canAscend bool
@@ -101,45 +103,38 @@ func (l *List) init(cfg Config) {
 }
 
 // Lookup implements sets.Set.
-func (l *List) Lookup(tid int, key uint64) bool { return l.lookupAt(tid, key, l.head) }
+func (l *List) Lookup(tid int, key uint64) bool {
+	return l.run(tid, sets.Op{Kind: sets.OpLookup, Key: key}, l.head, l.at)
+}
 
 // Insert implements sets.Set.
-func (l *List) Insert(tid int, key uint64) bool { return l.insertAt(tid, key, l.head) }
-
-// Remove implements sets.Set.
-func (l *List) Remove(tid int, key uint64) bool { return l.removeAt(tid, key, l.head) }
-
-// lookupAt, insertAt and removeAt are the singly linked operations on the
-// chain rooted at head (the list's own, or one of the hash table's buckets).
-func (l *List) lookupAt(tid int, key uint64, head arena.Handle) bool {
-	res := l.applyAt(tid, key, head, false,
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return true },
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
-	)
-	return res
+func (l *List) Insert(tid int, key uint64) bool {
+	return l.run(tid, sets.Op{Kind: sets.OpInsert, Key: key}, l.head, l.at)
 }
 
-func (l *List) insertAt(tid int, key uint64, head arena.Handle) bool {
-	res := l.applyAt(tid, key, head, false,
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-			l.insertSingly(tx, tid, key, prevH, currH)
-			return true
-		},
-	)
-	return res
+// Remove implements sets.Set: Listing 5's Remove — unlink, revoke, reclaim
+// at the commit.
+func (l *List) Remove(tid int, key uint64) bool {
+	return l.run(tid, sets.Op{Kind: sets.OpRemove, Key: key}, l.head, l.at)
 }
 
-// removeAt is Listing 5's Remove: unlink, revoke, reclaim at the commit.
-func (l *List) removeAt(tid int, key uint64, head arena.Handle) bool {
-	res := l.applyAt(tid, key, head, false,
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-			l.unlinkAndReclaim(tx, tid, prevH, currH)
-			return true
-		},
-		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
-	)
-	return res
+// Apply implements sets.Set: one transaction, one sorted pass.
+func (l *List) Apply(tid int, ops []sets.Op) []sets.Result {
+	return l.apply(tid, ops, func(uint64) arena.Handle { return l.head }, l.at)
+}
+
+// at is the singly linked list's terminal (the list's and the hash table's
+// buckets'): an insert links a new node after prevH, a remove unlinks currH.
+func (l *List) at(tx *stm.Tx, tid int, op sets.Op, prevH, currH arena.Handle, found bool) (bool, bool) {
+	switch {
+	case op.Kind == sets.OpInsert && !found:
+		l.Ar.At(prevH).next.Store(tx, uint64(l.allocNode(tx, tid, op.Key, currH, arena.Nil)))
+	case op.Kind == sets.OpRemove && found:
+		l.unlinkAndReclaim(tx, tid, prevH, currH)
+	default:
+		return op.Kind == sets.OpLookup && found, false
+	}
+	return true, false
 }
 
 // allocNode allocates and transactionally initializes a node holding key

@@ -451,6 +451,33 @@ func TestRRVLookupWindowsCommitReadOnly(t *testing.T) {
 	}
 }
 
+// TestApplyOnePassPerChain: a batch walks its chain once, however its ops
+// arrive. Sixteen lookups over 300 keys, in descending arrival order, read
+// each node once when each op starts where the last one on the chain
+// stopped; starting each at the head would read eight times as many and
+// overflow a capacity of 1 024 into a serial commit, and skipping the sort
+// would start a lookup past its key.
+func TestApplyOnePassPerChain(t *testing.T) {
+	l := New(Config{Threads: 1, Profile: profileWithCapacity(1024)})
+	l.Register(0)
+	for k := uint64(1); k <= 300; k++ {
+		l.Insert(0, k)
+	}
+	ops := make([]sets.Op, 16)
+	for i := range ops {
+		ops[i] = sets.Op{Kind: sets.OpLookup, Key: 300 - 19*uint64(i)}
+	}
+	before := l.RT.Stats().SerialCommits
+	for i, found := range l.Apply(0, ops) {
+		if !found {
+			t.Errorf("the batch's lookup of %d missed", ops[i].Key)
+		}
+	}
+	if n := l.RT.Stats().SerialCommits - before; n != 0 {
+		t.Errorf("the batch committed serially %d times, want 0: one pass over 300 nodes fits 1 024", n)
+	}
+}
+
 // TestAllocatedSlotPostdatesSnapshot pins the rule of reclaim's freer.born
 // in deterministic form. An attempt reads its way to a node; a racing remove
 // unlinks that node and frees it at commit; the shared free list then hands

@@ -56,10 +56,11 @@ type Layout[N any] struct {
 }
 
 // opState is one thread's operation stamp (reclamation-delay accounting),
-// its Apply result buffer and its Cursor's key buffer.
+// its Apply result and visit-order buffers and its Cursor's key buffer.
 type opState struct {
 	n     uint64
 	out   []bool
+	order []visit
 	batch []uint64
 	_     pad.Line
 }
@@ -172,9 +173,8 @@ func (c *Chassis[N]) Unlinked(tx *stm.Tx, tid int, h arena.Handle) {
 // rest of the operation runs uncut.
 type Window func(tx *stm.Tx, start arena.Handle, word uint64, budget int) (at arena.Handle, atWord uint64, more bool)
 
-// Uncut is the budget of a window that runs its operation whole: inside a
-// Batch's transaction a structure runs each operation's window from the
-// root with it. An uncut window stops only where its operation ends, so one
+// Uncut is the budget of a window that runs its operation whole: a Step
+// runs with it. An uncut window stops only where its operation ends, so one
 // that still asks for more has met a poisoned link: its snapshot is doomed,
 // and the caller restarts the transaction (tx.Restart).
 const Uncut = math.MaxInt
@@ -202,12 +202,113 @@ func (c *Chassis[N]) Op(tid int, root arena.Handle, rootWord uint64, window Wind
 	})
 }
 
-// Batch runs n operations of tid's as one transaction (sets.Set.Apply).
-func (c *Chassis[N]) Batch(tid, n int, fn func(tx *stm.Tx)) {
-	c.ops[tid].n += uint64(n)
+// OpKind selects an operation of a batch.
+type OpKind uint8
+
+const (
+	// OpLookup tests presence (wire verb GET).
+	OpLookup OpKind = iota
+	// OpInsert adds the key (wire verb SET).
+	OpInsert
+	// OpRemove deletes the key (wire verb DEL).
+	OpRemove
+)
+
+// Op is one operation of a batch.
+type Op struct {
+	Kind OpKind
+	Key  uint64
+}
+
+// Step is one operation of an Apply, the structure's to supply (Listing 5's
+// λfound and λnotfound behind its descent): op, run uncut from start and
+// word. It returns op's result, and from and fromWord: a node below op's
+// key where the next op on the same chain may start, Nil meaning at the
+// chain's head. more, as for Uncut, says the snapshot is doomed.
+type Step func(tx *stm.Tx, tid int, op Op, start arena.Handle, word uint64) (res bool, from arena.Handle, fromWord uint64, more bool)
+
+// visit is one op of an Apply in visit order: its chain, its key and its
+// index in arrival order.
+type visit struct {
+	chain arena.Handle
+	key   uint64
+	i     int
+}
+
+// before orders visits by (chain, key, arrival).
+func (v visit) before(u visit) bool {
+	return v.chain < u.chain || v.chain == u.chain && (v.key < u.key || v.key == u.key && v.i < u.i)
+}
+
+// sortVisits sorts an Apply's visits with a gapped insertion sort (Ciura's
+// shellsort gaps): batches are small (the server caps them at a few
+// thousand ops), nothing allocates, and the comparison inlines, which
+// slices.SortFunc's does not.
+func sortVisits(order []visit) {
+	for _, gap := range [...]int{8929, 3905, 2161, 929, 505, 209, 109, 41, 19, 5, 1} {
+		for i := gap; i < len(order); i++ {
+			v, j := order[i], i
+			for ; j >= gap && v.before(order[j-gap]); j -= gap {
+				order[j] = order[j-gap]
+			}
+			order[j] = v
+		}
+	}
+}
+
+// Apply runs ops as tid's one transaction (sets.Set.Apply), each op its
+// step run uncut, and returns one result per op, at its arrival index.
+//
+// The visit order is the structure's, chosen by chainOf. Without one (the
+// trees and the skiplist) ops run in arrival order, each from root and
+// rootWord: a tree grown from a sorted batch would be a spine. With one
+// (the lists and the hash table) chainOf(key) is the head of key's chain,
+// ops run sorted by (chain, key, arrival) — ops on one key keep program
+// order, different keys commute inside one transaction — and each starts
+// where the previous op on its chain left from, or at the head (with
+// rootWord): one pass per chain, however many ops it carries.
+//
+// The result and order buffers are tid's and grow-only, so what Apply
+// returns is valid until the same thread's next Apply — which every caller
+// respects (the serving layer copies per-shard results out before the next
+// shard runs); a fresh slice per batch was measurable GC pressure at wire
+// speed. A batch whose footprint exceeds the transaction capacity commits
+// in serial mode; stm.Stats.Batch records that per batch-size bucket.
+func (c *Chassis[N]) Apply(tid int, ops []Op, root arena.Handle, rootWord uint64, chainOf func(key uint64) arena.Handle, step Step) []bool {
+	if len(ops) == 0 {
+		return nil
+	}
+	ts := &c.ops[tid]
+	if cap(ts.out) < len(ops) {
+		ts.out, ts.order = make([]bool, len(ops)), make([]visit, len(ops))
+	}
+	out, order := ts.out[:len(ops)], ts.order[:len(ops)]
+	for i, op := range ops {
+		order[i] = visit{root, op.Key, i}
+		if chainOf != nil {
+			order[i].chain = chainOf(op.Key)
+		}
+	}
+	if chainOf != nil {
+		sortVisits(order)
+	}
+	ts.n += uint64(len(ops))
 	c.Link.Begin(tid)
 	defer c.Link.End(tid)
-	c.RT.AtomicBatchT(tid, n, fn)
+	c.RT.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
+		from, fromWord := arena.Nil, uint64(0)
+		for j, v := range order {
+			start, word := v.chain, rootWord
+			if chainOf != nil && j > 0 && v.chain == order[j-1].chain && !from.IsNil() {
+				start, word = from, fromWord
+			}
+			var more bool
+			if out[v.i], from, fromWord, more = step(tx, tid, ops[v.i], start, word); more {
+				tx.Restart() // a doomed snapshot: see Uncut
+			}
+		}
+	})
+	return out
 }
 
 // Release ends tid's hold inside the caller's transaction and returns it: the
@@ -217,19 +318,6 @@ func (c *Chassis[N]) Release(tx *stm.Tx, tid int) (h arena.Handle, held bool) {
 	h, _, held = c.Link.Resume(tx, tid)
 	c.Link.Drop(tx, tid, held)
 	return h, held
-}
-
-// Results returns tid's Apply result buffer sized for n operations. It is
-// grow-only and reused, so what Apply returns is valid until the same
-// thread's next Apply — which every caller respects (the serving layer
-// copies per-shard results out before the next shard runs); a fresh slice
-// per batch was measurable GC pressure at wire speed.
-func (c *Chassis[N]) Results(tid, n int) []bool {
-	ts := &c.ops[tid]
-	if cap(ts.out) < n {
-		ts.out = make([]bool, n)
-	}
-	return ts.out[:n]
 }
 
 // start resolves a window of tid's: where it begins — the thread's held

@@ -70,7 +70,7 @@ func (l *countLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, stamp uint64) 
 	l.Link.Unlinked(tx, tid, h, stamp)
 }
 
-// TestChassisBracketsEveryOperation: Op, Batch and Cursor each open exactly
+// TestChassisBracketsEveryOperation: Op, Apply and Cursor each open exactly
 // one Begin/End pair however many transactions they run, and a Cursor
 // whose consumer panics still closes its bracket. Under a registered
 // deferred scheme each pair reaches the scheme as one Enter and one Exit.
@@ -80,7 +80,7 @@ func TestChassisBracketsEveryOperation(t *testing.T) {
 	}
 }
 
-// bracketEveryOperation runs an Op, a Batch, a Cursor and a Cursor whose
+// bracketEveryOperation runs an Op, an Apply, a Cursor and a Cursor whose
 // consumer panics on a chassis under mode, checking after each that the
 // link saw one more Begin/End pair, and the mode's scheme, when it is
 // countMode, one more Enter/Exit.
@@ -106,8 +106,10 @@ func bracketEveryOperation(t *testing.T, mode Mode) {
 		return arena.Nil, 0, windows < 3
 	})
 	check("an Op of three windows")
-	c.Batch(0, 4, func(*stm.Tx) {})
-	check("a Batch of four operations")
+	c.Apply(0, make([]Op, 4), root, 0, nil, func(*stm.Tx, int, Op, arena.Handle, uint64) (bool, arena.Handle, uint64, bool) {
+		return false, arena.Nil, 0, false
+	})
+	check("an Apply of four operations")
 
 	// A cursor over keys 1..3, one key per window, each window holding root.
 	window := func(_ *stm.Tx, _ arena.Handle, _ uint64, _, _ int, last uint64, batch []uint64) ([]uint64, arena.Handle, uint64) {
@@ -169,6 +171,95 @@ func TestOpHoldsWhereAWindowStops(t *testing.T) {
 			t.Error("a hold survived the operation's end")
 		}
 	})
+}
+
+// applyStart is where an Apply started one op: the op, and the node and
+// word its step was given.
+type applyStart struct {
+	op    Op
+	start arena.Handle
+	word  uint64
+}
+
+// recordApply runs ops under c's Apply from root (word 5) with chainOf and
+// a step that records where each op starts, answers whether the op is a
+// lookup, and leaves from mid (with the op's key as the word) unless the op
+// is an insert, which leaves from Nil. The step asks for a restart at the
+// first op whose key is restartAt, once. It returns the starts of the
+// attempt that committed, the results, and how many attempts ran.
+func recordApply(c *Chassis[linkNode], ops []Op, root, mid arena.Handle, chainOf func(uint64) arena.Handle, restartAt uint64) (got []applyStart, out []bool, attempts int) {
+	fresh, restarted := true, false
+	out = c.Apply(0, ops, root, 5, chainOf, func(_ *stm.Tx, _ int, op Op, start arena.Handle, word uint64) (bool, arena.Handle, uint64, bool) {
+		if fresh {
+			got, attempts, fresh = got[:0], attempts+1, false
+		}
+		got = append(got, applyStart{op, start, word})
+		if op.Key == restartAt && !restarted {
+			fresh, restarted = true, true
+			return false, arena.Nil, 0, true
+		}
+		if op.Kind == OpInsert {
+			return false, arena.Nil, 0, false
+		}
+		return op.Kind == OpLookup, mid, op.Key, false
+	})
+	return got, out, attempts
+}
+
+// TestApplyVisitsInTheStructuresOrder: without a chain function Apply runs
+// ops in arrival order, each from the root whatever the last op left from;
+// with one, sorted by (chain, key, arrival), each starting where the last
+// op on its chain left from, or at the chain's head after a Nil from or a
+// change of chain. Either way results land at their arrival index, and a
+// step that asks for more restarts the transaction.
+func TestApplyVisitsInTheStructuresOrder(t *testing.T) {
+	c, _, root := newChassis(t, ModeRR, 0)
+	lo, _ := c.NewSentinel()
+	hi, _ := c.NewSentinel()
+	mid, _ := c.NewSentinel()
+	if hi < lo {
+		lo, hi = hi, lo
+	}
+	chainOf := func(k uint64) arena.Handle {
+		if k < 5 {
+			return lo
+		}
+		return hi
+	}
+	ops := []Op{{OpInsert, 7}, {OpLookup, 3}, {OpRemove, 7}, {OpLookup, 2}, {OpInsert, 12}, {OpLookup, 7}}
+	wantOut := []bool{false, true, false, true, false, true}
+	for _, tc := range []struct {
+		name    string
+		chainOf func(uint64) arena.Handle
+		want    []applyStart
+	}{
+		{"arrival order", nil, []applyStart{
+			{ops[0], root, 5}, {ops[1], root, 5}, {ops[2], root, 5},
+			{ops[3], root, 5}, {ops[4], root, 5}, {ops[5], root, 5},
+		}},
+		{"by chain, key and arrival", chainOf, []applyStart{
+			{ops[3], lo, 5}, {ops[1], mid, 2}, // chain lo: 2 leaves from mid
+			{ops[0], hi, 5}, {ops[2], hi, 5}, // chain hi: the insert of 7 leaves from Nil
+			{ops[5], mid, 7}, {ops[4], mid, 7}, // same-key ops in program order
+		}},
+	} {
+		got, out, attempts := recordApply(c, ops, root, mid, tc.chainOf, 0)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: ops started at\n%v, want\n%v", tc.name, got, tc.want)
+		}
+		if fmt.Sprint(out) != fmt.Sprint(wantOut) || attempts != 1 {
+			t.Errorf("%s: results %v in %d attempts, want %v in 1", tc.name, out, attempts, wantOut)
+		}
+	}
+	before := c.RT.Stats().Aborts[stm.CauseExplicit]
+	got, out, attempts := recordApply(c, ops, root, mid, chainOf, 7)
+	if attempts != 2 || len(got) != len(ops) || fmt.Sprint(out) != fmt.Sprint(wantOut) {
+		t.Errorf("a step asking for more: %d attempts, the last ran %d ops with results %v; want 2, %d and %v",
+			attempts, len(got), out, len(ops), wantOut)
+	}
+	if n := c.RT.Stats().Aborts[stm.CauseExplicit] - before; n != 1 {
+		t.Errorf("a step asking for more: %d restarts, want 1", n)
+	}
 }
 
 // TestBooksCatchALostFree: a link that skips one free leaves a node nobody

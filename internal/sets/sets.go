@@ -40,8 +40,8 @@ type Set interface {
 	// Name is the variant's label in benchmark output (e.g. "RR-XO",
 	// "HTM", "TMHP", "LFLeak").
 	Name() string
-	// Apply executes ops in order and returns one result per op, with the
-	// same meaning as the corresponding single-op method. Transactional
+	// Apply executes ops and returns one result per op, as if in order,
+	// with the same meaning as the corresponding single-op method. Transactional
 	// implementations run the whole batch inside ONE transaction — one
 	// snapshot, one commit — so the batch is atomic (all-or-nothing, and
 	// later ops observe earlier ops' effects via read-own-writes). A batch
@@ -113,23 +113,19 @@ func CanAscend(s Set) bool {
 	return !gated || g.CanAscend()
 }
 
-// OpKind selects a batch operation.
-type OpKind uint8
+// OpKind selects a batch operation; see reclaim.OpKind, where the chassis's
+// one Apply driver needs it.
+type OpKind = reclaim.OpKind
 
+// The operation kinds.
 const (
-	// OpLookup tests presence (wire verb GET).
-	OpLookup OpKind = iota
-	// OpInsert adds the key (wire verb SET).
-	OpInsert
-	// OpRemove deletes the key (wire verb DEL).
-	OpRemove
+	OpLookup = reclaim.OpLookup
+	OpInsert = reclaim.OpInsert
+	OpRemove = reclaim.OpRemove
 )
 
 // Op is one operation of a batch.
-type Op struct {
-	Kind OpKind
-	Key  uint64
-}
+type Op = reclaim.Op
 
 // Result is one op's outcome, identical in meaning to the single-op
 // methods' boolean return.

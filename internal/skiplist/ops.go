@@ -2,13 +2,15 @@ package skiplist
 
 import (
 	"hohtx/internal/arena"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
 // Traversal engine. step is one window of an operation, the skiplist's one
 // descent: the chassis's Op (stm.Runtime.Chain) runs it window by window for
-// Lookup, Insert and Remove, and Apply runs it uncut inside one Batch.
+// Lookup, Insert and Remove, and the chassis's Apply runs it uncut, once per
+// op of a batch.
 //
 // Searches descend from the head's top level, advancing right while the
 // next key is smaller and dropping a level otherwise. Window cuts hold the
@@ -193,6 +195,20 @@ func (s *SkipList) Insert(tid int, key uint64) bool {
 // the operation retries with one uncut traversal.
 func (s *SkipList) Remove(tid int, key uint64) bool {
 	return s.op(tid, sets.Op{Kind: sets.OpRemove, Key: key}, 0)
+}
+
+// Apply implements sets.Set: the chassis's Apply with no chain function,
+// each op the step run uncut from the head, in arrival order. An insert's
+// step draws its height inside the transaction; a retry only redraws.
+func (s *SkipList) Apply(tid int, ops []sets.Op) []sets.Result {
+	return s.Chassis.Apply(tid, ops, s.head, top, nil, func(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, level uint64) (bool, arena.Handle, uint64, bool) {
+		h := 0
+		if op.Kind == sets.OpInsert {
+			h = s.randHeight(tid)
+		}
+		res, _, _, more := s.step(tx, tid, op, h, start, level, reclaim.Uncut)
+		return res, arena.Nil, 0, more
+	})
 }
 
 // insert is Insert's window from c, for a node of height h.

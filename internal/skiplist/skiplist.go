@@ -18,7 +18,8 @@
 // descent from (node, level) is exactly a sequential search step). That
 // descent is one step per operation (ops.go): the chassis's Op runs it
 // window by window, holding or dropping the position between windows, and
-// Apply runs the same step uncut from the head inside one Batch.
+// the chassis's Apply runs the same step uncut from the head, once per op
+// in arrival order.
 //
 // Removal unlinks the victim from all of its levels inside the final
 // transaction, revokes it once, and frees it at the commit point — precise
@@ -63,9 +64,7 @@ func (n *node) words(f func(*stm.Word, uint64), x uint64) {
 
 type threadState struct {
 	rng uint64
-	// batchHeights is Apply's grow-only scratch for drawn insert heights.
-	batchHeights []int
-	_            pad.Line
+	_   pad.Line
 }
 
 // Config parameterizes the skiplist; see reclaim.Config. A zero Profile means
@@ -75,7 +74,7 @@ type Config = reclaim.Config
 
 // SkipList is the concurrent set: the chassis (a hold's word is the resume
 // level), a full-height head sentinel with key 0, and the traversals in
-// ops.go (the step batch.go runs too) and iter.go.
+// ops.go and iter.go.
 type SkipList struct {
 	reclaim.Chassis[node]
 	head    arena.Handle

@@ -13,7 +13,7 @@
 // chassis starts it and returns where it stops. Lookup, Insert and Remove
 // run it window by window under the chassis's Op, which holds or drops the
 // position between windows; Apply runs the same step uncut from the root,
-// once per op, inside one Batch transaction. Keys above MaxKey are the
+// once per op in arrival order, under the chassis's Apply. Keys above MaxKey are the
 // sentinels' and absent to every operation (Insert panics on them).
 //
 // The delicate part is the internal tree's removal of a node with two
@@ -142,28 +142,17 @@ func (b *base) run(tid int, root arena.Handle, op sets.Op, step step) (res bool)
 	return res
 }
 
-// apply is both trees' sets.Set.Apply: the whole op slice as one Batch, each
-// op the same step run uncut from root. No hold is involved, and the
-// single-op removal logic (the internal tree's successor-path revokes
-// included) is the same code, which keeps precise reclamation intact for
-// batches. Oversized batches overflow the transaction capacity and fall
-// back to serial mode; stm.Stats.Batch records that per batch-size bucket.
+// apply is both trees' sets.Set.Apply: the chassis's Apply with no chain
+// function, so each op is the same step run uncut from root, in arrival
+// order. No hold is involved, and the single-op removal logic (the internal
+// tree's successor-path revokes included) is the same code, which keeps
+// precise reclamation intact for batches.
 func (b *base) apply(tid int, root arena.Handle, ops []sets.Op, step step) []sets.Result {
-	if len(ops) == 0 {
-		return nil
-	}
-	out := b.Results(tid, len(ops))
-	b.Batch(tid, len(ops), func(tx *stm.Tx) {
-		for i, op := range ops {
-			if absent(op) {
-				out[i] = false
-				continue
-			}
-			var more bool
-			if out[i], _, more = step(tx, tid, op, root, reclaim.Uncut); more {
-				tx.Restart() // a doomed snapshot: see reclaim.Uncut
-			}
+	return b.Chassis.Apply(tid, ops, root, 0, nil, func(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, _ uint64) (bool, arena.Handle, uint64, bool) {
+		if absent(op) {
+			return false, arena.Nil, 0, false
 		}
+		res, _, more := step(tx, tid, op, start, reclaim.Uncut)
+		return res, arena.Nil, 0, more
 	})
-	return out
 }

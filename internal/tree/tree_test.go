@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hohtx/internal/arena"
 	"hohtx/internal/core"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
@@ -55,6 +56,32 @@ func externalVariants(threads, w int) []treeUnderTest {
 
 func allVariants(threads, w int) []treeUnderTest {
 	return append(internalVariants(threads, w), externalVariants(threads, w)...)
+}
+
+// TestApplyKeepsArrivalOrder: a tree's batch runs in arrival order. One
+// Apply of 1 024 random inserts into an empty internal tree grows it as
+// inserting them one by one would (depth ~20); sorted by key first, the
+// same batch would grow a spine 1 023 deep.
+func TestApplyKeepsArrivalOrder(t *testing.T) {
+	tr := NewInternal(Config{Threads: 1})
+	tr.Register(0)
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]sets.Op, 1024)
+	for i := range ops {
+		ops[i] = sets.Op{Kind: sets.OpInsert, Key: 1 + rng.Uint64()%MaxKey}
+	}
+	tr.Apply(0, ops)
+	var depth func(h arena.Handle) int
+	depth = func(h arena.Handle) int {
+		if h.IsNil() {
+			return 0
+		}
+		n := tr.Ar.At(h)
+		return 1 + max(depth(arena.Handle(n.left.Raw())), depth(arena.Handle(n.right.Raw())))
+	}
+	if d := depth(arena.Handle(tr.Ar.At(tr.root).left.Raw())); d >= 64 {
+		t.Fatalf("one Apply of 1 024 random inserts grew the tree %d deep, want under 64", d)
+	}
 }
 
 func TestSequentialSemantics(t *testing.T) {
