@@ -321,9 +321,9 @@ func (p *TxProbe) note(tid int, kind EventKind, ref uint64) {
 // auto-batched bursts).
 type ServeProbe struct {
 	D        *Domain
-	GetNs    *Histogram // GET service time
-	SetNs    *Histogram // SET service time
-	DelNs    *Histogram // DEL service time
+	GetNs    *Histogram // GET service time: end − start − wait, parse to rendered reply
+	SetNs    *Histogram // SET service time, as GetNs
+	DelNs    *Histogram // DEL service time, as GetNs
 	BatchNs  *Histogram // whole-batch service time (all sub-transactions)
 	BatchOp  *Histogram // ops per executed sub-transaction, after routing and capacity splitting
 	Splits   *Histogram // sub-transactions per wire batch (1 = unsplit)

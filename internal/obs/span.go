@@ -4,13 +4,14 @@ package obs
 // partition where a slow request's time went: queued for a worker slot
 // (Wait), inside speculative transaction attempts (Attempts), inside the
 // serial fallback (Serial), amortizing deferred reclamation scans
-// (Reclaim), writing the reply (Write), and everything else the server did
-// for the request (Lease — parsing, the lease fast path, navigation and
-// allocation outside the transaction machinery; Finish computes it as the
-// remainder, so the six phases sum to the total exactly). Phases are
-// stamped at different layers — the lease pool, the server loop, the stm
-// attempt loop, the reclamation schemes — which is the point: one Span
-// ties them back to one request, and all of them read one clock (Now).
+// (Reclaim), writing the reply (Write; a point request, whose reply is two
+// bytes, stamps none), and everything else the server did for the request
+// (Lease — parsing, the lease fast path, navigation and allocation outside
+// the transaction machinery; Finish computes it as the remainder, so the
+// six phases sum to the total exactly). Phases are stamped at different
+// layers — the lease pool, the server loop, the stm attempt loop, the
+// reclamation schemes — which is the point: one Span ties them back to one
+// request, and all of them read one clock (Now).
 type SpanPhase uint8
 
 const (

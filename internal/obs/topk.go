@@ -61,17 +61,27 @@ func (t *TopK) AddAll(items []KeyWeight) {
 	t.mu.Unlock()
 }
 
-// addLocked is the space-saving update. Allocation-free after the sketch
-// fills: the tracked set lives in two fixed parallel arrays, and eviction
+// addLocked is the space-saving update, in one scan that finds the key or,
+// failing that, the first minimum. Allocation-free after the sketch fills:
+// the tracked set lives in two fixed parallel arrays, and eviction
 // overwrites in place. (The earlier map-of-pointers layout allocated one
 // slot per eviction — one heap object per request whenever the key space
 // outruns k, which is the common case — and the serving layer's
 // allocation budget, DESIGN.md §15, counts that as a leak.)
+//
+// The minimum so far is kept in a local rather than re-read through mi:
+// that keeps the loop free of a dependent load and a bounds check per slot,
+// and halves what an add costs on a full sketch.
 func (t *TopK) addLocked(key uint64, w uint64) {
-	for i := range t.keys {
-		if t.keys[i] == key {
-			t.slots[i].count += w
+	mi, least := 0, ^uint64(0)
+	slots := t.slots[:len(t.keys)]
+	for i, k := range t.keys {
+		if k == key {
+			slots[i].count += w
 			return
+		}
+		if c := slots[i].count; c < least {
+			mi, least = i, c
 		}
 	}
 	if len(t.keys) < t.k {
@@ -79,16 +89,9 @@ func (t *TopK) addLocked(key uint64, w uint64) {
 		t.slots = append(t.slots, topkSlot{count: w})
 		return
 	}
-	// Evict the minimum; the newcomer inherits its count as error.
-	mi := 0
-	for i := range t.slots {
-		if t.slots[i].count < t.slots[mi].count {
-			mi = i
-		}
-	}
-	minCount := t.slots[mi].count
+	// Evict the first minimum; the newcomer inherits its count as error.
 	t.keys[mi] = key
-	t.slots[mi] = topkSlot{count: minCount + w, err: minCount}
+	t.slots[mi] = topkSlot{count: least + w, err: least}
 }
 
 // Items returns the tracked keys, highest estimated count first (ties by

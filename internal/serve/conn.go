@@ -24,11 +24,12 @@ import (
 //	render   reply bytes; reject for diagnoses, shed for lease refusals
 //	publish  endBurst: slots back, hot-key charges out, flush
 //
-// A traced request reads the clock (obs.Now) at three stage boundaries —
-// bracket entered, execution done, reply rendered — and each stamp serves
-// everyone who needs that boundary: the last one is also the next
-// request's start. DESIGN.md §9 holds the contract as a table (verb ×
-// stage, failure reply, span phases stamped).
+// A traced GET, SET or DEL reads the clock (obs.Now) once, when its reply
+// is rendered; MULTI, BATCH and ASCEND, which render many lines, read it at
+// three stage boundaries — span armed, execution done, reply rendered.
+// Each stamp serves everyone who needs that boundary: the last one is also
+// the next request's start. DESIGN.md §9 holds the contract as a table
+// (verb × stage, failure reply, span phases stamped).
 
 // verb is one row of the protocol's verb table.
 type verb struct {
@@ -338,19 +339,26 @@ func stamp(sp *obs.Span) (t int64) {
 // sampled is the gate on the serve histograms.
 func (c *conn) sampled() bool { return c.srv.dom != nil && c.srv.dom.Sampled(c.id) }
 
-// finish stamps the request's end: the reply write begun at w0 is over,
-// the span seals and is offered to the slowlog — every request is, the
-// offer is two atomic loads — and its keys' hot-key charges wait in burst.
-// The end stamp, returned, is the next request's start. Must be the
-// span's last touch: the slowlog has copied what it keeps and begin will
-// re-arm it.
+// finish stamps the request's end, the reply write begun at w0 over, and
+// seals the span there. The end stamp, returned, is the next request's
+// start.
 func (c *conn) finish(sp *obs.Span, w0 int64) (end int64) {
 	if sp == nil {
 		return 0
 	}
 	end = obs.Now()
-	c.last = end
 	sp.Add(obs.SpanWrite, uint64(end-w0))
+	c.seal(sp, end)
+	return end
+}
+
+// seal ends the request at end, a stamp taken after its reply was
+// rendered: the span finishes and is offered to the slowlog — every request
+// is, the offer is two atomic loads — and its keys' hot-key charges wait in
+// burst. end is the next request's start. Nothing writes the span after
+// it: the slowlog has copied what it keeps and begin will re-arm it.
+func (c *conn) seal(sp *obs.Span, end int64) {
+	c.last = end
 	total := sp.Finish(end)
 	c.srv.slow.Observe(sp)
 	// Every key of the request is charged the request's aborts: within one
@@ -363,7 +371,6 @@ func (c *conn) finish(sp *obs.Span, w0 int64) (end int64) {
 	for _, k := range keys {
 		c.burst.Key(ShardOf(k, len(c.srv.shards)), k, total, aborts)
 	}
-	return end
 }
 
 // enter opens the bracket every execution runs in, whatever the verb: mark
@@ -407,7 +414,9 @@ func (s *Server) parseKey(arg []byte) (uint64, wireErr) {
 // servePoint is GET, SET and DEL. With AutoBatch configured a clean
 // request only joins the pending batch, which executes (as capacity-split
 // batch transactions) when the burst ends, another verb arrives, or the
-// split threshold fills.
+// split threshold fills. A traced request reads the clock once, after its
+// 2-byte reply is rendered: it has no write phase of its own (the render is
+// in its lease remainder), and its service time is end − start − wait.
 func (c *conn) servePoint(v *verb, args []byte) bool {
 	s := c.srv
 	key, we := s.parseKey(args)
@@ -421,10 +430,10 @@ func (c *conn) servePoint(v *verb, args []byte) bool {
 	shard := ShardOf(key, len(s.shards))
 	sp := c.begin(v.name, key)
 	slot, err := c.enter(shard, sp)
-	t0 := stamp(sp)
 	if err != nil {
 		// The span still finishes: a shed request is a tail-latency event
 		// too (all wait, no work), and the slowlog should show it.
+		t0 := stamp(sp)
 		keep := c.shed("", err)
 		c.finish(sp, t0)
 		return keep
@@ -443,12 +452,13 @@ func (c *conn) servePoint(v *verb, args []byte) bool {
 		s.keys.Add(d)
 	}
 	c.leave(shard, slot, sp)
-	w0 := stamp(sp)
-	if c.sampled() {
-		v.hist(s.probe).RecordAt(c.id, uint64(w0-t0))
-	}
 	c.writeBit(ok)
-	c.finish(sp, w0)
+	if sp != nil {
+		c.seal(sp, obs.Now())
+		if c.sampled() {
+			v.hist(s.probe).RecordAt(c.id, sp.TotalNs()-sp.Phase(obs.SpanWait))
+		}
+	}
 	return true
 }
 

@@ -395,6 +395,96 @@ func TestStmStampsSpan(t *testing.T) {
 	}
 }
 
+// slowEntry is one SLOW line: its fields, and the phase and total fields
+// as numbers.
+type slowEntry struct {
+	line string
+	f    map[string]string
+	ns   map[string]uint64
+}
+
+// slowlog reads SLOWLOG n and checks that each entry's six phases sum to
+// its total_ns exactly, a total that is not zero.
+func (cl *client) slowlog(t *testing.T, n int) []slowEntry {
+	t.Helper()
+	cl.sendLines(t, fmt.Sprintf("SLOWLOG %d", n))
+	var out []slowEntry
+	for line := cl.readLine(t); line != "END"; line = cl.readLine(t) {
+		e := slowEntry{line: line, f: map[string]string{}, ns: map[string]uint64{}}
+		for _, kv := range strings.Fields(line)[1:] {
+			k, v, _ := strings.Cut(kv, "=")
+			e.f[k] = v
+		}
+		var sum uint64
+		for _, name := range []string{"wait_ns", "lease_ns", "attempts_ns", "serial_ns", "reclaim_ns", "write_ns", "total_ns"} {
+			ns, err := strconv.ParseUint(e.f[name], 10, 64)
+			if err != nil {
+				t.Fatalf("%s: field %s: %v", line, name, err)
+			}
+			e.ns[name] = ns
+			if name != "total_ns" {
+				sum += ns
+			}
+		}
+		if total := e.ns["total_ns"]; sum != total || total == 0 {
+			t.Errorf("phases sum to %d, total_ns is %d: %s", sum, total, line)
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// TestPointSpanContract pins what a traced GET, SET or DEL records now that
+// it reads the clock once, after its reply is rendered: no write phase of
+// its own (the 2-byte render is in its lease remainder, and the six phases
+// still sum to the total), and a service-time sample of total − wait. MULTI
+// and ASCEND, which render many lines, keep their write phase.
+func TestPointSpanContract(t *testing.T) {
+	ts := startServer(t, observedShards(t, 1, 1), serve.PoolConfig{Slots: 1}, tracedConfig(t, 1))
+	cl := dialClient(t, ts.addr)
+
+	// The one GET the histogram holds: its sample is its span's total − wait.
+	cl.roundTrip(t, "SET 99", "GET 99")
+	get := ts.cfg.Obs.Hist("serve_get_ns", "ns").Snapshot()
+	if get.Count != 1 {
+		t.Fatalf("serve_get_ns holds %d samples, want 1", get.Count)
+	}
+
+	gets := []string{"SET 1", "SET 2"}
+	for k := 1; k <= 6; k++ {
+		gets = append(gets, fmt.Sprintf("GET %d", k))
+	}
+	cl.roundTrip(t, gets...)
+	cl.multi(t, "SET 3", "GET 3")
+	if keys := cl.ascend(t, 1, 10); len(keys) != 4 {
+		t.Fatalf("ASCEND 1 10 returned %v, want 4 keys", keys)
+	}
+
+	verbs := map[string]int{}
+	for _, e := range cl.slowlog(t, 64) {
+		verb, write := e.f["verb"], e.ns["write_ns"]
+		verbs[verb]++
+		switch verb {
+		case "GET", "SET", "DEL":
+			if write != 0 {
+				t.Errorf("a point request has write_ns %d, want 0: %s", write, e.line)
+			}
+			if verb == "GET" && e.f["keys"] == "99" {
+				if want := e.ns["total_ns"] - e.ns["wait_ns"]; get.Sum != want {
+					t.Errorf("serve_get_ns sample = %d, want total − wait = %d: %s", get.Sum, want, e.line)
+				}
+			}
+		default:
+			if write == 0 {
+				t.Errorf("%s lost its write phase: %s", verb, e.line)
+			}
+		}
+	}
+	if want := map[string]int{"GET": 7, "SET": 3, "MULTI": 1, "ASCEND": 1}; !reflect.DeepEqual(verbs, want) {
+		t.Errorf("SLOWLOG verbs = %v, want %v", verbs, want)
+	}
+}
+
 // TestSlowlogPhasesReconcile: every entry SLOWLOG returns accounts for its
 // whole request — wait + lease + attempts + serial + reclaim + write equals
 // total_ns to the nanosecond, whatever the verb: point ops, a MULTI frame,
@@ -463,38 +553,10 @@ func TestSlowlogPhasesReconcile(t *testing.T) {
 				t.Fatalf("split requests answered %v, want %v", got, want)
 			}
 
-			cl.bw.WriteString("SLOWLOG 64\n")
-			if err := cl.bw.Flush(); err != nil {
-				t.Fatalf("flush: %v", err)
-			}
 			verbs := map[string]int{}
 			sawWait := false
-			for {
-				line, err := cl.br.ReadString('\n')
-				if err != nil {
-					t.Fatalf("SLOWLOG read: %v", err)
-				}
-				line = strings.TrimRight(line, "\n")
-				if line == "END" {
-					break
-				}
-				f := map[string]string{}
-				for _, kv := range strings.Fields(line)[1:] {
-					k, v, _ := strings.Cut(kv, "=")
-					f[k] = v
-				}
-				var sum uint64
-				for _, phase := range []string{"wait_ns", "lease_ns", "attempts_ns", "serial_ns", "reclaim_ns", "write_ns"} {
-					ns, err := strconv.ParseUint(f[phase], 10, 64)
-					if err != nil {
-						t.Fatalf("%s: field %s: %v", line, phase, err)
-					}
-					sum += ns
-				}
-				total, _ := strconv.ParseUint(f["total_ns"], 10, 64)
-				if sum != total || total == 0 {
-					t.Errorf("phases sum to %d, total_ns is %d: %s", sum, total, line)
-				}
+			for _, e := range cl.slowlog(t, 64) {
+				f, line, total := e.f, e.line, e.ns["total_ns"]
 				verbs[f["verb"]]++
 				queued := f["verb"] == "GET" && f["keys"] == "7"
 				sawWait = sawWait || (queued && f["worst"] == "wait")

@@ -1,11 +1,12 @@
 package torture
 
 import (
-	"hohtx/internal/family"
+	"fmt"
 	"strings"
 	"testing"
 
 	"hohtx/internal/arena"
+	"hohtx/internal/family"
 	"hohtx/internal/list"
 )
 
@@ -73,6 +74,35 @@ func TestBatchedReuseTerminates(t *testing.T) {
 					_, err := Run(Config{
 						Structure: structure, Variant: variant, Policy: arena.PolicyShared,
 						Threads: 5, Ops: 600, Keys: 64, BatchOps: 8, Seed: seed,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDoublyBatchWindowsTerminate covers the cell once recorded as hanging
+// in 1–5 % of seeds: `-structure doubly -policy 1 -batch 8 -threads 5 -ops
+// 600 -keys 64` under RR-DM and TMVBR, at windows 4, 7, 8 and 16. Window 4,
+// the default, is TestBatchedReuseTerminates's doubly/RR-DM and
+// doubly/TMVBR cells; this test runs the other three. Every run is under
+// the watchdog's deadline, so one that does not finish fails with a dump
+// instead of hanging the suite.
+func TestDoublyBatchWindowsTerminate(t *testing.T) {
+	seeds := uint64(30)
+	if testing.Short() {
+		seeds = 3
+	}
+	for _, variant := range []string{"RR-DM", "TMVBR"} {
+		for _, window := range []int{7, 8, 16} {
+			t.Run(fmt.Sprintf("%s/W=%d", variant, window), func(t *testing.T) {
+				for seed := uint64(1); seed <= seeds; seed++ {
+					_, err := Run(Config{
+						Structure: family.Doubly, Variant: variant, Policy: arena.PolicyShared,
+						Threads: 5, Ops: 600, Keys: 64, BatchOps: 8, Window: window, Seed: seed,
 					})
 					if err != nil {
 						t.Fatal(err)
