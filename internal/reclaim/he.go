@@ -5,38 +5,12 @@ import (
 	"sync/atomic"
 
 	"hohtx/internal/arena"
-	"hohtx/internal/obs"
 	"hohtx/internal/pad"
 )
-
-// DefaultEraFreq is how many retirements pass between global-era
-// advances. Hazard Eras increments its clock on (a fraction of)
-// retirements so that reader reservations go stale and retirees whose
-// lifetime the stale eras do not intersect become freeable; once per
-// retirement is the canonical setting and the retire path's only shared
-// write, so the scheme keeps it.
-const DefaultEraFreq = 1
 
 // heSlots is the era slots each thread publishes: the traversal's parity
 // pair.
 const heSlots = 2
-
-// heRetiree is one logically deleted node stamped with its lifetime
-// interval: the era it was allocated in and the era it was retired in.
-type heRetiree struct {
-	h     arena.Handle
-	birth uint64
-	del   uint64
-	stamp uint64
-}
-
-// heThread is one thread's hazard-era state.
-type heThread struct {
-	slots        []atomic.Uint64 // published era reservations (0 = empty)
-	retired      []heRetiree
-	sinceAdvance int
-	_            pad.Line
-}
 
 // eraPageSize is the birth-table page length; pages are allocated lazily
 // as the arena grows, and never freed, so readers index without locks.
@@ -47,8 +21,8 @@ const eraPageSize = 1024
 // the new node is published, and the old entry is dead by then: a slot
 // is only reallocated after its previous incarnation was freed, which
 // removed it from every retired list). Grow-only paged layout: the page
-// vector is copy-on-grow behind an atomic pointer, so the hot read path
-// (Retire) is two loads and no locks.
+// vector is copy-on-grow behind an atomic pointer, so the read path (the
+// sweep's interval test) is two loads and no locks.
 type eraTable struct {
 	mu    sync.Mutex
 	pages atomic.Pointer[[]*[eraPageSize]atomic.Uint64]
@@ -97,7 +71,7 @@ func (t *eraTable) grow(p int) {
 // HazardEras implements the Hazard Eras scheme (Ramalhete & Correia,
 // SPAA 2017 — see PAPERS.md): hazard-pointer-shaped reservations that
 // publish an *era* instead of a pointer. A global era clock advances
-// every DefaultEraFreq retirements; readers republish the current era in
+// on every retirement; readers republish the current era in
 // their slot at each protection point; each retiree carries its lifetime
 // interval [birth era, delete era] and is freed once no published
 // reservation falls inside that interval. One stale reservation
@@ -113,13 +87,10 @@ func (t *eraTable) grow(p int) {
 // unreachable when the reader re-validated. Birth eras live in a
 // side table indexed by arena slot (eraTable) written by Born.
 type HazardEras struct {
-	observer
+	retireList
 	era       atomic.Uint64
 	_         pad.Line
-	threads   []heThread
-	stats     []threadStats
 	birth     eraTable
-	free      FreeFunc
 	threshold int
 }
 
@@ -136,24 +107,12 @@ func NewHazardEras(cfg HEConfig) *HazardEras {
 		cfg.ScanThreshold = DefaultScanThreshold
 	}
 	he := &HazardEras{
-		threads:   make([]heThread, cfg.Threads),
-		stats:     make([]threadStats, cfg.Threads),
-		free:      cfg.Free,
-		threshold: cfg.ScanThreshold,
+		retireList: newRetireList(cfg.Threads, heSlots, cfg.Free),
+		threshold:  cfg.ScanThreshold,
 	}
 	he.era.Store(1) // era 0 means "empty reservation" in the slots
-	for i := range he.threads {
-		he.threads[i].slots = make([]atomic.Uint64, heSlots)
-	}
 	return he
 }
-
-// Enter and Exit implement Scheme: HazardEras has no operation bracket.
-func (he *HazardEras) Enter(int) {}
-func (he *HazardEras) Exit(int)  {}
-
-// Name implements Scheme.
-func (he *HazardEras) Name() string { return "HE" }
 
 // Traits implements Scheme.
 func (he *HazardEras) Traits() Traits { return Traits{Deferred: true, DrainRounds: 2, Pins: true} }
@@ -185,95 +144,36 @@ func (he *HazardEras) Protect(tid, slot int, h arena.Handle) arena.Handle {
 	return h
 }
 
-// ClearSlots implements Scheme.
-func (he *HazardEras) ClearSlots(tid int) {
-	t := &he.threads[tid]
-	for i := range t.slots {
-		t.slots[i].Store(0)
-	}
-}
-
-// Retire implements Scheme: h is queued with its [birth, delete] era
-// interval, the global era advances every DefaultEraFreq retirements, and
-// a scan runs once the thread has accumulated ScanThreshold retirements.
+// Retire implements Scheme: h is queued with its delete era, the global
+// era advances, and a scan runs once the thread has accumulated
+// ScanThreshold retirements. Advancing on every retirement is Hazard Eras'
+// canonical setting and the retire path's only shared write: it is what
+// lets reader reservations go stale, so that retirees whose lifetime the
+// stale eras do not intersect become freeable.
 func (he *HazardEras) Retire(tid int, h arena.Handle, stamp uint64) {
-	t := &he.threads[tid]
 	del := he.era.Load()
-	t.retired = append(t.retired, heRetiree{
-		h: h, birth: he.birth.get(h.Index()), del: del, stamp: stamp,
-	})
-	he.stats[tid].noteRetire()
-	he.probe.Note(tid, obs.EvRetire, uint64(h))
-	t.sinceAdvance++
-	if t.sinceAdvance >= DefaultEraFreq {
-		t.sinceAdvance = 0
-		he.era.CompareAndSwap(del, del+1)
-	}
-	if len(t.retired) >= he.threshold {
-		he.scan(tid, stamp)
+	t := he.retire(tid, h, stamp, del)
+	he.era.CompareAndSwap(del, del+1)
+	if len(t.list) >= he.threshold {
+		he.sweep(tid, stamp, he.reserved)
 	}
 }
 
-// Flush implements Scheme. Like HazardPointers.Flush it rescans until
-// the retired list stops shrinking: freeing one retiree can be what
-// lets another traversal move off its era (clearing the reservation
-// that covered a second retiree), and this is the thread's final drain.
-func (he *HazardEras) Flush(tid int, stamp uint64) {
-	t := &he.threads[tid]
-	for len(t.retired) > 0 {
-		before := len(t.retired)
-		he.scan(tid, stamp)
-		if len(t.retired) == before {
-			break
-		}
-	}
-}
+// Flush implements Scheme: rescan until the list stops shrinking.
+func (he *HazardEras) Flush(tid int, stamp uint64) { he.rescan(tid, stamp, he.reserved) }
 
-// scan frees every retiree whose lifetime interval contains no
-// published era reservation.
-func (he *HazardEras) scan(tid int, stamp uint64) {
-	if sp := he.reclaimSpan(tid); sp != nil {
-		t0 := obs.Now()
-		defer func() { sp.Add(obs.SpanReclaim, uint64(obs.Now()-t0)) }()
-	}
-	st := &he.stats[tid]
-	st.scans.Add(1)
-	reserved := make([]uint64, 0, len(he.threads)*heSlots)
-	for i := range he.threads {
-		for j := range he.threads[i].slots {
-			if e := he.threads[i].slots[j].Load(); e != 0 {
-				reserved = append(reserved, e)
-			}
-		}
-	}
-	t := &he.threads[tid]
-	kept := t.retired[:0]
-	for _, r := range t.retired {
-		if intervalReserved(reserved, r.birth, r.del) {
-			kept = append(kept, r)
-			continue
-		}
-		he.free(tid, r.h)
-		st.noteFree(stamp - r.stamp)
-		he.noteFreeEv(tid, stamp-r.stamp)
-	}
-	t.retired = kept
-	st.leftover.Store(uint64(len(kept)))
-}
-
-// intervalReserved reports whether any published era falls inside
-// [birth, del] — i.e. some reader may still hold a reference from the
-// retiree's lifetime.
-func intervalReserved(reserved []uint64, birth, del uint64) bool {
-	for _, e := range reserved {
-		if birth <= e && e <= del {
+// reserved is the interval test: some published era falls inside r's
+// lifetime [birth era, delete era], so a reader may still hold a reference
+// from it. The birth era is read now, not at retirement: a retiree's slot
+// cannot be reallocated (and restamped by Born) before a sweep frees it.
+func (he *HazardEras) reserved(pub []uint64, r retiree) bool {
+	birth := he.birth.get(r.h.Index())
+	for _, e := range pub {
+		if birth <= e && e <= r.stamp {
 			return true
 		}
 	}
 	return false
 }
-
-// Stats implements Scheme.
-func (he *HazardEras) Stats() Stats { return sumStats(he.stats) }
 
 var _ Scheme = (*HazardEras)(nil)

@@ -11,21 +11,20 @@
 // the reclamation epoch).
 //
 // All schemes manage arena.Handle values and call back into the owning
-// structure's allocator to perform the physical free. They also keep the
-// bookkeeping needed to *quantify* the reclamation imprecision that
-// revocable reservations eliminate: how many retired-but-unfreed objects
-// exist right now, the high-water mark, and the total ops-weighted delay
-// between logical retirement and physical reclamation.
+// structure's allocator to perform the physical free. Their one retire
+// list (retire.go) also keeps the bookkeeping needed to *quantify* the
+// reclamation imprecision that revocable reservations eliminate: how many
+// retired-but-unfreed objects exist right now, the high-water mark, and
+// the total ops-weighted delay between logical retirement and physical
+// reclamation.
 package reclaim
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"hohtx/internal/arena"
 	"hohtx/internal/obs"
-	"hohtx/internal/pad"
 )
 
 // FreeFunc physically releases a retired handle. tid identifies the calling
@@ -153,13 +152,15 @@ func (b Books) Check(drained bool) error {
 
 // Scheme is the interface shared by the deferred-reclamation baselines:
 // what a scheme must provide for the one deferred Link (link.go) to run it
-// under every structure.
+// under every structure. The schemes here embed one retire list
+// (retire.go), which supplies everything but each scheme's policy: the
+// stamp it gives a retiree, when it sweeps, and what keeps a retiree.
 //
-// Protect/Clear manage per-thread hazard slots and are no-ops for schemes
-// that do not use them. Retire logically deletes a handle; the scheme frees
-// it once no concurrent reader can still hold it. stamp is a caller-chosen
-// monotonic per-thread counter (typically the thread's operation count)
-// used only for delay accounting.
+// Protect/ClearSlots manage per-thread hazard slots and are no-ops for
+// schemes that do not use them. Retire logically deletes a handle; the
+// scheme frees it once no concurrent reader can still hold it. stamp is a
+// caller-chosen monotonic per-thread counter (typically the thread's
+// operation count) used only for delay accounting.
 type Scheme interface {
 	// Enter and Exit bracket one of the thread's operations, outside its
 	// transactions (the deferred link's Begin and End): epochs' critical
@@ -186,48 +187,4 @@ type Scheme interface {
 	Traits() Traits
 	// SetObserver attaches an obs probe (nil detaches).
 	SetObserver(p *obs.TxProbe)
-	// Name is the scheme's short label in benchmark output.
-	Name() string
-}
-
-// threadStats carries per-thread counters, padded to avoid false sharing.
-type threadStats struct {
-	retired  atomic.Uint64
-	freed    atomic.Uint64
-	scans    atomic.Uint64
-	delaySum atomic.Uint64
-	deferred atomic.Uint64
-	peak     atomic.Uint64
-	leftover atomic.Uint64 // retirees surviving the thread's last pass
-	_        pad.Line
-}
-
-func (t *threadStats) noteRetire() {
-	t.retired.Add(1)
-	d := t.deferred.Add(1)
-	if d > t.peak.Load() {
-		t.peak.Store(d)
-	}
-}
-
-func (t *threadStats) noteFree(delay uint64) {
-	t.freed.Add(1)
-	t.deferred.Add(^uint64(0))
-	t.delaySum.Add(delay)
-}
-
-func sumStats(ts []threadStats) Stats {
-	var out Stats
-	for i := range ts {
-		out.Retired += ts[i].retired.Load()
-		out.Freed += ts[i].freed.Load()
-		out.Scans += ts[i].scans.Load()
-		out.DelayOpsSum += ts[i].delaySum.Load()
-		out.Deferred += ts[i].deferred.Load()
-		out.Leftover += ts[i].leftover.Load()
-		if p := ts[i].peak.Load(); p > out.PeakDeferred {
-			out.PeakDeferred = p
-		}
-	}
-	return out
 }

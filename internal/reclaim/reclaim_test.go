@@ -201,26 +201,6 @@ func TestLeakNeverFrees(t *testing.T) {
 	}
 }
 
-func TestSchemeNames(t *testing.T) {
-	names := map[string]bool{}
-	a := arena.New[node](arena.Config{Threads: 1})
-	free := func(tid int, h arena.Handle) { a.Free(tid, h) }
-	var clk uint64
-	for _, s := range []Scheme{
-		NewHazardPointers(HPConfig{Threads: 1, Free: free}),
-		NewEpochs(1, 0, free),
-		NewLeak(1),
-		NewHazardEras(HEConfig{Threads: 1, Free: free}),
-		NewVBR(VBRConfig{Threads: 1, Free: free,
-			Clock: func() uint64 { return clk }, Tick: func() { clk += 2 }}),
-	} {
-		if s.Name() == "" || names[s.Name()] {
-			t.Fatalf("bad or duplicate scheme name %q", s.Name())
-		}
-		names[s.Name()] = true
-	}
-}
-
 func TestStatsAvgDelay(t *testing.T) {
 	s := Stats{Freed: 4, DelayOpsSum: 8}
 	if got := s.AvgDelayOps(); got != 2 {

@@ -33,7 +33,6 @@ var toyMode = reclaim.RegisterScheme("TMTOY", func(n reclaim.Nodes) reclaim.Sche
 	return &toyHP{slots: map[[2]int]arena.Handle{}, free: n.Free}
 })
 
-func (s *toyHP) Name() string             { return "toy" }
 func (s *toyHP) Enter(int)                {}
 func (s *toyHP) Exit(int)                 {}
 func (s *toyHP) Born(arena.Handle)        {}
