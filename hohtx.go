@@ -252,14 +252,12 @@ func NewSkipListSet(cfg Config) Set { return build(family.Skip, cfg) }
 // present for the whole scan appear exactly once, in strictly ascending
 // order, and concurrent removals still reclaim immediately. AscendN is
 // Ascend told beforehand how many keys are wanted: it reads nothing past
-// the last of them. The skiplist scans under every mode; the lists only
-// under RR and HTM (their other modes return ErrScanUnsupported instead of
-// iterating); the lock-free baselines never (they are not Ascenders).
+// the last of them. The lists and the skiplist scan under every mode; the
+// trees and the lock-free baselines never (they are not Ascenders).
 type Ascender = sets.Ascender
 
-// ErrScanUnsupported is returned by Ascender.Ascend when the variant
-// cannot run a reservation cursor; the serve layer maps it to an
-// "ERR scan unsupported" reply instead of crashing.
+// ErrScanUnsupported is returned by a sharded set's Ascend when a shard is
+// not an Ascender; the serve layer answers "ERR scan unsupported" instead.
 var ErrScanUnsupported = sets.ErrScanUnsupported
 
 // OrderedMap is an ordered uint64→uint64 map over the external

@@ -102,17 +102,17 @@ func (d *DList) Remove(tid int, key uint64) bool {
 	}
 }
 
-// removePhase2 unlinks the node phase 1 left held, in its own transaction.
-// Release can only return what phase 1 held. If the hold is gone, a link
-// whose losses are strict (a strict reservation, which only Revoke(target)
-// clears and only the thread removing target revokes; a dead mark or a
-// generation change) proves a racing Remove took the node; a relaxed
-// reservation cannot tell that from a spurious loss.
+// removePhase2 unlinks the node phase 1 left held, in its own transaction
+// inside phase 1's bracket (the chassis's Release). Release can only return
+// what phase 1 held. If the hold is gone, a link whose losses are strict (a
+// strict reservation, which only Revoke(target) clears and only the thread
+// removing target revokes; a dead mark or a generation change) proves a
+// racing Remove took the node; a relaxed reservation cannot tell that from
+// a spurious loss.
 func (d *DList) removePhase2(tid int) int {
 	out := retryOp
-	d.RT.AtomicT(tid, func(tx *stm.Tx) {
+	d.Release(tid, func(tx *stm.Tx, h arena.Handle, held bool) {
 		out = retryOp
-		h, held := d.Release(tx, tid)
 		if !held {
 			if d.Traits.StrictLoss {
 				out = lostOp

@@ -13,7 +13,8 @@ import (
 // chassis's Op (stm.Runtime.Chain), which carries the position between
 // window transactions through the list's link (the seam in
 // internal/reclaim, whose file header states each mechanism's resume
-// protocol); a batch runs it uncut, once per op, under the chassis's Apply.
+// protocol); a batch runs it uncut, once per op, under the chassis's Apply;
+// a scan window runs it to the resume key and then collects (iter.go).
 // Where the walk ends, the list's terminal does what the op does there.
 
 // terminal is what op does where its walk ends: prevH's successor is currH
@@ -25,18 +26,17 @@ type terminal func(tx *stm.Tx, tid int, op sets.Op, prevH, currH arena.Handle, f
 
 // walk runs from prevH, a node below key (a chain head at first), toward
 // key, taking at most budget steps. It returns the last node below key it
-// passed and its successor currH, and found: currH holds key. cut says the
-// budget ran out first, with currH a node below key, where the next window
-// resumes.
+// passed, its successor currH, currH's key k (when currH is not Nil) and the
+// steps taken to reach currH. currH holds key when k == key, and is where an
+// insert of key belongs when k > key. k < key says the budget ran out first,
+// with currH a node below key, where the next window resumes.
 //
 // marks is ModeER's rolling read release (nil otherwise): one unbounded
 // transaction, in which W bounds the retained read suffix instead. Only the
 // reads of the last len(marks) nodes stay under conflict detection;
 // everything older is released.
-func (l *List) walk(tx *stm.Tx, tid int, key uint64, prevH arena.Handle, budget int, marks []uint64) (_, currH arena.Handle, found, cut bool) {
+func (l *List) walk(tx *stm.Tx, tid int, key uint64, prevH arena.Handle, budget int, marks []uint64) (_, currH arena.Handle, k uint64, steps int) {
 	currH = l.Guard.Link(tx, tid, prevH, l.Ar.At(prevH).next.Load(tx))
-	steps := 0
-	var k uint64
 	for !currH.IsNil() {
 		if w := len(marks); w != 0 {
 			if steps >= w {
@@ -60,8 +60,7 @@ func (l *List) walk(tx *stm.Tx, tid int, key uint64, prevH arena.Handle, budget 
 		currH = l.Guard.Link(tx, tid, currH, next)
 		steps++
 	}
-	found = !currH.IsNil() && k == key
-	return prevH, currH, found, !found && !currH.IsNil() && k < key
+	return prevH, currH, k, steps
 }
 
 // run is op on the chain rooted at head under the chassis's Op: the walk,
@@ -69,12 +68,12 @@ func (l *List) walk(tx *stm.Tx, tid int, key uint64, prevH arena.Handle, budget 
 func (l *List) run(tid int, op sets.Op, head arena.Handle, at terminal) (res bool) {
 	marks := l.threads[tid].marks
 	l.Op(tid, head, 0, func(tx *stm.Tx, prevH arena.Handle, _ uint64, budget int) (arena.Handle, uint64, bool) {
-		prevH, currH, found, cut := l.walk(tx, tid, op.Key, prevH, budget, marks)
-		if cut {
-			return currH, 0, true // hand over to the next window at currH
+		prevH, currH, k, _ := l.walk(tx, tid, op.Key, prevH, budget, marks)
+		if !currH.IsNil() && k < op.Key {
+			return currH, 0, true // cut: hand over to the next window at currH
 		}
 		var hold bool
-		if res, hold = at(tx, tid, op, prevH, currH, found); hold {
+		if res, hold = at(tx, tid, op, prevH, currH, !currH.IsNil() && k == op.Key); hold {
 			return currH, 0, false
 		}
 		return arena.Nil, 0, false
@@ -89,8 +88,8 @@ func (l *List) run(tid int, op sets.Op, head arena.Handle, at terminal) (res boo
 // gets no ER marks.
 func (l *List) apply(tid int, ops []sets.Op, chainOf func(key uint64) arena.Handle, at terminal) []sets.Result {
 	return l.Chassis.Apply(tid, ops, arena.Nil, 0, chainOf, func(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, _ uint64) (bool, arena.Handle, uint64, bool) {
-		prevH, currH, found, _ := l.walk(tx, tid, op.Key, start, reclaim.Uncut, nil)
-		res, _ := at(tx, tid, op, prevH, currH, found)
+		prevH, currH, k, _ := l.walk(tx, tid, op.Key, start, reclaim.Uncut, nil)
+		res, _ := at(tx, tid, op, prevH, currH, !currH.IsNil() && k == op.Key)
 		return res, prevH, 0, false
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hohtx/internal/core"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 )
 
@@ -52,7 +53,7 @@ func TestERSmallReadFootprint(t *testing.T) {
 	const n = 300
 	prof := profileWithCapacity(64)
 	er := New(Config{Mode: ModeER, Threads: 1, Window: core.Window{W: 4}, Profile: prof, ScanThreshold: 8})
-	htm := New(Config{Mode: ModeHTM, Threads: 1, Profile: prof})
+	htm := New(Config{Mode: reclaim.ModeHTM, Threads: 1, Profile: prof})
 	for _, l := range []*List{er, htm} {
 		l.Register(0)
 		for k := uint64(1); k <= n; k++ {

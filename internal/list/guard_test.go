@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hohtx/internal/arena"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/stm"
 )
 
@@ -13,7 +14,7 @@ import (
 // sanitizer exists to catch.
 func guardHarness(t *testing.T, sink func(arena.GuardEvent)) (*List, arena.Handle) {
 	t.Helper()
-	l := New(Config{Mode: ModeHTM, Threads: 2, Guard: true, GuardSink: sink})
+	l := New(Config{Mode: reclaim.ModeHTM, Threads: 2, Guard: true, GuardSink: sink})
 	l.Register(0)
 	for _, k := range []uint64{1, 2, 3} {
 		if !l.Insert(0, k) {

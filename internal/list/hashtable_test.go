@@ -13,11 +13,11 @@ func hashVariants(threads int) []*HashTable {
 	var out []*HashTable
 	for _, k := range core.Kinds() {
 		out = append(out, NewHashTable(Config{
-			Mode: ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: 4},
+			Mode: reclaim.ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: 4},
 		}, 16))
 	}
 	out = append(out,
-		NewHashTable(Config{Mode: ModeHTM, Threads: threads}, 16),
+		NewHashTable(Config{Mode: reclaim.ModeHTM, Threads: threads}, 16),
 		NewHashTable(Config{Mode: reclaim.ModeTMHP, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
 		NewHashTable(Config{Mode: reclaim.ModeTMHE, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
 		NewHashTable(Config{Mode: reclaim.ModeTMVBR, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
@@ -63,7 +63,7 @@ func TestHashTableSequential(t *testing.T) {
 }
 
 func TestHashTableBucketing(t *testing.T) {
-	h := NewHashTable(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 1}, 9)
+	h := NewHashTable(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 1}, 9)
 	if h.Buckets() != 16 {
 		t.Fatalf("buckets = %d, want 16 (rounded up)", h.Buckets())
 	}
@@ -88,7 +88,7 @@ func TestHashTableBucketing(t *testing.T) {
 }
 
 func TestHashTablePreciseReclamation(t *testing.T) {
-	h := NewHashTable(Config{Mode: ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 2}}, 8)
+	h := NewHashTable(Config{Mode: reclaim.ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 2}}, 8)
 	h.Register(0)
 	base := h.LiveNodes() // 8 sentinels
 	if base != 8 {

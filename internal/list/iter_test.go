@@ -1,7 +1,6 @@
 package list
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,13 +8,12 @@ import (
 	"hohtx/internal/core"
 	"hohtx/internal/obs"
 	"hohtx/internal/reclaim"
-	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
 
 func TestAscendSequential(t *testing.T) {
 	for _, k := range core.Kinds() {
-		l := New(Config{Mode: ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 3}})
+		l := New(Config{Mode: reclaim.ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 3}})
 		t.Run(l.Name(), func(t *testing.T) {
 			l.Register(0)
 			for key := uint64(2); key <= 40; key += 2 {
@@ -61,7 +59,7 @@ func TestAscendSequential(t *testing.T) {
 }
 
 func TestAscendHTMMode(t *testing.T) {
-	l := New(Config{Mode: ModeHTM, Threads: 1})
+	l := New(Config{Mode: reclaim.ModeHTM, Threads: 1})
 	l.Register(0)
 	for key := uint64(1); key <= 10; key++ {
 		l.Insert(0, key)
@@ -73,32 +71,59 @@ func TestAscendHTMMode(t *testing.T) {
 	}
 }
 
-// TestAscendUnsupportedModes pins the typed-error contract: the
-// deferred-reclamation modes refuse to scan with sets.ErrScanUnsupported
-// (they used to panic, which an ASCEND wire request could trigger
-// remotely) and never call fn.
-func TestAscendUnsupportedModes(t *testing.T) {
-	for _, mode := range []Mode{reclaim.ModeTMHP, reclaim.ModeTMHE, reclaim.ModeTMVBR, ModeREF, ModeER} {
-		l := New(Config{Mode: mode, Threads: 1, Window: core.Window{W: 4}})
-		l.Register(0)
-		l.Insert(0, 1)
-		called := false
-		err := l.Ascend(0, 0, func(uint64) bool { called = true; return true })
-		if !errors.Is(err, sets.ErrScanUnsupported) {
-			t.Errorf("mode %d: Ascend err = %v, want ErrScanUnsupported", mode, err)
-		}
-		if called {
-			t.Errorf("mode %d: fn called despite unsupported scan", mode)
-		}
-		if l.CanAscend() {
-			t.Errorf("mode %d: CanAscend = true", mode)
-		}
-	}
-	for _, mode := range []Mode{ModeRR, ModeHTM} {
-		l := New(Config{Mode: mode, Threads: 1})
-		if !l.CanAscend() {
-			t.Errorf("mode %d: CanAscend = false", mode)
-		}
+// TestAscendEveryMode: every list mode scans — the precise pair, the
+// seam's deferred schemes and the list-local REF and ER — through windows
+// of four, while another thread removes the node the first window holds.
+// Each key present throughout is delivered once, ascending; a bounded scan
+// stops at its limit; the scan leaves no hold behind; and the books balance
+// once both threads have drained.
+func TestAscendEveryMode(t *testing.T) {
+	for _, mode := range []Mode{reclaim.ModeRR, reclaim.ModeHTM, reclaim.ModeTMHP, reclaim.ModeTMHE, reclaim.ModeTMVBR, ModeREF, ModeER} {
+		l := New(Config{Mode: mode, Threads: 2, Window: core.Window{W: 4, NoScatter: true}})
+		t.Run(l.Name(), func(t *testing.T) {
+			l.Register(0)
+			l.Register(1)
+			for k := uint64(1); k <= 40; k++ {
+				l.Insert(0, k)
+			}
+			var got []uint64
+			if err := l.Ascend(0, 0, func(k uint64) bool {
+				if k == 2 && !l.Remove(1, 4) {
+					t.Fatal("Remove(4) failed")
+				}
+				got = append(got, k)
+				return true
+			}); err != nil {
+				t.Fatalf("Ascend: %v", err)
+			}
+			// Key 4, removed mid-scan, may or may not be delivered.
+			var rest []uint64
+			for i, k := range got {
+				if i > 0 && k <= got[i-1] {
+					t.Fatalf("delivered %v: not ascending", got)
+				}
+				if k != 4 {
+					rest = append(rest, k)
+				}
+			}
+			if len(rest) != 39 || rest[0] != 1 || rest[2] != 3 || rest[3] != 5 || rest[38] != 40 {
+				t.Fatalf("delivered %v: want 1..40, 4 optional", got)
+			}
+			got = got[:0]
+			if err := l.AscendN(0, 11, 5, func(k uint64) bool { got = append(got, k); return true }); err != nil || len(got) != 5 || got[0] != 11 || got[4] != 15 {
+				t.Fatalf("AscendN(11, 5) = %v, %v: want 11..15", got, err)
+			}
+			if !l.Lookup(0, 3) || l.Lookup(0, 4) {
+				t.Fatal("point operations broken after the scans")
+			}
+			for range 2 {
+				l.Finish(0)
+				l.Finish(1)
+			}
+			if err := l.Books(39).Check(true); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -109,7 +134,7 @@ func TestAscendUnsupportedModes(t *testing.T) {
 // present key returned false — and the node stayed pinned in the
 // reservation table.
 func TestAscendPanicReleasesHold(t *testing.T) {
-	l := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+	l := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 2,
 		Window: core.Window{W: 2, NoScatter: true}})
 	l.Register(0)
 	l.Register(1)
@@ -152,7 +177,7 @@ func TestAscendPanicReleasesHold(t *testing.T) {
 // the head by key, which the ascend_renavigations histogram counts.
 func TestAscendRenavigation(t *testing.T) {
 	dom := obs.NewDomain(obs.DomainConfig{Name: "iter-test", Threads: 2, SampleShift: 0})
-	l := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+	l := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 2,
 		Window: core.Window{W: 2, NoScatter: true}, Obs: dom})
 	l.Register(0)
 	l.Register(1)
@@ -199,7 +224,7 @@ func TestAscendRenavigation(t *testing.T) {
 // reclamation putting their nodes back into circulation).
 func TestAscendConcurrent(t *testing.T) {
 	const stable = 50 // odd keys 1..99 stay put
-	l := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 4, Window: core.Window{W: 2}})
+	l := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 4, Window: core.Window{W: 2}})
 	l.Register(0)
 	for k := uint64(1); k <= 99; k += 2 {
 		l.Insert(0, k)
@@ -267,7 +292,7 @@ func TestAscendConcurrent(t *testing.T) {
 
 // boundedList builds keys 1..keys on tid 0 of a two-thread RR-V list.
 func boundedList(w, keys, capacity int) *List {
-	l := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+	l := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 2,
 		Window: core.Window{W: w, NoScatter: true}, Profile: stm.Profile{Capacity: capacity}})
 	l.Register(0)
 	l.Register(1)
@@ -275,6 +300,22 @@ func boundedList(w, keys, capacity int) *List {
 		l.Insert(0, uint64(k))
 	}
 	return l
+}
+
+// TestAscendWindowShape: a scan window's walk to its resume key and its
+// collect share one step budget, as a point operation's windows do. At W=4
+// from key 3 the first window passes 1 and 2 and collects 3 and 4, so a
+// bounded scan of four keys takes two windows, not one.
+func TestAscendWindowShape(t *testing.T) {
+	l := boundedList(4, 30, 0)
+	c0 := l.TMStats().Commits
+	var got []uint64
+	if err := l.AscendN(0, 3, 4, func(k uint64) bool { got = append(got, k); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if n := l.TMStats().Commits - c0; n != 2 || len(got) != 4 || got[0] != 3 || got[3] != 6 {
+		t.Fatalf("AscendN(3, 4) delivered %v in %d windows, want 3..6 in 2", got, n)
+	}
 }
 
 // stopAt is the consumer that ends a scan itself, at its k-th key.

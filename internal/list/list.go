@@ -28,12 +28,10 @@ import (
 // for what each value means.
 type Mode = reclaim.Mode
 
-// The modes the lists' own code names: the precise pair, and REF and ER,
-// which are implemented here (the singly linked list and the hash table
-// only) rather than in the seam.
+// The modes the lists' own code names: REF and ER, which are implemented
+// here (the singly linked list and the hash table only) rather than in the
+// seam.
 const (
-	ModeRR  = reclaim.ModeRR
-	ModeHTM = reclaim.ModeHTM
 	ModeREF = reclaim.ModeREF
 	ModeER  = reclaim.ModeER
 )
@@ -75,9 +73,8 @@ type Config = reclaim.Config
 // and the traversals in engine.go and iter.go.
 type List struct {
 	reclaim.Chassis[node]
-	canAscend bool
-	head      arena.Handle
-	threads   []threadState
+	head    arena.Handle
+	threads []threadState
 }
 
 // New constructs a singly linked list set.
@@ -91,9 +88,6 @@ func New(cfg Config) *List {
 func (l *List) init(cfg Config) {
 	cfg = cfg.WithDefaults(2, 8)
 	l.threads = make([]threadState, cfg.Threads)
-	// The reservation cursor (iter.go) is offered on the paper's own modes
-	// only.
-	l.canAscend = cfg.Mode == ModeRR || cfg.Mode == ModeHTM
 	l.Init(cfg, reclaim.Layout[node]{
 		Words: (*node).words,
 		Dead:  func(h arena.Handle) *stm.Word { return &l.Ar.At(h).dead },

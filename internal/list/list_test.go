@@ -17,10 +17,10 @@ import (
 func variants(threads int, w int) []*List {
 	var out []*List
 	for _, k := range core.Kinds() {
-		out = append(out, New(Config{Mode: ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
+		out = append(out, New(Config{Mode: reclaim.ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
 	}
 	out = append(out,
-		New(Config{Mode: ModeHTM, Threads: threads}),
+		New(Config{Mode: reclaim.ModeHTM, Threads: threads}),
 		New(Config{Mode: reclaim.ModeTMHP, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
 		New(Config{Mode: reclaim.ModeTMHE, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
 		New(Config{Mode: reclaim.ModeTMVBR, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
@@ -107,7 +107,7 @@ func TestSequentialVsModel(t *testing.T) {
 // live-node accounting exactly tracks the set size (plus the sentinel).
 func TestPreciseReclamation(t *testing.T) {
 	for _, k := range core.Kinds() {
-		l := New(Config{Mode: ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 4}})
+		l := New(Config{Mode: reclaim.ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 4}})
 		t.Run(l.Name(), func(t *testing.T) {
 			l.Register(0)
 			for key := uint64(1); key <= 100; key++ {
@@ -162,7 +162,7 @@ func TestTMHPDefersReclamation(t *testing.T) {
 // still computes the correct answer.
 func TestFigure1Scenario(t *testing.T) {
 	for _, k := range core.Kinds() {
-		l := New(Config{Mode: ModeRR, RRKind: k, Threads: 5, Window: core.Window{W: 4}})
+		l := New(Config{Mode: reclaim.ModeRR, RRKind: k, Threads: 5, Window: core.Window{W: 4}})
 		t.Run(l.Name(), func(t *testing.T) {
 			for tid := 0; tid < 5; tid++ {
 				l.Register(tid)
@@ -272,7 +272,7 @@ func TestConcurrentStressSingly(t *testing.T) {
 
 func TestConcurrentStressWindowOne(t *testing.T) {
 	// W=1 maximizes window cuts and reservation traffic.
-	l := New(Config{Mode: ModeRR, RRKind: core.KindXO, Threads: 4, Window: core.Window{W: 1}})
+	l := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindXO, Threads: 4, Window: core.Window{W: 1}})
 	runStress(t, l, 4, 800, 32, l)
 }
 
@@ -280,7 +280,7 @@ func TestConcurrentStressTinyCapacity(t *testing.T) {
 	// A tiny HTM capacity forces frequent serial fallbacks; correctness
 	// must be unaffected.
 	l := New(Config{
-		Mode: ModeRR, RRKind: core.KindV, Threads: 4,
+		Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 4,
 		Window:  core.Window{W: 8},
 		Profile: stm.Profile{Capacity: 24, MaxAttempts: 2},
 	})
@@ -291,7 +291,7 @@ func TestConcurrentStressTinyCapacity(t *testing.T) {
 }
 
 func TestDoublySequential(t *testing.T) {
-	for _, mode := range []Mode{ModeRR, ModeHTM, reclaim.ModeTMHP, reclaim.ModeTMHE, reclaim.ModeTMVBR} {
+	for _, mode := range []Mode{reclaim.ModeRR, reclaim.ModeHTM, reclaim.ModeTMHP, reclaim.ModeTMHE, reclaim.ModeTMVBR} {
 		cfg := Config{Mode: mode, RRKind: core.KindFA, Threads: 1, Window: core.Window{W: 3}}
 		d := NewDoubly(cfg)
 		t.Run(d.Name(), func(t *testing.T) {
@@ -322,7 +322,7 @@ func TestDoublyRemoveRace(t *testing.T) {
 	// All threads try to remove the same key; exactly one must win. The
 	// strict variants decide via lostOp, the relaxed ones via retry.
 	for _, k := range []core.Kind{core.KindFA, core.KindXO, core.KindV} {
-		d := NewDoubly(Config{Mode: ModeRR, RRKind: k, Threads: 8, Window: core.Window{W: 2}})
+		d := NewDoubly(Config{Mode: reclaim.ModeRR, RRKind: k, Threads: 8, Window: core.Window{W: 2}})
 		t.Run(d.Name(), func(t *testing.T) {
 			for round := 0; round < 50; round++ {
 				d.Register(0)
@@ -355,10 +355,10 @@ func TestDoublyConcurrentStress(t *testing.T) {
 	kinds := core.Kinds()
 	var all []*DList
 	for _, k := range kinds {
-		all = append(all, NewDoubly(Config{Mode: ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: 4}}))
+		all = append(all, NewDoubly(Config{Mode: reclaim.ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: 4}}))
 	}
 	all = append(all,
-		NewDoubly(Config{Mode: ModeHTM, Threads: threads}),
+		NewDoubly(Config{Mode: reclaim.ModeHTM, Threads: threads}),
 		NewDoubly(Config{Mode: reclaim.ModeTMHP, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
 		NewDoubly(Config{Mode: reclaim.ModeTMHE, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
 		NewDoubly(Config{Mode: reclaim.ModeTMVBR, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
@@ -393,7 +393,7 @@ func TestNames(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	l := New(Config{Mode: ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 1}})
+	l := New(Config{Mode: reclaim.ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 1}})
 	l.Register(0)
 	if got := l.Snapshot(); len(got) != 0 {
 		t.Fatalf("empty snapshot = %v", got)
@@ -422,7 +422,7 @@ func TestRRVLookupWindowsCommitReadOnly(t *testing.T) {
 		readOnly bool
 	}{{core.KindV, true}, {core.KindXO, false}} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
-			l := New(Config{Mode: ModeRR, RRKind: tc.kind, Threads: 1, Window: core.Window{W: w}})
+			l := New(Config{Mode: reclaim.ModeRR, RRKind: tc.kind, Threads: 1, Window: core.Window{W: w}})
 			l.Register(0)
 			for k := uint64(1); k <= n; k++ {
 				l.Insert(0, 2*k)
@@ -487,7 +487,7 @@ func TestApplyOnePassPerChain(t *testing.T) {
 // then spin in the attempt's own pending writes without ever validating a
 // read. The allocation must abort the attempt instead.
 func TestAllocatedSlotPostdatesSnapshot(t *testing.T) {
-	for _, mode := range []Mode{ModeRR, ModeHTM, ModeREF, reclaim.ModeTMHP} {
+	for _, mode := range []Mode{reclaim.ModeRR, reclaim.ModeHTM, ModeREF, reclaim.ModeTMHP} {
 		t.Run(mode.String(), func(t *testing.T) {
 			// ScanThreshold 1: the deferred mode frees at its first retire.
 			l := New(Config{Mode: mode, Threads: 2, ArenaPolicy: arena.PolicyShared, ScanThreshold: 1})

@@ -185,19 +185,29 @@ const Uncut = math.MaxInt
 // at or drops the hold when at is Nil. After a restart the budget is
 // Uncut. (An attempt that asked for a restart and then aborted leaves the
 // rest uncut too; that costs a larger transaction, never a wrong answer.)
+//
+// The operation runs inside one Link.Begin/End bracket. An operation that
+// ends holding a node past it (the doubly linked list's first remove phase)
+// stays inside that bracket until Release ends the hold.
 func (c *Chassis[N]) Op(tid int, root arena.Handle, rootWord uint64, window Window) {
 	c.ops[tid].n++
 	c.Link.Begin(tid)
-	defer c.Link.End(tid)
-	uncut := false
+	uncut, past := false, false
+	defer func() {
+		if !past {
+			c.Link.End(tid)
+		}
+	}()
 	c.RT.Chain(tid, func(tx *stm.Tx) bool {
 		start, word, held, budget := c.start(tx, tid, root, rootWord)
 		if uncut {
 			budget = Uncut
 		}
+		past = false
 		at, atWord, more := window(tx, start, word, budget)
 		c.settle(tx, tid, held, at, atWord)
 		uncut = uncut || more && at.IsNil()
+		past = !more && !at.IsNil()
 		return more
 	})
 }
@@ -311,13 +321,18 @@ func (c *Chassis[N]) Apply(tid int, ops []Op, root arena.Handle, rootWord uint64
 	return out
 }
 
-// Release ends tid's hold inside the caller's transaction and returns it: the
-// held position, if the thread still holds it (the doubly linked list's
-// second remove phase unlinks what its first phase left held).
-func (c *Chassis[N]) Release(tx *stm.Tx, tid int) (h arena.Handle, held bool) {
-	h, _, held = c.Link.Resume(tx, tid)
-	c.Link.Drop(tx, tid, held)
-	return h, held
+// Release ends the hold an Op of tid's left past its end, in a transaction
+// of its own inside that Op's bracket, which closes when the transaction
+// commits: then gets the held position, and whether the thread still holds
+// it (the doubly linked list's second remove phase unlinks what its first
+// phase left held).
+func (c *Chassis[N]) Release(tid int, then func(tx *stm.Tx, h arena.Handle, held bool)) {
+	defer c.Link.End(tid)
+	c.RT.AtomicT(tid, func(tx *stm.Tx) {
+		h, _, held := c.Link.Resume(tx, tid)
+		c.Link.Drop(tx, tid, held)
+		then(tx, h, held)
+	})
 }
 
 // start resolves a window of tid's: where it begins — the thread's held
@@ -357,7 +372,8 @@ func (c *Chassis[N]) settle(tx *stm.Tx, tid int, held bool, at arena.Handle, wor
 // the hold in that same transaction, so a bounded scan leaves nothing for a
 // trailing transaction to release.
 //
-// window is the structure's traversal. From (start, word), taking at most
+// window is the structure's traversal: its point descent to last, then a
+// collect along the bottom chain. From (start, word), taking at most
 // budget steps, it appends every key >= last it passes to batch, ascending,
 // and returns the node and word to hold — a node whose key is below every
 // key not yet collected — or Nil when the structure is exhausted. It must

@@ -71,7 +71,8 @@ func (l *countLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, stamp uint64) 
 }
 
 // TestChassisBracketsEveryOperation: Op, Apply and Cursor each open exactly
-// one Begin/End pair however many transactions they run, and a Cursor
+// one Begin/End pair however many transactions they run, an Op held past
+// its end shares its pair with the Release that ends the hold, and a Cursor
 // whose consumer panics still closes its bracket. Under a registered
 // deferred scheme each pair reaches the scheme as one Enter and one Exit.
 func TestChassisBracketsEveryOperation(t *testing.T) {
@@ -110,6 +111,21 @@ func bracketEveryOperation(t *testing.T, mode Mode) {
 		return false, arena.Nil, 0, false
 	})
 	check("an Apply of four operations")
+
+	// An Op that ends holding root (the doubly linked list's first remove
+	// phase) stays in its bracket until its Release, which gets the hold.
+	c.Op(0, root, 0, func(*stm.Tx, arena.Handle, uint64, int) (arena.Handle, uint64, bool) {
+		return root, 0, false
+	})
+	if cl.ends != ops {
+		t.Fatalf("the bracket closed under a hold past the operation: %d End, want %d", cl.ends, ops)
+	}
+	c.Release(0, func(_ *stm.Tx, h arena.Handle, held bool) {
+		if h != root || !held {
+			t.Errorf("Release got %v (held %v), want root held", h, held)
+		}
+	})
+	check("an Op held past its end, and its Release")
 
 	// A cursor over keys 1..3, one key per window, each window holding root.
 	window := func(_ *stm.Tx, _ arena.Handle, _ uint64, _, _ int, last uint64, batch []uint64) ([]uint64, arena.Handle, uint64) {
@@ -167,7 +183,7 @@ func TestOpHoldsWhereAWindowStops(t *testing.T) {
 		t.Fatalf("windows started at %v, want %v", got, want)
 	}
 	c.RT.AtomicT(0, func(tx *stm.Tx) {
-		if _, held := c.Release(tx, 0); held {
+		if _, _, held := c.Link.Resume(tx, 0); held {
 			t.Error("a hold survived the operation's end")
 		}
 	})

@@ -76,7 +76,7 @@ func newAllocShards(t testing.TB, slots, shards int, traced bool) *Server {
 	backends := make([]Backend, shards)
 	for i := range backends {
 		set := list.New(list.Config{
-			Mode: list.ModeRR, RRKind: core.KindV,
+			Mode: reclaim.ModeRR, RRKind: core.KindV,
 			Threads: slots, Window: core.Window{W: 8},
 		})
 		backends[i] = Backend{Set: set, Pool: NewPool(set, PoolConfig{Slots: slots})}
@@ -197,7 +197,7 @@ func TestServeAllocsMalformed(t *testing.T) {
 func TestStructureAllocs(t *testing.T) {
 	skipUnderRace(t)
 	set := list.New(list.Config{
-		Mode: list.ModeRR, RRKind: core.KindV,
+		Mode: reclaim.ModeRR, RRKind: core.KindV,
 		Threads: 2, Window: core.Window{W: 8},
 	})
 	ops := make([]sets.Op, 0, 64)

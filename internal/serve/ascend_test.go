@@ -376,10 +376,10 @@ func TestAscendPulledPerEmitted(t *testing.T) {
 	}
 }
 
-// TestAscendWireUnsupported pins the never-panic contract: variants that
-// cannot scan — whether they implement Ascender but refuse (TMHP list)
-// or lack the interface outright (trees) — answer ERR scan unsupported,
-// advertise scan=none, and keep the connection alive.
+// TestAscendWireUnsupported pins the never-panic contract: structures
+// without a cursor (trees, the hash table) answer ERR scan unsupported,
+// advertise scan=none, and keep the connection alive. A deferred list is
+// not among them: it scans under every mode.
 func TestAscendWireUnsupported(t *testing.T) {
 	build := func(f bench.Family, name string) sets.Set {
 		s, err := bench.Build(f, bench.VariantSpec{Name: name}, 2)
@@ -391,25 +391,30 @@ func TestAscendWireUnsupported(t *testing.T) {
 	for _, tc := range []struct {
 		label string
 		set   sets.Set
+		scan  []string // ASCEND 1 10's reply lines
+		info  string   // INFO's scan=
 	}{
-		{"tmhp-list", build(bench.FamilySingly, "TMHP")},
-		{"rr-itree", build(bench.FamilyInternalTree, "RR-V")},
+		{"tmhp-list", build(bench.FamilySingly, "TMHP"), []string{"OK 10", "OK 20", "END"}, "atomic-window"},
+		{"rr-itree", build(bench.FamilyInternalTree, "RR-V"), []string{"ERR scan unsupported"}, "none"},
+		{"rr-hash", build(bench.Family("hash"), "RR-V"), []string{"ERR scan unsupported"}, "none"},
 	} {
 		t.Run(tc.label, func(t *testing.T) {
 			addr := startServer(t, serve.NewSharded([]sets.Set{tc.set}), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr
 			cl := dialClient(t, addr)
 			cl.roundTrip(t, "SET 10", "SET 20")
 			cl.sendLines(t, "ASCEND 1 10")
-			if r := cl.readLine(t); r != "ERR scan unsupported" {
-				t.Fatalf("ASCEND -> %q, want ERR scan unsupported", r)
+			for _, want := range tc.scan {
+				if r := cl.readLine(t); r != want {
+					t.Fatalf("ASCEND -> %q, want %q", r, want)
+				}
 			}
 			// The connection survived and still serves point ops.
 			if r := cl.roundTrip(t, "GET 10")[0]; r != "1" {
-				t.Fatalf("GET after refused scan -> %q, want 1", r)
+				t.Fatalf("GET after the scan -> %q, want 1", r)
 			}
 			info := parseInfo(t, cl.roundTrip(t, "INFO")[0])
-			if info["scan"] != "none" {
-				t.Fatalf("INFO scan=%q, want none", info["scan"])
+			if info["scan"] != tc.info {
+				t.Fatalf("INFO scan=%q, want %s", info["scan"], tc.info)
 			}
 		})
 	}

@@ -662,10 +662,6 @@ func (c *conn) serveAscend(_ *verb, args []byte) bool {
 	switch {
 	case err == nil:
 		c.bw.WriteString("END\n")
-	case errors.Is(err, sets.ErrScanUnsupported):
-		// Defensive: capability was probed at construction, but a variant
-		// may still refuse at run time.
-		c.reject("scan unsupported", wireErr{})
 	default:
 		keep = c.shed("ascend: ", err)
 	}

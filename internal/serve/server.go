@@ -104,8 +104,8 @@ type ServerConfig struct {
 //   - ASCEND is weakly consistent in the sync.Map.Range style: keys
 //     present for the whole scan are delivered exactly once, delivered
 //     keys strictly ascend, churned keys may or may not appear. An ERR
-//     line is the scan's alternate terminator; variants that cannot hold a
-//     revocable cursor answer "ERR scan unsupported" (INFO
+//     line is the scan's alternate terminator; structures without a
+//     cursor (trees, hash table) answer "ERR scan unsupported" (INFO
 //     scan=atomic-window|merged|none).
 //   - Lease-pool saturation is load shedding, never a connection error:
 //     the request is answered with an ERR line and the connection, with

@@ -81,8 +81,8 @@ func NewSharded(shards []sets.Set) *Sharded {
 		if or, ok := sh.(sets.ObsReporter); ok {
 			s.doms[i] = or.ObsDomain()
 		}
-		if sets.CanAscend(sh) {
-			s.asc = append(s.asc, sh.(sets.Ascender))
+		if a, ok := sh.(sets.Ascender); ok {
+			s.asc = append(s.asc, a)
 		}
 	}
 	if len(s.asc) != len(shards) {
@@ -232,8 +232,8 @@ func (s *Sharded) AscendN(tid int, from uint64, limit int, fn func(key uint64) b
 	}, fn)
 }
 
-// CanAscend reports whether every shard supports the reservation cursor
-// (sets.CanAscend on each; the serve layer advertises scan= from it).
+// CanAscend reports whether every shard is a sets.Ascender (the serve
+// layer advertises scan= from it).
 func (s *Sharded) CanAscend() bool { return s.asc != nil }
 
 // Name labels the sharded instance, e.g. "RR-V×4".

@@ -55,12 +55,11 @@ type Set interface {
 	Apply(tid int, ops []Op) []Result
 }
 
-// ErrScanUnsupported is returned by Ascend when the variant cannot run a
-// reservation cursor: the lists under any mode but RR and HTM (the skiplist
-// scans under every mode; the lock-free baselines are not Ascenders at
-// all). Callers — the serve layer in particular — must treat it as a
-// capability miss, not a crash: it replaces the panic that used to make a
-// misconfigured variant remotely killable.
+// ErrScanUnsupported is returned by the AscendN of a sharded facade
+// (serve.Sharded) with a shard that is not an Ascender; every list mode and
+// the skiplist scan, and the trees, the hash table and the lock-free
+// baselines are not Ascenders at all. Callers — the serve layer in
+// particular — must treat it as a capability miss, not a crash.
 var ErrScanUnsupported = errors.New("sets: scan unsupported by this variant")
 
 // Ascender is implemented by sets that support windowed ascending
@@ -84,33 +83,9 @@ var ErrScanUnsupported = errors.New("sets: scan unsupported by this variant")
 //
 // fn runs between the scan's transactions and must not operate on the set
 // under the scan's own tid, whose position the scan is holding.
-//
-// Implementations that cannot scan return ErrScanUnsupported without
-// calling fn.
 type Ascender interface {
 	Ascend(tid int, from uint64, fn func(key uint64) bool) error
 	AscendN(tid int, from uint64, limit int, fn func(key uint64) bool) error
-}
-
-// ascendGate is the capability check of an Ascender whose support depends
-// on how it was configured (the list implements Ascend in every mode but
-// can only run the cursor under RR/HTM; a sharded facade can only scan if
-// every shard can).
-type ascendGate interface {
-	CanAscend() bool
-}
-
-// CanAscend reports whether s can run the reservation cursor: it is an
-// Ascender and, where it has a capability check, the check passes. This is
-// the one test front ends and harnesses make before offering scans — a
-// misconfigured variant must be a capability miss, never a crash.
-func CanAscend(s Set) bool {
-	a, ok := s.(Ascender)
-	if !ok {
-		return false
-	}
-	g, gated := a.(ascendGate)
-	return !gated || g.CanAscend()
 }
 
 // OpKind selects a batch operation; see reclaim.OpKind, where the chassis's

@@ -59,9 +59,6 @@ func TestSkipAscendSequential(t *testing.T) {
 			if !s.Lookup(0, 2) {
 				t.Fatal("lookup broken after early-stopped ascend")
 			}
-			if !s.CanAscend() {
-				t.Fatal("CanAscend = false for RR skiplist")
-			}
 		})
 	}
 }
@@ -343,9 +340,6 @@ func TestSkipAscendDeferredModes(t *testing.T) {
 	for _, mode := range []reclaim.Mode{reclaim.ModeTMHE, reclaim.ModeTMVBR} {
 		s := New(Config{Mode: mode, Threads: 4, Window: core.Window{W: 4}, ScanThreshold: 8})
 		t.Run(s.Name(), func(t *testing.T) {
-			if !s.CanAscend() {
-				t.Fatal("CanAscend = false")
-			}
 			s.Register(0)
 			for k := uint64(1); k <= 99; k += 2 {
 				s.Insert(0, k)

@@ -29,13 +29,17 @@ import (
 // landed under the victim's tower). Inside a batch's uncut descent that
 // cannot happen unless the snapshot is doomed.
 
-// searchCtx carries one window transaction's traversal frame.
+// searchCtx carries one window transaction's traversal frame. Where run
+// stops short of a cut, next is curr's successor at level (Nil at the end of
+// the level), the first node at or past the key, and nk its key.
 type searchCtx struct {
 	tx    *stm.Tx
 	tid   int
 	curr  arena.Handle
 	level int
 	steps int
+	next  arena.Handle
+	nk    uint64
 }
 
 // advanceResult reports why a descent stopped.
@@ -71,6 +75,7 @@ func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel i
 			nk, link, more := stm.LoadBelow(c.tx, &next.key, &next.next[c.level], bound)
 			nk = s.Guard.Word(c.tx, c.tid, nextH, nk)
 			if nk == key {
+				c.next, c.nk = nextH, nk
 				return advMatched
 			}
 			if nk < key {
@@ -82,8 +87,10 @@ func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel i
 				nextH = s.Guard.Link(c.tx, c.tid, nextH, link)
 				continue
 			}
+			c.nk = nk
 		}
 		if c.level <= stopLevel {
+			c.next = nextH
 			return advStopped
 		}
 		c.level--
@@ -251,13 +258,7 @@ func (s *SkipList) remove(c *searchCtx, key uint64, budget int) (bool, arena.Han
 	case advCut:
 		return false, c.curr, uint64(c.level), true
 	}
-	tx, tid := c.tx, c.tid
-	victim := s.Guard.Link(tx, tid, c.curr, s.Ar.At(c.curr).next[c.level].Load(tx))
-	if victim.IsNil() {
-		// Only a poisoned link defuses to Nil after advMatched; this
-		// attempt is doomed.
-		return false, arena.Nil, 0, true
-	}
+	tx, tid, victim := c.tx, c.tid, c.next
 	vh := int(s.Guard.Word(tx, tid, victim, s.Ar.At(victim).height.Load(tx)))
 	if c.level != vh-1 {
 		return false, arena.Nil, 0, true // met under the victim's tower

@@ -6,6 +6,7 @@ import (
 	"hohtx/internal/core"
 	"hohtx/internal/list"
 	"hohtx/internal/obs"
+	"hohtx/internal/reclaim"
 )
 
 // TestObservedLookupSchedulesNoCommitHook pins that observing a structure
@@ -21,7 +22,7 @@ func TestObservedLookupSchedulesNoCommitHook(t *testing.T) {
 		{"detached", nil},
 		{"observed", obs.NewDomain(obs.DomainConfig{Name: "effect", Threads: 2})},
 	} {
-		l := list.New(list.Config{Mode: list.ModeRR, RRKind: core.KindV, Threads: 2,
+		l := list.New(list.Config{Mode: reclaim.ModeRR, RRKind: core.KindV, Threads: 2,
 			Window: core.Window{W: 2, NoScatter: true}, Obs: tc.dom})
 		l.Register(0)
 		l.Register(1)

@@ -219,8 +219,8 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 	// from its own seed and records each call, with its interval, in its
 	// own log. On Ascender instances each lease batch starts with one scan
 	// from a random key.
-	asc, _ := s.(sets.Ascender)
-	canScan := sets.CanAscend(s)
+	asc, canScan := s.(sets.Ascender)
+	canScan = canScan && inst.view.CanAscend() // a sharded view over trees is an Ascender with no cursor
 	apply := s.Apply
 	if cfg.BatchOps <= 1 {
 		apply = func(tid int, ops []sets.Op) []bool { return sets.ApplyEach(s, tid, ops) } // the single-op methods

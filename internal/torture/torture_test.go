@@ -161,10 +161,10 @@ func TestTortureBatchOps(t *testing.T) {
 }
 
 // TestTortureScanOracle checks that every worker scans once per lease batch
-// on every Ascender-capable shape — singly/skip, RR and HTM, unsharded and
-// behind the merged sharded cursor — and that the checker accepts those
-// scans, and that no scan runs where scanning is undefined
-// (deferred-reclamation variants, trees).
+// on every Ascender shape — singly/skip, precise, whole-operation and
+// deferred, unsharded and behind the merged sharded cursor — and that the
+// checker accepts those scans, and that no scan runs where scanning is
+// undefined (trees).
 func TestTortureScanOracle(t *testing.T) {
 	for _, tc := range []struct {
 		structure, variant string
@@ -175,8 +175,8 @@ func TestTortureScanOracle(t *testing.T) {
 		{family.Singly, "HTM", 1, true},
 		{family.Singly, "RR-FA", 3, true}, // merged cross-shard cursor
 		{family.Skip, "RR-V", 2, true},
-		{family.Singly, "TMHP", 1, false}, // Ascender but CanAscend() == false
-		{family.ITree, "HTM", 1, false},   // no Ascender at all
+		{family.Singly, "TMHP", 1, true},
+		{family.ITree, "HTM", 1, false}, // no Ascender at all
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%s/%s/s%d", tc.structure, tc.variant, tc.shards), func(t *testing.T) {
