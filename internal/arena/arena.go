@@ -273,13 +273,14 @@ type Arena[T any] struct {
 	magFlush int
 
 	// retire, when installed (SetRetire), runs on every Free after the
-	// generation bump and before the slot reaches any free list. Owning
-	// structures use it to lift the versions of the slot's transactional
-	// cells past the current clock, so that transactions still holding
-	// pre-free snapshots abort instead of reading the slot's next
-	// incarnation (see stm.Word.Retire). Unlike the guard poisoner it is
-	// not a debugging aid: it runs in every mode.
-	retire func(*T)
+	// generation bump and before the slot reaches any free list, with the
+	// freeing tid. Owning structures use it to lift the versions of the
+	// slot's transactional cells past the current clock, so that
+	// transactions still holding pre-free snapshots abort instead of
+	// reading the slot's next incarnation (see stm.Word.Retire), and to
+	// free what the slot owns elsewhere (the skiplist's towers). Unlike the
+	// guard poisoner it is not a debugging aid: it runs in every mode.
+	retire func(tid int, v *T)
 
 	guard *guardState[T] // nil unless Config.Guard
 	obsv  *obs.TxProbe   // nil unless SetObserver attached a probe
@@ -324,13 +325,14 @@ func (a *Arena[T]) SetPoison(f func(*T)) {
 	}
 }
 
-// SetRetire installs the free-time retire callback: f is invoked for every
-// freed slot while the slot is still unreachable (after the generation
-// bump, before the index is pushed to a free list, and before the guard
-// poisoner). Structures whose slots contain stm cells must install one
-// that retires every cell's version (stm.Word.Retire); see that method for
-// why recycling is unsound without it. Call once, before any Free.
-func (a *Arena[T]) SetRetire(f func(*T)) { a.retire = f }
+// SetRetire installs the free-time retire callback: f is invoked with the
+// freeing tid for every freed slot while the slot is still unreachable
+// (after the generation bump, before the index is pushed to a free list,
+// and before the guard poisoner). Structures whose slots contain stm cells
+// must install one that retires every cell's version (stm.Word.Retire);
+// see that method for why recycling is unsound without it. Call once,
+// before any Free.
+func (a *Arena[T]) SetRetire(f func(tid int, v *T)) { a.retire = f }
 
 // SetObserver attaches the structure's probe (nil detaches): every Free
 // then logs a sampled flight event, which is where a postmortem reads when
@@ -421,7 +423,7 @@ func (a *Arena[T]) Free(tid int, h Handle) {
 		// Retire before poisoning: once the cell versions are lifted, no
 		// pre-free snapshot can validate a read of the sentinel (or of the
 		// slot's next incarnation) written below.
-		a.retire(&s.val)
+		a.retire(tid, &s.val)
 	}
 	if a.guard != nil {
 		// The slot is free but not yet on any free list, so no other

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hohtx/internal/sets"
@@ -37,9 +38,10 @@ func buildPrefilled(b *testing.B, f Family, name string, keyBits int) (sets.Set,
 	return s, w
 }
 
-// runPointOps spreads b.N operations of the workload's mix over the worker
-// ids and returns once all have finished.
-func runPointOps(b *testing.B, s sets.Set, w Workload) {
+// runWorkers spreads b.N iterations over the worker ids, each worker
+// running fn(tid, n, state) for its n with a seed of its own, and returns
+// once all have finished, with the timer stopped.
+func runWorkers(b *testing.B, fn func(tid, n int, state uint64)) {
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for tid := 0; tid < pointWorkers; tid++ {
@@ -50,21 +52,27 @@ func runPointOps(b *testing.B, s sets.Set, w Workload) {
 		wg.Add(1)
 		go func(tid, n int) {
 			defer wg.Done()
-			state := uint64(tid)*0x9e3779b97f4a7c15 + 7
-			for i := 0; i < n; i++ {
-				switch op, key := nextOp(w, &state); op {
-				case opInsert:
-					s.Insert(tid, key)
-				case opRemove:
-					s.Remove(tid, key)
-				default:
-					s.Lookup(tid, key)
-				}
-			}
+			fn(tid, n, uint64(tid)*0x9e3779b97f4a7c15+7)
 		}(tid, n)
 	}
 	wg.Wait()
 	b.StopTimer()
+}
+
+// runPointOps runs b.N operations of the workload's mix over the worker ids.
+func runPointOps(b *testing.B, s sets.Set, w Workload) {
+	runWorkers(b, func(tid, n int, state uint64) {
+		for i := 0; i < n; i++ {
+			switch op, key := nextOp(w, &state); op {
+			case opInsert:
+				s.Insert(tid, key)
+			case opRemove:
+				s.Remove(tid, key)
+			default:
+				s.Lookup(tid, key)
+			}
+		}
+	})
 }
 
 func BenchmarkPointOps(b *testing.B) {
@@ -85,6 +93,26 @@ func BenchmarkPointOps(b *testing.B) {
 			runPointOps(b, s, w)
 		})
 	}
+	// The skiplist's scan: AscendN(64) from a uniform key, b.N scans over
+	// the worker ids. ns/key is the price of a key a scan emits — the
+	// in-process counterpart of the ladder's sets.ns_per_scan_key, with no
+	// socket, merge or lease pool beside it.
+	b.Run(fmt.Sprintf("%s/scan/keys=65536", FamilySkipList), func(b *testing.B) {
+		s, w := buildPrefilled(b, FamilySkipList, "RR-V", 16)
+		asc := s.(sets.Ascender)
+		var keys atomic.Uint64
+		runWorkers(b, func(tid, n int, state uint64) {
+			got := uint64(0)
+			count := func(uint64) bool { got++; return true }
+			for i := 0; i < n; i++ {
+				if err := asc.AscendN(tid, splitmix64(&state)%w.KeyRange()+1, 64, count); err != nil {
+					panic(err)
+				}
+			}
+			keys.Add(got)
+		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(keys.Load(), 1)), "ns/key")
+	})
 }
 
 // BenchmarkWindow is the price of a window transaction with the traversal

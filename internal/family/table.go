@@ -154,7 +154,7 @@ var table = []Row{
 	{
 		Name: Skip, New: tm(skiplist.New), Deferred: true,
 		Attempts: 8, Window: treeWindow,
-		Invariant: "skiplist level invariant",
+		Invariant: "skiplist level and tower invariant",
 		Holds:     func(s Set) bool { return s.(*skiplist.SkipList).ValidateLevels() },
 	},
 }

@@ -53,6 +53,11 @@ type Layout[N any] struct {
 	// PerKey is how many nodes one resident key costs (Books.PerKey), zero
 	// meaning one; the external tree's is 2, a leaf and its router.
 	PerKey uint64
+	// Freed, when not nil, runs on every free of a node, with the freeing
+	// tid, after the node's cells are fenced and before they are poisoned:
+	// it gives back what the node owns outside its slot (the skiplist's
+	// tower). See NewArena.
+	Freed func(tid int, n *N)
 }
 
 // opState is one thread's operation stamp (reclamation-delay accounting),
@@ -92,16 +97,9 @@ type Chassis[N any] struct {
 // three, and only the link knows whether windows can be cut at all.
 func (c *Chassis[N]) Init(cfg Config, lay Layout[N]) {
 	c.RT = stm.NewRuntime(cfg.Profile)
-	c.Ar = arena.New[N](arena.Config{
-		Policy: cfg.ArenaPolicy, Threads: cfg.Threads,
-		Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
-	})
+	c.Ar = NewArena(cfg, c.RT, lay.Words, lay.Freed)
 	c.words, c.win, c.perKey = lay.Words, cfg.Window, max(lay.PerKey, 1)
 	c.ops = make([]opState, cfg.Threads)
-	c.Ar.SetRetire(func(n *N) { c.words(n, (*stm.Word).Retire, c.RT.VersionFence()) })
-	if cfg.Guard {
-		c.Ar.SetPoison(func(n *N) { c.words(n, (*stm.Word).Poison, arena.PoisonWord) })
-	}
 	c.Guard = GuardFor(c.Ar)
 	nodes := Nodes{
 		Config: cfg, Dead: lay.Dead, Live: c.Ar.Live, Free: c.Ar.Free,
@@ -129,6 +127,30 @@ func (c *Chassis[N]) Init(cfg Config, lay Layout[N]) {
 		c.RT.SetObserver(p)
 		c.Ar.SetObserver(p)
 	}
+}
+
+// NewArena builds an arena of T, whose cells words enumerates, for a
+// structure over rt: cfg's policy, threads and guard. Every Free lifts each
+// cell of the slot to rt's version fence, then runs freed (when not nil)
+// with the freeing tid, then, with the guard on, poisons each cell. The
+// chassis's node arena is one; a structure that keeps part of a node in a
+// second arena (the skiplist's towers) builds that arena here too, so its
+// cells are fenced and poisoned exactly like a node's.
+func NewArena[T any](cfg Config, rt *stm.Runtime, words func(*T, func(*stm.Word, uint64), uint64), freed func(tid int, n *T)) *arena.Arena[T] {
+	ar := arena.New[T](arena.Config{
+		Policy: cfg.ArenaPolicy, Threads: cfg.Threads,
+		Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
+	})
+	ar.SetRetire(func(tid int, n *T) {
+		words(n, (*stm.Word).Retire, rt.VersionFence())
+		if freed != nil {
+			freed(tid, n)
+		}
+	})
+	if cfg.Guard {
+		ar.SetPoison(func(n *T) { words(n, (*stm.Word).Poison, arena.PoisonWord) })
+	}
+	return ar
 }
 
 // NewSentinel allocates a node with every cell zero. Sentinels are

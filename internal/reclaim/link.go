@@ -158,7 +158,7 @@ func New(mode Mode, n Nodes) Link {
 	if !mode.Generic() {
 		panic("reclaim: mode " + mode.String() + " has no generic link")
 	}
-	return NewDeferred(mode.String(), modes[mode].scheme(n), n)
+	return NewDeferred(mode.String(), mode.Scheme(n), n)
 }
 
 // freer is what every link does with the arena directly: take a node an

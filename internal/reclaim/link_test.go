@@ -40,7 +40,7 @@ func newRig(guard bool, sink func(arena.GuardEvent)) *rig {
 		rt: stm.NewRuntime(stm.Profile{}),
 		ar: arena.New[linkNode](arena.Config{Threads: rigThreads, Guard: guard, AccessCheck: sink}),
 	}
-	r.ar.SetRetire(func(n *linkNode) {
+	r.ar.SetRetire(func(_ int, n *linkNode) {
 		n.dead.Retire(r.rt.VersionFence())
 		n.val.Retire(r.rt.VersionFence())
 	})

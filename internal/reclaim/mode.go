@@ -94,6 +94,16 @@ func RegisterScheme(name string, scheme func(Nodes) Scheme) Mode {
 	return Mode(len(modes) - 1)
 }
 
+// Scheme builds the mode's deferred scheme from what a structure handed
+// the seam; nil for a mode that has none (RR, HTM and the list-local
+// modes).
+func (m Mode) Scheme(n Nodes) Scheme {
+	if int(m) >= len(modes) || modes[m].scheme == nil {
+		return nil
+	}
+	return modes[m].scheme(n)
+}
+
 // String returns the mode's variant label.
 func (m Mode) String() string {
 	if int(m) < len(modes) {

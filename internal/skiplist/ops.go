@@ -60,11 +60,18 @@ const (
 // drops below stopLevel, and never cuts below noCutBelow.
 //
 // A step right is one node visit: the next node's key and, when the walk
-// goes on past it at this level, its link there, in one stm call. Only a
-// drop of a level reads a link on its own.
+// goes on past it at this level, the cell that leads on (onward), in one
+// stm call. On a tower level that cell is the tower's handle, and the
+// link is one more load, from the tower, which the descent keeps for the
+// levels it drops through there. Only a drop of a level reads a link on
+// its own.
 func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel int) advanceResult {
 	n := s.Ar.At(c.curr) // translated once per node, carried across levels
-	nextH := s.Guard.Link(c.tx, c.tid, c.curr, n.next[c.level].Load(c.tx))
+	var tw *tower        // n's, while the descent is on a tower level
+	if c.level >= nodeLevels {
+		tw = s.towerOf(c.tx, c.tid, c.curr, n)
+	}
+	nextH := s.Guard.Link(c.tx, c.tid, c.curr, link(n, tw, c.level).Load(c.tx))
 	for {
 		if !nextH.IsNil() {
 			bound := key
@@ -72,7 +79,7 @@ func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel i
 				bound = 0 // a cut here: the next node's link is not read
 			}
 			next := s.Ar.At(nextH)
-			nk, link, more := stm.LoadBelow(c.tx, &next.key, &next.next[c.level], bound)
+			nk, on, more := stm.LoadBelow(c.tx, &next.key, onward(next, c.level), bound)
 			nk = s.Guard.Word(c.tx, c.tid, nextH, nk)
 			if nk == key {
 				c.next, c.nk = nextH, nk
@@ -84,7 +91,14 @@ func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel i
 				}
 				c.curr, n = nextH, next
 				c.steps++
-				nextH = s.Guard.Link(c.tx, c.tid, nextH, link)
+				if c.level >= nodeLevels { // s.tower, by hand: it does not inline
+					tw = &noTower
+					if th := s.Guard.Link(c.tx, c.tid, nextH, on); !th.IsNil() {
+						tw = s.towers.At(th)
+					}
+					on = tw.next[c.level-nodeLevels].Load(c.tx)
+				}
+				nextH = s.Guard.Link(c.tx, c.tid, nextH, on)
 				continue
 			}
 			c.nk = nk
@@ -94,7 +108,7 @@ func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel i
 			return advStopped
 		}
 		c.level--
-		nextH = s.Guard.Link(c.tx, c.tid, c.curr, n.next[c.level].Load(c.tx))
+		nextH = s.Guard.Link(c.tx, c.tid, c.curr, link(n, tw, c.level).Load(c.tx))
 	}
 }
 
@@ -135,13 +149,17 @@ func (s *SkipList) step(tx *stm.Tx, tid int, op sets.Op, h int, start arena.Hand
 // path, where the "duplicate" is the victim itself).
 func (s *SkipList) collectPreds(c *searchCtx, key uint64, stopAt arena.Handle, preds *[MaxHeight]arena.Handle) bool {
 	n := s.Ar.At(c.curr)
+	var tw *tower // n's, on a tower level, as in run
+	if c.level >= nodeLevels {
+		tw = s.towerOf(c.tx, c.tid, c.curr, n)
+	}
 	for l := c.level; l >= 0; l-- {
 		c.level = l
-		nextH := s.Guard.Link(c.tx, c.tid, c.curr, n.next[l].Load(c.tx))
+		nextH := s.Guard.Link(c.tx, c.tid, c.curr, link(n, tw, l).Load(c.tx))
 		for !nextH.IsNil() && nextH != stopAt {
-			// One node visit, as in run: the key, and the link only past it.
+			// One node visit, as in run: the key, and what leads on only past it.
 			next := s.Ar.At(nextH)
-			nk, link, more := stm.LoadBelow(c.tx, &next.key, &next.next[l], key)
+			nk, on, more := stm.LoadBelow(c.tx, &next.key, onward(next, l), key)
 			nk = s.Guard.Word(c.tx, c.tid, nextH, nk)
 			if nk == key && stopAt.IsNil() {
 				return false // duplicate insert
@@ -150,34 +168,48 @@ func (s *SkipList) collectPreds(c *searchCtx, key uint64, stopAt arena.Handle, p
 				break // nk > key, or (defensive) a distinct node with an equal key
 			}
 			c.curr, n = nextH, next
-			nextH = s.Guard.Link(c.tx, c.tid, nextH, link)
+			if l >= nodeLevels {
+				tw = s.tower(c.tx, c.tid, nextH, on)
+				on = tw.next[l-nodeLevels].Load(c.tx)
+			}
+			nextH = s.Guard.Link(c.tx, c.tid, nextH, on)
 		}
 		preds[l] = c.curr
 	}
 	return true
 }
 
-// linkNode allocates a node of height h holding key and links it in after
-// preds[0:h].
+// linkNode allocates a node of height h holding key — with a tower when h
+// is above nodeLevels — and links it in after preds[0:h].
 func (s *SkipList) linkNode(tx *stm.Tx, tid int, key uint64, h int, preds *[MaxHeight]arena.Handle) {
 	nh, n := s.Alloc(tx, tid)
+	th, tw := arena.Nil, (*tower)(nil)
+	if h > nodeLevels {
+		th, tw = s.newTower(tx, tid)
+	}
 	n.key.Store(tx, key)
+	n.tower.Store(tx, uint64(th))
 	n.height.Store(tx, uint64(h))
 	n.dead.Store(tx, 0)
 	for l := 0; l < h; l++ {
-		p := s.Ar.At(preds[l])
-		n.next[l].Store(tx, uint64(s.Guard.Link(tx, tid, preds[l], p.next[l].Load(tx))))
-		p.next[l].Store(tx, uint64(nh))
+		p := s.linkOf(tx, tid, preds[l], l)
+		link(n, tw, l).Store(tx, uint64(s.Guard.Link(tx, tid, preds[l], p.Load(tx))))
+		p.Store(tx, uint64(nh))
 	}
 }
 
 // unlinkNode splices victim (of height vh) out from after preds[0:vh] and
 // hands it to the link: a single Unlinked — for ModeRR a single Revoke —
-// per removal, independent of height.
+// per removal, independent of height. The victim's tower goes where the
+// victim goes (freed).
 func (s *SkipList) unlinkNode(tx *stm.Tx, tid int, victim arena.Handle, vh int, preds *[MaxHeight]arena.Handle) {
 	v := s.Ar.At(victim)
+	var vtw *tower
+	if vh > nodeLevels {
+		vtw = s.towerOf(tx, tid, victim, v)
+	}
 	for l := 0; l < vh; l++ {
-		s.Ar.At(preds[l]).next[l].Store(tx, uint64(s.Guard.Link(tx, tid, victim, v.next[l].Load(tx))))
+		s.linkOf(tx, tid, preds[l], l).Store(tx, uint64(s.Guard.Link(tx, tid, victim, link(v, vtw, l).Load(tx))))
 	}
 	s.Unlinked(tx, tid, victim)
 }

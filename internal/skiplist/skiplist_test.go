@@ -9,6 +9,7 @@ import (
 	"hohtx/internal/core"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
+	"hohtx/internal/stm"
 )
 
 func variants(threads, w int) []*SkipList {
@@ -241,5 +242,87 @@ func TestRRVLookupWindowsCommitReadOnly(t *testing.T) {
 	}
 	if wrote := after.WriteCommits - before.WriteCommits; wrote != 0 || s.RT.VersionFence() != fence {
 		t.Fatalf("lookup windows wrote: %d write commits, clock %d -> %d", wrote, fence, s.RT.VersionFence())
+	}
+}
+
+// TestAbortedTallInsertFreesEachSlotOnce: an insert whose transaction
+// allocates a node and its tower and then aborts gives each slot back
+// exactly once — the node through the link's abort hook, whose free finds
+// no tower written back into the node, and the tower through its own — and
+// the retry commits. The slots it takes held a removed tall key's node and
+// tower, so the node's tower cell still names a freed tower unless the
+// free cleared it (guard off) or poisoned it (guard on); a free that
+// trusted it would free that tower twice, which the arena panics on.
+func TestAbortedTallInsertFreesEachSlotOnce(t *testing.T) {
+	for _, guard := range []bool{false, true} {
+		s := New(Config{Threads: 1, Guard: guard})
+		s.Register(0)
+		if !s.op(0, sets.Op{Kind: sets.OpInsert, Key: 10}, MaxHeight) || !s.Remove(0, 10) {
+			t.Fatal("tall insert and remove of key 10")
+		}
+		nodes, towers := s.Ar.Stats(), s.towers.Stats()
+		attempts := 0
+		s.RT.AtomicT(0, func(tx *stm.Tx) {
+			attempts++
+			if res, _, _, _ := s.step(tx, 0, sets.Op{Kind: sets.OpInsert, Key: 20}, MaxHeight, s.head, top, reclaim.Uncut); !res {
+				t.Errorf("guard %v: attempt %d: insert of 20 failed", guard, attempts)
+			}
+			if attempts == 1 {
+				tx.Restart()
+			}
+		})
+		nodesAfter, towersAfter := s.Ar.Stats(), s.towers.Stats()
+		if got := nodesAfter.Frees - nodes.Frees; got != 1 {
+			t.Errorf("guard %v: the aborted attempt freed %d nodes, want 1", guard, got)
+		}
+		if got := towersAfter.Frees - towers.Frees; got != 1 {
+			t.Errorf("guard %v: the aborted attempt freed %d towers, want 1", guard, got)
+		}
+		if nodesAfter.Live != 2 || towersAfter.Live != 2 {
+			t.Errorf("guard %v: live %d nodes, %d towers, want 2 and 2 (head and key 20)", guard, nodesAfter.Live, towersAfter.Live)
+		}
+		if !s.Lookup(0, 20) || !s.ValidateLevels() {
+			t.Errorf("guard %v: the retried insert did not land whole", guard)
+		}
+	}
+}
+
+// TestTowerBooks: at rest, once a mode has drained, the tower arena holds
+// the head's tower and one per resident key taller than nodeLevels — in
+// every mode, after inserts and removes of every height; and
+// ValidateLevels, the family's invariant, fails on a tower no node owns.
+func TestTowerBooks(t *testing.T) {
+	for _, s := range variants(1, 3) {
+		t.Run(s.Name(), func(t *testing.T) {
+			s.Register(0)
+			rng := rand.New(rand.NewSource(5))
+			for i := 0; i < 3000; i++ {
+				if key := uint64(rng.Intn(512)) + 1; rng.Intn(2) == 0 {
+					s.Insert(0, key)
+				} else {
+					s.Remove(0, key)
+				}
+			}
+			s.Finish(0)
+			tall := uint64(1)
+			for h := s.rawNext(s.head, 0); !h.IsNil(); h = s.rawNext(h, 0) {
+				if s.Ar.At(h).height.Raw() > nodeLevels {
+					tall++
+				}
+			}
+			if d := s.DeferredNodes(); d != 0 {
+				t.Fatalf("%d nodes deferred after Finish", d)
+			}
+			if live := s.towers.Stats().Live; live != tall || tall < 10 {
+				t.Fatalf("tower arena live %d, want %d: the head's and one per tall key", live, tall)
+			}
+			if !s.ValidateLevels() {
+				t.Fatal("levels invalid")
+			}
+			s.towers.Alloc(0) // a tower no node owns
+			if s.ValidateLevels() {
+				t.Fatal("ValidateLevels passed a leaked tower")
+			}
+		})
 	}
 }

@@ -24,9 +24,15 @@ import (
 type toyHP struct {
 	mu      sync.Mutex
 	slots   map[[2]int]arena.Handle // (tid, slot) -> published handle
-	retired []arena.Handle
+	retired []toyRetiree
 	stats   reclaim.Stats
 	free    reclaim.FreeFunc
+}
+
+// toyRetiree is a retired handle and the caller's stamp at its retirement.
+type toyRetiree struct {
+	h     arena.Handle
+	stamp uint64
 }
 
 var toyMode = reclaim.RegisterScheme("TMTOY", func(n reclaim.Nodes) reclaim.Scheme {
@@ -64,13 +70,14 @@ func (s *toyHP) ClearSlots(tid int) {
 
 func (s *toyHP) Retire(tid int, h arena.Handle, stamp uint64) {
 	s.mu.Lock()
-	s.retired = append(s.retired, h)
+	s.retired = append(s.retired, toyRetiree{h, stamp})
 	s.stats.Retired++
+	s.stats.PeakDeferred = max(s.stats.PeakDeferred, s.stats.Retired-s.stats.Freed)
 	s.mu.Unlock()
 	s.Flush(tid, stamp)
 }
 
-func (s *toyHP) Flush(tid int, _ uint64) {
+func (s *toyHP) Flush(tid int, stamp uint64) {
 	s.mu.Lock()
 	pinned := map[arena.Handle]bool{}
 	for _, h := range s.slots {
@@ -78,11 +85,12 @@ func (s *toyHP) Flush(tid int, _ uint64) {
 	}
 	var free []arena.Handle
 	kept := s.retired[:0]
-	for _, h := range s.retired {
-		if pinned[h] {
-			kept = append(kept, h)
+	for _, r := range s.retired {
+		if pinned[r.h] {
+			kept = append(kept, r)
 		} else {
-			free = append(free, h)
+			free = append(free, r.h)
+			s.stats.DelayOpsSum += stamp - r.stamp
 		}
 	}
 	s.retired = kept

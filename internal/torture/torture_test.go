@@ -298,3 +298,33 @@ func TestTortureShardedBuild(t *testing.T) {
 		t.Fatalf("clean sharded run failed: %v", err)
 	}
 }
+
+// TestSkipTowerBooks runs one guarded cell on the skiplist per variant it
+// takes — every registered scheme, the test-registered TMTOY and TMEBR
+// included — over a key range wide enough that some resident keys are
+// taller than a node's own levels. The verdict then reads the family's
+// invariant after the drained books balance, so the tower arena must hold
+// exactly the head's tower and one per tall resident key
+// (skiplist.ValidateLevels).
+func TestSkipTowerBooks(t *testing.T) {
+	row, err := family.ByName(family.Skip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, variant := range row.Variants() {
+		t.Run(variant, func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{
+				Structure: family.Skip, Variant: variant, Threads: 4, Ops: 600, Keys: 512,
+				LookupPct: 10, Window: 2 + i%5, BatchOps: 1 + 7*(i%2), Seed: 0x7e4 + uint64(i), Guard: true,
+			}
+			rep, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Removes == 0 || rep.Size < 64 {
+				t.Fatalf("degenerate run: %d removes, %d keys left (repro: %s)", rep.Removes, rep.Size, cfg)
+			}
+		})
+	}
+}
