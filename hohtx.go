@@ -5,13 +5,13 @@
 //
 // # What you get
 //
-// Four set implementations over uint64 keys — singly and doubly linked
-// lists and internal and external unbalanced binary search trees — that
-// split long traversals into small transactions linked by *revocable
-// reservations*. Removals reclaim node memory the instant the removing
-// operation commits (precise reclamation): there is no grace period, no
-// retire list, and the library can prove it (LiveNodes tracks allocation
-// exactly).
+// Sets over uint64 keys — singly and doubly linked lists, internal and
+// external unbalanced binary search trees, a hash set and a skiplist — and
+// an OrderedMap over the external tree, all of which split long traversals
+// into small transactions linked by *revocable reservations*. Removals
+// reclaim node memory the instant the removing operation commits (precise
+// reclamation): there is no grace period, no retire list, and the library
+// can prove it (LiveNodes tracks allocation exactly).
 //
 // # Quick start
 //
@@ -117,22 +117,23 @@ const (
 	RRSetAssoc
 )
 
-// kind maps the public enum to the internal implementation registry.
+// reservationKinds maps the public enum to the internal kind table,
+// indexed by Reservation.
+var reservationKinds = [...]core.Kind{
+	RRVersioned:    core.KindV,
+	RRExclusive:    core.KindXO,
+	RRSharedOwner:  core.KindSO,
+	RRFullyAssoc:   core.KindFA,
+	RRDirectMapped: core.KindDM,
+	RRSetAssoc:     core.KindSA,
+}
+
+// kind returns r's internal kind; a value outside the enum builds RR-V.
 func (r Reservation) kind() core.Kind {
-	switch r {
-	case RRExclusive:
-		return core.KindXO
-	case RRSharedOwner:
-		return core.KindSO
-	case RRFullyAssoc:
-		return core.KindFA
-	case RRDirectMapped:
-		return core.KindDM
-	case RRSetAssoc:
-		return core.KindSA
-	default:
-		return core.KindV
+	if uint(r) < uint(len(reservationKinds)) {
+		return reservationKinds[r]
 	}
+	return core.KindV
 }
 
 // String returns the paper's name for the scheme.

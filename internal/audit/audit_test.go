@@ -40,7 +40,6 @@ var kept = map[string]string{
 	"stm.Tx.Serial":              "test vocabulary: whether an attempt runs under the serial lock",
 	"list.HashTable.Buckets":     "test vocabulary: the bucket count the hash table's tests check",
 	"list.HashTable.BucketSizes": "test vocabulary: the per-bucket spread the hash table's tests check",
-	"core.NumKinds":              "test vocabulary: the bound tests iterate the reservation kinds to",
 
 	"reclaim.Config.ScanThreshold":      "test vocabulary: makes the deferred schemes reclaim at the first retire",
 	"lockfree.ListConfig.ScanThreshold": "test vocabulary: makes the lock-free list's hazard scan run at the first retire",

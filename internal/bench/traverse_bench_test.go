@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hohtx/internal/core"
 	"hohtx/internal/sets"
 )
 
@@ -116,15 +117,23 @@ func BenchmarkPointOps(b *testing.B) {
 }
 
 // BenchmarkWindow is the price of a window transaction with the traversal
-// taken out: W=1 on a 256-key RR-V list, so a Lookup past the last key is a
-// chain of ~129 read-only windows, each Resume → two nodes → Hold → commit
-// (the last one Drops). ns/window is what the runtime charges per hand-over
-// — context, counters, reset, reservation — beside two node visits' worth
-// of reads. One worker per CPU, each with its own tid.
+// taken out, one sub-benchmark per reservation kind: W=1 on a 256-key list,
+// so a Lookup past the last key is a chain of ~129 windows, each Resume →
+// two nodes → Hold → commit (the last one Drops). ns/window is what the
+// runtime charges per hand-over — context, counters, reset, reservation —
+// beside two node visits' worth of reads. On RR-V a window writes nothing
+// shared and commits read-only; the other kinds' Hold writes the
+// reservation's table or bucket. One worker per CPU, each with its own tid.
 func BenchmarkWindow(b *testing.B) {
+	for _, k := range core.Kinds() {
+		b.Run("kind="+k.String(), func(b *testing.B) { benchWindow(b, k.String()) })
+	}
+}
+
+func benchWindow(b *testing.B, variant string) {
 	const keyBits = 8
 	workers := min(runtime.GOMAXPROCS(0), pointWorkers)
-	s, err := Build(FamilySingly, VariantSpec{Name: "RR-V", Window: 1, NoScatter: true}, pointWorkers)
+	s, err := Build(FamilySingly, VariantSpec{Name: variant, Window: 1, NoScatter: true}, pointWorkers)
 	if err != nil {
 		b.Fatal(err)
 	}

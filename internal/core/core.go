@@ -17,7 +17,8 @@
 // Revoke conflicts with concurrent uses of the same reservation, which is
 // what lets memory be reclaimed *immediately* without a grace period.
 //
-// Six implementations are provided, exactly the paper's taxonomy:
+// The paper's taxonomy has six kinds, and this package four
+// implementations: DM is SA with one array, XO is SO with one table.
 //
 //	strict  — Get returns nil only if the reference was released/revoked:
 //	          FA (fully associative, Listing 2), DM (direct mapped),
@@ -55,65 +56,75 @@ type Reservation interface {
 	// Release drops tid's reservation.
 	Release(tx *stm.Tx, tid int)
 	// Get returns tid's reserved reference, or 0 if it has none, released
-	// it, or it was revoked (relaxed implementations may also return 0
-	// spuriously; see Strict).
+	// it, or it was revoked (relaxed kinds may also return 0 spuriously;
+	// see Kind.Strict).
 	Get(tx *stm.Tx, tid int) uint64
 	// Revoke removes ref from every thread's reservation.
 	Revoke(tx *stm.Tx, ref uint64)
-	// Strict reports whether Get is precise: a non-spurious nil implies
-	// the reference was truly released or revoked. The doubly linked
-	// list's unlink-in-a-second-transaction optimization is only sound
-	// for strict implementations (§4.2).
-	Strict() bool
-	// Name is the implementation's label as used in the paper's figures
-	// (e.g. "RR-XO").
-	Name() string
 }
 
-// Kind enumerates the six implementations.
+// Kind enumerates the six reservation kinds.
 type Kind uint8
 
 const (
 	// KindFA is the fully associative strict scheme (Listing 2).
 	KindFA Kind = iota
-	// KindDM is the direct-mapped strict scheme.
+	// KindDM is the direct-mapped strict scheme: SA with one array.
 	KindDM
 	// KindSA is the set-associative strict scheme.
 	KindSA
-	// KindXO is the exclusive-ownership relaxed scheme (Listing 3).
+	// KindXO is the exclusive-ownership relaxed scheme (Listing 3): SO
+	// with one table.
 	KindXO
 	// KindSO is the shared-ownership relaxed scheme.
 	KindSO
 	// KindV is the versioned relaxed scheme (Listing 4).
 	KindV
 
-	// NumKinds is the number of reservation implementations.
+	// NumKinds is the number of reservation kinds.
 	NumKinds
 )
 
-// String returns the paper's name for the implementation.
-func (k Kind) String() string {
-	switch k {
-	case KindFA:
-		return "RR-FA"
-	case KindDM:
-		return "RR-DM"
-	case KindSA:
-		return "RR-SA"
-	case KindXO:
-		return "RR-XO"
-	case KindSO:
-		return "RR-SO"
-	case KindV:
-		return "RR-V"
-	default:
-		return fmt.Sprintf("RR-?%d", uint8(k))
-	}
+// kindSpec is one row of the kind table: the paper's label, whether Get is
+// precise, and how to build the reservation from a defaulted Config.
+type kindSpec struct {
+	name   string
+	strict bool
+	build  func(Config) Reservation
 }
+
+// kinds is indexed by Kind; New, Kind.String and Kind.Strict read it, so
+// adding a kind is one row here.
+var kinds = [NumKinds]kindSpec{
+	KindFA: {"RR-FA", true, newFA},
+	KindDM: {"RR-DM", true, func(c Config) Reservation { return newSA(c, 1) }},
+	KindSA: {"RR-SA", true, func(c Config) Reservation { return newSA(c, c.Assoc) }},
+	KindXO: {"RR-XO", false, func(c Config) Reservation { return newSO(c, 1) }},
+	KindSO: {"RR-SO", false, func(c Config) Reservation { return newSO(c, c.Assoc) }},
+	KindV:  {"RR-V", false, newV},
+}
+
+// String returns the paper's name for the kind.
+func (k Kind) String() string {
+	if k < NumKinds {
+		return kinds[k].name
+	}
+	return fmt.Sprintf("RR-?%d", uint8(k))
+}
+
+// Strict reports whether the kind's Get is precise: a non-spurious nil
+// implies the reference was truly released or revoked. The doubly linked
+// list's unlink-in-a-second-transaction optimization is only sound for
+// strict kinds (§4.2).
+func (k Kind) Strict() bool { return k < NumKinds && kinds[k].strict }
 
 // Kinds returns all six kinds in the paper's presentation order.
 func Kinds() []Kind {
-	return []Kind{KindFA, KindDM, KindSA, KindXO, KindSO, KindV}
+	out := make([]Kind, NumKinds)
+	for i := range out {
+		out[i] = Kind(i)
+	}
+	return out
 }
 
 // Config parameterizes reservation construction.
@@ -126,7 +137,8 @@ type Config struct {
 	// entries. Default 14.
 	TableBits int
 	// Assoc is A, the number of arrays in the set-associative schemes
-	// (SA and SO). Default 8, the value used in the paper's evaluation.
+	// (SA and SO; DM and XO are their A = 1 rows and ignore it). Default
+	// 8, the value used in the paper's evaluation.
 	Assoc int
 }
 
@@ -145,22 +157,10 @@ func (c Config) withDefaults() Config {
 
 // New constructs a reservation of the given kind.
 func New(k Kind, cfg Config) Reservation {
-	switch k {
-	case KindFA:
-		return NewFA(cfg)
-	case KindDM:
-		return NewDM(cfg)
-	case KindSA:
-		return NewSA(cfg)
-	case KindXO:
-		return NewXO(cfg)
-	case KindSO:
-		return NewSO(cfg)
-	case KindV:
-		return NewV(cfg)
-	default:
+	if k >= NumKinds {
 		panic(fmt.Sprintf("core: unknown reservation kind %d", k))
 	}
+	return kinds[k].build(cfg.withDefaults())
 }
 
 // hashRef maps a reference to a table slot with a 64-bit finalizer

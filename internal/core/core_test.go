@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -15,10 +16,17 @@ func testCfg(threads int) Config {
 	return Config{Threads: threads, TableBits: 6, Assoc: 4}
 }
 
-func allImpls(threads int) []Reservation {
-	var out []Reservation
+// impl is one kind's reservation beside the kind it was built from, which
+// holds its label and strictness.
+type impl struct {
+	Kind
+	Reservation
+}
+
+func allImpls(threads int) []impl {
+	var out []impl
 	for _, k := range Kinds() {
-		out = append(out, New(k, testCfg(threads)))
+		out = append(out, impl{k, New(k, testCfg(threads))})
 	}
 	return out
 }
@@ -55,13 +63,35 @@ func TestKindNames(t *testing.T) {
 			t.Fatalf("bad or duplicate kind name %q", name)
 		}
 		seen[name] = true
-		r := New(k, testCfg(4))
-		if r.Name() != name {
-			t.Errorf("%v: Name() = %q", k, r.Name())
-		}
 	}
 	if NumKinds != 6 {
-		t.Fatalf("paper defines 6 implementations, NumKinds = %d", NumKinds)
+		t.Fatalf("paper defines 6 kinds, NumKinds = %d", NumKinds)
+	}
+	if got := NumKinds.String(); got != "RR-?6" {
+		t.Errorf("an unknown kind's label = %q", got)
+	}
+}
+
+// TestSixKindsFourTypes: RR-DM is RR-SA with one array and RR-XO is RR-SO
+// with one table, whatever Assoc says (testCfg's is 4).
+func TestSixKindsFourTypes(t *testing.T) {
+	shape := func(r Reservation) string {
+		switch r := r.(type) {
+		case *SA:
+			return fmt.Sprintf("SA/%d", len(r.arrs))
+		case *SO:
+			return fmt.Sprintf("SO/%d", len(r.tables))
+		}
+		return fmt.Sprintf("%T", r)
+	}
+	want := map[Kind]string{
+		KindFA: "*core.FA", KindDM: "SA/1", KindSA: "SA/4",
+		KindXO: "SO/1", KindSO: "SO/4", KindV: "*core.V",
+	}
+	for k, w := range want {
+		if got := shape(New(k, testCfg(2))); got != w {
+			t.Errorf("%v: built %s, want %s", k, got, w)
+		}
 	}
 }
 
@@ -71,7 +101,7 @@ func TestStrictFlag(t *testing.T) {
 		KindXO: false, KindSO: false, KindV: false,
 	}
 	for k, strict := range want {
-		if got := New(k, testCfg(2)).Strict(); got != strict {
+		if got := k.Strict(); got != strict {
 			t.Errorf("%v.Strict() = %v, want %v", k, got, strict)
 		}
 	}
@@ -79,7 +109,7 @@ func TestStrictFlag(t *testing.T) {
 
 func TestReserveGetRelease(t *testing.T) {
 	for _, r := range allImpls(2) {
-		t.Run(r.Name(), func(t *testing.T) {
+		t.Run(r.Kind.String(), func(t *testing.T) {
 			rt := stm.NewRuntime(stm.Profile{})
 			r.Register(0)
 			if got := stm.Run(rt, func(tx *stm.Tx) uint64 { return r.Get(tx, 0) }); got != 0 {
@@ -105,7 +135,7 @@ func TestReserveGetRelease(t *testing.T) {
 func TestAbortedAttemptLeavesGetIntact(t *testing.T) {
 	a, b := collidingHashRefs()
 	for _, r := range allImpls(2) {
-		t.Run(r.Name(), func(t *testing.T) {
+		t.Run(r.Kind.String(), func(t *testing.T) {
 			rt := stm.NewRuntime(stm.Profile{})
 			r.Register(0)
 			rt.Atomic(func(tx *stm.Tx) { r.Reserve(tx, 0, a) })
@@ -135,7 +165,7 @@ func TestAbortedAttemptLeavesGetIntact(t *testing.T) {
 func TestReleaseReserveGetInOneTx(t *testing.T) {
 	a, b := collidingHashRefs()
 	for _, r := range allImpls(2) {
-		t.Run(r.Name(), func(t *testing.T) {
+		t.Run(r.Kind.String(), func(t *testing.T) {
 			rt := stm.NewRuntime(stm.Profile{})
 			r.Register(0)
 			rt.Atomic(func(tx *stm.Tx) { r.Reserve(tx, 0, a) })
@@ -161,7 +191,7 @@ func TestReleaseReserveGetInOneTx(t *testing.T) {
 func TestRevokeClearsEveryThread(t *testing.T) {
 	const threads = 8
 	for _, r := range allImpls(threads) {
-		t.Run(r.Name(), func(t *testing.T) {
+		t.Run(r.Kind.String(), func(t *testing.T) {
 			rt := stm.NewRuntime(stm.Profile{})
 			const ref = 42
 			for tid := 0; tid < threads; tid++ {
@@ -185,7 +215,7 @@ func TestRevokeClearsEveryThread(t *testing.T) {
 func TestUnrelatedRevokeStrict(t *testing.T) {
 	for _, k := range []Kind{KindFA, KindDM, KindSA} {
 		r := New(k, testCfg(2))
-		t.Run(r.Name(), func(t *testing.T) {
+		t.Run(k.String(), func(t *testing.T) {
 			rt := stm.NewRuntime(stm.Profile{})
 			r.Register(0)
 			rt.Atomic(func(tx *stm.Tx) { r.Reserve(tx, 0, 5) })
@@ -207,7 +237,7 @@ func TestUnrelatedRevokeRelaxedNonColliding(t *testing.T) {
 	a, b := distinctHashRefs()
 	for _, k := range []Kind{KindXO, KindSO, KindV} {
 		r := New(k, testCfg(2))
-		t.Run(r.Name(), func(t *testing.T) {
+		t.Run(k.String(), func(t *testing.T) {
 			rt := stm.NewRuntime(stm.Profile{})
 			r.Register(0)
 			rt.Atomic(func(tx *stm.Tx) { r.Reserve(tx, 0, a) })
@@ -223,7 +253,7 @@ func TestUnrelatedRevokeRelaxedNonColliding(t *testing.T) {
 // second thread reserves the same reference under RR-XO, the first thread's
 // Get must return nil (mistaking it for a revoke), never a wrong value.
 func TestXOSecondReserverDisplaces(t *testing.T) {
-	r := NewXO(testCfg(2))
+	r := New(KindXO, testCfg(2))
 	rt := stm.NewRuntime(stm.Profile{})
 	r.Register(0)
 	r.Register(1)
@@ -241,7 +271,7 @@ func TestXOSecondReserverDisplaces(t *testing.T) {
 // the same reference.
 func TestVSharedReservations(t *testing.T) {
 	const threads = 4
-	r := NewV(testCfg(threads))
+	r := New(KindV, testCfg(threads))
 	rt := stm.NewRuntime(stm.Profile{})
 	for tid := 0; tid < threads; tid++ {
 		tid := tid
@@ -296,7 +326,7 @@ func TestQuickSpecConformance(t *testing.T) {
 					case 2: // get
 						got := stm.Run(rt, func(tx *stm.Tx) uint64 { return r.Get(tx, tid) })
 						want := model.refs[tid]
-						if r.Strict() {
+						if k.Strict() {
 							if got != want {
 								t.Logf("%s: strict Get = %d, model %d", k, got, want)
 								return false

@@ -68,75 +68,24 @@ func (t *ownTable) at(ref uint64) *stm.Word {
 	return &t.cells[hashRef(ref, t.mask)].w
 }
 
-// XO is the exclusive-ownership relaxed scheme (Listing 3): a single table
-// of owner ids. Reserving writes the caller's id over whatever was there,
-// so at most one thread can hold a reservation on any given hash slot; a
-// second Reserve acts like a Revoke of the first (progress, not
-// correctness, is affected — §3.2).
-type XO struct {
-	own *ownTable
-	rt  []localSlot // R_t: per-thread reserved reference
-}
-
-// NewXO constructs an RR-XO reservation.
-func NewXO(cfg Config) *XO {
-	cfg = cfg.withDefaults()
-	return &XO{own: newOwnTable(cfg.TableBits), rt: make([]localSlot, cfg.Threads)}
-}
-
-// Register implements Reservation (ids are the tids themselves).
-func (x *XO) Register(tid int) {}
-
-// Reserve implements Reservation.
-func (x *XO) Reserve(tx *stm.Tx, tid int, ref uint64) {
-	x.rt[tid].w.Store(tx, ref)
-	x.own.at(ref).Store(tx, uint64(tid)+1)
-}
-
-// Release implements Reservation. It touches only thread-local data: the
-// ownership table entry is left behind and either reused by this thread's
-// next Reserve or overwritten by someone else's.
-func (x *XO) Release(tx *stm.Tx, tid int) {
-	x.rt[tid].w.Store(tx, 0)
-}
-
-// Get implements Reservation.
-func (x *XO) Get(tx *stm.Tx, tid int) uint64 {
-	r := x.rt[tid].w.Load(tx)
-	if r == 0 {
-		return 0
-	}
-	if x.own.at(r).Load(tx) == uint64(tid)+1 {
-		return r
-	}
-	return 0
-}
-
-// Revoke implements Reservation with a single constant-time write of
-// "no owner".
-func (x *XO) Revoke(tx *stm.Tx, ref uint64) {
-	x.own.at(ref).Store(tx, 0)
-}
-
-// Strict implements Reservation.
-func (x *XO) Strict() bool { return false }
-
-// Name implements Reservation.
-func (x *XO) Name() string { return KindXO.String() }
-
 // SO is the shared-ownership relaxed scheme: A ownership tables, each
 // thread assigned to one, so up to A threads can simultaneously hold a
 // reservation on the same hash slot. Revoke writes "no owner" in all A
 // tables.
+//
+// With one table it is RR-XO, the exclusive-ownership scheme (Listing 3).
+// Reserving writes the caller's id over whatever was there, so at most one
+// thread can hold a reservation on any given hash slot; a second Reserve
+// acts like a Revoke of the first (progress, not correctness, is affected
+// — §3.2).
 type SO struct {
 	tables []*ownTable
-	rt     []localSlot
+	rt     []localSlot // R_t: per-thread reserved reference
 }
 
-// NewSO constructs an RR-SO reservation with cfg.Assoc tables.
-func NewSO(cfg Config) *SO {
-	cfg = cfg.withDefaults()
-	tables := make([]*ownTable, cfg.Assoc)
+// newSO constructs an SO reservation with a tables.
+func newSO(cfg Config, a int) Reservation {
+	tables := make([]*ownTable, a)
 	for i := range tables {
 		tables[i] = newOwnTable(cfg.TableBits)
 	}
@@ -145,7 +94,7 @@ func NewSO(cfg Config) *SO {
 
 func (s *SO) table(tid int) *ownTable { return s.tables[tid%len(s.tables)] }
 
-// Register implements Reservation.
+// Register implements Reservation (ids are the tids themselves).
 func (s *SO) Register(tid int) {}
 
 // Reserve implements Reservation.
@@ -154,7 +103,9 @@ func (s *SO) Reserve(tx *stm.Tx, tid int, ref uint64) {
 	s.table(tid).at(ref).Store(tx, uint64(tid)+1)
 }
 
-// Release implements Reservation.
+// Release implements Reservation. It touches only thread-local data: the
+// ownership table entry is left behind and either reused by this thread's
+// next Reserve or overwritten by someone else's.
 func (s *SO) Release(tx *stm.Tx, tid int) {
 	s.rt[tid].w.Store(tx, 0)
 }
@@ -171,18 +122,13 @@ func (s *SO) Get(tx *stm.Tx, tid int) uint64 {
 	return 0
 }
 
-// Revoke implements Reservation: O(A) writes.
+// Revoke implements Reservation: O(A) writes of "no owner", one with
+// one table.
 func (s *SO) Revoke(tx *stm.Tx, ref uint64) {
 	for _, t := range s.tables {
 		t.at(ref).Store(tx, 0)
 	}
 }
-
-// Strict implements Reservation.
-func (s *SO) Strict() bool { return false }
-
-// Name implements Reservation.
-func (s *SO) Name() string { return KindSO.String() }
 
 // V is the versioned relaxed scheme (Listing 4): the table holds counters
 // that act like STM ownership-record versions. Reserve records the
@@ -198,9 +144,8 @@ type V struct {
 	vt   []localSlot // V_t: counter observed at reserve time
 }
 
-// NewV constructs an RR-V reservation.
-func NewV(cfg Config) *V {
-	cfg = cfg.withDefaults()
+// newV constructs an RR-V reservation.
+func newV(cfg Config) Reservation {
 	return &V{
 		vers: newOwnTable(cfg.TableBits),
 		rt:   make([]localSlot, cfg.Threads),
@@ -240,9 +185,3 @@ func (v *V) Revoke(tx *stm.Tx, ref uint64) {
 	c := v.vers.at(ref)
 	c.Store(tx, c.Load(tx)+1)
 }
-
-// Strict implements Reservation.
-func (v *V) Strict() bool { return false }
-
-// Name implements Reservation.
-func (v *V) Name() string { return KindV.String() }

@@ -10,9 +10,9 @@ import (
 // Strict implementations (§3.1). These adhere exactly to the Listing 1
 // specification: Get returns nil only if the thread's reference was
 // released or revoked. Their Revoke must visit every location that might
-// hold the reference, which costs O(T) (FA, DM) or O(A+T) (SA) and — more
-// importantly for performance — conflicts with any concurrent Reserve or
-// Release it reads past.
+// hold the reference, which costs O(T) (FA, and DM when every thread
+// shares ref's bucket) or O(A+T) (SA) and — more importantly for performance — conflicts with
+// any concurrent Reserve or Release it reads past.
 
 // faSlot is one thread's reservation cell, padded so that Reserve/Release/
 // Get by different threads never share a cache line (the paper calls this
@@ -33,9 +33,8 @@ type FA struct {
 	slots []faSlot
 }
 
-// NewFA constructs an RR-FA reservation.
-func NewFA(cfg Config) *FA {
-	cfg = cfg.withDefaults()
+// newFA constructs an RR-FA reservation.
+func newFA(cfg Config) Reservation {
 	return &FA{slots: make([]faSlot, cfg.Threads)}
 }
 
@@ -71,12 +70,6 @@ func (f *FA) Revoke(tx *stm.Tx, ref uint64) {
 	}
 }
 
-// Strict implements Reservation.
-func (f *FA) Strict() bool { return true }
-
-// Name implements Reservation.
-func (f *FA) Name() string { return KindFA.String() }
-
 // dmNode is one entry of a dmArray: thread nodes at indices [0,T), bucket
 // sentinels at [T, T+B). Links are 1-based entry indices; 0 is nil. where
 // is 1+bucket for a linked thread node, 0 when unlinked.
@@ -89,7 +82,7 @@ type dmNode struct {
 }
 
 // dmArray is one hash-indexed array of unsorted doubly linked bucket lists,
-// the building block of both RR-DM (one array) and RR-SA (A arrays). Each
+// the building block of SA: RR-SA has A of them, RR-DM one. Each
 // bucket owns a sentinel node so that inserts and removes deep in a bucket
 // do not conflict with operations near the array itself (the contention
 // note in §3.1).
@@ -137,9 +130,9 @@ func (d *dmArray) remove(tx *stm.Tx, t int) {
 	n.where.Store(tx, 0)
 }
 
-// reserve implements the DM/SA Reserve for thread t: set the value, then
+// reserve implements SA's Reserve for thread t: set the value, then
 // make sure the node is linked in the bucket ref hashes to. Removal from a
-// previously occupied bucket was deliberately deferred by release (the
+// previously occupied bucket was deliberately deferred by Release (the
 // contention-avoiding optimization in §3.1), so it may happen here.
 func (d *dmArray) reserve(tx *stm.Tx, t int, ref uint64) {
 	b := hashRef(ref, d.mask)
@@ -155,17 +148,6 @@ func (d *dmArray) reserve(tx *stm.Tx, t int, ref uint64) {
 	d.insert(tx, t, b)
 }
 
-// release clears the value but leaves the node linked; the next reserve
-// relocates it only if needed.
-func (d *dmArray) release(tx *stm.Tx, t int) {
-	d.entries[t].val.Store(tx, 0)
-}
-
-// get returns thread t's reserved value.
-func (d *dmArray) get(tx *stm.Tx, t int) uint64 {
-	return d.entries[t].val.Load(tx)
-}
-
 // revoke walks the bucket ref hashes to and clears every node holding ref.
 func (d *dmArray) revoke(tx *stm.Tx, ref uint64) {
 	b := hashRef(ref, d.mask)
@@ -179,52 +161,21 @@ func (d *dmArray) revoke(tx *stm.Tx, ref uint64) {
 	}
 }
 
-// DM is the direct-mapped strict scheme: one array of bucket lists, so
-// Revoke only scans threads whose reservations hash to ref's bucket, at
-// the cost of Reserve/Release doing doubly-linked-list surgery that can
-// conflict between threads.
-type DM struct {
-	arr *dmArray
-}
-
-// NewDM constructs an RR-DM reservation.
-func NewDM(cfg Config) *DM {
-	cfg = cfg.withDefaults()
-	return &DM{arr: newDMArray(cfg.Threads, cfg.TableBits)}
-}
-
-// Register implements Reservation (the thread's node exists statically).
-func (d *DM) Register(tid int) {}
-
-// Reserve implements Reservation.
-func (d *DM) Reserve(tx *stm.Tx, tid int, ref uint64) { d.arr.reserve(tx, tid, ref) }
-
-// Release implements Reservation.
-func (d *DM) Release(tx *stm.Tx, tid int) { d.arr.release(tx, tid) }
-
-// Get implements Reservation.
-func (d *DM) Get(tx *stm.Tx, tid int) uint64 { return d.arr.get(tx, tid) }
-
-// Revoke implements Reservation.
-func (d *DM) Revoke(tx *stm.Tx, ref uint64) { d.arr.revoke(tx, ref) }
-
-// Strict implements Reservation.
-func (d *DM) Strict() bool { return true }
-
-// Name implements Reservation.
-func (d *DM) Name() string { return KindDM.String() }
-
 // SA is the set-associative strict scheme: A arrays of bucket lists, with
 // each thread assigned to one array. Concurrent Reserves rarely touch the
 // same list, but Revoke must scan ref's bucket in all A arrays (O(A+T)).
+//
+// With one array it is RR-DM, the direct-mapped scheme: Revoke only scans
+// threads whose reservations hash to ref's bucket, at the cost of
+// Reserve/Release doing doubly-linked-list surgery that can conflict
+// between threads.
 type SA struct {
 	arrs []*dmArray
 }
 
-// NewSA constructs an RR-SA reservation with cfg.Assoc arrays.
-func NewSA(cfg Config) *SA {
-	cfg = cfg.withDefaults()
-	arrs := make([]*dmArray, cfg.Assoc)
+// newSA constructs an SA reservation with a arrays.
+func newSA(cfg Config, a int) Reservation {
+	arrs := make([]*dmArray, a)
 	for i := range arrs {
 		arrs[i] = newDMArray(cfg.Threads, cfg.TableBits)
 	}
@@ -240,11 +191,12 @@ func (s *SA) Register(tid int) {}
 // Reserve implements Reservation.
 func (s *SA) Reserve(tx *stm.Tx, tid int, ref uint64) { s.array(tid).reserve(tx, tid, ref) }
 
-// Release implements Reservation.
-func (s *SA) Release(tx *stm.Tx, tid int) { s.array(tid).release(tx, tid) }
+// Release implements Reservation: it clears the value but leaves the node
+// linked; the next Reserve relocates it only if needed.
+func (s *SA) Release(tx *stm.Tx, tid int) { s.array(tid).entries[tid].val.Store(tx, 0) }
 
 // Get implements Reservation.
-func (s *SA) Get(tx *stm.Tx, tid int) uint64 { return s.array(tid).get(tx, tid) }
+func (s *SA) Get(tx *stm.Tx, tid int) uint64 { return s.array(tid).entries[tid].val.Load(tx) }
 
 // Revoke implements Reservation: every array may hold reservations of ref.
 func (s *SA) Revoke(tx *stm.Tx, ref uint64) {
@@ -252,9 +204,3 @@ func (s *SA) Revoke(tx *stm.Tx, ref uint64) {
 		a.revoke(tx, ref)
 	}
 }
-
-// Strict implements Reservation.
-func (s *SA) Strict() bool { return true }
-
-// Name implements Reservation.
-func (s *SA) Name() string { return KindSA.String() }

@@ -215,20 +215,22 @@ type precise struct {
 	freer
 	rr       core.Reservation
 	v        *core.V // rr's concrete value when it is RR-V, else nil
-	strict   bool    // rr.Strict(), read once
+	name     string  // the kind's label, read once
+	strict   bool    // the kind's strictness, read once
 	words    []heldWord
 	wordHook func(a, b, c uint64) // words[tid a] = b
 }
 
 func newPrecise(n Nodes) *precise {
 	rr := core.New(n.RRKind, core.Config{Threads: n.Threads})
-	p := &precise{freer: newFreer(n), rr: rr, strict: rr.Strict(), words: make([]heldWord, n.Threads)}
+	p := &precise{freer: newFreer(n), rr: rr, words: make([]heldWord, n.Threads),
+		name: n.RRKind.String(), strict: n.RRKind.Strict()}
 	p.v, _ = rr.(*core.V)
 	p.wordHook = func(a, b, _ uint64) { p.words[int(a)].v = b }
 	return p
 }
 
-func (p *precise) Name() string     { return p.rr.Name() }
+func (p *precise) Name() string     { return p.name }
 func (p *precise) Traits() Traits   { return Traits{DrainRounds: 1, StrictLoss: p.strict} }
 func (p *precise) Register(tid int) { p.rr.Register(tid) }
 func (*precise) Begin(int)          {}
