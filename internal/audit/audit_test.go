@@ -41,15 +41,14 @@ var kept = map[string]string{
 	"list.HashTable.Buckets":     "test vocabulary: the bucket count the hash table's tests check",
 	"list.HashTable.BucketSizes": "test vocabulary: the per-bucket spread the hash table's tests check",
 
-	"reclaim.Config.ScanThreshold":      "test vocabulary: makes the deferred schemes reclaim at the first retire",
-	"lockfree.ListConfig.ScanThreshold": "test vocabulary: makes the lock-free list's hazard scan run at the first retire",
-	"arena.Config.MagazineSize":         "test vocabulary: a small magazine forces overflow to the shared pool",
-	"arena.Stats.Fresh":                 "test vocabulary: pins that overflowed slots are reused, not freshly bumped",
-	"arena.Stats.PoolOps":               "test vocabulary: pins that magazine overflow reaches the shared pool",
-	"core.Config.TableBits":             "test vocabulary: a small table forces bucket collisions",
-	"core.Config.Assoc":                 "test vocabulary: fewer arrays force set-associative collisions",
-	"serve.ServerConfig.MaxBatch":       "test vocabulary: a small cap exercises MULTI's over-the-cap rejection",
-	"serve.ServerConfig.MaxKey":         "benchmark/stack.go sets it; goes with ROADMAP 4(a)'s benchmark PR",
+	"reclaim.Config.ScanThreshold": "test vocabulary: makes the deferred schemes reclaim at the first retire",
+	"arena.Config.MagazineSize":    "test vocabulary: a small magazine forces overflow to the shared pool",
+	"arena.Stats.Fresh":            "test vocabulary: pins that overflowed slots are reused, not freshly bumped",
+	"arena.Stats.PoolOps":          "test vocabulary: pins that magazine overflow reaches the shared pool",
+	"core.Config.TableBits":        "test vocabulary: a small table forces bucket collisions",
+	"core.Config.Assoc":            "test vocabulary: fewer arrays force set-associative collisions",
+	"serve.ServerConfig.MaxBatch":  "test vocabulary: a small cap exercises MULTI's over-the-cap rejection",
+	"serve.ServerConfig.MaxKey":    "benchmark/stack.go sets it; goes with ROADMAP 4(a)'s benchmark PR",
 }
 
 // TestEveryDeclarationHasACaller type-checks every package of the module

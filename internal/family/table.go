@@ -41,8 +41,8 @@ const (
 )
 
 // Comparator is a lock-free baseline a family is measured against. New
-// reads Threads and ArenaPolicy from the Config and ignores the rest:
-// nothing in a lock-free structure is transactional.
+// reads Threads, ArenaPolicy and ScanThreshold from the Config and ignores
+// the rest: nothing in a lock-free structure is transactional.
 type Comparator struct {
 	Name string
 	New  func(reclaim.Config) Set
@@ -96,21 +96,15 @@ func treeWindow(threads int) int {
 	return 16
 }
 
-// tm adapts a structure's constructor to Row.New.
+// tm adapts a structure's constructor to Row.New (and Comparator.New).
 func tm[T Set](mk func(reclaim.Config) T) func(reclaim.Config) Set {
 	return func(cfg reclaim.Config) Set { return mk(cfg) }
 }
 
-func harris(hp bool) func(reclaim.Config) Set {
-	return func(cfg reclaim.Config) Set {
-		return lockfree.NewHarrisList(lockfree.ListConfig{
-			Threads: cfg.Threads, UseHazardPointers: hp, ArenaPolicy: cfg.ArenaPolicy,
-		})
-	}
-}
-
-func nmTree(cfg reclaim.Config) Set {
-	return lockfree.NewNMTree(lockfree.NMConfig{Threads: cfg.Threads})
+// harris is the Harris–Michael list, labelled name, under the scheme sch
+// builds.
+func harris(name string, sch func(reclaim.Nodes) reclaim.Scheme) Comparator {
+	return Comparator{name, func(cfg reclaim.Config) Set { return lockfree.NewHarrisList(name, sch, cfg) }}
 }
 
 // routed is both external trees, TM-backed and lock-free.
@@ -120,7 +114,7 @@ type routed interface{ ValidateRouting() bool }
 var table = []Row{
 	{
 		Name: Singly, New: tm(list.New), Deferred: true, Local: true,
-		LockFree: []Comparator{{"LFLeak", harris(false)}, {"LFHP", harris(true)}},
+		LockFree: []Comparator{harris("LFLeak", reclaim.NewLeak), harris("LFHP", reclaim.ModeTMHP.Scheme)},
 		Attempts: 2, Window: listWindow,
 	},
 	{
@@ -146,7 +140,7 @@ var table = []Row{
 	},
 	{
 		Name: ETree, New: tm(tree.NewExternal), Deferred: true,
-		LockFree: []Comparator{{"LFLeak", nmTree}},
+		LockFree: []Comparator{{"LFLeak", tm(lockfree.NewNMTree)}},
 		Attempts: 8, Window: treeWindow,
 		Invariant: "external-tree routing invariant",
 		Holds:     func(s Set) bool { return s.(routed).ValidateRouting() },

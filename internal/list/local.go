@@ -126,12 +126,10 @@ type erLink struct {
 }
 
 func newERLink(l *List, n reclaim.Nodes) erLink {
-	ep := reclaim.NewEpochs(n.Threads, n.ScanThreshold, n.Free)
-	ep.Guard = l.Ar.Guarded()
 	for i := range l.threads {
 		l.threads[i].marks = make([]uint64, n.Window.W)
 	}
-	return erLink{reclaim.NewDeferred(ModeER.String(), ep, n), l}
+	return erLink{reclaim.NewDeferred(ModeER.String(), reclaim.NewEpochs(n), n), l}
 }
 
 func (e erLink) Traits() reclaim.Traits {

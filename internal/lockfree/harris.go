@@ -1,7 +1,7 @@
 // Package lockfree implements the nonblocking comparator data structures
 // the paper evaluates against: the Harris–Michael lock-free linked list
-// (Harris DISC 2001, Michael SPAA 2002) in both leaky (LFLeak) and
-// hazard-pointer (LFHP) flavors, and the Natarajan–Mittal lock-free
+// (Harris DISC 2001, Michael SPAA 2002) under the reclamation scheme it is
+// handed (the paper's LFLeak and LFHP), and the Natarajan–Mittal lock-free
 // external binary search tree (PPoPP 2014), which — as the paper notes of
 // the SynchroBench version — leaks memory.
 //
@@ -46,7 +46,7 @@ type HarrisList struct {
 	ar   *arena.Arena[lfNode]
 	rec  reclaim.Scheme
 	head arena.Handle
-	leak bool
+	name string
 	ops  []opCounter
 }
 
@@ -55,39 +55,20 @@ type opCounter struct {
 	_ pad.Line
 }
 
-// ListConfig parameterizes NewHarrisList.
-type ListConfig struct {
-	// Threads is the number of distinct tids. Required.
-	Threads int
-	// UseHazardPointers selects LFHP; otherwise the list leaks (LFLeak).
-	UseHazardPointers bool
-	// ScanThreshold is the hazard batch size (default 64, the paper's
-	// best setting: "reclaim after 64 deletions").
-	ScanThreshold int
-	// ArenaPolicy selects the allocator free-list policy.
-	ArenaPolicy arena.Policy
-}
-
-// NewHarrisList constructs the list with a head sentinel.
-func NewHarrisList(cfg ListConfig) *HarrisList {
+// NewHarrisList constructs the list, labelled name, with a head sentinel,
+// reclaiming through what scheme builds over its arena. It reads cfg's
+// Threads, ArenaPolicy and ScanThreshold; nothing else in it is
+// transactional.
+func NewHarrisList(name string, scheme func(reclaim.Nodes) reclaim.Scheme, cfg reclaim.Config) *HarrisList {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 8
 	}
 	l := &HarrisList{
 		ar:   arena.New[lfNode](arena.Config{Threads: cfg.Threads, Policy: cfg.ArenaPolicy}),
 		ops:  make([]opCounter, cfg.Threads),
-		leak: !cfg.UseHazardPointers,
+		name: name,
 	}
-	if cfg.UseHazardPointers {
-		l.rec = reclaim.NewHazardPointers(reclaim.HPConfig{
-			Threads:        cfg.Threads,
-			SlotsPerThread: 3,
-			ScanThreshold:  cfg.ScanThreshold,
-			Free:           func(tid int, h arena.Handle) { l.ar.Free(tid, h) },
-		})
-	} else {
-		l.rec = reclaim.NewLeak(cfg.Threads)
-	}
+	l.rec = scheme(reclaim.Nodes{Config: cfg, Free: l.ar.Free})
 	l.head = l.ar.Alloc(0)
 	n := l.ar.At(l.head)
 	n.key = 0
@@ -96,12 +77,7 @@ func NewHarrisList(cfg ListConfig) *HarrisList {
 }
 
 // Name implements sets.Set.
-func (l *HarrisList) Name() string {
-	if l.leak {
-		return "LFLeak"
-	}
-	return "LFHP"
-}
+func (l *HarrisList) Name() string { return l.name }
 
 // Register implements sets.Set.
 func (l *HarrisList) Register(tid int) {}
@@ -121,13 +97,13 @@ func (l *HarrisList) Apply(tid int, ops []sets.Op) []sets.Result {
 
 // find locates the first node with key >= key, physically unlinking any
 // marked nodes it passes (Michael's helping). On return, curr (possibly
-// Nil) is protected by hazard slot 1 and prev by slot 2, and
+// Nil) is protected by hazard slot 0 and prev by slot 1, and
 // *prevCell == currH held after both hazards were published.
 func (l *HarrisList) find(tid int, key uint64) (prevCell *atomic.Uint64, currH arena.Handle, currKey uint64, found bool) {
 retry:
 	for {
 		prevH := l.head
-		l.rec.Protect(tid, 2, prevH)
+		l.rec.Protect(tid, 1, prevH)
 		prevCell = &l.ar.At(prevH).next
 		currRaw := prevCell.Load()
 		for {
@@ -140,7 +116,7 @@ retry:
 			if currH.IsNil() {
 				return prevCell, arena.Nil, 0, false
 			}
-			l.rec.Protect(tid, 1, currH)
+			l.rec.Protect(tid, 0, currH)
 			if prevCell.Load() != currRaw {
 				continue retry // prev changed under us: restart
 			}
@@ -162,8 +138,8 @@ retry:
 			if ck >= key {
 				return prevCell, currH, ck, ck == key
 			}
-			// Advance: curr becomes prev (move its hazard to slot 2).
-			l.rec.Protect(tid, 2, currH)
+			// Advance: curr becomes prev (move its hazard to slot 1).
+			l.rec.Protect(tid, 1, currH)
 			prevCell = &n.next
 			currRaw = nextRaw
 		}

@@ -6,13 +6,22 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hohtx/internal/arena"
+	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 )
 
+// The paper's two Harris lists: the leaking one, and hazard pointers (the
+// TMHP mode's scheme).
+func newLFLeak(cfg reclaim.Config) *HarrisList { return NewHarrisList("LFLeak", reclaim.NewLeak, cfg) }
+func newLFHP(cfg reclaim.Config) *HarrisList {
+	return NewHarrisList("LFHP", reclaim.ModeTMHP.Scheme, cfg)
+}
+
 func lists(threads int) []*HarrisList {
 	return []*HarrisList{
-		NewHarrisList(ListConfig{Threads: threads}),
-		NewHarrisList(ListConfig{Threads: threads, UseHazardPointers: true, ScanThreshold: 8}),
+		newLFLeak(reclaim.Config{Threads: threads}),
+		newLFHP(reclaim.Config{Threads: threads, ScanThreshold: 8}),
 	}
 }
 
@@ -78,7 +87,7 @@ func TestListSequentialVsModel(t *testing.T) {
 // TestLFHPRecyclesMemory: with hazard pointers, removed nodes are reused;
 // with leak, they are not.
 func TestLFHPRecyclesMemory(t *testing.T) {
-	hp := NewHarrisList(ListConfig{Threads: 1, UseHazardPointers: true, ScanThreshold: 4})
+	hp := newLFHP(reclaim.Config{Threads: 1, ScanThreshold: 4})
 	hp.Register(0)
 	for round := 0; round < 50; round++ {
 		for k := uint64(1); k <= 10; k++ {
@@ -93,7 +102,7 @@ func TestLFHPRecyclesMemory(t *testing.T) {
 		t.Fatalf("LFHP live nodes = %d after churn; memory not recycled", live)
 	}
 
-	leak := NewHarrisList(ListConfig{Threads: 1})
+	leak := newLFLeak(reclaim.Config{Threads: 1})
 	leak.Register(0)
 	for round := 0; round < 50; round++ {
 		for k := uint64(1); k <= 10; k++ {
@@ -107,6 +116,83 @@ func TestLFHPRecyclesMemory(t *testing.T) {
 	}
 	if live := leak.LiveNodes(); live != 501 {
 		t.Fatalf("LFLeak live = %d, want 501", live)
+	}
+}
+
+// TestLFHPPublishesTwoSlots: find protects prev and curr in hazard slots 0
+// and 1, the two each thread of the TMHP scheme owns. After churn, with
+// every thread but 0 parked inside a find and thread 0 removing every key
+// and finishing, what thread 0 leaves over is exactly the parked threads'
+// prev and curr nodes: within the StrandBound trait's bound of two per
+// thread.
+func TestLFHPPublishesTwoSlots(t *testing.T) {
+	const threads = 4
+	l := newLFHP(reclaim.Config{Threads: threads, ScanThreshold: 2})
+	if !l.Books(0).Traits.StrandBound {
+		t.Fatal("LFHP's scheme is not strand-bound")
+	}
+	stressSet(t, l, threads, 2000, 32)
+	for tid := range threads {
+		l.Finish(tid)
+	}
+	for _, k := range l.Snapshot() {
+		l.Remove(0, k)
+	}
+	for k := uint64(1); k <= 4*threads; k++ {
+		l.Insert(0, k)
+	}
+	for tid := 1; tid < threads; tid++ {
+		l.find(tid, uint64(4*tid+2)) // parked: prev 4t+1, curr 4t+2 stay published
+	}
+	for k := uint64(1); k <= 4*threads; k++ {
+		l.Remove(0, k)
+	}
+	l.Finish(0)
+	left := l.ReclaimStats().Leftover
+	if left > 2*threads {
+		t.Fatalf("leftover %d after thread 0's Finish, past the bound of %d", left, 2*threads)
+	}
+	if left != 2*(threads-1) {
+		t.Fatalf("leftover %d after thread 0's Finish, want the %d parked prev and curr nodes", left, 2*(threads-1))
+	}
+	for tid := 1; tid < threads; tid++ {
+		l.Finish(tid)
+	}
+	l.Finish(0)
+	if st := l.ReclaimStats(); st.Leftover != 0 || st.Deferred != 0 {
+		t.Fatalf("after the parked threads finished: %+v", st)
+	}
+}
+
+// TestComparatorsTakeTheArenaPolicy: every comparator runs the arena
+// policy its Config names. Built with the shared policy, every Alloc and
+// Free of its arena is one shared-pool critical section: two alloc–free
+// pairs cost four, where the local policy's magazine keeps the freed slot
+// and costs one. (PoolOps > 0 alone does not tell the two apart: a local
+// magazine that is empty counts a refill per Alloc.)
+func TestComparatorsTakeTheArenaPolicy(t *testing.T) {
+	cfg := reclaim.Config{Threads: 1, ArenaPolicy: arena.PolicyShared}
+	for _, l := range []*HarrisList{newLFLeak(cfg), newLFHP(cfg)} {
+		t.Run("list/"+l.Name(), func(t *testing.T) { checkSharedPool(t, l, l.ar) })
+	}
+	tr := NewNMTree(cfg)
+	t.Run("nmtree/"+tr.Name(), func(t *testing.T) { checkSharedPool(t, tr, tr.ar) })
+}
+
+func checkSharedPool[T any](t *testing.T, s sets.Set, ar *arena.Arena[T]) {
+	s.Register(0)
+	for k := uint64(1); k <= 4; k++ {
+		s.Insert(0, k)
+	}
+	before := ar.Stats().PoolOps
+	if before == 0 {
+		t.Fatal("no shared-pool op after four inserts")
+	}
+	for range 2 {
+		ar.Free(0, ar.Alloc(0))
+	}
+	if d := ar.Stats().PoolOps - before; d != 4 {
+		t.Fatalf("two alloc–free pairs took %d shared-pool ops, want 4 (the local policy takes 1)", d)
 	}
 }
 
@@ -192,7 +278,7 @@ func TestListHighContentionSameKey(t *testing.T) {
 }
 
 func TestNMTreeSequential(t *testing.T) {
-	tr := NewNMTree(NMConfig{Threads: 1})
+	tr := NewNMTree(reclaim.Config{Threads: 1})
 	tr.Register(0)
 	if tr.Lookup(0, 5) || tr.Remove(0, 5) {
 		t.Fatal("empty tree misbehaved")
@@ -230,7 +316,7 @@ func TestNMTreeSequential(t *testing.T) {
 }
 
 func TestNMTreeSequentialVsModel(t *testing.T) {
-	tr := NewNMTree(NMConfig{Threads: 1})
+	tr := NewNMTree(reclaim.Config{Threads: 1})
 	tr.Register(0)
 	rng := rand.New(rand.NewSource(11))
 	model := map[uint64]bool{}
@@ -260,7 +346,7 @@ func TestNMTreeSequentialVsModel(t *testing.T) {
 
 func TestNMTreeConcurrentStress(t *testing.T) {
 	const threads = 8
-	tr := NewNMTree(NMConfig{Threads: threads})
+	tr := NewNMTree(reclaim.Config{Threads: threads})
 	stressSet(t, tr, threads, 3000, 128)
 	if !tr.ValidateRouting() {
 		t.Fatal("routing invalid after stress")
@@ -269,7 +355,7 @@ func TestNMTreeConcurrentStress(t *testing.T) {
 
 func TestNMTreeContentionSameKeys(t *testing.T) {
 	const threads = 8
-	tr := NewNMTree(NMConfig{Threads: threads})
+	tr := NewNMTree(reclaim.Config{Threads: threads})
 	var wg sync.WaitGroup
 	var ins, rem atomic.Int64
 	for w := 0; w < threads; w++ {

@@ -53,27 +53,21 @@ type nmNode struct {
 // NMTree is the lock-free external BST set.
 type NMTree struct {
 	ar   *arena.Arena[nmNode]
-	leak *reclaim.Leak
+	leak reclaim.Scheme
 	root arena.Handle // R sentinel router
 	ops  []opCounter
 }
 
-// NMConfig parameterizes NewNMTree.
-type NMConfig struct {
-	// Threads is the number of distinct tids. Required.
-	Threads int
-}
-
-// NewNMTree constructs the tree with the standard sentinel arrangement.
-func NewNMTree(cfg NMConfig) *NMTree {
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = 8
+// NewNMTree constructs the tree with the standard sentinel arrangement. It
+// reads cfg's Threads and ArenaPolicy; nothing else in it is transactional.
+func NewNMTree(cfg reclaim.Config) *NMTree {
+	if cfg.Threads <= 0 {
+		cfg.Threads = 8
 	}
 	t := &NMTree{
-		ar:   arena.New[nmNode](arena.Config{Threads: threads}),
-		leak: reclaim.NewLeak(threads),
-		ops:  make([]opCounter, threads),
+		ar:   arena.New[nmNode](arena.Config{Threads: cfg.Threads, Policy: cfg.ArenaPolicy}),
+		leak: reclaim.NewLeak(reclaim.Nodes{Config: cfg}),
+		ops:  make([]opCounter, cfg.Threads),
 	}
 	mk := func(key uint64, left, right arena.Handle) arena.Handle {
 		h := t.ar.Alloc(0)

@@ -46,7 +46,7 @@ func (s *countScheme) Exit(tid int)  { s.exits.Add(1); s.Scheme.Exit(tid) }
 var (
 	counted   *countScheme
 	countMode = RegisterScheme("TMCOUNT", func(n Nodes) Scheme {
-		counted = &countScheme{Scheme: NewEpochs(n.Threads, n.ScanThreshold, n.Free)}
+		counted = &countScheme{Scheme: NewEpochs(n)}
 		return counted
 	})
 )

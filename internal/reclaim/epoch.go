@@ -23,13 +23,12 @@ type Epochs struct {
 	// advanceEvery makes threads attempt an epoch advance every N
 	// retirements, batching frees like an epoch allocator would.
 	advanceEvery uint64
-	// Guard, when set, makes Retire panic if the calling thread is not
-	// inside an Enter/Exit bracket. An unbracketed retire is a protocol
-	// violation: the retiring thread looks quiescent to tryAdvance, so the
-	// epoch can advance past the retiree and free it under a concurrent
-	// reader. Off by default (release builds pay no assertion cost beyond
-	// one predictable branch); torture harnesses switch it on.
-	Guard bool
+	// guard, the structure's Config.Guard, makes Retire panic if the
+	// calling thread is not inside an Enter/Exit bracket. An unbracketed
+	// retire is a protocol violation: the retiring thread looks quiescent
+	// to tryAdvance, so the epoch can advance past the retiree and free it
+	// under a concurrent reader. Off, it costs one predictable branch.
+	guard bool
 }
 
 // announcement is one thread's announced epoch, padded.
@@ -38,17 +37,15 @@ type announcement struct {
 	_     pad.Line
 }
 
-// NewEpochs creates an epoch domain for threads threads. advanceEvery
-// controls how many retirements pass between epoch-advance attempts
-// (default DefaultScanThreshold).
-func NewEpochs(threads int, advanceEvery int, free FreeFunc) *Epochs {
-	if advanceEvery <= 0 {
-		advanceEvery = DefaultScanThreshold
-	}
+// NewEpochs creates an epoch domain. Threads attempt an epoch advance
+// every scan threshold of retirements, batching frees like an epoch
+// allocator would.
+func NewEpochs(n Nodes) Scheme {
 	return &Epochs{
-		retireList:   newRetireList(threads, 0, free),
-		announced:    make([]announcement, threads),
-		advanceEvery: uint64(advanceEvery),
+		retireList:   newRetireList(n.Threads, 0, n.Free),
+		announced:    make([]announcement, n.Threads),
+		advanceEvery: uint64(n.scanThreshold()),
+		guard:        n.Config.Guard,
 	}
 }
 
@@ -71,7 +68,7 @@ func (e *Epochs) Exit(tid int) {
 
 // Retire implements Scheme. The caller must be between Enter and Exit.
 func (e *Epochs) Retire(tid int, h arena.Handle, stamp uint64) {
-	if e.Guard && e.announced[tid].epoch.Load()&1 == 0 {
+	if e.guard && e.announced[tid].epoch.Load()&1 == 0 {
 		panic("reclaim: Epochs.Retire outside an Enter/Exit bracket; the epoch can advance past this retiree and free it under a concurrent reader")
 	}
 	if t := e.retire(tid, h, stamp, e.global.Load()); t.retired.Load()%e.advanceEvery == 0 {
@@ -110,8 +107,6 @@ func (e *Epochs) drain(tid int, stamp uint64) {
 	e.sweepOrdered(tid, stamp, func(_ []uint64, r retiree) bool { return r.stamp+2 > g })
 }
 
-var _ Scheme = (*Epochs)(nil)
-
 // Leak is the no-reclamation scheme: Retire just counts. It approximates
 // the best-case performance of deferred schemes (no reclamation work at
 // all) with the worst-case memory behavior (unbounded growth), exactly the
@@ -120,10 +115,8 @@ type Leak struct {
 	retireList
 }
 
-// NewLeak creates a Leak domain for threads threads.
-func NewLeak(threads int) *Leak {
-	return &Leak{newRetireList(threads, 0, nil)}
-}
+// NewLeak creates a Leak domain.
+func NewLeak(n Nodes) Scheme { return &Leak{newRetireList(n.Threads, 0, nil)} }
 
 // Traits implements Scheme.
 func (l *Leak) Traits() Traits { return Traits{Deferred: true, Leak: true, DrainRounds: 1} }
@@ -133,5 +126,3 @@ func (l *Leak) Retire(tid int, h arena.Handle, _ uint64) { l.count(tid, h) }
 
 // Flush is a no-op: nothing is ever freed.
 func (l *Leak) Flush(int, uint64) {}
-
-var _ Scheme = (*Leak)(nil)

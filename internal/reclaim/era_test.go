@@ -12,11 +12,8 @@ import (
 // runs when a test flushes.
 func heHarness(threads int) (*arena.Arena[node], *HazardEras) {
 	a := arena.New[node](arena.Config{Threads: threads})
-	he := NewHazardEras(HEConfig{
-		Threads: threads, ScanThreshold: 1000,
-		Free: func(tid int, h arena.Handle) { a.Free(tid, h) },
-	})
-	return a, he
+	he := NewHazardEras(nodesOf(threads, 1000, func(tid int, h arena.Handle) { a.Free(tid, h) }))
+	return a, he.(*HazardEras)
 }
 
 // heAlloc allocates and birth-stamps a node the way structures do.
@@ -94,15 +91,12 @@ func TestHEFlushRescansAfterReservationMoves(t *testing.T) {
 	a := arena.New[node](arena.Config{Threads: 2})
 	var he *HazardEras
 	var hA, hB arena.Handle
-	he = NewHazardEras(HEConfig{
-		Threads: 2, ScanThreshold: 1000,
-		Free: func(tid int, h arena.Handle) {
-			if h == hB {
-				he.ClearSlots(1) // thread 1's traversal moves off A
-			}
-			a.Free(tid, h)
-		},
-	})
+	he = NewHazardEras(nodesOf(2, 1000, func(tid int, h arena.Handle) {
+		if h == hB {
+			he.ClearSlots(1) // thread 1's traversal moves off A
+		}
+		a.Free(tid, h)
+	})).(*HazardEras)
 	hA = a.Alloc(0)
 	he.Born(hA) // born era 1
 	he.Protect(1, 0, hA)
@@ -167,10 +161,7 @@ func TestHEConcurrentChurn(t *testing.T) {
 	const workers = 4
 	const iters = 3000
 	a := arena.New[node](arena.Config{Threads: workers})
-	he := NewHazardEras(HEConfig{
-		Threads: workers, ScanThreshold: 16,
-		Free: func(tid int, h arena.Handle) { a.Free(tid, h) },
-	})
+	he := NewHazardEras(nodesOf(workers, 16, func(tid int, h arena.Handle) { a.Free(tid, h) }))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -208,13 +199,16 @@ type fakeClock struct{ v uint64 }
 func (c *fakeClock) read() uint64 { return c.v }
 func (c *fakeClock) tick()        { c.v += 2 }
 
+// newFakeVBR builds VBR from n with clk in place of the runtime's fence.
+func newFakeVBR(n Nodes, clk *fakeClock) *VBR {
+	v := NewVBR(n).(*VBR)
+	v.clock, v.tick = clk.read, clk.tick
+	return v
+}
+
 func vbrHarness(threads int, clk *fakeClock) (*arena.Arena[node], *VBR) {
 	a := arena.New[node](arena.Config{Threads: threads})
-	v := NewVBR(VBRConfig{
-		Threads: threads, Clock: clk.read, Tick: clk.tick, TickEvery: 1000,
-		Free: func(tid int, h arena.Handle) { a.Free(tid, h) },
-	})
-	return a, v
+	return a, newFakeVBR(nodesOf(threads, 1000, func(tid int, h arena.Handle) { a.Free(tid, h) }), clk)
 }
 
 func TestVBRDefersUntilFenceAdvances(t *testing.T) {
@@ -296,12 +290,9 @@ func TestVBRClockWraparound(t *testing.T) {
 func TestVBRSelfTickBoundsDeferral(t *testing.T) {
 	clk := &fakeClock{v: 0}
 	a := arena.New[node](arena.Config{Threads: 1})
-	v := NewVBR(VBRConfig{
-		Threads: 1, Clock: clk.read, Tick: clk.tick, TickEvery: 8,
-		Free: func(tid int, h arena.Handle) { a.Free(tid, h) },
-	})
+	v := newFakeVBR(nodesOf(1, 8, func(tid int, h arena.Handle) { a.Free(tid, h) }), clk)
 	// No external writer advances the clock; the scheme must tick it
-	// itself so deferral stays bounded by TickEvery.
+	// itself so deferral stays bounded by its tick cadence.
 	for i := 0; i < 64; i++ {
 		v.Retire(0, a.Alloc(0), uint64(i))
 	}
@@ -320,7 +311,7 @@ func TestStalledThreadDeferralBound(t *testing.T) {
 
 	// Epochs: the stalled reader pins every subsequent retirement.
 	ae := arena.New[node](arena.Config{Threads: 2})
-	ep := NewEpochs(2, 1, func(tid int, h arena.Handle) { ae.Free(tid, h) })
+	ep := NewEpochs(nodesOf(2, 1, func(tid int, h arena.Handle) { ae.Free(tid, h) }))
 	ep.Enter(1) // stalled reader, never exits
 	ep.Enter(0)
 	for i := 0; i < churn; i++ {

@@ -80,8 +80,9 @@ func TestFlushExposesLeftover(t *testing.T) {
 // must panic; without it the (legacy, unchecked) behavior stands.
 func TestEpochRetireBracketGuard(t *testing.T) {
 	a := arena.New[node](arena.Config{Threads: 2})
-	e := NewEpochs(2, 1, func(tid int, h arena.Handle) { a.Free(tid, h) })
-	e.Guard = true
+	n := nodesOf(2, 1, func(tid int, h arena.Handle) { a.Free(tid, h) })
+	n.Config.Guard = true
+	e := NewEpochs(n).(*Epochs)
 
 	e.Enter(0)
 	e.Retire(0, a.Alloc(0), 1) // bracketed: fine
@@ -100,6 +101,6 @@ func TestEpochRetireBracketGuard(t *testing.T) {
 		e.Retire(0, a.Alloc(0), 2)
 	}()
 
-	e.Guard = false
+	e.guard = false
 	e.Retire(0, a.Alloc(0), 3) // unguarded: tolerated for compatibility
 }

@@ -11,8 +11,12 @@ import (
 // "only reclaim after 64 deletions" and uses that setting; so do we.
 const DefaultScanThreshold = 64
 
+// pairSlots is the slots each thread of a publishing scheme (HP, HE) owns:
+// the deferred link's parity pair, or a Harris-list find's prev and curr.
+const pairSlots = 2
+
 // HazardPointers implements Michael's hazard-pointer scheme over arena
-// handles. Each of Threads threads owns SlotsPerThread hazard slots.
+// handles. Each thread owns pairSlots hazard slots.
 type HazardPointers struct {
 	retireList
 	threshold int
@@ -20,22 +24,21 @@ type HazardPointers struct {
 
 // HPConfig parameterizes NewHazardPointers.
 type HPConfig struct {
-	Threads        int // number of participating threads (required)
-	SlotsPerThread int // hazard slots per thread; default 3
-	ScanThreshold  int // retired-list length that triggers a scan; default 64
-	Free           FreeFunc
+	Threads       int // number of participating threads (required)
+	ScanThreshold int // retired-list length that triggers a scan; default 64
+	Free          FreeFunc
 }
 
-// NewHazardPointers creates a hazard-pointer domain.
+// NewHazardPointers creates a hazard-pointer domain. It is the one scheme
+// built from a config of its own rather than from a Nodes, so it defaults
+// its own threshold: the benchmark's retire probe builds one with no
+// structure around it.
 func NewHazardPointers(cfg HPConfig) *HazardPointers {
-	if cfg.SlotsPerThread <= 0 {
-		cfg.SlotsPerThread = 3
-	}
 	if cfg.ScanThreshold <= 0 {
 		cfg.ScanThreshold = DefaultScanThreshold
 	}
 	return &HazardPointers{
-		retireList: newRetireList(cfg.Threads, cfg.SlotsPerThread, cfg.Free),
+		retireList: newRetireList(cfg.Threads, pairSlots, cfg.Free),
 		threshold:  cfg.ScanThreshold,
 	}
 }
@@ -69,5 +72,3 @@ func (hp *HazardPointers) Flush(tid int, stamp uint64) { hp.rescan(tid, stamp, h
 
 // hazardous is the hazard test: some thread publishes r's handle.
 func hazardous(pub []uint64, r retiree) bool { return slices.Contains(pub, uint64(r.h)) }
-
-var _ Scheme = (*HazardPointers)(nil)

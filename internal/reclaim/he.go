@@ -8,10 +8,6 @@ import (
 	"hohtx/internal/pad"
 )
 
-// heSlots is the era slots each thread publishes: the traversal's parity
-// pair.
-const heSlots = 2
-
 // eraPageSize is the birth-table page length; pages are allocated lazily
 // as the arena grows, and never freed, so readers index without locks.
 const eraPageSize = 1024
@@ -94,22 +90,9 @@ type HazardEras struct {
 	threshold int
 }
 
-// HEConfig parameterizes NewHazardEras.
-type HEConfig struct {
-	Threads       int // number of participating threads (required)
-	ScanThreshold int // retired-list length that triggers a scan; default 64
-	Free          FreeFunc
-}
-
 // NewHazardEras creates a hazard-era domain.
-func NewHazardEras(cfg HEConfig) *HazardEras {
-	if cfg.ScanThreshold <= 0 {
-		cfg.ScanThreshold = DefaultScanThreshold
-	}
-	he := &HazardEras{
-		retireList: newRetireList(cfg.Threads, heSlots, cfg.Free),
-		threshold:  cfg.ScanThreshold,
-	}
+func NewHazardEras(n Nodes) Scheme {
+	he := &HazardEras{retireList: newRetireList(n.Threads, pairSlots, n.Free), threshold: n.scanThreshold()}
 	he.era.Store(1) // era 0 means "empty reservation" in the slots
 	return he
 }
@@ -175,5 +158,3 @@ func (he *HazardEras) reserved(pub []uint64, r retiree) bool {
 	}
 	return false
 }
-
-var _ Scheme = (*HazardEras)(nil)

@@ -128,9 +128,9 @@ type Link interface {
 // Nodes is what a structure tells the seam about itself, once.
 type Nodes struct {
 	// Config is the structure's own, defaults filled in: the seam reads its
-	// Threads, ScanThreshold (<= 0 means DefaultScanThreshold), reservation
-	// selectors and Obs. (Its Guard switch is shadowed by the Guard below,
-	// which is what that switch built.)
+	// Threads, ScanThreshold (see scanThreshold), reservation selectors and
+	// Obs, and epochs read its Guard switch as their bracket check. (That
+	// switch is shadowed by the Guard below, which is what it built.)
 	Config
 	// Dead returns the logical-deletion cell of the node named by h. It
 	// must be callable on a freed or recycled handle (arena memory is
@@ -144,6 +144,16 @@ type Nodes struct {
 	Runtime *stm.Runtime
 	// Guard is the structure's sanitizer (see GuardFor).
 	Guard Guard
+}
+
+// scanThreshold is the batch of the schemes built from a Nodes (HE's scan,
+// VBR's self-tick, the epochs' advance attempt): Config.ScanThreshold, or
+// DefaultScanThreshold when that is not set.
+func (n Nodes) scanThreshold() int {
+	if n.ScanThreshold > 0 {
+		return n.ScanThreshold
+	}
+	return DefaultScanThreshold
 }
 
 // New builds the link for a generic mode; it panics for a mode that needs

@@ -69,9 +69,9 @@ func allLinks() []*rig {
 		}
 	}
 	ep := newRig(false, nil)
-	ep.link = NewDeferred("Epoch", NewEpochs(rigThreads, 4, ep.ar.Free), ep.nodes(0))
+	ep.link = NewDeferred("Epoch", NewEpochs(ep.nodes(0)), ep.nodes(0))
 	lk := newRig(false, nil)
-	lk.link = NewDeferred("Leak", NewLeak(rigThreads), lk.nodes(0))
+	lk.link = NewDeferred("Leak", NewLeak(lk.nodes(0)), lk.nodes(0))
 	out = append(out, ep, lk)
 	for _, r := range out {
 		for tid := 0; tid < rigThreads; tid++ {

@@ -70,19 +70,10 @@ var modes = []modeSpec{
 	ModeREF: {name: "REF"},
 	ModeER:  {name: "ER"},
 	ModeTMHP: {"TMHP", func(n Nodes) Scheme {
-		return NewHazardPointers(HPConfig{
-			Threads: n.Threads, SlotsPerThread: 2, ScanThreshold: n.ScanThreshold, Free: n.Free,
-		})
+		return NewHazardPointers(HPConfig{n.Threads, n.ScanThreshold, n.Free})
 	}},
-	ModeTMHE: {"TMHE", func(n Nodes) Scheme {
-		return NewHazardEras(HEConfig{Threads: n.Threads, ScanThreshold: n.ScanThreshold, Free: n.Free})
-	}},
-	ModeTMVBR: {"TMVBR", func(n Nodes) Scheme {
-		return NewVBR(VBRConfig{
-			Threads: n.Threads, TickEvery: n.ScanThreshold, Free: n.Free,
-			Clock: n.Runtime.VersionFence, Tick: n.Runtime.TickVersionFence,
-		})
-	}},
+	ModeTMHE:  {"TMHE", NewHazardEras},
+	ModeTMVBR: {"TMVBR", NewVBR},
 }
 
 // RegisterScheme adds a deferred scheme to the mode table under the given

@@ -9,6 +9,12 @@ import (
 
 type node struct{ v uint64 }
 
+// nodesOf is what a test hands a scheme's constructor: the thread count,
+// the scan threshold and the free.
+func nodesOf(threads, threshold int, free FreeFunc) Nodes {
+	return Nodes{Config: Config{Threads: threads, ScanThreshold: threshold}, Free: free}
+}
+
 // harness wires a scheme to a real arena so frees are observable.
 func newHarness(threads int, mk func(free FreeFunc) Scheme) (*arena.Arena[node], Scheme) {
 	a := arena.New[node](arena.Config{Threads: threads})
@@ -110,8 +116,7 @@ func TestHPConcurrentChurn(t *testing.T) {
 }
 
 func TestEpochsBasicLifecycle(t *testing.T) {
-	a, _ := newHarness(2, func(f FreeFunc) Scheme { return NewLeak(2) })
-	e := NewEpochs(2, 1, func(tid int, h arena.Handle) { a.Free(tid, h) })
+	a, e := newHarness(2, func(f FreeFunc) Scheme { return NewEpochs(nodesOf(2, 1, f)) })
 
 	e.Enter(0)
 	h := a.Alloc(0)
@@ -129,8 +134,7 @@ func TestEpochsBasicLifecycle(t *testing.T) {
 }
 
 func TestEpochsPinnedByActiveReader(t *testing.T) {
-	a, _ := newHarness(2, func(f FreeFunc) Scheme { return NewLeak(2) })
-	e := NewEpochs(2, 1, func(tid int, h arena.Handle) { a.Free(tid, h) })
+	a, e := newHarness(2, func(f FreeFunc) Scheme { return NewEpochs(nodesOf(2, 1, f)) })
 
 	e.Enter(1) // thread 1 is a long-running reader in epoch g
 	e.Enter(0)
@@ -155,7 +159,7 @@ func TestEpochsConcurrent(t *testing.T) {
 	const workers = 4
 	const iters = 2000
 	a := arena.New[node](arena.Config{Threads: workers})
-	e := NewEpochs(workers, 8, func(tid int, h arena.Handle) { a.Free(tid, h) })
+	e := NewEpochs(nodesOf(workers, 8, func(tid int, h arena.Handle) { a.Free(tid, h) }))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -188,7 +192,7 @@ func TestEpochsConcurrent(t *testing.T) {
 }
 
 func TestLeakNeverFrees(t *testing.T) {
-	a, s := newHarness(1, func(f FreeFunc) Scheme { return NewLeak(1) })
+	a, s := newHarness(1, func(f FreeFunc) Scheme { return NewLeak(nodesOf(1, 0, f)) })
 	h := a.Alloc(0)
 	s.Retire(0, h, 1)
 	s.Flush(0, 2)

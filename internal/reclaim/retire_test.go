@@ -38,15 +38,15 @@ func TestRetireListBooks(t *testing.T) {
 			var s Scheme
 			switch name {
 			case "HP":
-				s = NewHazardPointers(HPConfig{Threads: 2, SlotsPerThread: 2, ScanThreshold: threshold, Free: free})
+				s = NewHazardPointers(HPConfig{Threads: 2, ScanThreshold: threshold, Free: free})
 			case "HE":
-				s = NewHazardEras(HEConfig{Threads: 2, ScanThreshold: threshold, Free: free})
+				s = NewHazardEras(nodesOf(2, threshold, free))
 			case "VBR":
-				s = NewVBR(VBRConfig{Threads: 2, Clock: clk.read, Tick: clk.tick, TickEvery: tickEvery, Free: free})
+				s = newFakeVBR(nodesOf(2, tickEvery, free), clk)
 			case "Epochs":
-				s = NewEpochs(2, advanceEvery, free)
+				s = NewEpochs(nodesOf(2, advanceEvery, free))
 			case "Leak":
-				s = NewLeak(2)
+				s = NewLeak(nodesOf(2, 0, free))
 			}
 			d := obs.NewDomain(obs.DomainConfig{Name: name, Threads: 2, SampleShift: 0})
 			probe := d.TxProbe()

@@ -20,7 +20,7 @@ import "hohtx/internal/arena"
 // quiescent point — the clock is advanced by committing writers, by
 // validating readers, and (so that read-heavy or idle periods cannot
 // defer reclamation forever) by the scheme itself, which ticks the
-// fence every TickEvery retirements via the Tick callback. A stalled
+// fence every scan threshold of retirements (see NewVBR). A stalled
 // reader therefore cannot pin retirees: its transaction is simply
 // aborted by the retire fence when it next validates (the
 // checkpoint-and-rollback face of VBR lives in the structures' resume
@@ -31,36 +31,21 @@ import "hohtx/internal/arena"
 // behavior if a clock ever cycles the 64-bit space.
 type VBR struct {
 	retireList
-	clock     func() uint64
-	tick      func()
+	clock     func() uint64 // reads the fence (stm.Runtime.VersionFence)
+	tick      func()        // advances it (stm.Runtime.TickVersionFence)
 	tickEvery uint64
 }
 
-// VBRConfig parameterizes NewVBR.
-type VBRConfig struct {
-	Threads int // number of participating threads (required)
-	// Clock reads the current version fence (stm.Runtime.VersionFence).
-	Clock func() uint64
-	// Tick advances the fence (stm.Runtime.TickVersionFence); called
-	// every TickEvery retirements and during Flush so drains terminate
-	// even when no writer is advancing the clock.
-	Tick func()
-	// TickEvery is the retire count between self-ticks; default 64
-	// (DefaultScanThreshold, matching the other schemes' batch sizes).
-	TickEvery int
-	Free      FreeFunc
-}
-
-// NewVBR creates a version-based-reclamation domain.
-func NewVBR(cfg VBRConfig) *VBR {
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = DefaultScanThreshold
-	}
+// NewVBR creates a version-based-reclamation domain over n's runtime: the
+// clock is its version fence, and the scheme ticks the fence itself every
+// scan threshold of retirements and during Flush, so drains terminate even
+// when no writer is advancing it.
+func NewVBR(n Nodes) Scheme {
 	return &VBR{
-		retireList: newRetireList(cfg.Threads, 0, cfg.Free),
-		clock:      cfg.Clock,
-		tick:       cfg.Tick,
-		tickEvery:  uint64(cfg.TickEvery),
+		retireList: newRetireList(n.Threads, 0, n.Free),
+		clock:      n.Runtime.VersionFence,
+		tick:       n.Runtime.TickVersionFence,
+		tickEvery:  uint64(n.scanThreshold()),
 	}
 }
 
@@ -68,7 +53,7 @@ func NewVBR(cfg VBRConfig) *VBR {
 func (v *VBR) Traits() Traits { return Traits{Deferred: true, DrainRounds: 1} }
 
 // Retire implements Scheme: h is stamped with the current fence and
-// queued; the fence self-ticks every TickEvery retirements and the list
+// queued; the fence self-ticks every tickEvery retirements and the list
 // drains on every call.
 func (v *VBR) Retire(tid int, h arena.Handle, stamp uint64) {
 	if t := v.retire(tid, h, stamp, v.clock()); t.retired.Load()%v.tickEvery == 0 {
@@ -95,5 +80,3 @@ func (v *VBR) drain(tid int, stamp uint64) {
 	now := v.clock()
 	v.sweepOrdered(tid, stamp, func(_ []uint64, r retiree) bool { return int64(now-r.stamp) <= 0 })
 }
-
-var _ Scheme = (*VBR)(nil)

@@ -200,8 +200,8 @@ func checkSchemeBooks(t *testing.T, build func(reclaim.Nodes) reclaim.Scheme) {
 // outside the singly linked list.
 func TestEverySchemeKeepsItsBooks(t *testing.T) {
 	builds := map[string]func(reclaim.Nodes) reclaim.Scheme{
-		"Epochs": func(n reclaim.Nodes) reclaim.Scheme { return reclaim.NewEpochs(n.Threads, n.ScanThreshold, n.Free) },
-		"Leak":   func(n reclaim.Nodes) reclaim.Scheme { return reclaim.NewLeak(n.Threads) },
+		"Epochs": reclaim.NewEpochs,
+		"Leak":   reclaim.NewLeak,
 	}
 	for _, m := range reclaim.Modes() {
 		if m > reclaim.ModeHTM && m.Generic() {

@@ -20,19 +20,19 @@ import (
 // gives it guarded cells on each — so a structure that retires outside its
 // operation's bracket fails there.
 type guardedEpochs struct {
-	*reclaim.Epochs
+	reclaim.Scheme
 	enters, exits atomic.Int64
 }
 
-func (e *guardedEpochs) Enter(tid int) { e.enters.Add(1); e.Epochs.Enter(tid) }
-func (e *guardedEpochs) Exit(tid int)  { e.exits.Add(1); e.Epochs.Exit(tid) }
+func (e *guardedEpochs) Enter(tid int) { e.enters.Add(1); e.Scheme.Enter(tid) }
+func (e *guardedEpochs) Exit(tid int)  { e.exits.Add(1); e.Scheme.Exit(tid) }
 
 var (
 	// epochsOf maps a structure's runtime to the scheme it built.
 	epochsOf sync.Map
 	ebrMode  = reclaim.RegisterScheme("TMEBR", func(n reclaim.Nodes) reclaim.Scheme {
-		e := &guardedEpochs{Epochs: reclaim.NewEpochs(n.Threads, n.ScanThreshold, n.Free)}
-		e.Guard = true
+		n.Config.Guard = true
+		e := &guardedEpochs{Scheme: reclaim.NewEpochs(n)}
 		epochsOf.Store(n.Runtime, e)
 		return e
 	})
