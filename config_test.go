@@ -52,8 +52,17 @@ func probe(t *testing.T, s named) built {
 			NoScatter: field(t, win, "NoScatter").Bool(),
 		},
 		threads: field(t, v, "ops").Len(),
-		policy:  arena.Policy(field(t, field(t, field(t, v, "Ar").Elem(), "cfg"), "Policy").Uint()),
+		policy:  policy(field(t, field(t, v, "Ar").Elem(), "magCap").Int()),
 	}
+}
+
+// policy is the arena policy a magazine capacity shows: PolicyShared's
+// magazines hold nothing.
+func policy(magCap int64) arena.Policy {
+	if magCap == 0 {
+		return arena.PolicyShared
+	}
+	return arena.PolicyLocal
 }
 
 // field returns v's field name, and fails the test naming both when v has

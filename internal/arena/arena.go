@@ -42,6 +42,10 @@
 //     free takes the global pool lock, so batched deferred reclamation
 //     (e.g. a hazard-pointer scan freeing 64 nodes at once) stalls every
 //     other thread.
+//
+// The two differ in one number, not in code: a PolicyShared magazine holds
+// nothing, so every free flushes its one index to the pool and every
+// allocation refills from it.
 package arena
 
 import (
@@ -153,15 +157,58 @@ type slot[T any] struct {
 	val T
 }
 
-// page is one slab of slots. Pages are never released, which is what makes
-// dereferencing stale handles memory-safe. The slots are an array, not a
-// slice, so a page pointer is already the address of slot 0. Page 0 is
-// allocated by New and never replaced, so the arena keeps its address beside
-// the vector: a slot on it is the arena's page0 plus the index, one load off
-// the arena, and only a slot on a later page takes the vector's three
-// dependent loads (the vector's header, the page pointer, the slot).
-type page[T any] struct {
-	slots [pageSize]slot[T]
+// Pages is a grow-only paged table indexed like the arena's slots: the
+// arena's slots, its guard audit trail and hazard eras' birth eras are each
+// one. Pages are never released or moved, which is what makes dereferencing
+// stale handles memory-safe and lets readers index without locks. A page is
+// an array, so a page pointer is already the address of its entry 0. Page 0
+// is kept beside the vector, written once before the vector that publishes
+// it: an entry on it is one load off the table, and only an entry on a
+// later page takes the vector's three dependent loads (the vector's header,
+// the page pointer, the entry). The zero Pages is empty.
+type Pages[T any] struct {
+	first *[pageSize]T
+	vec   atomic.Pointer[[]*[pageSize]T]
+	mu    sync.Mutex
+}
+
+// At returns entry i. Its page must exist: Has reported it, or the
+// caller's own Grow made it.
+func (p *Pages[T]) At(i uint32) *T {
+	pg := p.first // loaded for every index: it is also p's nil check
+	if i >= pageSize {
+		pg = (*p.vec.Load())[i>>pageShift]
+	}
+	return &pg[i&pageMask]
+}
+
+// Has reports whether entry i's page exists.
+func (p *Pages[T]) Has(i uint32) bool {
+	v := p.vec.Load()
+	return v != nil && int(i>>pageShift) < len(*v)
+}
+
+// Grow makes every page up to entry i's exist; pages another Grow made
+// first are kept.
+func (p *Pages[T]) Grow(i uint32) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var cur []*[pageSize]T
+	if v := p.vec.Load(); v != nil {
+		cur = *v
+	}
+	if int(i>>pageShift) < len(cur) {
+		return
+	}
+	next := make([]*[pageSize]T, i>>pageShift+1)
+	copy(next, cur)
+	for k := len(cur); k < len(next); k++ {
+		next[k] = new([pageSize]T)
+	}
+	if cur == nil {
+		p.first = next[0]
+	}
+	p.vec.Store(&next)
 }
 
 // PoisonWord is the sentinel guard-mode poisoners are expected to write
@@ -178,11 +225,6 @@ type slotAudit struct {
 	lastFreeTid  atomic.Int32
 	allocs       atomic.Uint32
 	frees        atomic.Uint32
-}
-
-// auditPage parallels one slot page in guard mode.
-type auditPage struct {
-	slots []slotAudit
 }
 
 // SlotAudit is a point-in-time copy of a slot's guard audit trail.
@@ -234,7 +276,7 @@ func (s *GuardStats) Add(o GuardStats) {
 // guardState exists only when Config.Guard is set, so the disabled-mode
 // cost is a nil check.
 type guardState[T any] struct {
-	audits      atomic.Pointer[[]*auditPage]
+	audits      Pages[slotAudit] // grown before slots, so every slot has one
 	poison      func(*T)
 	accessCheck func(GuardEvent)
 	poisonReads atomic.Uint64
@@ -254,21 +296,18 @@ type magazine struct {
 // safe for concurrent use as long as each concurrent caller passes a
 // distinct tid in [0, Config.Threads).
 type Arena[T any] struct {
-	cfg Config
-
-	page0 *page[T]                   // (*pages)[0], fixed by New: slotAt's short path
-	pages atomic.Pointer[[]*page[T]] // grow-only vector of pages
-	next  atomic.Uint32              // bump pointer for never-used slots
+	slots Pages[slot[T]]
+	next  atomic.Uint32 // bump pointer for never-used slots
 	_     pad.Line
 
-	growMu sync.Mutex
-
-	poolMu   sync.Mutex
-	pool     []uint32 // shared free indices
-	poolOps  atomic.Uint64
-	fresh    atomic.Uint64
-	_        pad.Line
-	mags     []magazine
+	poolMu  sync.Mutex
+	pool    []uint32 // shared free indices
+	poolOps atomic.Uint64
+	fresh   atomic.Uint64
+	_       pad.Line
+	mags    []magazine
+	// A magazine past magCap flushes magFlush indices to the pool; an empty
+	// one refills up to magFlush. PolicyShared's holds nothing (0 and 1).
 	magCap   int
 	magFlush int
 
@@ -295,19 +334,18 @@ func New[T any](cfg Config) *Arena[T] {
 		cfg.MagazineSize = 128
 	}
 	a := &Arena[T]{
-		cfg:      cfg,
 		mags:     make([]magazine, cfg.Threads),
 		magCap:   cfg.MagazineSize,
 		magFlush: cfg.MagazineSize / 2,
 	}
-	a.page0 = new(page[T])
-	pages := []*page[T]{a.page0}
-	a.pages.Store(&pages)
+	if cfg.Policy == PolicyShared {
+		a.magCap, a.magFlush = 0, 1
+	}
 	if cfg.Guard {
 		a.guard = &guardState[T]{accessCheck: cfg.AccessCheck}
-		audits := []*auditPage{{slots: make([]slotAudit, pageSize)}}
-		a.guard.audits.Store(&audits)
+		a.guard.audits.Grow(0)
 	}
+	a.slots.Grow(0)
 	return a
 }
 
@@ -350,7 +388,7 @@ func (a *Arena[T]) At(h Handle) *T {
 	if uint64(h)&userBit != 0 {
 		panic("arena: At on handle with user bit set; strip marks first")
 	}
-	return &a.slotAt(h.Index()).val
+	return &a.slots.At(h.Index()).val
 }
 
 // Live reports whether h still names the allocation it was created by,
@@ -360,10 +398,7 @@ func (a *Arena[T]) Live(h Handle) bool {
 		return false
 	}
 	idx := h.Index()
-	if idx >= pageSize && int(idx>>pageShift) >= len(*a.pages.Load()) {
-		return false
-	}
-	return a.slotAt(idx).gen.Load()&genMask == h.Gen()
+	return a.slots.Has(idx) && a.slots.At(idx).gen.Load()&genMask == h.Gen()
 }
 
 // Alloc returns a handle to a slot that is exclusively owned by the caller
@@ -374,28 +409,18 @@ func (a *Arena[T]) Alloc(tid int) Handle {
 	m := &a.mags[tid]
 	m.allocs.Add(1)
 	var idx uint32
-	var ok bool
-	if a.cfg.Policy == PolicyLocal {
-		if n := len(m.free); n > 0 {
-			idx, ok = m.free[n-1], true
-			m.free = m.free[:n-1]
-		} else if a.refill(m) {
-			n := len(m.free)
-			idx, ok = m.free[n-1], true
-			m.free = m.free[:n-1]
-		}
+	if len(m.free) > 0 || a.refill(m) {
+		idx = m.free[len(m.free)-1]
+		m.free = m.free[:len(m.free)-1]
 	} else {
-		idx, ok = a.popShared()
-	}
-	if !ok {
 		idx = a.bumpAlloc()
 		a.fresh.Add(1)
 	}
-	s := a.slotAt(idx)
+	s := a.slots.At(idx)
 	g := s.gen.Load() // even (free)
 	s.gen.Store(g + 1)
 	if a.guard != nil {
-		au := a.auditAt(idx)
+		au := a.guard.audits.At(idx)
 		au.lastAllocTid.Store(int32(tid))
 		au.allocs.Add(1)
 	}
@@ -413,7 +438,7 @@ func (a *Arena[T]) Free(tid int, h Handle) {
 		panic("arena: Free on handle with user bit set")
 	}
 	idx := h.Index()
-	s := a.slotAt(idx)
+	s := a.slots.At(idx)
 	g := h.Gen()
 	cur := s.gen.Load()
 	if g&1 == 0 || cur&genMask != g || !s.gen.CompareAndSwap(cur, cur+1) {
@@ -429,7 +454,7 @@ func (a *Arena[T]) Free(tid int, h Handle) {
 		// The slot is free but not yet on any free list, so no other
 		// thread can re-allocate it while we poison: the sentinel is in
 		// place before the index becomes reachable again.
-		au := a.auditAt(idx)
+		au := a.guard.audits.At(idx)
 		au.lastFreeTid.Store(int32(tid))
 		au.frees.Add(1)
 		if a.guard.poison != nil {
@@ -439,24 +464,10 @@ func (a *Arena[T]) Free(tid int, h Handle) {
 	a.obsv.Note(tid, obs.EvFree, uint64(h))
 	m := &a.mags[tid]
 	m.frees.Add(1)
-	if a.cfg.Policy == PolicyLocal {
-		m.free = append(m.free, idx)
-		if len(m.free) > a.magCap {
-			a.flush(m)
-		}
-		return
+	m.free = append(m.free, idx)
+	if len(m.free) > a.magCap {
+		a.flush(m)
 	}
-	a.pushShared(idx)
-}
-
-// slotAt is the one slot translation (At, Live, Alloc, Free, Audit): an
-// index on page 0 is page0 plus the index, with no load of the page vector;
-// a later page's goes through the vector.
-func (a *Arena[T]) slotAt(idx uint32) *slot[T] {
-	if idx < pageSize {
-		return &a.page0.slots[idx]
-	}
-	return &(*a.pages.Load())[idx>>pageShift].slots[idx&pageMask]
 }
 
 // refill moves up to magFlush indices from the shared pool into m.
@@ -485,32 +496,12 @@ func (a *Arena[T]) flush(m *magazine) {
 	m.free = m.free[:cut]
 }
 
-func (a *Arena[T]) popShared() (uint32, bool) {
-	a.poolMu.Lock()
-	a.poolOps.Add(1)
-	n := len(a.pool)
-	if n == 0 {
-		a.poolMu.Unlock()
-		return 0, false
-	}
-	idx := a.pool[n-1]
-	a.pool = a.pool[:n-1]
-	a.poolMu.Unlock()
-	return idx, true
-}
-
-func (a *Arena[T]) pushShared(idx uint32) {
-	a.poolMu.Lock()
-	a.poolOps.Add(1)
-	a.pool = append(a.pool, idx)
-	a.poolMu.Unlock()
-}
-
-// bumpAlloc hands out a never-used slot index, growing the page vector as
-// needed. The index space is 32 bits; handing out the last index would
-// wrap the bump pointer back to page 0 and silently alias live slots, so
-// exhaustion panics instead (the final index, ^uint32(0), is sacrificed as
-// the exhaustion sentinel).
+// bumpAlloc hands out a never-used slot index, growing the audit pages and
+// then the slot pages as needed: an index is handed out only once its slot
+// page exists, so its audit trail exists too. The index space is 32 bits;
+// handing out the last index would wrap the bump pointer back to page 0 and
+// silently alias live slots, so exhaustion panics instead (the final index,
+// ^uint32(0), is sacrificed as the exhaustion sentinel).
 func (a *Arena[T]) bumpAlloc() uint32 {
 	for {
 		n := a.next.Load()
@@ -518,43 +509,15 @@ func (a *Arena[T]) bumpAlloc() uint32 {
 			panic("arena: bump pointer exhausted the 32-bit slot index space; " +
 				"wraparound would alias live slots (allocate fewer than 2^32 fresh slots, or recycle)")
 		}
-		pages := *a.pages.Load()
-		if int(n) < len(pages)*pageSize {
-			if a.next.CompareAndSwap(n, n+1) {
-				return n
+		if !a.slots.Has(n) {
+			if a.guard != nil {
+				a.guard.audits.Grow(n)
 			}
-			continue
+			a.slots.Grow(n)
+		} else if a.next.CompareAndSwap(n, n+1) {
+			return n
 		}
-		a.grow(len(pages))
 	}
-}
-
-// grow appends one page if no other thread has done so already.
-func (a *Arena[T]) grow(seen int) {
-	a.growMu.Lock()
-	defer a.growMu.Unlock()
-	cur := *a.pages.Load()
-	if len(cur) != seen {
-		return // someone else grew while we waited
-	}
-	next := make([]*page[T], len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = new(page[T])
-	if a.guard != nil {
-		// Grow the audit shadow in lockstep (same growMu critical section).
-		curAu := *a.guard.audits.Load()
-		nextAu := make([]*auditPage, len(curAu)+1)
-		copy(nextAu, curAu)
-		nextAu[len(curAu)] = &auditPage{slots: make([]slotAudit, pageSize)}
-		a.guard.audits.Store(&nextAu)
-	}
-	a.pages.Store(&next)
-}
-
-// auditAt returns the guard audit record for a slot index (guard mode only).
-func (a *Arena[T]) auditAt(idx uint32) *slotAudit {
-	audits := *a.guard.audits.Load()
-	return &audits[idx>>pageShift].slots[idx&pageMask]
 }
 
 // Audit returns a copy of the slot's guard audit trail. It panics unless
@@ -564,13 +527,13 @@ func (a *Arena[T]) Audit(h Handle) SlotAudit {
 		panic("arena: Audit requires Config.Guard")
 	}
 	idx := h.Index()
-	au := a.auditAt(idx)
+	au := a.guard.audits.At(idx)
 	return SlotAudit{
 		LastAllocTid: au.lastAllocTid.Load(),
 		LastFreeTid:  au.lastFreeTid.Load(),
 		Allocs:       au.allocs.Load(),
 		Frees:        au.frees.Load(),
-		Gen:          a.slotAt(idx).gen.Load(),
+		Gen:          a.slots.At(idx).gen.Load(),
 	}
 }
 

@@ -1,10 +1,13 @@
 package arena
 
 import (
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 type obj struct {
@@ -126,11 +129,11 @@ func TestGrowthAcrossPages(t *testing.T) {
 			t.Fatalf("slot %d corrupted: %d", i, got)
 		}
 	}
-	pages := *a.pages.Load()
+	pages := *a.slots.vec.Load()
 	if len(pages) < 3 {
 		t.Fatalf("expected >= 3 pages, got %d", len(pages))
 	}
-	if a.page0 != pages[0] {
+	if a.slots.first != pages[0] {
 		t.Fatal("growth replaced page 0: the short translation names a page the vector does not")
 	}
 	if st := a.Stats(); st.Live != uint64(n) {
@@ -143,7 +146,7 @@ func TestGrowthAcrossPages(t *testing.T) {
 	freed := map[uint32]bool{}
 	for _, idx := range []uint32{pageSize - 1, pageSize, 2*pageSize + 2} {
 		h := hs[idx]
-		slot := &pages[idx>>pageShift].slots[idx&pageMask]
+		slot := &pages[idx>>pageShift][idx&pageMask]
 		switch {
 		case h.Index() != idx:
 			t.Fatalf("handle %v for slot %d", h, idx)
@@ -182,6 +185,79 @@ func TestGrowthAcrossPages(t *testing.T) {
 	}
 }
 
+// TestPagesGrowUnderReaders: readers index entries written before each
+// Grow while several goroutines grow the table across three pages. Page 0
+// is written once, before the vector that publishes it, so its address
+// never changes and (under -race) no Grow writes what readers read.
+func TestPagesGrowUnderReaders(t *testing.T) {
+	var p Pages[atomic.Uint64]
+	if p.Has(0) {
+		t.Fatal("the zero Pages has entry 0")
+	}
+	p.Grow(0)
+	first := p.At(0)
+	var written atomic.Uint32 // entries [0, written) hold their index + 1
+	fill := func(pg uint32) {
+		for i := pg * pageSize; i < (pg+1)*pageSize; i++ {
+			p.At(i).Store(uint64(i) + 1)
+		}
+		written.Store((pg + 1) * pageSize)
+	}
+	fill(0)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	var started atomic.Int32
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r uint32) {
+			defer readers.Done()
+			started.Add(1)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if p.At(0) != first {
+					t.Error("page 0 moved")
+					return
+				}
+				n := written.Load()
+				for i := r; i < n; i += 61 {
+					if !p.Has(i) || p.At(i).Load() != uint64(i)+1 {
+						t.Errorf("entry %d of %d written: Has %v, reads %d", i, n, p.Has(i), p.At(i).Load())
+						return
+					}
+				}
+			}
+		}(uint32(r))
+	}
+	for started.Load() < 2 {
+		runtime.Gosched()
+	}
+	for pg := uint32(1); pg < 3; pg++ {
+		// A sleep orders nothing: the readers' reads in it race any write a
+		// Grow makes to what they read.
+		time.Sleep(time.Millisecond)
+		var growers sync.WaitGroup
+		for k := uint32(0); k < 3; k++ {
+			growers.Add(1)
+			go func() {
+				defer growers.Done()
+				p.Grow(pg*pageSize + k*pageSize/2) // the last one makes the next page too
+			}()
+		}
+		growers.Wait()
+		fill(pg)
+	}
+	close(stop)
+	readers.Wait()
+	if p.At(0) != first || !p.Has(4*pageSize-1) || p.Has(4*pageSize) {
+		t.Fatalf("after growth: page 0 moved %v, Has(last) %v, Has(past the last page) %v",
+			p.At(0) != first, p.Has(4*pageSize-1), p.Has(4*pageSize))
+	}
+}
+
 func TestMagazineOverflowToShared(t *testing.T) {
 	a := New[obj](Config{Threads: 2, MagazineSize: 8})
 	var hs []Handle
@@ -204,6 +280,9 @@ func TestMagazineOverflowToShared(t *testing.T) {
 	}
 }
 
+// TestSharedPolicyReuses: under PolicyShared every Alloc and every Free
+// takes the pool lock once, and a freed slot is the next one handed out, to
+// any thread: n alloc–free pairs are 2n pool operations and one fresh slot.
 func TestSharedPolicyReuses(t *testing.T) {
 	a := New[obj](Config{Threads: 2, Policy: PolicyShared})
 	h := a.Alloc(0)
@@ -214,6 +293,14 @@ func TestSharedPolicyReuses(t *testing.T) {
 	}
 	if a.Stats().PoolOps < 2 {
 		t.Fatal("shared policy bypassed the pool lock")
+	}
+	a.Free(1, h2)
+	const n = 100
+	for i := 2; i < n; i++ {
+		a.Free(i%2, a.Alloc(i%2))
+	}
+	if st := a.Stats(); st.PoolOps != 2*n || st.Fresh != 1 || st.Live != 0 {
+		t.Fatalf("%d alloc-free pairs: %+v, want PoolOps %d, Fresh 1, Live 0", n, st, 2*n)
 	}
 }
 

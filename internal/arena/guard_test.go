@@ -161,7 +161,7 @@ func TestGenerationWraparound(t *testing.T) {
 	seedH := ar.Alloc(0)
 	ar.Free(0, seedH) // park the slot in the magazine
 	// Age the parked slot to the last even generation before the mask rolls.
-	ar.slotAt(seedH.Index()).gen.Store(genMask - 1)
+	ar.slots.At(seedH.Index()).gen.Store(genMask - 1)
 
 	h := ar.Alloc(0) // gen becomes genMask (odd: the final pre-wrap value)
 	if h.Gen() != genMask {

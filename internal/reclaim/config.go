@@ -39,7 +39,7 @@ type Config struct {
 	ScanThreshold int
 	// Guard enables the arena use-after-free sanitizer: freed nodes are
 	// poisoned and any *committed* read of a dead node is reported (see
-	// each structure's guard.go). Off by default, and off it costs a
+	// guard.go). Off by default, and off it costs a
 	// traversal load one predictable branch and no call: the check
 	// (Guard.Word/Link) is inlined at every site, which CI's "Read path
 	// stays call-free" leg pins. On, it adds a compare of the loaded value

@@ -157,6 +157,39 @@ func TestHEBirthRestampOnReuse(t *testing.T) {
 	}
 }
 
+// TestHEUnstampedBirthIsEraZero: a retiree whose slot Born never stamped
+// reads birth era 0, on a page the birth table has and on one it never
+// grew alike, so a published era up to its delete era keeps it and a later
+// one does not.
+func TestHEUnstampedBirthIsEraZero(t *testing.T) {
+	a, he := heHarness(3)
+	heAlloc(a, he, 0) // grows the birth table's page 0, and only it
+	near := a.Alloc(0)
+	far := near
+	for far.Index() < 4096 {
+		far = a.Alloc(0)
+	}
+	if !he.birth.Has(near.Index()) || he.birth.Has(far.Index()) {
+		t.Fatalf("setup: birth table has %d: %v, has %d: %v",
+			near.Index(), he.birth.Has(near.Index()), far.Index(), he.birth.Has(far.Index()))
+	}
+	he.Protect(1, 0, near) // thread 1 publishes the era both are retired in
+	he.Retire(0, near, 1)
+	he.Retire(0, far, 2)   // the era has advanced past near's delete era
+	he.Protect(2, 0, near) // thread 2's era is past both delete eras
+	he.Flush(0, 3)
+	if !a.Live(near) || !a.Live(far) {
+		t.Fatalf("unstamped retiree freed under a published era <= its delete era: near %v, far %v",
+			a.Live(near), a.Live(far))
+	}
+	he.ClearSlots(1)
+	he.Flush(0, 4)
+	if a.Live(near) || a.Live(far) {
+		t.Fatalf("unstamped retiree kept by an era past its delete era: near %v, far %v",
+			a.Live(near), a.Live(far))
+	}
+}
+
 func TestHEConcurrentChurn(t *testing.T) {
 	const workers = 4
 	const iters = 3000

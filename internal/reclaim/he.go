@@ -1,68 +1,11 @@
 package reclaim
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"hohtx/internal/arena"
 	"hohtx/internal/pad"
 )
-
-// eraPageSize is the birth-table page length; pages are allocated lazily
-// as the arena grows, and never freed, so readers index without locks.
-const eraPageSize = 1024
-
-// eraTable records the birth era of every arena slot, indexed by
-// Handle.Index. Slot reuse overwrites the entry (Born runs before
-// the new node is published, and the old entry is dead by then: a slot
-// is only reallocated after its previous incarnation was freed, which
-// removed it from every retired list). Grow-only paged layout: the page
-// vector is copy-on-grow behind an atomic pointer, so the read path (the
-// sweep's interval test) is two loads and no locks.
-type eraTable struct {
-	mu    sync.Mutex
-	pages atomic.Pointer[[]*[eraPageSize]atomic.Uint64]
-}
-
-func (t *eraTable) get(idx uint32) uint64 {
-	pages := t.pages.Load()
-	p := int(idx) / eraPageSize
-	if pages == nil || p >= len(*pages) {
-		return 0 // never stamped: treat as born at era 0 (conservative)
-	}
-	return (*pages)[p][int(idx)%eraPageSize].Load()
-}
-
-func (t *eraTable) set(idx uint32, era uint64) {
-	p := int(idx) / eraPageSize
-	pages := t.pages.Load()
-	if pages == nil || p >= len(*pages) {
-		t.grow(p)
-		pages = t.pages.Load()
-	}
-	(*pages)[p][int(idx)%eraPageSize].Store(era)
-}
-
-func (t *eraTable) grow(p int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := t.pages.Load()
-	n := 0
-	if old != nil {
-		n = len(*old)
-	}
-	if p < n {
-		return // another grower got there first
-	}
-	grown := make([]*[eraPageSize]atomic.Uint64, p+1)
-	if old != nil {
-		copy(grown, *old)
-	}
-	for i := n; i <= p; i++ {
-		grown[i] = new([eraPageSize]atomic.Uint64)
-	}
-	t.pages.Store(&grown)
-}
 
 // HazardEras implements the Hazard Eras scheme (Ramalhete & Correia,
 // SPAA 2017 — see PAPERS.md): hazard-pointer-shaped reservations that
@@ -81,12 +24,14 @@ func (t *eraTable) grow(p int) {
 // with an SC store, then transactionally re-check reachability): any
 // scanner either observes the published era or the node was already
 // unreachable when the reader re-validated. Birth eras live in a
-// side table indexed by arena slot (eraTable) written by Born.
+// table indexed like the arena's slots, written by Born. Slot reuse
+// overwrites the entry: a slot is only reallocated after its previous
+// incarnation was freed, which removed it from every retired list.
 type HazardEras struct {
 	retireList
 	era       atomic.Uint64
 	_         pad.Line
-	birth     eraTable
+	birth     arena.Pages[atomic.Uint64]
 	threshold int
 }
 
@@ -108,7 +53,11 @@ func (he *HazardEras) Traits() Traits { return Traits{Deferred: true, DrainRound
 // forever" (conservative: the node is only freed once no reservation at
 // all covers eras <= its delete era).
 func (he *HazardEras) Born(h arena.Handle) {
-	he.birth.set(h.Index(), he.era.Load())
+	i := h.Index()
+	if !he.birth.Has(i) {
+		he.birth.Grow(i)
+	}
+	he.birth.At(i).Store(he.era.Load())
 }
 
 // Protect publishes the *current era* in the caller's slot and returns
@@ -150,7 +99,10 @@ func (he *HazardEras) Flush(tid int, stamp uint64) { he.rescan(tid, stamp, he.re
 // from it. The birth era is read now, not at retirement: a retiree's slot
 // cannot be reallocated (and restamped by Born) before a sweep frees it.
 func (he *HazardEras) reserved(pub []uint64, r retiree) bool {
-	birth := he.birth.get(r.h.Index())
+	var birth uint64 // never stamped: born at era 0
+	if i := r.h.Index(); he.birth.Has(i) {
+		birth = he.birth.At(i).Load()
+	}
 	for _, e := range pub {
 		if birth <= e && e <= r.stamp {
 			return true

@@ -56,9 +56,9 @@ type Set interface {
 }
 
 // ErrScanUnsupported is returned by the AscendN of a sharded facade
-// (serve.Sharded) with a shard that is not an Ascender; every list mode and
-// the skiplist scan, and the trees, the hash table and the lock-free
-// baselines are not Ascenders at all. Callers — the serve layer in
+// (serve.Sharded) with a shard that is not an Ascender: the lists and the
+// skiplist scan in every mode, and the trees, the hash table and the
+// lock-free baselines are not Ascenders. Callers — the serve layer in
 // particular — must treat it as a capability miss, not a crash.
 var ErrScanUnsupported = errors.New("sets: scan unsupported by this variant")
 
