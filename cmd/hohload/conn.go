@@ -8,8 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hohtx/internal/loadgen"
 	"hohtx/internal/obs"
 	"hohtx/internal/serve"
+	"hohtx/internal/sets"
 )
 
 // config is one run's parameters, as the flags give them.
@@ -43,38 +45,34 @@ func newMeters() *meters {
 }
 
 // gen is the deterministic request stream of one connection. A request is
-// batch ops, each one splitmix64 draw: a point verb, or — on bits the verb
-// choice never reads, so -scanfrac changes what is added and not what is
-// compared — a scan. next overwrites tags and keys with the next request's.
+// batch ops, each one loadgen.Mix draw: a point verb, or a scan. next
+// overwrites tags and keys with the next request's.
 type gen struct {
-	rng                      uint64
-	keys                     uint64
-	reads, scanfrac, scanlen int
-	tags                     []byte // 'G', 'S', 'D' or 'A' per op
-	key                      []uint64
+	rng     uint64
+	mix     loadgen.Mix
+	scanlen int
+	tags    []byte // 'G', 'S', 'D' or 'A' per op
+	key     []uint64
 }
+
+// verbTag is each point op's tag.
+var verbTag = [...]byte{sets.OpLookup: 'G', sets.OpInsert: 'S', sets.OpRemove: 'D'}
 
 func newGen(cfg *config, cid int) *gen {
 	return &gen{
-		rng: cfg.seed + uint64(cid+1)*0x9e3779b97f4a7c15, keys: cfg.keys,
-		reads: cfg.reads, scanfrac: cfg.scanfrac, scanlen: cfg.scanlen,
-		tags: make([]byte, cfg.batch), key: make([]uint64, cfg.batch),
+		rng:     cfg.seed + uint64(cid+1)*0x9e3779b97f4a7c15,
+		mix:     loadgen.Mix{Keys: cfg.keys, Reads: cfg.reads, ScanFrac: cfg.scanfrac},
+		scanlen: cfg.scanlen,
+		tags:    make([]byte, cfg.batch), key: make([]uint64, cfg.batch),
 	}
 }
 
 func (g *gen) next() {
 	for j := range g.tags {
-		r := splitmix64(&g.rng)
-		g.key[j] = 1 + (r>>8)%g.keys
-		switch {
-		case g.scanfrac > 0 && int((r>>48)%100) < g.scanfrac:
+		op, scan := g.mix.Draw(&g.rng)
+		g.key[j], g.tags[j] = op.Key, verbTag[op.Kind]
+		if scan {
 			g.tags[j] = 'A'
-		case int(r%100) < g.reads:
-			g.tags[j] = 'G'
-		case r&(1<<40) == 0:
-			g.tags[j] = 'S'
-		default:
-			g.tags[j] = 'D'
 		}
 	}
 }
@@ -274,11 +272,9 @@ func isErrLine(b []byte) bool {
 	return len(b) >= 3 && b[0] == 'E' && b[1] == 'R' && b[2] == 'R'
 }
 
-// prefill inserts every other key in [1, keys], in a seed-shuffled order,
-// through one pipelined connection, chunked so neither side's socket
-// buffer can fill while the other waits. A balanced SET/DEL mix holds the
-// set near half the key range, so this puts the structure at steady state;
-// ascending order would build an unbalanced tree as one keys/2-deep chain.
+// prefill inserts loadgen.PrefillOrder's keys through one pipelined
+// connection, chunked so neither side's socket buffer can fill while the
+// other waits.
 func prefill(addr string, keys, seed uint64) error {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -287,14 +283,7 @@ func prefill(addr string, keys, seed uint64) error {
 	defer c.Close()
 	bw := bufio.NewWriterSize(c, 16<<10)
 	sc := serve.NewLineScanner(bufio.NewReaderSize(c, 16<<10))
-	order := make([]uint64, 0, (keys+1)/2)
-	for k := uint64(1); k <= keys; k += 2 {
-		order = append(order, k)
-	}
-	for i := len(order) - 1; i > 0; i-- {
-		j := splitmix64(&seed) % uint64(i+1)
-		order[i], order[j] = order[j], order[i]
-	}
+	order := loadgen.PrefillOrder(keys, seed)
 	const chunk = 256
 	var req []byte
 	for len(order) > 0 {
@@ -319,12 +308,4 @@ func prefill(addr string, keys, seed uint64) error {
 		}
 	}
 	return nil
-}
-
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

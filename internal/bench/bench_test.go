@@ -32,28 +32,6 @@ func TestPrefillFillsHalf(t *testing.T) {
 	}
 }
 
-func TestNextOpMix(t *testing.T) {
-	w := Workload{KeyBits: 8, LookupPct: 80}
-	state := uint64(99)
-	counts := [3]int{}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		op, key := nextOp(w, &state)
-		if key < 1 || key > w.KeyRange() {
-			t.Fatalf("key %d out of range", key)
-		}
-		counts[op]++
-	}
-	lookPct := float64(counts[opLookup]) / n * 100
-	if lookPct < 78 || lookPct > 82 {
-		t.Fatalf("lookup fraction %.1f%%, want ~80%%", lookPct)
-	}
-	insRemRatio := float64(counts[opInsert]) / float64(counts[opRemove])
-	if insRemRatio < 0.9 || insRemRatio > 1.1 {
-		t.Fatalf("insert/remove ratio %.2f, want ~1", insRemRatio)
-	}
-}
-
 // logged wraps a set and records, in one shared order, every call the
 // measured run makes on it.
 type logged struct {

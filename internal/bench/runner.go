@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"hohtx/internal/loadgen"
 	"hohtx/internal/obs"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
@@ -121,6 +122,7 @@ func measure(group []member, base string, w Workload, threads int, seed int64) (
 // before its first tenth and finishes after its last.
 func (r *turns) tenth(s sets.Set, w Workload, t int) {
 	n := (t+1)*w.OpsPerThread/tenths - t*w.OpsPerThread/tenths
+	mix := loadgen.Mix{Keys: w.KeyRange(), Reads: w.LookupPct}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -134,16 +136,16 @@ func (r *turns) tenth(s sets.Set, w Workload, t int) {
 			state := r.state[tid]
 			var ins, rem int64
 			for range n {
-				op, key := nextOp(w, &state)
-				switch op {
-				case opLookup:
-					s.Lookup(tid, key)
-				case opInsert:
-					if s.Insert(tid, key) {
+				op, _ := mix.Draw(&state)
+				switch op.Kind {
+				case sets.OpLookup:
+					s.Lookup(tid, op.Key)
+				case sets.OpInsert:
+					if s.Insert(tid, op.Key) {
 						ins++
 					}
 				default:
-					if s.Remove(tid, key) {
+					if s.Remove(tid, op.Key) {
 						rem++
 					}
 				}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hohtx/internal/core"
+	"hohtx/internal/loadgen"
 	"hohtx/internal/sets"
 )
 
@@ -62,15 +63,16 @@ func runWorkers(b *testing.B, fn func(tid, n int, state uint64)) {
 
 // runPointOps runs b.N operations of the workload's mix over the worker ids.
 func runPointOps(b *testing.B, s sets.Set, w Workload) {
+	mix := loadgen.Mix{Keys: w.KeyRange(), Reads: w.LookupPct}
 	runWorkers(b, func(tid, n int, state uint64) {
 		for i := 0; i < n; i++ {
-			switch op, key := nextOp(w, &state); op {
-			case opInsert:
-				s.Insert(tid, key)
-			case opRemove:
-				s.Remove(tid, key)
+			switch op, _ := mix.Draw(&state); op.Kind {
+			case sets.OpInsert:
+				s.Insert(tid, op.Key)
+			case sets.OpRemove:
+				s.Remove(tid, op.Key)
 			default:
-				s.Lookup(tid, key)
+				s.Lookup(tid, op.Key)
 			}
 		}
 	})
@@ -106,7 +108,7 @@ func BenchmarkPointOps(b *testing.B) {
 			got := uint64(0)
 			count := func(uint64) bool { got++; return true }
 			for i := 0; i < n; i++ {
-				if err := asc.AscendN(tid, splitmix64(&state)%w.KeyRange()+1, 64, count); err != nil {
+				if err := asc.AscendN(tid, loadgen.SplitMix64(&state)%w.KeyRange()+1, 64, count); err != nil {
 					panic(err)
 				}
 			}
@@ -179,7 +181,7 @@ func BenchmarkBatchApply(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range ops {
-					r := splitmix64(&state)
+					r := loadgen.SplitMix64(&state)
 					ops[j] = sets.Op{Kind: sets.OpInsert + sets.OpKind(r>>40&1), Key: r%w.KeyRange() + 1}
 				}
 				s.Apply(0, ops)

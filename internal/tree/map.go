@@ -108,25 +108,10 @@ func (m *Map) Len() int { return len(m.t.Snapshot()) }
 // Entries returns the (key, value) pairs in ascending key order
 // (quiescence required).
 func (m *Map) Entries() (keys, vals []uint64) {
-	t := m.t
-	var walk func(h arena.Handle)
-	walk = func(h arena.Handle) {
-		if h.IsNil() {
-			return
-		}
-		n := t.Ar.At(h)
-		l := arena.Handle(n.left.Raw())
-		if l.IsNil() {
-			if k := n.key.Raw(); k <= MaxKey {
-				keys = append(keys, k)
-				vals = append(vals, valueCell(n).Raw())
-			}
-			return
-		}
-		walk(l)
-		walk(arena.Handle(n.right.Raw()))
-	}
-	walk(t.root)
+	m.t.leaves(func(n *node) {
+		keys = append(keys, n.key.Raw())
+		vals = append(vals, valueCell(n).Raw())
+	})
 	return keys, vals
 }
 
