@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -44,64 +43,44 @@ func newMeters() *meters {
 	}
 }
 
-// gen is the deterministic request stream of one connection. A request is
-// batch ops, each one loadgen.Mix draw: a point verb, or a scan. next
-// overwrites tags and keys with the next request's.
+// gen is the deterministic request stream of one connection: batch ops a
+// request, each one loadgen.Mix draw, a point op or (scan > 0) a scan of
+// scanlen keys from its key. next overwrites ops and scan.
 type gen struct {
 	rng     uint64
 	mix     loadgen.Mix
 	scanlen int
-	tags    []byte // 'G', 'S', 'D' or 'A' per op
-	key     []uint64
+	ops     []sets.Op
+	scan    []int
 }
-
-// verbTag is each point op's tag.
-var verbTag = [...]byte{sets.OpLookup: 'G', sets.OpInsert: 'S', sets.OpRemove: 'D'}
 
 func newGen(cfg *config, cid int) *gen {
 	return &gen{
 		rng:     cfg.seed + uint64(cid+1)*0x9e3779b97f4a7c15,
 		mix:     loadgen.Mix{Keys: cfg.keys, Reads: cfg.reads, ScanFrac: cfg.scanfrac},
 		scanlen: cfg.scanlen,
-		tags:    make([]byte, cfg.batch), key: make([]uint64, cfg.batch),
+		ops:     make([]sets.Op, cfg.batch), scan: make([]int, cfg.batch),
 	}
 }
 
 func (g *gen) next() {
-	for j := range g.tags {
+	for j := range g.ops {
 		op, scan := g.mix.Draw(&g.rng)
-		g.key[j], g.tags[j] = op.Key, verbTag[op.Kind]
+		g.ops[j], g.scan[j] = op, 0
 		if scan {
-			g.tags[j] = 'A'
+			g.scan[j] = g.scanlen
 		}
 	}
 }
 
 // appendWire renders the current request: one line per op, behind a
-// "MULTI n" header when it carries more than one.
+// MULTI header when it carries more than one.
 func (g *gen) appendWire(b []byte) []byte {
-	if len(g.tags) > 1 {
-		b = append(b, "MULTI "...)
-		b = strconv.AppendInt(b, int64(len(g.tags)), 10)
-		b = append(b, '\n')
+	if len(g.ops) > 1 {
+		b = serve.AppendMulti(b, len(g.ops))
 	}
-	for j, tag := range g.tags {
-		switch tag {
-		case 'A':
-			b = append(b, "ASCEND "...)
-		case 'G':
-			b = append(b, "GET "...)
-		case 'S':
-			b = append(b, "SET "...)
-		default:
-			b = append(b, "DEL "...)
-		}
-		b = strconv.AppendUint(b, g.key[j], 10)
-		if tag == 'A' {
-			b = append(b, ' ')
-			b = strconv.AppendInt(b, int64(g.scanlen), 10)
-		}
-		b = append(b, '\n')
+	for j, op := range g.ops {
+		b = serve.AppendRequest(b, op, g.scan[j])
 	}
 	return b
 }
@@ -208,30 +187,24 @@ func runConn(cid int, cfg *config, start time.Time, interval time.Duration, m *m
 	rgen := newGen(cfg, cid)
 	for i := 0; i < requests; i++ {
 		rgen.next()
-		for j, tag := range rgen.tags {
-			if tag == 'A' {
-				if err := drainScan(sc); err != nil {
-					return fmt.Errorf("reply %d (scan): %w", i, err)
-				}
+		for j, op := range rgen.ops {
+			hit, err := serve.ReadReply(sc, rgen.scan[j] > 0, nil)
+			if err != nil {
+				return fmt.Errorf("reply %d op %d: %w", i, j, err)
+			}
+			if rgen.scan[j] > 0 {
 				m.scan.RecordAt(uint64(cid), since(origin(i, j)))
 				m.scans.Add(1)
 				continue
 			}
-			reply, err := sc.Line()
-			if err != nil {
-				return fmt.Errorf("reply %d op %d: %w", i, j, err)
-			}
-			if isErrLine(reply) {
-				return fmt.Errorf("reply %d op %d: server: %s", i, j, reply)
-			}
 			m.op.RecordAt(uint64(cid), since(origin(i, j)))
-			switch tag {
-			case 'G':
+			switch op.Kind {
+			case sets.OpLookup:
 				m.gets.Add(1)
-				if len(reply) == 1 && reply[0] == '1' {
+				if hit {
 					m.hits.Add(1)
 				}
-			case 'S':
+			case sets.OpInsert:
 				m.sets.Add(1)
 			default:
 				m.dels.Add(1)
@@ -245,31 +218,6 @@ func runConn(cid int, cfg *config, start time.Time, interval time.Duration, m *m
 		}
 	}
 	return <-writeErr
-}
-
-// drainScan consumes one ASCEND reply — OK lines through the END
-// terminator — and fails on an ERR terminator or malformed line.
-func drainScan(sc *serve.LineScanner) error {
-	for {
-		line, err := sc.Line()
-		if err != nil {
-			return err
-		}
-		switch {
-		case string(line) == "END":
-			return nil
-		case isErrLine(line):
-			return fmt.Errorf("server: %s", line)
-		case len(line) < 3 || line[0] != 'O' || line[1] != 'K' || line[2] != ' ':
-			return fmt.Errorf("malformed scan line %q", line)
-		}
-	}
-}
-
-// isErrLine reports whether a reply line is an ERR terminator, without
-// materializing a string.
-func isErrLine(b []byte) bool {
-	return len(b) >= 3 && b[0] == 'E' && b[1] == 'R' && b[2] == 'R'
 }
 
 // prefill inserts loadgen.PrefillOrder's keys through one pipelined
@@ -290,9 +238,7 @@ func prefill(addr string, keys, seed uint64) error {
 		n := min(chunk, len(order))
 		req = req[:0]
 		for _, k := range order[:n] {
-			req = append(req, "SET "...)
-			req = strconv.AppendUint(req, k, 10)
-			req = append(req, '\n')
+			req = serve.AppendRequest(req, sets.Op{Kind: sets.OpInsert, Key: k}, 0)
 		}
 		order = order[n:]
 		if _, err := bw.Write(req); err != nil {
@@ -302,7 +248,7 @@ func prefill(addr string, keys, seed uint64) error {
 			return err
 		}
 		for ; n > 0; n-- {
-			if _, err := sc.Line(); err != nil {
+			if _, err := serve.ReadReply(sc, false, nil); err != nil {
 				return err
 			}
 		}

@@ -316,7 +316,11 @@ func TestRunEndToEnd(t *testing.T) {
 					g := newGen(cfg, cid)
 					for i := 0; i < cfg.ops/cfg.batch; i++ {
 						g.next()
-						for _, tag := range g.tags {
+						for j, op := range g.ops {
+							tag := "GSD"[op.Kind]
+							if g.scan[j] > 0 {
+								tag = 'A'
+							}
 							want[tag]++
 						}
 					}
@@ -377,5 +381,15 @@ func TestPrefillShuffled(t *testing.T) {
 	want := fmt.Sprintf("%-12s -> %d\n%-12s -> 1\n%-12s -> 0\n%-12s -> 1\n", "LEN", keys/2, "GET 1", "GET 2", "GET 32767")
 	if out.String() != want {
 		t.Errorf("after prefill:\n%swant:\n%s", out.String(), want)
+	}
+}
+
+// TestPrefillFailsOnErrReply answers prefill's reply 3 with ERR: the
+// prefill must fail on it, not count it as an insert.
+func TestPrefillFailsOnErrReply(t *testing.T) {
+	f := startFake(t, func(f *fakeServer) { f.errAt = 3 })
+	err := prefill(f.addr, 64, 7)
+	if err == nil || !strings.Contains(err.Error(), "server: ERR injected") {
+		t.Fatalf("prefill = %v, want the ERR reply as its error", err)
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -239,16 +240,15 @@ func oneShot(w io.Writer, addr, script string) error {
 		return line, err
 	}
 	for i := 0; i < len(reqs); i++ {
-		if strings.HasPrefix(reqs[i], "ASCEND ") || strings.HasPrefix(reqs[i], "SLOWLOG") {
-			// Both stream lines until END (or an ERR terminator): OK lines
-			// for a scan, SLOW lines for a slowlog dump.
+		if serve.Streams([]byte(reqs[i])) {
+			// OK lines for a scan, SLOW lines for a slowlog dump.
 			fmt.Fprintf(w, "%-12s    (stream)\n", reqs[i])
 			for {
 				line, err := read("")
 				if err != nil {
 					return err
 				}
-				if string(line) == "END" || isErrLine(line) {
+				if string(line) == "END" || bytes.HasPrefix(line, []byte("ERR")) {
 					break
 				}
 			}

@@ -163,15 +163,15 @@ func New(k Kind, cfg Config) Reservation {
 	return kinds[k].build(cfg.withDefaults())
 }
 
-// hashRef maps a reference to a table slot with a 64-bit finalizer
-// (splitmix64). Arena handles differ in both index and generation bits;
-// the mix spreads either.
-func hashRef(ref uint64, mask uint64) uint64 {
-	x := ref
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x & mask
+// Mix64 is the splitmix64 finalizer: a full-avalanche 64-bit mix with no
+// state. Reservation tables, hash buckets, shard routing (after a gamma add)
+// and the load generators' RNG step all hash through it.
+func Mix64(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
+
+// hashRef maps a reference to a table slot. Arena handles differ in both
+// index and generation bits; the mix spreads either.
+func hashRef(ref uint64, mask uint64) uint64 { return Mix64(ref) & mask }

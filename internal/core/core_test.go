@@ -43,6 +43,19 @@ func distinctHashRefs() (uint64, uint64) {
 	}
 }
 
+// TestMix64Pinned holds hashRef to the values its own splitmix64 finalizer
+// gave before the mix moved into Mix64.
+func TestMix64Pinned(t *testing.T) {
+	for ref, want := range map[uint64]uint64{
+		1: 0x5692161d100b05e5, 2: 0xdbd238973a2b148a, 3: 0x1e535eede31428f0,
+		0x123456789: 0x5189f682b434caf2, 1<<63 | 5: 0x4c90c93f432d261a,
+	} {
+		if got := hashRef(ref, ^uint64(0)); got != want || Mix64(ref) != want || hashRef(ref, 63) != want&63 {
+			t.Errorf("hashRef(%#x) = %#x, Mix64 %#x; want %#x", ref, got, Mix64(ref), want)
+		}
+	}
+}
+
 // collidingHashRefs returns two distinct references that share a slot of a
 // 1<<6 table: the shape under which stale per-thread state can validate
 // against another reservation's metadata.

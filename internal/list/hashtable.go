@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"hohtx/internal/arena"
+	"hohtx/internal/core"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 )
@@ -52,15 +53,7 @@ func NewHashTable(cfg Config, buckets int) *HashTable {
 }
 
 // bucket returns the chain root for a key.
-func (h *HashTable) bucket(key uint64) arena.Handle {
-	x := key
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return h.heads[x&h.mask]
-}
+func (h *HashTable) bucket(key uint64) arena.Handle { return h.heads[core.Mix64(key)&h.mask] }
 
 // Buckets reports the bucket count.
 func (h *HashTable) Buckets() int { return len(h.heads) }

@@ -85,6 +85,13 @@ func TestHashTableBucketing(t *testing.T) {
 	if empty > 0 {
 		t.Fatalf("%d of 16 buckets empty after 512 inserts: bad spread", empty)
 	}
+	// Buckets as the table's own finalizer placed them before it called
+	// core.Mix64: the mix did not change.
+	for k, want := range map[uint64]int{1: 5, 2: 10, 3: 0, 1000: 7, 1 << 40: 8} {
+		if b := h.bucket(k); b != h.heads[want] {
+			t.Errorf("bucket(%d) = %v, want heads[%d]", k, b, want)
+		}
+	}
 }
 
 func TestHashTablePreciseReclamation(t *testing.T) {

@@ -5,16 +5,16 @@
 // one change here.
 package loadgen
 
-import "hohtx/internal/sets"
+import (
+	"hohtx/internal/core"
+	"hohtx/internal/sets"
+)
 
 // SplitMix64 advances *x and returns a well-mixed value: the one RNG step
 // every op stream takes.
 func SplitMix64(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return core.Mix64(*x)
 }
 
 // Mix is one op mix: keys uniform over [1, Keys], Reads percent of point

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -415,6 +416,62 @@ func TestAscendWireUnsupported(t *testing.T) {
 			info := parseInfo(t, cl.roundTrip(t, "INFO")[0])
 			if info["scan"] != tc.info {
 				t.Fatalf("INFO scan=%q, want %s", info["scan"], tc.info)
+			}
+		})
+	}
+}
+
+// TestReadReplyAgainstServer renders a script with the client half of the
+// codec and reads a real server's replies back through ReadReply: point
+// bits, a MULTI frame's replies, a scan's keys through END, and ERR lines
+// (a key out of range, and a scan on a tree) as ErrReply naming the line.
+func TestReadReplyAgainstServer(t *testing.T) {
+	point := func(kind sets.OpKind, key uint64) sets.Op { return sets.Op{Kind: kind, Key: key} }
+	script := []sets.Op{point(sets.OpInsert, 10), point(sets.OpInsert, 20), point(sets.OpInsert, 10),
+		point(sets.OpLookup, 10), point(sets.OpLookup, 30), point(sets.OpRemove, 20), point(sets.OpLookup, 0),
+		point(sets.OpInsert, 5), point(sets.OpLookup, 5)}
+	var req []byte
+	for i, op := range script {
+		if i == len(script)-2 {
+			req = serve.AppendMulti(req, 2)
+		}
+		req = serve.AppendRequest(req, op, 0)
+	}
+	req = serve.AppendRequest(req, point(sets.OpLookup, 1), 10)
+	points := []string{"true", "true", "false", "true", "false", "true",
+		fmt.Sprintf("server: ERR key 0 out of range [1, %d]", uint64(tree.MaxKey)), "true", "true"}
+	for _, tc := range []struct {
+		family bench.Family
+		scan   string
+	}{
+		{bench.FamilySingly, "[5 10]"},
+		{bench.FamilyInternalTree, "server: ERR scan unsupported"},
+	} {
+		t.Run(string(tc.family), func(t *testing.T) {
+			set, err := bench.Build(tc.family, bench.VariantSpec{Name: "RR-V"}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := dialClient(t, startServer(t, serve.NewSharded([]sets.Set{set}), serve.PoolConfig{Slots: 2}, serve.ServerConfig{}).addr)
+			if _, err := cl.c.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			sc := serve.NewLineScanner(cl.br)
+			for i, want := range append(points, tc.scan) {
+				var keys []uint64
+				hit, err := serve.ReadReply(sc, i == len(points), func(k uint64) { keys = append(keys, k) })
+				got := fmt.Sprint(hit)
+				switch {
+				case err != nil && !errors.Is(err, serve.ErrReply):
+					t.Fatalf("reply %d: %v", i, err)
+				case err != nil:
+					got = err.Error()
+				case i == len(points):
+					got = fmt.Sprint(keys)
+				}
+				if got != want {
+					t.Errorf("reply %d = %s, want %s", i, got, want)
+				}
 			}
 		})
 	}

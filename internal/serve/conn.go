@@ -36,17 +36,19 @@ type verb struct {
 	name string
 	// point marks GET/SET/DEL: one key, one set operation of the given
 	// kind, timed into hist — what MULTI bodies and the auto-batcher take.
-	point bool
-	kind  sets.OpKind
-	hist  func(*obs.ServeProbe) *obs.Histogram
+	point  bool
+	kind   sets.OpKind
+	hist   func(*obs.ServeProbe) *obs.Histogram
+	stream bool // a reply of many lines through END (Streams)
 	// serve runs the request and appends its reply; false drops the
 	// connection.
 	serve func(c *conn, v *verb, args []byte) bool
 }
 
 // verbs is filled by init (the handlers reach back to it through
-// lookupVerb, which a composite-literal initializer may not). The last row
-// answers any name the others do not.
+// lookupVerb, which a composite-literal initializer may not). The point
+// rows come first, in OpKind order (AppendRequest indexes them), and the
+// last row answers any name the others do not.
 var verbs []verb
 
 func init() {
@@ -58,8 +60,8 @@ func init() {
 		{name: "DEL", point: true, kind: sets.OpRemove, serve: (*conn).servePoint,
 			hist: func(p *obs.ServeProbe) *obs.Histogram { return p.DelNs }},
 		{name: "MULTI", serve: (*conn).serveMulti},
-		{name: "ASCEND", serve: (*conn).serveAscend},
-		{name: "SLOWLOG", serve: (*conn).serveSlowlog},
+		{name: "ASCEND", serve: (*conn).serveAscend, stream: true},
+		{name: "SLOWLOG", serve: (*conn).serveSlowlog, stream: true},
 		{name: "LEN", serve: (*conn).serveLen},
 		{name: "INFO", serve: (*conn).serveInfo},
 		{name: "", serve: func(c *conn, _ *verb, _ []byte) bool { return c.reject("empty command", wireErr{}) }},

@@ -3,7 +3,9 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -200,4 +202,63 @@ func FuzzParseOp(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzReadReply holds the client's reply reader to the reply grammar read
+// off strings: a point reply is one line, 1 or 0; a scan's is OK <key>
+// lines through END. Whatever the bytes, ReadReply returns what that
+// grammar reads, an ErrReply naming the first line it does not allow, or a
+// read error where the bytes end first, and hands over the keys read up to
+// there; it never panics.
+func FuzzReadReply(f *testing.F) {
+	for _, s := range []string{"1\n", "0\n", "OK 5\nEND\n", "ERR x\n", "OK \n", "2\n", "END\n", "1", "",
+		"OK 5\nOK 7\r\nEND\n", "OK 5\nERR scan unsupported\n", "OK 18446744073709551616\nEND\n", "OK +5\nEND\n", "1\r\n0\n",
+		"OK " + strings.Repeat("9", 40) + "\nEND\n", "ERR\n", "\n", "ERR ascend: bad count \"0\"\n", "OK 5\n"} {
+		f.Add([]byte(s), false)
+		f.Add([]byte(s), true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, scan bool) {
+		var keys []uint64
+		sc := NewLineScanner(bufio.NewReaderSize(bytes.NewReader(data), 16))
+		hit, err := ReadReply(sc, scan, func(k uint64) { keys = append(keys, k) })
+		wantHit, wantKeys, fault, bad := refReadReply(string(data), scan)
+		switch {
+		case !slices.Equal(keys, wantKeys):
+			t.Fatalf("ReadReply(%q, scan %v) handed over keys %v, the grammar reads %v", data, scan, keys, wantKeys)
+		case fault == "short" && (err == nil || errors.Is(err, ErrReply)):
+			t.Fatalf("ReadReply(%q, scan %v) = %v, %v; the reply is cut short", data, scan, hit, err)
+		case fault == "bad" && !errors.Is(err, ErrReply):
+			t.Fatalf("ReadReply(%q, scan %v) = %v, %v; want ErrReply at %q", data, scan, hit, err, bad)
+		case fault == "bad" && strings.HasPrefix(bad, "ERR ") && err.Error() != "server: "+bad:
+			t.Fatalf("ReadReply(%q, scan %v) error %q, want %q", data, scan, err, "server: "+bad)
+		case fault == "" && (err != nil || hit != wantHit):
+			t.Fatalf("ReadReply(%q, scan %v) = %v, %v; the grammar reads %v", data, scan, hit, err, wantHit)
+		}
+	})
+}
+
+// refReadReply is the reply grammar on strings: the reply's value and the
+// keys a scan read, and the fault that ends it early: "bad" at the first
+// line the grammar does not allow, or "short" when the bytes end first.
+func refReadReply(data string, scan bool) (hit bool, keys []uint64, fault, bad string) {
+	for {
+		i := strings.IndexByte(data, '\n')
+		if i < 0 {
+			return false, keys, "short", ""
+		}
+		line := strings.TrimRight(data[:i], "\r")
+		data = data[i+1:]
+		switch {
+		case !scan && (line == "0" || line == "1"):
+			return line == "1", keys, "", ""
+		case scan && line == "END":
+			return false, keys, "", ""
+		case scan && strings.HasPrefix(line, "OK "):
+			if k, err := strconv.ParseUint(line[3:], 10, 64); err == nil {
+				keys = append(keys, k)
+				continue
+			}
+		}
+		return false, keys, "bad", line
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hohtx/internal/arena"
+	"hohtx/internal/core"
 	"hohtx/internal/obs"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
@@ -14,18 +15,13 @@ import (
 // ShardOf maps a key to one of n shards. The mapping is a pure function
 // of (key, n) — the same key always lands on the same shard for a given
 // shard count, on every front end and in every harness — and it mixes the
-// key through a full 64-bit finalizer first, so dense key ranges (1..K,
-// the common benchmark shape) spread uniformly instead of striping.
+// key (plus splitmix64's gamma) through core.Mix64 first, so dense key
+// ranges (1..K, the common benchmark shape) spread uniformly, not striped.
 func ShardOf(key uint64, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	// splitmix64 finalizer: full-avalanche, no state.
-	z := key + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int(z % uint64(n))
+	return int(core.Mix64(key+0x9e3779b97f4a7c15) % uint64(n))
 }
 
 // Sharded hash-partitions keys across N fully independent sets.Set

@@ -42,6 +42,13 @@ func TestShardOfConsistent(t *testing.T) {
 	if serve.ShardOf(42, 0) != 0 || serve.ShardOf(42, 1) != 0 {
 		t.Fatal("ShardOf must collapse to shard 0 for n <= 1")
 	}
+	// Shards as the router's own finalizer placed them before it called
+	// core.Mix64: a key keeps its shard across the change.
+	for k, want := range map[uint64]int{1: 2, 2: 4, 3: 2, 4: 6, 5: 3, 8: 4, 1000: 0, 1 << 40: 5, ^uint64(0) - 3: 3} {
+		if got := serve.ShardOf(k, 7); got != want {
+			t.Errorf("ShardOf(%d, 7) = %d, want %d", k, got, want)
+		}
+	}
 }
 
 // TestShardOfDistribution checks router distribution sanity: a dense

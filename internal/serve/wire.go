@@ -2,20 +2,24 @@ package serve
 
 import (
 	"bufio"
+	"errors"
+	"fmt"
 	"strconv"
+
+	"hohtx/internal/sets"
 )
 
-// Zero-allocation wire codec. The protocol is newline-framed decimal text
-// (see Server), and both sides of it — this server and cmd/hohload — move
-// every request and reply through the helpers in this file so the steady
-// state costs no heap allocations: lines are scanned into reused buffers,
-// keys are parsed straight off those bytes without materializing strings,
-// and replies are rendered with strconv.Append* into per-connection
-// scratch. The paper's own argument motivates the discipline: its repro
-// names GC interference as the central obstacle to measuring *precise*
-// reclamation (PAPER.md §1), so the serving layer must not smear Go GC
-// cycles over the arena's exact books. testing.AllocsPerRun pins the
-// budget at zero in alloc_test.go, and CI runs those pins as a gate.
+// Zero-allocation wire codec, both halves. The protocol is newline-framed
+// decimal text (see Server). The server half scans lines into reused
+// buffers, parses keys straight off those bytes without materializing
+// strings, and renders replies with strconv.Append* into per-connection
+// scratch; the client half (AppendRequest, AppendMulti, ReadReply), which
+// cmd/hohload renders and reads every request through, does the same on
+// the other end. The paper's own argument motivates the discipline: its
+// repro names GC interference as the central obstacle to measuring
+// *precise* reclamation (PAPER.md §1), so the serving layer must not smear
+// Go GC cycles over the arena's exact books. testing.AllocsPerRun pins the
+// server's budget at zero in alloc_test.go, and CI runs those pins as a gate.
 
 // LineScanner reads newline-terminated lines from a bufio.Reader into a
 // reused buffer. The common case returns a slice of the reader's internal
@@ -199,4 +203,62 @@ func parseCount(arg []byte) (int, wireErr) {
 // quoting itself is what bounds the cost.
 func appendQuoted(dst, b []byte) []byte {
 	return strconv.AppendQuote(dst, string(b))
+}
+
+// ErrReply is what ReadReply's error wraps when the server answers ERR, or
+// with a line the grammar does not allow where it stands.
+var ErrReply = errors.New("server")
+
+// AppendRequest renders one request line: op's point verb, named by the
+// verb table's GET/SET/DEL row, and its key; or, when scan > 0, ASCEND from
+// op.Key for scan keys.
+func AppendRequest(dst []byte, op sets.Op, scan int) []byte {
+	if scan > 0 {
+		dst = strconv.AppendUint(append(dst, "ASCEND "...), op.Key, 10)
+		return append(strconv.AppendInt(append(dst, ' '), int64(scan), 10), '\n')
+	}
+	dst = append(append(dst, verbs[op.Kind].name...), ' ')
+	return append(strconv.AppendUint(dst, op.Key, 10), '\n')
+}
+
+// AppendMulti renders the header of a MULTI frame of n requests.
+func AppendMulti(dst []byte, n int) []byte {
+	return append(strconv.AppendInt(append(dst, "MULTI "...), int64(n), 10), '\n')
+}
+
+// ReadReply reads the reply to one request: a point reply's 1 or 0, as
+// true or false, or with scan set a scan's OK lines through END, each key
+// passed to fn (nil drops them). A read error comes back as the scanner
+// gave it.
+func ReadReply(sc *LineScanner, scan bool, fn func(key uint64)) (bool, error) {
+	for {
+		line, err := sc.Line()
+		if err != nil {
+			return false, err
+		}
+		switch {
+		case !scan && len(line) == 1 && (line[0] == '0' || line[0] == '1'):
+			return line[0] == '1', nil
+		case scan && string(line) == "END":
+			return false, nil
+		case scan && len(line) > 3 && string(line[:3]) == "OK ":
+			if key, ok := parseUintBytes(line[3:]); ok {
+				if fn != nil {
+					fn(key)
+				}
+				continue
+			}
+		case len(line) > 3 && string(line[:4]) == "ERR ":
+			return false, fmt.Errorf("%w: %s", ErrReply, line)
+		}
+		return false, fmt.Errorf("%w: malformed reply %q", ErrReply, line)
+	}
+}
+
+// Streams reports whether the request line's reply is a stream of lines
+// through END (or an ERR line in its place), by the verb table's stream
+// column.
+func Streams(line []byte) bool {
+	name, _ := cutSpace(line)
+	return lookupVerb(name).stream
 }

@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"hohtx/internal/sets"
+	"hohtx/internal/tree"
 )
 
 // TestLineScannerShortLines checks the common path: lines inside the
@@ -167,6 +170,53 @@ func TestScannerMatchesReadString(t *testing.T) {
 		}
 		if err != nil {
 			break
+		}
+	}
+}
+
+// TestClientRequestsParseBack renders every request the client half of the
+// codec writes — each point kind and ASCEND, keys 1, MaxKey and random ones,
+// scan lengths 1 and 64, and MULTI headers — and parses each back through
+// the server's own verb table and parsers to what was rendered.
+func TestClientRequestsParseBack(t *testing.T) {
+	const maxKey = uint64(tree.MaxKey)
+	s := &Server{maxKey: maxKey}
+	keys, x := []uint64{1, maxKey}, uint64(7)
+	for range 32 {
+		x = x*6364136223846793005 + 1442695040888963407
+		keys = append(keys, 1+x%maxKey, 1+x>>40)
+	}
+	line := func(b []byte) []byte {
+		t.Helper()
+		if bytes.IndexByte(b, '\n') != len(b)-1 {
+			t.Fatalf("%q is not one newline-terminated line", b)
+		}
+		return b[:len(b)-1]
+	}
+	for _, key := range keys {
+		for _, kind := range []sets.OpKind{sets.OpLookup, sets.OpInsert, sets.OpRemove} {
+			want := sets.Op{Kind: kind, Key: key}
+			b := AppendRequest(nil, want, 0)
+			if got, we := s.parseOp(line(b)); we.code != wireOK || got != want {
+				t.Errorf("%q parses to %+v (code %d), rendered from %+v", b, got, we.code, want)
+			}
+		}
+		for _, n := range []int{1, 64} {
+			b := AppendRequest(nil, sets.Op{Kind: sets.OpInsert, Key: key}, n)
+			name, args := cutSpace(line(b))
+			loArg, nArg := cutSpace(args)
+			lo, we := s.parseKey(loArg)
+			cnt, ce := parseCount(nArg)
+			if lookupVerb(name).name != "ASCEND" || we.code != wireOK || ce.code != wireOK || lo != key || cnt != n {
+				t.Errorf("%q parses to verb %q lo %d n %d, rendered from ASCEND %d %d", b, lookupVerb(name).name, lo, cnt, key, n)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 16, 129} {
+		b := AppendMulti(nil, n)
+		name, arg := cutSpace(line(b))
+		if cnt, we := parseCount(arg); lookupVerb(name).name != "MULTI" || we.code != wireOK || cnt != n {
+			t.Errorf("%q parses to verb %q count %d, rendered from MULTI %d", b, lookupVerb(name).name, cnt, n)
 		}
 	}
 }
