@@ -301,7 +301,8 @@ type Arena[T any] struct {
 	_     pad.Line
 
 	poolMu  sync.Mutex
-	pool    []uint32 // shared free indices
+	pool    []uint32      // shared free indices
+	poolLen atomic.Uint32 // len(pool), stored under poolMu
 	poolOps atomic.Uint64
 	fresh   atomic.Uint64
 	_       pad.Line
@@ -470,8 +471,14 @@ func (a *Arena[T]) Free(tid int, h Handle) {
 	}
 }
 
-// refill moves up to magFlush indices from the shared pool into m.
+// refill moves up to magFlush indices from the shared pool into m. A
+// magazine that can hold indices skips the lock when the pool reads empty,
+// so a growing arena bump-allocates without touching it; PolicyShared's
+// (magCap 0) takes the lock on every Alloc, as that policy promises.
 func (a *Arena[T]) refill(m *magazine) bool {
+	if a.magCap > 0 && a.poolLen.Load() == 0 {
+		return false
+	}
 	a.poolMu.Lock()
 	a.poolOps.Add(1)
 	n := a.magFlush
@@ -481,6 +488,7 @@ func (a *Arena[T]) refill(m *magazine) bool {
 	if n > 0 {
 		m.free = append(m.free, a.pool[len(a.pool)-n:]...)
 		a.pool = a.pool[:len(a.pool)-n]
+		a.poolLen.Store(uint32(len(a.pool)))
 	}
 	a.poolMu.Unlock()
 	return n > 0
@@ -492,6 +500,7 @@ func (a *Arena[T]) flush(m *magazine) {
 	a.poolOps.Add(1)
 	cut := len(m.free) - a.magFlush
 	a.pool = append(a.pool, m.free[cut:]...)
+	a.poolLen.Store(uint32(len(a.pool)))
 	a.poolMu.Unlock()
 	m.free = m.free[:cut]
 }

@@ -304,6 +304,19 @@ func TestSharedPolicyReuses(t *testing.T) {
 	}
 }
 
+// TestLocalGrowthSkipsThePool: under PolicyLocal an Alloc whose magazine
+// and the shared pool are both empty bump-allocates without taking the
+// pool lock, so a growing arena takes none.
+func TestLocalGrowthSkipsThePool(t *testing.T) {
+	a := New[obj](Config{Threads: 1})
+	for range 1000 {
+		a.Alloc(0)
+	}
+	if st := a.Stats(); st.PoolOps != 0 || st.Fresh != 1000 {
+		t.Fatalf("1000 fresh Allocs: %+v, want PoolOps 0, Fresh 1000", st)
+	}
+}
+
 // TestConcurrentChurn hammers alloc/free from several goroutines and then
 // checks the books balance and no two live handles alias a slot.
 func TestConcurrentChurn(t *testing.T) {

@@ -45,27 +45,23 @@ type localSlot struct {
 	_ pad.Line
 }
 
-// wordSlot is a padded shared transactional word.
-type wordSlot struct {
-	w stm.Word
-	_ pad.Line
-}
-
-// ownTable is a padded hash-indexed array of transactional words, the
-// shared metadata of XO/SO (thread ids + 1; 0 means "no owner", the
-// paper's -1) and V (version counters).
+// ownTable is a hash-indexed array of transactional words, the shared
+// metadata of XO/SO (thread ids + 1; 0 means "no owner", the paper's -1)
+// and V (version counters). Its cells are not padded: the paper pads for
+// HTM, which detects conflicts per cache line, but this STM detects them
+// per Word, so cells sharing a line never conflict (DESIGN.md §7).
 type ownTable struct {
-	cells []wordSlot
+	cells []stm.Word
 	mask  uint64
 }
 
 func newOwnTable(tableBits int) *ownTable {
 	n := 1 << tableBits
-	return &ownTable{cells: make([]wordSlot, n), mask: uint64(n - 1)}
+	return &ownTable{cells: make([]stm.Word, n), mask: uint64(n - 1)}
 }
 
 func (t *ownTable) at(ref uint64) *stm.Word {
-	return &t.cells[hashRef(ref, t.mask)].w
+	return &t.cells[hashRef(ref, t.mask)]
 }
 
 // SO is the shared-ownership relaxed scheme: A ownership tables, each

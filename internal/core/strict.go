@@ -72,13 +72,15 @@ func (f *FA) Revoke(tx *stm.Tx, ref uint64) {
 
 // dmNode is one entry of a dmArray: thread nodes at indices [0,T), bucket
 // sentinels at [T, T+B). Links are 1-based entry indices; 0 is nil. where
-// is 1+bucket for a linked thread node, 0 when unlinked.
+// is 1+bucket for a linked thread node, 0 when unlinked. Its four words are
+// exactly one cache line, so on a line-aligned array each entry has a line
+// to itself without a pad (at the default TableBits the array is ~1 MiB,
+// which the allocator page-aligns; TestReservationFootprint checks both).
 type dmNode struct {
 	val   stm.Word
 	prev  stm.Word
 	next  stm.Word
 	where stm.Word
-	_     pad.Line
 }
 
 // dmArray is one hash-indexed array of unsorted doubly linked bucket lists,
