@@ -38,15 +38,15 @@ const (
 
 // node is the shared node layout. Every field is a transactional cell;
 // recycled nodes are re-initialized with transactional stores only (see
-// the arena package comment for why). The trailing pad keeps concurrent
-// transactions on neighboring nodes from false-sharing version locks.
+// the arena package comment for why). It has no cache-line pad: the STM
+// detects conflicts per Word, so neighbors sharing a line never conflict,
+// and a slot is its cells, 88 B (TestNodeLayout).
 type node struct {
 	key  stm.Word
 	next stm.Word // arena.Handle bits; 0 = nil
 	prev stm.Word // doubly linked list only
 	dead stm.Word // TMHP/REF logical-deletion mark
 	rc   stm.Word // REF reference count
-	_    pad.Line
 }
 
 // words is the node's one enumeration of its cells (reclaim.Layout.Words).

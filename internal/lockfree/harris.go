@@ -31,11 +31,12 @@ func clearMark(raw uint64) arena.Handle {
 
 // lfNode is a list node. key is written once before the node is published
 // and never changes while the node is reachable; hazard-pointer recycling
-// guarantees no reader holds the node when it is reused.
+// guarantees no reader holds the node when it is reused. It has no
+// cache-line pad, as the TM nodes it is measured against have none: a slot
+// is its words, 24 B (TestNodeLayout).
 type lfNode struct {
 	key  uint64
 	next atomic.Uint64
-	_    pad.Line
 }
 
 // HarrisList is the lock-free sorted linked list. The reclamation scheme

@@ -2,9 +2,11 @@ package lockfree
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"hohtx/internal/arena"
 	"hohtx/internal/reclaim"
@@ -22,6 +24,63 @@ func lists(threads int) []*HarrisList {
 	return []*HarrisList{
 		newLFLeak(reclaim.Config{Threads: threads}),
 		newLFHP(reclaim.Config{Threads: threads, ScanThreshold: 8}),
+	}
+}
+
+// TestNodeLayout pins the comparators' slots: a node's 8-B words and
+// nothing else — no pad, as the TM nodes they are measured against have
+// none — so a list node is 16 B in a 24-B slot and costs a key 24 B, and a
+// tree node is 24 B in a 32-B slot and costs a key, a leaf and its router,
+// 64 B.
+func TestNodeLayout(t *testing.T) {
+	l := newLFLeak(reclaim.Config{Threads: 1})
+	tr := NewNMTree(reclaim.Config{Threads: 1})
+	for _, c := range []struct {
+		name              string
+		typ               reflect.Type
+		stride, perKey    uintptr
+		size, slot, bytes uintptr // wanted: node, slot stride, bytes per key
+	}{
+		{"lfNode", reflect.TypeOf(lfNode{}), slotStride(l.ar), uintptr(l.Books(0).PerKey), 16, 24, 24},
+		{"nmNode", reflect.TypeOf(nmNode{}), slotStride(tr.ar), uintptr(tr.Books(0).PerKey), 24, 32, 64},
+	} {
+		words := uintptr(0)
+		for i := 0; i < c.typ.NumField(); i++ {
+			if c.typ.Field(i).Name != "_" {
+				words++
+			}
+		}
+		if got := c.typ.Size(); got != words*8 || got != c.size {
+			t.Errorf("%s is %d bytes, want %d: its %d words and no pad", c.name, got, c.size, words)
+		}
+		checkStride(t, c.name, c.stride, c.slot)
+		if got := c.perKey * c.stride; got != c.bytes {
+			t.Errorf("%s: a key costs %d B, want %d", c.name, got, c.bytes)
+		}
+	}
+}
+
+// slotStride is the distance between consecutive slots of a's page 0,
+// read off two fresh slots' addresses: the node and its generation word.
+func slotStride[T any](a *arena.Arena[T]) uintptr {
+	h0, h1 := a.Alloc(0), a.Alloc(0)
+	defer a.Free(0, h0)
+	defer a.Free(0, h1)
+	d := int64(uintptr(unsafe.Pointer(a.At(h1)))) - int64(uintptr(unsafe.Pointer(a.At(h0))))
+	return uintptr(d / (int64(h1.Index()) - int64(h0.Index())))
+}
+
+// checkStride fails t unless stride is want and not a power of two of
+// 64 B or more: power-of-two strides alias in the L2's sets, and a pointer
+// chase read 34.9 ns/hop at 128 B against 8.7-10.3 at 144-152 B
+// (EXPERIMENTS.md, "What was not kept").
+func checkStride(t *testing.T, name string, stride, want uintptr) {
+	t.Helper()
+	if stride != want {
+		t.Errorf("%s: arena slot stride %d B, want %d", name, stride, want)
+	}
+	if stride >= 64 && stride&(stride-1) == 0 {
+		t.Errorf("%s: arena slot stride %d B is a power of two of 64 B or more", name, stride)
 	}
 }
 

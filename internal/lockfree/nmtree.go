@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"hohtx/internal/arena"
-	"hohtx/internal/pad"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 )
@@ -42,12 +41,13 @@ const NMMaxKey = nmSent0 - 1
 
 // nmNode is a tree node; a node is a leaf iff its left edge is zero. The
 // key is immutable after publication, and nodes are never recycled (the
-// structure leaks by design), so plain reads of key are safe.
+// structure leaks by design), so plain reads of key are safe. It has no
+// cache-line pad, as the TM nodes it is measured against have none: a slot
+// is its words, 32 B (TestNodeLayout).
 type nmNode struct {
 	key   uint64
 	left  atomic.Uint64
 	right atomic.Uint64
-	_     pad.Line
 }
 
 // NMTree is the lock-free external BST set.

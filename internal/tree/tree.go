@@ -28,7 +28,6 @@ package tree
 
 import (
 	"hohtx/internal/arena"
-	"hohtx/internal/pad"
 	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
@@ -45,13 +44,14 @@ const (
 const MaxKey = sent0 - 1
 
 // node is the shared node layout for both trees. In the external tree a
-// node is a leaf iff its left child is Nil.
+// node is a leaf iff its left child is Nil. It has no cache-line pad: the
+// STM detects conflicts per Word, so a slot is its cells, 72 B
+// (TestNodeLayout).
 type node struct {
 	key   stm.Word
 	left  stm.Word // arena.Handle bits
 	right stm.Word
 	dead  stm.Word // the deferred modes' logical-deletion mark
-	_     pad.Line
 }
 
 // words is the node's one enumeration of its cells (reclaim.Layout.Words).

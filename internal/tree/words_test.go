@@ -46,6 +46,48 @@ func TestWordsEnumerateEveryCell(t *testing.T) {
 	}
 }
 
+// TestNodeLayout pins the node's slot: its four cells and nothing else —
+// no pad, since the STM detects conflicts per Word — so a node is 64 B,
+// its arena slot 72 B with the generation word, and a key of the external
+// tree, a leaf and the router above it, costs 144 B.
+func TestNodeLayout(t *testing.T) {
+	const cell = unsafe.Sizeof(stm.Word{})
+	size := unsafe.Sizeof(node{})
+	if cells := uintptr(cellsIn(reflect.TypeOf(node{}))); size != cells*cell || size != 64 {
+		t.Fatalf("node is %d bytes, want 64: its %d cells and no pad", size, cells)
+	}
+	e := NewExternal(Config{Threads: 1})
+	stride := slotStride(e.Ar)
+	checkStride(t, "node", stride, 72)
+	if got := uintptr(e.Books(0).PerKey) * stride; got != 144 {
+		t.Errorf("an external-tree key costs %d B, want 144", got)
+	}
+}
+
+// slotStride is the distance between consecutive slots of a's page 0,
+// read off two fresh slots' addresses: the node and its generation word.
+func slotStride[T any](a *arena.Arena[T]) uintptr {
+	h0, h1 := a.Alloc(0), a.Alloc(0)
+	defer a.Free(0, h0)
+	defer a.Free(0, h1)
+	d := int64(uintptr(unsafe.Pointer(a.At(h1)))) - int64(uintptr(unsafe.Pointer(a.At(h0))))
+	return uintptr(d / (int64(h1.Index()) - int64(h0.Index())))
+}
+
+// checkStride fails t unless stride is want and not a power of two of
+// 64 B or more: power-of-two strides alias in the L2's sets, and a pointer
+// chase read 34.9 ns/hop at 128 B against 8.7-10.3 at 144-152 B
+// (EXPERIMENTS.md, "What was not kept").
+func checkStride(t *testing.T, name string, stride, want uintptr) {
+	t.Helper()
+	if stride != want {
+		t.Errorf("%s: arena slot stride %d B, want %d", name, stride, want)
+	}
+	if stride >= 64 && stride&(stride-1) == 0 {
+		t.Errorf("%s: arena slot stride %d B is a power of two of 64 B or more", name, stride)
+	}
+}
+
 // TestFreeFencesAndPoisonsEveryCell: with the guard on, freeing a node
 // leaves every cell poisoned with its version lifted to the fence, on every
 // structure built over this node type.
