@@ -20,13 +20,11 @@
 //	hohserver -family skip -variant TMVBR      # extended matrix (DESIGN.md §14)
 //	hohserver -shards 4 -threads 2             # 4 independent STM instances
 //	hohserver -addr :7070 -threads 8 -obs 127.0.0.1:6070
-//	hohserver -autobatch 64                    # burst coalescing (DESIGN.md §11)
 //
 // MULTI frames are capped at serve.DefaultMaxBatch ops (oversized frames
-// get one ERR line and execute nothing). -autobatch N > 1 transparently
-// coalesces pipelined bursts of plain GET/SET/DEL into batch transactions
-// of at most N ops — the capacity-aware split threshold; replies are
-// unchanged, only the transaction boundaries move.
+// get one ERR line and execute nothing). A pipelined burst of plain
+// GET/SET/DEL runs as one hand-over-hand pass per shard (DESIGN.md §11);
+// replies are what the requests would get one at a time.
 //
 // With -shards N the key space hash-partitions across N fully independent
 // instances — each with its own global version clock, serial-fallback
@@ -79,7 +77,6 @@ func main() {
 	threads := flag.Int("threads", 8, "worker slots per shard (the set's Threads)")
 	shards := flag.Int("shards", 1, "independent STM instances; keys hash-partition across them")
 	obsAddr := flag.String("obs", "", "observability endpoint address (empty = off)")
-	autoBatch := flag.Int("autobatch", 0, "coalesce pipelined single-key bursts into batches of at most N ops (0/1 = off)")
 	flag.Parse()
 
 	if *shards < 1 {
@@ -179,8 +176,7 @@ func main() {
 	}
 
 	srv := serve.NewServer(serve.ServerConfig{
-		Shards: backends, MaxKey: hohtx.MaxKey, Obs: dom,
-		AutoBatch: *autoBatch, ObsAddr: boundObs,
+		Shards: backends, MaxKey: hohtx.MaxKey, Obs: dom, ObsAddr: boundObs,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

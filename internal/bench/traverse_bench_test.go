@@ -9,6 +9,7 @@ import (
 
 	"hohtx/internal/core"
 	"hohtx/internal/loadgen"
+	"hohtx/internal/serve"
 	"hohtx/internal/sets"
 )
 
@@ -87,6 +88,30 @@ func BenchmarkPointOps(b *testing.B) {
 			b.ReportMetric(nsPerOp/float64(w.KeyRange()/4), "ns/node")
 		})
 	}
+	// Pipelined bursts of 8 through the sharded view's pass, the way the
+	// server runs them: b.N passes, each one sorted walk down the list that
+	// does all 8 ops, cut into windows. The walk reaches the largest of the
+	// 8 keys, 8/9 of the way along the keys/2 present nodes on average, so
+	// ns/node is per node of that walk, beside the per-op rows' per node of
+	// theirs; ns/req is a pass's price per op.
+	b.Run("keys=4096/burst=8", func(b *testing.B) {
+		const burst = 8
+		s, w := buildPrefilled(b, FamilySingly, "RR-V", 12)
+		view := serve.NewSharded([]sets.Set{s})
+		mix := loadgen.Mix{Keys: w.KeyRange(), Reads: w.LookupPct}
+		runWorkers(b, func(tid, n int, state uint64) {
+			ops := make([]sets.Op, burst)
+			for i := 0; i < n; i++ {
+				for j := range ops {
+					ops[j], _ = mix.Draw(&state)
+				}
+				view.Pass(tid, ops)
+			}
+		})
+		nsPerPass := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(nsPerPass/(float64(w.KeyRange()/2)*burst/(burst+1)), "ns/node")
+		b.ReportMetric(nsPerPass/burst, "ns/req")
+	})
 	// The other two families, for the handle translation and the guard
 	// check their descents share with the list: a descent is ~log2(keys)
 	// nodes, so these rows report ns/op alone.

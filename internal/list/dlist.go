@@ -16,7 +16,7 @@ import (
 // took the same node (return false); a relaxed one cannot distinguish that
 // from a spurious invalidation, so the whole operation retries (§4.2).
 type DList struct {
-	List
+	linked
 }
 
 // NewDoubly constructs a doubly linked list set. The list-local modes are

@@ -83,6 +83,12 @@ func (h *HashTable) Apply(tid int, ops []sets.Op) []sets.Result {
 	return h.l.apply(tid, ops, h.bucket, h.l.at)
 }
 
+// Pass implements sets.Passer: ops are grouped by bucket and each bucket
+// gets one sorted pass, window by window.
+func (h *HashTable) Pass(tid int, ops []sets.Op) []sets.Result {
+	return h.l.pass(tid, ops, h.bucket)
+}
+
 // Snapshot implements sets.Set (quiescence required): the union of all
 // buckets, sorted.
 func (h *HashTable) Snapshot() []uint64 {

@@ -14,13 +14,13 @@ import (
 // ascending order, until fn returns false or the list is exhausted. Every
 // mode scans (ModeHTM and ModeER run the whole scan as one transaction): a
 // cursor resumes exactly like a point operation, through the link.
-func (l *List) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
+func (l *linked) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
 	return l.AscendN(tid, from, 0, fn)
 }
 
 // AscendN implements sets.Ascender: Ascend, over after limit keys when
 // limit > 0.
-func (l *List) AscendN(tid int, from uint64, limit int, fn func(key uint64) bool) error {
+func (l *linked) AscendN(tid int, from uint64, limit int, fn func(key uint64) bool) error {
 	l.Cursor(tid, from, limit, l.head, 0, fn,
 		func(tx *stm.Tx, prevH arena.Handle, _ uint64, budget, want int, last uint64, batch []uint64) ([]uint64, arena.Handle, uint64) {
 			_, currH, k, steps := l.walk(tx, tid, last, prevH, budget, nil)
@@ -38,7 +38,7 @@ func (l *List) AscendN(tid int, from uint64, limit int, fn func(key uint64) bool
 // and its link while more keys are wanted. It stops at the want-th key or
 // the budget's last step, returning where to hold — the node of the last
 // key appended, with word 0 — or Nil at the chain's end.
-func (l *List) collect(tx *stm.Tx, tid int, h arena.Handle, k uint64, steps, budget, want int, batch []uint64) ([]uint64, arena.Handle, uint64) {
+func (l *linked) collect(tx *stm.Tx, tid int, h arena.Handle, k uint64, steps, budget, want int, batch []uint64) ([]uint64, arena.Handle, uint64) {
 	if batch = append(batch, k); len(batch) == want || steps >= budget {
 		return batch, h, 0
 	}

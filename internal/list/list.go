@@ -10,10 +10,12 @@
 // All variants share one node layout and one arena, so differences in the
 // figures come from the synchronization/reclamation mechanism, not from
 // memory layout. They also share one loop over a chain (engine.go's walk):
-// a point operation runs it window by window under the chassis's Op, and
-// Apply runs it uncut under the chassis's Apply, sorted into one pass per
-// chain, each op starting from the predecessor where the last one stopped.
-// Where the walk ends, each list's terminal does what the op does there.
+// a point operation runs it window by window under the chassis's Op, Apply
+// runs it uncut under the chassis's Apply, sorted into one pass per chain,
+// each op starting from the predecessor where the last one stopped, and the
+// singly linked list's and the hash table's Pass run that sorted pass
+// window by window under the chassis's Pass. Where the walk ends, each
+// list's terminal does what the op does there.
 package list
 
 import (
@@ -69,12 +71,20 @@ type threadState struct {
 // and a zero Window, W = 8.
 type Config = reclaim.Config
 
-// List is the singly linked set (Listing 5): the chassis, a head sentinel
-// and the traversals in engine.go and iter.go.
-type List struct {
+// linked is what both lists are: the chassis, a head sentinel and the
+// traversals in engine.go and iter.go, with the singly linked list's
+// terminal. The doubly linked list replaces the terminal and Remove.
+type linked struct {
 	reclaim.Chassis[node]
 	head    arena.Handle
 	threads []threadState
+}
+
+// List is the singly linked set (Listing 5). It alone of the two lists is
+// a sets.Passer: the doubly linked list's Remove holds its victim past the
+// operation, which a pass window cannot.
+type List struct {
+	linked
 }
 
 // New constructs a singly linked list set.
@@ -85,7 +95,7 @@ func New(cfg Config) *List {
 }
 
 // init builds the list in place (the chassis's hooks hold its address).
-func (l *List) init(cfg Config) {
+func (l *linked) init(cfg Config) {
 	cfg = cfg.WithDefaults(2, 8)
 	l.threads = make([]threadState, cfg.Threads)
 	l.Init(cfg, reclaim.Layout[node]{
@@ -97,29 +107,34 @@ func (l *List) init(cfg Config) {
 }
 
 // Lookup implements sets.Set.
-func (l *List) Lookup(tid int, key uint64) bool {
+func (l *linked) Lookup(tid int, key uint64) bool {
 	return l.run(tid, sets.Op{Kind: sets.OpLookup, Key: key}, l.head, l.at)
 }
 
 // Insert implements sets.Set.
-func (l *List) Insert(tid int, key uint64) bool {
+func (l *linked) Insert(tid int, key uint64) bool {
 	return l.run(tid, sets.Op{Kind: sets.OpInsert, Key: key}, l.head, l.at)
 }
 
 // Remove implements sets.Set: Listing 5's Remove — unlink, revoke, reclaim
 // at the commit.
-func (l *List) Remove(tid int, key uint64) bool {
+func (l *linked) Remove(tid int, key uint64) bool {
 	return l.run(tid, sets.Op{Kind: sets.OpRemove, Key: key}, l.head, l.at)
 }
 
 // Apply implements sets.Set: one transaction, one sorted pass.
-func (l *List) Apply(tid int, ops []sets.Op) []sets.Result {
+func (l *linked) Apply(tid int, ops []sets.Op) []sets.Result {
 	return l.apply(tid, ops, func(uint64) arena.Handle { return l.head }, l.at)
+}
+
+// Pass implements sets.Passer: one sorted pass, window by window.
+func (l *List) Pass(tid int, ops []sets.Op) []sets.Result {
+	return l.pass(tid, ops, func(uint64) arena.Handle { return l.head })
 }
 
 // at is the singly linked list's terminal (the list's and the hash table's
 // buckets'): an insert links a new node after prevH, a remove unlinks currH.
-func (l *List) at(tx *stm.Tx, tid int, op sets.Op, prevH, currH arena.Handle, found bool) (bool, bool) {
+func (l *linked) at(tx *stm.Tx, tid int, op sets.Op, prevH, currH arena.Handle, found bool) (bool, bool) {
 	switch {
 	case op.Kind == sets.OpInsert && !found:
 		l.Ar.At(prevH).next.Store(tx, uint64(l.allocNode(tx, tid, op.Key, currH, arena.Nil)))
@@ -134,7 +149,7 @@ func (l *List) at(tx *stm.Tx, tid int, op sets.Op, prevH, currH arena.Handle, fo
 // allocNode allocates and transactionally initializes a node holding key
 // with successor nextH and (for the doubly linked list) predecessor prevH,
 // returning its handle.
-func (l *List) allocNode(tx *stm.Tx, tid int, key uint64, nextH, prevH arena.Handle) arena.Handle {
+func (l *linked) allocNode(tx *stm.Tx, tid int, key uint64, nextH, prevH arena.Handle) arena.Handle {
 	nh, n := l.Alloc(tx, tid)
 	n.key.Store(tx, key)
 	n.next.Store(tx, uint64(nextH))
@@ -147,13 +162,13 @@ func (l *List) allocNode(tx *stm.Tx, tid int, key uint64, nextH, prevH arena.Han
 // unlinkAndReclaim removes currH (whose predecessor is prevH) from the
 // list and hands it to the link — for ModeRR that is Listing 5's λfound
 // for Remove: unlink, Revoke, then free at the commit point.
-func (l *List) unlinkAndReclaim(tx *stm.Tx, tid int, prevH, currH arena.Handle) {
+func (l *linked) unlinkAndReclaim(tx *stm.Tx, tid int, prevH, currH arena.Handle) {
 	l.Ar.At(prevH).next.Store(tx, uint64(l.Guard.Link(tx, tid, currH, l.Ar.At(currH).next.Load(tx))))
 	l.Unlinked(tx, tid, currH)
 }
 
 // Snapshot implements sets.Set. Callers must ensure quiescence.
-func (l *List) Snapshot() []uint64 {
+func (l *linked) Snapshot() []uint64 {
 	var out []uint64
 	for h := arena.Handle(l.Ar.At(l.head).next.Raw()); !h.IsNil(); {
 		n := l.Ar.At(h)

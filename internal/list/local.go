@@ -13,7 +13,7 @@ import (
 
 // localLink is the list's reclaim.Layout.Local: the chassis calls it for a
 // mode the seam has no generic link for.
-func (l *List) localLink(mode Mode, n reclaim.Nodes) reclaim.Link {
+func (l *linked) localLink(mode Mode, n reclaim.Nodes) reclaim.Link {
 	if mode == ModeREF {
 		return newRefLink(l, n.Threads)
 	}
@@ -31,13 +31,13 @@ type refStart struct {
 // it at commit only if nobody counts on it; otherwise the last holder's
 // decrement does.
 type refLink struct {
-	l        *List
+	l        *linked
 	starts   []refStart
 	freeHook func(a, b, c uint64) // ar.Free(tid a, handle b)
 	holdHook func(a, b, c uint64) // starts[tid a] = handle b
 }
 
-func newRefLink(l *List, threads int) *refLink {
+func newRefLink(l *linked, threads int) *refLink {
 	r := &refLink{l: l, starts: make([]refStart, threads)}
 	r.freeHook = func(a, b, _ uint64) { l.Ar.Free(int(a), arena.Handle(b)) }
 	r.holdHook = func(a, b, _ uint64) { r.starts[int(a)].h = arena.Handle(b) }
@@ -122,10 +122,10 @@ func (r *refLink) Unlinked(tx *stm.Tx, tid int, h arena.Handle, _ uint64) {
 // in the traversal (engine.go).
 type erLink struct {
 	reclaim.Link
-	l *List
+	l *linked
 }
 
-func newERLink(l *List, n reclaim.Nodes) erLink {
+func newERLink(l *linked, n reclaim.Nodes) erLink {
 	for i := range l.threads {
 		l.threads[i].marks = make([]uint64, n.Window.W)
 	}

@@ -317,16 +317,15 @@ func (p *TxProbe) note(tid int, kind EventKind, ref uint64) {
 // ServeProbe bundles what the network serving layer records into: one
 // service-time histogram per mutating/reading protocol verb (slot leased →
 // operation done; parse and reply rendering are the request span's lease
-// and write phases), plus the batch-path histograms (MULTI and
-// auto-batched bursts).
+// and write phases), plus the batch-path histograms (MULTI frames and the
+// passes pipelined point requests share).
 type ServeProbe struct {
 	D        *Domain
 	GetNs    *Histogram // GET service time: end − start − wait, parse to rendered reply
 	SetNs    *Histogram // SET service time, as GetNs
 	DelNs    *Histogram // DEL service time, as GetNs
-	BatchNs  *Histogram // whole-batch service time (all sub-transactions)
-	BatchOp  *Histogram // ops per executed sub-transaction, after routing and capacity splitting
-	Splits   *Histogram // sub-transactions per wire batch (1 = unsplit)
+	BatchNs  *Histogram // whole-batch service time: a MULTI's sub-transactions, or a burst's passes
+	BatchOp  *Histogram // ops per MULTI sub-transaction, after routing
 	AscendNs *Histogram // whole-ASCEND service time (parse → merge → END written)
 
 	pulled atomic.Pointer[Histogram] // see Pulled
@@ -354,7 +353,6 @@ func (d *Domain) ServeProbe() *ServeProbe {
 		DelNs:    d.Hist("serve_del_ns", "ns"),
 		BatchNs:  d.Hist("serve_batch_ns", "ns"),
 		BatchOp:  d.Hist("batch_tx_ops", "ops"),
-		Splits:   d.Hist("batch_splits", "txs"),
 		AscendNs: d.Hist("serve_ascend_ns", "ns"),
 	}
 }

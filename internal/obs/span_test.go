@@ -483,7 +483,6 @@ func TestServeProbeHistograms(t *testing.T) {
 		HistServeAscendPulled: 1,
 		"serve_batch_ns":      0,
 		"batch_tx_ops":        0,
-		"batch_splits":        0,
 	}
 	snap := d.Snapshot()
 	seen := map[string]uint64{}

@@ -61,11 +61,13 @@ type Layout[N any] struct {
 }
 
 // opState is one thread's operation stamp (reclamation-delay accounting),
-// its Apply result and visit-order buffers and its Cursor's key buffer.
+// its Apply and Pass result and visit-order buffers, how many of its Pass's
+// ops committed windows have done, and its Cursor's key buffer.
 type opState struct {
 	n     uint64
 	out   []bool
 	order []visit
+	done  int
 	batch []uint64
 	_     pad.Line
 }
@@ -87,8 +89,9 @@ type Chassis[N any] struct {
 	win         core.Window
 	ops         []opState
 	obs         *obs.Domain
-	scanWindows *obs.Histogram // window txs per Cursor (nil without Obs)
-	scanRenavs  *obs.Histogram // re-navigations per Cursor (nil without Obs)
+	scanWindows *obs.Histogram            // window txs per Cursor (nil without Obs)
+	scanRenavs  *obs.Histogram            // re-navigations per Cursor (nil without Obs)
+	advance     func(tid, done, _ uint64) // a Pass window's commit hook: ops[tid].done = done
 }
 
 // Init assembles the chassis for cfg, whose defaults the structure has
@@ -100,6 +103,7 @@ func (c *Chassis[N]) Init(cfg Config, lay Layout[N]) {
 	c.Ar = NewArena(cfg, c.RT, lay.Words, lay.Freed)
 	c.words, c.win, c.perKey = lay.Words, cfg.Window, max(lay.PerKey, 1)
 	c.ops = make([]opState, cfg.Threads)
+	c.advance = func(tid, done, _ uint64) { c.ops[tid].done = int(done) }
 	c.Guard = GuardFor(c.Ar)
 	nodes := Nodes{
 		Config: cfg, Dead: lay.Dead, Live: c.Ar.Live, Free: c.Ar.Free,
@@ -291,39 +295,23 @@ func sortVisits(order []visit) {
 // Apply runs ops as tid's one transaction (sets.Set.Apply), each op its
 // step run uncut, and returns one result per op, at its arrival index.
 //
-// The visit order is the structure's, chosen by chainOf. Without one (the
-// trees and the skiplist) ops run in arrival order, each from root and
-// rootWord: a tree grown from a sorted batch would be a spine. With one
-// (the lists and the hash table) chainOf(key) is the head of key's chain,
-// ops run sorted by (chain, key, arrival) — ops on one key keep program
-// order, different keys commute inside one transaction — and each starts
-// where the previous op on its chain left from, or at the head (with
-// rootWord): one pass per chain, however many ops it carries.
+// The visit order is the structure's, chosen by chainOf (see sorted). Ops
+// on one chain start where the previous op on it left from, or at the head
+// (with rootWord): one pass per chain, however many ops it carries.
 //
 // The result and order buffers are tid's and grow-only, so what Apply
-// returns is valid until the same thread's next Apply — which every caller
-// respects (the serving layer copies per-shard results out before the next
-// shard runs); a fresh slice per batch was measurable GC pressure at wire
-// speed. A batch whose footprint exceeds the transaction capacity commits
-// in serial mode; stm.Stats.Batch records that per batch-size bucket.
+// returns is valid until the same thread's next Apply or Pass — which every
+// caller respects (the serving layer copies per-shard results out before
+// the next shard runs); a fresh slice per batch was measurable GC pressure
+// at wire speed. A batch whose footprint exceeds the transaction capacity
+// commits in serial mode; stm.Stats.Batch records that per batch-size
+// bucket.
 func (c *Chassis[N]) Apply(tid int, ops []Op, root arena.Handle, rootWord uint64, chainOf func(key uint64) arena.Handle, step Step) []bool {
 	if len(ops) == 0 {
 		return nil
 	}
 	ts := &c.ops[tid]
-	if cap(ts.out) < len(ops) {
-		ts.out, ts.order = make([]bool, len(ops)), make([]visit, len(ops))
-	}
-	out, order := ts.out[:len(ops)], ts.order[:len(ops)]
-	for i, op := range ops {
-		order[i] = visit{root, op.Key, i}
-		if chainOf != nil {
-			order[i].chain = chainOf(op.Key)
-		}
-	}
-	if chainOf != nil {
-		sortVisits(order)
-	}
+	out, order := c.sorted(ts, ops, root, chainOf)
 	ts.n += uint64(len(ops))
 	c.Link.Begin(tid)
 	defer c.Link.End(tid)
@@ -341,6 +329,130 @@ func (c *Chassis[N]) Apply(tid int, ops []Op, root arena.Handle, rootWord uint64
 		}
 	})
 	return out
+}
+
+// sorted returns tid's result buffer for ops and their visit order. Without
+// a chainOf (the trees and the skiplist) ops keep arrival order, each from
+// root: a tree grown from a sorted batch would be a spine. With one (the
+// lists and the hash table) chainOf(key) is the head of key's chain, and
+// ops are sorted by (chain, key, arrival) — ops on one key keep program
+// order, different keys commute — so one walk down each chain reaches them
+// all.
+func (c *Chassis[N]) sorted(ts *opState, ops []Op, root arena.Handle, chainOf func(key uint64) arena.Handle) (out []bool, order []visit) {
+	if cap(ts.out) < len(ops) {
+		ts.out, ts.order = make([]bool, len(ops)), make([]visit, len(ops))
+	}
+	out, order = ts.out[:len(ops)], ts.order[:len(ops)]
+	for i, op := range ops {
+		order[i] = visit{root, op.Key, i}
+		if chainOf != nil {
+			order[i].chain = chainOf(op.Key)
+		}
+	}
+	if chainOf != nil {
+		sortVisits(order)
+	}
+	return out, order
+}
+
+// Visit is one op's share of a pass window (Pass), the structure's to
+// supply as Step is Apply's: from start — a node below op's key, or the
+// head of its chain — taking at most budget steps, it walks toward op's
+// key. If it gets there it does op there and returns done, op's result and
+// at, the last node below op's key it passed, where the pass goes on.
+// Otherwise at is where the budget ran out, a node below op's key that the
+// next window resumes from. steps is how many nodes it passed.
+type Visit func(tx *stm.Tx, tid int, op Op, start arena.Handle, budget int) (res bool, at arena.Handle, steps int, done bool)
+
+// passWrites is how many stores a pass window may have pending before it
+// ends after an op. A transaction context starts with room for 32 (stm's
+// write log), and one more op stores at most an insert's seven cells and a
+// hold's own, so a pass window's write set never outgrows what the point
+// operations' windows use (a window that did every insert of a 64-SET
+// burst would grow every context's write log for good). Its reads are
+// bounded by its budget: every node passed is a step, and every op one
+// more, for the node at its key.
+const passWrites = 20
+
+// Pass runs ops as tid's hand-over-hand pass and returns one result per op,
+// at its arrival index, in tid's buffer (valid until its next Pass or
+// Apply). Ops are visited in Apply's order (sorted, by chainOf), but under
+// Op's window loop, not in one transaction: ops in a pass are not atomic
+// together, which is what lets a pipelined burst of point requests, which
+// promise nothing across requests, share one walk per chain.
+//
+// A window starts where the last one is held, or at the head of the chain
+// of the first op not yet done if that hold is gone, and does every op
+// whose key it reaches within its budget: each op linearizes in the window
+// that reaches its key. A window ends when its budget is spent or its
+// write set is passWrites stores long, holding a node below the next op's
+// key — where the last op's walk left off (Nil if that is a chain's head)
+// after a done op, the node the walk stopped at after a cut — so no pass
+// window needs the serial fallback for capacity (TestPassWindowsFit). How
+// many ops are done advances only when a window commits (the advance
+// hook), so an aborted window's ops run again.
+//
+// A whole-op mode (HTM, ER: its window is unbounded) runs each op as its
+// own Op instead, as its point path does: one window for the whole pass
+// would be Apply's uncut transaction.
+func (c *Chassis[N]) Pass(tid int, ops []Op, chainOf func(key uint64) arena.Handle, visit Visit) []bool {
+	if len(ops) == 0 {
+		return nil
+	}
+	ts := &c.ops[tid]
+	out, order := c.sorted(ts, ops, arena.Nil, chainOf)
+	if c.Traits.WholeOp {
+		for i, op := range ops {
+			out[i] = c.one(tid, op, chainOf(op.Key), visit)
+		}
+		return out
+	}
+	ts.n += uint64(len(ops))
+	ts.done = 0
+	c.Link.Begin(tid)
+	defer c.Link.End(tid)
+	c.RT.Chain(tid, func(tx *stm.Tx) bool {
+		j := ts.done
+		at, _, held, budget := c.start(tx, tid, order[j].chain, 0)
+		for {
+			v := order[j]
+			res, to, steps, done := visit(tx, tid, ops[v.i], at, budget)
+			if at = to; !done {
+				break // cut: hold where the walk stopped
+			}
+			out[v.i] = res
+			budget -= steps + 1
+			if j++; j == len(order) {
+				at = arena.Nil
+				break
+			}
+			if order[j].chain != v.chain {
+				at = order[j].chain
+			}
+			if budget <= 0 || tx.Writes() >= passWrites {
+				if at == order[j].chain {
+					at = arena.Nil // the next window starts at the head anyway
+				}
+				break
+			}
+		}
+		c.settle(tx, tid, held, at, 0)
+		tx.OnCommitCall(c.advance, uint64(tid), uint64(j), 0)
+		return j < len(order)
+	})
+	return out
+}
+
+// one runs op alone as an Op from root, through visit.
+func (c *Chassis[N]) one(tid int, op Op, root arena.Handle, visit Visit) (res bool) {
+	c.Op(tid, root, 0, func(tx *stm.Tx, start arena.Handle, _ uint64, budget int) (arena.Handle, uint64, bool) {
+		r, at, _, done := visit(tx, tid, op, start, budget)
+		if res = r; done {
+			return arena.Nil, 0, false
+		}
+		return at, 0, true
+	})
+	return res
 }
 
 // Release ends the hold an Op of tid's left past its end, in a transaction

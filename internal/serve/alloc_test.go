@@ -89,17 +89,18 @@ func newAllocShards(t testing.TB, slots, shards int, traced bool) *Server {
 	return NewServer(cfg)
 }
 
-// pinZero runs one scripted request per iteration and fails on the first
-// heap allocation. The script must be steady-state: every SET matched by
-// a DEL, so the arena neither grows nor shrinks across iterations.
+// pinZero runs linesPerIter scripted requests per iteration, each a burst of
+// its own, and fails on the first heap allocation. The script must be
+// steady-state: every SET matched by a DEL, so the arena neither grows nor
+// shrinks across iterations.
 func pinZero(t *testing.T, name string, srv *Server, script string, linesPerIter int) {
 	t.Helper()
-	pinAt(t, name, srv, script, linesPerIter, 0)
+	pinBursts(t, name, srv, script, linesPerIter, 1)
 }
 
-// pinAt is pinZero with a budget above zero, for a shape whose remaining
-// allocations are owned by a layer below the server.
-func pinAt(t *testing.T, name string, srv *Server, script string, linesPerIter int, budget float64) {
+// pinBursts is pinZero for bursts of burst requests: what is pending runs
+// after every burst-th line, as where a pipelined burst ends.
+func pinBursts(t *testing.T, name string, srv *Server, script string, linesPerIter, burst int) {
 	t.Helper()
 	skipUnderRace(t)
 	c := newAllocConn(t, srv, script)
@@ -109,28 +110,33 @@ func pinAt(t *testing.T, name string, srv *Server, script string, linesPerIter i
 			if err != nil {
 				t.Fatalf("%s: scan: %v", name, err)
 			}
-			if !c.serveLine(line) {
+			if !c.serveLine(line) || (i+1)%burst == 0 && !c.flushPend() {
 				t.Fatalf("%s: connection dropped", name)
 			}
 		}
 	}
 	serve() // prime: leases, scratch high-water marks, arena free lists
-	if got := testing.AllocsPerRun(2000, serve); got > budget {
-		t.Errorf("%s: %.4f allocs/op, want <= %.0f", name, got, budget)
+	if got := testing.AllocsPerRun(2000, serve); got > 0 {
+		t.Errorf("%s: %.4f allocs/op, want 0", name, got)
 	}
 }
 
 // TestServeAllocsPointOps pins the GET, SET and DEL serve paths at zero
-// heap allocations per request. The pins call serveLine and never end a
-// burst, so on a traced server the connection's forensic scratch (16
-// entries) fills and publishes early every sixteenth request; the long
-// burst runs that overflow three times per iteration.
+// heap allocations per request: alone, and pipelined. The pins run what is
+// pending but never end a burst's leases, so on a traced server the
+// connection's forensic scratch (16 entries) fills and publishes early
+// every sixteenth request; the run of 50 lone requests overflows it three
+// times per iteration. A pipelined burst of 8 is one pass per shard under
+// one span, on one shard and on two.
 func TestServeAllocsPointOps(t *testing.T) {
+	burst := "SET 9\nGET 9\nDEL 9\nGET 10\nSET 12\nGET 11\nDEL 12\nGET 12\n"
 	for _, cfg := range allocConfigs {
-		srv := newAllocServer(t, 3, cfg.traced) // a slot per pinned conn: each keeps its lease
+		srv := newAllocServer(t, 4, cfg.traced) // a slot per pinned conn: each keeps its lease
 		pinZero(t, cfg.name+"/GET", srv, "GET 5\n", 1)
 		pinZero(t, cfg.name+"/SET+DEL", srv, "SET 6\nDEL 6\n", 2)
-		pinZero(t, cfg.name+"/burst-of-50", srv, strings.Repeat("SET 9\nGET 9\nDEL 9\nGET 10\nGET 11\n", 10), 50)
+		pinZero(t, cfg.name+"/lone-50", srv, strings.Repeat("SET 9\nGET 9\nDEL 9\nGET 10\nGET 11\n", 10), 50)
+		pinBursts(t, cfg.name+"/burst-of-8", srv, burst, 8, 8)
+		pinBursts(t, cfg.name+"/burst-of-8/shards=2", newAllocShards(t, 1, 2, cfg.traced), burst, 8, 8)
 	}
 }
 

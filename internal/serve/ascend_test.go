@@ -479,42 +479,18 @@ func TestReadReplyAgainstServer(t *testing.T) {
 
 // TestServerSaturationKeepsConnection pins the shedding contract from the
 // client's side: with the only slot leased out-of-band and the wait queue
-// full, GET / MULTI / ASCEND / auto-batched requests are answered with
+// full, GET / MULTI / ASCEND / pipelined requests are answered with
 // ERR lines — and the SAME connection keeps working once the pool frees
 // up. Before this fix the server dropped the whole pipelined connection.
 func TestServerSaturationKeepsConnection(t *testing.T) {
-	ts := startServer(t, newSharded(t, 1, 1), serve.PoolConfig{Slots: 1, MaxWaiters: 1}, serve.ServerConfig{AutoBatch: 8})
+	ts := startServer(t, newSharded(t, 1, 1), serve.PoolConfig{Slots: 1, MaxWaiters: 1}, serve.ServerConfig{})
 	pool := ts.pools[0]
 	cl := dialClient(t, ts.addr)
 	if r := cl.roundTrip(t, "SET 7")[0]; r != "1" {
 		t.Fatalf("warm-up SET -> %q", r)
 	}
 
-	saturate := func() (release func()) {
-		t.Helper()
-		slot, err := pool.Acquire(context.Background())
-		if err != nil {
-			t.Fatalf("acquire: %v", err)
-		}
-		waiterDone := make(chan struct{})
-		go func() {
-			defer close(waiterDone)
-			s, err := pool.Acquire(context.Background())
-			if err == nil {
-				pool.Release(s)
-			}
-		}()
-		for i := 0; pool.Stats().Waiting < 1; i++ {
-			if i > 5000 {
-				t.Fatal("waiter never queued")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return func() {
-			pool.Release(slot)
-			<-waiterDone
-		}
-	}
+	saturate := func() (release func()) { return saturatePool(t, pool) }
 
 	// Plain verb: the request is shed, the connection is not.
 	release := saturate()
@@ -527,7 +503,7 @@ func TestServerSaturationKeepsConnection(t *testing.T) {
 		t.Fatalf("GET after shed -> %q, want 1 on the same connection", r)
 	}
 
-	// Auto-batched burst: every un-executed op gets its own ERR reply.
+	// Pipelined burst: every un-executed op gets its own ERR reply.
 	release = saturate()
 	cl.sendLines(t, "GET 7", "GET 7", "GET 7")
 	for i := 0; i < 3; i++ {
@@ -558,6 +534,35 @@ func TestServerSaturationKeepsConnection(t *testing.T) {
 	}
 	if r := cl.roundTrip(t, "GET 7")[0]; r != "1" {
 		t.Fatalf("final GET -> %q: connection should have survived everything", r)
+	}
+}
+
+// saturatePool leases pool's only slot out of band and fills its one-place
+// wait queue, so that any further Acquire is refused with ErrSaturated
+// until release.
+func saturatePool(t *testing.T, pool *serve.Pool) (release func()) {
+	t.Helper()
+	slot, err := pool.Acquire(context.Background())
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	waiterDone := make(chan struct{})
+	go func() {
+		defer close(waiterDone)
+		s, err := pool.Acquire(context.Background())
+		if err == nil {
+			pool.Release(s)
+		}
+	}()
+	for i := 0; pool.Stats().Waiting < 1; i++ {
+		if i > 5000 {
+			t.Fatal("waiter never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() {
+		pool.Release(slot)
+		<-waiterDone
 	}
 }
 

@@ -9,15 +9,15 @@ import (
 )
 
 // BenchmarkServePoint prices the request pipeline in process — scanner,
-// parse, lease, RR-V list operation, reply render, and at the end of every
-// burst of eight the lease release and forensics publication handle() does
-// — with no socket in the way, bare and with an obs domain (the way
-// cmd/hohserver and the benchmark always run). The difference between the
-// two rows is what always-on request forensics cost per request; the
-// conns=4 rows run four connections at once, so state they share (a
-// histogram line, a sketch lock) shows up as a wider difference. The
-// script is SET k / GET k+1 / DEL k over the odd keys of a 64-key list
-// whose even keys are resident. One iteration is one request.
+// parse, and at the end of every burst of eight what handle() does there:
+// the burst's one pass (lease, RR-V list pass, reply render), the lease
+// release and forensics publication — with no socket in the way, bare and
+// with an obs domain (the way cmd/hohserver and the benchmark always run).
+// The difference between the two rows is what always-on request forensics
+// cost per request; the conns=4 rows run four connections at once, so
+// state they share (a histogram line, a sketch lock) shows up as a wider
+// difference. The script is SET k / GET k+1 / DEL k over the odd keys of a
+// 64-key list whose even keys are resident. One iteration is one request.
 //
 // EXPERIMENTS.md ("What request forensics cost") records it with -cpu 1
 // and test binaries of the parent and the change alternated.
@@ -36,6 +36,7 @@ func BenchmarkServePoint(b *testing.B) {
 				for k := 2; k <= 64; k += 2 {
 					fill.serveLine([]byte(fmt.Sprintf("SET %d", k)))
 				}
+				fill.flushPend()
 				fill.endBurst()
 				serve := func(next func() bool) {
 					c := srv.newConn(&loopReader{data: []byte(script.String())}, io.Discard)
@@ -47,6 +48,7 @@ func BenchmarkServePoint(b *testing.B) {
 							return
 						}
 						if n%burst == 0 {
+							c.flushPend()
 							c.endBurst()
 							c.last = 0 // handle's next read would go to the network
 						}

@@ -24,8 +24,11 @@ import (
 //	render   reply bytes; reject for diagnoses, shed for lease refusals
 //	publish  endBurst: slots back, hot-key charges out, flush
 //
-// A traced GET, SET or DEL reads the clock (obs.Now) once, when its reply
-// is rendered; MULTI, BATCH and ASCEND, which render many lines, read it at
+// GET, SET and DEL wait in pend until the burst ends, another verb comes
+// or MaxBatch are pending: a lone one then runs on its own (serveOne), two
+// or more as one hand-over-hand pass per shard (servePass, a BATCH span).
+// A traced lone request reads the clock (obs.Now) once, when its reply is
+// rendered; MULTI, BATCH and ASCEND, which render many lines, read it at
 // three stage boundaries — span armed, execution done, reply rendered.
 // Each stamp serves everyone who needs that boundary: the last one is also
 // the next request's start. DESIGN.md §9 holds the contract as a table
@@ -35,7 +38,8 @@ import (
 type verb struct {
 	name string
 	// point marks GET/SET/DEL: one key, one set operation of the given
-	// kind, timed into hist — what MULTI bodies and the auto-batcher take.
+	// kind, timed into hist when it runs alone — what MULTI bodies and
+	// passes take.
 	point  bool
 	kind   sets.OpKind
 	hist   func(*obs.ServeProbe) *obs.Histogram
@@ -47,8 +51,8 @@ type verb struct {
 
 // verbs is filled by init (the handlers reach back to it through
 // lookupVerb, which a composite-literal initializer may not). The point
-// rows come first, in OpKind order (AppendRequest indexes them), and the
-// last row answers any name the others do not.
+// rows come first, in OpKind order (AppendRequest and serveOne index
+// them), and the last row answers any name the others do not.
 var verbs []verb
 
 func init() {
@@ -150,10 +154,11 @@ type conn struct {
 	leases *connLeases
 
 	scratch []byte        // reply/error rendering
-	pend    []sets.Op     // auto-batch accumulation
+	pend    []sets.Op     // point requests waiting for their burst's end
 	ops     []sets.Op     // MULTI body
-	results []sets.Result // execOps: per-op outcomes, op order
-	plan    shardPlan     // execOps: the batch split by shard
+	results []sets.Result // execOps, servePass: per-op outcomes, op order
+	plan    shardPlan     // execOps, servePass: the ops split by shard
+	refused []error       // servePass: per shard, why its lease was refused
 	cursors []shardCursor // ASCEND: the merge's per-shard state
 
 	// Request forensics, used only by a server with an obs domain: a
@@ -171,6 +176,7 @@ func (s *Server) newConn(r io.Reader, w io.Writer) *conn {
 		srv:     s,
 		bw:      bufio.NewWriterSize(w, 4<<10),
 		leases:  newConnLeases(s.shards),
+		refused: make([]error, len(s.shards)),
 		cursors: make([]shardCursor, len(s.shards)),
 		id:      s.connSeq.Add(1),
 		burst:   obs.NewBurst(s.hot),
@@ -232,7 +238,7 @@ func (s *Server) handle(nc net.Conn) {
 			break
 		}
 		if c.br.Buffered() == 0 {
-			// Burst over: run what accumulated, then publish and push the
+			// Burst over: run what is pending, then publish and push the
 			// replies out.
 			if !c.flushPend() {
 				break
@@ -249,7 +255,7 @@ func (s *Server) handle(nc net.Conn) {
 // serveLine runs one request line through the pipeline and reports whether
 // the connection survives. The line aliases the scanner's buffer:
 // everything that must outlive the next read is parsed or copied out here.
-// Any verb but a point op first drains the pending auto-batch, so replies
+// Any verb but a point op first runs the pending point requests, so replies
 // stay in request order.
 func (c *conn) serveLine(line []byte) bool {
 	name, args := cutSpace(line)
@@ -259,20 +265,27 @@ func (c *conn) serveLine(line []byte) bool {
 	}
 	chained := c.last
 	keep := v.serve(c, v, args)
-	if c.last == chained {
-		// The line finished no span (LEN, INFO, SLOWLOG, a rejection): what
-		// it cost is not the next request's, which stamps its own start.
+	if c.last == chained && len(c.pend) == 0 {
+		// The line finished no span and left none pending (LEN, INFO,
+		// SLOWLOG, a rejection): what it cost is not the next request's,
+		// which stamps its own start.
 		c.last = 0
 	}
 	return keep
 }
 
-// flushPend executes the pending auto-batch, if any.
+// flushPend runs the pending point requests: a lone one on its own, two or
+// more as one pass per shard.
 func (c *conn) flushPend() bool {
-	if len(c.pend) == 0 {
+	var ok bool
+	switch len(c.pend) {
+	case 0:
 		return true
+	case 1:
+		ok = c.serveOne(c.pend[0])
+	default:
+		ok = c.servePass(c.pend)
 	}
-	ok := c.execOps(c.pend, c.srv.autoBatch, true)
 	c.pend = c.pend[:0]
 	return ok
 }
@@ -413,24 +426,31 @@ func (s *Server) parseKey(arg []byte) (uint64, wireErr) {
 	return key, wireErr{}
 }
 
-// servePoint is GET, SET and DEL. With AutoBatch configured a clean
-// request only joins the pending batch, which executes (as capacity-split
-// batch transactions) when the burst ends, another verb arrives, or the
-// split threshold fills. A traced request reads the clock once, after its
-// 2-byte reply is rendered: it has no write phase of its own (the render is
-// in its lease remainder), and its service time is end − start − wait.
+// servePoint is GET, SET and DEL: a clean request joins pend, which runs
+// when the burst ends, another verb arrives or MaxBatch requests wait; a
+// malformed one runs what is pending first, so its ERR line keeps its
+// place.
 func (c *conn) servePoint(v *verb, args []byte) bool {
-	s := c.srv
-	key, we := s.parseKey(args)
+	key, we := c.srv.parseKey(args)
 	if we.code != wireOK {
-		return c.flushPend() && c.reject("", we)
+		if !c.flushPend() {
+			return false
+		}
+		c.last = 0 // the rejection finishes no span: see serveLine
+		return c.reject("", we)
 	}
-	if s.autoBatch > 1 {
-		c.pend = append(c.pend, sets.Op{Kind: v.kind, Key: key})
-		return len(c.pend) < s.autoBatch || c.flushPend()
-	}
-	shard := ShardOf(key, len(s.shards))
-	sp := c.begin(v.name, key)
+	c.pend = append(c.pend, sets.Op{Kind: v.kind, Key: key})
+	return len(c.pend) < c.srv.maxBatch || c.flushPend()
+}
+
+// serveOne runs a lone point request under its own span, timed into its
+// verb's histogram. A traced one reads the clock once, after its 2-byte
+// reply is rendered: it has no write phase of its own (the render is in its
+// lease remainder), and its service time is end − start − wait.
+func (c *conn) serveOne(op sets.Op) bool {
+	s, v := c.srv, &verbs[op.Kind]
+	shard := ShardOf(op.Key, len(s.shards))
+	sp := c.begin(v.name, op.Key)
 	slot, err := c.enter(shard, sp)
 	if err != nil {
 		// The span still finishes: a shed request is a tail-latency event
@@ -440,17 +460,8 @@ func (c *conn) servePoint(v *verb, args []byte) bool {
 		c.finish(sp, t0)
 		return keep
 	}
-	set := s.shards[shard].Set
-	var ok bool
-	switch v.kind {
-	case sets.OpLookup:
-		ok = set.Lookup(slot, key)
-	case sets.OpInsert:
-		ok = set.Insert(slot, key)
-	default:
-		ok = set.Remove(slot, key)
-	}
-	if d := keyDelta[v.kind]; ok && d != 0 {
+	ok := sets.Do(s.shards[shard].Set, slot, op)
+	if d := keyDelta[op.Kind]; ok && d != 0 {
 		s.keys.Add(d)
 	}
 	c.leave(shard, slot, sp)
@@ -521,48 +532,27 @@ func (c *conn) serveMulti(_ *verb, countArg []byte) bool {
 		}
 		c.ops = append(c.ops, op)
 	}
-	// Explicit MULTI is never capacity-split (split=0): the client asked
-	// for atomicity, so an over-capacity batch takes the serial fallback
-	// instead — that cliff is the measurement, not a failure.
-	return c.execOps(c.ops, 0, false)
+	return c.execOps(c.ops)
 }
 
-// execOps runs a batch of single-key ops and writes one 1/0 reply line per
-// op, in op order. Ops group by shard (order preserved within a shard) and
-// each shard's sub-batch executes through Set.Apply as one transaction —
-// unless split > 0, in which case sub-batches chunk into transactions of
-// at most split ops (the capacity-aware split used for auto-batching,
-// where no atomicity was promised).
+// execOps runs a MULTI frame's ops and writes one 1/0 reply line per op,
+// in op order. Ops group by shard (order preserved within a shard) and each
+// shard's sub-batch executes through Set.Apply as one transaction, never
+// split: the client asked for atomicity, so an over-capacity frame takes
+// the serial fallback instead — that cliff is the measurement, not a
+// failure.
 //
 // A lease failure stops execution at that shard: the shards before it, in
 // the plan's ascending order, keep their effects (atomicity is per-shard)
-// and the rest never run. How the failure is reported depends on where the
-// ops came from. perOpErr=true is the auto-batch path — each op was an
-// individual pipelined request owed its own reply line, so executed ops
-// answer 1/0 and unexecuted ops answer ERR. perOpErr=false is the MULTI
-// path — a refused frame answers a single ERR line with no body replies,
-// matching serveMulti's rejections. Either way the return value follows
-// the shedding contract.
-func (c *conn) execOps(ops []sets.Op, split int, perOpErr bool) bool {
+// and the rest never run. The refused frame answers a single ERR line with
+// no body replies, matching serveMulti's rejections, under the shedding
+// contract.
+func (c *conn) execOps(ops []sets.Op) bool {
 	s := c.srv
-	name := "MULTI"
-	if perOpErr {
-		name = "BATCH" // auto-batched pipelined burst
-	}
-	sp := c.begin(name, 0)
-	if sp != nil {
-		for _, op := range ops {
-			sp.AddKey(op.Key)
-		}
-	}
-	sampled := c.sampled()
-	t0 := stamp(sp)
-	if cap(c.results) < len(ops) {
-		c.results = make([]sets.Result, len(ops))
-	}
-	results := c.results[:len(ops)]
+	sp := c.begin("MULTI", 0)
+	sampled, t0 := c.spanKeys(sp, ops)
+	results := c.resultsFor(ops)
 	splitByShard(&c.plan, ops, len(s.shards))
-	failed, txs := len(s.shards), 0 // failed: the first shard that never ran
 	var leaseErr error
 	for sh, sub := range c.plan.ops {
 		if len(sub) == 0 {
@@ -570,48 +560,117 @@ func (c *conn) execOps(ops []sets.Op, split int, perOpErr bool) bool {
 		}
 		slot, err := c.enter(sh, sp)
 		if err != nil {
-			failed, leaseErr = sh, err
+			leaseErr = err
 			break
 		}
-		set, idx := s.shards[sh].Set, c.plan.idx[sh]
-		for len(sub) > 0 {
-			chunk := sub
-			if split > 0 && len(chunk) > split {
-				chunk = chunk[:split]
-			}
-			txs++
-			if sampled {
-				s.probe.BatchOp.RecordAt(c.id, uint64(len(chunk)))
-			}
-			for i, r := range set.Apply(slot, chunk) {
-				results[idx[i]] = r
-				if d := keyDelta[chunk[i].Kind]; r && d != 0 {
-					s.keys.Add(d)
-				}
-			}
-			sub, idx = sub[len(chunk):], idx[len(chunk):]
+		if sampled {
+			s.probe.BatchOp.RecordAt(c.id, uint64(len(sub)))
+		}
+		for i, r := range s.shards[sh].Set.Apply(slot, sub) {
+			results[c.plan.idx[sh][i]] = r
+			c.count(sub[i], r)
 		}
 		c.leave(sh, slot, sp)
 	}
-	w0 := stamp(sp)
-	if sampled {
-		s.probe.BatchNs.RecordAt(c.id, uint64(w0-t0))
-		s.probe.Splits.RecordAt(c.id, uint64(txs))
-	}
+	w0 := c.executed(sp, sampled, t0)
 	keep := true
-	if leaseErr != nil && !perOpErr {
+	if leaseErr != nil {
 		keep = c.shed("multi: ", leaseErr)
 	} else {
-		for i, r := range results {
-			if leaseErr != nil && ShardOf(ops[i].Key, len(s.shards)) >= failed {
-				keep = c.shed("", leaseErr)
-			} else {
-				c.writeBit(r)
-			}
+		for _, r := range results {
+			c.writeBit(r)
 		}
 	}
 	c.finish(sp, w0)
 	return keep
+}
+
+// servePass runs a burst's pending point requests, two or more, and writes
+// each its reply, in request order, under one BATCH span. Each shard
+// touched runs its requests as one hand-over-hand pass (passOn): every
+// request linearizes on its own, as it would alone, but the shard's chain
+// is walked once for all of them. A shard whose lease is refused answers
+// each of its requests with the ERR line that request would get alone, and
+// the other shards still run; a refusal other than saturation drops the
+// connection after its first ERR line.
+func (c *conn) servePass(ops []sets.Op) bool {
+	s := c.srv
+	sp := c.begin("BATCH", 0)
+	sampled, t0 := c.spanKeys(sp, ops)
+	results := c.resultsFor(ops)
+	splitByShard(&c.plan, ops, len(s.shards))
+	for sh, sub := range c.plan.ops {
+		c.refused[sh] = c.passOn(sh, sub, results, c.plan.idx[sh], sp)
+	}
+	w0 := c.executed(sp, sampled, t0)
+	keep := true
+	for i, r := range results {
+		if err := c.refused[ShardOf(ops[i].Key, len(s.shards))]; err != nil {
+			if keep = c.shed("", err); !keep {
+				break
+			}
+			continue
+		}
+		c.writeBit(r)
+	}
+	c.finish(sp, w0)
+	return keep
+}
+
+// passOn runs ops, every one routed to shard sh, as one pass under a lease
+// on it (Sharded.passShard: op j's result to out[idx[j]]) and books what
+// they did to the key count. It returns the lease's refusal, having run
+// nothing, if there was one.
+func (c *conn) passOn(sh int, ops []sets.Op, out []sets.Result, idx []int, sp *obs.Span) error {
+	if len(ops) == 0 {
+		return nil
+	}
+	slot, err := c.enter(sh, sp)
+	if err != nil {
+		return err
+	}
+	c.srv.view.passShard(sh, slot, ops, out, idx)
+	for j, op := range ops {
+		c.count(op, out[idx[j]])
+	}
+	c.leave(sh, slot, sp)
+	return nil
+}
+
+// spanKeys opens a many-op request: the span carries every op's key, and
+// the sampling decision and the execution's start stamp are taken.
+func (c *conn) spanKeys(sp *obs.Span, ops []sets.Op) (sampled bool, t0 int64) {
+	if sp != nil {
+		for _, op := range ops {
+			sp.AddKey(op.Key)
+		}
+	}
+	return c.sampled(), stamp(sp)
+}
+
+// resultsFor returns the connection's result buffer sized for ops.
+func (c *conn) resultsFor(ops []sets.Op) []sets.Result {
+	if cap(c.results) < len(ops) {
+		c.results = make([]sets.Result, len(ops))
+	}
+	return c.results[:len(ops)]
+}
+
+// count books what op's result r did to the key count.
+func (c *conn) count(op sets.Op, r sets.Result) {
+	if d := keyDelta[op.Kind]; r && d != 0 {
+		c.srv.keys.Add(d)
+	}
+}
+
+// executed stamps the end of a many-op request's execution, which is the
+// start of its write phase, and times the execution into BatchNs.
+func (c *conn) executed(sp *obs.Span, sampled bool, t0 int64) (w0 int64) {
+	w0 = stamp(sp)
+	if sampled {
+		c.srv.probe.BatchNs.RecordAt(c.id, uint64(w0-t0))
+	}
+	return w0
 }
 
 // serveAscend executes one ASCEND <lo> <n> request: stream up to n keys
@@ -755,10 +814,10 @@ func (c *conn) serveInfo(*verb, []byte) bool {
 		scan = "none"
 	}
 	tm := s.view.TMStats()
-	fmt.Fprintf(c.bw, "variant=%s shards=%d slots=%d keys=%d live=%d deferred=%d conns=%d maxbatch=%d autobatch=%d multi=%s scan=%s commits=%d ro_commits=%d rw_commits=%d serial=%d aborts=%d",
+	fmt.Fprintf(c.bw, "variant=%s shards=%d slots=%d keys=%d live=%d deferred=%d conns=%d maxbatch=%d multi=%s scan=%s commits=%d ro_commits=%d rw_commits=%d serial=%d aborts=%d",
 		s.shards[0].Set.Name(), len(s.shards), s.shards[0].Pool.Slots(),
 		s.keys.Load(), s.view.LiveNodes(), s.view.DeferredNodes(), s.conns.Load(),
-		s.maxBatch, s.autoBatch, multi, scan, tm.Commits, tm.ReadOnlyCommits(), tm.WriteCommits, tm.SerialCommits, tm.TotalAborts())
+		s.maxBatch, multi, scan, tm.Commits, tm.ReadOnlyCommits(), tm.WriteCommits, tm.SerialCommits, tm.TotalAborts())
 	if s.obsAddr != "" {
 		fmt.Fprintf(c.bw, " obs=%s", s.obsAddr)
 	}

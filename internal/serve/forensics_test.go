@@ -434,30 +434,35 @@ func (cl *client) slowlog(t *testing.T, n int) []slowEntry {
 	return out
 }
 
-// TestPointSpanContract pins what a traced GET, SET or DEL records now that
-// it reads the clock once, after its reply is rendered: no write phase of
-// its own (the 2-byte render is in its lease remainder, and the six phases
-// still sum to the total), and a service-time sample of total − wait. MULTI
-// and ASCEND, which render many lines, keep their write phase.
+// TestPointSpanContract pins what a lone traced GET, SET or DEL records now
+// that it reads the clock once, after its reply is rendered: no write phase
+// of its own (the 2-byte render is in its lease remainder, and the six
+// phases still sum to the total), and a service-time sample of total −
+// wait. A pipelined pair runs as one pass under one BATCH span, which, like
+// MULTI and ASCEND, renders many lines and keeps its write phase.
 func TestPointSpanContract(t *testing.T) {
 	ts := startServer(t, observedShards(t, 1, 1), serve.PoolConfig{Slots: 1}, tracedConfig(t, 1))
 	cl := dialClient(t, ts.addr)
 
 	// The one GET the histogram holds: its sample is its span's total − wait.
-	cl.roundTrip(t, "SET 99", "GET 99")
+	cl.roundTrip(t, "SET 99")
+	cl.roundTrip(t, "GET 99")
 	get := ts.cfg.Obs.Hist("serve_get_ns", "ns").Snapshot()
 	if get.Count != 1 {
 		t.Fatalf("serve_get_ns holds %d samples, want 1", get.Count)
 	}
 
-	gets := []string{"SET 1", "SET 2"}
+	alone := []string{"SET 1", "SET 2"}
 	for k := 1; k <= 6; k++ {
-		gets = append(gets, fmt.Sprintf("GET %d", k))
+		alone = append(alone, fmt.Sprintf("GET %d", k))
 	}
-	cl.roundTrip(t, gets...)
+	for _, r := range alone {
+		cl.roundTrip(t, r)
+	}
+	cl.roundTrip(t, "SET 4", "GET 4")
 	cl.multi(t, "SET 3", "GET 3")
-	if keys := cl.ascend(t, 1, 10); len(keys) != 4 {
-		t.Fatalf("ASCEND 1 10 returned %v, want 4 keys", keys)
+	if keys := cl.ascend(t, 1, 10); len(keys) != 5 {
+		t.Fatalf("ASCEND 1 10 returned %v, want 5 keys", keys)
 	}
 
 	verbs := map[string]int{}
@@ -474,13 +479,18 @@ func TestPointSpanContract(t *testing.T) {
 					t.Errorf("serve_get_ns sample = %d, want total − wait = %d: %s", get.Sum, want, e.line)
 				}
 			}
+		case "BATCH":
+			if e.f["keys"] != "4,4" {
+				t.Errorf("the pipelined pair's span carries keys %s, want 4,4: %s", e.f["keys"], e.line)
+			}
+			fallthrough
 		default:
 			if write == 0 {
 				t.Errorf("%s lost its write phase: %s", verb, e.line)
 			}
 		}
 	}
-	if want := map[string]int{"GET": 7, "SET": 3, "MULTI": 1, "ASCEND": 1}; !reflect.DeepEqual(verbs, want) {
+	if want := map[string]int{"GET": 7, "SET": 3, "BATCH": 1, "MULTI": 1, "ASCEND": 1}; !reflect.DeepEqual(verbs, want) {
 		t.Errorf("SLOWLOG verbs = %v, want %v", verbs, want)
 	}
 }
@@ -535,22 +545,26 @@ func TestSlowlogPhasesReconcile(t *testing.T) {
 			}
 
 			// Two requests that arrive in two segments each, a point op cut
-			// mid-line and a frame cut mid-body, each right behind a traced
-			// request: how long the client took to send the rest is not theirs.
+			// mid-line (pipelined behind another, so the pair is one BATCH)
+			// and a frame cut mid-body (right behind a lone GET): how long
+			// the client took to send the rest is not theirs.
 			const pause = 40 * time.Millisecond
-			for _, seg := range [][2]string{{"SET 5\nGE", "T 5\n"}, {"GET 5\nMULTI 2\nSET 200\n", "SET 201\n"}} {
-				cl.bw.WriteString(seg[0])
+			for _, seg := range []struct {
+				head, tail string
+				want       []string
+			}{{"SET 5\nGE", "T 5\n", []string{"0", "1"}}, {"GET 5\nMULTI 2\nSET 200\n", "SET 201\n", []string{"1", "1", "1"}}} {
+				cl.bw.WriteString(seg.head)
 				if err := cl.bw.Flush(); err != nil {
 					t.Fatalf("flush: %v", err)
 				}
 				time.Sleep(pause)
-				cl.bw.WriteString(seg[1])
+				cl.bw.WriteString(seg.tail)
 				if err := cl.bw.Flush(); err != nil {
 					t.Fatalf("flush: %v", err)
 				}
-			}
-			if got, want := cl.read(t, 5), []string{"0", "1", "1", "1", "1"}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("split requests answered %v, want %v", got, want)
+				if got := cl.read(t, len(seg.want)); !reflect.DeepEqual(got, seg.want) {
+					t.Fatalf("split requests %q answered %v, want %v", seg.head+seg.tail, got, seg.want)
+				}
 			}
 
 			verbs := map[string]int{}
@@ -564,8 +578,11 @@ func TestSlowlogPhasesReconcile(t *testing.T) {
 					t.Errorf("a request was charged the client's pause between segments: %s", line)
 				}
 			}
-			// Every request sent so far fits one window, so each is there.
-			if want := map[string]int{"MULTI": 2, "ASCEND": 1, "GET": 7, "SET": 3, "DEL": 2}; !reflect.DeepEqual(verbs, want) {
+			// Every request sent so far fits one window, so each is there:
+			// the eight pipelined points and the split pair are one BATCH
+			// each, the queued GET 7 and the GET 5 ahead of the split frame
+			// are alone.
+			if want := map[string]int{"MULTI": 2, "ASCEND": 1, "BATCH": 2, "GET": 2}; !reflect.DeepEqual(verbs, want) {
 				t.Errorf("SLOWLOG verbs = %v, want %v", verbs, want)
 			}
 			if !sawWait {

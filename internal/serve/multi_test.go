@@ -216,39 +216,60 @@ func TestMultiInfoAtomic(t *testing.T) {
 	}
 }
 
-// TestMultiAutoBatch checks transparent coalescing is invisible at the
-// protocol level: a server with AutoBatch set answers a pipelined burst
-// of plain verbs exactly like an unbatched one, including interleaved
-// non-key verbs and malformed lines, and the memory books still balance.
+// TestMultiAutoBatch: the server coalesces every pipelined burst of point
+// requests into one pass per shard, and that is invisible at the protocol
+// level. The same requests, pipelined to one server and sent one at a time
+// to a twin, answer byte for byte alike — interleaved non-key verbs and a
+// malformed line included, and with the last shard's lease shed mid-burst,
+// where the requests that shard owns answer ERR and the rest still run —
+// and both servers' books balance at the drain.
 func TestMultiAutoBatch(t *testing.T) {
-	ts := startServer(t, newSharded(t, 1, 2), serve.PoolConfig{Slots: 2}, serve.ServerConfig{AutoBatch: 4})
-	srv, set, addr := ts.srv, ts.sh.Shard(0), ts.addr
-	mem := set.(sets.MemoryReporter)
-	baseline := mem.LiveNodes()
-	cl := dialClient(t, addr)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			pc := serve.PoolConfig{Slots: 1, MaxWaiters: 1}
+			piped := startServer(t, newSharded(t, shards, 1), pc, serve.ServerConfig{})
+			alone := startServer(t, newSharded(t, shards, 1), pc, serve.ServerConfig{})
+			pcl, acl := dialClient(t, piped.addr), dialClient(t, alone.addr)
+			same := func(what string, reqs []string) {
+				t.Helper()
+				got := strings.Join(pcl.roundTrip(t, reqs...), "\n")
+				var want []string
+				for _, r := range reqs {
+					want = append(want, acl.roundTrip(t, r)...)
+				}
+				if got != strings.Join(want, "\n") {
+					t.Fatalf("%s: pipelined\n%s\none at a time\n%s", what, got, strings.Join(want, "\n"))
+				}
+			}
 
-	const n = 50
-	var reqs, want []string
-	for k := 1; k <= n; k++ {
-		reqs = append(reqs, fmt.Sprintf("SET %d", k))
-		want = append(want, "1")
-	}
-	reqs = append(reqs, "LEN", "SET zero")
-	want = append(want, fmt.Sprint(n), "ERR bad key \"zero\"")
-	for k := 1; k <= n; k++ {
-		reqs = append(reqs, fmt.Sprintf("DEL %d", k))
-		want = append(want, "1")
-	}
-	got := cl.roundTrip(t, reqs...)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("auto-batched reply %d (%q) = %q, want %q", i, reqs[i], got[i], want[i])
-		}
-	}
-	if live := mem.LiveNodes(); live != baseline {
-		t.Fatalf("live nodes after auto-batched storm = %d, want baseline %d", live, baseline)
-	}
-	if srv.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", srv.Len())
+			const n = 50
+			var reqs []string
+			for k := 1; k <= n; k++ {
+				reqs = append(reqs, fmt.Sprintf("SET %d", k), fmt.Sprintf("GET %d", n+1-k))
+			}
+			reqs = append(reqs, "LEN", "SET zero", "GET 7", "DEL 7", "DEL 7", "SET 7", "LEN")
+			for k := 1; k <= n; k += 2 {
+				reqs = append(reqs, fmt.Sprintf("DEL %d", k))
+			}
+			same("storm", reqs)
+
+			// Shed mid-burst: the last shard refuses its lease on both servers.
+			shed := shards - 1
+			release := []func(){saturatePool(t, piped.pools[shed]), saturatePool(t, alone.pools[shed])}
+			reqs = reqs[:0]
+			for k := 1; k <= 24; k++ {
+				reqs = append(reqs, fmt.Sprintf("%s %d", [...]string{"GET", "SET", "DEL"}[k%3], k))
+			}
+			same("shed", reqs)
+			for _, r := range release {
+				r()
+			}
+			if piped.srv.Len() != alone.srv.Len() {
+				t.Fatalf("Len: %d pipelined, %d one at a time", piped.srv.Len(), alone.srv.Len())
+			}
+			if got, want := piped.sh.Snapshot(), alone.sh.Snapshot(); !sets.KeysEqual(got, want) {
+				t.Fatalf("keys: %v pipelined, %v one at a time", got, want)
+			}
+		})
 	}
 }

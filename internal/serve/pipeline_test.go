@@ -35,17 +35,21 @@ const (
 )
 
 // pipelineCfg is one cell of the configuration cross the transcript
-// replays over.
+// replays over. burst is how a pipelining client writes: a write per burst
+// requests, so the server coalesces bursts that many requests long and
+// runs what is pending at each write's end; 0 writes everything at once.
+// Cells print it as autobatch=, their name since the server coalesced
+// bursts only when configured to.
 type pipelineCfg struct {
-	variant   string
-	shards    int
-	autoBatch int
-	traced    bool
-	family    bench.Family // zero: the singly linked list
+	variant string
+	shards  int
+	burst   int
+	traced  bool
+	family  bench.Family // zero: the singly linked list
 }
 
 func (c pipelineCfg) String() string {
-	s := fmt.Sprintf("%s/shards=%d/autobatch=%d/obs=%v", c.variant, c.shards, c.autoBatch, c.traced)
+	s := fmt.Sprintf("%s/shards=%d/autobatch=%d/obs=%v", c.variant, c.shards, c.burst, c.traced)
 	if c.family != "" {
 		s = string(c.family) + "/" + s
 	}
@@ -61,7 +65,7 @@ func pipelineServer(t testing.TB, cfg pipelineCfg, maxKey uint64, maxBatch int) 
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	sc := serve.ServerConfig{MaxKey: maxKey, MaxBatch: maxBatch, AutoBatch: cfg.autoBatch}
+	sc := serve.ServerConfig{MaxKey: maxKey, MaxBatch: maxBatch}
 	if cfg.traced {
 		sc.Obs = obs.NewDomain(obs.DomainConfig{Name: "server", Threads: goldenSlots})
 		sc.ObsAddr = "127.0.0.1:1"
@@ -239,9 +243,9 @@ func (m *wireModel) reply(r request) string {
 		if m.precise() {
 			live = fmt.Sprint(m.baseline + uint64(len(m.keys)))
 		}
-		out := fmt.Sprintf("variant=%s shards=%d slots=%d keys=%d live=%s deferred=# conns=1 maxbatch=%d autobatch=%d multi=%s scan=%s commits=# ro_commits=# rw_commits=# serial=# aborts=#",
+		out := fmt.Sprintf("variant=%s shards=%d slots=%d keys=%d live=%s deferred=# conns=1 maxbatch=%d multi=%s scan=%s commits=# ro_commits=# rw_commits=# serial=# aborts=#",
 			m.name, m.cfg.shards, goldenSlots, len(m.keys), live,
-			m.maxBatch, m.cfg.autoBatch, multi, scan)
+			m.maxBatch, multi, scan)
 		if m.cfg.traced {
 			out += " obs=#"
 		}
@@ -278,7 +282,7 @@ func mask(line string, precise bool) string {
 
 // goldenScript is the transcript: every verb, every rejection, a MULTI
 // frame, scans that cross the 64-key chunk boundary on one shard and on
-// two, and pipelined point-op runs for the auto-batcher to coalesce. The
+// two, and pipelined point-op runs for the server to run as passes. The
 // last request is the one rejection that drops the connection.
 func goldenScript() []request {
 	var s []request
@@ -356,23 +360,24 @@ func readReply(t *testing.T, br *bufio.Reader, want string, precise bool) string
 }
 
 // TestGoldenTranscript replays the script over every configuration cell,
-// once fully pipelined (one write, so bursts and auto-batches form) and
-// once in lock step, and wants every reply byte-identical to the model's.
+// once pipelined (in one write, or a write per cell's burst, so bursts form
+// and run as passes) and once in lock step, and wants every reply
+// byte-identical to the model's.
 func TestGoldenTranscript(t *testing.T) {
 	script := goldenScript()
 	var cells []pipelineCfg
 	for _, shards := range []int{1, 2} {
 		for _, ab := range []int{0, 8} {
 			for _, traced := range []bool{false, true} {
-				cells = append(cells, pipelineCfg{variant: "RR-V", shards: shards, autoBatch: ab, traced: traced})
+				cells = append(cells, pipelineCfg{variant: "RR-V", shards: shards, burst: ab, traced: traced})
 			}
 		}
 	}
 	// One variant that cannot scan: same script, ERR scan unsupported.
-	cells = append(cells, pipelineCfg{variant: "TMHP", shards: 1}, pipelineCfg{variant: "TMHP", shards: 2, autoBatch: 8, traced: true})
+	cells = append(cells, pipelineCfg{variant: "TMHP", shards: 1}, pipelineCfg{variant: "TMHP", shards: 2, burst: 8, traced: true})
 	// And a family no line of the serving stack or the harness names: hash is
 	// one row of the family table (it has no order, so it cannot scan either).
-	cells = append(cells, pipelineCfg{variant: "RR-V", shards: 1, family: "hash"}, pipelineCfg{variant: "RR-V", shards: 2, autoBatch: 8, traced: true, family: "hash"})
+	cells = append(cells, pipelineCfg{variant: "RR-V", shards: 1, family: "hash"}, pipelineCfg{variant: "RR-V", shards: 2, burst: 8, traced: true, family: "hash"})
 	for _, cfg := range cells {
 		for _, pipelined := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%v/pipelined=%v", cfg, pipelined), func(t *testing.T) {
@@ -391,7 +396,7 @@ func TestGoldenTranscript(t *testing.T) {
 					for _, r := range script {
 						all.WriteString(r.wire())
 					}
-					go io.WriteString(nc, all.String())
+					go writeBursts(nc, all.String(), cfg.burst)
 				}
 				for i, r := range script {
 					if !pipelined {
@@ -412,22 +417,52 @@ func TestGoldenTranscript(t *testing.T) {
 	}
 }
 
+// writeBursts writes text to w a write per burst lines (all at once when
+// burst <= 0).
+func writeBursts(w io.Writer, text string, burst int) error {
+	for text != "" {
+		n := len(text)
+		if burst > 0 {
+			if i := indexNth(text, '\n', burst); i >= 0 {
+				n = i + 1
+			}
+		}
+		if _, err := io.WriteString(w, text[:n]); err != nil {
+			return err
+		}
+		text = text[n:]
+	}
+	return nil
+}
+
+// indexNth is the index of the nth c in s, or -1.
+func indexNth(s string, c byte, n int) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == c {
+			if n--; n == 0 {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
 // TestGoldenUnterminatedFinalRequest pins the framing edge the transcript
 // cannot reach through a closing reply: a last line without its newline is
 // still served before the connection drops.
 func TestGoldenUnterminatedFinalRequest(t *testing.T) {
 	for _, ab := range []int{0, 8} {
-		_, addr := pipelineServer(t, pipelineCfg{variant: "RR-V", shards: 2, autoBatch: ab}, goldenMaxKey, goldenMaxBatch)
+		_, addr := pipelineServer(t, pipelineCfg{variant: "RR-V", shards: 2, burst: ab}, goldenMaxKey, goldenMaxBatch)
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
-		io.WriteString(nc, "SET 9\nGET 9\nLEN")
+		writeBursts(nc, "SET 9\nGET 9\nLEN", ab)
 		nc.(*net.TCPConn).CloseWrite()
 		got, err := io.ReadAll(nc)
 		nc.Close()
 		if err != nil || string(got) != "1\n1\n1\n" {
-			t.Fatalf("autobatch=%d: got %q, %v; want 1 1 1", ab, got, err)
+			t.Fatalf("burst=%d: got %q, %v; want 1 1 1", ab, got, err)
 		}
 	}
 }
@@ -501,14 +536,14 @@ func FuzzServeMulti(f *testing.F) {
 }
 
 // TestWireMatchesShardedTwin is the differential: random op runs (plain
-// verbs, which the auto-batcher may coalesce, and MULTI frames) and random
+// verbs, which the server coalesces into passes, and MULTI frames) and random
 // scans through the wire must answer exactly what Sharded.Apply and
 // Sharded.Ascend answer on a twin instance fed the same stream.
 func TestWireMatchesShardedTwin(t *testing.T) {
 	const maxKey, rounds = 400, 60
 	for _, shards := range []int{1, 2, 3} {
 		for _, ab := range []int{0, 8} {
-			cfg := pipelineCfg{variant: "RR-V", shards: shards, autoBatch: ab}
+			cfg := pipelineCfg{variant: "RR-V", shards: shards, burst: ab}
 			t.Run(cfg.String(), func(t *testing.T) {
 				served, addr := pipelineServer(t, cfg, maxKey, 64)
 				twin := newSharded(t, shards, 1)
@@ -533,7 +568,7 @@ func TestWireMatchesShardedTwin(t *testing.T) {
 					}
 					lo, n := 1+uint64(rng.Intn(maxKey)), 1+rng.Intn(200)
 					fmt.Fprintf(&req, "ASCEND %d %d\nLEN\n", lo, n)
-					if _, err := io.WriteString(nc, req.String()); err != nil {
+					if err := writeBursts(nc, req.String(), cfg.burst); err != nil {
 						t.Fatalf("write: %v", err)
 					}
 

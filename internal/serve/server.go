@@ -19,10 +19,12 @@ import (
 // pipeline already in flight before their reads time out.
 const drainGrace = 250 * time.Millisecond
 
-// DefaultMaxBatch caps MULTI batch sizes when ServerConfig.MaxBatch is
-// zero. A batch this large always executes through the serial fallback
-// (the capacity cliff sits orders of magnitude lower); the cap exists to
-// bound per-request memory, not to keep batches speculative.
+// DefaultMaxBatch caps MULTI batch sizes, and how many pipelined point
+// requests one pass takes, when ServerConfig.MaxBatch is zero. A MULTI this
+// large always executes through the serial fallback (the capacity cliff
+// sits orders of magnitude lower); the cap exists to bound per-request
+// memory, not to keep batches speculative. A pass is cut into windows, so
+// its size meets no cliff.
 const DefaultMaxBatch = 4096
 
 // oversizeDrainFactor bounds how much body the server will consume to
@@ -48,21 +50,15 @@ type ServerConfig struct {
 	// MaxKey bounds accepted keys to [1, MaxKey]. Zero defaults to the
 	// tree sentinel bound (the tightest across the repo's structures).
 	MaxKey uint64
-	// MaxBatch caps the op count of a MULTI batch; zero means
+	// MaxBatch caps the op count of a MULTI batch, and of the pass a
+	// connection's pipelined point requests share; zero means
 	// DefaultMaxBatch. Oversized batches are rejected with an ERR line
-	// (the connection survives).
+	// (the connection survives); a longer run of pipelined point requests
+	// runs as several passes.
 	MaxBatch int
-	// AutoBatch, when > 1, transparently coalesces a connection's
-	// pipelined burst of consecutive single-key requests into batch
-	// transactions of at most AutoBatch ops each — the capacity-aware
-	// split threshold. Unlike MULTI, auto-batches carry no atomicity
-	// contract (the client asked for single ops), which is exactly why
-	// splitting them at the serial-fallback cliff is legal. Zero or one
-	// disables coalescing. See DESIGN.md §11 for how to size it.
-	AutoBatch int
 	// Obs, when non-nil, receives per-verb service-time histograms, the
-	// batch-path histograms (batch service time, sub-transaction sizes,
-	// splits per batch), per-batch-size transaction gauges, and the
+	// batch-path histograms (batch and pass service time, MULTI
+	// sub-transaction sizes), per-batch-size transaction gauges, and the
 	// live/deferred/connection gauges. It also arms request tracing: every
 	// request carries an obs.Span through lease acquisition, the STM
 	// attempt loop and the reply write, feeding the slowlog (SLOWLOG verb,
@@ -85,7 +81,7 @@ type ServerConfig struct {
 //	                breakdowns as key=value fields), terminated by END\n
 //	LEN\n        -> <n>\n              (keys currently present, all shards)
 //	INFO\n       -> variant=… shards=… slots=… keys=… live=… deferred=… conns=…
-//	                maxbatch=… autobatch=… multi=… scan=… commits=…
+//	                maxbatch=… multi=… scan=… commits=…
 //	                ro_commits=… rw_commits=… serial=… aborts=… [obs=<addr>]\n
 //	anything else -> ERR <reason>\n    (connection stays open)
 //
@@ -97,6 +93,9 @@ type ServerConfig struct {
 // and which span phases are stamped. What a client must know beyond the
 // grammar:
 //
+//   - Pipelined GET, SET and DEL answer exactly what they would one at a
+//     time: the server runs a burst of them as one hand-over-hand pass per
+//     shard, in which each still linearizes on its own.
 //   - MULTI runs one transaction per shard touched: atomic on one shard,
 //     per-shard atomic on several (INFO multi=atomic|per-shard). A frame
 //     that is rejected — bad count, bad body line, over the cap — answers
@@ -116,12 +115,11 @@ type ServerConfig struct {
 //   - LEN and INFO are the only aggregate views, and both are exact (LEN
 //     is one server-level counter, INFO sums each shard's books).
 type Server struct {
-	shards    []Backend
-	view      *Sharded // the backends' sets as one aggregate: INFO, gauges, scan=, span domains
-	maxKey    uint64
-	maxBatch  int
-	autoBatch int
-	obsAddr   string // advertised obs endpoint (INFO obs=)
+	shards   []Backend
+	view     *Sharded // the backends' sets as one aggregate: INFO, gauges, scan=, span domains, passes
+	maxKey   uint64
+	maxBatch int
+	obsAddr  string // advertised obs endpoint (INFO obs=)
 
 	// Histograms and request tracing; all nil without cfg.Obs.
 	dom   *obs.Domain
@@ -147,14 +145,13 @@ func NewServer(cfg ServerConfig) *Server {
 		parts[i] = b.Set
 	}
 	s := &Server{
-		shards:    cfg.Shards,
-		view:      NewSharded(parts),
-		maxKey:    cfg.MaxKey,
-		maxBatch:  cfg.MaxBatch,
-		autoBatch: cfg.AutoBatch,
-		obsAddr:   cfg.ObsAddr,
-		dom:       cfg.Obs,
-		open:      make(map[net.Conn]struct{}),
+		shards:   cfg.Shards,
+		view:     NewSharded(parts),
+		maxKey:   cfg.MaxKey,
+		maxBatch: cfg.MaxBatch,
+		obsAddr:  cfg.ObsAddr,
+		dom:      cfg.Obs,
+		open:     make(map[net.Conn]struct{}),
 	}
 	if s.maxKey == 0 {
 		s.maxKey = tree.MaxKey // the tightest structure bound in the repo

@@ -46,6 +46,7 @@ type Sharded struct {
 	// asserted once at construction. A shard without a view is absent
 	// from that view's aggregate.
 	asc   []sets.Ascender // per shard; nil unless every shard can scan
+	pass  []sets.Passer   // per shard; nil entries for shards that run ops one at a time
 	doms  []*obs.Domain   // per shard; nil entries for detached shards
 	mem   []sets.MemoryReporter
 	tm    []sets.TMStatsReporter
@@ -67,6 +68,7 @@ func NewSharded(shards []sets.Set) *Sharded {
 	s := &Sharded{
 		shards: shards,
 		name:   name,
+		pass:   make([]sets.Passer, len(shards)),
 		doms:   make([]*obs.Domain, len(shards)),
 		mem:    viewsOf[sets.MemoryReporter](shards),
 		tm:     viewsOf[sets.TMStatsReporter](shards),
@@ -79,6 +81,9 @@ func NewSharded(shards []sets.Set) *Sharded {
 		}
 		if a, ok := sh.(sets.Ascender); ok {
 			s.asc = append(s.asc, a)
+		}
+		if p, ok := sh.(sets.Passer); ok {
+			s.pass[i] = p
 		}
 	}
 	if len(s.asc) != len(shards) {
@@ -169,6 +174,41 @@ func (s *Sharded) Apply(tid int, ops []sets.Op) []sets.Result {
 		}
 	}
 	return out
+}
+
+// Pass implements sets.Passer: each op routes to its key's shard, and the
+// shards touched run their ops in ascending shard order, each as one pass
+// (sets.Passer) or, on a shard without one — the trees, the skiplist, the
+// doubly linked list, the lock-free baselines — one at a time through its
+// point methods. Either way every op linearizes on its own, as a point op
+// does. One shard with a pass answers in its scratch; otherwise the
+// results are a fresh slice.
+func (s *Sharded) Pass(tid int, ops []sets.Op) []sets.Result {
+	if p := s.pass[0]; len(s.shards) == 1 && p != nil {
+		return p.Pass(tid, ops)
+	}
+	out := make([]sets.Result, len(ops))
+	var plan shardPlan
+	splitByShard(&plan, ops, len(s.shards))
+	for sh, sub := range plan.ops {
+		s.passShard(sh, tid, sub, out, plan.idx[sh])
+	}
+	return out
+}
+
+// passShard runs ops, every one routed to shard sh, under tid: as one pass
+// when the shard has one, one at a time through its point methods
+// otherwise. Op j's result goes to out[idx[j]].
+func (s *Sharded) passShard(sh, tid int, ops []sets.Op, out []sets.Result, idx []int) {
+	if p := s.pass[sh]; p != nil {
+		for j, r := range p.Pass(tid, ops) {
+			out[idx[j]] = r
+		}
+		return
+	}
+	for j, op := range ops {
+		out[idx[j]] = sets.Do(s.shards[sh], tid, op)
+	}
 }
 
 // Finish flushes tid's deferred work in every shard.

@@ -88,6 +88,18 @@ type Ascender interface {
 	AscendN(tid int, from uint64, limit int, fn func(key uint64) bool) error
 }
 
+// Passer is implemented by sets whose point operations can share one
+// hand-over-hand pass (reclaim.Chassis.Pass): the singly linked list and the
+// hash table. Pass runs ops with the meaning of the single-op methods, in
+// arrival order per key, and returns one result per op. Unlike Apply's, the
+// ops are not atomic together: each linearizes on its own, inside the call,
+// which is all that pipelined point requests, which promise nothing across
+// requests, need. The returned slice is the implementation's per-thread
+// scratch: it is valid until tid's next Pass or Apply.
+type Passer interface {
+	Pass(tid int, ops []Op) []Result
+}
+
 // OpKind selects a batch operation; see reclaim.OpKind, where the chassis's
 // one Apply driver needs it.
 type OpKind = reclaim.OpKind
@@ -113,16 +125,20 @@ type Result = bool
 func ApplyEach(s Set, tid int, ops []Op) []Result {
 	out := make([]Result, len(ops))
 	for i, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			out[i] = s.Insert(tid, op.Key)
-		case OpRemove:
-			out[i] = s.Remove(tid, op.Key)
-		default:
-			out[i] = s.Lookup(tid, op.Key)
-		}
+		out[i] = Do(s, tid, op)
 	}
 	return out
+}
+
+// Do runs op through the single-op method of its kind.
+func Do(s Set, tid int, op Op) Result {
+	switch op.Kind {
+	case OpInsert:
+		return s.Insert(tid, op.Key)
+	case OpRemove:
+		return s.Remove(tid, op.Key)
+	}
+	return s.Lookup(tid, op.Key)
 }
 
 // MemoryReporter is implemented by variants whose node memory is

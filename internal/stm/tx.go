@@ -219,6 +219,11 @@ func (tx *Tx) checkCapacity() {
 	}
 }
 
+// Writes returns how many stores the attempt has pending, Local ones
+// included: what a caller that cuts its own transactions short
+// (reclaim.Chassis.Pass) reads to keep their write sets small.
+func (tx *Tx) Writes() int { return int(tx.wn) }
+
 // ReadMark returns a position in the transaction's read history for use
 // with ForgetReadsBefore.
 func (tx *Tx) ReadMark() uint64 { return tx.rsBase + uint64(len(tx.rs)) }
