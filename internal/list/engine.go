@@ -96,17 +96,20 @@ func (l *linked) apply(tid int, ops []sets.Op, chainOf func(key uint64) arena.Ha
 }
 
 // pass is ops under the chassis's Pass, sorted into one pass per chain
-// (chainOf returns key's chain head) and cut into windows: each op walks
-// from where the pass stands, below its key, and the singly linked list's
-// terminal does what it does there. The walk gets the thread's ER marks,
-// which only a whole-op mode has, where each op runs alone.
+// (chainOf returns key's chain head) and cut into windows, each op its visit.
 func (l *linked) pass(tid int, ops []sets.Op, chainOf func(key uint64) arena.Handle) []sets.Result {
-	return l.Chassis.Pass(tid, ops, chainOf, func(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, budget int) (bool, arena.Handle, int, bool) {
-		prevH, currH, k, steps := l.walk(tx, tid, op.Key, start, budget, l.threads[tid].marks)
-		if !currH.IsNil() && k < op.Key {
-			return false, currH, steps, false // cut: the next window resumes at currH
-		}
-		res, _ := l.at(tx, tid, op, prevH, currH, !currH.IsNil() && k == op.Key)
-		return res, prevH, steps, true
-	})
+	return l.Chassis.Pass(tid, ops, arena.Nil, 0, chainOf, l.visit)
+}
+
+// visit is op's share of a pass window (reclaim.Visit): it walks from where
+// the pass stands, below op's key, and the singly linked list's terminal
+// does what it does there. The walk gets the thread's ER marks, which only
+// a whole-op mode has, where each op runs alone.
+func (l *linked) visit(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, _ uint64, budget int) (bool, arena.Handle, uint64, int, bool) {
+	prevH, currH, k, steps := l.walk(tx, tid, op.Key, start, budget, l.threads[tid].marks)
+	if !currH.IsNil() && k < op.Key {
+		return false, currH, 0, steps, false // cut: the next window resumes at currH
+	}
+	res, _ := l.at(tx, tid, op, prevH, currH, !currH.IsNil() && k == op.Key)
+	return res, prevH, 0, steps, true
 }

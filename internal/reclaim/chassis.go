@@ -311,21 +311,23 @@ func (c *Chassis[N]) Apply(tid int, ops []Op, root arena.Handle, rootWord uint64
 		return nil
 	}
 	ts := &c.ops[tid]
-	out, order := c.sorted(ts, ops, root, chainOf)
+	out, order := c.sorted(ts, ops, chainOf)
 	ts.n += uint64(len(ops))
 	c.Link.Begin(tid)
 	defer c.Link.End(tid)
 	c.RT.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
-		from, fromWord := arena.Nil, uint64(0)
-		for j, v := range order {
+		from, fromWord, chain := arena.Nil, uint64(0), arena.Nil
+		for j := range ops {
+			v := visitAt(order, ops, root, j)
 			start, word := v.chain, rootWord
-			if chainOf != nil && j > 0 && v.chain == order[j-1].chain && !from.IsNil() {
+			if chainOf != nil && j > 0 && v.chain == chain && !from.IsNil() {
 				start, word = from, fromWord
 			}
 			var more bool
 			if out[v.i], from, fromWord, more = step(tx, tid, ops[v.i], start, word); more {
 				tx.Restart() // a doomed snapshot: see Uncut
 			}
+			chain = v.chain
 		}
 	})
 	return out
@@ -333,124 +335,160 @@ func (c *Chassis[N]) Apply(tid int, ops []Op, root arena.Handle, rootWord uint64
 
 // sorted returns tid's result buffer for ops and their visit order. Without
 // a chainOf (the trees and the skiplist) ops keep arrival order, each from
-// root: a tree grown from a sorted batch would be a spine. With one (the
-// lists and the hash table) chainOf(key) is the head of key's chain, and
-// ops are sorted by (chain, key, arrival) — ops on one key keep program
-// order, different keys commute — so one walk down each chain reaches them
-// all.
-func (c *Chassis[N]) sorted(ts *opState, ops []Op, root arena.Handle, chainOf func(key uint64) arena.Handle) (out []bool, order []visit) {
+// root — a tree grown from a sorted batch would be a spine — and the order
+// is nil (visitAt). With one (the lists and the hash table) chainOf(key) is
+// the head of key's chain, and ops are sorted by (chain, key, arrival) —
+// ops on one key keep program order, different keys commute — so one walk
+// down each chain reaches them all.
+func (c *Chassis[N]) sorted(ts *opState, ops []Op, chainOf func(key uint64) arena.Handle) (out []bool, order []visit) {
 	if cap(ts.out) < len(ops) {
-		ts.out, ts.order = make([]bool, len(ops)), make([]visit, len(ops))
+		ts.out = make([]bool, len(ops))
+	}
+	if chainOf == nil {
+		return ts.out[:len(ops)], nil
+	}
+	if cap(ts.order) < len(ops) {
+		ts.order = make([]visit, len(ops))
 	}
 	out, order = ts.out[:len(ops)], ts.order[:len(ops)]
 	for i, op := range ops {
-		order[i] = visit{root, op.Key, i}
-		if chainOf != nil {
-			order[i].chain = chainOf(op.Key)
-		}
+		order[i] = visit{chainOf(op.Key), op.Key, i}
 	}
-	if chainOf != nil {
-		sortVisits(order)
-	}
+	sortVisits(order)
 	return out, order
 }
 
-// Visit is one op's share of a pass window (Pass), the structure's to
-// supply as Step is Apply's: from start — a node below op's key, or the
-// head of its chain — taking at most budget steps, it walks toward op's
-// key. If it gets there it does op there and returns done, op's result and
-// at, the last node below op's key it passed, where the pass goes on.
-// Otherwise at is where the budget ran out, a node below op's key that the
-// next window resumes from. steps is how many nodes it passed.
-type Visit func(tx *stm.Tx, tid int, op Op, start arena.Handle, budget int) (res bool, at arena.Handle, steps int, done bool)
+// visitAt is the j-th of ops in visit order: order's, or without one the
+// j-th to arrive, from root.
+func visitAt(order []visit, ops []Op, root arena.Handle, j int) visit {
+	if order == nil {
+		return visit{root, ops[j].Key, j}
+	}
+	return order[j]
+}
 
-// passWrites is how many stores a pass window may have pending before it
-// ends after an op. A transaction context starts with room for 32 (stm's
-// write log), and one more op stores at most an insert's seven cells and a
-// hold's own, so a pass window's write set never outgrows what the point
-// operations' windows use (a window that did every insert of a 64-SET
-// burst would grow every context's write log for good). Its reads are
-// bounded by its budget: every node passed is a step, and every op one
-// more, for the node at its key.
-const passWrites = 20
+// Visit is one op's share of a pass window (Pass), the structure's to
+// supply as Step is Apply's: from start and word — where the last op's walk
+// left off, the root (with rootWord), or the node a cut held — taking at
+// most budget steps, it walks toward op's key. If it gets there it does op
+// there and returns done, op's result and at, the last node below op's key
+// it passed, where the next op on the same chain goes on (with a chainOf;
+// without one, each op starts at the root). Otherwise at and atWord are
+// where it stopped, a node below op's key that the next window resumes
+// from, or, with a Nil at, a restart from the root, as a Window's (the rest
+// of op then runs uncut). steps is how many nodes it passed.
+type Visit func(tx *stm.Tx, tid int, op Op, start arena.Handle, word uint64, budget int) (res bool, at arena.Handle, atWord uint64, steps int, done bool)
+
+// A pass window's logs stay within what a transaction context starts with
+// (stm's: 32 stores, 256 reads), as a point operation's window does, so a
+// pass costs no memory a point operation would not (a window that did
+// every insert of a 64-SET burst would grow every context's write log for
+// good). On a chain a window ends after an op once passWrites stores are
+// pending, and one more op stores at most a list insert's seven cells and
+// a hold's own; its reads are bounded by its budget, every node passed a
+// step and every op one more, for the node at its key. Without a chainOf
+// each op reads a descent from the root, which its steps do not bound (a
+// skiplist's reads a link per level), so a window ends after an op once it
+// has read half the read log, about as much as one descent reads at most.
+// It also ends after its first op that stores: the next descent would read
+// through the write set, which costs more than the window it saves.
+const (
+	passWrites = 20
+	passReads  = 256
+)
 
 // Pass runs ops as tid's hand-over-hand pass and returns one result per op,
 // at its arrival index, in tid's buffer (valid until its next Pass or
-// Apply). Ops are visited in Apply's order (sorted, by chainOf), but under
-// Op's window loop, not in one transaction: ops in a pass are not atomic
-// together, which is what lets a pipelined burst of point requests, which
-// promise nothing across requests, share one walk per chain.
+// Apply). Ops are visited in Apply's order (sorted by chainOf, or in
+// arrival order from root and rootWord without one), but under Op's window
+// loop, not in one transaction: ops in a pass are not atomic together,
+// which is what lets a pipelined burst of point requests, which promise
+// nothing across requests, share windows.
 //
-// A window starts where the last one is held, or at the head of the chain
-// of the first op not yet done if that hold is gone, and does every op
-// whose key it reaches within its budget: each op linearizes in the window
-// that reaches its key. A window ends when its budget is spent or its
-// write set is passWrites stores long, holding a node below the next op's
-// key — where the last op's walk left off (Nil if that is a chain's head)
-// after a done op, the node the walk stopped at after a cut — so no pass
-// window needs the serial fallback for capacity (TestPassWindowsFit). How
-// many ops are done advances only when a window commits (the advance
-// hook), so an aborted window's ops run again.
+// A window starts where the last one is held, or at the root of the first
+// op not yet done if that hold is gone, and does every op whose key it
+// reaches within its budget: each op linearizes in the window that reaches
+// its key. A window ends when its budget is spent or its logs are full
+// (passWrites), holding a node below the next op's key — where the last
+// op's walk left off (Nil if that is a chain's head or the root) after a
+// done op, the node the walk stopped at after a cut — so no pass window
+// needs the serial fallback for capacity (TestPassWindowsFit). How many
+// ops are done advances only when a window commits (the advance hook), so
+// an aborted window's ops run again. An op that asks for a restart ends
+// its window there; the next window starts it at the root, uncut, and ends
+// after it.
 //
 // A whole-op mode (HTM, ER: its window is unbounded) runs each op as its
 // own Op instead, as its point path does: one window for the whole pass
 // would be Apply's uncut transaction.
-func (c *Chassis[N]) Pass(tid int, ops []Op, chainOf func(key uint64) arena.Handle, visit Visit) []bool {
+func (c *Chassis[N]) Pass(tid int, ops []Op, root arena.Handle, rootWord uint64, chainOf func(key uint64) arena.Handle, visit Visit) []bool {
 	if len(ops) == 0 {
 		return nil
 	}
 	ts := &c.ops[tid]
-	out, order := c.sorted(ts, ops, arena.Nil, chainOf)
+	out, order := c.sorted(ts, ops, chainOf)
 	if c.Traits.WholeOp {
-		for i, op := range ops {
-			out[i] = c.one(tid, op, chainOf(op.Key), visit)
+		for j := range ops {
+			v := visitAt(order, ops, root, j)
+			out[v.i] = c.one(tid, ops[v.i], v.chain, rootWord, visit)
 		}
 		return out
 	}
 	ts.n += uint64(len(ops))
 	ts.done = 0
+	restart := -1 // the op that asked to restart from the root
 	c.Link.Begin(tid)
 	defer c.Link.End(tid)
 	c.RT.Chain(tid, func(tx *stm.Tx) bool {
 		j := ts.done
-		at, _, held, budget := c.start(tx, tid, order[j].chain, 0)
+		v := visitAt(order, ops, root, j)
+		at, word, held, budget := c.start(tx, tid, v.chain, rootWord)
+		if j == restart {
+			budget = Uncut
+		}
 		for {
-			v := order[j]
-			res, to, steps, done := visit(tx, tid, ops[v.i], at, budget)
-			if at = to; !done {
-				break // cut: hold where the walk stopped
+			res, to, toWord, steps, done := visit(tx, tid, ops[v.i], at, word, budget)
+			if at, word = to, toWord; !done {
+				if at.IsNil() {
+					restart = j
+				}
+				break // cut: hold where the walk stopped, or drop for a restart
 			}
 			out[v.i] = res
-			budget -= steps + 1
-			if j++; j == len(order) {
+			if budget -= steps + 1; j == restart {
+				budget = 0
+			}
+			if j++; j == len(ops) {
 				at = arena.Nil
 				break
 			}
-			if order[j].chain != v.chain {
-				at = order[j].chain
+			next := visitAt(order, ops, root, j)
+			if chainOf == nil || next.chain != v.chain {
+				at, word = next.chain, rootWord
 			}
-			if budget <= 0 || tx.Writes() >= passWrites {
-				if at == order[j].chain {
-					at = arena.Nil // the next window starts at the head anyway
+			if budget <= 0 || tx.Writes() >= passWrites || chainOf == nil && (tx.Writes() != 0 || 2*tx.Reads() > passReads) {
+				if at == next.chain {
+					at = arena.Nil // the next window starts there anyway
 				}
 				break
 			}
+			v = next
 		}
-		c.settle(tx, tid, held, at, 0)
+		c.settle(tx, tid, held, at, word)
 		tx.OnCommitCall(c.advance, uint64(tid), uint64(j), 0)
-		return j < len(order)
+		return j < len(ops)
 	})
 	return out
 }
 
-// one runs op alone as an Op from root, through visit.
-func (c *Chassis[N]) one(tid int, op Op, root arena.Handle, visit Visit) (res bool) {
-	c.Op(tid, root, 0, func(tx *stm.Tx, start arena.Handle, _ uint64, budget int) (arena.Handle, uint64, bool) {
-		r, at, _, done := visit(tx, tid, op, start, budget)
+// one runs op alone as an Op from root and rootWord, through visit.
+func (c *Chassis[N]) one(tid int, op Op, root arena.Handle, rootWord uint64, visit Visit) (res bool) {
+	c.Op(tid, root, rootWord, func(tx *stm.Tx, start arena.Handle, word uint64, budget int) (arena.Handle, uint64, bool) {
+		r, at, atWord, _, done := visit(tx, tid, op, start, word, budget)
 		if res = r; done {
 			return arena.Nil, 0, false
 		}
-		return at, 0, true
+		return at, atWord, true
 	})
 	return res
 }

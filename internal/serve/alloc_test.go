@@ -304,6 +304,39 @@ func TestStructureAllocs(t *testing.T) {
 		}
 	}
 
+	// A pipelined burst of 8 as the server runs it: split by shard, one pass
+	// per shard — two skiplists — and one pass on an external tree. Like
+	// Apply's, a pass's result and order buffers are per-thread scratch, and
+	// an insert's height rides in its hold's word.
+	burst := []sets.Op{
+		{Kind: sets.OpInsert, Key: 9}, {Kind: sets.OpLookup, Key: 9}, {Kind: sets.OpRemove, Key: 9}, {Kind: sets.OpLookup, Key: 10},
+		{Kind: sets.OpInsert, Key: 12}, {Kind: sets.OpLookup, Key: 11}, {Kind: sets.OpRemove, Key: 12}, {Kind: sets.OpLookup, Key: 12},
+	}
+	view, et := NewSharded([]sets.Set{skip(reclaim.ModeRR), skip(reclaim.ModeRR)}), etree(reclaim.ModeRR)
+	view.Register(0)
+	et.Register(0)
+	for k := uint64(20); k < 220; k++ {
+		view.Insert(0, k)
+		et.Insert(0, k)
+	}
+	var plan shardPlan
+	out := make([]sets.Result, len(burst))
+	passes := map[string]func(){
+		"skip/shards=2": func() {
+			splitByShard(&plan, burst, 2)
+			for sh, sub := range plan.ops {
+				view.passShard(sh, 0, sub, out, plan.idx[sh])
+			}
+		},
+		"etree": func() { et.(sets.Passer).Pass(0, burst) },
+	}
+	for name, f := range passes {
+		f() // prime
+		if got := testing.AllocsPerRun(300, f); got != 0 {
+			t.Errorf("pass %s burst of 8: %.4f allocs/op, want 0", name, got)
+		}
+	}
+
 	// Batch Apply on the other structures: like the list's, their result
 	// (and the skiplist's height) buffers are per-thread scratch.
 	for _, set := range []sets.Set{

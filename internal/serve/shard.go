@@ -178,9 +178,8 @@ func (s *Sharded) Apply(tid int, ops []sets.Op) []sets.Result {
 
 // Pass implements sets.Passer: each op routes to its key's shard, and the
 // shards touched run their ops in ascending shard order, each as one pass
-// (sets.Passer) or, on a shard without one — the trees, the skiplist, the
-// doubly linked list, the lock-free baselines — one at a time through its
-// point methods. Either way every op linearizes on its own, as a point op
+// (sets.Passer) or, on a shard without one — the doubly linked list, the
+// lock-free baselines — one at a time through its point methods. Either way every op linearizes on its own, as a point op
 // does. One shard with a pass answers in its scratch; otherwise the
 // results are a fresh slice.
 func (s *Sharded) Pass(tid int, ops []sets.Op) []sets.Result {
@@ -197,8 +196,9 @@ func (s *Sharded) Pass(tid int, ops []sets.Op) []sets.Result {
 }
 
 // passShard runs ops, every one routed to shard sh, under tid: as one pass
-// when the shard has one, one at a time through its point methods
-// otherwise. Op j's result goes to out[idx[j]].
+// when the shard has one (every TM structure but the doubly linked list),
+// one at a time through its point methods otherwise. Op j's result goes to
+// out[idx[j]].
 func (s *Sharded) passShard(sh, tid int, ops []sets.Op, out []sets.Result, idx []int) {
 	if p := s.pass[sh]; p != nil {
 		for j, r := range p.Pass(tid, ops) {

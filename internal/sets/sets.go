@@ -89,9 +89,10 @@ type Ascender interface {
 }
 
 // Passer is implemented by sets whose point operations can share one
-// hand-over-hand pass (reclaim.Chassis.Pass): the singly linked list and the
-// hash table. Pass runs ops with the meaning of the single-op methods, in
-// arrival order per key, and returns one result per op. Unlike Apply's, the
+// hand-over-hand pass (reclaim.Chassis.Pass): the singly linked list, the
+// hash table, the skiplist and both trees. Pass runs ops with the meaning
+// of the single-op methods, in arrival order per key, and returns one
+// result per op. Unlike Apply's, the
 // ops are not atomic together: each linearizes on its own, inside the call,
 // which is all that pipelined point requests, which promise nothing across
 // requests, need. The returned slice is the implementation's per-thread

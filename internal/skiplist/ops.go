@@ -9,8 +9,9 @@ import (
 
 // Traversal engine. step is one window of an operation, the skiplist's one
 // descent: the chassis's Op (stm.Runtime.Chain) runs it window by window for
-// Lookup, Insert and Remove, and the chassis's Apply runs it uncut, once per
-// op of a batch.
+// Lookup, Insert and Remove, the chassis's Apply runs it uncut, once per op
+// of a batch, and the chassis's Pass runs it window by window once per op of
+// a pass (visit), each op from the head, the ops sharing windows.
 //
 // Searches descend from the head's top level, advancing right while the
 // next key is smaller and dropping a level otherwise. Window cuts hold the
@@ -118,17 +119,34 @@ const top = MaxHeight - 1
 // op runs op (h is an insert's drawn height) under the chassis's Op.
 func (s *SkipList) op(tid int, op sets.Op, h int) (res bool) {
 	s.Op(tid, s.head, top, func(tx *stm.Tx, start arena.Handle, level uint64, budget int) (at arena.Handle, atLevel uint64, more bool) {
-		res, at, atLevel, more = s.step(tx, tid, op, h, start, level, budget)
+		res, at, atLevel, more = s.step(&searchCtx{tx: tx, tid: tid, curr: start, level: int(level)}, op, h, budget)
 		return at, atLevel, more
 	})
 	return res
 }
 
-// step is one window of op from (start, level), taking at most budget
-// steps, as reclaim.Window returns it, with op's result when the window
-// ends the operation.
-func (s *SkipList) step(tx *stm.Tx, tid int, op sets.Op, h int, start arena.Handle, level uint64, budget int) (res bool, at arena.Handle, atLevel uint64, more bool) {
-	c := &searchCtx{tx: tx, tid: tid, curr: start, level: int(level)}
+// heightShift places an insert's height above the resume level in the word
+// a pass holds, so every window of the insert links it at one height.
+const heightShift = 8
+
+// visit is op's share of a pass window (reclaim.Visit) from (start, word):
+// the step, with the steps it took. An insert draws its height in its first
+// window, as Apply's step does, and carries it past a cut in the hold's
+// word.
+func (s *SkipList) visit(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, word uint64, budget int) (bool, arena.Handle, uint64, int, bool) {
+	h := int(word >> heightShift)
+	if op.Kind == sets.OpInsert && h == 0 {
+		h = s.randHeight(tid)
+	}
+	c := &searchCtx{tx: tx, tid: tid, curr: start, level: int(word & (1<<heightShift - 1))}
+	res, at, atLevel, more := s.step(c, op, h, budget)
+	return res, at, atLevel | uint64(h)<<heightShift, c.steps, !more
+}
+
+// step is one window of op from c's frame, taking at most budget steps, as
+// reclaim.Window returns it, with op's result when the window ends the
+// operation.
+func (s *SkipList) step(c *searchCtx, op sets.Op, h, budget int) (res bool, at arena.Handle, atLevel uint64, more bool) {
 	switch op.Kind {
 	case sets.OpLookup:
 		r := s.run(c, op.Key, budget, 0, 0)
@@ -245,9 +263,16 @@ func (s *SkipList) Apply(tid int, ops []sets.Op) []sets.Result {
 		if op.Kind == sets.OpInsert {
 			h = s.randHeight(tid)
 		}
-		res, _, _, more := s.step(tx, tid, op, h, start, level, reclaim.Uncut)
+		res, _, _, more := s.step(&searchCtx{tx: tx, tid: tid, curr: start, level: int(level)}, op, h, reclaim.Uncut)
 		return res, arena.Nil, 0, more
 	})
+}
+
+// Pass implements sets.Passer: the chassis's Pass with no chain function,
+// each op its visit from the head, in arrival order, the ops sharing
+// windows.
+func (s *SkipList) Pass(tid int, ops []sets.Op) []sets.Result {
+	return s.Chassis.Pass(tid, ops, s.head, top, nil, s.visit)
 }
 
 // insert is Insert's window from c, for a node of height h.

@@ -17,9 +17,11 @@
 // still in every one of its chains with its key intact, so resuming the
 // descent from (node, level) is exactly a sequential search step). That
 // descent is one step per operation (ops.go): the chassis's Op runs it
-// window by window, holding or dropping the position between windows, and
-// the chassis's Apply runs the same step uncut from the head, once per op
-// in arrival order.
+// window by window, holding or dropping the position between windows, the
+// chassis's Apply runs the same step uncut from the head, once per op in
+// arrival order, and the chassis's Pass runs it from the head once per op
+// in arrival order, window by window, the ops sharing windows (a
+// sets.Passer).
 //
 // Removal unlinks the victim from all of its levels inside the final
 // transaction, revokes it once, and frees it at the commit point — precise

@@ -264,7 +264,7 @@ func TestAbortedTallInsertFreesEachSlotOnce(t *testing.T) {
 		attempts := 0
 		s.RT.AtomicT(0, func(tx *stm.Tx) {
 			attempts++
-			if res, _, _, _ := s.step(tx, 0, sets.Op{Kind: sets.OpInsert, Key: 20}, MaxHeight, s.head, top, reclaim.Uncut); !res {
+			if res, _, _, _ := s.step(&searchCtx{tx: tx, curr: s.head, level: top}, sets.Op{Kind: sets.OpInsert, Key: 20}, MaxHeight, reclaim.Uncut); !res {
 				t.Errorf("guard %v: attempt %d: insert of 20 failed", guard, attempts)
 			}
 			if attempts == 1 {

@@ -224,6 +224,11 @@ func (tx *Tx) checkCapacity() {
 // (reclaim.Chassis.Pass) reads to keep their write sets small.
 func (tx *Tx) Writes() int { return int(tx.wn) }
 
+// Reads returns how many reads the attempt has logged (the read side of its
+// footprint), which reclaim.Chassis.Pass reads to keep its read sets small
+// too.
+func (tx *Tx) Reads() int { return len(tx.rs) - tx.rsHead }
+
 // ReadMark returns a position in the transaction's read history for use
 // with ForgetReadsBefore.
 func (tx *Tx) ReadMark() uint64 { return tx.rsBase + uint64(len(tx.rs)) }

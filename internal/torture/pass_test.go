@@ -2,6 +2,7 @@ package torture
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -28,7 +29,8 @@ func (p *passSet) Apply(tid int, ops []sets.Op) []sets.Result {
 
 // TestPassHistory: passes of 8 ops, beside point operations and scans, on
 // 1 and 2 shards, under every windowed mode of the singly linked list (and
-// the hash table over two of them), with small windows so passes are cut
+// the hash table, the skiplist and both trees over RR-V and TMHP where the
+// family takes it), with small windows so passes are cut
 // and their holds revoked often. Every op a pass ran must linearize on its
 // own inside the pass's call — an op done in a window that aborted, or done
 // twice after a lost hold, is a history with no linearization — and the
@@ -42,9 +44,10 @@ func TestPassHistory(t *testing.T) {
 	}
 	modes := []string{"RR-FA", "RR-DM", "RR-SA", "RR-XO", "RR-SO", "RR-V", "REF", "TMHP", "TMHE", "TMVBR", ebrMode.String()}
 	combo := uint64(0)
-	for _, structure := range []string{family.Singly, family.Hash} {
+	for _, structure := range []string{family.Singly, family.Hash, family.Skip, family.ITree, family.ETree} {
+		row, _ := family.ByName(structure)
 		for _, variant := range modes {
-			if structure == family.Hash && variant != "RR-V" && variant != "TMHP" {
+			if structure != family.Singly && variant != "RR-V" && variant != "TMHP" || !slices.Contains(row.Variants(), variant) {
 				continue
 			}
 			for _, shards := range []int{1, 2} {
@@ -53,7 +56,14 @@ func TestPassHistory(t *testing.T) {
 					Structure: structure, Variant: variant, Threads: threads, Ops: ops, Keys: keys,
 					LookupPct: 20, Window: 2 + int(combo%3), Shards: shards, BatchOps: 8,
 					Seed: 0x9a55 + combo, Guard: true,
-				}.withDefaults()
+				}
+				if structure != family.Singly && structure != family.Hash {
+					// A descent from the root over 64 keys is a few nodes, and a
+					// window that stores ends there: these passes hold, and lose
+					// holds, often enough only at W = 2, over more ops.
+					cfg.Window, cfg.Ops = 2, 3*ops
+				}
+				cfg = cfg.withDefaults()
 				t.Run(fmt.Sprintf("%s/%s/s%d", structure, variant, shards), func(t *testing.T) {
 					t.Parallel()
 					inst, err := build(cfg)

@@ -53,19 +53,19 @@ var depth = [...]int{sets.OpLookup: 0, sets.OpInsert: 1, sets.OpRemove: 2}
 // It ends at key's leaf with more false, or stops early as a reclaim.Window
 // does: at a cut, holding at; or with a Nil at to restart from the root,
 // when a resumed window reaches the leaf with fewer than needs ancestors,
-// or meets a poisoned link.
-func (t *External) descend(tx *stm.Tx, tid int, key uint64, needs int, start arena.Handle, budget int) (lf leaf, at arena.Handle, more bool) {
+// or meets a poisoned link. steps is how many routers it passed.
+func (t *External) descend(tx *stm.Tx, tid int, key uint64, needs int, start arena.Handle, budget int) (lf leaf, at arena.Handle, steps int, more bool) {
 	lf.h = start
-	for steps := 0; ; steps++ {
+	for ; ; steps++ {
 		n := t.Ar.At(lf.h)
 		if t.Guard.Link(tx, tid, lf.h, n.left.Load(tx)).IsNil() {
 			if needs > 0 && lf.pH.IsNil() || needs > 1 && lf.gH.IsNil() {
-				return leaf{}, arena.Nil, true
+				return leaf{}, arena.Nil, steps, true
 			}
-			return lf, arena.Nil, false
+			return lf, arena.Nil, steps, false
 		}
 		if steps >= budget {
-			return leaf{}, lf.h, true
+			return leaf{}, lf.h, steps, true
 		}
 		lf.gH, lf.pDir = lf.pH, lf.lDir
 		lf.pH = lf.h
@@ -77,31 +77,31 @@ func (t *External) descend(tx *stm.Tx, tid int, key uint64, needs int, start are
 		if lf.h.IsNil() {
 			// A router's children are never Nil; only a poisoned link
 			// defuses to Nil. This attempt is doomed.
-			return leaf{}, arena.Nil, true
+			return leaf{}, arena.Nil, steps, true
 		}
 	}
 }
 
 // step is the external tree's set operation: the shared descent, then op at
 // the leaf (see the step type).
-func (t *External) step(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, budget int) (bool, arena.Handle, bool) {
-	lf, at, more := t.descend(tx, tid, op.Key, depth[op.Kind], start, budget)
+func (t *External) step(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, budget int) (bool, arena.Handle, int, bool) {
+	lf, at, steps, more := t.descend(tx, tid, op.Key, depth[op.Kind], start, budget)
 	if more {
-		return false, at, true
+		return false, at, steps, true
 	}
 	leafKey := t.Guard.Word(tx, tid, lf.h, t.Ar.At(lf.h).key.Load(tx))
 	found := leafKey == op.Key
 	switch {
 	case op.Kind == sets.OpLookup:
-		return found, arena.Nil, false
+		return found, arena.Nil, steps, false
 	case op.Kind == sets.OpInsert && !found:
 		t.graft(tx, tid, lf, op.Key, leafKey)
 	case op.Kind == sets.OpRemove && found:
 		t.prune(tx, tid, lf)
 	default:
-		return false, arena.Nil, false
+		return false, arena.Nil, steps, false
 	}
-	return true, arena.Nil, false
+	return true, arena.Nil, steps, false
 }
 
 // graft replaces lf's leaf, whose key is leafKey, with a router over it and
@@ -148,6 +148,12 @@ func (t *External) Remove(tid int, key uint64) bool {
 // depth.
 func (t *External) Apply(tid int, ops []sets.Op) []sets.Result {
 	return t.apply(tid, t.root, ops, t.step)
+}
+
+// Pass implements sets.Passer. A descent from the root, like Apply's, never
+// restarts for depth; one resumed from a cut may.
+func (t *External) Pass(tid int, ops []sets.Op) []sets.Result {
+	return t.pass(tid, t.root, ops, t.step)
 }
 
 // Snapshot implements sets.Set (quiescence required); sentinel leaves are

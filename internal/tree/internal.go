@@ -37,32 +37,32 @@ func child(n *node, dir int) *stm.Word {
 // at a resumed window's first node — whose parent is unknown: the paper's
 // nodes store child-direction, not parent pointers — restarts from the
 // root.
-func (t *Internal) step(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, budget int) (bool, arena.Handle, bool) {
+func (t *Internal) step(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, budget int) (bool, arena.Handle, int, bool) {
 	prevH, currH := arena.Nil, start
 	dir := 0
 	for steps := 0; ; steps++ {
 		if currH.IsNil() {
 			if op.Kind != sets.OpInsert {
-				return false, arena.Nil, false
+				return false, arena.Nil, steps, false
 			}
 			nh := t.allocNode(tx, tid, op.Key, arena.Nil, arena.Nil)
 			child(t.Ar.At(prevH), dir).Store(tx, uint64(nh))
-			return true, arena.Nil, false
+			return true, arena.Nil, steps, false
 		}
 		n := t.Ar.At(currH)
 		ck := t.Guard.Word(tx, tid, currH, n.key.Load(tx))
 		if ck == op.Key {
 			switch {
 			case op.Kind != sets.OpRemove:
-				return op.Kind == sets.OpLookup, arena.Nil, false
+				return op.Kind == sets.OpLookup, arena.Nil, steps, false
 			case prevH.IsNil():
-				return false, arena.Nil, true // matched at the resumed start: ancestors unknown
+				return false, arena.Nil, steps, true // matched at the resumed start: ancestors unknown
 			}
 			t.removeFound(tx, tid, prevH, currH, dir)
-			return true, arena.Nil, false
+			return true, arena.Nil, steps, false
 		}
 		if steps >= budget {
-			return false, currH, true // hand over to the next window at currH
+			return false, currH, steps, true // hand over to the next window at currH
 		}
 		prevH = currH
 		if op.Key < ck {
@@ -96,6 +96,11 @@ func (t *Internal) Remove(tid int, key uint64) bool {
 // descent's match always has a known parent.
 func (t *Internal) Apply(tid int, ops []sets.Op) []sets.Result {
 	return t.apply(tid, t.root, ops, t.step)
+}
+
+// Pass implements sets.Passer.
+func (t *Internal) Pass(tid int, ops []sets.Op) []sets.Result {
+	return t.pass(tid, t.root, ops, t.step)
 }
 
 // removeFound deletes the matched node vH (the dir-child of parentH),

@@ -51,7 +51,7 @@ func (m *Map) op(tid int, kind sets.OpKind, key uint64, fn func(tx *stm.Tx, lf l
 	}
 	t := m.t
 	t.Op(tid, t.root, 0, func(tx *stm.Tx, start arena.Handle, _ uint64, budget int) (arena.Handle, uint64, bool) {
-		lf, at, more := t.descend(tx, tid, key, depth[kind], start, budget)
+		lf, at, _, more := t.descend(tx, tid, key, depth[kind], start, budget)
 		if !more {
 			res = fn(tx, lf, t.Guard.Word(tx, tid, lf.h, t.Ar.At(lf.h).key.Load(tx)))
 		}

@@ -13,7 +13,9 @@
 // chassis starts it and returns where it stops. Lookup, Insert and Remove
 // run it window by window under the chassis's Op, which holds or drops the
 // position between windows; Apply runs the same step uncut from the root,
-// once per op in arrival order, under the chassis's Apply. Keys above MaxKey are the
+// once per op in arrival order, under the chassis's Apply; and Pass runs it
+// from the root once per op in arrival order under the chassis's Pass,
+// window by window, the ops sharing windows. Keys above MaxKey are the
 // sentinels' and absent to every operation (Insert panics on them).
 //
 // The delicate part is the internal tree's removal of a node with two
@@ -113,8 +115,9 @@ func (b *base) allocNode(tx *stm.Tx, tid int, key uint64, left, right arena.Hand
 
 // step is a tree's one descent (Internal.step, External.step): one window
 // of op from start, taking at most budget steps, as reclaim.Window returns
-// it, with op's result when the window ends the operation.
-type step func(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, budget int) (res bool, at arena.Handle, more bool)
+// it, with op's result when the window ends the operation and the steps it
+// took.
+type step func(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, budget int) (res bool, at arena.Handle, steps int, more bool)
 
 // absent reports a key above MaxKey, which no tree holds (the sentinels'
 // keys are there): Insert panics on it, and every other operation answers
@@ -136,7 +139,7 @@ func (b *base) run(tid int, root arena.Handle, op sets.Op, step step) (res bool)
 		return false
 	}
 	b.Op(tid, root, 0, func(tx *stm.Tx, start arena.Handle, _ uint64, budget int) (at arena.Handle, _ uint64, more bool) {
-		res, at, more = step(tx, tid, op, start, budget)
+		res, at, _, more = step(tx, tid, op, start, budget)
 		return at, 0, more
 	})
 	return res
@@ -152,7 +155,21 @@ func (b *base) apply(tid int, root arena.Handle, ops []sets.Op, step step) []set
 		if absent(op) {
 			return false, arena.Nil, 0, false
 		}
-		res, _, more := step(tx, tid, op, start, reclaim.Uncut)
+		res, _, _, more := step(tx, tid, op, start, reclaim.Uncut)
 		return res, arena.Nil, 0, more
+	})
+}
+
+// pass is both trees' sets.Passer.Pass: the chassis's Pass with no chain
+// function, so each op is the same step from root, in arrival order, the
+// ops sharing windows. A removal's revokes, the internal tree's path
+// included, happen in the window that does it, as in Apply.
+func (b *base) pass(tid int, root arena.Handle, ops []sets.Op, step step) []sets.Result {
+	return b.Chassis.Pass(tid, ops, root, 0, nil, func(tx *stm.Tx, tid int, op sets.Op, start arena.Handle, _ uint64, budget int) (bool, arena.Handle, uint64, int, bool) {
+		if absent(op) {
+			return false, arena.Nil, 0, 0, true
+		}
+		res, at, steps, more := step(tx, tid, op, start, budget)
+		return res, at, 0, steps, !more
 	})
 }
